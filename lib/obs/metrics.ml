@@ -9,6 +9,7 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
+  mutable generation : int;  (* bumped by [reset]; stales every handle *)
 }
 
 let create () =
@@ -16,6 +17,7 @@ let create () =
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 8;
+    generation = 0;
   }
 
 let counter_ref t name =
@@ -36,6 +38,32 @@ let set t name v = counter_ref t name := v
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+
+(* A handle caches the counter's cell after its first bump, so a hot
+   path pays one integer compare instead of a string-keyed lookup. It
+   resolves lazily (an unbumped handle creates nothing) and again after
+   a [reset], which is what [c_gen] tracks. *)
+type counter = {
+  c_reg : t;
+  c_name : string;
+  mutable c_gen : int;
+  mutable c_cell : int ref;
+}
+
+let counter t name = { c_reg = t; c_name = name; c_gen = -1; c_cell = ref 0 }
+
+let cell c =
+  if c.c_gen <> c.c_reg.generation then begin
+    c.c_cell <- counter_ref c.c_reg c.c_name;
+    c.c_gen <- c.c_reg.generation
+  end;
+  c.c_cell
+
+let bump c = Stdlib.incr (cell c)
+
+let bump_by c n =
+  let r = cell c in
+  r := !r + n
 
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
@@ -86,12 +114,34 @@ let bucket_index h v =
   in
   if v > h.edges.(n - 1) then n else go 0 n
 
-let observe t ?buckets name v =
-  let h = hist_ref t ?buckets name in
+let record h v =
   let i = bucket_index h v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
   h.total <- h.total + v
+
+let observe t ?buckets name v = record (hist_ref t ?buckets name) v
+
+(* The histogram counterpart of [counter]. *)
+type sampler = {
+  s_reg : t;
+  s_name : string;
+  s_buckets : int list option;
+  mutable s_gen : int;
+  mutable s_hist : hist option;
+}
+
+let sampler t ?buckets name =
+  { s_reg = t; s_name = name; s_buckets = buckets; s_gen = -1; s_hist = None }
+
+let sample s v =
+  match s.s_hist with
+  | Some h when s.s_gen = s.s_reg.generation -> record h v
+  | Some _ | None ->
+      let h = hist_ref s.s_reg ?buckets:s.s_buckets s.s_name in
+      s.s_hist <- Some h;
+      s.s_gen <- s.s_reg.generation;
+      record h v
 
 type histogram = {
   buckets : (int * int) list;
@@ -162,6 +212,7 @@ let to_json t =
     ]
 
 let reset t =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists

@@ -28,6 +28,23 @@ val get : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
+(** {2 Counter handles} — for hot paths. A handle names one counter
+    and resolves that name on its first bump, then keeps the counter's
+    cell, so a bump costs no lookup. Bumping by handle is exactly
+    {!incr}/{!add} by name: handles on one name share one counter, and
+    a handle that is never bumped leaves the registry untouched. A
+    handle stays valid across {!reset} (it re-resolves). *)
+
+type counter
+
+val counter : t -> string -> counter
+
+val bump : counter -> unit
+(** [bump c] is [incr t name]. *)
+
+val bump_by : counter -> int -> unit
+(** [bump_by c n] is [add t name n]. *)
+
 (** {1 Gauges} — last-write-wins instantaneous values. *)
 
 val set_gauge : t -> string -> float -> unit
@@ -49,6 +66,14 @@ val observe : t -> ?buckets:int list -> string -> int -> unit
 (** Record one value into histogram [name], creating the histogram on
     first use ([buckets] only takes effect then; edges must be
     strictly increasing, checked at creation). *)
+
+type sampler
+(** A histogram handle: the {!observe} counterpart of {!counter}. *)
+
+val sampler : t -> ?buckets:int list -> string -> sampler
+
+val sample : sampler -> int -> unit
+(** [sample s v] is [observe t ?buckets name v]. *)
 
 type histogram = {
   buckets : (int * int) list;  (** (upper edge, count), ascending. *)

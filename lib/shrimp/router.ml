@@ -38,21 +38,24 @@ let nack_retry_cycles = 32
 type mutation = Credit_leak | Arb_stuck | Flit_leak | Double_grant
 
 (* Round-robin arbitration among the VCs competing for one physical
-   link: grant the first ready VC scanning circularly from [rr]. The
-   caller advances [rr] to just past the grant, which bounds the wait
-   of any continuously-ready VC to [vc_count - 1] skipped rounds (the
-   distance from [rr] to that VC strictly shrinks on every skip). *)
+   link: grant the first ready VC scanning circularly from [rr] (-1
+   when none is). The caller advances [rr] to just past the grant,
+   which bounds the wait of any continuously-ready VC to
+   [vc_count - 1] skipped rounds (the distance from [rr] to that VC
+   strictly shrinks on every skip). *)
+let arbitrate_by ~rr ~n ready =
+  let g = ref (-1) and k = ref 0 in
+  while !g < 0 && !k < n do
+    let v = (rr + !k) mod n in
+    if ready v then g := v;
+    incr k
+  done;
+  !g
+
 let arbitrate ~rr ~ready =
-  let n = Array.length ready in
-  if n = 0 then None
-  else
-    let rec go k =
-      if k >= n then None
-      else
-        let v = (rr + k) mod n in
-        if ready.(v) then Some v else go (k + 1)
-    in
-    go 0
+  match arbitrate_by ~rr ~n:(Array.length ready) (Array.get ready) with
+  | -1 -> None
+  | v -> Some v
 
 (* One virtual channel of a directed link. [v_tail] is the cycle the
    VC's most recent packet clears the wire — the next packet assigned
@@ -84,15 +87,15 @@ type pool = {
 
    A packet decomposes into head/body/tail flits that cross the mesh
    one link per flit-cycle. A worm is the in-network image of one
-   packet: its flits all follow the path the head reserves, and
-   [w_vcs] records, per hop, the virtual channel the head was granted
-   there (-1 until the head crosses that hop), which the body and tail
-   must reuse — the wormhole discipline. *)
+   packet: its flits all follow the path the head reserves (as indices
+   into [fl_links]), and [w_vcs] records, per hop, the virtual channel
+   the head was granted there (-1 until the head crosses that hop),
+   which the body and tail must reuse — the wormhole discipline. *)
 type worm = {
   w_id : int;
   w_pkt : Packet.t;
   w_flits : int;
-  w_path : (int * int) array;
+  w_path : int array;
   w_vcs : int array;
 }
 
@@ -111,6 +114,7 @@ type flit = {
    F1 conservation oracle. [fb_owner] is the id of the worm whose head
    claimed this VC (freed when its tail pops out). *)
 type fbuf = {
+  fb_vc : int;
   fb_capacity : int;
   mutable fb_credits : int;
   mutable fb_occ : int;
@@ -128,6 +132,7 @@ type flit_side = {
   fs_bufs : fbuf array;             (* input FIFOs at l_dst, per VC *)
   mutable fs_units : funit array;   (* competitors for this wire *)
   mutable fs_wire_free : int;
+  mutable fs_busy_listed : bool;    (* in [fl_busy] *)
   mutable fs_vc_rr : int;           (* rr pointer for head-flit VC grants *)
   mutable fs_flits : int;           (* flits that crossed this wire *)
   mutable fs_stall_cycles : int;    (* cycles with a ready waiter, no grant *)
@@ -142,6 +147,7 @@ type flit_side = {
    future reservations (disjoint, sorted by start) so a later claim can
    backfill an idle window instead of queueing behind the last tail. *)
 type link = {
+  l_idx : int;                      (* position in [fl_links]; -1 analytic *)
   l_src : int;
   l_dst : int;
   mutable busy_until : int;
@@ -199,6 +205,21 @@ type flit_stat = {
   fl_hol_cycles : int;
 }
 
+(* A set of link indices drained in ascending order, one pass per
+   flit-cycle — the active set of the flit clock. Marking an index
+   ahead of the pass cursor queues it later in the same pass; marking
+   one at or behind the cursor defers it to the next pass, which is
+   exactly when a full in-order sweep of every link would next reach
+   it. Each index is held at most once, so the arrays never overflow. *)
+type worklist = {
+  wl_heap : int array;              (* min-heap: members due this pass *)
+  mutable wl_size : int;
+  wl_next : int array;              (* members due next pass *)
+  mutable wl_next_n : int;
+  wl_member : bool array;
+  mutable wl_cursor : int;          (* index being visited; -1 between passes *)
+}
+
 type t = {
   engine : Engine.t;
   config : config;
@@ -227,9 +248,21 @@ type t = {
   mutable fl_delivered : int;
   mutable fl_next_worm : int;
   mutable fl_last_tick : int;
+  fl_arb : worklist;          (* links some queue's front flit waits for *)
+  fl_eject : worklist;        (* links with a front flit at its destination *)
+  fl_busy : int array;        (* links whose wire may still be busy *)
+  mutable fl_busy_n : int;
+  mutable fl_min_ready : int; (* earliest future f_ready seen this tick *)
+  fl_occ_now : int array;     (* per-VC flits buffered, kept running *)
   mutable fl_occ_sum : float array;    (* per-VC occupancy, summed per tick *)
   mutable fl_occ_max : int array;
   mutable fl_occ_cycles : int;
+  m_grants : Metrics.counter;
+  m_delivered : Metrics.counter;
+  m_stalls : Metrics.counter;
+  m_hol : Metrics.counter;
+  m_busy : Metrics.counter;
+  m_occupancy : Metrics.sampler;
 }
 
 (* Width of the squarest mesh covering [nodes]. *)
@@ -258,17 +291,76 @@ let fresh_pools t =
       let now = Engine.now t.engine in
       Array.init t.config.vc_count (fun _ -> fresh_pool ~now n)
 
-let fl_fresh_buf cap =
-  { fb_capacity = cap; fb_credits = cap; fb_occ = 0; fb_owner = -1;
-    fb_max_occ = 0; fb_grants = 0; fb_q = Queue.create () }
+let wl_create n =
+  { wl_heap = Array.make n 0; wl_size = 0; wl_next = Array.make n 0;
+    wl_next_n = 0; wl_member = Array.make n false; wl_cursor = -1 }
 
-(* Flit mode materialises every directed mesh link up front, in
-   (src, dst) order, so the per-cycle arbitration loop iterates them
-   deterministically (the lazy [link_of] creation order would depend
-   on traffic). *)
-let fl_build_links t =
-  let w = t.width and n = t.node_count in
-  let cap = match t.config.rx_credits with None -> -1 | Some c -> c in
+let wl_is_empty w = w.wl_size = 0 && w.wl_next_n = 0
+
+let wl_push w i =
+  let h = w.wl_heap in
+  let k = ref w.wl_size in
+  while !k > 0 && h.((!k - 1) / 2) > i do
+    h.(!k) <- h.((!k - 1) / 2);
+    k := (!k - 1) / 2
+  done;
+  h.(!k) <- i;
+  w.wl_size <- w.wl_size + 1
+
+let wl_pop_min w =
+  let h = w.wl_heap in
+  let top = h.(0) in
+  let n = w.wl_size - 1 in
+  w.wl_size <- n;
+  let x = h.(n) in
+  let k = ref 0 and sifting = ref (n > 0) in
+  while !sifting do
+    let c = (2 * !k) + 1 in
+    let c = if c + 1 < n && h.(c + 1) < h.(c) then c + 1 else c in
+    if c < n && h.(c) < x then begin
+      h.(!k) <- h.(c);
+      k := c
+    end
+    else sifting := false
+  done;
+  if n > 0 then h.(!k) <- x;
+  top
+
+let wl_mark w i =
+  if not w.wl_member.(i) then begin
+    w.wl_member.(i) <- true;
+    if i > w.wl_cursor then wl_push w i
+    else begin
+      w.wl_next.(w.wl_next_n) <- i;
+      w.wl_next_n <- w.wl_next_n + 1
+    end
+  end
+
+(* The next member due in this pass, or -1 once the pass is over (the
+   deferred members then become due for the next one). *)
+let wl_take w =
+  if w.wl_size > 0 then begin
+    let i = wl_pop_min w in
+    w.wl_cursor <- i;
+    w.wl_member.(i) <- false;
+    i
+  end
+  else begin
+    w.wl_cursor <- -1;
+    for k = 0 to w.wl_next_n - 1 do
+      wl_push w w.wl_next.(k)
+    done;
+    w.wl_next_n <- 0;
+    -1
+  end
+
+let fl_fresh_buf cap vc =
+  { fb_vc = vc; fb_capacity = cap; fb_credits = cap; fb_occ = 0;
+    fb_owner = -1; fb_max_occ = 0; fb_grants = 0; fb_q = Queue.create () }
+
+(* Every directed link of the [w]-wide, [n]-node mesh, in (src, dst)
+   order. *)
+let mesh_pairs w n =
   let pairs = ref [] in
   for id = 0 to n - 1 do
     let x = id mod w and y = id / w in
@@ -280,16 +372,24 @@ let fl_build_links t =
         end)
       [ (x - 1, y); (x + 1, y); (x, y - 1); (x, y + 1) ]
   done;
+  List.sort compare !pairs
+
+(* Flit mode materialises every directed mesh link up front, in
+   (src, dst) order, so the per-cycle arbitration loop iterates them
+   deterministically (the lazy [link_of] creation order would depend
+   on traffic). *)
+let fl_build_links t pairs =
+  let cap = match t.config.rx_credits with None -> -1 | Some c -> c in
   t.fl_links <-
     Array.of_list
-      (List.map
-         (fun (a, b) ->
+      (List.mapi
+         (fun i (a, b) ->
            let fs =
              {
-               fs_bufs =
-                 Array.init t.config.vc_count (fun _ -> fl_fresh_buf cap);
+               fs_bufs = Array.init t.config.vc_count (fl_fresh_buf cap);
                fs_units = [||];
                fs_wire_free = 0;
+               fs_busy_listed = false;
                fs_vc_rr = 0;
                fs_flits = 0;
                fs_stall_cycles = 0;
@@ -297,7 +397,7 @@ let fl_build_links t =
              }
            in
            let l =
-             { l_src = a; l_dst = b; busy_until = 0; inflight = 0;
+             { l_idx = i; l_src = a; l_dst = b; busy_until = 0; inflight = 0;
                l_max_depth = 0; l_xmits = 0; l_busy_cycles = 0;
                l_wait_cycles = 0; l_fault = Link_ok; l_rr = 0;
                l_vcs = Array.init t.config.vc_count (fun _ -> fresh_vc ());
@@ -305,7 +405,7 @@ let fl_build_links t =
            in
            Hashtbl.add t.links (a, b) l;
            l)
-         (List.sort compare !pairs));
+         pairs);
   (* the input units competing for each wire: the source node's
      injection FIFO first, then each incoming link's input-buffer VCs
      in (src, dst, vc) order *)
@@ -333,6 +433,12 @@ let create ~engine ~nodes ?(config = default_config) () =
   | Some _ | None -> ());
   if config.flit_words < 1 then
     invalid_arg "Router.create: flit_words must be >= 1";
+  if config.base_cycles < 0 || config.per_hop_cycles < 0
+     || config.per_word_cycles < 0
+  then
+    invalid_arg
+      "Router.create: base_cycles, per_hop_cycles and per_word_cycles must \
+       be >= 0";
   (match (config.crossing, config.routing) with
   | `Flit, `Minimal_adaptive ->
       invalid_arg
@@ -348,6 +454,9 @@ let create ~engine ~nodes ?(config = default_config) () =
           rows, e.g. 2, 4, 6, 9, 12, 16, 25, 36, 64"
          nodes width);
   let flit = config.crossing = `Flit && config.link_contention in
+  let pairs = if flit then mesh_pairs width nodes else [] in
+  let nl = List.length pairs in
+  let em = Engine.metrics engine in
   let t =
     {
       engine;
@@ -370,12 +479,24 @@ let create ~engine ~nodes ?(config = default_config) () =
       fl_delivered = 0;
       fl_next_worm = 0;
       fl_last_tick = -1;
+      fl_arb = wl_create nl;
+      fl_eject = wl_create nl;
+      fl_busy = Array.make nl 0;
+      fl_busy_n = 0;
+      fl_min_ready = max_int;
+      fl_occ_now = (if flit then Array.make config.vc_count 0 else [||]);
       fl_occ_sum = (if flit then Array.make config.vc_count 0.0 else [||]);
       fl_occ_max = (if flit then Array.make config.vc_count 0 else [||]);
       fl_occ_cycles = 0;
+      m_grants = Metrics.counter em "net.flit.grants";
+      m_delivered = Metrics.counter em "net.flit.delivered";
+      m_stalls = Metrics.counter em "net.flit.stall_cycles";
+      m_hol = Metrics.counter em "net.flit.hol_stall_cycles";
+      m_busy = Metrics.counter em "net.link.busy_cycles";
+      m_occupancy = Metrics.sampler em "net.flit.occupancy";
     }
   in
-  if flit then fl_build_links t;
+  if flit then fl_build_links t pairs;
   t
 
 let nodes t = t.node_count
@@ -421,7 +542,7 @@ let link_of t a b =
   | Some l -> l
   | None ->
       let l =
-        { l_src = a; l_dst = b; busy_until = 0; inflight = 0;
+        { l_idx = -1; l_src = a; l_dst = b; busy_until = 0; inflight = 0;
           l_max_depth = 0; l_xmits = 0; l_busy_cycles = 0; l_wait_cycles = 0;
           l_fault = Link_ok; l_rr = 0;
           l_vcs = Array.init t.config.vc_count (fun _ -> fresh_vc ());
@@ -770,16 +891,68 @@ let injection_ready t ~src ~dst =
 (* ---- The flit clock ----
 
    One engine event per active flit-cycle. Each tick first ejects (at
-   most one flit per link), then arbitrates every wire (at most one
+   most one flit per link), then arbitrates the wires (at most one
    flit crosses per link per flit-cycle), in the fixed [fl_links]
-   order — fully deterministic. When a tick makes no progress the
-   clock skips ahead to the next flit-ready or wire-free time instead
-   of spinning, and goes quiescent when neither exists (empty network,
-   or a worm wedged by a planted mutation — which is why the F1 oracle
+   order — fully deterministic. A tick visits only the links of its
+   active sets: [fl_eject] holds the links with a front flit at its
+   destination, [fl_arb] those some queue's front flit is routed over.
+   Every pop and every push into an empty queue re-marks the link the
+   queue's new front waits for (a visit re-marks its own link while
+   other fronts still wait there), so a tick visits exactly the links a
+   full in-order sweep would find work on, in the same order and
+   against the same state. When a tick makes no progress the clock
+   skips ahead to the next flit-ready or wire-free time instead of
+   spinning, and goes quiescent when neither exists (empty network, or
+   a worm wedged by a planted mutation — which is why the F1 oracle
    and not a hang is how a leak surfaces). *)
 
 let fl_flit_cycle t fault =
   t.config.per_word_cycles * t.config.flit_words * occupancy_factor fault
+
+let fl_side l =
+  match l.l_flit with Some fs -> fs | None -> assert false
+
+let fl_queue = function F_inject q -> q | F_buf b -> b.fb_q
+
+(* A queue's front changed: mark the link its new front waits for. A
+   front past its last hop sits in the input FIFO of that last link,
+   waiting to eject. *)
+let fl_refront t q =
+  if not (Queue.is_empty q) then begin
+    let f = Queue.peek q in
+    let p = f.f_worm.w_path in
+    if f.f_hop < Array.length p then wl_mark t.fl_arb p.(f.f_hop)
+    else wl_mark t.fl_eject p.(f.f_hop - 1)
+  end
+
+(* Push into an input FIFO, keeping the running per-VC occupancy. *)
+let fl_push t fb f =
+  let was_empty = Queue.is_empty fb.fb_q in
+  Queue.add f fb.fb_q;
+  fb.fb_occ <- fb.fb_occ + 1;
+  t.fl_occ_now.(fb.fb_vc) <- t.fl_occ_now.(fb.fb_vc) + 1;
+  if was_empty then fl_refront t fb.fb_q
+
+(* Pop an input FIFO's front, returning its credit upstream; a popped
+   tail releases the VC. *)
+let fl_pop_buf t fb =
+  let f = Queue.pop fb.fb_q in
+  fb.fb_occ <- fb.fb_occ - 1;
+  t.fl_occ_now.(fb.fb_vc) <- t.fl_occ_now.(fb.fb_vc) - 1;
+  if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
+  if f.f_idx = f.f_worm.w_flits - 1 then fb.fb_owner <- -1;
+  fl_refront t fb.fb_q;
+  f
+
+let fl_pop t u =
+  match u with
+  | F_inject q ->
+      ignore (Queue.pop q);
+      fl_refront t q
+  | F_buf fb -> ignore (fl_pop_buf t fb)
+
+let fl_note_ready t f =
+  if f.f_ready < t.fl_min_ready then t.fl_min_ready <- f.f_ready
 
 (* Worm completion: the tail flit ejected. Same in-order clamp as the
    analytic path: the pair's arrival is pushed after its previous one
@@ -799,87 +972,37 @@ let fl_deliver t w now =
   | Some sink -> Engine.schedule_at t.engine ~time:arrival (fun _ -> sink pkt)
   | None -> ()
 
-let fl_eject t l now progress =
-  match l.l_flit with
-  | None -> ()
-  | Some fs ->
-      let em = Engine.metrics t.engine in
-      let done_ = ref false in
-      Array.iter
-        (fun fb ->
-          if (not !done_) && not (Queue.is_empty fb.fb_q) then begin
-            let f = Queue.peek fb.fb_q in
-            if f.f_hop = Array.length f.f_worm.w_path && f.f_ready <= now
-            then begin
-              ignore (Queue.pop fb.fb_q);
-              fb.fb_occ <- fb.fb_occ - 1;
-              if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
-              if f.f_idx = f.f_worm.w_flits - 1 then begin
-                fb.fb_owner <- -1;
-                fl_deliver t f.f_worm now
-              end;
-              t.fl_delivered <- t.fl_delivered + 1;
-              Metrics.incr em "net.flit.delivered";
-              done_ := true;
-              progress := true
-            end
-          end)
-        fs.fs_bufs
+(* Eject at most one arrived flit from [l]'s input FIFOs (lowest VC
+   first); [true] iff one left the network. *)
+let fl_eject t l now =
+  let bufs = (fl_side l).fs_bufs in
+  let ejected = ref false and waiting = ref false in
+  for v = 0 to Array.length bufs - 1 do
+    let fb = bufs.(v) in
+    if not (Queue.is_empty fb.fb_q) then begin
+      let f = Queue.peek fb.fb_q in
+      if f.f_hop = Array.length f.f_worm.w_path then
+        if (not !ejected) && f.f_ready <= now then begin
+          ignore (fl_pop_buf t fb);
+          if f.f_idx = f.f_worm.w_flits - 1 then fl_deliver t f.f_worm now;
+          t.fl_delivered <- t.fl_delivered + 1;
+          Metrics.bump t.m_delivered;
+          ejected := true
+        end
+        else begin
+          waiting := true;
+          if f.f_ready > now then fl_note_ready t f
+        end
+    end
+  done;
+  if !waiting then wl_mark t.fl_eject l.l_idx;
+  !ejected
 
-(* The flit a unit offers this wire right now, with the VC it would
-   ride: [None] when the unit is empty, its front flit is not ready,
-   is not routed over this wire, or cannot get a VC/credit. A head
-   flit asks the per-wire VC allocator (round-robin over the free,
-   credited VCs — the same [arbitrate] discipline as the packet
-   path); body and tail flits must follow the head's VC and only need
-   a credit there. *)
-let fl_offer t l fs now u =
-  let front =
-    match u with
-    | F_inject q -> if Queue.is_empty q then None else Some (Queue.peek q)
-    | F_buf ub -> if Queue.is_empty ub.fb_q then None else Some (Queue.peek ub.fb_q)
-  in
-  match front with
-  | None -> None
-  | Some f ->
-      let w = f.f_worm in
-      if
-        f.f_ready > now
-        || f.f_hop >= Array.length w.w_path
-        || w.w_path.(f.f_hop) <> (l.l_src, l.l_dst)
-      then None
-      else if f.f_idx = 0 then begin
-        let ready =
-          Array.map
-            (fun fb -> fb.fb_owner = -1 && fb.fb_credits <> 0)
-            fs.fs_bufs
-        in
-        match arbitrate ~rr:fs.fs_vc_rr ~ready with
-        | Some vc -> Some (f, vc)
-        | None -> ignore t; None
-      end
-      else
-        let vc = w.w_vcs.(f.f_hop) in
-        if vc >= 0
-           && fs.fs_bufs.(vc).fb_owner = w.w_id
-           && fs.fs_bufs.(vc).fb_credits <> 0
-        then Some (f, vc)
-        else None
-
-(* Pop a granted flit out of its input unit, returning the upstream
-   credit; a popped tail releases the upstream VC. *)
-let fl_pop u =
-  match u with
-  | F_inject q -> ignore (Queue.pop q)
-  | F_buf ub ->
-      let f = Queue.pop ub.fb_q in
-      ub.fb_occ <- ub.fb_occ - 1;
-      if ub.fb_credits >= 0 then ub.fb_credits <- ub.fb_credits + 1;
-      if f.f_idx = f.f_worm.w_flits - 1 then ub.fb_owner <- -1
+(* A VC a head flit may claim on this wire: free and credited. *)
+let fl_vc_free fb = fb.fb_owner = -1 && fb.fb_credits <> 0
 
 (* Move one granted flit across the wire into [fb] (VC [vc]). *)
 let fl_advance t fb vc f now =
-  let em = Engine.metrics t.engine in
   if f.f_idx = 0 then begin
     f.f_worm.w_vcs.(f.f_hop) <- vc;
     fb.fb_owner <- f.f_worm.w_id
@@ -887,172 +1010,173 @@ let fl_advance t fb vc f now =
   if fb.fb_credits > 0 then fb.fb_credits <- fb.fb_credits - 1;
   f.f_hop <- f.f_hop + 1;
   f.f_ready <- now + t.config.per_hop_cycles;
-  Queue.add f fb.fb_q;
-  fb.fb_occ <- fb.fb_occ + 1;
+  fl_push t fb f;
   if fb.fb_occ > fb.fb_max_occ then fb.fb_max_occ <- fb.fb_occ;
   fb.fb_grants <- fb.fb_grants + 1;
-  Metrics.incr em "net.flit.grants";
-  Metrics.observe em "net.flit.occupancy" fb.fb_occ
+  Metrics.bump t.m_grants;
+  Metrics.sample t.m_occupancy fb.fb_occ
 
-let fl_arbitrate_link t l now progress =
-  match l.l_flit with
-  | None -> ()
-  | Some fs ->
-      let em = Engine.metrics t.engine in
-      let n = Array.length fs.fs_units in
-      let offers = Array.map (fl_offer t l fs now) fs.fs_units in
-      let waiting = Array.exists (fun o -> o <> None) offers in
-      let wire_free = now >= fs.fs_wire_free in
-      (* a unit whose flit is ready but credit/VC-blocked also counts
-         as a waiter for stall accounting *)
-      let blocked_waiter =
-        (not waiting)
-        && Array.exists
-             (fun u ->
-               match u with
-               | F_inject q ->
-                   (not (Queue.is_empty q))
-                   && (let f = Queue.peek q in
-                       f.f_ready <= now
-                       && f.f_hop < Array.length f.f_worm.w_path
-                       && f.f_worm.w_path.(f.f_hop) = (l.l_src, l.l_dst))
-               | F_buf ub ->
-                   (not (Queue.is_empty ub.fb_q))
-                   && (let f = Queue.peek ub.fb_q in
-                       f.f_ready <= now
-                       && f.f_hop < Array.length f.f_worm.w_path
-                       && f.f_worm.w_path.(f.f_hop) = (l.l_src, l.l_dst)))
-             fs.fs_units
-      in
-      if waiting && wire_free then begin
-        let ready = Array.map (fun o -> o <> None) offers in
-        match arbitrate ~rr:l.l_rr ~ready with
-        | None -> ()
-        | Some ui ->
-            l.l_rr <- (ui + 1) mod n;
-            let u = fs.fs_units.(ui) in
-            let f, vc =
-              match offers.(ui) with Some fv -> fv | None -> assert false
-            in
-            let fb = fs.fs_bufs.(vc) in
+(* Arbitrate one wire in a single pass over its input units, scanning
+   circularly from [l_rr]. A unit whose front flit is ready and routed
+   over this wire is a waiter; the first waiter that may also take a
+   VC — a head asks the per-wire VC allocator (round-robin over the
+   free, credited VCs, the same [arbitrate_by] discipline as the packet
+   path), a body or tail needs a credit on the VC its head took — wins
+   the wire if it is free. A waiter without a grant is a stall cycle,
+   and a head-of-line cycle when the wire itself is idle. [true] iff the
+   wire granted a flit. *)
+let fl_arbitrate_link t l now =
+  let em = Engine.metrics t.engine in
+  let fs = fl_side l in
+  let units = fs.fs_units in
+  let n = Array.length units in
+  let vcn = Array.length fs.fs_bufs in
+  let wire_free = now >= fs.fs_wire_free in
+  let routed = ref 0 and waiter = ref false and winner = ref (-1) in
+  let head_vc = ref (-2) in  (* -2: the VC allocator not asked yet *)
+  for k = 0 to n - 1 do
+    let ui = (l.l_rr + k) mod n in
+    let q = fl_queue units.(ui) in
+    if not (Queue.is_empty q) then begin
+      let f = Queue.peek q in
+      let w = f.f_worm in
+      if f.f_hop < Array.length w.w_path && w.w_path.(f.f_hop) = l.l_idx
+      then begin
+        incr routed;
+        if f.f_ready > now then fl_note_ready t f
+        else begin
+          waiter := true;
+          if wire_free && !winner < 0 then
             if f.f_idx = 0 then begin
-              fs.fs_vc_rr <- (vc + 1) mod Array.length fs.fs_bufs;
-              (* the head claims the whole packet's crossing of this
-                 wire for link-level stats *)
-              l.l_xmits <- l.l_xmits + 1
-            end;
-            fl_pop u;
-            let occ = fl_flit_cycle t l.l_fault in
-            fs.fs_wire_free <- now + occ;
-            fs.fs_flits <- fs.fs_flits + 1;
-            l.l_busy_cycles <- l.l_busy_cycles + occ;
-            Metrics.add em "net.link.busy_cycles" occ;
-            if l.l_fault = Link_dead then begin
-              Metrics.incr em "net.flit.dead_retries";
-              Metrics.incr em "net.link.dead_crossings"
-            end;
-            (* F1 planted bug: on a dead-link retry the flit is popped
-               from the sender but the retransmit never lands — it
-               vanishes from the network, which only the conservation
-               oracle can notice *)
-            let leak =
-              l.l_fault = Link_dead
-              && t.mutation = Some Flit_leak
-              && not t.leak_used
-            in
-            if leak then begin
-              t.leak_used <- true;
-              Metrics.incr em "net.flit.leaked"
+              if !head_vc = -2 then
+                head_vc :=
+                  arbitrate_by ~rr:fs.fs_vc_rr ~n:vcn (fun v ->
+                      fl_vc_free fs.fs_bufs.(v));
+              if !head_vc >= 0 then winner := ui
             end
-            else begin
-              fl_advance t fb vc f now;
-              (* F2 planted bug: the arbiter grants a second flit of
-                 the same worm in the same flit-cycle without spending
-                 a second credit — the input FIFO overruns and
-                 credits + occupancy leaves capacity *)
-              match t.mutation with
-              | Some Double_grant
-                when (not t.leak_used)
-                     && fb.fb_credits >= 0
-                     && f.f_idx < f.f_worm.w_flits - 1 -> (
-                  let next =
-                    match u with
-                    | F_inject q ->
-                        if Queue.is_empty q then None else Some (Queue.peek q)
-                    | F_buf ub ->
-                        if Queue.is_empty ub.fb_q then None
-                        else Some (Queue.peek ub.fb_q)
-                  in
-                  match next with
-                  | Some f2 when f2.f_worm == f.f_worm && f2.f_ready <= now ->
-                      t.leak_used <- true;
-                      fl_pop u;
-                      f2.f_hop <- f2.f_hop + 1;
-                      f2.f_ready <- now + t.config.per_hop_cycles;
-                      Queue.add f2 fb.fb_q;
-                      fb.fb_occ <- fb.fb_occ + 1;
-                      Metrics.incr em "net.flit.double_grants"
-                  | Some _ | None -> ())
-              | Some (Double_grant | Credit_leak | Arb_stuck | Flit_leak)
-              | None ->
-                  ()
-            end;
-            progress := true
-      end
-      else if waiting || blocked_waiter then begin
-        fs.fs_stall_cycles <- fs.fs_stall_cycles + 1;
-        l.l_wait_cycles <- l.l_wait_cycles + 1;
-        Metrics.incr em "net.flit.stall_cycles";
-        if wire_free then begin
-          (* the wire is idle yet no flit may cross: head-of-line /
-             credit blocking, the quantity E18 measures *)
-          fs.fs_hol_cycles <- fs.fs_hol_cycles + 1;
-          Metrics.incr em "net.flit.hol_stall_cycles"
+            else
+              let vc = w.w_vcs.(f.f_hop) in
+              if vc >= 0
+                 && fs.fs_bufs.(vc).fb_owner = w.w_id
+                 && fs.fs_bufs.(vc).fb_credits <> 0
+              then winner := ui
         end
       end
+    end
+  done;
+  (* fronts still waiting here keep the wire in the active set; the
+     winner's successor re-marks it through [fl_pop] if routed here *)
+  if !routed > (if !winner >= 0 then 1 else 0) then wl_mark t.fl_arb l.l_idx;
+  if !winner >= 0 then begin
+    let ui = !winner in
+    l.l_rr <- (ui + 1) mod n;
+    let u = units.(ui) in
+    let f = Queue.peek (fl_queue u) in
+    let vc = if f.f_idx = 0 then !head_vc else f.f_worm.w_vcs.(f.f_hop) in
+    let fb = fs.fs_bufs.(vc) in
+    if f.f_idx = 0 then begin
+      fs.fs_vc_rr <- (vc + 1) mod vcn;
+      (* the head claims the whole packet's crossing of this wire for
+         link-level stats *)
+      l.l_xmits <- l.l_xmits + 1
+    end;
+    fl_pop t u;
+    let occ = fl_flit_cycle t l.l_fault in
+    fs.fs_wire_free <- now + occ;
+    if occ > 0 && not fs.fs_busy_listed then begin
+      fs.fs_busy_listed <- true;
+      t.fl_busy.(t.fl_busy_n) <- l.l_idx;
+      t.fl_busy_n <- t.fl_busy_n + 1
+    end;
+    fs.fs_flits <- fs.fs_flits + 1;
+    l.l_busy_cycles <- l.l_busy_cycles + occ;
+    Metrics.bump_by t.m_busy occ;
+    if l.l_fault = Link_dead then begin
+      Metrics.incr em "net.flit.dead_retries";
+      Metrics.incr em "net.link.dead_crossings"
+    end;
+    (* F1 planted bug: on a dead-link retry the flit is popped from the
+       sender but the retransmit never lands — it vanishes from the
+       network, which only the conservation oracle can notice *)
+    let leak =
+      l.l_fault = Link_dead && t.mutation = Some Flit_leak && not t.leak_used
+    in
+    if leak then begin
+      t.leak_used <- true;
+      Metrics.incr em "net.flit.leaked"
+    end
+    else begin
+      fl_advance t fb vc f now;
+      (* F2 planted bug: the arbiter grants a second flit of the same
+         worm in the same flit-cycle without spending a second credit —
+         the input FIFO overruns and credits + occupancy leaves
+         capacity *)
+      match t.mutation with
+      | Some Double_grant
+        when (not t.leak_used)
+             && fb.fb_credits >= 0
+             && f.f_idx < f.f_worm.w_flits - 1 -> (
+          let q = fl_queue u in
+          if not (Queue.is_empty q) then
+            let f2 = Queue.peek q in
+            if f2.f_worm == f.f_worm && f2.f_ready <= now then begin
+              t.leak_used <- true;
+              fl_pop t u;
+              f2.f_hop <- f2.f_hop + 1;
+              f2.f_ready <- now + t.config.per_hop_cycles;
+              fl_push t fb f2;
+              Metrics.incr em "net.flit.double_grants"
+            end)
+      | Some (Double_grant | Credit_leak | Arb_stuck | Flit_leak) | None -> ()
+    end;
+    true
+  end
+  else begin
+    if !waiter then begin
+      fs.fs_stall_cycles <- fs.fs_stall_cycles + 1;
+      l.l_wait_cycles <- l.l_wait_cycles + 1;
+      Metrics.bump t.m_stalls;
+      if wire_free then begin
+        (* the wire is idle yet no flit may cross: head-of-line /
+           credit blocking, the quantity E18 measures *)
+        fs.fs_hol_cycles <- fs.fs_hol_cycles + 1;
+        Metrics.bump t.m_hol
+      end
+    end;
+    false
+  end
 
 (* Earliest future cycle at which anything could change, or [None]
-   when the network is empty or frozen. *)
+   when the network is empty or frozen. Called after a tick without
+   progress, which visited every queue's front (each waits on a link of
+   an active set) and so saw the earliest future [f_ready]; the wires
+   still busy past [now] are all on [fl_busy]. *)
 let fl_next_time t now =
-  let best = ref max_int in
-  let wire_best = ref max_int in
-  let any = ref false in
-  let consider_front q =
-    if not (Queue.is_empty q) then begin
-      any := true;
-      let f = Queue.peek q in
-      if f.f_ready > now && f.f_ready < !best then best := f.f_ready
-    end
-  in
-  Array.iter consider_front t.fl_inject;
-  Array.iter
-    (fun l ->
-      match l.l_flit with
-      | None -> ()
-      | Some fs ->
-          Array.iter (fun fb -> consider_front fb.fb_q) fs.fs_bufs;
-          if fs.fs_wire_free > now && fs.fs_wire_free < !wire_best then
-            wire_best := fs.fs_wire_free)
-    t.fl_links;
-  if not !any then None
-  else
-    let b = min !best !wire_best in
-    if b = max_int then None else Some b
+  if wl_is_empty t.fl_arb && wl_is_empty t.fl_eject then None
+  else begin
+    let best = ref t.fl_min_ready and kept = ref 0 in
+    for j = 0 to t.fl_busy_n - 1 do
+      let li = t.fl_busy.(j) in
+      let fs = fl_side t.fl_links.(li) in
+      if fs.fs_wire_free > now then begin
+        t.fl_busy.(!kept) <- li;
+        incr kept;
+        if fs.fs_wire_free < !best then best := fs.fs_wire_free
+      end
+      else fs.fs_busy_listed <- false
+    done;
+    t.fl_busy_n <- !kept;
+    if !best = max_int then None else Some !best
+  end
 
 let fl_sample t =
   let vcn = Array.length t.fl_occ_sum in
   if vcn > 0 then begin
     t.fl_occ_cycles <- t.fl_occ_cycles + 1;
     for v = 0 to vcn - 1 do
-      let occ = ref 0 in
-      Array.iter
-        (fun l ->
-          match l.l_flit with
-          | None -> ()
-          | Some fs -> occ := !occ + fs.fs_bufs.(v).fb_occ)
-        t.fl_links;
-      t.fl_occ_sum.(v) <- t.fl_occ_sum.(v) +. float_of_int !occ;
-      if !occ > t.fl_occ_max.(v) then t.fl_occ_max.(v) <- !occ
+      let occ = t.fl_occ_now.(v) in
+      t.fl_occ_sum.(v) <- t.fl_occ_sum.(v) +. float_of_int occ;
+      if occ > t.fl_occ_max.(v) then t.fl_occ_max.(v) <- occ
     done
   end
 
@@ -1060,9 +1184,18 @@ let rec fl_tick t _ =
   let now = Engine.now t.engine in
   if now > t.fl_last_tick then begin
     t.fl_last_tick <- now;
+    t.fl_min_ready <- max_int;
     let progress = ref false in
-    Array.iter (fun l -> fl_eject t l now progress) t.fl_links;
-    Array.iter (fun l -> fl_arbitrate_link t l now progress) t.fl_links;
+    let i = ref (wl_take t.fl_eject) in
+    while !i >= 0 do
+      if fl_eject t t.fl_links.(!i) now then progress := true;
+      i := wl_take t.fl_eject
+    done;
+    i := wl_take t.fl_arb;
+    while !i >= 0 do
+      if fl_arbitrate_link t t.fl_links.(!i) now then progress := true;
+      i := wl_take t.fl_arb
+    done;
     fl_sample t;
     let next =
       if !progress then Some (now + 1) else fl_next_time t now
@@ -1081,18 +1214,24 @@ let fl_send t pkt =
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
   let words = (Packet.size_bytes pkt + 3) / 4 in
   let nf = max 1 ((words + t.config.flit_words - 1) / t.config.flit_words) in
-  let p = Array.of_list (path t ~src ~dst) in
+  let p =
+    Array.of_list
+      (List.map
+         (fun ab -> (Hashtbl.find t.links ab).l_idx)
+         (path t ~src ~dst))
+  in
   let w =
     { w_id = t.fl_next_worm; w_pkt = pkt; w_flits = nf; w_path = p;
       w_vcs = Array.make (Array.length p) (-1) }
   in
   t.fl_next_worm <- t.fl_next_worm + 1;
   let ready = now + t.config.base_cycles in
+  let q = t.fl_inject.(src) in
+  let was_empty = Queue.is_empty q in
   for i = 0 to nf - 1 do
-    Queue.add
-      { f_worm = w; f_idx = i; f_hop = 0; f_ready = ready }
-      t.fl_inject.(src)
+    Queue.add { f_worm = w; f_idx = i; f_hop = 0; f_ready = ready } q
   done;
+  if was_empty then fl_refront t q;
   t.fl_injected <- t.fl_injected + nf;
   Metrics.add em "net.flit.injected" nf;
   Engine.schedule_at t.engine ~time:ready (fl_tick t)
@@ -1326,6 +1465,21 @@ let check_flits t =
                            fb.fb_capacity))
                 fs.fs_bufs)
         t.fl_links;
+      (* the running per-VC total the occupancy profile samples *)
+      Array.iteri
+        (fun v running ->
+          let sum =
+            Array.fold_left
+              (fun acc l -> acc + (fl_side l).fs_bufs.(v).fb_occ)
+              0 t.fl_links
+          in
+          if !bad = None && running <> sum then
+            bad :=
+              Some
+                (Printf.sprintf
+                   "vc %d: running occupancy %d <> buffered flits %d" v
+                   running sum))
+        t.fl_occ_now;
       !bad
     end
   end

@@ -128,6 +128,7 @@ val create :
 (** A mesh of the squarest shape covering [nodes]. Raises
     [Invalid_argument] unless {!valid_nodes}[ nodes], [vc_count] is in
     1..4, [rx_credits] (when finite) is [>= 1], [flit_words >= 1],
+    [base_cycles], [per_hop_cycles] and [per_word_cycles] are [>= 0],
     and the crossing/routing combination is supported ([`Flit] is
     dimension-order only). *)
 
@@ -272,8 +273,10 @@ val check_flits : t -> string option
 (** F1, flit conservation: [Some detail] iff flits injected differ
     from flits delivered plus flits sitting in FIFOs, or some finite
     input FIFO has [credits + occupancy <> capacity] (or occupancy
-    beyond capacity). Holds at {e every} flit-cycle in an unmutated
-    router; always [None] in analytic mode. *)
+    beyond capacity), or the running per-VC occupancy total behind
+    {!flit_vc_occupancy} differs from the sum over the FIFOs. Holds at
+    {e every} flit-cycle in an unmutated router; always [None] in
+    analytic mode. *)
 
 type flit_stat = {
   fl_from : int;

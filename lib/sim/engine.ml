@@ -7,18 +7,23 @@ type t = {
   queue : (event * Profiler.category option) Eventq.t;
   profiler : Profiler.t;
   metrics : Metrics.t;
+  scheduled : Metrics.counter;
+  fired : Metrics.counter;
 }
 
 and event = t -> unit
 
 let create ?(mhz = 120) () =
   if mhz <= 0 then invalid_arg "Engine.create: mhz must be positive";
+  let metrics = Metrics.create () in
   {
     clock = 0;
     mhz;
     queue = Eventq.create ();
     profiler = Profiler.create ();
-    metrics = Metrics.create ();
+    metrics;
+    scheduled = Metrics.counter metrics "engine.scheduled";
+    fired = Metrics.counter metrics "engine.events_fired";
   }
 
 let now t = t.clock
@@ -46,12 +51,12 @@ let tick t ?cat time =
 
 let schedule t ?cat ~delay ev =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Metrics.incr t.metrics "engine.scheduled";
+  Metrics.bump t.scheduled;
   Eventq.push t.queue ~time:(t.clock + delay) (ev, cat)
 
 let schedule_at t ?cat ~time ev =
   let time = max time t.clock in
-  Metrics.incr t.metrics "engine.scheduled";
+  Metrics.bump t.scheduled;
   Eventq.push t.queue ~time (ev, cat)
 
 let with_category t cat f =
@@ -71,7 +76,7 @@ let pump t horizon =
         match Eventq.pop t.queue with
         | Some (time, (ev, cat)) ->
             tick t ?cat time;
-            Metrics.incr t.metrics "engine.events_fired";
+            Metrics.bump t.fired;
             ev t;
             loop ()
         | None -> ())
@@ -94,7 +99,7 @@ let run_until_idle t =
     match Eventq.pop t.queue with
     | Some (time, (ev, cat)) ->
         tick t ?cat time;
-        Metrics.incr t.metrics "engine.events_fired";
+        Metrics.bump t.fired;
         ev t;
         loop ()
     | None -> ()

@@ -240,6 +240,71 @@ let test_counters_and_gauges () =
   Metrics.set_gauge m "g" 2.5;
   checkb "gauge" true (Metrics.gauge m "g" = Some 2.5)
 
+(* Handles are an access path, not a second registry: any program of
+   counter and histogram updates leaves the same registry whether it
+   goes by name or by handle. *)
+let prop_handles_match_names =
+  QCheck.Test.make ~count:200 ~name:"bump/sample by handle = incr/add/observe"
+    QCheck.(list (triple (int_bound 2) (int_bound 3) (int_range (-5) 70000)))
+    (fun ops ->
+      let names = [| "a"; "b"; "c"; "d" |] in
+      let by_name = Metrics.create () and by_handle = Metrics.create () in
+      let counters = Array.map (Metrics.counter by_handle) names in
+      let samplers = Array.map (fun n -> Metrics.sampler by_handle n) names in
+      List.iter
+        (fun (op, i, v) ->
+          match op with
+          | 0 ->
+              Metrics.incr by_name names.(i);
+              Metrics.bump counters.(i)
+          | 1 ->
+              Metrics.add by_name names.(i) v;
+              Metrics.bump_by counters.(i) v
+          | _ ->
+              Metrics.observe by_name names.(i) v;
+              Metrics.sample samplers.(i) v)
+        ops;
+      Json.to_string (Metrics.to_json by_name)
+      = Json.to_string (Metrics.to_json by_handle))
+  |> QCheck_alcotest.to_alcotest
+
+let test_unbumped_handle_invisible () =
+  let m = Metrics.create () in
+  Metrics.incr m "seen";
+  let before = Json.to_string (Metrics.to_json m) in
+  let _ = Metrics.counter m "never" and _ = Metrics.sampler m "never.h" in
+  checkb "counters unchanged" true (Metrics.counters m = [ ("seen", 1) ]);
+  checks "json unchanged" before (Json.to_string (Metrics.to_json m));
+  (* a zero-sized bump does create the counter, as [add _ 0] does *)
+  Metrics.bump_by (Metrics.counter m "zero") 0;
+  checkb "bump_by 0 creates" true
+    (Metrics.counters m = [ ("seen", 1); ("zero", 0) ])
+
+let test_handles_share_a_cell () =
+  let m = Metrics.create () in
+  let h1 = Metrics.counter m "c" and h2 = Metrics.counter m "c" in
+  Metrics.bump h1;
+  Metrics.bump_by h2 3;
+  Metrics.incr m "c";
+  checki "one counter behind both handles and the name" 5 (Metrics.get m "c");
+  Metrics.set m "c" 10;
+  Metrics.bump h1;
+  checki "set by name is seen by the handle" 11 (Metrics.get m "c");
+  let s1 = Metrics.sampler m "h" and s2 = Metrics.sampler m "h" in
+  Metrics.sample s1 4;
+  Metrics.sample s2 8;
+  (match Metrics.histogram m "h" with
+  | Some h -> checki "one histogram behind both samplers" 2 h.Metrics.count
+  | None -> Alcotest.fail "histogram missing");
+  (* after a reset the handles re-resolve instead of writing into the
+     dropped cells *)
+  Metrics.reset m;
+  Metrics.bump h2;
+  Metrics.sample s1 1;
+  checki "counter after reset" 1 (Metrics.get m "c");
+  checkb "histogram after reset" true
+    (match Metrics.histogram m "h" with Some h -> h.Metrics.count = 1 | None -> false)
+
 (* The router reports its FIFO depth through two channels: the typed
    [Link_wait] trace event and the [net.link.depth] histogram. Both
    must describe the same thing — the post-claim depth, i.e. including
@@ -449,6 +514,11 @@ let () =
           Alcotest.test_case "percentile" `Quick test_histogram_percentile;
           Alcotest.test_case "counters and gauges" `Quick
             test_counters_and_gauges;
+          prop_handles_match_names;
+          Alcotest.test_case "unbumped handle is invisible" `Quick
+            test_unbumped_handle_invisible;
+          Alcotest.test_case "handles share a cell" `Quick
+            test_handles_share_a_cell;
           Alcotest.test_case "percentile agreement on exact edges" `Quick
             test_percentile_agreement_exact;
           Alcotest.test_case "percentile divergence on coarse buckets" `Quick

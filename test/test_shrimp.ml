@@ -17,6 +17,7 @@ module Router = Udma_shrimp.Router
 module Ni = Udma_shrimp.Network_interface
 module System = Udma_shrimp.System
 module Messaging = Udma_shrimp.Messaging
+module Rng = Udma_sim.Rng
 
 let check = Alcotest.check
 let checki = Alcotest.check Alcotest.int
@@ -181,6 +182,30 @@ let test_router_rejects_partial_row () =
     (fun (a, b) ->
       checkb "hop in range" true (a >= 0 && a < 6 && b >= 0 && b < 6))
     (Router.path r ~src:4 ~dst:2)
+
+(* Negative timing is rejected when the router is built, in either
+   crossing, rather than deep inside a run (a negative analytic delay
+   raises in [Engine.schedule]; a negative flit delay would make a
+   flit ready in the past). Zero stays legal. *)
+let test_router_rejects_negative_timing () =
+  let build config =
+    ignore (Router.create ~engine:(Engine.create ()) ~nodes:4 ~config ())
+  in
+  let d = Router.default_config in
+  List.iter
+    (fun crossing ->
+      let base = { d with Router.link_contention = true; crossing } in
+      List.iter
+        (fun (what, config) ->
+          checkb what true
+            (try build config; false with Invalid_argument _ -> true))
+        [ ("base_cycles < 0", { base with Router.base_cycles = -1 });
+          ("per_hop_cycles < 0", { base with Router.per_hop_cycles = -1 });
+          ("per_word_cycles < 0", { base with Router.per_word_cycles = -1 }) ];
+      build
+        { base with
+          Router.base_cycles = 0; per_hop_cycles = 0; per_word_cycles = 0 })
+    [ `Analytic; `Flit ]
 
 (* With unlimited credits the shared-wire reservation list never opens
    a gap, so any VC count must time a contended burst identically to
@@ -549,6 +574,142 @@ let test_flit_blocked_worm_credit_release () =
   checkb "the slow wire stalled ready flits without HOL" true
     (s13.Router.fl_stall_cycles > 0 && s13.Router.fl_hol_cycles = 0);
   checkb "conservation when drained" true (Router.check_flits r = None)
+
+(* The flit model pinned as data. Six regimes jointly cover 4/9/16
+   nodes, 1-4 VCs, credits 1/2/3/4/8/unlimited, per_hop 0/1/2/8,
+   per_word 0/1/2 and flit_words 1/2/4/1024, each with one slow and
+   one dead wire, under 12 traffic seeds. Each run is reduced to one
+   MD5 over everything the crossing computes — the delivery log, the
+   per-FIFO and per-link stats, the per-VC occupancy profile, the
+   metrics registry and the final clock — so any change to the tick
+   schedule, arbitration order or accounting moves a digest. F1 is
+   probed at random mid-run points. *)
+let flit_regimes =
+  (* nodes, vcs, credits, per_hop, per_word, flit_words *)
+  [ (4, 1, Some 1, 0, 1, 1); (9, 2, Some 2, 1, 2, 2); (16, 3, Some 3, 2, 0, 4);
+    (16, 4, Some 4, 8, 1, 1024); (9, 4, Some 8, 0, 2, 1);
+    (16, 2, None, 1, 1, 2) ]
+
+let flit_regime_digest (nodes, vcs, credits, per_hop, per_word, flit_words)
+    seed =
+  let engine = Engine.create () in
+  let r =
+    Router.create ~engine ~nodes
+      ~config:
+        { Router.default_config with
+          Router.link_contention = true;
+          crossing = `Flit;
+          base_cycles = 3;
+          per_hop_cycles = per_hop;
+          per_word_cycles = per_word;
+          flit_words;
+          vc_count = vcs;
+          rx_credits = credits }
+      ()
+  in
+  Router.set_link_fault r ~from_node:0 ~to_node:1 (Router.Link_slow 3);
+  Router.set_link_fault r ~from_node:(nodes - 1) ~to_node:(nodes - 2)
+    Router.Link_dead;
+  let log = Buffer.create 4096 in
+  for d = 0 to nodes - 1 do
+    Router.register r ~node_id:d (fun p ->
+        Printf.bprintf log "d %d %d %d %d\n" p.Packet.seq p.Packet.src_node
+          p.Packet.dst_node (Engine.now engine))
+  done;
+  let rng = Rng.create ((seed * 7919) + nodes) in
+  let f1 = ref None in
+  let probe _ = if !f1 = None then f1 := Router.check_flits r in
+  for i = 1 to 24 do
+    let src = Rng.int rng nodes in
+    let dst = (src + 1 + Rng.int rng (nodes - 1)) mod nodes in
+    let size = 4 * (1 + Rng.int rng 100) in
+    Engine.schedule_at engine ~time:(Rng.int rng 1_500) (fun _ ->
+        Router.send r
+          { Packet.src_node = src; dst_node = dst; dst_paddr = 0;
+            payload = Bytes.make size 'x'; seq = i });
+    Engine.schedule_at engine ~time:(Rng.int rng 6_000) probe
+  done;
+  Engine.run_until_idle engine;
+  probe ();
+  (match !f1 with
+  | Some why -> Alcotest.failf "F1 violated (seed %d): %s" seed why
+  | None -> ());
+  List.iter
+    (fun (s : Router.flit_stat) ->
+      Printf.bprintf log "f %d %d %d %d %d %d %d %d %d %d\n" s.Router.fl_from
+        s.Router.fl_to s.Router.fl_vc s.Router.fl_capacity s.Router.fl_occ
+        s.Router.fl_credits s.Router.fl_max_occ s.Router.fl_grants
+        s.Router.fl_stall_cycles s.Router.fl_hol_cycles)
+    (Router.flit_stats r);
+  List.iter
+    (fun (s : Router.link_stat) ->
+      Printf.bprintf log "l %d %d %d %d %d %d\n" s.Router.from_node
+        s.Router.to_node s.Router.xmits s.Router.busy_cycles
+        s.Router.wait_cycles s.Router.max_depth)
+    (Router.link_stats r);
+  Array.iter
+    (fun (mean, mx) -> Printf.bprintf log "o %h %d\n" mean mx)
+    (Router.flit_vc_occupancy r);
+  Buffer.add_string log
+    (Udma_obs.Json.to_string (Udma_obs.Metrics.to_json (Engine.metrics engine)));
+  Printf.bprintf log "\nt %d\n" (Engine.now engine);
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
+(* Recorded from the full-sweep flit clock (every link visited every
+   tick); regime-major, seeds 1..12. *)
+let flit_regime_expected =
+  [| "74ff205ef4c94562285e280107a0c381"; "117b73273c3ec569ba4ee222a3345134";
+     "e6a2240d9aaf3468a4925dae4ecda7b0"; "8e0354997101da6183da6b66ed94f425";
+     "3be99039674eaa5bdb3e7b5b3bf6c3bf"; "0f52558834f591586afbeaf3ef444d6e";
+     "f18e2839e5f66fb96ffdf2381a0d2e5d"; "de276218fd8df54e5ac6ef02956d0b1e";
+     "a7c937c240609b22c142ef762ff1cbaa"; "c116e20379f003d1d502744b95dc1554";
+     "2b44eb05216cb8d3a3f3a1ac60b5fa22"; "23be8e61ea316b71ca3c82a0cf536cbe";
+     "d4a5b8ee1ee5f2ac0b5d600cf3f6378a"; "9064243f1adfd0dad41fe6de75e4cbba";
+     "75e5875af44761a3d5281282fb1b3dd2"; "ac46a54c490c1dc5937cc86d856dcf08";
+     "0ea4f882fbb8f748ad7e54eceaf8421b"; "296419503353afed7dc5aa8eff3c0618";
+     "35aa19adf9632b4ca502cb1c6b707c67"; "b378014797ee8f46c73c8d4d9d6e3dd7";
+     "5b04e814d30ed01d18a590263d08a46e"; "f8f07f54bb6bccf8fdab240edbac8ea2";
+     "c85df1360d9d3481ba3b03443705f666"; "df8adf46e224d027691d8b4b8299c63e";
+     "e350d3d0fdffc9d6b51a5b85e1198186"; "0acda58102f7c48255a9e574a18f7006";
+     "6084ad3d6d12030c7010520994e95366"; "8cc2f4d637080bb98235768bd4e5c26c";
+     "8a4c65fa9791d6b71dad84a319a29544"; "c9ef352acfd764db3f6c53f5fa736008";
+     "1d7cc9a507b6184eb400070cf0577d2c"; "2c4e7670a6e20fb485e9bc9fc531ae20";
+     "92b63cb0f898c4bbd6ab329e67abddc3"; "cf4ec9e023e98af87907bb16ec3e09aa";
+     "c66702dcbb3ac41eb5f5d2fa4c07691b"; "f876526bb42c4e960bd0fccfd75e6629";
+     "83054ed81279f33d3027166031c9bad9"; "6cd79c22ea1b7e8c21a5dc5718d51702";
+     "910db29c1ec52f4b7ef506544effa184"; "d7c36c9844d5e0bb5a89baffa17d6800";
+     "eafba77b34f1570c62438074fd026f4f"; "b6cc287f70bccc505009266f6a362b34";
+     "fbf5dc3663fdfd3df2a532f9176714d1"; "0ee66380383f906d08aa587a45e49dbc";
+     "20ca5b5d047fb2fe4de9b152b9bbc853"; "f7bb6d613bd1bf7c4016db5fe96bd8f5";
+     "1b1342f07480eed89186bebce3c2fc2f"; "da8708c13e561446d66def92c07ed8cd";
+     "fcc92fa2cbe216c452a563f633544612"; "4b37a60cf786ec2b1a9ea10601cc4a67";
+     "d61c75195f01cd007963958f9cf8a339"; "8a50d9332d968d6461178091ceb4f7ff";
+     "756ad894464d125f7d325423687d87dd"; "c599dc2020a4fb9d5a0727e6f75fa14c";
+     "dc1f6905775ba9eacdecc1cbdcc6a35b"; "d0a30a323d83141755b44f6f97f2f4a8";
+     "cbd0df7db1fb8c8481f656d28ef5b584"; "052e62d17d6a597283ef63d5d3e4c94e";
+     "06308b940d01f8e2262a1a2973cd5b95"; "ec5a7f6565f8650c0141e1b0bd7adc93";
+     "92fa73ccfad0eb4d97c700b9c74a330c"; "acb9d7f2d8a4359f3f9bfa8b56ab1158";
+     "d741e1cf19c8b6f64736d3499f2b8edf"; "7e1eb69e56875919798e21a7f30eb6b1";
+     "2f41ede238b0e1a3f6a8f17f51eac4e3"; "19788e7e0acf58f7bf291fe3034ba6bc";
+     "9d9298e49dd87722a906ee2a4ee8e832"; "7ea7c3ef16b738a0f2e817012a9293a1";
+     "4891b6f37dbc6d0f5449ea156df22815"; "164b3c40e231513399ae651809113de9";
+     "5a14a6417f5af88d7698f8cfd6a9ae98"; "a70f035e9a69321179779894d0c7f43f" |]
+
+let test_flit_regimes_pinned () =
+  let got =
+    Array.of_list
+      (List.concat_map
+         (fun regime -> List.init 12 (fun s -> flit_regime_digest regime (s + 1)))
+         flit_regimes)
+  in
+  Array.iteri
+    (fun i d ->
+      if flit_regime_expected.(i) <> d then
+        Alcotest.failf "regime %d seed %d: digest %s moved" (i / 12)
+          ((i mod 12) + 1) d)
+    got;
+  checki "72 distinct regime digests" 72
+    (List.length (List.sort_uniq compare (Array.to_list got)))
 
 (* ---------- System + NI end to end ---------- *)
 
@@ -1079,6 +1240,8 @@ let () =
             test_router_contention_queues_shared_link;
           Alcotest.test_case "partial-row node counts rejected" `Quick
             test_router_rejects_partial_row;
+          Alcotest.test_case "negative timing rejected" `Quick
+            test_router_rejects_negative_timing;
           Alcotest.test_case "VCs degenerate to FIFO timing" `Quick
             test_router_vcs_degenerate_timing;
           Alcotest.test_case "credit gate + NACK retry" `Quick
@@ -1101,6 +1264,8 @@ let () =
             test_flit_vc_interleaving;
           Alcotest.test_case "flit: blocked worm + credit release" `Quick
             test_flit_blocked_worm_credit_release;
+          Alcotest.test_case "flit: regime digests pinned" `Quick
+            test_flit_regimes_pinned;
         ] );
       ( "system",
         [
