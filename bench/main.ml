@@ -1,18 +1,14 @@
 (* The benchmark binary regenerates every table and figure of the
-   paper's evaluation (the E1–E10 index in DESIGN.md §4). By default it
-   prints the paper-style series and then runs one Bechamel
+   paper's evaluation (the experiment index in DESIGN.md §4). By default
+   it prints the paper-style series and then runs one Bechamel
    micro-benchmark per experiment measuring the wall-clock cost of the
    corresponding simulation harness. With --json it instead writes the
    whole run as one udma-bench/1 document (BENCH_udma.json), and with
-   --check FILE it diffs the paper anchors (E1 %-of-max at 512 B and
-   4 KB, E2 initiation cycles, E11 saturation knee, E12 per-policy
-   transpose knees, E13 hotspot knees at 1 and 4 VCs, E14 per-backend
-   initiation p50 at 8 tenants and p99 at 256, E15 contiguous and
-   SG-256 bytes-per-cycle, E16 KV and RPC request p99 at load 0.8,
-   E18 flit-vs-analytic HOL p99 delta at 1 and 4 VCs)
-   against a previously
-   committed baseline, failing on >±2 % drift — that is the CI
-   regression gate. *)
+   --check FILE it compares every anchor declared in the experiment
+   registry (Runner.anchors) against a previously committed baseline,
+   failing on >±2 % drift — that is the CI regression gate. The `sim`
+   subcommand measures raw sharded-engine throughput and, with
+   --check, holds its deterministic counters exactly to BENCH_sim.json. *)
 
 module Runner = Udma_workloads.Runner
 module Report = Udma_obs.Report
@@ -24,68 +20,36 @@ open Toolkit
 (* Small parameterisations so each Bechamel sample is a fraction of a
    second; the printed paper series above use the full parameters. *)
 let bech_tests =
+  let t name f = Test.make ~name (Staged.stage (fun () -> ignore (f ()))) in
   [
-    Test.make ~name:"e1_figure8_point"
-      (Staged.stage (fun () ->
-           ignore (Runner.figure8 ~sizes:[ 512; 4096 ] ~messages:4 ())));
-    Test.make ~name:"e2_initiation"
-      (Staged.stage (fun () -> ignore (Runner.initiation_costs ())));
-    Test.make ~name:"e3_hippi"
-      (Staged.stage (fun () ->
-           ignore (Runner.hippi_motivation ~blocks:[ 1024; 65536 ] ())));
-    Test.make ~name:"e4_pio_crossover"
-      (Staged.stage (fun () ->
-           ignore (Runner.pio_crossover ~sizes:[ 64; 1024 ] ~trials:2 ())));
-    Test.make ~name:"e5_queueing"
-      (Staged.stage (fun () ->
-           ignore (Runner.queueing ~total_sizes:[ 16384 ] ~depths:[ 4 ] ())));
-    Test.make ~name:"e6_atomicity"
-      (Staged.stage (fun () ->
-           ignore (Runner.atomicity ~probs_pct:[ 10 ] ~transfers:20 ())));
-    Test.make ~name:"e7_pinning"
-      (Staged.stage (fun () -> ignore (Runner.pinning_vs_i4 ())));
-    Test.make ~name:"e8_proxy_fault"
-      (Staged.stage (fun () -> ignore (Runner.proxy_fault_costs ())));
-    Test.make ~name:"e9_i3_policy"
-      (Staged.stage (fun () ->
-           ignore (Runner.i3_policies ~transfers:8 ~pages:2 ())));
-    Test.make ~name:"e10_updates"
-      (Staged.stage (fun () -> ignore (Runner.update_strategies ())));
-    Test.make ~name:"e11_traffic_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.report_saturation ~loads:[ 0.5 ] ~nodes:4
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
-    Test.make ~name:"e12_adaptive_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.report_adaptive ~loads:[ 0.5 ] ~nodes:4
-                ~patterns:[ Udma_traffic.Pattern.Transpose ]
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
-    Test.make ~name:"e13_hotspot_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.report_hotspot ~loads:[ 0.5 ] ~nodes:4 ~pcts:[ 50 ]
-                ~vc_counts:[ 2 ] ~warmup_cycles:500 ~window_cycles:4_000 ())));
-    Test.make ~name:"e14_tenants_point"
-      (Staged.stage (fun () ->
-           ignore (Runner.report_tenants ~tenant_counts:[ 64 ] ~ops:2_000 ())));
-    Test.make ~name:"e15_shapes_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.transfer_shapes
-                ~cases:[ Runner.Shape_contig; Runner.Shape_sg 16 ]
-                ())));
-    Test.make ~name:"e16_apps_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.report_kv ~loads:[ 0.5 ] ~nodes:4
-                ~window_cycles:10_000 ())));
-    Test.make ~name:"e18_flit_point"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.report_flit ~nodes:4 ~vc_counts:[ 2 ]
-                ~warmup_cycles:500 ~window_cycles:4_000 ())));
+    t "e1_figure8_point" (Runner.report_figure8 ~sizes:[ 512; 4096 ] ~messages:4);
+    t "e2_initiation" Runner.report_costs;
+    t "e3_hippi" (Runner.report_hippi ~blocks:[ 1024; 65536 ]);
+    t "e4_pio_crossover" (Runner.report_crossover ~sizes:[ 64; 1024 ] ~trials:2);
+    t "e5_queueing" (Runner.report_queueing ~total_sizes:[ 16384 ] ~depths:[ 4 ]);
+    t "e6_atomicity" (Runner.report_atomicity ~probs_pct:[ 10 ] ~transfers:20);
+    t "e7_pinning" Runner.report_pinning;
+    t "e8_proxy_fault" Runner.report_proxy_faults;
+    t "e9_i3_policy" (Runner.report_i3 ~transfers:8 ~pages:2);
+    t "e10_updates" Runner.report_updates;
+    t "e11_traffic_point"
+      (Runner.report_saturation ~loads:[ 0.5 ] ~nodes:4 ~warmup_cycles:500
+         ~window_cycles:4_000);
+    t "e12_adaptive_point"
+      (Runner.report_adaptive ~loads:[ 0.5 ] ~nodes:4
+         ~patterns:[ Udma_traffic.Pattern.Transpose ] ~warmup_cycles:500
+         ~window_cycles:4_000);
+    t "e13_hotspot_point"
+      (Runner.report_hotspot ~loads:[ 0.5 ] ~nodes:4 ~pcts:[ 50 ]
+         ~vc_counts:[ 2 ] ~warmup_cycles:500 ~window_cycles:4_000);
+    t "e14_tenants_point" (Runner.report_tenants ~tenant_counts:[ 64 ] ~ops:2_000);
+    t "e15_shapes_point"
+      (Runner.report_shapes ~cases:[ Runner.Shape_contig; Runner.Shape_sg 16 ]);
+    t "e16_apps_point"
+      (Runner.report_kv ~loads:[ 0.5 ] ~nodes:4 ~window_cycles:10_000);
+    t "e18_flit_point"
+      (Runner.report_flit ~nodes:4 ~vc_counts:[ 2 ] ~warmup_cycles:500
+         ~window_cycles:4_000);
   ]
 
 let run_bechamel () =
@@ -118,312 +82,41 @@ let run_bechamel () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* anchors: the quantitative claims CI guards against drift            *)
+(* anchor gates                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let report_value reports ~id pick =
-  match List.find_opt (fun (r : Report.t) -> r.Report.id = id) reports with
-  | None -> None
-  | Some r -> pick r.Report.rows
+(* Both gates read the baseline file and the fresh run the same way:
+   the run is serialized as the udma-bench/1 document it would be
+   written as, re-parsed, and every anchor is extracted from both
+   documents by Report.anchor_value. The baseline is read before the
+   run: a file that cannot be read or parsed exits 2, drift exits 1. *)
+let read_baseline ~label path =
+  match Json.of_file path with
+  | Ok doc -> (path, doc)
+  | Error msg ->
+      Printf.eprintf "%s: %s\n" label msg;
+      exit 2
 
-let row_num field row =
-  match List.assoc_opt field row with
-  | Some (Report.Int i) -> Some (float_of_int i)
-  | Some (Report.Float f) -> Some f
-  | _ -> None
-
-let row_where field value rows pick_field =
-  List.find_map
-    (fun row ->
-      match row_num field row with
-      | Some v when v = value -> row_num pick_field row
-      | _ -> None)
-    rows
-
-let row_labelled label rows pick_field =
-  List.find_map
-    (fun row ->
-      match List.assoc_opt "label" row with
-      | Some (Report.Str l) when l = label -> row_num pick_field row
-      | _ -> None)
-    rows
-
-let report_meta_num reports ~id field =
-  match List.find_opt (fun (r : Report.t) -> r.Report.id = id) reports with
-  | None -> None
-  | Some r -> row_num field r.Report.meta
-
-let row_with_str field value rows pick_field =
-  List.find_map
-    (fun row ->
-      match List.assoc_opt field row with
-      | Some (Report.Str l) when l = value -> row_num pick_field row
-      | _ -> None)
-    rows
-
-(* (name, value) for the checked anchors: the paper's 51 % of peak at
-   512 B, 96 % at 4 KB (Figure 8), the ~200-cycle two-reference
-   initiation (§8), the traffic sweep's saturation knee + its
-   lightest-load mean latency (E11, guards the contention model), and
-   the per-policy transpose knees (E12, guards adaptive routing). *)
-let anchors_of_reports reports =
-  let e1 pick =
-    report_value reports ~id:"e1_figure8" (fun rows ->
-        row_where "size" pick rows "pct_of_max")
-  in
-  let e2 =
-    report_value reports ~id:"e2_initiation" (fun rows ->
-        row_labelled "UDMA initiation (2 refs + check)" rows "cycles")
-  in
-  let e11_base =
-    report_value reports ~id:"e11_saturation" (fun rows ->
-        row_where "load" 0.2 rows "mean_latency")
-  in
-  let e12 field =
-    report_value reports ~id:"e12_adaptive" (fun rows ->
-        row_with_str "pattern" "transpose" rows field)
-  in
-  let e13 vcs =
-    report_value reports ~id:"e13_hotspot" (fun rows ->
-        List.find_map
-          (fun row ->
-            match (row_num "hot_pct" row, row_num "vcs" row) with
-            | Some p, Some v when p = 50.0 && v = vcs ->
-                row_num "knee" row
-            | _ -> None)
-          rows)
-  in
-  let e14 backend tenants field =
-    report_value reports ~id:"e14_tenants" (fun rows ->
-        List.find_map
-          (fun row ->
-            match (List.assoc_opt "backend" row, row_num "tenants" row) with
-            | Some (Report.Str b), Some t when b = backend && t = tenants ->
-                row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e15 shape field =
-    report_value reports ~id:"e15_shapes" (fun rows ->
-        row_with_str "shape" shape rows field)
-  in
-  let e16 id load =
-    report_value reports ~id (fun rows -> row_where "load" load rows "p99")
-  in
-  let e18 vcs =
-    report_value reports ~id:"e18_flit" (fun rows ->
-        row_where "vcs" vcs rows "hol_delta")
-  in
-  [
-    ("e1.pct_of_max@512B", e1 512.0);
-    ("e1.pct_of_max@4KB", e1 4096.0);
-    ("e2.initiation_cycles", e2);
-    ("e11.knee_load", report_meta_num reports ~id:"e11_saturation" "knee_load");
-    ("e11.mean_latency@0.2", e11_base);
-    ("e12.knee_dim@transpose", e12 "knee_dim");
-    ("e12.knee_adaptive@transpose", e12 "knee_adaptive");
-    ("e13.knee@hot50.vcs1", e13 1.0);
-    ("e13.knee@hot50.vcs4", e13 4.0);
-    ("e14.p50@proxy.t8", e14 "proxy" 8.0 "p50");
-    ("e14.p99@proxy.t256", e14 "proxy" 256.0 "p99");
-    ("e14.p50@iommu.t8", e14 "iommu" 8.0 "p50");
-    ("e14.p99@iommu.t256", e14 "iommu" 256.0 "p99");
-    ("e14.p50@capability.t8", e14 "capability" 8.0 "p50");
-    ("e14.p99@capability.t256", e14 "capability" 256.0 "p99");
-    ("e15.bpc@contig.basic", e15 "contig" "basic_bpc");
-    ("e15.bpc@sg256.basic", e15 "sg256" "basic_bpc");
-    ("e15.pct@sg256.basic", e15 "sg256" "basic_pct");
-    ("e16.kv_p99@0.8", e16 "e16_kv" 0.8);
-    ("e16.rpc_p99@0.8", e16 "e16_rpc" 0.8);
-    ("e18.hol_delta@vcs1", e18 1.0);
-    ("e18.hol_delta@vcs4", e18 4.0);
-  ]
-
-let json_rows_of_experiment doc ~id =
-  match Json.member "experiments" doc with
-  | Some exps ->
-      List.find_map
-        (fun exp ->
-          match Json.member "id" exp with
-          | Some (Json.Str i) when i = id -> Some (Json.to_list (Option.value ~default:Json.Null (Json.member "rows" exp)))
-          | _ -> None)
-        (Json.to_list exps)
-  | None -> None
-
-let json_row_num field row =
-  Option.bind (Json.member field row) Json.number
-
-let json_meta_num doc ~id field =
-  match Json.member "experiments" doc with
-  | Some exps ->
-      List.find_map
-        (fun exp ->
-          match Json.member "id" exp with
-          | Some (Json.Str i) when i = id ->
-              Option.bind (Json.member "meta" exp) (fun meta ->
-                  Option.bind (Json.member field meta) Json.number)
-          | _ -> None)
-        (Json.to_list exps)
-  | None -> None
-
-let anchors_of_baseline doc =
-  let e1 pick =
-    Option.bind (json_rows_of_experiment doc ~id:"e1_figure8") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "size" row with
-            | Some v when v = pick -> json_row_num "pct_of_max" row
-            | _ -> None)
-          rows)
-  in
-  let e2 =
-    Option.bind (json_rows_of_experiment doc ~id:"e2_initiation") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "label" row) Json.string_ with
-            | Some l when l = "UDMA initiation (2 refs + check)" ->
-                json_row_num "cycles" row
-            | _ -> None)
-          rows)
-  in
-  let e11_base =
-    Option.bind (json_rows_of_experiment doc ~id:"e11_saturation") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "load" row with
-            | Some v when v = 0.2 -> json_row_num "mean_latency" row
-            | _ -> None)
-          rows)
-  in
-  let e12 field =
-    Option.bind (json_rows_of_experiment doc ~id:"e12_adaptive") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "pattern" row) Json.string_ with
-            | Some "transpose" -> json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e13 vcs =
-    Option.bind (json_rows_of_experiment doc ~id:"e13_hotspot") (fun rows ->
-        List.find_map
-          (fun row ->
-            match (json_row_num "hot_pct" row, json_row_num "vcs" row) with
-            | Some p, Some v when p = 50.0 && v = vcs ->
-                json_row_num "knee" row
-            | _ -> None)
-          rows)
-  in
-  let e14 backend tenants field =
-    Option.bind (json_rows_of_experiment doc ~id:"e14_tenants") (fun rows ->
-        List.find_map
-          (fun row ->
-            match
-              ( Option.bind (Json.member "backend" row) Json.string_,
-                json_row_num "tenants" row )
-            with
-            | Some b, Some t when b = backend && t = tenants ->
-                json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e15 shape field =
-    Option.bind (json_rows_of_experiment doc ~id:"e15_shapes") (fun rows ->
-        List.find_map
-          (fun row ->
-            match Option.bind (Json.member "shape" row) Json.string_ with
-            | Some s when s = shape -> json_row_num field row
-            | _ -> None)
-          rows)
-  in
-  let e16 id load =
-    Option.bind (json_rows_of_experiment doc ~id) (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "load" row with
-            | Some v when v = load -> json_row_num "p99" row
-            | _ -> None)
-          rows)
-  in
-  let e18 vcs =
-    Option.bind (json_rows_of_experiment doc ~id:"e18_flit") (fun rows ->
-        List.find_map
-          (fun row ->
-            match json_row_num "vcs" row with
-            | Some v when v = vcs -> json_row_num "hol_delta" row
-            | _ -> None)
-          rows)
-  in
-  [
-    ("e1.pct_of_max@512B", e1 512.0);
-    ("e1.pct_of_max@4KB", e1 4096.0);
-    ("e2.initiation_cycles", e2);
-    ("e11.knee_load", json_meta_num doc ~id:"e11_saturation" "knee_load");
-    ("e11.mean_latency@0.2", e11_base);
-    ("e12.knee_dim@transpose", e12 "knee_dim");
-    ("e12.knee_adaptive@transpose", e12 "knee_adaptive");
-    ("e13.knee@hot50.vcs1", e13 1.0);
-    ("e13.knee@hot50.vcs4", e13 4.0);
-    ("e14.p50@proxy.t8", e14 "proxy" 8.0 "p50");
-    ("e14.p99@proxy.t256", e14 "proxy" 256.0 "p99");
-    ("e14.p50@iommu.t8", e14 "iommu" 8.0 "p50");
-    ("e14.p99@iommu.t256", e14 "iommu" 256.0 "p99");
-    ("e14.p50@capability.t8", e14 "capability" 8.0 "p50");
-    ("e14.p99@capability.t256", e14 "capability" 256.0 "p99");
-    ("e15.bpc@contig.basic", e15 "contig" "basic_bpc");
-    ("e15.bpc@sg256.basic", e15 "sg256" "basic_bpc");
-    ("e15.pct@sg256.basic", e15 "sg256" "basic_pct");
-    ("e16.kv_p99@0.8", e16 "e16_kv" 0.8);
-    ("e16.rpc_p99@0.8", e16 "e16_rpc" 0.8);
-    ("e18.hol_delta@vcs1", e18 1.0);
-    ("e18.hol_delta@vcs4", e18 4.0);
-  ]
-
-let check_anchors reports ~baseline_file =
-  let doc =
-    let ic = open_in baseline_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.parse s with
+let gate ~label ~tolerance anchors (path, baseline) reports =
+  let current =
+    match Json.parse (Json.to_string (Report.bench_json reports)) with
     | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "check: cannot parse %s: %s\n" baseline_file msg;
-        exit 2
+    | Error msg -> failwith ("bench_json does not reparse: " ^ msg)
   in
-  let current = anchors_of_reports reports in
-  let baseline = anchors_of_baseline doc in
-  let tolerance = 0.02 in
-  Printf.printf "\n=== anchor check vs %s (tolerance +/-%.0f%%) ===\n"
-    baseline_file (100.0 *. tolerance);
-  let failed = ref false in
-  List.iter
-    (fun (name, cur) ->
-      match (cur, List.assoc_opt name baseline) with
-      | Some cur, Some (Some base) ->
-          let drift =
-            if base = 0.0 then Float.abs cur
-            else Float.abs (cur -. base) /. Float.abs base
-          in
-          let ok = drift <= tolerance in
-          if not ok then failed := true;
-          Printf.printf "%-24s baseline %10.2f  current %10.2f  drift %5.1f%%  %s\n"
-            name base cur (100.0 *. drift)
-            (if ok then "ok" else "DRIFT")
-      | _, (None | Some None) ->
-          failed := true;
-          Printf.printf "%-24s missing from baseline file\n" name
-      | None, _ ->
-          failed := true;
-          Printf.printf "%-24s missing from current run\n" name)
-    current;
-  if !failed then begin
-    Printf.printf
-      "anchor check FAILED: regenerate the baseline (see EXPERIMENTS.md) if \
-       the change is intended.\n";
-    exit 1
-  end
-  else Printf.printf "anchor check passed.\n"
+  Printf.printf "\n=== %s vs %s (%s) ===\n" label path
+    (if tolerance = 0.0 then "exact"
+     else Printf.sprintf "tolerance +/-%.0f%%" (100.0 *. tolerance));
+  match Report.check ~tolerance anchors ~baseline current with
+  | Ok lines ->
+      List.iter print_endline lines;
+      Printf.printf "%s passed.\n" label
+  | Error lines ->
+      List.iter print_endline lines;
+      Printf.printf
+        "%s FAILED: regenerate the baseline (see EXPERIMENTS.md) if the \
+         change is intended.\n"
+        label;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* bench sim: raw sharded-engine throughput (BENCH_sim.json)           *)
@@ -507,64 +200,20 @@ let sim_report ~nodes ~load ~window ~seed ~domains_list =
       ]
     rows
 
-let sim_baseline_rows doc =
-  Option.value ~default:[] (json_rows_of_experiment doc ~id:"sim_throughput")
-
-let sim_check report ~baseline_file =
-  let doc =
-    let ic = open_in baseline_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.parse s with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "sim --check: cannot parse %s: %s\n" baseline_file msg;
-        exit 2
-  in
-  let base_rows = sim_baseline_rows doc in
-  Printf.printf
-    "\n=== sim determinism gate vs %s (deterministic fields, exact) ===\n"
-    baseline_file;
-  let failed = ref false in
-  List.iter
-    (fun row ->
-      let domains =
-        match List.assoc_opt "domains" row with
-        | Some (Report.Int d) -> d
-        | _ -> -1
-      in
-      let base_row =
-        List.find_opt
-          (fun r -> json_row_num "domains" r = Some (float_of_int domains))
-          base_rows
-      in
-      match base_row with
-      | None ->
-          failed := true;
-          Printf.printf "domains=%d: missing from baseline\n" domains
-      | Some base ->
-          List.iter
-            (fun field ->
-              let cur = row_num field row in
-              let ref_ = json_row_num field base in
-              let ok = cur <> None && cur = ref_ in
-              if not ok then failed := true;
-              Printf.printf "domains=%d %-14s baseline %12s  current %12s  %s\n"
-                domains field
-                (match ref_ with Some v -> Printf.sprintf "%.6g" v | None -> "-")
-                (match cur with Some v -> Printf.sprintf "%.6g" v | None -> "-")
-                (if ok then "ok" else "MISMATCH"))
-            sim_deterministic_fields)
-    report.Report.rows;
-  if !failed then begin
-    Printf.printf
-      "sim determinism gate FAILED: the sharded engine's results moved. If \
-       the change is an intended model change, regenerate BENCH_sim.json \
-       (see EXPERIMENTS.md E17).\n";
-    exit 1
-  end
-  else Printf.printf "sim determinism gate passed.\n"
+(* the determinism anchors: every deterministic field of every row *)
+let sim_anchors domains_list =
+  List.concat_map
+    (fun d ->
+      List.map
+        (fun field ->
+          {
+            Report.name = Printf.sprintf "sim.%s@domains%d" field d;
+            report = "sim_throughput";
+            select = Report.Row [ ("domains", string_of_int d) ];
+            field;
+          })
+        sim_deterministic_fields)
+    domains_list
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -572,7 +221,13 @@ let sim_check report ~baseline_file =
 
 open Cmdliner
 
+let write_json path doc =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string ~indent:2 doc);
+      output_char oc '\n')
+
 let run json out quick seed check =
+  let baseline = Option.map (read_baseline ~label:"check") check in
   let reports = Runner.all_reports ~quick ~seed () in
   if json then begin
     let path = Option.value out ~default:"BENCH_udma.json" in
@@ -586,10 +241,7 @@ let run json out quick seed check =
           ]
         reports
     in
-    let oc = open_out path in
-    output_string oc (Json.to_string ~indent:2 doc);
-    output_char oc '\n';
-    close_out oc;
+    write_json path doc;
     Printf.printf "wrote %s (%d experiments)\n" path (List.length reports)
   end
   else begin
@@ -601,9 +253,9 @@ let run json out quick seed check =
        claim of the paper; see DESIGN.md section 4 and EXPERIMENTS.md.\n";
     List.iter Report.print reports
   end;
-  (match check with
-  | Some baseline_file -> check_anchors reports ~baseline_file
-  | None -> ());
+  Option.iter
+    (fun b -> gate ~label:"anchor check" ~tolerance:0.02 Runner.anchors b reports)
+    baseline;
   (* the wall-clock micro-benchmarks only make sense in the default
      full table mode *)
   if (not json) && (not quick) && check = None then begin
@@ -616,14 +268,18 @@ let () =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Write the whole run as one udma-bench/1 JSON document \
-                (default BENCH_udma.json) instead of printing tables.")
+          ~doc:
+            "Write the whole run as one udma-bench/1 JSON document instead \
+             of printing tables.")
   in
   let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Destination for --json output.")
+      & info [ "out" ] ~docv:"FILE"
+          ~doc:
+            "Destination for $(b,--json) output (default BENCH_udma.json, \
+             or BENCH_sim.json for $(b,sim)).")
   in
   let quick =
     Arg.(
@@ -635,17 +291,21 @@ let () =
   let seed =
     Arg.(
       value & opt int 42
-      & info [ "seed" ] ~docv:"N" ~doc:"Seed for the randomized experiments.")
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"Seed for the randomized experiments and the sim workload.")
   in
-  let check =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:"Diff the E1/E2/E11/E12/E13/E14/E15 anchors of this run \
-                against the baseline document $(docv); exit 1 on >±2% drift.")
+  let check ~doc =
+    Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE" ~doc)
   in
-  let default_term = Term.(const run $ json $ out $ quick $ seed $ check) in
+  let default_term =
+    Term.(
+      const run $ json $ out $ quick $ seed
+      $ check
+          ~doc:
+            "Diff every anchor declared in the experiment registry between \
+             this run and the baseline document $(docv); exit 1 on >±2% \
+             drift, 2 if $(docv) cannot be read.")
+  in
   let sim_cmd =
     let nodes =
       Arg.(
@@ -664,9 +324,6 @@ let () =
         value & opt int 20_000
         & info [ "window" ] ~docv:"CYCLES" ~doc:"Measurement window.")
     in
-    let sim_seed =
-      Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-    in
     let domains_list =
       Arg.(
         value
@@ -674,32 +331,11 @@ let () =
         & info [ "domains" ] ~docv:"N,..."
             ~doc:"Worker-domain counts to run, one row each.")
     in
-    let sim_out =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "out" ] ~docv:"FILE"
-            ~doc:"Write the run as a udma-bench/1 JSON document \
-                  (default BENCH_sim.json when --json is set).")
-    in
-    let sim_json =
-      Arg.(
-        value & flag
-        & info [ "json" ] ~doc:"Write JSON instead of printing the table.")
-    in
-    let sim_check_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "check" ] ~docv:"FILE"
-            ~doc:
-              "Compare the deterministic engine counters of this run against \
-               the baseline document $(docv) EXACTLY (the engine-determinism \
-               gate); exit 1 on any mismatch. Wall-clock rates are never \
-               gated.")
-    in
     let sim_run sim_json sim_out nodes load window sim_seed domains_list
-        sim_check_arg =
+        sim_check =
+      let baseline =
+        Option.map (read_baseline ~label:"sim --check") sim_check
+      in
       let report =
         sim_report ~nodes ~load ~window ~seed:sim_seed ~domains_list
       in
@@ -714,16 +350,15 @@ let () =
               ]
             [ report ]
         in
-        let oc = open_out path in
-        output_string oc (Json.to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc;
+        write_json path doc;
         Printf.printf "wrote %s\n" path
       end
       else Report.print report;
-      match sim_check_arg with
-      | Some baseline_file -> sim_check report ~baseline_file
-      | None -> ()
+      Option.iter
+        (fun b ->
+          gate ~label:"sim determinism gate" ~tolerance:0.0
+            (sim_anchors domains_list) b [ report ])
+        baseline
     in
     Cmd.v
       (Cmd.info "sim"
@@ -731,8 +366,13 @@ let () =
            "Raw sharded-engine throughput (events/sec) per domain count; \
             deterministic counters are the BENCH_sim.json anchor set.")
       Term.(
-        const sim_run $ sim_json $ sim_out $ nodes $ load $ window $ sim_seed
-        $ domains_list $ sim_check_arg)
+        const sim_run $ json $ out $ nodes $ load $ window $ seed $ domains_list
+        $ check
+            ~doc:
+              "Compare the deterministic engine counters of this run against \
+               the baseline document $(docv) EXACTLY (the engine-determinism \
+               gate); exit 1 on any mismatch, 2 if $(docv) cannot be read. \
+               Wall-clock rates are never gated.")
   in
   let info =
     Cmd.info "bench" ~version:"1.0.0"

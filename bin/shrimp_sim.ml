@@ -76,552 +76,87 @@ let emit_reports c mk =
         output_char oc '\n')
   else with_out c (fun oc -> List.iter (Report.print ~oc) reports)
 
-let sizes_arg ~doc default =
-  Arg.(value & opt (list int) default & info [ "sizes" ] ~docv:"BYTES,..." ~doc)
-
 (* ------------------------------------------------------------------ *)
 (* experiment subcommands                                              *)
 (*                                                                     *)
-(* The set of experiments comes from Runner.experiments — adding an    *)
-(* entry there is enough to get a name + eN alias command here. An     *)
-(* experiment with interesting parameters can register a richer term   *)
-(* in [custom_terms]; everything else gets the generic one (common     *)
-(* flags plus --quick).                                                *)
+(* Every experiment command is derived from its Runner.experiments     *)
+(* record: one option per declared parameter, plus the common flags    *)
+(* and --quick, which moves every parameter the user did not set to    *)
+(* its quick value.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let figure8_term =
-  let messages =
-    Arg.(
-      value & opt int 32
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages per size point.")
-  in
-  let queued =
-    Arg.(
-      value & flag
-      & info [ "queued" ] ~doc:"Use the section-7 queued hardware instead.")
-  in
-  let run c sizes messages queued =
-    emit_reports c (fun () -> [ Runner.report_figure8 ~sizes ~messages ~queued () ])
+module Param = Udma_workloads.Param
+
+let rec conv : type a. a Param.kind -> a Arg.conv = function
+  | Param.Int -> Arg.int
+  | Param.Float -> Arg.float
+  | Param.Flag -> Arg.bool
+  | Param.List k -> Arg.list (conv k)
+  | Param.Option k -> Arg.some (conv k)
+  | Param.Enum l -> Arg.enum l
+  | Param.Parsed (parse, print) ->
+      Arg.conv
+        ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+          fun ppf v -> Format.pp_print_string ppf (print v) )
+
+(* One option per parameter. A term yields the parameter's value once
+   [quick] is known: the user's value, else the quick value or the
+   default. A value the declaration rejects exits 2 with its message. *)
+let rec params_term : type a. string -> a Param.args -> (quick:bool -> a) Term.t =
+ fun cmd_name -> function
+  | Param.Pure x -> Term.const (fun ~quick:_ -> x)
+  | Param.Map (f, a) ->
+      Term.(const (fun g ~quick -> f (g ~quick)) $ params_term cmd_name a)
+  | Param.Both (a, b) ->
+      Term.(
+        const (fun ga gb ~quick ->
+            let x = ga ~quick in
+            (x, gb ~quick))
+        $ params_term cmd_name a $ params_term cmd_name b)
+  | Param.Param p ->
+      let c = conv p.Param.kind in
+      let show v = Format.asprintf "%a" (Arg.conv_printer c) v in
+      let doc =
+        if p.Param.quick = p.Param.default then p.Param.doc
+        else
+          Printf.sprintf "%s $(b,--quick) uses %s." p.Param.doc
+            (show p.Param.quick)
+      in
+      let arg_info = Arg.info [ p.Param.flag ] ~docv:p.Param.docv ~doc in
+      let given : a option Term.t =
+        match p.Param.kind with
+        | Param.Flag ->
+            Term.(
+              const (fun b -> if b then Some true else None)
+              $ Arg.(value & flag arg_info))
+        | _ ->
+            Arg.(value & opt (some ~none:(show p.Param.default) c) None arg_info)
+      in
+      let resolve given ~quick =
+        let v =
+          match given with
+          | Some v -> v
+          | None -> if quick then p.Param.quick else p.Param.default
+        in
+        match p.Param.check v with
+        | None -> v
+        | Some msg ->
+            prerr_endline (Printf.sprintf "%s: --%s %s" cmd_name p.Param.flag msg);
+            exit 2
+      in
+      Term.(const resolve $ given)
+
+let quick_term ~doc = Arg.(value & flag & info [ "quick" ] ~doc)
+
+let experiment_term (e : Runner.experiment) =
+  let run c quick params =
+    let f = params ~quick in
+    emit_reports c (fun () -> f ~quick ~seed:c.seed)
   in
   Term.(
     const run $ common_term
-    $ sizes_arg ~doc:"Message sizes to sweep." Udma_workloads.Sizes.figure8
-    $ messages $ queued)
-
-let hippi_term =
-  let run c blocks = emit_reports c (fun () -> [ Runner.report_hippi ~blocks () ]) in
-  Term.(
-    const run $ common_term
-    $ sizes_arg ~doc:"Block sizes to sweep." Udma_workloads.Sizes.hippi_blocks)
-
-let crossover_term =
-  let trials =
-    Arg.(value & opt int 8 & info [ "trials" ] ~docv:"N" ~doc:"Trials per size.")
-  in
-  let run c sizes trials =
-    emit_reports c (fun () -> [ Runner.report_crossover ~sizes ~trials () ])
-  in
-  Term.(
-    const run $ common_term
-    $ sizes_arg ~doc:"Message sizes." Udma_workloads.Sizes.crossover
-    $ trials)
-
-let queueing_term =
-  let depths =
-    Arg.(
-      value
-      & opt (list int) [ 2; 4; 8; 16 ]
-      & info [ "depths" ] ~docv:"D,..." ~doc:"Hardware queue depths.")
-  in
-  let run c sizes depths =
-    emit_reports c (fun () ->
-        [ Runner.report_queueing ~total_sizes:sizes ~depths () ])
-  in
-  Term.(
-    const run $ common_term
-    $ sizes_arg ~doc:"Total transfer sizes." [ 8192; 16384; 32768; 65536 ]
-    $ depths)
-
-let atomicity_term =
-  let probs =
-    Arg.(
-      value
-      & opt (list int) [ 0; 5; 10; 20; 30; 50 ]
-      & info [ "probs" ] ~docv:"PCT,..." ~doc:"Preemption probabilities (%).")
-  in
-  let transfers =
-    Arg.(
-      value & opt int 200
-      & info [ "transfers" ] ~docv:"N" ~doc:"Transfers per probability point.")
-  in
-  let run c probs transfers =
-    emit_reports c (fun () ->
-        [ Runner.report_atomicity ~probs_pct:probs ~transfers ~seed:c.seed () ])
-  in
-  Term.(const run $ common_term $ probs $ transfers)
-
-let traffic_term =
-  let module Pattern = Udma_traffic.Pattern in
-  let module Sweep = Udma_traffic.Sweep in
-  let pattern_conv =
-    Arg.conv
-      ( (fun s -> Pattern.parse s |> Result.map_error (fun e -> `Msg e)),
-        fun ppf p -> Format.pp_print_string ppf (Pattern.to_string p) )
-  in
-  let nodes =
-    Arg.(
-      value & opt int 16
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Mesh size, filling complete rows of the squarest covering \
-             mesh (4, 6, 9, 12, 16, ...). The legacy engine covers 2..64; \
-             larger meshes (up to 1024) run on the sharded engine (see \
-             $(b,--domains)).")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the sharded per-row simulation engine. The \
-             default 1 on a mesh of up to 64 nodes keeps the legacy \
-             single-queue engine (byte-identical reports); any higher value \
-             — or a larger mesh — dispatches to the sharded conservative \
-             kernel, whose results are identical for every domain count.")
-  in
-  let pattern =
-    Arg.(
-      value
-      & opt pattern_conv Pattern.Uniform
-      & info [ "pattern" ] ~docv:"PATTERN"
-          ~doc:
-            "Spatial pattern: $(b,uniform), $(b,transpose), $(b,neighbor) or \
-             $(b,hotspot)[:PCT].")
-  in
-  let msg_bytes =
-    Arg.(
-      value & opt int 256
-      & info [ "msg-bytes" ] ~docv:"BYTES"
-          ~doc:"Message size; a 4-byte multiple up to 4092 (one packet).")
-  in
-  let loads =
-    Arg.(
-      value
-      & opt (list float) Sweep.default_loads
-      & info [ "loads" ] ~docv:"L,..."
-          ~doc:
-            "Offered loads to sweep, as fractions of one source's calibrated \
-             initiation capacity.")
-  in
-  let window =
-    Arg.(
-      value & opt int 50_000
-      & info [ "window" ] ~docv:"CYCLES" ~doc:"Measurement window per point.")
-  in
-  let warmup =
-    Arg.(
-      value & opt int 2_000
-      & info [ "warmup" ] ~docv:"CYCLES" ~doc:"Run-in before measurement.")
-  in
-  let no_contention =
-    Arg.(
-      value & flag
-      & info [ "no-contention" ]
-          ~doc:
-            "Disable the router's per-link FIFO model (contention-free \
-             latency, the pre-traffic behaviour).")
-  in
-  let routing =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("dimension", `Dimension_order); ("adaptive", `Minimal_adaptive) ])
-          `Dimension_order
-      & info [ "routing" ] ~docv:"POLICY"
-          ~doc:
-            "Router path policy: $(b,dimension) (X then Y, the default) or \
-             $(b,adaptive) (minimal-adaptive: the less-busy productive link \
-             at every hop; needs the contention model).")
-  in
-  let link_per_word =
-    Arg.(
-      value & opt int 1
-      & info [ "link-per-word" ] ~docv:"CYCLES"
-          ~doc:
-            "Router cycles per 4-byte word on a mesh link (default 1). \
-             Raising it slows the links relative to the send-initiation \
-             cost, moving the bottleneck onto the network (the E12 regime).")
-  in
-  let vcs =
-    Arg.(
-      value & opt int 1
-      & info [ "vcs" ] ~docv:"N"
-          ~doc:
-            "Virtual channels per directed mesh link, 1..4 (default 1: the \
-             single-FIFO model, bit-for-bit). Extra VCs let other flows \
-             backfill the wire around a head-of-line-blocked packet.")
-  in
-  let rx_credits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rx-credits" ] ~docv:"N"
-          ~doc:
-            "Deposit slots per (link, VC) receive FIFO (default: unlimited, \
-             the pre-credit model). With finite credits sources stall at \
-             the injection gate instead of queueing on the wire.")
-  in
-  let crossing =
-    let crossing_conv = Arg.enum [ ("analytic", `Analytic); ("flit", `Flit) ] in
-    Arg.(
-      value & opt crossing_conv `Analytic
-      & info [ "crossing" ] ~docv:"MODEL"
-          ~doc:
-            "Wire model under contention: $(b,analytic) (default, \
-             packet-granularity link reservations — the model every \
-             committed anchor was produced on) or $(b,flit) \
-             (cycle-accurate wormhole flits through per-(link,VC) input \
-             FIFOs; dimension-order only, always on the legacy engine). \
-             See also $(b,--flit-words).")
-  in
-  let flit_words =
-    Arg.(
-      value & opt int 1
-      & info [ "flit-words" ] ~docv:"N"
-          ~doc:"4-byte words per flit in the flit crossing (default 1).")
-  in
-  let run c nodes pattern msg_bytes loads window warmup no_contention routing
-      link_per_word vcs rx_credits crossing flit_words domains =
-    emit_reports c (fun () ->
-        [
-          Runner.report_saturation ~loads ~nodes ~pattern ~msg_bytes
-            ~warmup_cycles:warmup ~window_cycles:window
-            ~link_contention:(not no_contention) ~routing ~link_per_word
-            ~vc_count:vcs ~rx_credits ~crossing ~flit_words ~seed:c.seed
-            ~domains ();
-        ])
-  in
-  Term.(
-    const run $ common_term $ nodes $ pattern $ msg_bytes $ loads $ window
-    $ warmup $ no_contention $ routing $ link_per_word $ vcs $ rx_credits
-    $ crossing $ flit_words $ domains)
-
-let tenants_term =
-  let module Backend = Udma_protect.Backend in
-  let backend_conv =
-    Arg.conv
-      ( (fun s -> Backend.parse_kind s |> Result.map_error (fun e -> `Msg e)),
-        fun ppf k -> Format.pp_print_string ppf (Backend.kind_name k) )
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Use the small deterministic CI parameter set (8 and 256 \
-             tenants, 4000 ops).")
-  in
-  let backends =
-    Arg.(
-      value
-      & opt (some (list backend_conv)) None
-      & info [ "backend" ] ~docv:"KIND,..."
-          ~doc:
-            "Protection backends to sweep: $(b,proxy), $(b,iommu), \
-             $(b,capability) (default: all three).")
-  in
-  let tenants =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "tenants" ] ~docv:"N,..."
-          ~doc:
-            "Tenant counts to sweep (default 8,64,256,1024; $(b,--quick) \
-             uses 8,256).")
-  in
-  let slots =
-    Arg.(
-      value & opt int 64
-      & info [ "slots" ] ~docv:"N"
-          ~doc:"Destination-table slots shared by all tenants.")
-  in
-  let ops =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ops" ] ~docv:"N"
-          ~doc:
-            "Operations per (backend, tenant count) point (default 20000; \
-             $(b,--quick) uses 4000).")
-  in
-  let churn =
-    Arg.(
-      value & opt int 8
-      & info [ "churn" ] ~docv:"PCT"
-          ~doc:"Per-op probability of descheduling a tenant (%).")
-  in
-  let evict =
-    Arg.(
-      value & opt int 4
-      & info [ "evict" ] ~docv:"PCT"
-          ~doc:"Per-op probability of evicting a table slot (%).")
-  in
-  let rogue =
-    Arg.(
-      value & opt int 4
-      & info [ "rogue" ] ~docv:"PCT"
-          ~doc:"Per-op probability of a rogue cross-tenant probe (%).")
-  in
-  let run c quick backends tenants slots ops churn evict rogue =
-    let tenant_counts =
-      match tenants with
-      | Some l -> l
-      | None -> if quick then [ 8; 256 ] else [ 8; 64; 256; 1024 ]
-    in
-    let ops =
-      match ops with Some n -> n | None -> if quick then 4000 else 20_000
-    in
-    let kinds =
-      match backends with Some l -> l | None -> Backend.all_kinds
-    in
-    emit_reports c (fun () ->
-        [
-          Runner.report_tenants ~tenant_counts ~kinds ~slots ~ops
-            ~churn_pct:churn ~evict_pct:evict ~rogue_pct:rogue ~seed:c.seed ();
-        ])
-  in
-  Term.(
-    const run $ common_term $ quick $ backends $ tenants $ slots $ ops $ churn
-    $ evict $ rogue)
-
-let shapes_term =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Use the small deterministic CI parameter set.")
-  in
-  let shape_kinds =
-    Arg.(
-      value
-      & opt
-          (list (enum [ ("contig", `Contig); ("strided", `Strided); ("sg", `Sg) ]))
-          [ `Contig; `Strided; `Sg ]
-      & info [ "shape" ] ~docv:"KINDS"
-          ~doc:
-            "Shape families to sweep: comma-separated subset of $(b,contig), \
-             $(b,strided) and $(b,sg).")
-  in
-  let strides =
-    Arg.(
-      value
-      & opt (list int) [ 2; 4; 8; 16; 32; 64 ]
-      & info [ "stride" ] ~docv:"FACTORS"
-          ~doc:
-            "Stride factors for the strided family (the source reads 64 \
-             bytes every 64*FACTOR; each factor must divide 64).")
-  in
-  let sg_elems =
-    Arg.(
-      value
-      & opt (list int) [ 2; 4; 16; 64; 256 ]
-      & info [ "sg-elems" ] ~docv:"COUNTS"
-          ~doc:
-            "Scatter-gather element counts across the whole transfer (each \
-             must be twice a power-of-two divisor of the page size).")
-  in
-  let total =
-    Arg.(
-      value & opt int 8192
-      & info [ "total" ] ~docv:"BYTES"
-          ~doc:"Total bytes moved per shape (a page multiple).")
-  in
-  let run c quick kinds strides sg_elems total =
-    let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-    if total <= 0 || total mod 4096 <> 0 then
-      fail "shapes: --total %d is not a positive page multiple" total;
-    List.iter
-      (fun f ->
-        if f <= 0 || 64 mod f <> 0 then
-          fail "shapes: --stride factor %d does not divide 64" f)
-      strides;
-    List.iter
-      (fun n ->
-        if n < 2 || n mod 2 <> 0 || 4096 mod (n / 2) <> 0 then
-          fail "shapes: --sg-elems %d is not twice a divisor of the page" n)
-      sg_elems;
-    let cases =
-      if quick then Runner.quick_shape_cases
-      else
-        List.concat_map
-          (function
-            | `Contig -> [ Runner.Shape_contig ]
-            | `Strided -> List.map (fun f -> Runner.Shape_strided f) strides
-            | `Sg -> List.map (fun n -> Runner.Shape_sg n) sg_elems)
-          kinds
-    in
-    emit_reports c (fun () -> [ Runner.report_shapes ~total ~cases () ])
-  in
-  Term.(
-    const run $ common_term $ quick $ shape_kinds $ strides $ sg_elems $ total)
-
-let apps_term =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Use the small deterministic CI parameter set.")
-  in
-  let app_sel =
-    Arg.(
-      value
-      & opt (some (enum [ ("kv", `Kv); ("halo", `Halo); ("rpc", `Rpc) ])) None
-      & info [ "app" ] ~docv:"APP"
-          ~doc:
-            "Run one application: $(b,kv) (sharded key-value store), \
-             $(b,halo) (halo-exchange collective) or $(b,rpc) (bursty \
-             request-response service). Default: all three, plus the KV \
-             VC-contrast table.")
-  in
-  let nodes =
-    Arg.(
-      value & opt int 16
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:
-            "Mesh size, 2..64, filling complete rows of the squarest \
-             covering mesh (4, 6, 9, 12, 16, ...).")
-  in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"KV server shards, on nodes 0..N-1 (default: one per node).")
-  in
-  let value_bytes =
-    Arg.(
-      value & opt int 2048
-      & info [ "value-bytes" ] ~docv:"BYTES"
-          ~doc:"KV value size; a 4-byte multiple (requests must still fit \
-                one page).")
-  in
-  let slo =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo" ] ~docv:"MULT"
-          ~doc:
-            "SLO multiple: the knee is the first sustained load whose p99 \
-             exceeds MULT times the lightest load's p50 (default 5.0).")
-  in
-  let loads =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "loads" ] ~docv:"L,..."
-          ~doc:
-            "Offered loads to sweep (halo caps at 1.0; applied to the halo \
-             sweep only with an explicit $(b,--app) halo).")
-  in
-  let vcs =
-    Arg.(
-      value & opt int 1
-      & info [ "vcs" ] ~docv:"N"
-          ~doc:"Virtual channels per directed mesh link for the KV sweep, \
-                1..4.")
-  in
-  let hot_pct =
-    Arg.(
-      value & opt int 0
-      & info [ "hot-pct" ] ~docv:"PCT"
-          ~doc:"Share of KV key draws pinned to shard 0 (the hotspot).")
-  in
-  let write_pct =
-    Arg.(
-      value & opt int 10
-      & info [ "write-pct" ] ~docv:"PCT" ~doc:"Share of KV ops that write.")
-  in
-  let link_per_word =
-    Arg.(
-      value & opt int 1
-      & info [ "link-per-word" ] ~docv:"CYCLES"
-          ~doc:
-            "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
-             bottleneck on the wires, the VC regime).")
-  in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Run the KV store under a seeded link kill/slow/heal storm (the \
-             mesh M_link_fault action); the closed loop must still drain.")
-  in
-  let run c quick app nodes shards value_bytes slo loads vcs hot_pct write_pct
-      link_per_word chaos =
-    let seed = c.seed in
-    let sweep_loads =
-      match loads with
-      | Some l -> l
-      | None ->
-          if quick then [ 0.3; 0.8 ] else Runner.app_default_loads
-    in
-    let kv () =
-      Runner.report_kv ~loads:sweep_loads ~nodes ?shards ~value_bytes
-        ~write_pct ~hot_pct ~vcs ~link_per_word ?slo
-        ~window_cycles:(if quick then 30_000 else 60_000)
-        ~chaos ~seed ()
-    in
-    let halo () =
-      Runner.report_halo
-        ?loads:
-          (if app = Some `Halo then loads
-           else if quick then Some [ 0.5 ]
-           else None)
-        ?slo ~nodes
-        ~iterations:(if quick then 12 else 30)
-        ~seed ()
-    in
-    let rpc () =
-      Runner.report_rpc ~loads:sweep_loads ~nodes ?slo
-        ~window_cycles:(if quick then 100_000 else 200_000)
-        ~seed ()
-    in
-    emit_reports c (fun () ->
-        match app with
-        | Some `Kv -> [ kv () ]
-        | Some `Halo -> [ halo () ]
-        | Some `Rpc -> [ rpc () ]
-        | None ->
-            [ kv (); halo (); rpc () ]
-            @ if quick then [] else [ Runner.report_kv_vcs ~nodes ~seed () ])
-  in
-  Term.(
-    const run $ common_term $ quick $ app_sel $ nodes $ shards $ value_bytes
-    $ slo $ loads $ vcs $ hot_pct $ write_pct $ link_per_word $ chaos)
-
-let custom_terms =
-  [
-    ("figure8", figure8_term);
-    ("hippi", hippi_term);
-    ("crossover", crossover_term);
-    ("queueing", queueing_term);
-    ("atomicity", atomicity_term);
-    ("traffic", traffic_term);
-    ("tenants", tenants_term);
-    ("shapes", shapes_term);
-    ("apps", apps_term);
-  ]
-
-let generic_term (e : Runner.experiment) =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Use the small deterministic CI parameter set.")
-  in
-  let run c quick =
-    emit_reports c (fun () -> e.Runner.exp_run ~quick ~seed:c.seed)
-  in
-  Term.(const run $ common_term $ quick)
+    $ quick_term ~doc:"Use the small deterministic CI parameter set."
+    $ params_term e.Runner.exp_name e.Runner.exp_run)
 
 (* Each experiment registers under its paper-section name and an
    eN alias, so `shrimp_sim e1 --json` works as EXPERIMENTS.md
@@ -629,11 +164,7 @@ let generic_term (e : Runner.experiment) =
 let experiment_cmds =
   List.concat_map
     (fun (e : Runner.experiment) ->
-      let term =
-        match List.assoc_opt e.Runner.exp_name custom_terms with
-        | Some t -> t
-        | None -> generic_term e
-      in
+      let term = experiment_term e in
       let doc = e.Runner.exp_doc in
       [
         Cmd.v (Cmd.info e.Runner.exp_name ~doc) term;
@@ -645,20 +176,18 @@ let experiment_cmds =
     Runner.experiments
 
 let all_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Small deterministic parameters (what CI diffs against the \
-                committed BENCH_baseline.json).")
-  in
   let run c quick =
     emit_reports c (fun () -> Runner.all_reports ~quick ~seed:c.seed ())
   in
   Cmd.v
     (Cmd.info "all"
        ~doc:"Run every experiment (same series as bench/main.exe).")
-    Term.(const run $ common_term $ quick)
+    Term.(
+      const run $ common_term
+      $ quick_term
+          ~doc:
+            "Small deterministic parameters (what CI diffs against the \
+             committed BENCH_baseline.json).")
 
 (* ------------------------------------------------------------------ *)
 (* trace walkthrough                                                   *)
@@ -800,101 +329,84 @@ let chaos_cmd =
     if c.trace then Trace.set_global_sink (Some (Event.jsonl_sink stderr));
     let skip_invariant = mutate in
     let finish () = Trace.set_global_sink None in
-    if mesh then
-      with_out c (fun oc ->
-          let ppf = Format.formatter_of_out_channel oc in
-          match replay with
-          | Some seed -> (
-              let plan = Chaos.mesh_plan_of_seed ~steps seed in
-              Format.fprintf ppf "replaying mesh seed %d: %a@." seed
-                Chaos.pp_mesh_setup plan.Chaos.mesh_setup;
-              List.iteri
-                (fun i a ->
-                  Format.fprintf ppf "  %2d. %a@." i Chaos.pp_mesh_action a)
-                plan.Chaos.mesh_actions;
-              match Chaos.run_mesh_plan ?skip_invariant plan with
-              | Chaos.Mesh_pass ->
-                  Format.fprintf ppf "no invariant violation.@.";
-                  finish ();
-                  exit 0
-              | Chaos.Mesh_fail f ->
-                  output_string oc (Chaos.mesh_report f);
-                  finish ();
-                  exit (if mutate = None then 1 else 0))
-          | None -> (
-              let failures =
-                Chaos.mesh_sweep ?skip_invariant ~steps ~start ~seeds ()
-              in
-              match (failures, mutate) with
-              | [], None ->
-                  Format.fprintf ppf
-                    "mesh chaos sweep: %d seeds x %d steps, no I1-I5/N1-N2 \
-                     violation.@."
-                    seeds steps;
-                  finish ()
-              | [], Some inv ->
-                  Format.fprintf ppf
-                    "mesh chaos sweep with %a disabled found no violation \
-                     in %d seeds — the oracles missed a planted bug!@."
-                    Udma_os.Machine.pp_invariant inv seeds;
-                  finish ();
-                  exit 1
-              | f :: _, _ ->
-                  Format.fprintf ppf
-                    "mesh chaos sweep: %d of %d seeds violated an \
-                     invariant%s@."
-                    (List.length failures) seeds
-                    (match mutate with
-                    | Some _ -> " (expected: a bug was planted)"
-                    | None -> "");
-                  output_string oc (Chaos.mesh_report f);
-                  finish ();
-                  if mutate = None then exit 1))
-    else
-    with_out c (fun oc ->
-        let ppf = Format.formatter_of_out_channel oc in
-        match replay with
-        | Some seed -> (
+    (* The single-machine and mesh sweeps differ only in their schedules,
+       oracles and wording. [replay_seed] prints a seed's schedule, runs
+       it and returns the failure report, if any; [sweep] returns the
+       failing-seed count and the first failure's report. *)
+    let name, clean, planted, replay_seed, sweep =
+      if mesh then
+        ( "mesh chaos sweep",
+          "I1-I5/N1-N2",
+          "a bug",
+          (fun ppf seed ->
+            let plan = Chaos.mesh_plan_of_seed ~steps seed in
+            Format.fprintf ppf "replaying mesh seed %d: %a@." seed
+              Chaos.pp_mesh_setup plan.Chaos.mesh_setup;
+            List.iteri
+              (fun i a -> Format.fprintf ppf "  %2d. %a@." i Chaos.pp_mesh_action a)
+              plan.Chaos.mesh_actions;
+            match Chaos.run_mesh_plan ?skip_invariant plan with
+            | Chaos.Mesh_pass -> None
+            | Chaos.Mesh_fail f -> Some (Chaos.mesh_report f)),
+          fun () ->
+            match Chaos.mesh_sweep ?skip_invariant ~steps ~start ~seeds () with
+            | [] -> (0, "")
+            | f :: _ as l -> (List.length l, Chaos.mesh_report f) )
+      else
+        let report f =
+          Chaos.report ?skip_invariant (Chaos.shrink ?skip_invariant f)
+        in
+        ( "chaos sweep",
+          "I1-I4",
+          "a kernel bug",
+          (fun ppf seed ->
             let plan = Chaos.plan_of_seed ~steps seed in
             Format.fprintf ppf "replaying seed %d: %a@." seed Chaos.pp_setup
-              plan.setup;
+              plan.Chaos.setup;
             List.iteri
               (fun i a -> Format.fprintf ppf "  %2d. %a@." i Chaos.pp_action a)
               plan.Chaos.actions;
             match Chaos.run_plan ?skip_invariant plan with
-            | Chaos.Pass ->
+            | Chaos.Pass -> None
+            | Chaos.Fail f -> Some (report f)),
+          fun () ->
+            match Chaos.sweep ?skip_invariant ~steps ~start ~seeds () with
+            | [] -> (0, "")
+            | f :: _ as l -> (List.length l, report f) )
+    in
+    with_out c (fun oc ->
+        let ppf = Format.formatter_of_out_channel oc in
+        match replay with
+        | Some seed -> (
+            match replay_seed ppf seed with
+            | None ->
                 Format.fprintf ppf "no invariant violation.@.";
                 finish ();
                 exit 0
-            | Chaos.Fail f ->
-                output_string oc
-                  (Chaos.report ?skip_invariant (Chaos.shrink ?skip_invariant f));
+            | Some report ->
+                output_string oc report;
                 finish ();
                 exit (if mutate = None then 1 else 0))
         | None -> (
-            let failures = Chaos.sweep ?skip_invariant ~steps ~start ~seeds () in
-            match (failures, mutate) with
-            | [], None ->
-                Format.fprintf ppf
-                  "chaos sweep: %d seeds x %d steps, no I1-I4 violation.@."
-                  seeds steps;
+            match (sweep (), mutate) with
+            | (0, _), None ->
+                Format.fprintf ppf "%s: %d seeds x %d steps, no %s violation.@."
+                  name seeds steps clean;
                 finish ()
-            | [], Some inv ->
+            | (0, _), Some inv ->
                 Format.fprintf ppf
-                  "chaos sweep with %a disabled found no violation in %d \
-                   seeds — the oracles missed a planted bug!@."
-                  Udma_os.Machine.pp_invariant inv seeds;
+                  "%s with %a disabled found no violation in %d seeds — the \
+                   oracles missed a planted bug!@."
+                  name Udma_os.Machine.pp_invariant inv seeds;
                 finish ();
                 exit 1
-            | f :: _, _ ->
-                Format.fprintf ppf
-                  "chaos sweep: %d of %d seeds violated an invariant%s@."
-                  (List.length failures) seeds
+            | (failed, report), _ ->
+                Format.fprintf ppf "%s: %d of %d seeds violated an invariant%s@."
+                  name failed seeds
                   (match mutate with
-                  | Some _ -> " (expected: a kernel bug was planted)"
+                  | Some _ -> Printf.sprintf " (expected: %s was planted)" planted
                   | None -> "");
-                output_string oc
-                  (Chaos.report ?skip_invariant (Chaos.shrink ?skip_invariant f));
+                output_string oc report;
                 finish ();
                 if mutate = None then exit 1))
   in

@@ -8,19 +8,6 @@ type stats = {
   max : int;
 }
 
-(* Exact nearest-rank percentile over a sorted sample — deliberately
-   the same convention as Udma_protect.Tenants.percentile (the value
-   at 1-based rank ceil(p/100 * n)), so app percentiles and tenant
-   percentiles compare like for like. test_obs pins the convention
-   against Udma_obs.Metrics.percentile's bucket-edge estimate. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let empty_stats =
   { count = 0; mean = 0.0; p50 = 0; p95 = 0; p99 = 0; p999 = 0; max = 0 }
 
@@ -33,10 +20,10 @@ let stats_of latencies =
     {
       count = n;
       mean = float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int n;
-      p50 = percentile sorted 50.0;
-      p95 = percentile sorted 95.0;
-      p99 = percentile sorted 99.0;
-      p999 = percentile sorted 99.9;
+      p50 = Udma_obs.Metrics.nearest_rank sorted 50.0;
+      p95 = Udma_obs.Metrics.nearest_rank sorted 95.0;
+      p99 = Udma_obs.Metrics.nearest_rank sorted 99.0;
+      p999 = Udma_obs.Metrics.nearest_rank sorted 99.9;
       max = sorted.(n - 1);
     }
   end

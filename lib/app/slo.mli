@@ -2,9 +2,10 @@
     workloads (E16).
 
     Every app records one end-to-end latency sample per request and
-    summarises a load point as {!stats}. The percentile convention is
-    the exact nearest-rank one of {!Udma_protect.Tenants.percentile}
-    (the value at 1-based rank [ceil (p/100 · n)]): an actual
+    summarises a load point as {!stats}. Percentiles are
+    {!Udma_obs.Metrics.nearest_rank} (the value at 1-based rank
+    [ceil (p/100 · n)]), the convention every exact latency percentile
+    in the tree shares: an actual
     observation, not a bucket upper edge — so on small samples the
     tail percentiles coarsen to the maximum (p999 is exactly the
     sample max whenever [n < 1000]).
@@ -27,10 +28,6 @@ type stats = {
   p999 : int;
   max : int;
 }
-
-val percentile : int array -> float -> int
-(** Exact nearest-rank percentile over a {e sorted} sample; [0] on the
-    empty sample. Same convention as {!Udma_protect.Tenants.percentile}. *)
 
 val stats_of : int array -> stats
 (** Summarise an (unsorted) latency sample; sorts a copy. *)

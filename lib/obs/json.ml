@@ -30,9 +30,12 @@ let float_repr f =
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else
-    (* Shortest representation that round-trips. *)
+    (* Shortest representation that round-trips; an integral value of
+       16-17 digits prints without '.' or exponent at %.17g, so it
+       gets a ".0" to parse back as a float rather than an int. *)
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let to_string ?indent v =
   let buf = Buffer.create 256 in
@@ -248,6 +251,14 @@ let parse s =
     if !pos <> n then Error (Printf.sprintf "trailing input at offset %d" !pos)
     else Ok v
   with Bad (off, msg) -> Error (Printf.sprintf "%s at offset %d" msg off)
+
+let of_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error ("cannot read " ^ msg)
+  | s -> (
+      match parse s with
+      | Ok v -> Ok v
+      | Error msg -> Error (Printf.sprintf "cannot parse %s: %s" path msg))
 
 (* ---------- accessors ---------- *)
 

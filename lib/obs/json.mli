@@ -26,6 +26,11 @@ val parse : string -> (t, string) result
     Numbers without [.], [e] or [E] parse as [Int]. Returns
     [Error msg] with a character offset on malformed input. *)
 
+val of_file : string -> (t, string) result
+(** [of_file path] reads and parses the whole file. A missing or
+    unreadable file and malformed contents all give [Error msg], with
+    [msg] naming the file. *)
+
 (** {1 Accessors} — tolerant lookups for reading reports back. *)
 
 val member : string -> t -> t option

@@ -162,6 +162,13 @@ let snapshot_hist h =
 let histogram t name =
   Option.map snapshot_hist (Hashtbl.find_opt t.hists name)
 
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0
+  else
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let percentile (h : histogram) p =
   if p <= 0.0 || p > 100.0 then
     invalid_arg "Metrics.percentile: p must be in (0, 100]";

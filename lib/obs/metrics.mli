@@ -3,9 +3,9 @@
 
     One registry per simulated machine; [Engine], [Udma_engine], [Vm],
     [Scheduler], [Dma_engine] and [Network_interface] all publish into
-    it. Counters keep the familiar [Stats] increment API so existing
-    call sites port mechanically; histograms replace ad-hoc float
-    series for latency-shaped data. *)
+    it. Counters are bumped by name or through pre-resolved handles;
+    histograms hold latency-shaped data. Exact percentiles over a raw
+    sample use {!nearest_rank}. *)
 
 type t
 
@@ -90,6 +90,17 @@ val percentile : histogram -> float -> int option
     past the last edge if the percentile falls in the overflow
     bucket). An upper-bound estimate — resolution is the bucket
     ladder. Raises [Invalid_argument] unless [0 < p <= 100]. *)
+
+val nearest_rank : int array -> float -> int
+(** [nearest_rank sorted p] is the exact nearest-rank percentile of an
+    ascending sample: the value at 1-based rank [ceil (p/100 * n)],
+    clamped to the sample; [0] on the empty sample. It reports an
+    actual observation, not a bucket edge, so on small samples the
+    tail coarsens to the maximum (p999 is the sample max whenever
+    [n < 1000]). Every exact latency percentile in the tree (traffic,
+    tenants, application SLOs) uses this one function; when the
+    histogram's edges enumerate every distinct sample, {!percentile}
+    returns the same value. *)
 
 val histograms : t -> (string * histogram) list
 

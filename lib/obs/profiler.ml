@@ -36,8 +36,6 @@ let charge t ?cat n =
 
 let total t cat = t.cycles.(index cat)
 
-let grand_total t = Array.fold_left ( + ) 0 t.cycles
-
 type totals = int array
 
 let snapshot t = Array.copy t.cycles
@@ -45,8 +43,6 @@ let snapshot t = Array.copy t.cycles
 let zero = Array.make n_categories 0
 
 let add_totals a b = Array.init n_categories (fun i -> a.(i) + b.(i))
-
-let sub_totals a b = Array.init n_categories (fun i -> max 0 (a.(i) - b.(i)))
 
 let to_list totals =
   List.map (fun c -> (category_name c, totals.(index c))) categories

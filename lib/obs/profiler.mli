@@ -33,10 +33,6 @@ val charge : t -> ?cat:category -> int -> unit
 
 val total : t -> category -> int
 
-val grand_total : t -> int
-(** Sum over all categories; equals the owning engine's elapsed
-    cycles. *)
-
 (** {1 Snapshots} — immutable totals for report breakdowns. *)
 
 type totals
@@ -49,10 +45,6 @@ val zero : totals
 val add_totals : totals -> totals -> totals
 (** Pointwise sum — used to merge breakdowns from experiments that run
     several engines. *)
-
-val sub_totals : totals -> totals -> totals
-(** Pointwise difference (clamped at zero) — used to scope a breakdown
-    to a measurement window. *)
 
 val to_list : totals -> (string * int) list
 (** [(category_name, cycles)] in report order, all six categories. *)

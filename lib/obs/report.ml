@@ -114,3 +114,61 @@ let bench_json ?(meta = []) reports =
       ("meta", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) meta));
       ("experiments", Json.List (List.map to_json reports));
     ]
+
+(* ---------- anchors ---------- *)
+
+type selector = Meta | Row of (string * string) list
+
+type anchor = { name : string; report : string; select : selector; field : string }
+
+(* a selector value names a string field verbatim, a number by value *)
+let field_is v s =
+  match v with
+  | Json.Str x -> x = s
+  | v -> (
+      match (Json.number v, float_of_string_opt s) with
+      | Some a, Some b -> a = b
+      | _ -> false)
+
+let anchor_value doc a =
+  let experiment =
+    List.find_opt
+      (fun e -> Json.member "id" e = Some (Json.Str a.report))
+      (Json.to_list (Option.value ~default:Json.Null (Json.member "experiments" doc)))
+  in
+  let holder =
+    Option.bind experiment (fun e ->
+        match a.select with
+        | Meta -> Json.member "meta" e
+        | Row pairs ->
+            List.find_opt
+              (fun row ->
+                List.for_all
+                  (fun (k, s) ->
+                    match Json.member k row with
+                    | Some v -> field_is v s
+                    | None -> false)
+                  pairs)
+              (Json.to_list (Option.value ~default:Json.Null (Json.member "rows" e))))
+  in
+  Option.bind holder (fun h -> Option.bind (Json.member a.field h) Json.number)
+
+let check ~tolerance anchors ~baseline current =
+  let verdict a =
+    match (anchor_value baseline a, anchor_value current a) with
+    | Some base, Some cur ->
+        let drift =
+          if base = 0.0 then Float.abs cur
+          else Float.abs (cur -. base) /. Float.abs base
+        in
+        let ok = drift <= tolerance in
+        ( ok,
+          Printf.sprintf "%-28s baseline %12.6g  current %12.6g  drift %5.1f%%  %s"
+            a.name base cur (100.0 *. drift)
+            (if ok then "ok" else "DRIFT") )
+    | None, _ -> (false, Printf.sprintf "%-28s missing from baseline file" a.name)
+    | Some _, None -> (false, Printf.sprintf "%-28s missing from current run" a.name)
+  in
+  let verdicts = List.map verdict anchors in
+  let lines = List.map snd verdicts in
+  if List.for_all fst verdicts then Ok lines else Error lines

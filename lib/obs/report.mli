@@ -53,3 +53,44 @@ val bench_json :
     [{"schema": "udma-bench/1", "meta": {...}, "experiments": [...]}]. *)
 
 val schema_version : string
+
+(** {1 Anchors}
+
+    An anchor names one number in a udma-bench/1 document: a field of
+    one experiment's meta, or of the first row whose fields match
+    every [field = value] pair of a row selector. The anchor gates
+    read both the committed baseline and a fresh run (serialized with
+    {!bench_json} and re-parsed) through {!anchor_value}, so the two
+    sides can never be extracted differently. *)
+
+type selector =
+  | Meta  (** the experiment's [meta] object *)
+  | Row of (string * string) list
+      (** the first row matching every pair: a string field compares
+          verbatim, a numeric one by value (["512"] matches [512] and
+          [512.0]) *)
+
+type anchor = {
+  name : string;  (** e.g. ["e1.pct_of_max@512B"] *)
+  report : string;  (** experiment id, e.g. ["e1_figure8"] *)
+  select : selector;
+  field : string;
+}
+
+val anchor_value : Json.t -> anchor -> float option
+(** The anchor's number in a udma-bench/1 document; [None] when the
+    experiment, row or field is missing or the field is not a
+    number. *)
+
+val check :
+  tolerance:float ->
+  anchor list ->
+  baseline:Json.t ->
+  Json.t ->
+  (string list, string list) result
+(** [check ~tolerance anchors ~baseline current] compares every
+    anchor's value in [current] against [baseline]: relative drift
+    (absolute when the baseline value is 0) must be at most
+    [tolerance]; [0.0] demands equality. One line per anchor, in
+    order; [Ok] when every anchor resolves on both sides and is in
+    tolerance, [Error] otherwise. *)

@@ -231,16 +231,6 @@ let rogue_probe t ~rogue ~slot =
   else t.breaches <- t.breaches + 1;
   ok
 
-(* Exact nearest-rank percentile over a sorted sample: the smallest
-   value with at least ceil(p/100 * n) observations at or below it. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let run cfg =
   let t = create cfg in
   let lat = ref [] in
@@ -274,9 +264,9 @@ let run cfg =
   let st = Backend.stats t.backend in
   {
     sends = !nlat;
-    p50 = percentile sorted 50.;
-    p99 = percentile sorted 99.;
-    p999 = percentile sorted 99.9;
+    p50 = Udma_obs.Metrics.nearest_rank sorted 50.;
+    p99 = Udma_obs.Metrics.nearest_rank sorted 99.;
+    p999 = Udma_obs.Metrics.nearest_rank sorted 99.9;
     mean = (if !nlat = 0 then 0. else float_of_int sum /. float_of_int !nlat);
     faults = t.faults;
     rogue_probes = t.rogue_probes;

@@ -64,16 +64,6 @@ type result = {
                                  counterexamples — must be 0 *)
 }
 
-val percentile : int array -> float -> int
-(** Exact nearest-rank percentile over a {e sorted} sample: the value
-    at 1-based rank [ceil (p /. 100. *. n)], clamped to the sample.
-    No interpolation is performed — unlike {!Udma_obs.Metrics.percentile}
-    (an upper-edge estimate over fixed buckets), this reports an actual
-    observation. Consequently on small samples the tail percentiles
-    coarsen: whenever [ceil (p /. 100. *. n) = n] — for p999, any
-    [n < 1000] — the result is exactly the sample maximum. [0] on the
-    empty sample. *)
-
 val run : config -> result
 (** The whole sweep loop; deterministic (equal configs give equal
     results, byte for byte). Raises [Invalid_argument] on nonpositive

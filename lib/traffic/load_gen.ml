@@ -71,13 +71,7 @@ type result = {
       (* per VC: (mean, max) buffered flits; [||] in analytic mode *)
 }
 
-(* p-th percentile of a sorted array (nearest-rank). *)
-let percentile_sorted arr p =
-  let n = Array.length arr in
-  if n = 0 then 0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    arr.(max 0 (min (n - 1) (rank - 1)))
+let percentile_sorted = Metrics.nearest_rank
 
 let validate (cfg : config) =
   if cfg.nodes < 2 || cfg.nodes > 64 then
@@ -373,9 +367,9 @@ let run ?probe (cfg : config) =
     delivered_per_kcycle = per_kcycle !delivered;
     latencies;
     mean_latency;
-    p50_latency = percentile_sorted latencies 50.0;
-    p95_latency = percentile_sorted latencies 95.0;
-    p99_latency = percentile_sorted latencies 99.0;
+    p50_latency = Metrics.nearest_rank latencies 50.0;
+    p95_latency = Metrics.nearest_rank latencies 95.0;
+    p99_latency = Metrics.nearest_rank latencies 99.0;
     max_latency = (if n = 0 then 0 else latencies.(n - 1));
     link_wait_cycles =
       List.fold_left (fun a (l : Router.link_stat) -> a + l.Router.wait_cycles) 0 links;

@@ -90,9 +90,8 @@ type result = {
 }
 
 val percentile_sorted : int array -> float -> int
-(** Nearest-rank percentile of an already sorted array (0 when empty):
-    the convention every latency stat in a {!result} uses. Exposed so
-    the sharded generator reports with identical rounding. *)
+(** {!Udma_obs.Metrics.nearest_rank} under the name the host benchmark
+    ([perfbench/]) reads its latency percentiles through. *)
 
 val calibrate : ?msg_bytes:int -> unit -> int
 (** The per-message initiation cost on a fresh 2-node system (what a

@@ -306,9 +306,9 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
       delivered_per_kcycle = per_kcycle delivered;
       latencies;
       mean_latency;
-      p50_latency = Load_gen.percentile_sorted latencies 50.0;
-      p95_latency = Load_gen.percentile_sorted latencies 95.0;
-      p99_latency = Load_gen.percentile_sorted latencies 99.0;
+      p50_latency = Udma_obs.Metrics.nearest_rank latencies 50.0;
+      p95_latency = Udma_obs.Metrics.nearest_rank latencies 95.0;
+      p99_latency = Udma_obs.Metrics.nearest_rank latencies 99.0;
       max_latency = (if n = 0 then 0 else latencies.(n - 1));
       link_wait_cycles =
         List.fold_left

@@ -53,18 +53,40 @@ let vf x = Report.Float x
 let vs x = Report.Str x
 let vb x = Report.Bool x
 
+(* an optional value, or [none] when absent *)
+let v_opt v none = function Some x -> v x | None -> vs none
+
+(* ------------------------------------------------------------------ *)
+(* the experiment declaration                                          *)
+(* ------------------------------------------------------------------ *)
+
+type experiment = {
+  exp_name : string;
+  exp_alias : string;
+  exp_doc : string;
+  exp_run : (quick:bool -> seed:int -> Report.t list) Param.args;
+  exp_anchors : Report.anchor list;
+}
+
+let anchor name report select field = { Report.name; report; select; field }
+
 (* ------------------------------------------------------------------ *)
 (* E1 / Figure 8                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type bw_point = {
-  size : int;
-  cycles_per_msg : float;
-  bytes_per_cycle : float;
-  pct_of_max : float;
-}
+let figure8_sizes =
+  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes to sweep."
+    ~quick:[ 512; 1024; 4096; 16384 ]
+    (* 64 B to 16 KB, denser below one page *)
+    [ 64; 128; 256; 384; 512; 768; 1024; 1536; 2048; 3072; 4096;
+      4608; 5120; 6144; 7168; 8192; 10240; 12288; 16384 ]
 
-let figure8_core ~sizes ~messages ~queued p =
+let figure8_messages =
+  Param.v "messages" Int ~docv:"N" ~doc:"Messages per size point." ~quick:8 32
+
+let report_figure8 ?(sizes = Param.default figure8_sizes)
+    ?(messages = Param.default figure8_messages) ?(queued = false) () =
+  let p = probe () in
   let sys =
     if queued then
       System.create
@@ -119,24 +141,6 @@ let figure8_core ~sizes ~messages ~queued p =
       (fun acc (size, cpm) -> Float.max acc (float_of_int size /. cpm))
       0.0 raw
   in
-  List.map
-    (fun (size, cpm) ->
-      let bpc = float_of_int size /. cpm in
-      {
-        size;
-        cycles_per_msg = cpm;
-        bytes_per_cycle = bpc;
-        pct_of_max = 100.0 *. bpc /. max_bpc;
-      })
-    raw
-
-let figure8 ?(sizes = Sizes.figure8) ?(messages = 32) ?(queued = false) () =
-  figure8_core ~sizes ~messages ~queued (probe ())
-
-let report_figure8 ?(sizes = Sizes.figure8) ?(messages = 32)
-    ?(queued = false) () =
-  let p = probe () in
-  let rows = figure8_core ~sizes ~messages ~queued p in
   Report.make
     ~id:(if queued then "e1_figure8_queued" else "e1_figure8")
     ~title:
@@ -154,14 +158,49 @@ let report_figure8 ?(sizes = Sizes.figure8) ?(messages = 32)
       ]
     ~breakdown:(breakdown p)
     (List.map
-       (fun pt ->
+       (fun (size, cpm) ->
+         let bpc = float_of_int size /. cpm in
          [
-           ("size", vi pt.size);
-           ("cycles_per_msg", vf pt.cycles_per_msg);
-           ("bytes_per_cycle", vf pt.bytes_per_cycle);
-           ("pct_of_max", vf pt.pct_of_max);
+           ("size", vi size);
+           ("cycles_per_msg", vf cpm);
+           ("bytes_per_cycle", vf bpc);
+           ("pct_of_max", vf (100.0 *. bpc /. max_bpc));
          ])
-       rows)
+       raw)
+
+let e1 =
+  {
+    exp_name = "figure8";
+    exp_alias = "e1";
+    exp_doc = "E1: deliberate-update bandwidth vs message size (Figure 8).";
+    exp_run =
+      Param.(
+        let+ sizes = figure8_sizes
+        and+ messages = figure8_messages
+        and+ hardware =
+          v "hardware"
+            (List (Enum [ ("basic", false); ("queued", true) ]))
+            ~docv:"MODES"
+            ~doc:
+              "UDMA hardware to sweep, one table each: $(b,basic) (the \
+               paper's Figure 8) and/or $(b,queued) (the section-7 queued \
+               hardware with the pipelined initiator, an ablation)."
+            [ false; true ]
+        in
+        fun ~quick:_ ~seed:_ ->
+          List.map
+            (fun queued -> report_figure8 ~sizes ~messages ~queued ())
+            hardware);
+    exp_anchors =
+      [
+        anchor "e1.pct_of_max@512B" "e1_figure8"
+          (Report.Row [ ("size", "512") ])
+          "pct_of_max";
+        anchor "e1.pct_of_max@4KB" "e1_figure8"
+          (Report.Row [ ("size", "4096") ])
+          "pct_of_max";
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* shared single-node rig: machine + UDMA + one buffer device          *)
@@ -190,20 +229,18 @@ let grant_dev m proc ~pages =
 (* E2: initiation costs                                                *)
 (* ------------------------------------------------------------------ *)
 
-type cost_row = { label : string; cycles : int; us : float }
-
-let row costs label cycles =
-  { label; cycles; us = Cost_model.us_of_cycles costs cycles }
-
-let cost_rows rows =
-  List.map
-    (fun (r : cost_row) ->
-      [ ("label", vs r.label); ("cycles", vi r.cycles); ("us", vf r.us) ])
-    rows
+(* one (label, cycles, us) row of the E2 / E8 cost tables *)
+let cost_row costs label cycles =
+  [
+    ("label", vs label);
+    ("cycles", vi cycles);
+    ("us", vf (Cost_model.us_of_cycles costs cycles));
+  ]
 
 let cost_columns = [ ("label", "path"); ("cycles", "cycles"); ("us", "us") ]
 
-let initiation_costs_core p =
+let report_costs () =
+  let p = probe () in
   let m, _udma, port, _ = buffer_rig () in
   watch p m.M.engine;
   let proc = Scheduler.spawn m ~name:"p" in
@@ -251,31 +288,43 @@ let initiation_costs_core p =
   let trad_pin_4k = trad Syscall.Pin_user_pages 4096 in
   let trad_copy_4k = trad Syscall.Copy_through_buffer 4096 in
   let costs = m.M.costs in
-  [
-    row costs "UDMA initiation (2 refs + check)" udma_init;
-    row costs "UDMA 4 KB transfer, end to end" udma_4k;
-    row costs "traditional syscall entry/exit alone" costs.Cost_model.syscall;
-    row costs "traditional 4 B transfer (pin)" trad_pin_4;
-    row costs "traditional 4 KB transfer (pin)" trad_pin_4k;
-    row costs "traditional 4 KB transfer (copy)" trad_copy_4k;
-  ]
-
-let initiation_costs () = initiation_costs_core (probe ())
-
-let report_costs () =
-  let p = probe () in
-  let rows = initiation_costs_core p in
   Report.make ~id:"e2_initiation"
     ~title:"E2: transfer-initiation cost (the paper's 2.8 us)"
-    ~columns:cost_columns ~breakdown:(breakdown p) (cost_rows rows)
+    ~columns:cost_columns ~breakdown:(breakdown p)
+    [
+      cost_row costs "UDMA initiation (2 refs + check)" udma_init;
+      cost_row costs "UDMA 4 KB transfer, end to end" udma_4k;
+      cost_row costs "traditional syscall entry/exit alone" costs.Cost_model.syscall;
+      cost_row costs "traditional 4 B transfer (pin)" trad_pin_4;
+      cost_row costs "traditional 4 KB transfer (pin)" trad_pin_4k;
+      cost_row costs "traditional 4 KB transfer (copy)" trad_copy_4k;
+    ]
+
+let e2 =
+  {
+    exp_name = "initiation";
+    exp_alias = "e2";
+    exp_doc = "E2: UDMA vs traditional transfer-initiation cost (the 2.8us).";
+    exp_run = Param.const (fun ~quick:_ ~seed:_ -> [ report_costs () ]);
+    exp_anchors =
+      [
+        anchor "e2.initiation_cycles" "e2_initiation"
+          (Report.Row [ ("label", "UDMA initiation (2 refs + check)") ])
+          "cycles";
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E3: HIPPI motivation                                                *)
 (* ------------------------------------------------------------------ *)
 
-type hippi_row = { block : int; mbytes_per_s : float; pct_of_channel : float }
+let hippi_blocks =
+  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Block sizes to sweep."
+    ~quick:[ 1024; 4096; 65536; 262144 ]
+    (List.init 11 (fun i -> 256 lsl i) (* 256 B to 256 KB *))
 
-let hippi_core ~blocks p =
+let report_hippi ?(blocks = Param.default hippi_blocks) () =
+  let p = probe () in
   let config =
     {
       M.default_config with
@@ -297,26 +346,25 @@ let hippi_core ~blocks p =
   let channel_mbps =
     4.0 *. mhz /. float_of_int (Bus.timing m.M.bus).Bus.burst_word_cycles
   in
-  List.map
-    (fun block ->
-      let cycles =
-        match
-          Syscall.dma_transfer m proc ~dir:Syscall.To_device ~vaddr:buf
-            ~nbytes:block ~port ~dev_addr:0 ~strategy:Syscall.Pin_user_pages
-        with
-        | Ok c -> c
-        | Error e -> fail_syscall e
-      in
-      let mbps = float_of_int block *. mhz /. float_of_int cycles in
-      { block; mbytes_per_s = mbps; pct_of_channel = 100.0 *. mbps /. channel_mbps })
-    blocks
-
-let hippi_motivation ?(blocks = Sizes.hippi_blocks) () =
-  hippi_core ~blocks (probe ())
-
-let report_hippi ?(blocks = Sizes.hippi_blocks) () =
-  let p = probe () in
-  let rows = hippi_core ~blocks p in
+  let rows =
+    List.map
+      (fun block ->
+        let cycles =
+          match
+            Syscall.dma_transfer m proc ~dir:Syscall.To_device ~vaddr:buf
+              ~nbytes:block ~port ~dev_addr:0 ~strategy:Syscall.Pin_user_pages
+          with
+          | Ok c -> c
+          | Error e -> fail_syscall e
+        in
+        let mbps = float_of_int block *. mhz /. float_of_int cycles in
+        [
+          ("block", vi block);
+          ("mbytes_per_s", vf mbps);
+          ("pct_of_channel", vf (100.0 *. mbps /. channel_mbps));
+        ])
+      blocks
+  in
   Report.make ~id:"e3_hippi"
     ~title:"E3: kernel-initiated DMA on a HIPPI-class channel (section 1)"
     ~columns:
@@ -325,21 +373,23 @@ let report_hippi ?(blocks = Sizes.hippi_blocks) () =
         ("mbytes_per_s", "MB/s");
         ("pct_of_channel", "%channel");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("block", vi r.block);
-           ("mbytes_per_s", vf r.mbytes_per_s);
-           ("pct_of_channel", vf r.pct_of_channel);
-         ])
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e3 =
+  {
+    exp_name = "hippi";
+    exp_alias = "e3";
+    exp_doc = "E3: kernel DMA bandwidth vs block size on a HIPPI profile.";
+    exp_run =
+      Param.(
+        let+ blocks = hippi_blocks in
+        fun ~quick:_ ~seed:_ -> [ report_hippi ~blocks () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E4: PIO-FIFO crossover                                              *)
 (* ------------------------------------------------------------------ *)
-
-type crossover_row = { xsize : int; udma_cycles : float; pio_cycles : float }
 
 let udma_latency sys ch cpu_snd cpu_rcv ~buf ~size ~trials =
   let total = ref 0 in
@@ -419,7 +469,17 @@ let pio_latency p ~size ~trials =
   done;
   float_of_int !total /. float_of_int trials
 
-let crossover_core ~sizes ~trials p =
+let crossover_sizes =
+  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes."
+    ~quick:[ 64; 512; 4096 ]
+    [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
+
+let crossover_trials =
+  Param.v "trials" Int ~docv:"N" ~doc:"Trials per size." ~quick:2 8
+
+let report_crossover ?(sizes = Param.default crossover_sizes)
+    ?(trials = Param.default crossover_trials) () =
+  let p = probe () in
   (* UDMA side: one 2-node system reused across sizes *)
   let sys = System.create ~nodes:2 () in
   watch p (System.engine sys);
@@ -445,22 +505,20 @@ let crossover_core ~sizes ~trials p =
       | Error msg -> failwith msg)
   | Error e -> fail_send e);
   System.run_until_idle sys;
-  List.map
-    (fun size ->
-      let size = max 4 (size land lnot 3) in
-      {
-        xsize = size;
-        udma_cycles = udma_latency sys ch cpu_snd cpu_rcv ~buf ~size ~trials;
-        pio_cycles = pio_latency p ~size ~trials;
-      })
-    sizes
-
-let pio_crossover ?(sizes = Sizes.crossover) ?(trials = 8) () =
-  crossover_core ~sizes ~trials (probe ())
-
-let report_crossover ?(sizes = Sizes.crossover) ?(trials = 8) () =
-  let p = probe () in
-  let rows = crossover_core ~sizes ~trials p in
+  let rows =
+    List.map
+      (fun size ->
+        let size = max 4 (size land lnot 3) in
+        let udma = udma_latency sys ch cpu_snd cpu_rcv ~buf ~size ~trials in
+        let pio = pio_latency p ~size ~trials in
+        [
+          ("size", vi size);
+          ("udma_cycles", vf udma);
+          ("pio_cycles", vf pio);
+          ("winner", vs (if pio < udma then "PIO" else "UDMA"));
+        ])
+      sizes
+  in
   Report.make ~id:"e4_crossover"
     ~title:"E4: one-way latency, UDMA vs memory-mapped FIFO (section 9)"
     ~meta:[ ("trials", vi trials) ]
@@ -471,26 +529,23 @@ let report_crossover ?(sizes = Sizes.crossover) ?(trials = 8) () =
         ("pio_cycles", "PIO cycles");
         ("winner", "winner");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("size", vi r.xsize);
-           ("udma_cycles", vf r.udma_cycles);
-           ("pio_cycles", vf r.pio_cycles);
-           ("winner", vs (if r.pio_cycles < r.udma_cycles then "PIO" else "UDMA"));
-         ])
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e4 =
+  {
+    exp_name = "crossover";
+    exp_alias = "e4";
+    exp_doc = "E4: UDMA vs memory-mapped FIFO latency.";
+    exp_run =
+      Param.(
+        let+ sizes = crossover_sizes and+ trials = crossover_trials in
+        fun ~quick:_ ~seed:_ -> [ report_crossover ~sizes ~trials () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E5: queueing ablation                                               *)
 (* ------------------------------------------------------------------ *)
-
-type queueing_row = {
-  total_bytes : int;
-  basic_cycles : int;
-  queued_cycles : (int * int) list;
-}
 
 let one_big_transfer ~mode ~total p =
   let m, _udma, _, _ = buffer_rig ~mode () in
@@ -524,128 +579,138 @@ let one_big_transfer ~mode ~total p =
   | Ok s -> s.Initiator.cycles
   | Error e -> fail_transfer e
 
-let queueing_core ~total_sizes ~depths p =
-  List.map
-    (fun total ->
-      {
-        total_bytes = total;
-        basic_cycles = one_big_transfer ~mode:Udma_engine.Basic ~total p;
-        queued_cycles =
-          List.map
-            (fun depth ->
-              (depth, one_big_transfer ~mode:(Udma_engine.Queued { depth }) ~total p))
-            depths;
-      })
-    total_sizes
+let queueing_sizes =
+  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Total transfer sizes."
+    ~quick:[ 16384; 65536 ] [ 8192; 16384; 32768; 65536 ]
 
-let queueing ?(total_sizes = [ 8192; 16384; 32768; 65536 ])
-    ?(depths = [ 2; 4; 8; 16 ]) () =
-  queueing_core ~total_sizes ~depths (probe ())
+let queueing_depths =
+  Param.v "depths" (List Int) ~docv:"D,..." ~doc:"Hardware queue depths."
+    ~quick:[ 4; 8 ] [ 2; 4; 8; 16 ]
 
-let report_queueing ?(total_sizes = [ 8192; 16384; 32768; 65536 ])
-    ?(depths = [ 2; 4; 8; 16 ]) () =
+let report_queueing ?(total_sizes = Param.default queueing_sizes)
+    ?(depths = Param.default queueing_depths) () =
   let p = probe () in
-  let rows = queueing_core ~total_sizes ~depths p in
   let depth_field d = Printf.sprintf "depth_%d" d in
+  let rows =
+    List.map
+      (fun total ->
+        let basic = one_big_transfer ~mode:Udma_engine.Basic ~total p in
+        [ ("total_bytes", vi total); ("basic_cycles", vi basic) ]
+        @ List.map
+            (fun depth ->
+              ( depth_field depth,
+                vi
+                  (one_big_transfer ~mode:(Udma_engine.Queued { depth }) ~total
+                     p) ))
+            depths)
+      total_sizes
+  in
   Report.make ~id:"e5_queueing"
     ~title:"E5: multi-page transfers, basic vs queued UDMA (section 7)"
     ~columns:
       ([ ("total_bytes", "total"); ("basic_cycles", "basic") ]
       @ List.map (fun d -> (depth_field d, Printf.sprintf "depth=%d" d)) depths)
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [ ("total_bytes", vi r.total_bytes); ("basic_cycles", vi r.basic_cycles) ]
-         @ List.map (fun (d, c) -> (depth_field d, vi c)) r.queued_cycles)
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e5 =
+  {
+    exp_name = "queueing";
+    exp_alias = "e5";
+    exp_doc = "E5: basic vs queued UDMA for multi-page transfers.";
+    exp_run =
+      Param.(
+        let+ total_sizes = queueing_sizes and+ depths = queueing_depths in
+        fun ~quick:_ ~seed:_ -> [ report_queueing ~total_sizes ~depths () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E6: I1 atomicity under preemption                                   *)
 (* ------------------------------------------------------------------ *)
 
-type atomicity_row = {
-  preempt_pct : int;
-  transfers : int;
-  retries : int;
-  avg_cycles : float;
-  violations : int;
-}
+let atomicity_probs =
+  Param.v "probs" (List Int) ~docv:"PCT,..."
+    ~doc:"Preemption probabilities (%)." ~quick:[ 0; 20 ]
+    [ 0; 5; 10; 20; 30; 50 ]
 
-let atomicity_core ~probs_pct ~transfers ~seed p =
-  List.map
-    (fun pct ->
-      let m, udma, _, _ = buffer_rig () in
-      watch p m.M.engine;
-      let p1 = Scheduler.spawn m ~name:"p1" in
-      let p2 = Scheduler.spawn m ~name:"p2" in
-      grant_dev m p1 ~pages:1;
-      (match
-         Syscall.map_device_proxy m p2 ~vdev_index:1 ~pdev_index:1 ~writable:true
-       with
-      | Ok () -> ()
-      | Error e -> fail_syscall e);
-      let b1 = Kernel.alloc_buffer m p1 ~bytes:4096 in
-      Kernel.write_user m p1 ~vaddr:b1 (pattern 512);
-      let b2 = Kernel.alloc_buffer m p2 ~bytes:4096 in
-      Kernel.write_user m p2 ~vaddr:b2 (pattern 512);
-      let cpu1 = Kernel.user_cpu m p1 in
-      let cpu2 = Kernel.user_cpu m p2 in
-      (* legal pairings: p1 sends b1 -> dev page 0, p2 sends b2 -> dev
-         page 1; anything else is a cross-process pairing *)
-      let dev0 = Kernel.vdev_addr m ~index:0 ~offset:0 in
-      let dev1 = Kernel.vdev_addr m ~index:1 ~offset:0 in
-      (* the start hook sees PHYSICAL proxy addresses; device-proxy
-         pages are identity-mapped here, memory proxies are checked
-         through the buffers' frames *)
-      let phys_src vaddr proc =
-        let page_size = Layout.page_size m.M.layout in
-        match Vm.frame_of_vpn m proc ~vpn:(vaddr / page_size) with
-        | Some frame ->
-            Layout.proxy_of m.M.layout
-              ((frame * page_size) + (vaddr mod page_size))
-        | None -> -1
-      in
-      let violations = ref 0 in
-      Udma_engine.set_start_hook udma (fun ~src_proxy ~dest_proxy ~nbytes:_ ->
-          let legal =
-            (src_proxy = phys_src b1 p1 && dest_proxy = dev0)
-            || (src_proxy = phys_src b2 p2 && dest_proxy = dev1)
-          in
-          if not legal then incr violations);
-      let rng = Rng.create (seed + pct) in
-      Scheduler.set_preempt_hook m
-        (Some (fun _ -> pct > 0 && Rng.int rng 100 < pct));
-      let retries = ref 0 and cycles = ref 0 in
-      for i = 1 to transfers do
-        let cpu, buf, dev = if i land 1 = 0 then (cpu2, b2, dev1) else (cpu1, b1, dev0) in
-        match
-          Initiator.transfer cpu ~layout:m.M.layout ~src:(Initiator.Memory buf)
-            ~dst:(Initiator.Device dev) ~nbytes:512 ()
-        with
-        | Ok s ->
-            retries := !retries + s.Initiator.retries;
-            cycles := !cycles + s.Initiator.cycles
-        | Error e -> fail_transfer e
-      done;
-      Scheduler.set_preempt_hook m None;
-      Engine.run_until_idle m.M.engine;
-      {
-        preempt_pct = pct;
-        transfers;
-        retries = !retries;
-        avg_cycles = float_of_int !cycles /. float_of_int transfers;
-        violations = !violations;
-      })
-    probs_pct
+let atomicity_transfers =
+  Param.v "transfers" Int ~docv:"N" ~doc:"Transfers per probability point."
+    ~quick:40 200
 
-let atomicity ?(probs_pct = [ 0; 5; 10; 20; 30; 50 ]) ?(transfers = 200)
-    ?(seed = 42) () =
-  atomicity_core ~probs_pct ~transfers ~seed (probe ())
-
-let report_atomicity ?(probs_pct = [ 0; 5; 10; 20; 30; 50 ])
-    ?(transfers = 200) ?(seed = 42) () =
+let report_atomicity ?(probs_pct = Param.default atomicity_probs)
+    ?(transfers = Param.default atomicity_transfers) ?(seed = 42) () =
   let p = probe () in
-  let rows = atomicity_core ~probs_pct ~transfers ~seed p in
+  let rows =
+    List.map
+      (fun pct ->
+        let m, udma, _, _ = buffer_rig () in
+        watch p m.M.engine;
+        let p1 = Scheduler.spawn m ~name:"p1" in
+        let p2 = Scheduler.spawn m ~name:"p2" in
+        grant_dev m p1 ~pages:1;
+        (match
+           Syscall.map_device_proxy m p2 ~vdev_index:1 ~pdev_index:1
+             ~writable:true
+         with
+        | Ok () -> ()
+        | Error e -> fail_syscall e);
+        let b1 = Kernel.alloc_buffer m p1 ~bytes:4096 in
+        Kernel.write_user m p1 ~vaddr:b1 (pattern 512);
+        let b2 = Kernel.alloc_buffer m p2 ~bytes:4096 in
+        Kernel.write_user m p2 ~vaddr:b2 (pattern 512);
+        let cpu1 = Kernel.user_cpu m p1 in
+        let cpu2 = Kernel.user_cpu m p2 in
+        (* legal pairings: p1 sends b1 -> dev page 0, p2 sends b2 -> dev
+           page 1; anything else is a cross-process pairing *)
+        let dev0 = Kernel.vdev_addr m ~index:0 ~offset:0 in
+        let dev1 = Kernel.vdev_addr m ~index:1 ~offset:0 in
+        (* the start hook sees PHYSICAL proxy addresses; device-proxy
+           pages are identity-mapped here, memory proxies are checked
+           through the buffers' frames *)
+        let phys_src vaddr proc =
+          let page_size = Layout.page_size m.M.layout in
+          match Vm.frame_of_vpn m proc ~vpn:(vaddr / page_size) with
+          | Some frame ->
+              Layout.proxy_of m.M.layout
+                ((frame * page_size) + (vaddr mod page_size))
+          | None -> -1
+        in
+        let violations = ref 0 in
+        Udma_engine.set_start_hook udma (fun ~src_proxy ~dest_proxy ~nbytes:_ ->
+            let legal =
+              (src_proxy = phys_src b1 p1 && dest_proxy = dev0)
+              || (src_proxy = phys_src b2 p2 && dest_proxy = dev1)
+            in
+            if not legal then incr violations);
+        let rng = Rng.create (seed + pct) in
+        Scheduler.set_preempt_hook m
+          (Some (fun _ -> pct > 0 && Rng.int rng 100 < pct));
+        let retries = ref 0 and cycles = ref 0 in
+        for i = 1 to transfers do
+          let cpu, buf, dev =
+            if i land 1 = 0 then (cpu2, b2, dev1) else (cpu1, b1, dev0)
+          in
+          match
+            Initiator.transfer cpu ~layout:m.M.layout
+              ~src:(Initiator.Memory buf) ~dst:(Initiator.Device dev)
+              ~nbytes:512 ()
+          with
+          | Ok s ->
+              retries := !retries + s.Initiator.retries;
+              cycles := !cycles + s.Initiator.cycles
+          | Error e -> fail_transfer e
+        done;
+        Scheduler.set_preempt_hook m None;
+        Engine.run_until_idle m.M.engine;
+        [
+          ("preempt_pct", vi pct);
+          ("transfers", vi transfers);
+          ("retries", vi !retries);
+          ("avg_cycles", vf (float_of_int !cycles /. float_of_int transfers));
+          ("violations", vi !violations);
+        ])
+      probs_pct
+  in
   Report.make ~id:"e6_atomicity"
     ~title:"E6: two-reference atomicity under preemption (invariant I1)"
     ~meta:[ ("transfers", vi transfers); ("seed", vi seed) ]
@@ -657,40 +722,27 @@ let report_atomicity ?(probs_pct = [ 0; 5; 10; 20; 30; 50 ])
         ("avg_cycles", "avg cycles");
         ("violations", "violations");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("preempt_pct", vi r.preempt_pct);
-           ("transfers", vi r.transfers);
-           ("retries", vi r.retries);
-           ("avg_cycles", vf r.avg_cycles);
-           ("violations", vi r.violations);
-         ])
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e6 =
+  {
+    exp_name = "atomicity";
+    exp_alias = "e6";
+    exp_doc = "E6: I1 retries under forced preemption.";
+    exp_run =
+      Param.(
+        let+ probs_pct = atomicity_probs and+ transfers = atomicity_transfers in
+        fun ~quick:_ ~seed -> [ report_atomicity ~probs_pct ~transfers ~seed () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E7: I4 vs pinning                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type pinning_row = { label : string; value : float; unit_ : string }
-
-let pinning_core p =
+let report_pinning () =
+  let p = probe () in
   let costs = Cost_model.default in
-  let static =
-    [
-      {
-        label = "pin + unpin one page (traditional, every transfer)";
-        value = float_of_int (costs.Cost_model.pin_page + costs.Cost_model.unpin_page);
-        unit_ = "cycles";
-      };
-      {
-        label = "I4 register/refcount check (per replacement candidate)";
-        value = float_of_int costs.Cost_model.remap_check;
-        unit_ = "cycles";
-      };
-    ]
-  in
   (* dynamic: paging pressure while transfers are in flight *)
   let m, _udma, _, _ = buffer_rig ~mem_pages:24 () in
   watch p m.M.engine;
@@ -710,39 +762,47 @@ let pinning_core p =
     let st =
       Status.decode (cpu.Initiator.load ~vaddr:(Layout.proxy_of m.M.layout buf))
     in
-    if not (Status.ok st) then failwith "pinning_vs_i4: initiation failed";
+    if not (Status.ok st) then failwith "report_pinning: initiation failed";
     ignore (Kernel.alloc_buffer m hog ~bytes:4096);
     Scheduler.switch_to m p1;
     Engine.run_until_idle m.M.engine
   done;
   let s name = float_of_int (Metrics.get m.M.metrics name) in
-  static
-  @ [
-      { label = "dynamic run: transfers completed"; value = float_of_int transfers; unit_ = "" };
-      { label = "dynamic run: evictions"; value = s "vm.evictions"; unit_ = "" };
-      { label = "dynamic run: I4 busy-frame skips"; value = s "vm.i4_skips"; unit_ = "" };
-      { label = "dynamic run: deferred cleans"; value = s "vm.clean_deferred"; unit_ = "" };
-    ]
-
-let pinning_vs_i4 () = pinning_core (probe ())
-
-let report_pinning () =
-  let p = probe () in
-  let rows = pinning_core p in
+  let line label value unit_ =
+    [ ("label", vs label); ("value", vf value); ("unit", vs unit_) ]
+  in
   Report.make ~id:"e7_pinning"
     ~title:"E7: page pinning vs the I4 check (section 6)"
     ~columns:[ ("label", "case"); ("value", "value"); ("unit", "unit") ]
     ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [ ("label", vs r.label); ("value", vf r.value); ("unit", vs r.unit_) ])
-       rows)
+    [
+      line "pin + unpin one page (traditional, every transfer)"
+        (float_of_int (costs.Cost_model.pin_page + costs.Cost_model.unpin_page))
+        "cycles";
+      line "I4 register/refcount check (per replacement candidate)"
+        (float_of_int costs.Cost_model.remap_check)
+        "cycles";
+      line "dynamic run: transfers completed" (float_of_int transfers) "";
+      line "dynamic run: evictions" (s "vm.evictions") "";
+      line "dynamic run: I4 busy-frame skips" (s "vm.i4_skips") "";
+      line "dynamic run: deferred cleans" (s "vm.clean_deferred") "";
+    ]
+
+let e7 =
+  {
+    exp_name = "pinning";
+    exp_alias = "e7";
+    exp_doc = "E7: page pinning vs the I4 remap check.";
+    exp_run = Param.const (fun ~quick:_ ~seed:_ -> [ report_pinning () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E8: proxy fault costs                                               *)
 (* ------------------------------------------------------------------ *)
 
-let proxy_fault_core p =
+let report_proxy_faults () =
+  let p = probe () in
   let m, udma, _, _ = buffer_rig ~mem_pages:16 () in
   watch p m.M.engine;
   let proc = Scheduler.spawn m ~name:"p" in
@@ -787,38 +847,32 @@ let proxy_fault_core p =
     | _ -> false
     | exception Vm.Segfault _ -> true
   in
-  [
-    row costs "cold proxy access (fault + mapping)" cold;
-    row costs "warm proxy access" warm;
-    row costs "I3 write upgrade (clean page as destination)" upgrade;
-    row costs "proxy access to paged-out page (incl. page-in)" paged_out;
-    row costs
-      (if illegal_ok then "illegal proxy access -> segfault (correct)"
-       else "illegal proxy access -> NOT caught (BUG)")
-      0;
-  ]
-
-let proxy_fault_costs () = proxy_fault_core (probe ())
-
-let report_proxy_faults () =
-  let p = probe () in
-  let rows = proxy_fault_core p in
   Report.make ~id:"e8_proxy_faults"
     ~title:"E8: demand proxy-mapping costs (section 6)" ~columns:cost_columns
-    ~breakdown:(breakdown p) (cost_rows rows)
+    ~breakdown:(breakdown p)
+    [
+      cost_row costs "cold proxy access (fault + mapping)" cold;
+      cost_row costs "warm proxy access" warm;
+      cost_row costs "I3 write upgrade (clean page as destination)" upgrade;
+      cost_row costs "proxy access to paged-out page (incl. page-in)" paged_out;
+      cost_row costs
+        (if illegal_ok then "illegal proxy access -> segfault (correct)"
+         else "illegal proxy access -> NOT caught (BUG)")
+        0;
+    ]
+
+let e8 =
+  {
+    exp_name = "proxyfault";
+    exp_alias = "e8";
+    exp_doc = "E8: demand proxy-mapping fault costs.";
+    exp_run = Param.const (fun ~quick:_ ~seed:_ -> [ report_proxy_faults () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E9: I3 policy ablation                                              *)
 (* ------------------------------------------------------------------ *)
-
-type i3_row = {
-  policy : string;
-  transfers_done : int;
-  total_cycles : int;
-  proxy_faults : int;
-  upgrades : int;
-  cleans : int;
-}
 
 let i3_run ~policy ~transfers ~pages p =
   let config =
@@ -859,30 +913,27 @@ let i3_run ~policy ~transfers ~pages p =
         (fun b -> ignore (Vm.clean_page m proc ~vpn:(b / page_size)))
         bufs
   done;
-  {
-    policy =
-      (match policy with
-      | M.Write_upgrade -> "write-upgrade (primary)"
-      | M.Proxy_dirty_union -> "proxy-dirty union (alternative)");
-    transfers_done = transfers;
-    total_cycles = Engine.now m.M.engine - t0;
-    proxy_faults = Metrics.get m.M.metrics "vm.proxy_faults";
-    upgrades = Metrics.get m.M.metrics "vm.dirty_upgrades";
-    cleans = Metrics.get m.M.metrics "vm.cleans";
-  }
-
-let i3_core ~transfers ~pages p =
   [
-    i3_run ~policy:M.Write_upgrade ~transfers ~pages p;
-    i3_run ~policy:M.Proxy_dirty_union ~transfers ~pages p;
+    ( "policy",
+      vs
+        (match policy with
+        | M.Write_upgrade -> "write-upgrade (primary)"
+        | M.Proxy_dirty_union -> "proxy-dirty union (alternative)") );
+    ("transfers", vi transfers);
+    ("cycles", vi (Engine.now m.M.engine - t0));
+    ("proxy_faults", vi (Metrics.get m.M.metrics "vm.proxy_faults"));
+    ("upgrades", vi (Metrics.get m.M.metrics "vm.dirty_upgrades"));
+    ("cleans", vi (Metrics.get m.M.metrics "vm.cleans"));
   ]
-
-let i3_policies ?(transfers = 64) ?(pages = 4) () =
-  i3_core ~transfers ~pages (probe ())
 
 let report_i3 ?(transfers = 64) ?(pages = 4) () =
   let p = probe () in
-  let rows = i3_core ~transfers ~pages p in
+  let rows =
+    [
+      i3_run ~policy:M.Write_upgrade ~transfers ~pages p;
+      i3_run ~policy:M.Proxy_dirty_union ~transfers ~pages p;
+    ]
+  in
   Report.make ~id:"e9_i3_policies"
     ~title:"E9: the two I3 content-consistency methods (section 6)"
     ~meta:[ ("transfers", vi transfers); ("pages", vi pages) ]
@@ -895,30 +946,22 @@ let report_i3 ?(transfers = 64) ?(pages = 4) () =
         ("upgrades", "upgrades");
         ("cleans", "cleans");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("policy", vs r.policy);
-           ("transfers", vi r.transfers_done);
-           ("cycles", vi r.total_cycles);
-           ("proxy_faults", vi r.proxy_faults);
-           ("upgrades", vi r.upgrades);
-           ("cleans", vi r.cleans);
-         ])
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e9 =
+  {
+    exp_name = "i3policy";
+    exp_alias = "e9";
+    exp_doc = "E9: the two I3 content-consistency methods.";
+    exp_run =
+      Param.const (fun ~quick ~seed:_ ->
+          [ (if quick then report_i3 ~transfers:16 () else report_i3 ()) ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E10: deliberate vs automatic update                                 *)
 (* ------------------------------------------------------------------ *)
-
-type update_row = {
-  workload : string;
-  deliberate_cycles : int;
-  automatic_cycles : int;
-  deliberate_packets : int;
-  automatic_packets : int;
-}
 
 let update_rig p =
   let sys = System.create ~nodes:2 () in
@@ -990,38 +1033,25 @@ let automatic_updates ~offsets ~len p =
   (cycles,
    Udma_shrimp.Network_interface.packets_sent snd.Udma_shrimp.System.ni - sent0)
 
-let update_core p =
-  let scattered =
-    (* 32 single-word updates scattered across the page *)
-    List.init 32 (fun i -> (i * 41 * 4) mod 4000 land lnot 3)
-  in
-  let d_c, d_p = deliberate_updates ~offsets:scattered ~len:4 p in
-  let a_c, a_p = automatic_updates ~offsets:scattered ~len:4 p in
-  let bulk = [ 0 ] in
-  let bd_c, bd_p = deliberate_updates ~offsets:bulk ~len:4096 p in
-  let ba_c, ba_p = automatic_updates ~offsets:bulk ~len:4096 p in
-  [
-    {
-      workload = "32 scattered single-word updates";
-      deliberate_cycles = d_c;
-      automatic_cycles = a_c;
-      deliberate_packets = d_p;
-      automatic_packets = a_p;
-    };
-    {
-      workload = "one 4 KB sequential region";
-      deliberate_cycles = bd_c;
-      automatic_cycles = ba_c;
-      deliberate_packets = bd_p;
-      automatic_packets = ba_p;
-    };
-  ]
-
-let update_strategies () = update_core (probe ())
-
 let report_updates () =
   let p = probe () in
-  let rows = update_core p in
+  let compare workload ~offsets ~len =
+    let d_c, d_p = deliberate_updates ~offsets ~len p in
+    let a_c, a_p = automatic_updates ~offsets ~len p in
+    [
+      ("workload", vs workload);
+      ("deliberate_cycles", vi d_c);
+      ("automatic_cycles", vi a_c);
+      ("deliberate_packets", vi d_p);
+      ("automatic_packets", vi a_p);
+    ]
+  in
+  (* 32 single-word updates scattered across the page *)
+  let scattered =
+    compare "32 scattered single-word updates" ~len:4
+      ~offsets:(List.init 32 (fun i -> (i * 41 * 4) mod 4000 land lnot 3))
+  in
+  let bulk = compare "one 4 KB sequential region" ~offsets:[ 0 ] ~len:4096 in
   Report.make ~id:"e10_updates"
     ~title:"E10: deliberate vs automatic update (section 9)"
     ~columns:
@@ -1032,17 +1062,16 @@ let report_updates () =
         ("deliberate_packets", "delib pk");
         ("automatic_packets", "auto pk");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("workload", vs r.workload);
-           ("deliberate_cycles", vi r.deliberate_cycles);
-           ("automatic_cycles", vi r.automatic_cycles);
-           ("deliberate_packets", vi r.deliberate_packets);
-           ("automatic_packets", vi r.automatic_packets);
-         ])
-       rows)
+    ~breakdown:(breakdown p) [ scattered; bulk ]
+
+let e10 =
+  {
+    exp_name = "updates";
+    exp_alias = "e10";
+    exp_doc = "E10: deliberate vs automatic update.";
+    exp_run = Param.const (fun ~quick:_ ~seed:_ -> [ report_updates () ]);
+    exp_anchors = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E11: traffic saturation sweep                                       *)
@@ -1052,19 +1081,126 @@ module Pattern = Udma_traffic.Pattern
 module Load_gen = Udma_traffic.Load_gen
 module Sweep = Udma_traffic.Sweep
 
-let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
-    ?(msg_bytes = 256) ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
-    ?(link_contention = true) ?(routing = `Dimension_order)
-    ?(link_per_word = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.link_per_word)
-    ?(vc_count = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.vc_count)
-    ?(rx_credits = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.rx_credits)
-    ?(crossing = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.crossing)
-    ?(flit_words = Udma_traffic.Load_gen.default_config.Udma_traffic.Load_gen.flit_words)
-    ?(seed = 42) ?(domains = 1) () =
+let traffic_loads =
+  Param.v "loads" (List Float) ~docv:"L,..."
+    ~doc:
+      "Offered loads to sweep, as fractions of one source's calibrated \
+       initiation capacity."
+    ~quick:[ 0.2; 0.6; 0.9; 1.1 ] Sweep.default_loads
+
+let traffic_nodes =
+  Param.v "nodes" Int ~docv:"N"
+    ~doc:
+      "Mesh size, filling complete rows of the squarest covering mesh (4, 6, \
+       9, 12, 16, ...). The legacy engine covers 2..64; larger meshes (up to \
+       1024) run on the sharded engine (see $(b,--domains))."
+    16
+
+let traffic_pattern =
+  Param.v "pattern"
+    (Parsed (Pattern.parse, Pattern.to_string))
+    ~docv:"PATTERN"
+    ~doc:
+      "Spatial pattern: $(b,uniform), $(b,transpose), $(b,neighbor) or \
+       $(b,hotspot)[:PCT]."
+    Pattern.Uniform
+
+let traffic_msg_bytes =
+  Param.v "msg-bytes" Int ~docv:"BYTES"
+    ~doc:"Message size; a 4-byte multiple up to 4092 (one packet)." 256
+
+let traffic_window =
+  Param.v "window" Int ~docv:"CYCLES" ~doc:"Measurement window per point."
+    ~quick:20_000 50_000
+
+let traffic_warmup =
+  Param.v "warmup" Int ~docv:"CYCLES" ~doc:"Run-in before measurement." 2_000
+
+let traffic_no_contention =
+  Param.v "no-contention" Flag
+    ~doc:
+      "Disable the router's per-link FIFO model (contention-free latency, \
+       the pre-traffic behaviour)."
+    false
+
+let traffic_routing =
+  Param.v "routing"
+    (Enum [ ("dimension", `Dimension_order); ("adaptive", `Minimal_adaptive) ])
+    ~docv:"POLICY"
+    ~doc:
+      "Router path policy: $(b,dimension) (X then Y, the default) or \
+       $(b,adaptive) (minimal-adaptive: the less-busy productive link at \
+       every hop; needs the contention model)."
+    `Dimension_order
+
+let traffic_link_per_word =
+  Param.v "link-per-word" Int ~docv:"CYCLES"
+    ~doc:
+      "Router cycles per 4-byte word on a mesh link. Raising it slows the \
+       links relative to the send-initiation cost, moving the bottleneck \
+       onto the network (the E12 regime)."
+    Load_gen.default_config.Load_gen.link_per_word
+
+let traffic_vcs =
+  Param.v "vcs" Int ~docv:"N"
+    ~doc:
+      "Virtual channels per directed mesh link, 1..4 (1: the single-FIFO \
+       model, bit-for-bit). Extra VCs let other flows backfill the wire \
+       around a head-of-line-blocked packet."
+    Load_gen.default_config.Load_gen.vc_count
+
+let traffic_rx_credits =
+  Param.v "rx-credits" (Option Int) ~docv:"N"
+    ~doc:
+      "Deposit slots per (link, VC) receive FIFO (absent: unlimited, the \
+       pre-credit model). With finite credits sources stall at the \
+       injection gate instead of queueing on the wire."
+    Load_gen.default_config.Load_gen.rx_credits
+
+let traffic_crossing =
+  Param.v "crossing"
+    (Enum [ ("analytic", `Analytic); ("flit", `Flit) ])
+    ~docv:"MODEL"
+    ~doc:
+      "Wire model under contention: $(b,analytic) (packet-granularity link \
+       reservations — the model every committed anchor was produced on) or \
+       $(b,flit) (cycle-accurate wormhole flits through per-(link,VC) input \
+       FIFOs; dimension-order only, always on the legacy engine). See also \
+       $(b,--flit-words)."
+    Load_gen.default_config.Load_gen.crossing
+
+let traffic_flit_words =
+  Param.v "flit-words" Int ~docv:"N"
+    ~doc:"4-byte words per flit in the flit crossing."
+    Load_gen.default_config.Load_gen.flit_words
+
+let traffic_domains =
+  Param.v "domains" Int ~docv:"N"
+    ~doc:
+      "Worker domains for the sharded per-row simulation engine. 1 on a mesh \
+       of up to 64 nodes keeps the legacy single-queue engine \
+       (byte-identical reports); any higher value — or a larger mesh — \
+       dispatches to the sharded conservative kernel, whose results are \
+       identical for every domain count."
+    1
+
+let report_saturation ?(loads = Param.default traffic_loads)
+    ?(nodes = Param.default traffic_nodes)
+    ?(pattern = Param.default traffic_pattern)
+    ?(msg_bytes = Param.default traffic_msg_bytes)
+    ?(warmup_cycles = Param.default traffic_warmup)
+    ?(window_cycles = Param.default traffic_window) ?(link_contention = true)
+    ?(routing = Param.default traffic_routing)
+    ?(link_per_word = Param.default traffic_link_per_word)
+    ?(vc_count = Param.default traffic_vcs)
+    ?(rx_credits = Param.default traffic_rx_credits)
+    ?(crossing = Param.default traffic_crossing)
+    ?(flit_words = Param.default traffic_flit_words) ?(seed = 42)
+    ?(domains = Param.default traffic_domains) () =
   let p = probe () in
   let sharded = Sweep.use_sharded ~crossing ~nodes ~domains () in
   let outcome =
-    Sweep.run ?loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
+    Sweep.run ~loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
       ~warmup_cycles ~window_cycles ~link_contention ~routing ~link_per_word
       ~vc_count ~rx_credits ~crossing ~flit_words ~seed ~domains ()
   in
@@ -1090,14 +1226,8 @@ let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
         ("window_cycles", vi window_cycles);
         ("link_contention", vb link_contention);
         ("seed", vi seed);
-        ( "knee_load",
-          match outcome.Sweep.knee_load with
-          | Some l -> vf l
-          | None -> vs "none" );
-        ( "knee_index",
-          match outcome.Sweep.knee_index with
-          | Some i -> vi i
-          | None -> vs "none" );
+        ("knee_load", v_opt vf "none" outcome.Sweep.knee_load);
+        ("knee_index", v_opt vi "none" outcome.Sweep.knee_index);
       ]
       (* extend meta only on the sharded path so the legacy report — and
          every committed anchor derived from it — stays byte-identical *)
@@ -1141,6 +1271,44 @@ let report_saturation ?loads ?(nodes = 16) ?(pattern = Pattern.Uniform)
          ])
        outcome.Sweep.points)
 
+let e11 =
+  {
+    exp_name = "traffic";
+    exp_alias = "e11";
+    exp_doc =
+      "E11: mesh saturation — latency vs offered load under multi-node \
+       traffic with link contention.";
+    exp_run =
+      Param.(
+        let+ loads = traffic_loads
+        and+ nodes = traffic_nodes
+        and+ pattern = traffic_pattern
+        and+ msg_bytes = traffic_msg_bytes
+        and+ window_cycles = traffic_window
+        and+ warmup_cycles = traffic_warmup
+        and+ no_contention = traffic_no_contention
+        and+ routing = traffic_routing
+        and+ link_per_word = traffic_link_per_word
+        and+ vc_count = traffic_vcs
+        and+ rx_credits = traffic_rx_credits
+        and+ crossing = traffic_crossing
+        and+ flit_words = traffic_flit_words
+        and+ domains = traffic_domains in
+        fun ~quick:_ ~seed ->
+          [
+            report_saturation ~loads ~nodes ~pattern ~msg_bytes ~warmup_cycles
+              ~window_cycles ~link_contention:(not no_contention) ~routing
+              ~link_per_word ~vc_count ~rx_credits ~crossing ~flit_words ~seed
+              ~domains ();
+          ]);
+    exp_anchors =
+      [
+        anchor "e11.knee_load" "e11_saturation" Report.Meta "knee_load";
+        anchor "e11.mean_latency@0.2" "e11_saturation"
+          (Report.Row [ ("load", "0.2") ])
+          "mean_latency";
+      ];
+  }
 (* E12: the same sweep per pattern under both routing policies. The
    interesting output is the knee shift: minimal-adaptive spreads
    transpose/hotspot flows over both productive directions, so their
@@ -1171,7 +1339,6 @@ let report_adaptive ?loads ?(nodes = 16)
         let dim = sweep pattern `Dimension_order in
         let ada = sweep pattern `Minimal_adaptive in
         send_cycles := dim.Sweep.send_cycles;
-        let v_knee = function Some l -> vf l | None -> vs "none" in
         let wait_at_heaviest o =
           match List.rev o.Sweep.points with
           | { Sweep.result; _ } :: _ -> result.Load_gen.link_wait_cycles
@@ -1179,8 +1346,8 @@ let report_adaptive ?loads ?(nodes = 16)
         in
         [
           ("pattern", vs (Pattern.to_string pattern));
-          ("knee_dim", v_knee dim.Sweep.knee_load);
-          ("knee_adaptive", v_knee ada.Sweep.knee_load);
+          ("knee_dim", v_opt vf "none" dim.Sweep.knee_load);
+          ("knee_adaptive", v_opt vf "none" ada.Sweep.knee_load);
           ( "knee_shift",
             match (dim.Sweep.knee_load, ada.Sweep.knee_load) with
             | Some d, Some a -> vf (a -. d)
@@ -1219,6 +1386,35 @@ let report_adaptive ?loads ?(nodes = 16)
       ]
     ~breakdown:(breakdown p) rows
 
+let e12 =
+  {
+    exp_name = "adaptive";
+    exp_alias = "e12";
+    exp_doc =
+      "E12: dimension-order vs minimal-adaptive routing — per-pattern \
+       saturation knee shift.";
+    exp_run =
+      Param.const (fun ~quick ~seed ->
+          if quick then
+            [
+              (* same link-bound regime as the full sweep, on the four
+                 loads that bracket both policies' knees with margin *)
+              report_adaptive ~loads:[ 0.2; 0.6; 0.8; 1.0 ]
+                ~patterns:[ Pattern.Transpose; Pattern.default_hotspot ]
+                ~seed ();
+            ]
+          else [ report_adaptive ~seed () ]);
+    exp_anchors =
+      [
+        anchor "e12.knee_dim@transpose" "e12_adaptive"
+          (Report.Row [ ("pattern", "transpose") ])
+          "knee_dim";
+        anchor "e12.knee_adaptive@transpose" "e12_adaptive"
+          (Report.Row [ ("pattern", "transpose") ])
+          "knee_adaptive";
+      ];
+  }
+
 (* E13: hotspot saturation vs virtual channels. The regime is the same
    link-bound one as E12 (2 KB messages, link_per_word = 2) so the
    bottleneck is the contended links into the hot node, where a single
@@ -1254,10 +1450,7 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
             [
               ("hot_pct", vi pct);
               ("vcs", vi vcs);
-              ( "knee",
-                match o.Sweep.knee_load with
-                | Some l -> vf l
-                | None -> vs "none" );
+              ("knee", v_opt vf "none" o.Sweep.knee_load);
               ("credit_stalls", vi heaviest.Load_gen.credit_stalls);
               ( "credit_stall_cycles",
                 vi heaviest.Load_gen.credit_stall_cycles );
@@ -1280,10 +1473,7 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
         ("width", vi width);
         ("msg_bytes", vi msg_bytes);
         ("link_per_word", vi link_per_word);
-        ( "rx_credits",
-          match rx_credits with
-          | Some n -> vi n
-          | None -> vs "unlimited" );
+        ("rx_credits", v_opt vi "unlimited" rx_credits);
         ("send_cycles", vi !send_cycles);
         ("warmup_cycles", vi warmup_cycles);
         ("window_cycles", vi window_cycles);
@@ -1300,6 +1490,32 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
         ("link_wait", "link wait");
       ]
     ~breakdown:(breakdown p) rows
+
+let e13 =
+  {
+    exp_name = "hotspot";
+    exp_alias = "e13";
+    exp_doc =
+      "E13: hotspot saturation vs virtual channels — per-share knee at \
+       1-4 VCs under credit backpressure.";
+    exp_run =
+      Param.const (fun ~quick ~seed ->
+          if quick then
+            [
+              report_hotspot ~loads:[ 0.2; 0.6; 0.8; 1.0 ] ~pcts:[ 25; 50 ]
+                ~vc_counts:[ 1; 4 ] ~seed ();
+            ]
+          else [ report_hotspot ~seed () ]);
+    exp_anchors =
+      List.map
+        (fun vcs ->
+          anchor
+            (Printf.sprintf "e13.knee@hot50.vcs%d" vcs)
+            "e13_hotspot"
+            (Report.Row [ ("hot_pct", "50"); ("vcs", string_of_int vcs) ])
+            "knee")
+        [ 1; 4 ];
+  }
 
 (* E18: head-of-line blocking the analytic wire cannot see. The
    analytic crossing reserves a whole packet's occupancy interval per
@@ -1378,10 +1594,7 @@ let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
         ("msg_bytes", vi msg_bytes);
         ("link_per_word", vi link_per_word);
         ("flit_words", vi flit_words);
-        ( "rx_credits",
-          match rx_credits with
-          | Some n -> vi n
-          | None -> vs "unlimited" );
+        ("rx_credits", v_opt vi "unlimited" rx_credits);
         ("send_cycles", vi !send_cycles);
         ("warmup_cycles", vi warmup_cycles);
         ("window_cycles", vi window_cycles);
@@ -1399,6 +1612,29 @@ let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
       ]
     ~breakdown:(breakdown p) rows
 
+let e18 =
+  {
+    exp_name = "flit";
+    exp_alias = "e18";
+    exp_doc =
+      "E18: flit-level wormhole crossing vs the analytic wire — hotspot \
+       head-of-line blocking delta and per-VC occupancy at 1-4 VCs.";
+    exp_run =
+      Param.const (fun ~quick ~seed ->
+          if quick then
+            [ report_flit ~vc_counts:[ 1; 4 ] ~window_cycles:20_000 ~seed () ]
+          else [ report_flit ~seed () ]);
+    exp_anchors =
+      List.map
+        (fun vcs ->
+          anchor
+            (Printf.sprintf "e18.hol_delta@vcs%d" vcs)
+            "e18_flit"
+            (Report.Row [ ("vcs", string_of_int vcs) ])
+            "hol_delta")
+        [ 1; 4 ];
+  }
+
 (* E14: multi-tenant protection backends. Tenant counts sweep from
    comfortable (8 tenants over 64 table slots) to heavy overcommit
    (1024 tenants churning the same 64 slots), and every backend faces
@@ -1408,9 +1644,45 @@ let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
    Proxy pays only at grant time (syscall + proxy fault on recovery);
    the IOMMU pays the IOTLB walk on cold initiations and map/unmap on
    churn; capabilities pay a per-transfer check plus grant/revoke. *)
-let report_tenants ?(tenant_counts = [ 8; 64; 256; 1024 ])
-    ?(kinds = Backend.all_kinds) ?(slots = 64) ?(ops = 20_000)
-    ?(churn_pct = 8) ?(evict_pct = 4) ?(rogue_pct = 4) ?(seed = 42) () =
+let tenants_backends =
+  Param.v "backend"
+    (List (Parsed (Backend.parse_kind, Backend.kind_name)))
+    ~docv:"KIND,..."
+    ~doc:
+      "Protection backends to sweep: $(b,proxy), $(b,iommu), \
+       $(b,capability)."
+    Backend.all_kinds
+
+let tenants_counts =
+  Param.v "tenants" (List Int) ~docv:"N,..." ~doc:"Tenant counts to sweep."
+    ~quick:[ 8; 256 ] [ 8; 64; 256; 1024 ]
+
+let tenants_slots =
+  Param.v "slots" Int ~docv:"N"
+    ~doc:"Destination-table slots shared by all tenants." 64
+
+let tenants_ops =
+  Param.v "ops" Int ~docv:"N"
+    ~doc:"Operations per (backend, tenant count) point." ~quick:4000 20_000
+
+let tenants_churn =
+  Param.v "churn" Int ~docv:"PCT"
+    ~doc:"Per-op probability of descheduling a tenant (%)." 8
+
+let tenants_evict =
+  Param.v "evict" Int ~docv:"PCT"
+    ~doc:"Per-op probability of evicting a table slot (%)." 4
+
+let tenants_rogue =
+  Param.v "rogue" Int ~docv:"PCT"
+    ~doc:"Per-op probability of a rogue cross-tenant probe (%)." 4
+
+let report_tenants ?(tenant_counts = Param.default tenants_counts)
+    ?(kinds = Param.default tenants_backends)
+    ?(slots = Param.default tenants_slots) ?(ops = Param.default tenants_ops)
+    ?(churn_pct = Param.default tenants_churn)
+    ?(evict_pct = Param.default tenants_evict)
+    ?(rogue_pct = Param.default tenants_rogue) ?(seed = 42) () =
   let rows =
     List.concat_map
       (fun kind ->
@@ -1475,6 +1747,42 @@ let report_tenants ?(tenant_counts = [ 8; 64; 256; 1024 ])
       ]
     rows
 
+let e14 =
+  {
+    exp_name = "tenants";
+    exp_alias = "e14";
+    exp_doc =
+      "E14: multi-tenant protection — proxy vs IOMMU vs capability \
+       initiation cost and fault rate under tenant churn.";
+    exp_run =
+      Param.(
+        let+ kinds = tenants_backends
+        and+ tenant_counts = tenants_counts
+        and+ slots = tenants_slots
+        and+ ops = tenants_ops
+        and+ churn_pct = tenants_churn
+        and+ evict_pct = tenants_evict
+        and+ rogue_pct = tenants_rogue in
+        fun ~quick:_ ~seed ->
+          [
+            report_tenants ~tenant_counts ~kinds ~slots ~ops ~churn_pct
+              ~evict_pct ~rogue_pct ~seed ();
+          ]);
+    exp_anchors =
+      List.concat_map
+        (fun backend ->
+          List.map
+            (fun (field, tenants) ->
+              anchor
+                (Printf.sprintf "e14.%s@%s.t%d" field backend tenants)
+                "e14_tenants"
+                (Report.Row
+                   [ ("backend", backend); ("tenants", string_of_int tenants) ])
+                field)
+            [ ("p50", 8); ("p99", 256) ])
+        [ "proxy"; "iommu"; "capability" ];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* E15: bandwidth vs transfer shape                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1485,16 +1793,6 @@ let shape_label = function
   | Shape_contig -> "contig"
   | Shape_strided f -> Printf.sprintf "stride%d" f
   | Shape_sg n -> Printf.sprintf "sg%d" n
-
-type shape_row = {
-  sh_label : string;
-  sh_basic : int;
-  sh_queued : int;
-  sh_basic_bpc : float;
-  sh_queued_bpc : float;
-  sh_basic_pct : float;
-  sh_queued_pct : float;
-}
 
 (* One shape at one hardware mode: move [total] bytes to the device
    and return the end-to-end user cycles. Strided shapes re-read the
@@ -1592,47 +1890,89 @@ let run_shape ~mode ~total shape p =
   Engine.run_until_idle m.M.engine;
   cycles
 
-let default_shape_cases =
-  [
-    Shape_contig;
-    Shape_strided 2; Shape_strided 4; Shape_strided 8;
-    Shape_strided 16; Shape_strided 32; Shape_strided 64;
-    Shape_sg 2; Shape_sg 4; Shape_sg 16; Shape_sg 64; Shape_sg 256;
-  ]
 
-let quick_shape_cases =
-  [ Shape_contig; Shape_strided 4; Shape_strided 64; Shape_sg 4; Shape_sg 256 ]
+let shapes_total =
+  Param.v "total" Int ~docv:"BYTES"
+    ~doc:"Total bytes moved per shape (a page multiple)."
+    ~check:(fun t ->
+      if t <= 0 || t mod 4096 <> 0 then
+        Some (Printf.sprintf "%d is not a positive page multiple" t)
+      else None)
+    8192
 
-let shapes_core ~total ~cases p =
+let shapes_kinds =
+  Param.v "shape"
+    (List (Enum [ ("contig", `Contig); ("strided", `Strided); ("sg", `Sg) ]))
+    ~docv:"KINDS"
+    ~doc:
+      "Shape families to sweep: comma-separated subset of $(b,contig), \
+       $(b,strided) and $(b,sg)."
+    [ `Contig; `Strided; `Sg ]
+
+let shapes_strides =
+  Param.v "stride" (List Int) ~docv:"FACTORS"
+    ~doc:
+      "Stride factors for the strided family (the source reads 64 bytes \
+       every 64*FACTOR; each factor must divide 64)."
+    ~check:
+      (List.find_map (fun f ->
+           if f <= 0 || 64 mod f <> 0 then
+             Some (Printf.sprintf "factor %d does not divide 64" f)
+           else None))
+    ~quick:[ 4; 64 ] [ 2; 4; 8; 16; 32; 64 ]
+
+let shapes_sg_elems =
+  Param.v "sg-elems" (List Int) ~docv:"COUNTS"
+    ~doc:
+      "Scatter-gather element counts across the whole transfer (each must \
+       be twice a power-of-two divisor of the page size)."
+    ~check:
+      (List.find_map (fun n ->
+           if n < 2 || n mod 2 <> 0 || 4096 mod (n / 2) <> 0 then
+             Some (Printf.sprintf "%d is not twice a divisor of the page" n)
+           else None))
+    ~quick:[ 4; 256 ] [ 2; 4; 16; 64; 256 ]
+
+let shape_cases =
+  Param.(
+    let+ kinds = shapes_kinds
+    and+ strides = shapes_strides
+    and+ sg_elems = shapes_sg_elems in
+    List.concat_map
+      (function
+        | `Contig -> [ Shape_contig ]
+        | `Strided -> List.map (fun f -> Shape_strided f) strides
+        | `Sg -> List.map (fun n -> Shape_sg n) sg_elems)
+      kinds)
+
+let report_shapes ?(total = Param.default shapes_total)
+    ?(cases = Param.default shape_cases) () =
+  let p = probe () in
   let queued_mode = Udma_engine.Queued { depth = 8 } in
   let basic_contig = run_shape ~mode:Udma_engine.Basic ~total Shape_contig p in
   let queued_contig = run_shape ~mode:queued_mode ~total Shape_contig p in
-  List.map
-    (fun shape ->
-      let b, q =
-        match shape with
-        | Shape_contig -> (basic_contig, queued_contig)
-        | _ ->
-            ( run_shape ~mode:Udma_engine.Basic ~total shape p,
-              run_shape ~mode:queued_mode ~total shape p )
-      in
-      {
-        sh_label = shape_label shape;
-        sh_basic = b;
-        sh_queued = q;
-        sh_basic_bpc = float_of_int total /. float_of_int b;
-        sh_queued_bpc = float_of_int total /. float_of_int q;
-        sh_basic_pct = 100.0 *. float_of_int basic_contig /. float_of_int b;
-        sh_queued_pct = 100.0 *. float_of_int queued_contig /. float_of_int q;
-      })
-    cases
-
-let transfer_shapes ?(total = 8192) ?(cases = default_shape_cases) () =
-  shapes_core ~total ~cases (probe ())
-
-let report_shapes ?(total = 8192) ?(cases = default_shape_cases) () =
-  let p = probe () in
-  let rows = shapes_core ~total ~cases p in
+  let rows =
+    List.map
+      (fun shape ->
+        let b, q =
+          match shape with
+          | Shape_contig -> (basic_contig, queued_contig)
+          | _ ->
+              ( run_shape ~mode:Udma_engine.Basic ~total shape p,
+                run_shape ~mode:queued_mode ~total shape p )
+        in
+        [
+          ("shape", vs (shape_label shape));
+          ("basic_cycles", vi b);
+          ("queued_cycles", vi q);
+          ("basic_bpc", vf (float_of_int total /. float_of_int b));
+          ("queued_bpc", vf (float_of_int total /. float_of_int q));
+          ("basic_pct", vf (100.0 *. float_of_int basic_contig /. float_of_int b));
+          ( "queued_pct",
+            vf (100.0 *. float_of_int queued_contig /. float_of_int q) );
+        ])
+      cases
+  in
   Report.make ~id:"e15_shapes"
     ~title:
       (Printf.sprintf
@@ -1650,19 +1990,32 @@ let report_shapes ?(total = 8192) ?(cases = default_shape_cases) () =
         ("basic_pct", "% of contig (basic)");
         ("queued_pct", "% of contig (queued)");
       ]
-    ~breakdown:(breakdown p)
-    (List.map
-       (fun r ->
-         [
-           ("shape", vs r.sh_label);
-           ("basic_cycles", vi r.sh_basic);
-           ("queued_cycles", vi r.sh_queued);
-           ("basic_bpc", vf r.sh_basic_bpc);
-           ("queued_bpc", vf r.sh_queued_bpc);
-           ("basic_pct", vf r.sh_basic_pct);
-           ("queued_pct", vf r.sh_queued_pct);
-         ])
-       rows)
+    ~breakdown:(breakdown p) rows
+
+let e15 =
+  {
+    exp_name = "shapes";
+    exp_alias = "e15";
+    exp_doc =
+      "E15: bandwidth vs transfer shape — contiguous vs strided vs \
+       scatter-gather at equal total bytes.";
+    exp_run =
+      Param.(
+        let+ total = shapes_total and+ cases = shape_cases in
+        fun ~quick:_ ~seed:_ -> [ report_shapes ~total ~cases () ]);
+    exp_anchors =
+      [
+        anchor "e15.bpc@contig.basic" "e15_shapes"
+          (Report.Row [ ("shape", "contig") ])
+          "basic_bpc";
+        anchor "e15.bpc@sg256.basic" "e15_shapes"
+          (Report.Row [ ("shape", "sg256") ])
+          "basic_bpc";
+        anchor "e15.pct@sg256.basic" "e15_shapes"
+          (Report.Row [ ("shape", "sg256") ])
+          "basic_pct";
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E16: application workloads over the UDMA fabric (lib/app)           *)
@@ -1692,9 +2045,7 @@ let app_fabric ~nodes ~vcs ~link_per_word ~seed =
 (* the SLO knee as a report value: the load of the first sustained
    violation, or "none" when the whole sweep holds the SLO *)
 let app_knee ?slo ~loads points =
-  match App_slo.detect_knee ?slo points with
-  | Some i -> vf (List.nth loads i)
-  | None -> vs "none"
+  v_opt (fun i -> vf (List.nth loads i)) "none" (App_slo.detect_knee ?slo points)
 
 let app_stat_cells (s : App_slo.stats) =
   [
@@ -1705,10 +2056,80 @@ let app_stat_cells (s : App_slo.stats) =
     ("p999", vi s.App_slo.p999);
   ]
 
-let report_kv ?(loads = app_default_loads) ?(nodes = 16) ?shards
-    ?(clients_per_node = 4) ?(value_bytes = 2048) ?(write_pct = 10)
-    ?(hot_pct = 0) ?(vcs = 1) ?(link_per_word = 1) ?slo
-    ?(window_cycles = 60_000) ?(chaos = false) ?(seed = 42) () =
+(* the `apps` command's flags; KV-only ones leave halo and RPC alone *)
+let apps_app =
+  Param.v "app"
+    (Option (Enum [ ("kv", `Kv); ("halo", `Halo); ("rpc", `Rpc) ]))
+    ~docv:"APP"
+    ~doc:
+      "Run one application: $(b,kv) (sharded key-value store), $(b,halo) \
+       (halo-exchange collective) or $(b,rpc) (bursty request-response \
+       service). Absent: all three, plus the KV VC-contrast table in a full \
+       run."
+    None
+
+let apps_nodes =
+  Param.v "nodes" Int ~docv:"N"
+    ~doc:
+      "Mesh size, 2..64, filling complete rows of the squarest covering \
+       mesh (4, 6, 9, 12, 16, ...)."
+    16
+
+let apps_shards =
+  Param.v "shards" (Option Int) ~docv:"N"
+    ~doc:"KV server shards, on nodes 0..N-1 (absent: one per node)." None
+
+let apps_value_bytes =
+  Param.v "value-bytes" Int ~docv:"BYTES"
+    ~doc:"KV value size; a 4-byte multiple (requests must still fit one page)."
+    2048
+
+let apps_slo =
+  Param.v "slo" (Option Float) ~docv:"MULT"
+    ~doc:
+      "SLO multiple: the knee is the first sustained load whose p99 exceeds \
+       MULT times the lightest load's p50 (absent: 5.0)."
+    None
+
+let apps_loads =
+  Param.v "loads" (Option (List Float)) ~docv:"L,..."
+    ~doc:
+      "Offered loads to sweep (halo caps at 1.0; applied to the halo sweep \
+       only with an explicit $(b,--app) halo)."
+    None
+
+let apps_vcs =
+  Param.v "vcs" Int ~docv:"N"
+    ~doc:"Virtual channels per directed mesh link for the KV sweep, 1..4." 1
+
+let apps_hot_pct =
+  Param.v "hot-pct" Int ~docv:"PCT"
+    ~doc:"Share of KV key draws pinned to shard 0 (the hotspot)." 0
+
+let apps_write_pct =
+  Param.v "write-pct" Int ~docv:"PCT" ~doc:"Share of KV ops that write." 10
+
+let apps_link_per_word =
+  Param.v "link-per-word" Int ~docv:"CYCLES"
+    ~doc:
+      "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
+       bottleneck on the wires, the VC regime)."
+    1
+
+let apps_chaos =
+  Param.v "chaos" Flag
+    ~doc:
+      "Run the KV store under a seeded link kill/slow/heal storm (the mesh \
+       M_link_fault action); the closed loop must still drain."
+    false
+
+let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
+    ?shards ?(clients_per_node = 4)
+    ?(value_bytes = Param.default apps_value_bytes)
+    ?(write_pct = Param.default apps_write_pct)
+    ?(hot_pct = Param.default apps_hot_pct) ?(vcs = Param.default apps_vcs)
+    ?(link_per_word = Param.default apps_link_per_word) ?slo ~window_cycles
+    ?(chaos = Param.default apps_chaos) ?(seed = 42) () =
   let shards = Option.value shards ~default:nodes in
   let p = probe () in
   let send_cycles = ref 0 in
@@ -1790,7 +2211,7 @@ let report_kv ?(loads = app_default_loads) ?(nodes = 16) ?shards
    transfers converge on the hot node's entry links, so extra VCs let
    cold-shard requests backfill the shared wires — the p99 drop is the
    app-level payoff of PR 5's flow control. *)
-let report_kv_vcs ?(load = 0.7) ?(nodes = 16) ?(vc_counts = [ 1; 4 ])
+let report_kv_vcs ?(load = 0.7) ?(nodes = Param.default apps_nodes) ?(vc_counts = [ 1; 4 ])
     ?(value_bytes = 2048) ?(hot_pct = 50) ?(link_per_word = 2)
     ?(window_cycles = 60_000) ?(seed = 42) () =
   let p = probe () in
@@ -1848,9 +2269,9 @@ let report_kv_vcs ?(load = 0.7) ?(nodes = 16) ?(vc_counts = [ 1; 4 ])
       ]
     ~breakdown:(breakdown p) rows
 
-let report_halo ?(loads = halo_default_loads) ?(nodes = 16) ?(tile_rows = 32)
-    ?(row_bytes = 128) ?(halo_cols = 16) ?(iterations = 30)
-    ?(warmup_iters = 2) ?slo ?(seed = 42) () =
+let report_halo ?(loads = halo_default_loads)
+    ?(nodes = Param.default apps_nodes) ?(tile_rows = 32) ?(row_bytes = 128)
+    ?(halo_cols = 16) ~iterations ?(warmup_iters = 2) ?slo ?(seed = 42) () =
   let p = probe () in
   let strided = ref 0 and contig = ref 0 in
   let results =
@@ -1937,9 +2358,9 @@ let report_halo ?(loads = halo_default_loads) ?(nodes = 16) ?(tile_rows = 32)
            ])
        results)
 
-let report_rpc ?(loads = app_default_loads) ?(nodes = 16) ?(resp_bytes = 512)
-    ?(server_cycles = 200) ?(burst = 8) ?(pool = 16) ?slo
-    ?(window_cycles = 200_000) ?(seed = 42) () =
+let report_rpc ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
+    ?(resp_bytes = 512) ?(server_cycles = 200) ?(burst = 8) ?(pool = 16) ?slo
+    ~window_cycles ?(seed = 42) () =
   let p = probe () in
   let send_cycles = ref 0 in
   let results =
@@ -2008,6 +2429,66 @@ let report_rpc ?(loads = app_default_loads) ?(nodes = 16) ?(resp_bytes = 512)
              ("drained", vb r.Rpc.drained);
            ])
        results)
+
+let e16 =
+  {
+    exp_name = "apps";
+    exp_alias = "e16";
+    exp_doc =
+      "E16: application workloads — sharded KV, halo exchange and bursty \
+       RPC tail latency vs offered load over the user-level DMA fabric.";
+    exp_run =
+      Param.(
+        let+ app = apps_app
+        and+ nodes = apps_nodes
+        and+ shards = apps_shards
+        and+ value_bytes = apps_value_bytes
+        and+ slo = apps_slo
+        and+ loads = apps_loads
+        and+ vcs = apps_vcs
+        and+ hot_pct = apps_hot_pct
+        and+ write_pct = apps_write_pct
+        and+ link_per_word = apps_link_per_word
+        and+ chaos = apps_chaos in
+        fun ~quick ~seed ->
+          let sweep =
+            Option.value loads
+              ~default:(if quick then [ 0.3; 0.8 ] else app_default_loads)
+          in
+          let kv () =
+            report_kv ~loads:sweep ~nodes ?shards ~value_bytes ~write_pct
+              ~hot_pct ~vcs ~link_per_word ?slo
+              ~window_cycles:(if quick then 30_000 else 60_000)
+              ~chaos ~seed ()
+          in
+          let halo () =
+            let loads =
+              match (app, loads) with
+              | Some `Halo, Some l -> l
+              | _ -> if quick then [ 0.5 ] else halo_default_loads
+            in
+            report_halo ~loads ?slo ~nodes
+              ~iterations:(if quick then 12 else 30)
+              ~seed ()
+          in
+          let rpc () =
+            report_rpc ~loads:sweep ~nodes ?slo
+              ~window_cycles:(if quick then 100_000 else 200_000)
+              ~seed ()
+          in
+          match app with
+          | Some `Kv -> [ kv () ]
+          | Some `Halo -> [ halo () ]
+          | Some `Rpc -> [ rpc () ]
+          | None ->
+              [ kv (); halo (); rpc () ]
+              @ if quick then [] else [ report_kv_vcs ~nodes ~seed () ]);
+    exp_anchors =
+      [
+        anchor "e16.kv_p99@0.8" "e16_kv" (Report.Row [ ("load", "0.8") ]) "p99";
+        anchor "e16.rpc_p99@0.8" "e16_rpc" (Report.Row [ ("load", "0.8") ]) "p99";
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E17: sharded engine throughput scaling                              *)
@@ -2119,238 +2600,44 @@ let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
          ])
        runs)
 
-(* ------------------------------------------------------------------ *)
-(* drivers                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type experiment = {
-  exp_name : string;
-  exp_alias : string;
-  exp_doc : string;
-  exp_run : quick:bool -> seed:int -> Report.t list;
-}
-
-(* The one registry every frontend derives from: [all_reports] (hence
-   bench/main.exe and the committed baselines) concatenates the
-   registry in order, and bin/shrimp_sim.ml generates a name + eN
-   alias command pair per entry — adding an experiment here is the
-   whole registration. *)
-let experiments =
-  [
-    {
-      exp_name = "figure8";
-      exp_alias = "e1";
-      exp_doc = "E1: deliberate-update bandwidth vs message size (Figure 8).";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then
-            [
-              report_figure8 ~sizes:[ 512; 1024; 4096; 16384 ] ~messages:8 ();
-              report_figure8 ~sizes:[ 512; 1024; 4096; 16384 ] ~messages:8
-                ~queued:true ();
-            ]
-          else [ report_figure8 (); report_figure8 ~queued:true () ]);
-    };
-    {
-      exp_name = "initiation";
-      exp_alias = "e2";
-      exp_doc = "E2: UDMA vs traditional transfer-initiation cost (the 2.8us).";
-      exp_run = (fun ~quick:_ ~seed:_ -> [ report_costs () ]);
-    };
-    {
-      exp_name = "hippi";
-      exp_alias = "e3";
-      exp_doc = "E3: kernel DMA bandwidth vs block size on a HIPPI profile.";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then
-            [ report_hippi ~blocks:[ 1024; 4096; 65536; 262144 ] () ]
-          else [ report_hippi () ]);
-    };
-    {
-      exp_name = "crossover";
-      exp_alias = "e4";
-      exp_doc = "E4: UDMA vs memory-mapped FIFO latency.";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then [ report_crossover ~sizes:[ 64; 512; 4096 ] ~trials:2 () ]
-          else [ report_crossover () ]);
-    };
-    {
-      exp_name = "queueing";
-      exp_alias = "e5";
-      exp_doc = "E5: basic vs queued UDMA for multi-page transfers.";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then
-            [ report_queueing ~total_sizes:[ 16384; 65536 ] ~depths:[ 4; 8 ] () ]
-          else [ report_queueing () ]);
-    };
-    {
-      exp_name = "atomicity";
-      exp_alias = "e6";
-      exp_doc = "E6: I1 retries under forced preemption.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [ report_atomicity ~probs_pct:[ 0; 20 ] ~transfers:40 ~seed () ]
-          else [ report_atomicity ~seed () ]);
-    };
-    {
-      exp_name = "pinning";
-      exp_alias = "e7";
-      exp_doc = "E7: page pinning vs the I4 remap check.";
-      exp_run = (fun ~quick:_ ~seed:_ -> [ report_pinning () ]);
-    };
-    {
-      exp_name = "proxyfault";
-      exp_alias = "e8";
-      exp_doc = "E8: demand proxy-mapping fault costs.";
-      exp_run = (fun ~quick:_ ~seed:_ -> [ report_proxy_faults () ]);
-    };
-    {
-      exp_name = "i3policy";
-      exp_alias = "e9";
-      exp_doc = "E9: the two I3 content-consistency methods.";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then [ report_i3 ~transfers:16 ~pages:4 () ]
-          else [ report_i3 () ]);
-    };
-    {
-      exp_name = "updates";
-      exp_alias = "e10";
-      exp_doc = "E10: deliberate vs automatic update.";
-      exp_run = (fun ~quick:_ ~seed:_ -> [ report_updates () ]);
-    };
-    {
-      exp_name = "traffic";
-      exp_alias = "e11";
-      exp_doc =
-        "E11: mesh saturation — latency vs offered load under multi-node \
-         traffic with link contention.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [
-              report_saturation ~loads:[ 0.2; 0.6; 0.9; 1.1 ]
-                ~window_cycles:20_000 ~seed ();
-            ]
-          else [ report_saturation ~seed () ]);
-    };
-    {
-      exp_name = "adaptive";
-      exp_alias = "e12";
-      exp_doc =
-        "E12: dimension-order vs minimal-adaptive routing — per-pattern \
-         saturation knee shift.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [
-              (* same link-bound regime as the full sweep, on the four
-                 loads that bracket both policies' knees with margin *)
-              report_adaptive ~loads:[ 0.2; 0.6; 0.8; 1.0 ]
-                ~patterns:
-                  [ Udma_traffic.Pattern.Transpose;
-                    Udma_traffic.Pattern.default_hotspot ]
-                ~seed ();
-            ]
-          else [ report_adaptive ~seed () ]);
-    };
-    {
-      exp_name = "hotspot";
-      exp_alias = "e13";
-      exp_doc =
-        "E13: hotspot saturation vs virtual channels — per-share knee at \
-         1-4 VCs under credit backpressure.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [
-              report_hotspot ~loads:[ 0.2; 0.6; 0.8; 1.0 ] ~pcts:[ 25; 50 ]
-                ~vc_counts:[ 1; 4 ] ~seed ();
-            ]
-          else [ report_hotspot ~seed () ]);
-    };
-    {
-      exp_name = "tenants";
-      exp_alias = "e14";
-      exp_doc =
-        "E14: multi-tenant protection — proxy vs IOMMU vs capability \
-         initiation cost and fault rate under tenant churn.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [ report_tenants ~tenant_counts:[ 8; 256 ] ~ops:4000 ~seed () ]
-          else [ report_tenants ~seed () ]);
-    };
-    {
-      exp_name = "shapes";
-      exp_alias = "e15";
-      exp_doc =
-        "E15: bandwidth vs transfer shape — contiguous vs strided vs \
-         scatter-gather at equal total bytes.";
-      exp_run =
-        (fun ~quick ~seed:_ ->
-          if quick then [ report_shapes ~cases:quick_shape_cases () ]
-          else [ report_shapes () ]);
-    };
-    {
-      exp_name = "apps";
-      exp_alias = "e16";
-      exp_doc =
-        "E16: application workloads — sharded KV, halo exchange and bursty \
-         RPC tail latency vs offered load over the user-level DMA fabric.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [
-              report_kv ~loads:[ 0.3; 0.8 ] ~window_cycles:30_000 ~seed ();
-              report_halo ~loads:[ 0.5 ] ~iterations:12 ~seed ();
-              report_rpc ~loads:[ 0.3; 0.8 ] ~window_cycles:100_000 ~seed ();
-            ]
-          else
-            [
-              report_kv ~seed ();
-              report_halo ~seed ();
-              report_rpc ~seed ();
-              report_kv_vcs ~seed ();
-            ]);
-    };
-    {
-      exp_name = "simscale";
-      exp_alias = "e17";
-      exp_doc =
-        "E17: sharded-engine throughput — events/sec and speedup vs worker \
-         domains on a 256-node mesh (counters deterministic, rates \
-         host-dependent).";
-      exp_run =
-        (fun ~quick ~seed ->
+let e17 =
+  {
+    exp_name = "simscale";
+    exp_alias = "e17";
+    exp_doc =
+      "E17: sharded-engine throughput — events/sec and speedup vs worker \
+       domains on a 256-node mesh (counters deterministic, rates \
+       host-dependent).";
+    exp_run =
+      Param.const (fun ~quick ~seed ->
           if quick then
             [
               report_simscale ~window_cycles:20_000 ~domains_list:[ 1; 2 ]
                 ~seed ();
             ]
           else [ report_simscale ~seed () ]);
-    };
-    {
-      exp_name = "flit";
-      exp_alias = "e18";
-      exp_doc =
-        "E18: flit-level wormhole crossing vs the analytic wire — hotspot \
-         head-of-line blocking delta and per-VC occupancy at 1-4 VCs.";
-      exp_run =
-        (fun ~quick ~seed ->
-          if quick then
-            [
-              report_flit ~vc_counts:[ 1; 4 ] ~window_cycles:20_000 ~seed ();
-            ]
-          else [ report_flit ~seed () ]);
-    };
+    exp_anchors = [];
+  }
+
+(* ------------------------------------------------------------------ *)
+(* the registry                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every front end derives from this list: [all_reports] (hence
+   bench/main.exe, its anchor gate and the committed baselines)
+   concatenates it in order, and bin/shrimp_sim.ml builds a name + eN
+   alias command pair per entry, with one option per declared
+   parameter. Adding an experiment here is the whole registration. *)
+let experiments =
+  [
+    e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17;
+    e18;
   ]
 
-let all_reports ?(quick = false) ?(seed = 42) () =
-  List.concat_map (fun e -> e.exp_run ~quick ~seed) experiments
+let run ?(quick = false) ?(seed = 42) e =
+  (Param.resolve ~quick e.exp_run) ~quick ~seed
 
-let run_all () = List.iter Report.print (all_reports ())
+let all_reports ?quick ?seed () =
+  List.concat_map (fun e -> run ?quick ?seed e) experiments
+
+let anchors = List.concat_map (fun e -> e.exp_anchors) experiments

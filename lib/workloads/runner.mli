@@ -1,157 +1,99 @@
 (** Experiment harnesses — one per paper table/figure (see DESIGN.md §4
-    for the index). Each experiment has two entry points: the typed-row
-    function (kept stable for tests) and a [report_*] builder that runs
-    the same harness and packages rows, parameters and a cycle
-    breakdown into a {!Udma_obs.Report.t}. The paper-style table and
-    the JSON document both derive from that one value
-    ([Udma_obs.Report.print] / [Udma_obs.Report.to_json]), so
-    `bench/main.exe` and `bin/shrimp_sim.exe` can never drift. *)
+    for the index).
+
+    Each experiment is declared once, as an {!experiment} record in
+    {!experiments}: its command name and eN alias, its typed
+    parameters ({!Param}: flag, doc, default and [--quick] value), the
+    one function that runs it, and the anchors CI checks on its
+    output. [bench/main.exe], its anchor gate and every
+    [bin/shrimp_sim.exe] experiment command derive from that record.
+    The [report_*] functions below are the experiments' entry points
+    for direct callers (tests, micro-benchmarks); an omitted argument
+    takes the declared default. Each returns a {!Udma_obs.Report.t}:
+    rows, parameters and a cycle breakdown, from which the paper-style
+    table and the JSON document both derive. *)
 
 module Report = Udma_obs.Report
 
 (** {1 E1 — Figure 8: deliberate-update bandwidth vs. message size} *)
 
-type bw_point = {
-  size : int;
-  cycles_per_msg : float;
-  bytes_per_cycle : float;
-  pct_of_max : float;
-}
-
-val figure8 :
-  ?sizes:int list -> ?messages:int -> ?queued:bool -> unit -> bw_point list
-(** 2-node SHRIMP, back-to-back blocking sends of each size
-    ([messages] per point, default 32), normalised to the maximum
-    measured bandwidth, exactly as Figure 8. [queued] (default false)
-    swaps in the §7 queued hardware and the pipelined initiator as an
-    ablation. *)
-
 val report_figure8 :
   ?sizes:int list -> ?messages:int -> ?queued:bool -> unit -> Report.t
+(** 2-node SHRIMP, back-to-back blocking sends of each size
+    ([messages] per point), normalised to the maximum measured
+    bandwidth, exactly as Figure 8: one row per size with
+    [cycles_per_msg], [bytes_per_cycle] and [pct_of_max]. [queued]
+    (default false) swaps in the §7 queued hardware and the pipelined
+    initiator as an ablation. *)
 
 (** {1 E2 — initiation cost (the §8 "2.8 µs" and §1/§2 contrast)} *)
 
-type cost_row = { label : string; cycles : int; us : float }
-
-val initiation_costs : unit -> cost_row list
-(** UDMA two-reference initiation vs. the traditional kernel paths
-    (pin and copy strategies, 4 B and 4 KB), on the default profile. *)
-
 val report_costs : unit -> Report.t
+(** UDMA two-reference initiation vs. the traditional kernel paths
+    (pin and copy strategies, 4 B and 4 KB), on the default profile:
+    one [label]/[cycles]/[us] row per path. *)
 
 (** {1 E3 — §1 HIPPI motivation: kernel DMA bandwidth vs. block size} *)
 
-type hippi_row = {
-  block : int;
-  mbytes_per_s : float;
-  pct_of_channel : float;
-}
-
-val hippi_motivation : ?blocks:int list -> unit -> hippi_row list
+val report_hippi : ?blocks:int list -> unit -> Report.t
 (** Kernel-initiated DMA on the HIPPI cost profile over a ~96 MB/s
     channel; reproduces "2.7 MB/s at 1 KB" and the large-block
-    requirement for 80 % utilisation. *)
-
-val report_hippi : ?blocks:int list -> unit -> Report.t
+    requirement for 80 % utilisation ([block], [mbytes_per_s],
+    [pct_of_channel] rows). *)
 
 (** {1 E4 — §9 PIO-FIFO vs. UDMA crossover} *)
 
-type crossover_row = {
-  xsize : int;
-  udma_cycles : float;   (** one-way user-to-user latency *)
-  pio_cycles : float;
-}
-
-val pio_crossover : ?sizes:int list -> ?trials:int -> unit -> crossover_row list
-
 val report_crossover : ?sizes:int list -> ?trials:int -> unit -> Report.t
+(** One-way user-to-user latency per size ([udma_cycles],
+    [pio_cycles], [winner]). *)
 
 (** {1 E5 — §7 queueing ablation} *)
 
-type queueing_row = {
-  total_bytes : int;
-  basic_cycles : int;
-  queued_cycles : (int * int) list;  (** (depth, cycles) *)
-}
-
-val queueing : ?total_sizes:int list -> ?depths:int list -> unit -> queueing_row list
-
 val report_queueing :
   ?total_sizes:int list -> ?depths:int list -> unit -> Report.t
+(** One multi-page transfer per total size: [basic_cycles] and one
+    [depth_D] column per queue depth. *)
 
 (** {1 E6 — I1 atomicity under preemption} *)
 
-type atomicity_row = {
-  preempt_pct : int;      (** preemption probability per reference, % *)
-  transfers : int;
-  retries : int;
-  avg_cycles : float;
-  violations : int;       (** cross-process pairings observed (must be 0) *)
-}
-
-val atomicity :
-  ?probs_pct:int list -> ?transfers:int -> ?seed:int -> unit ->
-  atomicity_row list
-(** [seed] (default 42) drives the preemption coin flips; the per-point
-    RNG is seeded with [seed + pct] so runs replay exactly. *)
-
 val report_atomicity :
   ?probs_pct:int list -> ?transfers:int -> ?seed:int -> unit -> Report.t
+(** Per preemption probability: [retries], [avg_cycles] and the
+    cross-process pairings observed ([violations], must be 0). [seed]
+    (default 42) drives the preemption coin flips; the per-point RNG
+    is seeded with [seed + pct] so runs replay exactly. *)
 
 (** {1 E7 — I4 remap-check vs. pinning} *)
 
-type pinning_row = { label : string; value : float; unit_ : string }
-
-val pinning_vs_i4 : unit -> pinning_row list
-(** Static per-page costs plus a dynamic paging-under-transfers run
-    reporting I4 skips and deferred cleans. *)
-
 val report_pinning : unit -> Report.t
+(** Static per-page costs plus a dynamic paging-under-transfers run
+    reporting I4 skips and deferred cleans ([label]/[value]/[unit]
+    rows). *)
 
 (** {1 E8 — §6 proxy-fault costs} *)
 
-val proxy_fault_costs : unit -> cost_row list
+val report_proxy_faults : unit -> Report.t
 (** Cold (fault + mapping) vs. warm proxy references; the in-core,
     paged-out and illegal cases. *)
 
-val report_proxy_faults : unit -> Report.t
-
 (** {1 E9 — I3 policy ablation (§6's two content-consistency methods)} *)
 
-type i3_row = {
-  policy : string;
-  transfers_done : int;
-  total_cycles : int;
-  proxy_faults : int;
-  upgrades : int;
-  cleans : int;
-}
-
-val i3_policies : ?transfers:int -> ?pages:int -> unit -> i3_row list
-(** Incoming (device-to-memory) transfers across [pages] buffers with a
-    page-cleaning daemon running between rounds, under [Write_upgrade]
-    and [Proxy_dirty_union]. The union policy trades upgrade faults
-    for paging-code complexity, as §6 predicts. *)
-
 val report_i3 : ?transfers:int -> ?pages:int -> unit -> Report.t
+(** Incoming (device-to-memory) transfers across [pages] buffers with a
+    page-cleaning daemon running between rounds, one row per policy
+    ([Write_upgrade] then [Proxy_dirty_union]): [cycles],
+    [proxy_faults], [upgrades], [cleans]. The union policy trades
+    upgrade faults for paging-code complexity, as §6 predicts. *)
 
 (** {1 E10 — deliberate vs automatic update (§9)} *)
 
-type update_row = {
-  workload : string;
-  deliberate_cycles : int;
-  automatic_cycles : int;
-  deliberate_packets : int;
-  automatic_packets : int;
-}
-
-val update_strategies : unit -> update_row list
+val report_updates : unit -> Report.t
 (** Word-grain scattered updates vs bulk sequential writes, sent with
     a deliberate-update UDMA transfer per update vs snooped automatic
-    update. Automatic update should win fine-grain scattered writes;
-    deliberate update should win bulk. *)
-
-val report_updates : unit -> Report.t
+    update ([deliberate_cycles], [automatic_cycles],
+    [deliberate_packets], [automatic_packets]). Automatic update
+    should win fine-grain scattered writes; deliberate update should
+    win bulk. *)
 
 (** {1 E11 — traffic saturation (lib/traffic)} *)
 
@@ -294,27 +236,9 @@ type shape_case =
       (** total destination elements across the whole transfer,
           scattered within each initiation's device page *)
 
-type shape_row = {
-  sh_label : string;
-  sh_basic : int;        (** end-to-end user cycles, basic hardware *)
-  sh_queued : int;       (** same, queued hardware (depth 8) *)
-  sh_basic_bpc : float;  (** bytes per cycle *)
-  sh_queued_bpc : float;
-  sh_basic_pct : float;  (** bandwidth as % of contiguous, same mode *)
-  sh_queued_pct : float;
-}
-
-val default_shape_cases : shape_case list
-(** Contiguous, stride factors 2..64, SG 2..256 elements. *)
-
-val quick_shape_cases : shape_case list
-(** The 5-case subset CI anchors check. *)
-
-val transfer_shapes :
-  ?total:int -> ?cases:shape_case list -> unit -> shape_row list
-
 val report_shapes : ?total:int -> ?cases:shape_case list -> unit -> Report.t
-(** Move [total] (default 8192) bytes to the device in every shape, on
+(** Move [total] bytes to the device in every shape ([cases] default:
+    contiguous, stride factors 2..64, SG 2..256 elements), on
     basic and queued hardware: per-shape end-to-end cycles, bytes per
     cycle and bandwidth relative to the contiguous transfer of the same
     mode. Strided and scatter-gather shapes go through shaped
@@ -323,13 +247,6 @@ val report_shapes : ?total:int -> ?cases:shape_case list -> unit -> Report.t
     element count rises at fixed total bytes. *)
 
 (** {1 E16 — application workloads over the UDMA fabric (lib/app)} *)
-
-val app_default_loads : float list
-(** 0.2..1.2 — the KV / RPC sweep extends past saturation so the open
-    loop's SLO knee is inside the sweep. *)
-
-val halo_default_loads : float list
-(** 0.2..1.0 — the halo load axis is a work share and cannot exceed 1. *)
 
 val report_kv :
   ?loads:float list ->
@@ -342,7 +259,7 @@ val report_kv :
   ?vcs:int ->
   ?link_per_word:int ->
   ?slo:float ->
-  ?window_cycles:int ->
+  window_cycles:int ->
   ?chaos:bool ->
   ?seed:int ->
   unit ->
@@ -376,7 +293,7 @@ val report_halo :
   ?tile_rows:int ->
   ?row_bytes:int ->
   ?halo_cols:int ->
-  ?iterations:int ->
+  iterations:int ->
   ?warmup_iters:int ->
   ?slo:float ->
   ?seed:int ->
@@ -400,7 +317,7 @@ val report_rpc :
   ?burst:int ->
   ?pool:int ->
   ?slo:float ->
-  ?window_cycles:int ->
+  window_cycles:int ->
   ?seed:int ->
   unit ->
   Report.t
@@ -431,28 +348,32 @@ val report_simscale :
     ([host_cores] meta records {!Domain.recommended_domain_count});
     the anchored throughput baseline lives in [BENCH_sim.json]. *)
 
-(** {1 Driver} *)
+(** {1 The registry} *)
 
 type experiment = {
-  exp_name : string;  (** CLI subcommand name, e.g. ["figure8"] *)
+  exp_name : string;  (** command name, e.g. ["figure8"] *)
   exp_alias : string;  (** short alias, e.g. ["e1"] *)
   exp_doc : string;  (** one-line description *)
-  exp_run : quick:bool -> seed:int -> Report.t list;
+  exp_run : (quick:bool -> seed:int -> Report.t list) Param.args;
+      (** the declared parameters and the one function that runs the
+          experiment on them *)
+  exp_anchors : Report.anchor list;
+      (** the numbers CI holds to the committed [BENCH_baseline.json],
+          read from the [--quick] run *)
 }
 
 val experiments : experiment list
-(** The experiment registry, in E1..E17 order. [all_reports] and the
-    [shrimp_sim] command set are both derived from it, so a new
-    experiment registers exactly once here. *)
+(** The experiment registry, E1 to E18 in order. *)
+
+val run : ?quick:bool -> ?seed:int -> experiment -> Report.t list
+(** Run one experiment with every parameter at its default, or at its
+    quick value when [quick] (default false). [seed] (default 42)
+    feeds the randomized experiments. *)
 
 val all_reports : ?quick:bool -> ?seed:int -> unit -> Report.t list
-(** Every experiment (E1 basic + queued, E2..E17) as reports, in
-    registry order. [quick] (default false) substitutes the small
-    deterministic parameter set CI uses for the committed
-    [BENCH_baseline.json]; [seed] feeds the randomized experiments
-    (E6) and the traffic sweep (E11). Each report carries its own
-    cycle breakdown; the breakdown's sum equals the total simulated
-    cycles across every engine that experiment created. *)
+(** {!run} over the whole registry, in order. Each report carries its
+    own cycle breakdown; the breakdown's sum equals the total
+    simulated cycles across every engine that experiment created. *)
 
-val run_all : unit -> unit
-(** Run and print every experiment (what [bench/main.exe] calls). *)
+val anchors : Report.anchor list
+(** Every experiment's anchors, in registry order. *)

@@ -120,13 +120,25 @@ let test_same_address_different_processes () =
 
 (* ---------- experiment anchors from the paper ---------- *)
 
+module Report = Udma_obs.Report
+
+(* numeric field of a report row *)
+let num row field =
+  match List.assoc_opt field row with
+  | Some (Report.Int i) -> float_of_int i
+  | Some (Report.Float f) -> f
+  | _ -> Alcotest.failf "field %s missing" field
+
+(* the row whose [key] field equals [v] *)
+let row_where (r : Report.t) key v =
+  let matches row = List.assoc_opt key row = Some v in
+  match List.find_opt matches r.Report.rows with
+  | Some row -> row
+  | None -> Alcotest.failf "%s: no row with that %s" r.Report.id key
+
 let test_figure8_anchors () =
-  let points = Runner.figure8 ~messages:16 () in
-  let pct size =
-    match List.find_opt (fun p -> p.Runner.size = size) points with
-    | Some p -> p.Runner.pct_of_max
-    | None -> Alcotest.failf "size %d missing" size
-  in
+  let r = Runner.report_figure8 ~messages:16 () in
+  let pct size = num (row_where r "size" (Report.Int size)) "pct_of_max" in
   (* §8: "exceeds 50% of the maximum measured at a message size of
      only 512 bytes" *)
   checkb
@@ -152,29 +164,21 @@ let test_figure8_anchors () =
   checkb "monotone rise to 4K" true (pct 64 < pct 512 && pct 512 < pct 4096)
 
 let test_initiation_cost_anchor () =
-  let rows = Runner.initiation_costs () in
-  let find label =
-    match List.find_opt (fun (r : Runner.cost_row) -> r.Runner.label = label) rows with
-    | Some r -> r
-    | None -> Alcotest.failf "row %s missing" label
-  in
+  let r = Runner.report_costs () in
+  let find label = row_where r "label" (Report.Str label) in
   let udma = find "UDMA initiation (2 refs + check)" in
   (* §8: about 2.8 microseconds *)
   checkb
-    (Printf.sprintf "2.8us (got %.2f)" udma.Runner.us)
+    (Printf.sprintf "2.8us (got %.2f)" (num udma "us"))
     true
-    (udma.Runner.us > 2.2 && udma.Runner.us < 3.4);
+    (num udma "us" > 2.2 && num udma "us" < 3.4);
   let trad = find "traditional 4 KB transfer (pin)" in
   checkb "traditional is 10x+ the UDMA initiation" true
-    (trad.Runner.cycles > 10 * udma.Runner.cycles)
+    (num trad "cycles" > 10.0 *. num udma "cycles")
 
 let test_hippi_anchor () =
-  let rows = Runner.hippi_motivation () in
-  let at block =
-    match List.find_opt (fun r -> r.Runner.block = block) rows with
-    | Some r -> r.Runner.mbytes_per_s
-    | None -> Alcotest.failf "block %d missing" block
-  in
+  let r = Runner.report_hippi () in
+  let at block = num (row_where r "block" (Report.Int block)) "mbytes_per_s" in
   (* §1: "With a data block size of 1 Kbyte, the transfer rate achieved
      is only 2.7 MByte/sec, which is less than 2% of the raw hardware
      bandwidth" (we land within a factor ~1.5 and under 4%) *)
@@ -187,58 +191,154 @@ let test_hippi_anchor () =
   checkb "256KB reaches ~80MB/s" true (at 262144 >= 78.0)
 
 let test_crossover_anchor () =
-  let rows = Runner.pio_crossover ~sizes:[ 16; 4096 ] ~trials:3 () in
-  let at size = List.find (fun r -> r.Runner.xsize = size) rows in
+  let r = Runner.report_crossover ~sizes:[ 16; 4096 ] ~trials:3 () in
+  let at size field = num (row_where r "size" (Report.Int size)) field in
   (* §9: FIFO interfaces win small messages, DMA wins long ones *)
-  checkb "PIO wins at 16B" true
-    ((at 16).Runner.pio_cycles < (at 16).Runner.udma_cycles);
+  checkb "PIO wins at 16B" true (at 16 "pio_cycles" < at 16 "udma_cycles");
   checkb "UDMA wins at 4KB by a lot" true
-    ((at 4096).Runner.pio_cycles > 5.0 *. (at 4096).Runner.udma_cycles)
+    (at 4096 "pio_cycles" > 5.0 *. at 4096 "udma_cycles")
 
 let test_queueing_anchor () =
-  let rows = Runner.queueing ~total_sizes:[ 65536 ] ~depths:[ 4 ] () in
-  match rows with
-  | [ r ] ->
-      let _, queued = List.hd r.Runner.queued_cycles in
+  let r = Runner.report_queueing ~total_sizes:[ 65536 ] ~depths:[ 4 ] () in
+  match r.Report.rows with
+  | [ row ] ->
       checkb "queueing beats basic for multi-page transfers" true
-        (queued < r.Runner.basic_cycles)
+        (num row "depth_4" < num row "basic_cycles")
   | _ -> Alcotest.fail "expected one row"
 
 let test_atomicity_never_violates () =
-  let rows = Runner.atomicity ~probs_pct:[ 0; 25; 50 ] ~transfers:100 () in
+  let r = Runner.report_atomicity ~probs_pct:[ 0; 25; 50 ] ~transfers:100 () in
   List.iter
-    (fun r ->
+    (fun row ->
+      let pct = num row "preempt_pct" in
       checki
-        (Printf.sprintf "violations at %d%%" r.Runner.preempt_pct)
-        0 r.Runner.violations;
-      if r.Runner.preempt_pct = 0 then
-        checki "no retries without preemption" 0 r.Runner.retries
-      else checkb "preemption causes retries" true (r.Runner.retries > 0))
-    rows
+        (Printf.sprintf "violations at %.0f%%" pct)
+        0
+        (int_of_float (num row "violations"));
+      if pct = 0.0 then
+        checki "no retries without preemption" 0
+          (int_of_float (num row "retries"))
+      else checkb "preemption causes retries" true (num row "retries" > 0.0))
+    r.Report.rows
 
 let test_i3_policy_anchor () =
-  let rows = Runner.i3_policies ~transfers:32 ~pages:4 () in
-  match rows with
+  let r = Runner.report_i3 ~transfers:32 ~pages:4 () in
+  match r.Report.rows with
   | [ upgrade; union ] ->
       checkb "union takes fewer proxy faults" true
-        (union.Runner.proxy_faults < upgrade.Runner.proxy_faults);
-      checki "union takes no upgrades" 0 union.Runner.upgrades;
+        (num union "proxy_faults" < num upgrade "proxy_faults");
+      checki "union takes no upgrades" 0 (int_of_float (num union "upgrades"));
       checkb "upgrade policy re-faults after every clean" true
-        (upgrade.Runner.upgrades >= 28)
+        (num upgrade "upgrades" >= 28.0)
   | _ -> Alcotest.fail "expected two rows"
 
 let test_update_strategy_anchor () =
-  let rows = Runner.update_strategies () in
-  let find w = List.find (fun r -> r.Runner.workload = w) rows in
+  let r = Runner.report_updates () in
+  let find w = row_where r "workload" (Report.Str w) in
   let scattered = find "32 scattered single-word updates" in
   (* automatic update has no initiation cost: scattered word updates
      are at least an order of magnitude cheaper on the sending CPU *)
   checkb "automatic wins scattered updates" true
-    (scattered.Runner.automatic_cycles * 10 < scattered.Runner.deliberate_cycles);
+    (num scattered "automatic_cycles" *. 10.0
+    < num scattered "deliberate_cycles");
   let bulk = find "one 4 KB sequential region" in
   (* deliberate update ships bulk data in far fewer packets *)
   checkb "deliberate wins bulk packet count" true
-    (bulk.Runner.deliberate_packets * 10 <= bulk.Runner.automatic_packets)
+    (num bulk "deliberate_packets" *. 10.0 <= num bulk "automatic_packets")
+
+(* ---------- the registry's anchors ---------- *)
+
+module Json = Udma_obs.Json
+
+(* the committed baseline: next to the test directory under
+   `dune runtest`, in the working directory when run from the root *)
+let baseline =
+  lazy
+    (let path =
+       List.find Sys.file_exists
+         [ "../BENCH_baseline.json"; "BENCH_baseline.json" ]
+     in
+     match Json.of_file path with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.fail msg)
+
+let quick_reports = lazy (Runner.all_reports ~quick:true ())
+
+let test_anchors_resolve_on_baseline () =
+  checki "22 anchors declared" 22 (List.length Runner.anchors);
+  List.iter
+    (fun (a : Report.anchor) ->
+      checkb (a.Report.name ^ " resolves") true
+        (Report.anchor_value (Lazy.force baseline) a <> None))
+    Runner.anchors
+
+(* every anchor reads the same number from a quick run's in-memory
+   document as from its serialized and re-parsed text *)
+let test_anchor_values_survive_serialization () =
+  let in_memory = Report.bench_json (Lazy.force quick_reports) in
+  let parsed =
+    match Json.parse (Json.to_string ~indent:2 in_memory) with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun (a : Report.anchor) ->
+      let v = Report.anchor_value in_memory a in
+      checkb (a.Report.name ^ " read back exactly") true
+        (v <> None && Report.anchor_value parsed a = v))
+    Runner.anchors
+
+(* the baseline with [a]'s value scaled by [factor] wherever [a] reads
+   it (a row is rewritten when the anchor, read from that row alone,
+   resolves) *)
+let move_anchor doc (a : Report.anchor) factor =
+  let obj f = function Json.Obj fields -> Json.Obj (List.map f fields) | v -> v in
+  let scale (k, v) =
+    match v with
+    | (Json.Int _ | Json.Float _) when k = a.Report.field ->
+        (k, Json.Float (Option.get (Json.number v) *. factor))
+    | _ -> (k, v)
+  in
+  let id = ("id", Json.Str a.Report.report) in
+  let reads row =
+    let alone = Json.Obj [ id; ("rows", Json.List [ row ]) ] in
+    Report.anchor_value (Json.Obj [ ("experiments", Json.List [ alone ]) ]) a
+    <> None
+  in
+  let experiment e =
+    if Json.member "id" e <> Some (snd id) then e
+    else
+      obj
+        (fun (k, v) ->
+          match (k, a.Report.select) with
+          | "meta", Report.Meta -> (k, obj scale v)
+          | "rows", Report.Row _ ->
+              let move r = if reads r then obj scale r else r in
+              (k, Json.List (List.map move (Json.to_list v)))
+          | _ -> (k, v))
+        e
+  in
+  obj
+    (fun (k, v) ->
+      if k = "experiments" then
+        (k, Json.List (List.map experiment (Json.to_list v)))
+      else (k, v))
+    doc
+
+let test_anchor_drift_gate () =
+  let base = Lazy.force baseline in
+  let gate current =
+    Result.is_ok
+      (Report.check ~tolerance:0.02 Runner.anchors ~baseline:base current)
+  in
+  checkb "the baseline passes against itself" true (gate base);
+  List.iter
+    (fun (a : Report.anchor) ->
+      checkb (a.Report.name ^ " moved 1% passes") true
+        (gate (move_anchor base a 1.01));
+      checkb (a.Report.name ^ " moved 3% fails") false
+        (gate (move_anchor base a 1.03)))
+    Runner.anchors
 
 (* ---------- mixed workloads ---------- *)
 
@@ -416,6 +516,15 @@ let () =
             test_i3_policy_anchor;
           Alcotest.test_case "update strategies crossover" `Quick
             test_update_strategy_anchor;
+        ] );
+      ( "anchors",
+        [
+          Alcotest.test_case "every anchor resolves on BENCH_baseline.json"
+            `Quick test_anchors_resolve_on_baseline;
+          Alcotest.test_case "quick-run anchors survive serialize/parse" `Slow
+            test_anchor_values_survive_serialization;
+          Alcotest.test_case "1% drift passes, 3% fails" `Quick
+            test_anchor_drift_gate;
         ] );
       ( "multi-device",
         [ Alcotest.test_case "three devices, one engine" `Quick test_multi_device_node ] );

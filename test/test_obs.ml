@@ -68,6 +68,122 @@ let test_json_accessors () =
   checkb "number of int" true (Json.number (Json.Int 3) = Some 3.0);
   checkb "string_" true (Json.string_ (Json.Str "s") = Some "s")
 
+(* ---------- Json properties ---------- *)
+
+(* finite floats, weighted towards the corners of the emitter: integral
+   values (printed "%.1f" below 1e15, by significant digits above),
+   subnormals, and 16-17 digit integers that %.17g prints without a
+   '.' or exponent *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float_range (-1e6) 1e6);
+        (2, map float_of_int (int_range (-1_000_000) 1_000_000));
+        (2, map (fun n -> 1e15 +. float_of_int n) (int_range 0 1_000_000));
+        (2, map (fun n -> Int64.float_of_bits (Int64.of_int n)) (int_range 1 1_000_000));
+        (1, map (fun e -> 10.0 ** float_of_int e) (int_range (-320) 308));
+        (2, map (fun x -> if Float.is_finite x then x else 0.0) float);
+      ])
+
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 12) in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (2, map (fun i -> Json.Int i) (oneof [ int; return max_int; return min_int; small_signed_int ]));
+        (3, map (fun f -> Json.Float f) gen_float);
+        (2, map (fun s -> Json.Str s) str);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) = v"
+    (QCheck.make ~print:(Json.to_string ~indent:2) gen_json)
+    (fun v ->
+      List.for_all
+        (fun s -> Json.parse s = Ok v)
+        [ Json.to_string v; Json.to_string ~indent:2 v ])
+  |> QCheck_alcotest.to_alcotest
+
+(* a real udma-bench/1 document to mutate *)
+let bench_doc =
+  lazy
+    (Json.to_string ~indent:2
+       (Report.bench_json
+          ~meta:[ ("seed", Report.Int 42) ]
+          [ Udma_workloads.Runner.report_costs () ]))
+
+let prop_json_parse_total =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:char (int_range 0 64);
+          string_size
+            ~gen:(oneofl [ '['; ']'; '{'; '}'; '"'; ','; ':'; '\\'; 'u'; '0'; '-'; 'e'; '.'; ' ' ])
+            (int_range 0 64);
+          (* a truncation of the real document with one byte replaced *)
+          map3
+            (fun cut at c ->
+              let doc = Lazy.force bench_doc in
+              let b = Bytes.of_string doc in
+              Bytes.set b (at mod Bytes.length b) c;
+              Bytes.sub_string b 0 (cut mod (Bytes.length b + 1)))
+            nat nat char;
+        ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"Json.parse never raises"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s -> match Json.parse s with Ok _ | Error _ -> true)
+  |> QCheck_alcotest.to_alcotest
+
+let test_json_float_roundtrip_cases () =
+  (* integral floats of 16-17 digits print without a '.' at %.17g and
+     used to read back as [Int] *)
+  List.iter
+    (fun f ->
+      checkb (Printf.sprintf "%.17g stays a float" f) true
+        (Json.parse (Json.to_string (Json.Float f)) = Ok (Json.Float f)))
+    [ 1234567890123456.0; 12345678901234568.0; -1000000000000001.0;
+      4.9e-324; 1e15 ]
+
+let test_json_of_file () =
+  (match Json.of_file "/nonexistent/baseline.json" with
+  | Ok _ -> Alcotest.fail "missing file read as JSON"
+  | Error msg ->
+      checkb "read error names the file" true
+        (String.starts_with ~prefix:"cannot read /nonexistent/baseline.json" msg));
+  let path = Filename.temp_file "udma_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc {|{"schema": "udma-bench/1", "experiments": [|});
+      (match Json.of_file path with
+      | Ok _ -> Alcotest.fail "malformed file accepted"
+      | Error msg ->
+          checkb "parse error names the file" true
+            (String.starts_with ~prefix:("cannot parse " ^ path) msg));
+      Out_channel.with_open_bin path (fun oc -> output_string oc "[1, 2.5]");
+      checkb "well-formed file" true
+        (Json.of_file path = Ok (Json.List [ Json.Int 1; Json.Float 2.5 ])))
+
 (* ---------- Metrics histograms ---------- *)
 
 let test_histogram_edges () =
@@ -138,17 +254,16 @@ let test_histogram_percentile () =
       checkb "empty histogram" true (Metrics.percentile empty 50.0 = None)
   | None -> Alcotest.fail "histogram missing")
 
-(* ---------- Metrics.percentile vs Tenants.percentile agreement ----------
+(* ---------- Metrics.percentile vs Metrics.nearest_rank agreement ----------
 
    Two percentile definitions live in the tree: the bucketed
-   upper-bound estimate over histograms (Metrics) and the exact
-   nearest-rank over a sorted sample (Tenants, also mirrored by the
-   app-layer Slo module). Both use rank = ceil(p/100 * n), so when the
-   histogram's bucket edges enumerate every distinct sample value the
-   two must agree exactly; with a coarser ladder Metrics may only
-   round the answer up to the next edge, never down. *)
-
-module Tenants = Udma_protect.Tenants
+   upper-bound estimate over histograms (Metrics.percentile) and the
+   exact nearest-rank over a sorted sample (Metrics.nearest_rank, which
+   traffic, tenants and the app SLOs all report through). Both use
+   rank = ceil(p/100 * n), so when the histogram's bucket edges
+   enumerate every distinct sample value the two must agree exactly;
+   with a coarser ladder Metrics.percentile may only round the answer
+   up to the next edge, never down. *)
 
 let metrics_percentile_of_samples samples p =
   let distinct =
@@ -160,9 +275,9 @@ let metrics_percentile_of_samples samples p =
   | Some h -> Metrics.percentile h p
   | None -> None
 
-let tenants_percentile_of_samples samples p =
+let exact_percentile_of_samples samples p =
   let sorted = Array.of_list (List.sort compare samples) in
-  Tenants.percentile sorted p
+  Metrics.nearest_rank sorted p
 
 let test_percentile_agreement_exact () =
   let samples = [ 7; 1; 1; 3; 9; 3; 3; 200; 42; 5 ] in
@@ -172,12 +287,12 @@ let test_percentile_agreement_exact () =
         (Printf.sprintf "exact-edge agreement at p%.1f" p)
         true
         (metrics_percentile_of_samples samples p
-        = Some (tenants_percentile_of_samples samples p)))
+        = Some (exact_percentile_of_samples samples p)))
     [ 1.0; 25.0; 50.0; 90.0; 95.0; 99.0; 99.9; 100.0 ];
   (* single observation: every percentile is that observation *)
   checkb "singleton" true
     (metrics_percentile_of_samples [ 17 ] 50.0
-    = Some (tenants_percentile_of_samples [ 17 ] 50.0))
+    = Some (exact_percentile_of_samples [ 17 ] 50.0))
 
 let test_percentile_divergence_coarse_buckets () =
   (* with a coarse ladder the bucketed answer rounds up: 3 samples all
@@ -190,7 +305,7 @@ let test_percentile_divergence_coarse_buckets () =
       checkb "bucketed p99 rounds up to edge" true
         (Metrics.percentile h 99.0 = Some 100);
       checki "exact p99 is the sample max" 9
-        (tenants_percentile_of_samples [ 3; 5; 9 ] 99.0)
+        (exact_percentile_of_samples [ 3; 5; 9 ] 99.0)
 
 let prop_percentile_agreement =
   let gen =
@@ -204,7 +319,7 @@ let prop_percentile_agreement =
     (fun (samples, pmil) ->
       let p = float_of_int pmil /. 10.0 in
       metrics_percentile_of_samples samples p
-      = Some (tenants_percentile_of_samples samples p))
+      = Some (exact_percentile_of_samples samples p))
   |> QCheck_alcotest.to_alcotest
 
 let prop_percentile_upper_bound =
@@ -228,7 +343,7 @@ let prop_percentile_upper_bound =
       | Some h -> (
           match Metrics.percentile h p with
           | None -> false
-          | Some est -> est >= tenants_percentile_of_samples samples p))
+          | Some est -> est >= exact_percentile_of_samples samples p))
   |> QCheck_alcotest.to_alcotest
 
 let test_counters_and_gauges () =
@@ -505,6 +620,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "float round-trip corners" `Quick
+            test_json_float_roundtrip_cases;
+          Alcotest.test_case "of_file errors" `Quick test_json_of_file;
+          prop_json_roundtrip;
+          prop_json_parse_total;
         ] );
       ( "metrics",
         [

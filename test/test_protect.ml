@@ -312,7 +312,7 @@ let test_tenants_config_validation () =
   bad (fun c -> { c with Tenants.churn_pct = 60; evict_pct = 30; rogue_pct = 20 })
 
 let test_percentile_small_samples () =
-  let p = Tenants.percentile in
+  let p = Udma_obs.Metrics.nearest_rank in
   Alcotest.(check int) "empty sample" 0 (p [||] 99.9);
   Alcotest.(check int) "singleton p50" 7 (p [| 7 |] 50.);
   Alcotest.(check int) "singleton p999" 7 (p [| 7 |] 99.9);
