@@ -148,10 +148,16 @@ let rec params_term : type a. string -> a Param.args -> (quick:bool -> a) Term.t
 
 let quick_term ~doc = Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* A sweep whose flags combine into a configuration the model rejects
+   stops before simulating anything, like a rejected flag value: exit 2
+   with one line. Any other exception is a bug and surfaces as such. *)
 let experiment_term (e : Runner.experiment) =
   let run c quick params =
     let f = params ~quick in
-    emit_reports c (fun () -> f ~quick ~seed:c.seed)
+    try emit_reports c (fun () -> f ~quick ~seed:c.seed)
+    with Udma_traffic.Sweep.Invalid_config msg ->
+      prerr_endline (Printf.sprintf "%s: %s" e.Runner.exp_name msg);
+      exit 2
   in
   Term.(
     const run $ common_term

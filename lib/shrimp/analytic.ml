@@ -1,0 +1,476 @@
+(* The analytic crossing: packet-granularity wire reservations. A
+   packet's header claims each link of its path as the wire frees, on a
+   virtual channel picked by round-robin, against a deposit-side credit
+   pool; the whole walk is computed at send time into one arrival cycle.
+   This module owns every decision of that model: VC claim, gap
+   reservation, credit pools and NACK retry, the minimal-adaptive link
+   choice (it reads the reservations), the injection gate, credit
+   resizing, the N1/N2 oracles and the VC/credit stats. *)
+
+module Engine = Udma_sim.Engine
+module Trace = Udma_sim.Trace
+module Metrics = Udma_obs.Metrics
+module Event = Udma_obs.Event
+open Mesh.Types
+
+(* On a dead link the deposit side's credit-return notifications are
+   lost; the source only learns of a freed slot by retrying and being
+   NACK'd, so credit grants are quantised to this polling period. *)
+let nack_retry_cycles = 32
+
+(* One virtual channel of a directed link. [v_tail] is the cycle the
+   VC's most recent packet clears the wire — the next packet assigned
+   to this VC cannot start before it (FIFO within a VC). *)
+type vc = {
+  mutable v_tail : int;
+  mutable v_inflight : int;
+  mutable v_max_depth : int;
+  mutable v_grants : int;
+  mutable v_skip_streak : int;      (* consecutive ready-but-skipped *)
+  mutable v_max_skip : int;
+}
+
+(* Deposit-side credit pool for one (link, vc) receive FIFO. The
+   [cp_slots] array is the analytic model (the cycle each buffer slot
+   frees; a claim takes the earliest); the three counters are the
+   runtime token state the N1 oracle checks, advanced by scheduled
+   events at reservation / wire start / release so that
+   held + inflight + free = capacity at every cycle. *)
+type pool = {
+  mutable cp_capacity : int;
+  mutable cp_slots : int array;
+  mutable cp_held : int;
+  mutable cp_inflight : int;
+  mutable cp_free : int;
+}
+
+(* The wire state of one mesh link ([ml]). [busy_until] is the cycle at which the wire
+   finishes the last packet that reserved it; [inflight] counts packets
+   that have claimed the link and whose tails have not yet cleared it
+   (the FIFO depth a head-of-line packet sees). With more than one VC
+   the wire is shared by reservation: [busy] lists the outstanding
+   future reservations (disjoint, sorted by start) so a later claim can
+   backfill an idle window instead of queueing behind the last tail. *)
+type link = {
+  ml : Mesh.link;
+  mutable busy_until : int;
+  mutable inflight : int;
+  mutable rr : int;
+  vcs : vc array;
+  mutable busy : (int * int) list;
+  mutable pools : pool array;       (* [||] = unlimited credits *)
+}
+
+type t = {
+  m : Mesh.t;
+  links : (int * int, link) Hashtbl.t;  (* created on first use *)
+  mutable credits : int option;     (* current deposit-FIFO capacity *)
+  adaptive_turns : Metrics.counter;
+  dead_crossings : Metrics.counter;
+  nacks : Metrics.counter;
+  credit_stalls : Metrics.counter;
+  credit_stall_cycles : Metrics.counter;
+  wait_cycles : Metrics.counter;
+  queued : Metrics.counter;
+  xmits : Metrics.counter;
+  busy_cycles : Metrics.counter;
+  vc_grants : Metrics.counter;
+  vc_grants_by_index : Metrics.counter array;
+  link_depth : Metrics.sampler;
+  vc_depth : Metrics.sampler;
+}
+
+(* Link waits reach only the global trace sink, when one is installed. *)
+let trace = Trace.create ~enabled:false ()
+
+let create (m : Mesh.t) =
+  let em = Engine.metrics m.engine in
+  let c = Metrics.counter em in
+  {
+    m;
+    links = Hashtbl.create 64;
+    credits = m.config.rx_credits;
+    adaptive_turns = c "net.router.adaptive_turns";
+    dead_crossings = c "net.link.dead_crossings";
+    nacks = c "net.credit.nacks";
+    credit_stalls = c "net.credit.stalls";
+    credit_stall_cycles = c "net.credit.stall_cycles";
+    wait_cycles = c "net.link.wait_cycles";
+    queued = c "net.link.queued";
+    xmits = c "net.link.xmits";
+    busy_cycles = c "net.link.busy_cycles";
+    vc_grants = c "net.vc.grants";
+    vc_grants_by_index =
+      Array.init m.config.vc_count (fun i -> c (Printf.sprintf "net.vc.grants.%d" i));
+    link_depth = Metrics.sampler em "net.link.depth";
+    vc_depth = Metrics.sampler em "net.vc.depth";
+  }
+
+let fresh_vc () =
+  { v_tail = 0; v_inflight = 0; v_max_depth = 0; v_grants = 0;
+    v_skip_streak = 0; v_max_skip = 0 }
+
+let fresh_pool ~now n =
+  { cp_capacity = n; cp_slots = Array.make n now; cp_held = 0;
+    cp_inflight = 0; cp_free = n }
+
+let link_of t a b =
+  match Hashtbl.find_opt t.links (a, b) with
+  | Some l -> l
+  | None ->
+      let now = Engine.now t.m.engine and n = t.m.config.vc_count in
+      let l =
+        { ml = Mesh.link_of t.m a b; busy_until = 0; inflight = 0; rr = 0;
+          vcs = Array.init n (fun _ -> fresh_vc ()); busy = [];
+          pools =
+            (match t.credits with
+            | None -> [||]
+            | Some c -> Array.init n (fun _ -> fresh_pool ~now c)) }
+      in
+      Hashtbl.add t.links (a, b) l;
+      l
+
+(* The links in (from, to) order. *)
+let sorted_links t =
+  List.filter_map
+    (fun (ml : Mesh.link) -> Hashtbl.find_opt t.links (ml.l_src, ml.l_dst))
+    (Mesh.sorted_links t.m)
+
+(* Resize the deposit FIFOs under load. Growing adds slots free at
+   [now]; shrinking revokes the most-available slots first (largest
+   remaining reservation times survive, so in-use buffers are never
+   yanked from under a packet). The counter side moves [capacity] and
+   [free] by the same delta, so the N1 conservation sum is preserved
+   even with reservation/start/release events still queued — [cp_free]
+   can go transiently negative on a shrink while revoked buffers drain,
+   which models the receiver waiting for occupied slots to empty. *)
+let set_rx_credits t credits =
+  t.credits <- credits;
+  let now = Engine.now t.m.engine in
+  Hashtbl.iter
+    (fun _ s ->
+      match credits with
+      | None -> s.pools <- [||]
+      | Some n ->
+          if Array.length s.pools = 0 then
+            s.pools <- Array.init (Array.length s.vcs) (fun _ -> fresh_pool ~now n)
+          else
+            Array.iter
+              (fun p ->
+                let old = p.cp_capacity in
+                if n <> old then begin
+                  let slots = Array.copy p.cp_slots in
+                  Array.sort (fun a b -> compare b a) slots;
+                  p.cp_slots <-
+                    (if n > old then Array.append slots (Array.make (n - old) now)
+                     else Array.sub slots 0 n);
+                  p.cp_capacity <- n;
+                  p.cp_free <- p.cp_free + (n - old)
+                end)
+              s.pools)
+    t.links
+
+(* The next node from [a] toward [dst]. Dimension-order always
+   exhausts X first; minimal-adaptive picks, among the (at most two)
+   productive links, a live one over a dead one and then the one with
+   the smaller [busy_until], taking the X link on ties so an idle mesh
+   reproduces the dimension-order path exactly. *)
+let next_hop t a dst =
+  let m = t.m in
+  let x, y = Mesh.coords m a and dx, dy = Mesh.coords m dst in
+  let bx = Mesh.node_id m ~x:(Mesh.step x dx) ~y in
+  let by = Mesh.node_id m ~x ~y:(Mesh.step y dy) in
+  if x = dx then by
+  else if y = dy || m.config.routing = `Dimension_order then bx
+  else
+    let cost b =
+      let l = link_of t a b in
+      ((match l.ml.l_fault with Link_dead -> 1 | Link_ok | Link_slow _ -> 0),
+       l.busy_until)
+    in
+    if cost by < cost bx then by else bx
+
+(* The links the configured policy would pick right now, against the
+   current link state, without claiming anything. *)
+let route t ~src ~dst =
+  Mesh.check_node t.m src "route";
+  Mesh.check_node t.m dst "route";
+  let rec go a acc =
+    if a = dst then List.rev acc
+    else
+      let b = next_hop t a dst in
+      go b ((a, b) :: acc)
+  in
+  go src []
+
+(* Assign the claim to a virtual channel: round-robin among the ready
+   VCs (tail already clear of the wire when this head arrives); when
+   none is ready, the one that drains first. The [Arb_stuck] mutation
+   is the deliberate bug the N2 oracle must catch: it pins every grant
+   to VC 0, so a ready VC's skip streak grows past [vc_count]. *)
+let claim_vc t s ~head =
+  let vcn = Array.length s.vcs in
+  if vcn = 1 then 0
+  else begin
+    let c =
+      match t.m.mutation with
+      | Some Arb_stuck -> 0
+      | Some (Credit_leak | Flit_leak | Double_grant) | None -> (
+          match Mesh.arbitrate_by ~rr:s.rr ~n:vcn (fun i -> s.vcs.(i).v_tail <= head) with
+          | -1 ->
+              let best = ref 0 in
+              Array.iteri
+                (fun i v -> if v.v_tail < s.vcs.(!best).v_tail then best := i)
+                s.vcs;
+              !best
+          | v -> v)
+    in
+    Array.iteri
+      (fun i v ->
+        if i = c then v.v_skip_streak <- 0
+        else if v.v_tail <= head then begin
+          v.v_skip_streak <- v.v_skip_streak + 1;
+          if v.v_skip_streak > v.v_max_skip then v.v_max_skip <- v.v_skip_streak
+        end
+        else v.v_skip_streak <- 0)
+      s.vcs;
+    s.rr <- (c + 1) mod vcn;
+    c
+  end
+
+(* Earliest [start >= earliest] such that [start, start + len) misses
+   every reserved interval ([busy] disjoint, sorted by start). *)
+let rec fit_gap busy earliest len =
+  match busy with
+  | [] -> earliest
+  | (s, e) :: rest ->
+      if earliest + len <= s then earliest
+      else if earliest >= e then fit_gap rest earliest len
+      else fit_gap rest e len
+
+let rec insert_iv busy s e =
+  match busy with
+  | [] -> [ (s, e) ]
+  | ((s0, _) as iv) :: rest ->
+      if s < s0 then (s, e) :: busy else iv :: insert_iv rest s e
+
+let rec prune_iv now busy =
+  match busy with
+  | (_, e) :: rest when e <= now -> prune_iv now rest
+  | _ -> busy
+
+(* Wormhole walk toward the destination: the header claims each link as
+   soon as the wire is free, each claim holds the link for the packet's
+   full wire occupancy, and the tail crosses the final wire after the
+   header ejects. With idle, healthy links this telescopes to exactly
+   the closed-form [base + hops·per_hop + words·per_word]. The link
+   choice happens here, hop by hop, so minimal-adaptive sees the busy
+   state left by every earlier claim — including this packet's own.
+
+   With [vc_count = 1] and unlimited credits the claim below reduces
+   exactly to the single-FIFO model (start = max head busy_until, one
+   scheduled depth decrement per hop): VC 0's tail equals [busy_until]
+   and the credit floor equals the head's arrival, so timing, metrics
+   and the event schedule are identical — the property the E1/E2/E11/
+   E12 anchors pin down. *)
+let arrival t ~now ~src ~dst ~words =
+  let m = t.m in
+  let cfg = m.config in
+  let occ = words * cfg.per_word_cycles in
+  let head = ref (now + cfg.base_cycles) in
+  (* the packet's own tail cannot clear a link faster than that link's
+     (fault-scaled) occupancy; on healthy links this is always beaten
+     by the head+occ term below, so it only matters on slow/dead links *)
+  let tail = ref 0 in
+  let here = ref src in
+  while !here <> dst do
+    let a = !here in
+    let b = next_hop t a dst in
+    if abs (b - a) = m.width && a mod m.width <> dst mod m.width then
+      (* adaptive took the Y link although X was productive too *)
+      Metrics.bump t.adaptive_turns;
+    let s = link_of t a b in
+    let l = s.ml in
+    let locc = occ * Mesh.occupancy_factor l.l_fault in
+    if l.l_fault = Link_dead then Metrics.bump t.dead_crossings;
+    let vcn = Array.length s.vcs in
+    let ci = claim_vc t s ~head:!head in
+    let v = s.vcs.(ci) in
+    (* deposit-side credit for the receive FIFO behind this link: take
+       the slot that frees soonest; on a dead link the grant is pushed
+       to the next NACK'd retry poll *)
+    let pinfo =
+      if Array.length s.pools = 0 then None
+      else begin
+        let p = s.pools.(ci) in
+        let si = ref 0 in
+        Array.iteri (fun i ft -> if ft < p.cp_slots.(!si) then si := i) p.cp_slots;
+        let slot_free = p.cp_slots.(!si) in
+        let granted =
+          if slot_free <= !head then !head
+          else
+            match l.l_fault with
+            | Link_dead ->
+                let polls =
+                  (slot_free - !head + nack_retry_cycles - 1) / nack_retry_cycles
+                in
+                Metrics.bump_by t.nacks polls;
+                !head + (polls * nack_retry_cycles)
+            | Link_ok | Link_slow _ -> slot_free
+        in
+        Some (p, !si, slot_free, granted)
+      end
+    in
+    let credit_floor = match pinfo with None -> !head | Some (_, _, _, g) -> g in
+    let cstall = credit_floor - !head in
+    if cstall > 0 then begin
+      Metrics.bump t.credit_stalls;
+      Metrics.bump_by t.credit_stall_cycles cstall
+    end;
+    let earliest = max credit_floor v.v_tail in
+    let start =
+      if vcn = 1 then max earliest s.busy_until
+      else begin
+        s.busy <- prune_iv now s.busy;
+        let st = fit_gap s.busy earliest locc in
+        s.busy <- insert_iv s.busy st (st + locc);
+        st
+      end
+    in
+    let wait = start - !head in
+    s.inflight <- s.inflight + 1;
+    if s.inflight > l.l_max_depth then l.l_max_depth <- s.inflight;
+    if wait > 0 then begin
+      l.l_wait_cycles <- l.l_wait_cycles + wait;
+      Metrics.bump_by t.wait_cycles wait;
+      Metrics.bump t.queued;
+      if Trace.active trace then
+        Trace.record trace ~time:now Event.Ni
+          (Event.Link_wait { from_node = a; to_node = b; wait; depth = s.inflight })
+    end;
+    Metrics.sample t.link_depth s.inflight;
+    if start + locc > s.busy_until then s.busy_until <- start + locc;
+    if start + locc > !tail then tail := start + locc;
+    l.l_xmits <- l.l_xmits + 1;
+    l.l_busy_cycles <- l.l_busy_cycles + locc;
+    Metrics.bump t.xmits;
+    Metrics.bump_by t.busy_cycles locc;
+    v.v_tail <- start + locc;
+    v.v_inflight <- v.v_inflight + 1;
+    if v.v_inflight > v.v_max_depth then v.v_max_depth <- v.v_inflight;
+    if vcn > 1 then begin
+      v.v_grants <- v.v_grants + 1;
+      Metrics.bump t.vc_grants;
+      Metrics.bump t.vc_grants_by_index.(ci);
+      Metrics.sample t.vc_depth v.v_inflight
+    end;
+    (match pinfo with
+    | None -> ()
+    | Some (p, si, slot_free, _) ->
+        let rel = start + locc + cfg.per_hop_cycles in
+        let leak = m.mutation = Some Credit_leak && not m.leak_used in
+        if leak then m.leak_used <- true;
+        (* a leaked slot never frees: the deposit side forgets to
+           return the credit, which is exactly what N1 must catch *)
+        p.cp_slots.(si) <- (if leak then max_int / 2 else rel);
+        let reserve_at = max now slot_free in
+        Engine.schedule_at m.engine ~time:reserve_at (fun _ ->
+            p.cp_free <- p.cp_free - 1;
+            p.cp_held <- p.cp_held + 1);
+        Engine.schedule_at m.engine ~time:start (fun _ ->
+            p.cp_held <- p.cp_held - 1;
+            p.cp_inflight <- p.cp_inflight + 1);
+        Engine.schedule_at m.engine ~time:rel (fun _ ->
+            p.cp_inflight <- p.cp_inflight - 1;
+            if not leak then p.cp_free <- p.cp_free + 1));
+    Engine.schedule_at m.engine ~time:(start + locc) (fun _ ->
+        s.inflight <- s.inflight - 1;
+        v.v_inflight <- v.v_inflight - 1);
+    head := start + cfg.per_hop_cycles;
+    here := b
+  done;
+  max (!head + occ) !tail
+
+let send t pkt =
+  let words = (Packet.size_bytes pkt + 3) / 4 in
+  Mesh.deliver t.m pkt
+    (arrival t ~now:(Engine.now t.m.engine) ~src:pkt.Packet.src_node
+       ~dst:pkt.Packet.dst_node ~words)
+
+(* Earliest cycle the first-hop link toward [dst] has a deposit slot
+   free on some VC — the injection gate a source consults before
+   handing a packet to the NI. Only the first hop is checked (the
+   source cannot see deeper credit state); later hops' credit waits
+   still surface inside the walk as [net.credit.stalls]. *)
+let injection_ready t ~src ~dst =
+  let m = t.m in
+  let now = Engine.now m.engine in
+  if src = dst || t.credits = None then now
+  else begin
+    Mesh.check_node m src "injection_ready";
+    Mesh.check_node m dst "injection_ready";
+    let s = link_of t src (next_hop t src dst) in
+    if Array.length s.pools = 0 then now
+    else
+      max now
+        (Array.fold_left (fun best p -> Array.fold_left min best p.cp_slots) max_int s.pools)
+  end
+
+(* [f l i] for every VC [i] of every link [l], in (from, to, vc) order;
+   [pools] picks the VCs that have a credit pool. *)
+let per_vc ?(pools = false) t f =
+  List.concat_map
+    (fun l ->
+      List.init (if pools then Array.length l.pools else Array.length l.vcs) (f l))
+    (sorted_links t)
+
+let vc_stats t =
+  per_vc t (fun l i ->
+      let v = l.vcs.(i) in
+      { vc_from = l.ml.l_src; vc_to = l.ml.l_dst; vc_index = i; vc_grants = v.v_grants;
+        vc_max_depth = v.v_max_depth; vc_max_skip = v.v_max_skip })
+
+let credit_stats t =
+  per_vc ~pools:true t (fun l i ->
+      let p = l.pools.(i) in
+      { cr_from = l.ml.l_src; cr_to = l.ml.l_dst; cr_vc = i; cr_capacity = p.cp_capacity;
+        cr_held = p.cp_held; cr_inflight = p.cp_inflight; cr_free = p.cp_free })
+
+(* N1: credit conservation. Every scheduled token transition moves a
+   unit between exactly two of {free, held, inflight}, and a resize
+   moves [capacity] and [free] together, so the sum can only drift if
+   a return was dropped (the Credit_leak mutation). [cp_free] is
+   allowed to be negative transiently after a shrink (revoked buffers
+   still draining); the sum is the invariant. *)
+let check_credits t =
+  List.find_map
+    (fun c ->
+      if c.cr_held + c.cr_inflight + c.cr_free <> c.cr_capacity || c.cr_inflight < 0
+      then
+        Some
+          (Printf.sprintf
+             "link %d-%d vc %d: held %d + inflight %d + free %d <> capacity %d"
+             c.cr_from c.cr_to c.cr_vc c.cr_held c.cr_inflight c.cr_free
+             c.cr_capacity)
+      else None)
+    (credit_stats t)
+
+(* N2: arbitration fairness. Correct round-robin bounds a continuously
+   ready VC's skip streak to vc_count - 1 (see [Mesh.arbitrate_by]); a
+   streak reaching vc_count means some VC is being starved (the
+   Arb_stuck mutation pins grants to VC 0). *)
+let check_arbitration t =
+  let vcn = t.m.config.vc_count in
+  if vcn = 1 then None
+  else
+    List.find_map
+      (fun (l, i) ->
+        let streak = l.vcs.(i).v_skip_streak in
+        if streak >= vcn then
+          Some
+            (Printf.sprintf
+               "link %d-%d vc %d: ready but skipped %d consecutive arbitration \
+                rounds (vc_count %d)"
+               l.ml.l_src l.ml.l_dst i streak vcn)
+        else None)
+      (per_vc t (fun l i -> (l, i)))

@@ -62,7 +62,18 @@
     can take different paths or channels, so [send] additionally
     clamps every arrival to after the pair's previous arrival.
     test_props checks the guarantee under contention for both policies
-    and with VCs + finite credits enabled. *)
+    and with VCs + finite credits enabled.
+
+    {b Who decides what.} [Router] only dispatches. [Mesh] owns the
+    topology, the dimension-order path, the link table (faults and
+    link stats), the sinks and the in-order clamp. {!create} checks
+    the config with {!validate} and picks the wire once: the closed
+    form ([link_contention = false]), [Analytic] (routing policy, VCs,
+    reservations, credits, the injection gate, N1/N2) or [Flit]
+    (worms, input FIFOs, the flit clock, F1). Each holds only its own
+    state; an operation the chosen wire does not model answers
+    neutrally ([injection_ready] is [now], the other wire's checks are
+    [None] and its stats empty, {!route} is {!path}). *)
 
 type routing = [ `Dimension_order | `Minimal_adaptive ]
 
@@ -123,14 +134,18 @@ val valid_nodes : int -> bool
     {!mesh_width} mesh (2, 4, 6, 9, 12, 16, 20, 25, ...); a partial
     top row would put phantom ids [>= nodes] on routes. *)
 
-val create :
-  engine:Udma_sim.Engine.t -> nodes:int -> ?config:config -> unit -> t
-(** A mesh of the squarest shape covering [nodes]. Raises
-    [Invalid_argument] unless {!valid_nodes}[ nodes], [vc_count] is in
-    1..4, [rx_credits] (when finite) is [>= 1], [flit_words >= 1],
+val validate : nodes:int -> config -> (unit, string) result
+(** [Error msg] unless {!valid_nodes}[ nodes], [vc_count] is in 1..4,
+    [rx_credits] (when finite) is [>= 1], [flit_words >= 1],
     [base_cycles], [per_hop_cycles] and [per_word_cycles] are [>= 0],
     and the crossing/routing combination is supported ([`Flit] is
-    dimension-order only). *)
+    dimension-order only). The one place a router config is judged. *)
+
+val create :
+  engine:Udma_sim.Engine.t -> nodes:int -> ?config:config -> unit -> t
+(** A mesh of the squarest shape covering [nodes], with the wire model
+    the config selects. Raises [Invalid_argument msg] when {!validate}
+    gives [Error msg]. *)
 
 val nodes : t -> int
 
@@ -150,7 +165,8 @@ val path : t -> src:int -> dst:int -> (int * int) list
 val route : t -> src:int -> dst:int -> (int * int) list
 (** The links the configured policy would pick {e right now}, against
     the current link busy/fault state, without claiming anything.
-    Equals {!path} under [`Dimension_order]. *)
+    Equals {!path} under [`Dimension_order] and outside the analytic
+    crossing. *)
 
 val register : t -> node_id:int -> (Packet.t -> unit) -> unit
 (** Install node [node_id]'s delivery sink. *)
@@ -206,10 +222,13 @@ val set_rx_credits : t -> int option -> unit
     an in-flight packet — the freed-slot count can therefore go
     transiently negative while revoked buffers drain, but credit
     conservation is preserved. [None] removes the credit limit.
-    Raises [Invalid_argument] for [Some n] with [n < 1]. *)
+    Only the analytic crossing has resizable pools; elsewhere this
+    does nothing. Raises [Invalid_argument] for [Some n] with
+    [n < 1]. *)
 
 val rx_credits : t -> int option
-(** The current deposit-FIFO capacity ([None] = unlimited). *)
+(** The current deposit-FIFO capacity ([None] = unlimited); outside
+    the analytic crossing, the configured one. *)
 
 val injection_ready : t -> src:int -> dst:int -> int
 (** Earliest cycle ([>= now]) the first-hop link toward [dst] has a

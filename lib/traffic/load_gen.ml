@@ -73,46 +73,30 @@ type result = {
 
 let percentile_sorted = Metrics.nearest_rank
 
+let router_config (cfg : config) =
+  { Router.default_config with
+    Router.link_contention = cfg.link_contention;
+    Router.routing = cfg.routing;
+    Router.per_word_cycles = cfg.link_per_word;
+    Router.vc_count = cfg.vc_count;
+    Router.rx_credits = cfg.rx_credits;
+    Router.crossing = cfg.crossing;
+    Router.flit_words = cfg.flit_words }
+
+(* The generator's own limits; the mesh shape, VCs, credits, flits and
+   the crossing/routing combination are the router's to judge. *)
 let validate (cfg : config) =
-  if cfg.nodes < 2 || cfg.nodes > 64 then
-    invalid_arg "Load_gen: nodes must be in 2..64";
-  if not (Router.valid_nodes cfg.nodes) then
-    invalid_arg
-      "Load_gen: nodes must fill complete mesh rows (2, 4, 6, 9, 12, 16, 20, \
-       25, 30, 36, 42, 49, 56 or 64)";
-  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
-  then
-    invalid_arg "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092";
-  if cfg.link_per_word < 1 then
-    invalid_arg "Load_gen: link_per_word must be >= 1";
-  if cfg.vc_count < 1 || cfg.vc_count > 4 then
-    invalid_arg "Load_gen: vc_count must be in 1..4";
-  (match cfg.rx_credits with
-  | Some n when n < 1 -> invalid_arg "Load_gen: rx_credits must be >= 1"
-  | Some _ | None -> ());
-  if cfg.flit_words < 1 then invalid_arg "Load_gen: flit_words must be >= 1";
-  (match (cfg.crossing, cfg.routing) with
-  | `Flit, `Minimal_adaptive ->
-      invalid_arg "Load_gen: the flit crossing is dimension-order only"
-  | (`Flit | `Analytic), _ -> ());
-  if cfg.window_cycles <= 0 then
-    invalid_arg "Load_gen: window_cycles must be positive";
-  if cfg.warmup_cycles < 0 then
-    invalid_arg "Load_gen: warmup_cycles must be non-negative"
+  if cfg.nodes < 2 || cfg.nodes > 64 then Error "Load_gen: nodes must be in 2..64"
+  else if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
+  then Error "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092"
+  else if cfg.link_per_word < 1 then Error "Load_gen: link_per_word must be >= 1"
+  else if cfg.window_cycles <= 0 then Error "Load_gen: window_cycles must be positive"
+  else if cfg.warmup_cycles < 0 then Error "Load_gen: warmup_cycles must be non-negative"
+  else Router.validate ~nodes:cfg.nodes (router_config cfg)
 
 let make_system (cfg : config) =
   System.create
-    ~config:
-      { System.default_config with
-        System.router =
-          { Router.default_config with
-            Router.link_contention = cfg.link_contention;
-            Router.routing = cfg.routing;
-            Router.per_word_cycles = cfg.link_per_word;
-            Router.vc_count = cfg.vc_count;
-            Router.rx_credits = cfg.rx_credits;
-            Router.crossing = cfg.crossing;
-            Router.flit_words = cfg.flit_words } }
+    ~config:{ System.default_config with System.router = router_config cfg }
     ~nodes:cfg.nodes ()
 
 (* One real user-level send (STORE count / LOAD source, blocking until
@@ -163,7 +147,7 @@ type source = {
 }
 
 let run ?probe (cfg : config) =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   let sys = make_system cfg in
   (match probe with Some f -> f (System.engine sys) | None -> ());
   let engine = System.engine sys in

@@ -93,6 +93,11 @@ val percentile_sorted : int array -> float -> int
 (** {!Udma_obs.Metrics.nearest_rank} under the name the host benchmark
     ([perfbench/]) reads its latency percentiles through. *)
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error msg] for a config outside the documented ranges: the
+    generator's own limits first, then {!Udma_shrimp.Router.validate}
+    on the router config the run would build. *)
+
 val calibrate : ?msg_bytes:int -> unit -> int
 (** The per-message initiation cost on a fresh 2-node system (what a
     run would measure); lets a sweep plan arrival rates relative to

@@ -41,41 +41,33 @@ let per_hop_cycles = Router.default_config.Router.per_hop_cycles
 
 let validate (cfg : Load_gen.config) =
   if cfg.nodes < 2 || cfg.nodes > max_nodes then
-    invalid_arg
-      (Printf.sprintf "Shard_gen: nodes must be in 2..%d" max_nodes);
-  if not (Router.valid_nodes cfg.nodes) then
-    invalid_arg
-      "Shard_gen: nodes must fill complete mesh rows (16, 64, 256, 1024, ...)";
-  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
-  then
-    invalid_arg
-      "Shard_gen: msg_bytes must be a positive 4-byte multiple <= 4092";
-  if cfg.link_per_word < 1 then
-    invalid_arg "Shard_gen: link_per_word must be >= 1";
-  (match cfg.routing with
-  | `Dimension_order -> ()
-  | `Minimal_adaptive ->
-      invalid_arg
-        "Shard_gen: the sharded engine supports dimension-order routing only \
-         (adaptive choice reads remote link state mid-walk)");
-  if cfg.vc_count <> 1 then
-    invalid_arg "Shard_gen: the sharded engine supports a single VC per link";
-  if cfg.rx_credits <> None then
-    invalid_arg
-      "Shard_gen: the sharded engine does not model finite rx credits \
-       (the injection gate reads remote deposit state)";
-  if cfg.crossing <> `Analytic then
-    invalid_arg
+    Error (Printf.sprintf "Shard_gen: nodes must be in 2..%d" max_nodes)
+  else if not (Router.valid_nodes cfg.nodes) then
+    Error "Shard_gen: nodes must fill complete mesh rows (16, 64, 256, 1024, ...)"
+  else if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
+  then Error "Shard_gen: msg_bytes must be a positive 4-byte multiple <= 4092"
+  else if cfg.link_per_word < 1 then Error "Shard_gen: link_per_word must be >= 1"
+  else if cfg.routing = `Minimal_adaptive then
+    Error
+      "Shard_gen: the sharded engine supports dimension-order routing only \
+       (adaptive choice reads remote link state mid-walk)"
+  else if cfg.vc_count <> 1 then
+    Error "Shard_gen: the sharded engine supports a single VC per link"
+  else if cfg.rx_credits <> None then
+    Error
+      "Shard_gen: the sharded engine does not model finite rx credits (the \
+       injection gate reads remote deposit state)"
+  else if cfg.crossing <> `Analytic then
+    Error
       "Shard_gen: the sharded engine has no cycle-level wire model; the flit \
-       crossing runs on the legacy engine";
-  if not (Arrival.open_loop cfg.arrival) then
-    invalid_arg
+       crossing runs on the legacy engine"
+  else if not (Arrival.open_loop cfg.arrival) then
+    Error
       "Shard_gen: closed-loop arrivals need sub-lookahead delivery feedback; \
-       use the legacy engine";
-  if cfg.window_cycles <= 0 then
-    invalid_arg "Shard_gen: window_cycles must be positive";
-  if cfg.warmup_cycles < 0 then
-    invalid_arg "Shard_gen: warmup_cycles must be non-negative"
+       use the legacy engine"
+  else if cfg.window_cycles <= 0 then Error "Shard_gen: window_cycles must be positive"
+  else if cfg.warmup_cycles < 0 then Error "Shard_gen: warmup_cycles must be non-negative"
+  else Ok ()
 
 (* One directed mesh link, owned by the shard of its source node. *)
 type link = {
@@ -112,7 +104,7 @@ type source = {
 let pid_stride = 1 lsl 20
 
 let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   if domains < 1 then invalid_arg "Shard_gen: domains must be >= 1";
   let send_cycles =
     match send_cycles with

@@ -35,8 +35,8 @@ type kernel_stats = {
 val max_nodes : int
 (** 1024 (a 32×32 mesh). *)
 
-val validate : Load_gen.config -> unit
-(** Raises [Invalid_argument] outside the supported subset above. *)
+val validate : Load_gen.config -> (unit, string) result
+(** [Error msg] outside the supported subset above. *)
 
 val run :
   ?domains:int -> ?send_cycles:int -> Load_gen.config -> Load_gen.result

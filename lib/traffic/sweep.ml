@@ -65,6 +65,16 @@ let use_sharded ?(crossing = `Analytic) ~nodes ~domains () =
      has no cycle-level wire model, so flit sweeps ignore [domains] *)
   crossing = `Analytic && (domains > 1 || nodes > 64)
 
+exception Invalid_config of string
+
+let validate ~loads ~domains (cfg : Load_gen.config) =
+  if loads = [] then Error "Sweep: empty load list"
+  else if List.exists (fun l -> not (l > 0.0)) loads then Error "Sweep: loads must be > 0"
+  else if domains < 1 then Error "Sweep: domains must be >= 1"
+  else if use_sharded ~crossing:cfg.crossing ~nodes:cfg.nodes ~domains () then
+    Shard_gen.validate cfg
+  else Load_gen.validate cfg
+
 let run ?(loads = default_loads) ?probe ?(nodes = 16)
     ?(pattern = Pattern.Uniform) ?(msg_bytes = 256) ?(warmup_cycles = 2_000)
     ?(window_cycles = 50_000) ?(link_contention = true)
@@ -75,11 +85,27 @@ let run ?(loads = default_loads) ?probe ?(nodes = 16)
     ?(crossing = Load_gen.default_config.Load_gen.crossing)
     ?(flit_words = Load_gen.default_config.Load_gen.flit_words)
     ?(seed = 42) ?(domains = 1) () =
-  if loads = [] then invalid_arg "Sweep.run: empty load list";
-  List.iter
-    (fun l -> if not (l > 0.0) then invalid_arg "Sweep.run: loads must be > 0")
-    loads;
-  if domains < 1 then invalid_arg "Sweep.run: domains must be >= 1";
+  let base =
+    {
+      Load_gen.nodes;
+      pattern;
+      arrival = Arrival.Poisson { per_kcycle = 1.0 };
+      msg_bytes;
+      warmup_cycles;
+      window_cycles;
+      link_contention;
+      routing;
+      link_per_word;
+      vc_count;
+      rx_credits;
+      crossing;
+      flit_words;
+      seed;
+    }
+  in
+  (match validate ~loads ~domains base with
+  | Error msg -> raise (Invalid_config msg)
+  | Ok () -> ());
   let sharded = use_sharded ~crossing ~nodes ~domains () in
   (* per-source capacity: one initiation every [send_cycles]; a load
      fraction maps to that share of the capacity rate *)
@@ -88,24 +114,7 @@ let run ?(loads = default_loads) ?probe ?(nodes = 16)
     List.map
       (fun load ->
         let per_kcycle = load *. 1000.0 /. float_of_int send_cycles in
-        let cfg =
-          {
-            Load_gen.nodes;
-            pattern;
-            arrival = Arrival.Poisson { per_kcycle };
-            msg_bytes;
-            warmup_cycles;
-            window_cycles;
-            link_contention;
-            routing;
-            link_per_word;
-            vc_count;
-            rx_credits;
-            crossing;
-            flit_words;
-            seed;
-          }
-        in
+        let cfg = { base with Load_gen.arrival = Arrival.Poisson { per_kcycle } } in
         let result =
           if sharded then Shard_gen.run ~domains ~send_cycles cfg
           else Load_gen.run ?probe cfg

@@ -47,6 +47,16 @@ val use_sharded :
     the sharded kernel has no cycle-level wire model, so flit sweeps
     ignore [domains]. *)
 
+exception Invalid_config of string
+(** A sweep's arguments that {!validate} rejects; {!run} raises it
+    before it calibrates or simulates anything. *)
+
+val validate : loads:float list -> domains:int -> Load_gen.config -> (unit, string) result
+(** The checks {!run} applies to its arguments (with [config] standing
+    for every point: only its arrival rate varies): a non-empty list of
+    positive loads, [domains >= 1], then {!Shard_gen.validate} or
+    {!Load_gen.validate}, whichever engine {!use_sharded} picks. *)
+
 val run :
   ?loads:float list ->
   ?probe:(Udma_sim.Engine.t -> unit) ->
@@ -71,6 +81,7 @@ val run :
     [domains] value (default 1), which only sets the worker-domain
     count. [probe] observes each point's fresh engine (cycle
     attribution); it is consulted on the legacy path only — the
-    sharded kernel has no global engine to probe. Configs outside the
-    sharded subset (adaptive routing, several VCs, finite credits,
-    closed arrivals) raise [Invalid_argument] when dispatched to it. *)
+    sharded kernel has no global engine to probe. Raises
+    {!Invalid_config} when {!validate} rejects the arguments — e.g.
+    configs outside the sharded subset (adaptive routing, several VCs,
+    finite credits) dispatched to it. *)

@@ -207,6 +207,42 @@ let test_router_rejects_negative_timing () =
           Router.base_cycles = 0; per_hop_cycles = 0; per_word_cycles = 0 })
     [ `Analytic; `Flit ]
 
+(* One check judges a router config: every rejected config gives
+   [Error], and [create] raises [Invalid_argument] with that same
+   message; accepted configs build. *)
+let test_router_validate () =
+  let d = Router.default_config in
+  let create ~nodes config =
+    match Router.create ~engine:(Engine.create ()) ~nodes ~config () with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  List.iter
+    (fun (what, nodes, config) ->
+      match Router.validate ~nodes config with
+      | Ok () -> Alcotest.failf "%s: accepted" what
+      | Error msg ->
+          check Alcotest.(option string) (what ^ ": create raises the same message")
+            (Some msg) (create ~nodes config))
+    [ ("no nodes", 0, d);
+      ("partial row", 7, d);
+      ("0 VCs", 4, { d with Router.vc_count = 0 });
+      ("5 VCs", 4, { d with Router.vc_count = 5 });
+      ("0 credits", 4, { d with Router.rx_credits = Some 0 });
+      ("0-word flits", 4, { d with Router.flit_words = 0 });
+      ("negative base", 4, { d with Router.base_cycles = -1 });
+      ("negative per-word", 4, { d with Router.per_word_cycles = -1 });
+      ( "adaptive flit",
+        4,
+        { d with Router.crossing = `Flit; routing = `Minimal_adaptive } ) ];
+  List.iter
+    (fun (nodes, config) ->
+      checkb "valid config accepted" true (Router.validate ~nodes config = Ok ());
+      checkb "and built" true (create ~nodes config = None))
+    [ (4, d);
+      (16, { d with Router.link_contention = true; vc_count = 4; rx_credits = Some 1 });
+      (9, { d with Router.link_contention = true; crossing = `Flit; flit_words = 4 }) ]
+
 (* With unlimited credits the shared-wire reservation list never opens
    a gap, so any VC count must time a contended burst identically to
    the single-FIFO model — the degeneration DESIGN.md §12 relies on —
@@ -1242,6 +1278,8 @@ let () =
             test_router_rejects_partial_row;
           Alcotest.test_case "negative timing rejected" `Quick
             test_router_rejects_negative_timing;
+          Alcotest.test_case "validate is the one config check" `Quick
+            test_router_validate;
           Alcotest.test_case "VCs degenerate to FIFO timing" `Quick
             test_router_vcs_degenerate_timing;
           Alcotest.test_case "credit gate + NACK retry" `Quick
