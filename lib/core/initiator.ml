@@ -92,10 +92,10 @@ let poll_until_idle cpu config acc probe_addr =
     if n >= config.poll_limit then Error Poll_limit_exceeded
     else begin
       acc.a_polls <- acc.a_polls + 1;
-      let st = Status.decode (cpu.load ~vaddr:probe_addr) in
-      if st.Status.started then
+      let w = cpu.load ~vaddr:probe_addr in
+      if Status.(has Started w) then
         Error (Protocol_violation "completion probe initiated a transfer")
-      else if st.Status.invalid && not st.Status.transferring then Ok ()
+      else if Status.(has Invalid w && not (has Transferring w)) then Ok ()
       else loop (n + 1)
     end
   in
@@ -108,10 +108,10 @@ let wait_match_clear cpu config acc probe_addr =
     if n >= config.poll_limit then Error Poll_limit_exceeded
     else begin
       acc.a_polls <- acc.a_polls + 1;
-      let st = Status.decode (cpu.load ~vaddr:probe_addr) in
-      if st.Status.started then
+      let w = cpu.load ~vaddr:probe_addr in
+      if Status.(has Started w) then
         Error (Protocol_violation "completion probe initiated a transfer")
-      else if st.Status.matches then loop (n + 1)
+      else if Status.(has Matches w) then loop (n + 1)
       else Ok ()
     end
   in

@@ -27,37 +27,63 @@ let make ?(started = false) ?(transferring = false) ?(invalid = false)
     remaining_bytes;
   }
 
+let probe ~transferring ~invalid ~matches ~remaining_bytes =
+  if remaining_bytes < 0 then
+    invalid_arg "Status.probe: negative remaining_bytes";
+  {
+    started = false;
+    transferring;
+    invalid;
+    matches;
+    wrong_space = false;
+    queue_full = false;
+    device_error = 0;
+    remaining_bytes;
+  }
+
 let idle = make ~invalid:true ()
 
 let max_remaining = (1 lsl 21) - 1
 
-let bit b pos = if b then Int32.shift_left 1l pos else 0l
+let bit b pos = if b then 1 lsl pos else 0
 
 let encode t =
   let remaining = min t.remaining_bytes max_remaining in
-  let open Int32 in
-  logor (bit (not t.started) 0)
-  @@ logor (bit t.transferring 1)
-  @@ logor (bit t.invalid 2)
-  @@ logor (bit t.matches 3)
-  @@ logor (bit t.wrong_space 4)
-  @@ logor (bit t.queue_full 5)
-  @@ logor (shift_left (of_int (t.device_error land 0xf)) 6)
-       (shift_left (of_int remaining) 10)
+  Int32.of_int
+    (bit (not t.started) 0
+    lor bit t.transferring 1
+    lor bit t.invalid 2
+    lor bit t.matches 3
+    lor bit t.wrong_space 4
+    lor bit t.queue_full 5
+    lor ((t.device_error land 0xf) lsl 6)
+    lor (remaining lsl 10))
+
+let field w shift mask = (w asr shift) land mask
+let is_set w pos = field w pos 1 = 1
 
 let decode w =
-  let geti shift mask = Int32.to_int (Int32.shift_right_logical w shift) land mask in
-  let getb pos = geti pos 1 = 1 in
+  let w = Int32.to_int w in
   {
-    started = not (getb 0);
-    transferring = getb 1;
-    invalid = getb 2;
-    matches = getb 3;
-    wrong_space = getb 4;
-    queue_full = getb 5;
-    device_error = geti 6 0xf;
-    remaining_bytes = geti 10 0x1fffff;
+    started = not (is_set w 0);
+    transferring = is_set w 1;
+    invalid = is_set w 2;
+    matches = is_set w 3;
+    wrong_space = is_set w 4;
+    queue_full = is_set w 5;
+    device_error = field w 6 0xf;
+    remaining_bytes = field w 10 0x1fffff;
   }
+
+type flag = Started | Transferring | Invalid | Matches
+
+let has f w =
+  let w = Int32.to_int w in
+  match f with
+  | Started -> not (is_set w 0)
+  | Transferring -> is_set w 1
+  | Invalid -> is_set w 2
+  | Matches -> is_set w 3
 
 let ok t = t.started && t.device_error = 0 && not t.wrong_space
 

@@ -39,6 +39,12 @@ val make :
   unit ->
   t
 
+val probe :
+  transferring:bool -> invalid:bool -> matches:bool -> remaining_bytes:int -> t
+(** The word a status probe returns: [make] with the fields a probe
+    can set. Every argument is required, so building the most frequent
+    word boxes no optional argument. *)
+
 val encode : t -> int32
 (** Bit layout: bit 0 = INITIATION FLAG (1 = {e not} started), 1 =
     TRANSFERRING, 2 = INVALID, 3 = MATCH, 4 = WRONG-SPACE, 5 =
@@ -46,6 +52,13 @@ val encode : t -> int32
     (saturating). *)
 
 val decode : int32 -> t
+
+type flag = Started | Transferring | Invalid | Matches
+
+val has : flag -> int32 -> bool
+(** [has f w] reads one flag straight from an encoded word, e.g.
+    [has Matches w = (decode w).matches], without building the record:
+    completion polls test a flag or two of every word they read. *)
 
 val ok : t -> bool
 (** [ok s] is [true] when the access successfully initiated (accepted)

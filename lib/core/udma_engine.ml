@@ -21,15 +21,10 @@ type binding = {
   validate : dev_addr:int -> nbytes:int -> int;
 }
 
-(* One flat element of an accepted transfer, in proxy terms plus
-   resolved endpoints. *)
-type relem = {
-  e_src_proxy : int;
-  e_dst_proxy : int;
-  e_len : int; (* already clamped to the authorized page *)
-  e_src : Dma_engine.endpoint;
-  e_dst : Dma_engine.endpoint;
-}
+(* One flat element of an accepted transfer: its proxy addresses plus
+   the DMA element it resolved to (length already clamped to the
+   authorized page). *)
+type relem = { e_src_proxy : int; e_dst_proxy : int; e : Descriptor.element }
 
 (* One accepted transfer: its base proxy pair plus the flat elements
    the shape expanded into (a single element for flat initiations). *)
@@ -63,7 +58,17 @@ type t = {
   mode : mode;
   skip_clamp : bool; (* D1 mutation: drop the per-element page clamp *)
   trace : Trace.t;
-  metrics : Metrics.t;
+  m_initiations : Metrics.counter;
+  m_completions : Metrics.counter;
+  m_transfer_cycles : Metrics.sampler;
+  m_clamped : Metrics.counter;
+  m_shape_latches : Metrics.counter;
+  m_invals : Metrics.counter;
+  m_probes : Metrics.counter;
+  m_bad_loads : Metrics.counter;
+  m_device_errors : Metrics.counter;
+  m_refused_full : Metrics.counter;
+  m_aborts : Metrics.counter;
   mutable sm : Sm.state;
   mutable bindings : binding list;
   mutable active : request option;
@@ -93,55 +98,55 @@ let sm_name s = Format.asprintf "%a" Sm.pp_state s
 (* Every state-machine assignment funnels through here so the typed
    transition event can never drift from the actual state. *)
 let set_sm t ~cause sm =
-  if sm <> t.sm && Trace.active t.trace then
+  if Trace.active t.trace && sm <> t.sm then
     Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
       (Event.Sm_transition { from_ = sm_name t.sm; to_ = sm_name sm; cause });
   t.sm <- sm
 
 (* ---------- reference counting (I4 support, §7) ---------- *)
 
-let frames_of_request t r =
+(* Apply [f] to every frame a memory-side endpoint of [r] touches —
+   normally one per element (elements are clamped to the authorized
+   page), but the full range so an unclamped (mutated) transfer is
+   accounted honestly and I4 can see it. *)
+let iter_frames t r f =
   let page_size = Layout.page_size t.layout in
-  (* every frame a memory-side endpoint touches — normally one per
-     element (elements are clamped to the authorized page), but the
-     full range so an unclamped (mutated) transfer is accounted
-     honestly and I4 can see it *)
   let mem_frames ep len =
     match ep with
     | Dma_engine.Mem a ->
-        let lo = a / page_size and hi = (a + len - 1) / page_size in
-        List.init (hi - lo + 1) (fun i -> lo + i)
-    | Dma_engine.Dev _ -> []
+        for frame = a / page_size to (a + len - 1) / page_size do
+          f frame
+        done
+    | Dma_engine.Dev _ -> ()
   in
-  List.concat_map
-    (fun e -> mem_frames e.e_src e.e_len @ mem_frames e.e_dst e.e_len)
+  List.iter
+    (fun { e = { Descriptor.src; dst; len }; _ } ->
+      mem_frames src len;
+      mem_frames dst len)
     r.elems
 
 let ref_incr t r =
-  List.iter
-    (fun f ->
+  iter_frames t r (fun f ->
       let v = Option.value (Hashtbl.find_opt t.refcounts f) ~default:0 in
       Hashtbl.replace t.refcounts f (v + 1))
-    (frames_of_request t r)
 
 let ref_decr t r =
-  List.iter
-    (fun f ->
+  iter_frames t r (fun f ->
       match Hashtbl.find_opt t.refcounts f with
       | Some 1 -> Hashtbl.remove t.refcounts f
       | Some v -> Hashtbl.replace t.refcounts f (v - 1)
       | None -> assert false)
-    (frames_of_request t r)
 
 let refcount t ~frame =
   Option.value (Hashtbl.find_opt t.refcounts frame) ~default:0
 
 (* ---------- device binding / endpoint resolution ---------- *)
 
-let find_binding t page =
-  List.find_opt
-    (fun b -> page >= b.base_page && page < b.base_page + b.pages)
-    t.bindings
+let rec find_binding page = function
+  | [] -> None
+  | b :: rest ->
+      if page >= b.base_page && page < b.base_page + b.pages then Some b
+      else find_binding page rest
 
 let attach_device t ~base_page ~pages ~port ?(validate = fun ~dev_addr:_ ~nbytes:_ -> 0)
     () =
@@ -161,48 +166,52 @@ let err_device = 0x2 (* device's own validate failed *)
 let err_refused = 0x4 (* DMA engine rejected the endpoints *)
 let err_bad_shape = 0x8 (* shape expansion produced no usable element *)
 
-type resolved = {
-  endpoint : Dma_engine.endpoint;
-  binding : binding option; (* Some for device endpoints *)
-  dev_addr : int; (* device-internal address; 0 for memory *)
-}
+exception Refused of int (* status error bits *)
 
-let resolve t proxy space =
-  match (space : Sm.space) with
-  | Mem_space -> Ok { endpoint = Mem (Layout.unproxy t.layout proxy); binding = None; dev_addr = 0 }
+(* Resolve a proxy address to its DMA endpoint. A device endpoint must
+   be bound, and its binding's validation must pass for the [len]
+   bytes of the element; either failure raises [Refused]. *)
+let resolve t proxy (space : Sm.space) ~len =
+  match space with
+  | Mem_space -> Dma_engine.Mem (Layout.unproxy t.layout proxy)
   | Dev_space -> (
       let page, offset = Layout.dev_proxy_index t.layout proxy in
-      match find_binding t page with
-      | None -> Error err_unbound_device
+      match find_binding page t.bindings with
+      | None -> raise (Refused err_unbound_device)
       | Some b ->
           let dev_addr =
             ((page - b.base_page) * Layout.page_size t.layout) + offset
           in
-          Ok { endpoint = Dev (b.port, dev_addr); binding = Some b; dev_addr })
+          let validation = b.validate ~dev_addr ~nbytes:len in
+          if validation <> 0 then
+            (* low two device bits ride along in the status word *)
+            raise (Refused (err_device lor ((validation land 0x3) lsl 2)));
+          Dma_engine.Dev (b.port, dev_addr))
+
+let resolve_elem t ~src_space ~dest_space s d len =
+  let src = resolve t s src_space ~len in
+  let dst = resolve t d dest_space ~len in
+  { e_src_proxy = s; e_dst_proxy = d; e = { src; dst; len } }
 
 (* ---------- starting / queueing transfers ---------- *)
 
 let record_started t r =
   t.c_initiations <- t.c_initiations + 1;
-  Metrics.incr t.metrics "udma.initiations";
+  Metrics.bump t.m_initiations;
   (match t.start_hook with
   | Some hook ->
       hook ~src_proxy:r.src_proxy ~dest_proxy:r.dest_proxy ~nbytes:r.nbytes
   | None -> ());
-  Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-    (Event.Udma_start
-       { src = r.src_proxy; dst = r.dest_proxy; nbytes = r.nbytes })
+  if Trace.active t.trace then
+    Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+      (Event.Udma_start
+         { src = r.src_proxy; dst = r.dest_proxy; nbytes = r.nbytes })
 
 let descriptor_of_request r =
   match r.elems with
-  | [ e ] ->
-      Descriptor.Contiguous { src = e.e_src; dst = e.e_dst; nbytes = e.e_len }
-  | es ->
-      Descriptor.Scatter_gather
-        (List.map
-           (fun e ->
-             Descriptor.{ src = e.e_src; dst = e.e_dst; len = e.e_len })
-           es)
+  | [ { e = { src; dst; len }; _ } ] ->
+      Descriptor.Contiguous { src; dst; nbytes = len }
+  | es -> Descriptor.Scatter_gather (List.map (fun re -> re.e) es)
 
 let rec start_on_dma t r =
   match
@@ -211,16 +220,16 @@ let rec start_on_dma t r =
   with
   | Ok () -> Ok ()
   | Error e ->
-      Trace.note t.trace ~time:(Engine.now t.engine) Event.Udma
-        (Format.asprintf "dma refused (%a)" Dma_engine.pp_error e);
+      if Trace.active t.trace then
+        Trace.note t.trace ~time:(Engine.now t.engine) Event.Udma
+          (Format.asprintf "dma refused (%a)" Dma_engine.pp_error e);
       Error err_refused
 
 and on_dma_complete t r =
   ref_decr t r;
   t.c_completions <- t.c_completions + 1;
-  Metrics.incr t.metrics "udma.completions";
-  Metrics.observe t.metrics "udma.transfer_cycles"
-    (Engine.now t.engine - r.accepted_at);
+  Metrics.bump t.m_completions;
+  Metrics.sample t.m_transfer_cycles (Engine.now t.engine - r.accepted_at);
   (match t.mode with
   | Basic ->
       let sm, action = Sm.step t.sm Done in
@@ -238,8 +247,9 @@ and dispatch_next t =
   if not (Dma_engine.busy t.dma_engine) then begin
     let pop name q =
       let r = Queue.pop q in
-      Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-        (Event.Queue_pop { queue = name; depth = Queue.length q });
+      if Trace.active t.trace then
+        Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+          (Event.Queue_pop { queue = name; depth = Queue.length q });
       r
     in
     let next =
@@ -261,24 +271,27 @@ and dispatch_next t =
             assert false)
   end
 
-(* Expand a latched shape into raw proxy-space elements
-   (src paddr, dst paddr, len, dst clamp base). The clamp base is the
-   proxy address whose page authorizes the destination bytes: the
-   latched destination for flat/strided shapes, each sg word's own
+(* Fold [f] over a latched shape's raw proxy-space elements, in
+   order: (src paddr, dst paddr, len, dst clamp base). The clamp base
+   is the proxy address whose page authorizes the destination bytes:
+   the latched destination for flat/strided shapes, each sg word's own
    proxy for gather elements (every tagged store is its own
    reference). *)
-let raw_elems_of_shape ~src_proxy ~dest =
+let fold_shape ~src_proxy ~dest f acc =
   let dst = dest.Sm.dest_proxy and total = dest.Sm.nbytes in
   match dest.Sm.shape with
-  | Sm.Flat -> Ok [ (src_proxy, dst, total, dst) ]
+  | Sm.Flat -> Ok (f acc src_proxy dst total dst)
   | Sm.Strided { stride; chunk } ->
       let reps = (total + chunk - 1) / chunk in
-      Ok
-        (List.init reps (fun i ->
-             ( src_proxy + (i * stride),
-               dst + (i * chunk),
-               min chunk (total - (i * chunk)),
-               dst )))
+      let rec go i acc =
+        if i = reps then acc
+        else
+          go (i + 1)
+            (f acc (src_proxy + (i * stride)) (dst + (i * chunk))
+               (min chunk (total - (i * chunk)))
+               dst)
+      in
+      Ok (go 0 acc)
   | Sm.Gather { rev_elems } ->
       let others = List.rev rev_elems in
       let listed = List.fold_left (fun acc (_, l) -> acc + l) 0 others in
@@ -287,102 +300,69 @@ let raw_elems_of_shape ~src_proxy ~dest =
          leave it a positive remainder of the count *)
       if len0 <= 0 then Error err_bad_shape
       else
-        let dsts = (dst, len0) :: others in
-        let _, acc =
-          List.fold_left
-            (fun (off, acc) (p, l) ->
-              (off + l, (src_proxy + off, p, l, p) :: acc))
-            (0, []) dsts
+        let rec go off acc = function
+          | [] -> acc
+          | (p, l) :: rest -> go (off + l) (f acc (src_proxy + off) p l p) rest
         in
-        Ok (List.rev acc)
+        Ok (go len0 (f acc src_proxy dst len0 dst) others)
 
-(* Build a request from an initiation pair: expand the shape, clamp
-   each element at the page boundaries its references authorize (the
-   frontend's per-element clamp), resolve endpoints, run device
-   validation per element. *)
+(* What one pass over the shape gathers: the clamped byte total, the
+   resolved elements (newest first) and the first refusal, after which
+   nothing more is resolved. *)
+type pass = { total : int; rev_elems : relem list; refusal : int option }
+
+(* Build a request from an initiation pair in one pass over the shape:
+   clamp each element at the page boundaries its references authorize
+   (the frontend's per-element clamp), resolve its endpoints and run
+   device validation. *)
 let build_request t ~src_proxy ~src_space ~dest ~priority =
   let page_size = Layout.page_size t.layout in
-  match raw_elems_of_shape ~src_proxy ~dest with
+  (* The source reference authorizes exactly the page [src_proxy]
+     names; a destination element is confined to its clamp base's
+     page. Elements clamped to nothing are dropped (never element
+     zero: both bases have at least one byte of room). *)
+  let confine ~base addr len =
+    if addr / page_size <> base / page_size then 0
+    else Frontend.clamp_to_page ~page_size ~addr len
+  in
+  let step acc s d len dbase =
+    let len =
+      if t.skip_clamp then len
+      else min (confine ~base:src_proxy s len) (confine ~base:dbase d len)
+    in
+    if len <= 0 then acc
+    else
+      let total = acc.total + len in
+      match acc.refusal with
+      | Some _ -> { acc with total }
+      | None -> (
+          match
+            resolve_elem t ~src_space ~dest_space:dest.Sm.dest_space s d len
+          with
+          | re -> { acc with total; rev_elems = re :: acc.rev_elems }
+          | exception Refused bits -> { acc with total; refusal = Some bits })
+  in
+  let empty = { total = 0; rev_elems = []; refusal = None } in
+  match fold_shape ~src_proxy ~dest step empty with
   | Error e -> Error e
-  | Ok raw ->
-      (* The source reference authorizes exactly the page [src_proxy]
-         names; a destination element is confined to its clamp base's
-         page. Elements clamped to nothing are dropped (never element
-         zero: both bases have at least one byte of room). *)
-      let confine ~base addr len =
-        if addr / page_size <> base / page_size then 0
-        else Frontend.clamp_to_page ~page_size ~addr len
-      in
-      let clamped_raw =
-        if t.skip_clamp then raw
-        else
-          List.filter_map
-            (fun (s, d, len, dbase) ->
-              let len =
-                min
-                  (confine ~base:src_proxy s len)
-                  (confine ~base:dbase d len)
-              in
-              if len <= 0 then None else Some (s, d, len, dbase))
-            raw
-      in
-      let total =
-        List.fold_left (fun acc (_, _, l, _) -> acc + l) 0 clamped_raw
-      in
-      if total <= 0 then Error err_bad_shape
-      else begin
-        if total < dest.Sm.nbytes then begin
-          t.c_clamped <- t.c_clamped + 1;
-          Metrics.incr t.metrics "udma.clamped"
-        end;
-        let rec resolve_all acc = function
-          | [] -> Ok (List.rev acc)
-          | (s, d, len, _) :: rest -> (
-              match resolve t s src_space with
-              | Error e -> Error e
-              | Ok src -> (
-                  match resolve t d dest.Sm.dest_space with
-                  | Error e -> Error e
-                  | Ok dst ->
-                      let validation =
-                        match (src.binding, dst.binding) with
-                        | Some b, None ->
-                            b.validate ~dev_addr:src.dev_addr ~nbytes:len
-                        | None, Some b ->
-                            b.validate ~dev_addr:dst.dev_addr ~nbytes:len
-                        | None, None | Some _, Some _ ->
-                            (* spaces always differ at this point *)
-                            assert false
-                      in
-                      if validation <> 0 then
-                        (* low two device bits ride along in the status
-                           word *)
-                        Error (err_device lor ((validation land 0x3) lsl 2))
-                      else
-                        resolve_all
-                          ({
-                             e_src_proxy = s;
-                             e_dst_proxy = d;
-                             e_len = len;
-                             e_src = src.endpoint;
-                             e_dst = dst.endpoint;
-                           }
-                          :: acc)
-                          rest))
-        in
-        match resolve_all [] clamped_raw with
-        | Error e -> Error e
-        | Ok elems ->
-            Ok
-              {
-                src_proxy;
-                dest_proxy = dest.Sm.dest_proxy;
-                nbytes = total;
-                elems;
-                priority;
-                accepted_at = Engine.now t.engine;
-              }
-      end
+  | Ok { total; _ } when total <= 0 -> Error err_bad_shape
+  | Ok { total; rev_elems; refusal } -> (
+      if total < dest.Sm.nbytes then begin
+        t.c_clamped <- t.c_clamped + 1;
+        Metrics.bump t.m_clamped
+      end;
+      match refusal with
+      | Some bits -> Error bits
+      | None ->
+          Ok
+            {
+              src_proxy;
+              dest_proxy = dest.Sm.dest_proxy;
+              nbytes = total;
+              elems = List.rev rev_elems;
+              priority;
+              accepted_at = Engine.now t.engine;
+            })
 
 (* Accept a request: start immediately or queue it. Returns the status
    fields describing the acceptance. *)
@@ -396,8 +376,9 @@ let accept t r =
       | User -> ("user", t.user_queue)
     in
     Queue.push r q;
-    Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-      (Event.Queue_push { queue = name; depth = Queue.length q });
+    if Trace.active t.trace then
+      Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+        (Event.Queue_push { queue = name; depth = Queue.length q });
     Ok `Queued
   end
   else begin
@@ -408,7 +389,7 @@ let accept t r =
         ref_decr t r;
         t.active <- None;
         t.c_initiations <- t.c_initiations - 1;
-        Metrics.add t.metrics "udma.initiations" (-1);
+        Metrics.bump_by t.m_initiations (-1);
         Error e
   end
 
@@ -442,12 +423,13 @@ let outstanding_views t =
     (fun r ->
       let elements =
         List.map
-          (fun e -> { ev_src = e.e_src; ev_dst = e.e_dst; ev_len = e.e_len })
+          (fun { e = { src; dst; len }; _ } ->
+            { ev_src = src; ev_dst = dst; ev_len = len })
           r.elems
       in
       let v_src, v_dst =
         match r.elems with
-        | e :: _ -> (e.e_src, e.e_dst)
+        | { e; _ } :: _ -> (e.src, e.dst)
         | [] -> assert false (* requests always carry an element *)
       in
       { v_src; v_dst; v_nbytes = r.nbytes; v_priority = r.priority;
@@ -455,7 +437,11 @@ let outstanding_views t =
     (outstanding_requests t)
 
 let outstanding_frames t =
-  List.concat_map (frames_of_request t) (outstanding_requests t)
+  let frames = ref [] in
+  List.iter
+    (fun r -> iter_frames t r (fun f -> frames := f :: !frames))
+    (outstanding_requests t);
+  List.rev !frames
 
 let refcounts_snapshot t =
   List.sort compare
@@ -489,8 +475,8 @@ let probe_status t proxy =
     | Sm.Transferring _ -> Dma_engine.remaining_bytes t.dma_engine
     | Sm.Idle -> Dma_engine.remaining_bytes t.dma_engine
   in
-  Status.make ~transferring ~invalid ~matches:(match_flag t proxy)
-    ~remaining_bytes:remaining ()
+  Status.probe ~transferring ~invalid ~matches:(match_flag t proxy)
+    ~remaining_bytes:remaining
 
 (* ---------- bus-visible operations ---------- *)
 
@@ -507,8 +493,9 @@ let handle_store t ~paddr value =
         (Printf.sprintf "Udma_engine.handle_store: %#x not proxy space" paddr)
   | Some space ->
       let value = Int32.to_int value in
-      Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-        (Event.Proxy_store { proxy = paddr; value });
+      if Trace.active t.trace then
+        Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+          (Event.Proxy_store { proxy = paddr; value });
       let sm, action = Sm.step t.sm (Store { proxy = paddr; space; value }) in
       let cause =
         match action with Sm.Invalidated -> "inval" | _ -> "store"
@@ -518,10 +505,10 @@ let handle_store t ~paddr value =
       | Sm.Latch_dest -> ()
       | Sm.Latch_shape ->
           t.c_shape_latches <- t.c_shape_latches + 1;
-          Metrics.incr t.metrics "udma.shape_latches"
+          Metrics.bump t.m_shape_latches
       | Sm.Invalidated ->
           t.c_invals <- t.c_invals + 1;
-          Metrics.incr t.metrics "udma.invals"
+          Metrics.bump t.m_invals
       | Sm.No_action -> ()
       | Sm.Start _ | Sm.Bad_load | Sm.Status_probe | Sm.Completed ->
           (* stores never produce these *)
@@ -533,19 +520,20 @@ let handle_load t ~paddr =
       invalid_arg
         (Printf.sprintf "Udma_engine.handle_load: %#x not proxy space" paddr)
   | Some space -> (
-      Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-        (Event.Proxy_load { proxy = paddr });
+      if Trace.active t.trace then
+        Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+          (Event.Proxy_load { proxy = paddr });
       let sm, action = Sm.step t.sm (Load { proxy = paddr; space }) in
       match action with
       | Sm.Status_probe ->
           set_sm t ~cause:"probe" sm;
           t.c_probes <- t.c_probes + 1;
-          Metrics.incr t.metrics "udma.probes";
+          Metrics.bump t.m_probes;
           probe_status t paddr
       | Sm.Bad_load ->
           set_sm t ~cause:"bad-load" sm;
           t.c_bad_loads <- t.c_bad_loads + 1;
-          Metrics.incr t.metrics "udma.bad_loads";
+          Metrics.bump t.m_bad_loads;
           Status.make ~wrong_space:true ~invalid:true
             ~transferring:(Dma_engine.busy t.dma_engine) ()
       | Sm.Start { src_proxy; src_space; dest } -> (
@@ -553,7 +541,7 @@ let handle_load t ~paddr =
           | Error bits ->
               set_sm t ~cause:"device-error" Sm.Idle;
               t.c_device_errors <- t.c_device_errors + 1;
-              Metrics.incr t.metrics "udma.device_errors";
+              Metrics.bump t.m_device_errors;
               Status.make ~invalid:true ~device_error:(bits land 0xf)
                 ~transferring:(Dma_engine.busy t.dma_engine) ()
           | Ok r -> (
@@ -571,7 +559,7 @@ let handle_load t ~paddr =
                   | Error bits ->
                       set_sm t ~cause:"device-error" Sm.Idle;
                       t.c_device_errors <- t.c_device_errors + 1;
-                      Metrics.incr t.metrics "udma.device_errors";
+                      Metrics.bump t.m_device_errors;
                       Status.make ~invalid:true ~device_error:(bits land 0xf) ())
               | Queued { depth } ->
                   if Dma_engine.busy t.dma_engine && queued_len t >= depth then begin
@@ -579,7 +567,7 @@ let handle_load t ~paddr =
                        LOAD alone (§7: refused only when the queue is
                        full) *)
                     t.c_refused_full <- t.c_refused_full + 1;
-                    Metrics.incr t.metrics "udma.refused_full";
+                    Metrics.bump t.m_refused_full;
                     Status.make ~transferring:true ~queue_full:true
                       ~remaining_bytes:dest.Sm.nbytes ()
                   end
@@ -594,7 +582,7 @@ let handle_load t ~paddr =
                     | Error bits ->
                         set_sm t ~cause:"device-error" Sm.Idle;
                         t.c_device_errors <- t.c_device_errors + 1;
-                        Metrics.incr t.metrics "udma.device_errors";
+                        Metrics.bump t.m_device_errors;
                         Status.make ~invalid:true
                           ~device_error:(bits land 0xf) ())))
       | Sm.No_action | Sm.Latch_dest | Sm.Latch_shape | Sm.Invalidated
@@ -612,13 +600,14 @@ let abort_active t =
       ref_decr t r;
       t.active <- None;
       t.c_aborts <- t.c_aborts + 1;
-      Metrics.incr t.metrics "udma.aborts";
-      Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
-        (Event.Udma_abort
-           {
-             reason =
-               Printf.sprintf "%#x -> %#x" r.src_proxy r.dest_proxy;
-           });
+      Metrics.bump t.m_aborts;
+      if Trace.active t.trace then
+        Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
+          (Event.Udma_abort
+             {
+               reason =
+                 Printf.sprintf "%#x -> %#x" r.src_proxy r.dest_proxy;
+             });
       (match t.mode with
       | Basic -> set_sm t ~cause:"abort" Sm.Idle
       | Queued _ -> ());
@@ -705,6 +694,7 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
   | Queued { depth } when depth < 1 ->
       invalid_arg "Udma_engine.create: queue depth must be >= 1"
   | Queued _ | Basic -> ());
+  let counter = Metrics.counter metrics in
   let t =
     {
       engine;
@@ -714,7 +704,17 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
       mode;
       skip_clamp;
       trace;
-      metrics;
+      m_initiations = counter "udma.initiations";
+      m_completions = counter "udma.completions";
+      m_transfer_cycles = Metrics.sampler metrics "udma.transfer_cycles";
+      m_clamped = counter "udma.clamped";
+      m_shape_latches = counter "udma.shape_latches";
+      m_invals = counter "udma.invals";
+      m_probes = counter "udma.probes";
+      m_bad_loads = counter "udma.bad_loads";
+      m_device_errors = counter "udma.device_errors";
+      m_refused_full = counter "udma.refused_full";
+      m_aborts = counter "udma.aborts";
       sm = Sm.Idle;
       bindings = [];
       active = None;

@@ -3,17 +3,31 @@
 
 module Phys_mem = Udma_memory.Phys_mem
 
+let data_start (b : Midend.burst) = b.start_cycle + b.overhead_cycles
+
+(* Bursts lie back to back, so their data-phase starts never decrease.
+   Binary-search the last burst whose data phase has begun: every
+   earlier burst ended before it started, so counts whole, and no later
+   burst has begun. The counter is that burst's prefix sum plus its
+   own words on the wire. *)
+let rec begun bursts ~elapsed lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if data_start bursts.(mid) < elapsed then begun bursts ~elapsed (mid + 1) hi
+    else begun bursts ~elapsed lo mid
+
 let bytes_done (plan : Midend.plan) ~elapsed =
-  List.fold_left
-    (fun acc (b : Midend.burst) ->
-      let into = elapsed - b.start_cycle - b.overhead_cycles in
-      if into <= 0 then acc
-      else
-        let words_done =
-          if b.word_cycles <= 0 then b.words else into / b.word_cycles
-        in
-        acc + min b.element.Descriptor.len (min words_done b.words * 4))
-    0 plan.Midend.bursts
+  let bursts = plan.Midend.bursts in
+  match begun bursts ~elapsed 0 (Array.length bursts) with
+  | 0 -> 0
+  | k ->
+      let b = bursts.(k - 1) in
+      let words_done =
+        if b.word_cycles <= 0 then b.words
+        else (elapsed - data_start b) / b.word_cycles
+      in
+      b.bytes_before + min b.element.Descriptor.len (min words_done b.words * 4)
 
 let move_element bus (e : Descriptor.element) =
   let mem = Bus.memory bus in
@@ -28,5 +42,5 @@ let move_element bus (e : Descriptor.element) =
       assert false (* refused by the frontend *)
 
 let execute bus (plan : Midend.plan) =
-  List.iter (fun (b : Midend.burst) -> move_element bus b.element)
+  Array.iter (fun (b : Midend.burst) -> move_element bus b.element)
     plan.Midend.bursts

@@ -43,32 +43,36 @@ let register_io t ~base ~size handler =
     t.ranges;
   t.ranges <- { base; size; handler } :: t.ranges
 
-let decode t paddr =
-  if paddr >= 0 && paddr < Udma_memory.Phys_mem.size t.memory then `Mem
-  else
-    match
-      List.find_opt
-        (fun r -> paddr >= r.base && paddr < r.base + r.size)
-        t.ranges
-    with
-    | Some r -> `Io r.handler
-    | None -> `Unmapped
+let is_memory t paddr =
+  paddr >= 0 && paddr < Udma_memory.Phys_mem.size t.memory
+
+(* The handler of the I/O range holding [paddr]; [Not_found] when none
+   does (the address is unmapped). *)
+let rec io_handler paddr = function
+  | [] -> raise Not_found
+  | r :: rest ->
+      if paddr >= r.base && paddr < r.base + r.size then r.handler
+      else io_handler paddr rest
+
+let machine_check op paddr =
+  invalid_arg (Printf.sprintf "Bus.%s: machine check at %#x" op paddr)
 
 let load_word t paddr =
-  match decode t paddr with
-  | `Mem -> Udma_memory.Phys_mem.read_word t.memory paddr
-  | `Io h -> h.io_load ~paddr
-  | `Unmapped ->
-      invalid_arg (Printf.sprintf "Bus.load_word: machine check at %#x" paddr)
+  if is_memory t paddr then Udma_memory.Phys_mem.read_word t.memory paddr
+  else
+    match io_handler paddr t.ranges with
+    | h -> h.io_load ~paddr
+    | exception Not_found -> machine_check "load_word" paddr
 
 let store_word t paddr v =
-  match decode t paddr with
-  | `Mem ->
-      Udma_memory.Phys_mem.write_word t.memory paddr v;
-      List.iter (fun f -> f ~paddr v) t.snoops
-  | `Io h -> h.io_store ~paddr v
-  | `Unmapped ->
-      invalid_arg (Printf.sprintf "Bus.store_word: machine check at %#x" paddr)
+  if is_memory t paddr then begin
+    Udma_memory.Phys_mem.write_word t.memory paddr v;
+    List.iter (fun f -> f ~paddr v) t.snoops
+  end
+  else
+    match io_handler paddr t.ranges with
+    | h -> h.io_store ~paddr v
+    | exception Not_found -> machine_check "store_word" paddr
 
 let words_of_bytes nbytes = (nbytes + 3) / 4
 

@@ -32,9 +32,10 @@ val register_io : t -> base:int -> size:int -> io_handler -> unit
 (** [register_io t ~base ~size h] claims [base .. base+size). Raises
     [Invalid_argument] on overlap with an existing range. *)
 
-val decode : t -> int -> [ `Mem | `Io of io_handler | `Unmapped ]
-(** What services physical address [paddr]. Memory addresses are those
-    within the physical memory array. *)
+val is_memory : t -> int -> bool
+(** [is_memory t paddr]: real memory services [paddr], i.e. it lies
+    within the physical memory array. Any other address is an I/O
+    range or unmapped. *)
 
 val load_word : t -> int -> int32
 (** Routed 32-bit load. Raises [Invalid_argument] on unmapped

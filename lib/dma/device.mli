@@ -10,7 +10,10 @@
 type port = {
   name : string;
   dev_write : addr:int -> bytes -> unit;
-      (** Accept [bytes] at device address [addr] (memory → device). *)
+      (** Accept [bytes] at device address [addr] (memory → device).
+          The DMA backend reads a fresh buffer for every element and
+          never touches it again, so the port owns it and may keep it
+          without copying. *)
   dev_read : addr:int -> len:int -> bytes;
       (** Produce [len] bytes from device address [addr]
           (device → memory). *)

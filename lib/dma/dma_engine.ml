@@ -18,7 +18,6 @@ let pp_error = Descriptor.pp_error
 
 type transfer = {
   desc : Descriptor.t;
-  elements : Descriptor.element list;
   plan : Midend.plan;
   started_at : int;
   duration : int;
@@ -30,7 +29,8 @@ type t = {
   engine : Engine.t;
   bus : Bus.t;
   trace : Trace.t;
-  metrics : Metrics.t;
+  m_transfers : Metrics.counter;
+  m_bytes_moved : Metrics.counter;
   mutable current : transfer option;
   mutable next_id : int;
   mutable transfers_completed : int;
@@ -43,7 +43,8 @@ let create ~engine ~bus ?(trace = Trace.create ~enabled:false ())
     engine;
     bus;
     trace;
-    metrics;
+    m_transfers = Metrics.counter metrics "dma.transfers";
+    m_bytes_moved = Metrics.counter metrics "dma.bytes_moved";
     current = None;
     next_id = 0;
     transfers_completed = 0;
@@ -67,24 +68,23 @@ let submit t desc ~on_complete =
         let id = t.next_id in
         t.next_id <- t.next_id + 1;
         let started_at = Engine.now t.engine in
-        let xfer =
-          { desc; elements; plan; started_at; duration; on_complete; id }
-        in
+        let xfer = { desc; plan; started_at; duration; on_complete; id } in
         t.current <- Some xfer;
-        List.iter
-          (fun (b : Midend.burst) ->
-            let e = b.Midend.element in
-            Trace.record t.trace
-              ~time:(started_at + b.Midend.start_cycle)
-              Event.Dma
-              (Event.Dma_burst
-                 {
-                   src = addr_of e.Descriptor.src;
-                   dst = addr_of e.Descriptor.dst;
-                   nbytes = e.Descriptor.len;
-                   duration = Midend.burst_cycles b;
-                 }))
-          plan.Midend.bursts;
+        if Trace.active t.trace then
+          Array.iter
+            (fun (b : Midend.burst) ->
+              let e = b.Midend.element in
+              Trace.record t.trace
+                ~time:(started_at + b.Midend.start_cycle)
+                Event.Dma
+                (Event.Dma_burst
+                   {
+                     src = addr_of e.Descriptor.src;
+                     dst = addr_of e.Descriptor.dst;
+                     nbytes = e.Descriptor.len;
+                     duration = Midend.burst_cycles b;
+                   }))
+            plan.Midend.bursts;
         (* The cycles the clock jumps to reach the completion are the
            burst itself: attribute them to the Dma category. *)
         Engine.schedule t.engine ~cat:Engine.Profiler.Dma ~delay:duration
@@ -96,24 +96,24 @@ let submit t desc ~on_complete =
                 t.current <- None;
                 t.transfers_completed <- t.transfers_completed + 1;
                 t.bytes_moved <- t.bytes_moved + cur.plan.Midend.total_bytes;
-                Metrics.incr t.metrics "dma.transfers";
-                Metrics.add t.metrics "dma.bytes_moved"
-                  cur.plan.Midend.total_bytes;
+                Metrics.bump t.m_transfers;
+                Metrics.bump_by t.m_bytes_moved cur.plan.Midend.total_bytes;
                 cur.on_complete ()
             | Some _ | None -> ());
         Ok ()
 
 let descriptor t = Option.map (fun x -> x.desc) t.current
 
+(* The frontend refuses empty descriptors, so a transfer always has a
+   first burst. *)
+let first_element t =
+  Option.map (fun x -> x.plan.Midend.bursts.(0).Midend.element) t.current
+
 let source t =
-  match t.current with
-  | Some { elements = e :: _; _ } -> Some e.Descriptor.src
-  | Some _ | None -> None
+  Option.map (fun (e : Descriptor.element) -> e.src) (first_element t)
 
 let destination t =
-  match t.current with
-  | Some { elements = e :: _; _ } -> Some e.Descriptor.dst
-  | Some _ | None -> None
+  Option.map (fun (e : Descriptor.element) -> e.dst) (first_element t)
 
 let count t =
   match t.current with Some x -> x.plan.Midend.total_bytes | None -> 0
@@ -130,19 +130,19 @@ let remaining_bytes t =
         x.plan.Midend.total_bytes - (done_bytes land lnot 3)
 
 let transfer_base t =
-  match t.current with
-  | Some { elements = e :: _; _ } -> (
+  match first_element t with
+  | Some e -> (
       match (e.Descriptor.src, e.Descriptor.dst) with
       | Mem a, _ | _, Mem a -> Some a
       | _ -> None)
-  | Some _ | None -> None
+  | None -> None
 
 let mem_page_in_flight t ~page_size frame =
   match t.current with
   | None -> false
   | Some x ->
-      List.exists
-        (fun (e : Descriptor.element) ->
+      Array.exists
+        (fun ({ Midend.element = e; _ } : Midend.burst) ->
           let mem_addr =
             match (e.src, e.dst) with
             | Mem a, _ | _, Mem a -> Some a
@@ -153,7 +153,7 @@ let mem_page_in_flight t ~page_size frame =
           | Some a ->
               let lo = a / page_size and hi = (a + e.len - 1) / page_size in
               frame >= lo && frame <= hi)
-        x.elements
+        x.plan.Midend.bursts
 
 let abort t =
   match t.current with

@@ -7,9 +7,10 @@ type burst = {
   overhead_cycles : int;
   word_cycles : int;
   words : int;
+  bytes_before : int;
 }
 
-type plan = { bursts : burst list; total_cycles : int; total_bytes : int }
+type plan = { bursts : burst array; total_cycles : int; total_bytes : int }
 
 let words_of_bytes n = (n + 3) / 4
 
@@ -34,7 +35,7 @@ let plan ~bus ?desc_fetch_cycles:fetch elems =
   let fetch =
     match fetch with Some c -> c | None -> desc_fetch_cycles bus
   in
-  let cursor = ref 0 in
+  let cursor = ref 0 and bytes = ref 0 in
   let bursts =
     List.mapi
       (fun i (e : Descriptor.element) ->
@@ -49,13 +50,16 @@ let plan ~bus ?desc_fetch_cycles:fetch elems =
             overhead_cycles = overhead;
             word_cycles = timing.Bus.burst_word_cycles;
             words = words_of_bytes e.len;
+            bytes_before = !bytes;
           }
         in
         cursor := !cursor + burst_cycles b;
+        bytes := !bytes + e.len;
         b)
       elems
   in
-  let total_bytes =
-    List.fold_left (fun acc (e : Descriptor.element) -> acc + e.len) 0 elems
-  in
-  { bursts; total_cycles = !cursor; total_bytes }
+  {
+    bursts = Array.of_list bursts;
+    total_cycles = !cursor;
+    total_bytes = !bytes;
+  }

@@ -19,9 +19,16 @@ type burst = {
   overhead_cycles : int;  (** fetch (non-first) + setup + device latency *)
   word_cycles : int;      (** per-word cost while data is on the wire *)
   words : int;            (** 32-bit words in the burst *)
+  bytes_before : int;
+      (** element bytes of every earlier burst: the prefix sum that
+          lets the progress counter skip them *)
 }
 
-type plan = { bursts : burst list; total_cycles : int; total_bytes : int }
+type plan = {
+  bursts : burst array;  (** in descriptor order, laid out back to back *)
+  total_cycles : int;
+  total_bytes : int;
+}
 
 val desc_fetch_cycles : Bus.t -> int
 (** Cost of fetching one descriptor record: a 4-word (16-byte) burst on
@@ -32,6 +39,7 @@ val burst_cycles : burst -> int
 (** Total cycles of one burst: overhead + words × per-word. *)
 
 val plan : bus:Bus.t -> ?desc_fetch_cycles:int -> Descriptor.element list -> plan
-(** Lay the elements out back-to-back on the bus. The optional
-    [desc_fetch_cycles] overrides the self-calibrated fetch cost (used
-    by cost-model tests). *)
+(** Lay the elements out back-to-back on the bus: each burst starts the
+    cycle the previous one ends. The optional [desc_fetch_cycles]
+    overrides the self-calibrated fetch cost (used by cost-model
+    tests); like the bus timing it must not be negative. *)

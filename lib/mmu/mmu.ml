@@ -33,44 +33,43 @@ type translation = { paddr : int; tlb_hit : bool }
 
 let fault vaddr access kind = raise (Fault { vaddr; access; kind })
 
-(* Find a usable PTE for [vpn], recording whether the TLB supplied it.
-   A TLB hit whose entry is stale (not present) falls back to the walk
-   path after flushing; the kernel may have paged the frame out. *)
-let find_pte t pt vpn =
-  match Tlb.lookup t.tlb vpn with
-  | Some pte when pte.Pte.present -> Some (pte, true)
-  | Some _ ->
-      Tlb.flush_page t.tlb vpn;
-      (match Page_table.find pt vpn with
-      | Some pte when pte.Pte.present -> Some (pte, false)
-      | Some _ | None -> None)
-  | None -> (
-      match Page_table.find pt vpn with
-      | Some pte when pte.Pte.present ->
-          Tlb.insert t.tlb vpn pte;
-          Some (pte, false)
-      | Some _ | None -> None)
+(* The reference through a usable PTE: permission check, R/M bits,
+   physical address. *)
+let access_through t pte access vaddr ~tlb_hit =
+  (match access with
+  | Read -> ()
+  | Write -> if not pte.Pte.writable then fault vaddr access Protection);
+  pte.Pte.referenced <- true;
+  (match access with
+  | Write -> pte.Pte.dirty <- true
+  | Read -> ());
+  let paddr =
+    Layout.addr_of_page t.layout pte.Pte.ppage
+    + Layout.offset_in_page t.layout vaddr
+  in
+  { paddr; tlb_hit }
 
+(* The page-table walk; [refill] caches its result in the TLB. *)
+let walk t pt access vaddr vpn ~refill =
+  match Page_table.find pt vpn with
+  | Some pte when pte.Pte.present ->
+      if refill then Tlb.insert t.tlb vpn pte;
+      access_through t pte access vaddr ~tlb_hit:false
+  | Some _ | None -> fault vaddr access Not_present
+
+(* A TLB hit whose entry is stale (not present) falls back to the walk
+   after flushing; the kernel may have paged the frame out. *)
 let translate t pt access vaddr =
   (match Layout.region_of t.layout vaddr with
   | Some _ -> ()
   | None -> fault vaddr access Out_of_range);
   let vpn = Layout.page_of_addr t.layout vaddr in
-  match find_pte t pt vpn with
-  | None -> fault vaddr access Not_present
-  | Some (pte, tlb_hit) ->
-      (match access with
-      | Read -> ()
-      | Write -> if not pte.Pte.writable then fault vaddr access Protection);
-      pte.Pte.referenced <- true;
-      (match access with
-      | Write -> pte.Pte.dirty <- true
-      | Read -> ());
-      let paddr =
-        Layout.addr_of_page t.layout pte.Pte.ppage
-        + Layout.offset_in_page t.layout vaddr
-      in
-      { paddr; tlb_hit }
+  match Tlb.find t.tlb vpn with
+  | pte when pte.Pte.present -> access_through t pte access vaddr ~tlb_hit:true
+  | _ ->
+      Tlb.flush_page t.tlb vpn;
+      walk t pt access vaddr vpn ~refill:false
+  | exception Not_found -> walk t pt access vaddr vpn ~refill:true
 
 let probe t pt access vaddr =
   match Layout.region_of t.layout vaddr with

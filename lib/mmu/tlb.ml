@@ -14,16 +14,23 @@ let create ~capacity =
 
 let capacity t = t.capacity
 
-let lookup t vpn =
-  match List.find_opt (fun e -> e.vpn = vpn) t.entries with
-  | Some e ->
+let rec entry vpn = function
+  | [] -> raise Not_found
+  | e :: rest -> if e.vpn = vpn then e else entry vpn rest
+
+let find t vpn =
+  match entry vpn t.entries with
+  | e ->
       t.tick <- t.tick + 1;
       e.stamp <- t.tick;
       t.hits <- t.hits + 1;
-      Some e.pte
-  | None ->
+      e.pte
+  | exception Not_found ->
       t.misses <- t.misses + 1;
-      None
+      raise Not_found
+
+let lookup t vpn =
+  match find t vpn with pte -> Some pte | exception Not_found -> None
 
 let insert t vpn pte =
   t.tick <- t.tick + 1;

@@ -16,6 +16,11 @@ val capacity : t -> int
 val lookup : t -> int -> Pte.t option
 (** [lookup t vpn] is a hit (refreshing LRU order) or [None]. *)
 
+val find : t -> int -> Pte.t
+(** [find] is {!lookup} that raises [Not_found] on a miss instead of
+    returning an option: the translation fast path allocates nothing
+    on a hit. *)
+
 val insert : t -> int -> Pte.t -> unit
 (** [insert t vpn pte] caches an entry, evicting the LRU one if full. *)
 

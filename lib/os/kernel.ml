@@ -10,58 +10,56 @@ module M = Machine
 
 let max_fault_retries = 8
 
-(* One user-level memory reference: preemption check, translation with
-   fault handling, cost accounting, bus routing. *)
-let user_access m proc access vaddr k =
+(* Translate, resolving page faults as they come. *)
+let rec translate m proc access vaddr ~tries =
+  if tries > max_fault_retries then
+    raise
+      (Vm.Segfault
+         {
+           pid = proc.Proc.pid;
+           vaddr;
+           access;
+           reason = "fault loop: mapping keeps disappearing";
+         })
+  else
+    match Mmu.translate m.M.mmu proc.Proc.page_table access vaddr with
+    | tr -> tr
+    | exception Mmu.Fault _ ->
+        Vm.handle_fault m proc access ~vaddr;
+        translate m proc access vaddr ~tries:(tries + 1)
+
+(* One user-level memory reference up to the bus: preemption check,
+   translation with fault handling, cost accounting. Returns the
+   physical address the caller routes over the bus. *)
+let user_access m proc access vaddr =
   if vaddr land 3 <> 0 then
     invalid_arg (Printf.sprintf "user access: unaligned address %#x" vaddr);
   Scheduler.maybe_preempt m;
   (match m.M.current with
   | Some cur when cur == proc -> ()
   | Some _ | None -> Scheduler.switch_to m proc);
+  let tr = translate m proc access vaddr ~tries:0 in
   let costs = m.M.costs in
-  let rec go tries =
-    if tries > max_fault_retries then
-      raise
-        (Vm.Segfault
-           {
-             pid = proc.Proc.pid;
-             vaddr;
-             access;
-             reason = "fault loop: mapping keeps disappearing";
-           })
-    else
-      match Mmu.translate m.M.mmu proc.Proc.page_table access vaddr with
-      | tr ->
-          let base =
-            match Bus.decode m.M.bus tr.Mmu.paddr with
-            | `Mem -> costs.Cost_model.cached_ref
-            | `Io _ -> costs.Cost_model.uncached_ref
-            | `Unmapped -> costs.Cost_model.uncached_ref
-          in
-          let cost =
-            if tr.Mmu.tlb_hit then base else base + costs.Cost_model.tlb_miss
-          in
-          Engine.with_category m.M.engine Engine.Profiler.User_ref (fun () ->
-              Machine.charge m cost);
-          k tr.Mmu.paddr
-      | exception Mmu.Fault _ ->
-          Vm.handle_fault m proc access ~vaddr;
-          go (tries + 1)
+  let base =
+    if Bus.is_memory m.M.bus tr.Mmu.paddr then costs.Cost_model.cached_ref
+    else costs.Cost_model.uncached_ref
   in
-  go 0
+  let cost =
+    if tr.Mmu.tlb_hit then base else base + costs.Cost_model.tlb_miss
+  in
+  Engine.with_category m.M.engine Engine.Profiler.User_ref (fun () ->
+      Machine.charge m cost);
+  tr.Mmu.paddr
 
 let user_cpu m proc =
   Initiator.
     {
       load =
         (fun ~vaddr ->
-          user_access m proc Mmu.Read vaddr (fun paddr ->
-              Bus.load_word m.M.bus paddr));
+          Bus.load_word m.M.bus (user_access m proc Mmu.Read vaddr));
       store =
         (fun ~vaddr v ->
-          user_access m proc Mmu.Write vaddr (fun paddr ->
-              Bus.store_word m.M.bus paddr v));
+          Bus.store_word m.M.bus (user_access m proc Mmu.Write vaddr) v);
       compute =
         (fun cycles ->
           (* executing any instruction of [proc] means it was scheduled *)

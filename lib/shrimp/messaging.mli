@@ -104,7 +104,8 @@ val inject : channel -> ?offset:int -> bytes -> unit
     FIFO addressed at the export's pinned frames, then cross the wire,
     the router and the receive-side DMA deposit as usual. The payload
     must lie within one page so it forms a single packet; no flag word
-    is sent. Load generators use this to model many concurrently
+    is sent. The bytes are captured at the call: the caller may
+    overwrite [bytes] while the packet is still queued. Load generators use this to model many concurrently
     initiating senders on the one shared clock, charging the
     calibrated initiation cost out of band. *)
 

@@ -45,9 +45,17 @@ type t = {
   mutable send_drops : int;
   mutable receive_drops : int;
   mutable delivery_errors : int;
+  m_packets_sent : Metrics.counter;
+  m_bytes_sent : Metrics.counter;
+  m_send_drops : Metrics.counter;
+  m_packets_received : Metrics.counter;
+  m_bytes_received : Metrics.counter;
+  m_receive_drops : Metrics.counter;
+  m_delivery_errors : Metrics.counter;
 }
 
 let create ~id ~machine ?(config = default_config) () =
+  let counter = Metrics.counter machine.M.metrics in
   {
     id;
     machine;
@@ -68,6 +76,13 @@ let create ~id ~machine ?(config = default_config) () =
     send_drops = 0;
     receive_drops = 0;
     delivery_errors = 0;
+    m_packets_sent = counter "ni.packets_sent";
+    m_bytes_sent = counter "ni.bytes_sent";
+    m_send_drops = counter "ni.send_drops";
+    m_packets_received = counter "ni.packets_received";
+    m_bytes_received = counter "ni.bytes_received";
+    m_receive_drops = counter "ni.receive_drops";
+    m_delivery_errors = counter "ni.delivery_errors";
   }
 
 let id t = t.id
@@ -97,18 +112,20 @@ let launch t pkt =
             | Some pkt ->
                 t.packets_sent <- t.packets_sent + 1;
                 t.bytes_sent <- t.bytes_sent + Bytes.length pkt.Packet.payload;
-                Metrics.incr t.machine.M.metrics "ni.packets_sent";
-                Metrics.add t.machine.M.metrics "ni.bytes_sent"
+                Metrics.bump t.m_packets_sent;
+                Metrics.bump_by t.m_bytes_sent
                   (Bytes.length pkt.Packet.payload);
                 Router.send router pkt
             | None -> ())
       end
       else begin
         t.send_drops <- t.send_drops + 1;
-        Metrics.incr t.machine.M.metrics "ni.send_drops"
+        Metrics.bump t.m_send_drops
       end
 
-(* The DMA engine hands over a whole transfer's data at once. *)
+(* The DMA engine hands over one element's data, in a buffer it read
+   for this call alone: the packet takes it as its payload, so the
+   bytes are captured once, when the element moves. *)
 let dev_write t ~addr data =
   let page_size = Layout.page_size t.machine.M.layout in
   let page = addr / page_size and offset = addr mod page_size in
@@ -119,18 +136,21 @@ let dev_write t ~addr data =
   | Some { Backend.dst_node; dst_frame; owner = _ } ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      Trace.record t.machine.M.trace
-        ~time:(Engine.now t.machine.M.engine) Event.Ni
-        (Event.Packetize { dst_node; nbytes = Bytes.length data });
+      if Trace.active t.machine.M.trace then
+        Trace.record t.machine.M.trace
+          ~time:(Engine.now t.machine.M.engine) Event.Ni
+          (Event.Packetize { dst_node; nbytes = Bytes.length data });
       launch t
         {
           Packet.src_node = t.id;
           dst_node;
           dst_paddr = (dst_frame * page_size) + offset;
-          payload = Bytes.copy data;
+          payload = data;
           seq;
         }
 
+(* Callers ([Messaging.inject], the automatic-update snooper) own
+   [data] and may reuse it: copy it at send time. *)
 let send_raw t ~dst_node ~dst_paddr data =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -148,14 +168,14 @@ let deposit t pkt =
   let len = Bytes.length pkt.Packet.payload in
   if paddr < 0 || paddr + len > Phys_mem.size mem then begin
     t.delivery_errors <- t.delivery_errors + 1;
-    Metrics.incr t.machine.M.metrics "ni.delivery_errors"
+    Metrics.bump t.m_delivery_errors
   end
   else begin
     Phys_mem.write_bytes mem ~addr:paddr pkt.Packet.payload;
     t.packets_received <- t.packets_received + 1;
     t.bytes_received <- t.bytes_received + len;
-    Metrics.incr t.machine.M.metrics "ni.packets_received";
-    Metrics.add t.machine.M.metrics "ni.bytes_received" len;
+    Metrics.bump t.m_packets_received;
+    Metrics.bump_by t.m_bytes_received len;
     let frame = paddr / Layout.page_size t.machine.M.layout in
     match Hashtbl.find_opt t.machine.M.frame_owner frame with
     | Some (pid, vpn) -> (
@@ -186,7 +206,7 @@ let receive t pkt =
   end
   else begin
     t.receive_drops <- t.receive_drops + 1;
-    Metrics.incr t.machine.M.metrics "ni.receive_drops"
+    Metrics.bump t.m_receive_drops
   end
 
 let port t =

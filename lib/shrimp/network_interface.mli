@@ -52,7 +52,8 @@ val validate : t -> dev_addr:int -> nbytes:int -> int
 val send_raw : t -> dst_node:int -> dst_paddr:int -> bytes -> unit
 (** Launch a packet straight through the outgoing path, bypassing the
     NIPT — used by the automatic-update snooper ({!Auto_update}),
-    whose bindings resolve destinations directly. *)
+    whose bindings resolve destinations directly. The packet takes a
+    copy of [data], so the caller may reuse its buffer at once. *)
 
 val receive : t -> Packet.t -> unit
 (** Router sink: accept a packet into the incoming FIFO and schedule

@@ -62,7 +62,14 @@ let schedule_at t ?cat ~time ev =
 let with_category t cat f =
   let prev = Profiler.current t.profiler in
   Profiler.set_current t.profiler cat;
-  Fun.protect ~finally:(fun () -> Profiler.set_current t.profiler prev) f
+  match f () with
+  | v ->
+      Profiler.set_current t.profiler prev;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Profiler.set_current t.profiler prev;
+      Printexc.raise_with_backtrace e bt
 
 (* Fire every event due at or before [horizon], letting fired events
    schedule more work inside the window. The clock tracks each event's

@@ -1,15 +1,21 @@
-(* Per-experiment output digests: one MD5 per experiment of a
-   udma-bench/1 document (e.g. [shrimp_sim all --quick --json]), so a
-   change to any simulated number names the experiment it moved.
+(* Output digests, so a change to any simulated number names what it
+   moved.
 
-     digests.exe DOC.json                 print "<id> <md5>" lines
-     digests.exe --check GOLDEN DOC.json  compare against GOLDEN; exit 1
-                                          on any difference
+     digests.exe DOC.json                 one MD5 per experiment of a
+                                          udma-bench/1 document (e.g.
+                                          [shrimp_sim all --quick --json])
+     digests.exe --streams FILE...        one MD5 per whole file (e.g. a
+                                          [--trace] JSONL event stream)
+
+   Either form prints "<id> <md5>" lines; with [--check GOLDEN] in
+   front it compares them against GOLDEN instead and exits 1 on any
+   difference.
 
    Host-dependent fields are masked before hashing: E17's wall-clock
    row fields ([wall_ms], [events_per_sec], [speedup]) and its
    [host_cores] meta field. Each experiment hashes as its compact
-   re-rendering, so the digest is independent of indentation. *)
+   re-rendering, so the digest is independent of indentation. Event
+   streams hold no host-dependent field and hash byte for byte. *)
 
 module Json = Udma_obs.Json
 
@@ -59,30 +65,45 @@ let read_golden path =
              | [ id; md5 ] -> Some (id, md5)
              | _ -> None)
 
+let stream_digests paths =
+  List.map
+    (fun path ->
+      match Digest.file path with
+      | exception Sys_error e -> fail "digests: %s" e
+      | d -> (Filename.basename path, Digest.to_hex d))
+    paths
+
+let check golden ~what got =
+  let want = read_golden golden in
+  let ids l = List.map fst l in
+  let bad = ref 0 in
+  if ids want <> ids got then begin
+    incr bad;
+    Printf.printf "%s list differs: golden [%s], got [%s]\n" what
+      (String.concat " " (ids want)) (String.concat " " (ids got))
+  end;
+  List.iter
+    (fun (id, md5) ->
+      match List.assoc_opt id want with
+      | Some m when m = md5 -> ()
+      | Some m ->
+          incr bad;
+          Printf.printf "%s: digest %s, golden %s\n" id md5 m
+      | None -> ())
+    got;
+  if !bad > 0 then begin
+    Printf.printf "%d difference(s) against %s\n" !bad golden;
+    exit 1
+  end;
+  Printf.printf "%d %s digests match %s\n" (List.length got) what golden
+
+let print = List.iter (fun (id, md5) -> Printf.printf "%s %s\n" id md5)
+
 let () =
   match Array.to_list Sys.argv |> List.tl with
-  | [ doc ] -> List.iter (fun (id, md5) -> Printf.printf "%s %s\n" id md5) (digests doc)
-  | [ "--check"; golden; doc ] ->
-      let want = read_golden golden and got = digests doc in
-      let ids l = List.map fst l in
-      let bad = ref 0 in
-      if ids want <> ids got then begin
-        incr bad;
-        Printf.printf "experiment list differs: golden [%s], got [%s]\n"
-          (String.concat " " (ids want)) (String.concat " " (ids got))
-      end;
-      List.iter
-        (fun (id, md5) ->
-          match List.assoc_opt id want with
-          | Some m when m = md5 -> ()
-          | Some m ->
-              incr bad;
-              Printf.printf "%s: digest %s, golden %s\n" id md5 m
-          | None -> ())
-        got;
-      if !bad > 0 then begin
-        Printf.printf "%s: %d difference(s) against %s\n" doc !bad golden;
-        exit 1
-      end;
-      Printf.printf "%s: %d experiment digests match %s\n" doc (List.length got) golden
-  | _ -> fail "usage: digests.exe [--check GOLDEN] DOC.json"
+  | [ doc ] -> print (digests doc)
+  | "--streams" :: (_ :: _ as files) -> print (stream_digests files)
+  | [ "--check"; golden; doc ] -> check golden ~what:"experiment" (digests doc)
+  | "--check" :: golden :: "--streams" :: (_ :: _ as files) ->
+      check golden ~what:"stream" (stream_digests files)
+  | _ -> fail "usage: digests.exe [--check GOLDEN] (DOC.json | --streams FILE...)"

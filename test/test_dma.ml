@@ -560,6 +560,127 @@ let prop_descriptor_matches_oracle =
                  0
                  (Descriptor.elements desc))
 
+(* ---------- progress counter: binary search vs the linear fold ---------- *)
+
+module Backend = Udma_dma.Backend
+
+(* The counter by its definition: every burst's words on the wire,
+   folded over the whole plan. The binary search must match it
+   exactly. *)
+let reference_bytes_done (plan : Midend.plan) ~elapsed =
+  Array.fold_left
+    (fun acc (b : Midend.burst) ->
+      let into = elapsed - b.start_cycle - b.overhead_cycles in
+      if into <= 0 then acc
+      else
+        let words_done =
+          if b.word_cycles <= 0 then b.words else into / b.word_cycles
+        in
+        acc + min b.element.Descriptor.len (min words_done b.words * 4))
+    0 plan.Midend.bursts
+
+type plan_case = {
+  setup : int;
+  word : int;
+  fetch : int;
+  dev : int;
+  lens : int list;
+}
+
+let gen_plan_case =
+  let open QCheck.Gen in
+  let* setup = int_range 0 20 in
+  let* word = int_range 0 4 in
+  let* fetch = int_range 0 40 in
+  let* dev = int_range 0 20 in
+  let* n = int_range 1 300 in
+  let* lens = list_repeat n (int_range 1 32) in
+  return { setup; word; fetch; dev; lens }
+
+let print_plan_case c =
+  Printf.sprintf "setup=%d word=%d fetch=%d dev=%d lens=[%s]" c.setup c.word
+    c.fetch c.dev
+    (String.concat ";" (List.map string_of_int c.lens))
+
+let plan_of_case c =
+  let mem = Phys_mem.create ~frames:8 ~page_size:4096 in
+  let bus =
+    Bus.create
+      ~timing:
+        { Bus.single_word_cycles = 100; burst_setup_cycles = c.setup;
+          burst_word_cycles = c.word }
+      mem
+  in
+  let port =
+    { (Device.null "d") with Device.access_cycles = (fun ~addr:_ ~len:_ -> c.dev) }
+  in
+  let elems =
+    List.mapi
+      (fun i len ->
+        Descriptor.{ src = Dma_engine.Mem (i * 32); dst = Dma_engine.Dev (port, i * 32); len })
+      c.lens
+  in
+  Midend.plan ~bus ~desc_fetch_cycles:c.fetch elems
+
+let back_to_back (plan : Midend.plan) =
+  let bursts = plan.Midend.bursts in
+  let n = Array.length bursts in
+  let ok = ref (n > 0 && bursts.(0).Midend.start_cycle = 0) in
+  let bytes = ref 0 in
+  Array.iteri
+    (fun i (b : Midend.burst) ->
+      if b.Midend.bytes_before <> !bytes then ok := false;
+      bytes := !bytes + b.Midend.element.Descriptor.len;
+      let next =
+        if i + 1 < n then bursts.(i + 1).Midend.start_cycle
+        else plan.Midend.total_cycles
+      in
+      if b.Midend.start_cycle + Midend.burst_cycles b <> next then ok := false)
+    bursts;
+  !ok && !bytes = plan.Midend.total_bytes
+
+let prop_progress_counter_matches_fold =
+  QCheck.Test.make ~count:40
+    ~name:"bytes_done = linear fold at every cycle; bursts back to back"
+    (QCheck.make ~print:print_plan_case gen_plan_case)
+    (fun c ->
+      let plan = plan_of_case c in
+      if not (back_to_back plan) then
+        QCheck.Test.fail_report "bursts not laid out back to back";
+      for elapsed = 0 to plan.Midend.total_cycles + 1 do
+        let want = reference_bytes_done plan ~elapsed
+        and got = Backend.bytes_done plan ~elapsed in
+        if got <> want then
+          QCheck.Test.fail_reportf "elapsed %d: bytes_done %d, fold %d" elapsed
+            got want
+      done;
+      true)
+
+let test_remaining_monotone_strided () =
+  let engine, _, _, dma = rig () in
+  let port =
+    { (Device.null "ni") with Device.access_cycles = (fun ~addr:_ ~len:_ -> 15) }
+  in
+  let desc =
+    Descriptor.Strided
+      { src = Dma_engine.Mem 0; dst = Dma_engine.Dev (port, 0); stride = 8;
+        chunk = 4; reps = 256 }
+  in
+  (match submit dma desc ~on_complete:ignore with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "submit failed: %a" Dma_engine.pp_error e);
+  checki "starts at the full count" 1024 (Dma_engine.remaining_bytes dma);
+  let prev = ref 1024 and cycles = ref 0 in
+  while Dma_engine.busy dma do
+    Engine.advance engine 1;
+    incr cycles;
+    let r = Dma_engine.remaining_bytes dma in
+    if r > !prev then Alcotest.failf "cycle %d: remaining rose %d -> %d" !cycles !prev r;
+    if r land 3 <> 0 then Alcotest.failf "cycle %d: remaining %d not whole words" !cycles r;
+    prev := r
+  done;
+  checki "drains to zero" 0 !prev
+
 let () =
   Alcotest.run "udma_dma"
     [
@@ -606,5 +727,11 @@ let () =
           Alcotest.test_case "sg pages in flight" `Quick
             test_dma_sg_pages_in_flight;
           QCheck_alcotest.to_alcotest prop_descriptor_matches_oracle;
+        ] );
+      ( "progress",
+        [
+          QCheck_alcotest.to_alcotest prop_progress_counter_matches_fold;
+          Alcotest.test_case "remaining monotone, 256-element strided" `Quick
+            test_remaining_monotone_strided;
         ] );
     ]

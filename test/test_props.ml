@@ -52,9 +52,21 @@ let status_gen =
       (quad bool bool bool
          (quad bool bool bool (pair (int_bound 15) (int_bound Status.max_remaining)))))
 
+(* [has] reads each flag off the word as [decode] does, and [probe]
+   is [make] restricted to the fields a probe sets. *)
 let prop_status_roundtrip =
   qtest "status encode/decode roundtrip" status_gen (fun s ->
-      Status.equal s (Status.decode (Status.encode s)))
+      let w = Status.encode s in
+      Status.equal s (Status.decode w)
+      && Status.(has Started w) = s.started
+      && Status.(has Transferring w) = s.transferring
+      && Status.(has Invalid w) = s.invalid
+      && Status.(has Matches w) = s.matches
+      && Status.equal
+           (Status.probe ~transferring:s.transferring ~invalid:s.invalid
+              ~matches:s.matches ~remaining_bytes:s.remaining_bytes)
+           (Status.make ~transferring:s.transferring ~invalid:s.invalid
+              ~matches:s.matches ~remaining_bytes:s.remaining_bytes ()))
 
 (* ---------- Layout: proxy is a bijection on memory ---------- *)
 

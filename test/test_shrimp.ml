@@ -937,6 +937,55 @@ let test_messaging_multi_page () =
   Alcotest.check Alcotest.bytes "multi-page payload" data
     (Messaging.read_payload ch ~len:nbytes)
 
+(* The payload is captured when the transfer moves it: once a send
+   returns, or [inject] is called, the sender may overwrite its buffer
+   even though the packets are still queued in the NI. *)
+let test_send_time_capture () =
+  let sys, snd, rcv, sp, rp = two_nodes () in
+  let m = snd.System.machine in
+  let ch = Messaging.connect sys ~sender:(0, sp) ~receiver:(1, rp) ~pages:1 () in
+  let buf = Kernel.alloc_buffer m sp ~bytes:4096 in
+  let cpu = Kernel.user_cpu m sp in
+  let received () = Ni.packets_received rcv.System.ni in
+  let captured name ~packets ~want send =
+    let before = received () in
+    send ();
+    checkb (name ^ ": packets still queued at return") true
+      (received () < before + packets);
+    Kernel.write_user m sp ~vaddr:buf (Bytes.make 4096 '\xff');
+    System.run_until_idle sys;
+    checki (name ^ ": all delivered") (before + packets) (received ());
+    check Alcotest.bytes name want
+      (Messaging.read_payload ch ~len:(Bytes.length want))
+  in
+  let ok = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "send: %a" Messaging.pp_send_error e
+  in
+  let src = pattern 4092 5 in
+  Kernel.write_user m sp ~vaddr:buf src;
+  captured "contiguous send" ~packets:1 ~want:src (fun () ->
+      ok (Messaging.send_nowait ch cpu ~src_vaddr:buf ~nbytes:4092 ()));
+  let src = pattern 4096 11 in
+  Kernel.write_user m sp ~vaddr:buf src;
+  let stride = 16 and chunk = 4 and reps = 64 in
+  let want =
+    Bytes.init (chunk * reps) (fun j -> Bytes.get src ((j / chunk * stride) + (j mod chunk)))
+  in
+  (* one packet per element, plus the flag word's *)
+  captured "strided send" ~packets:(reps + 1) ~want (fun () ->
+      ok (Messaging.send_strided ch cpu ~src_vaddr:buf ~stride ~chunk
+            ~nbytes:(chunk * reps) ()));
+  let data = pattern 512 7 in
+  let want = Bytes.copy data in
+  let before = received () in
+  Messaging.inject ch data;
+  checki "inject: packet still queued" before (received ());
+  Bytes.fill data 0 512 '\000';
+  System.run_until_idle sys;
+  check Alcotest.bytes "inject with a reused buffer" want
+    (Messaging.read_payload ch ~len:512)
+
 let test_messaging_size_checks () =
   let sys, snd, _rcv, sp, rp = two_nodes () in
   ignore snd;
@@ -1343,6 +1392,8 @@ let () =
             test_messaging_flag_after_payload;
           Alcotest.test_case "multi-page message" `Quick test_messaging_multi_page;
           Alcotest.test_case "size checks" `Quick test_messaging_size_checks;
+          Alcotest.test_case "payload captured at send time" `Quick
+            test_send_time_capture;
           Alcotest.test_case "queued system pipelined send" `Quick
             test_queued_system_pipelined_send;
           Alcotest.test_case "pipelined beats blocking" `Quick
