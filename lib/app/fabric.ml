@@ -57,6 +57,9 @@ type t = {
   mutable credit_stalls : int;
   mutable credit_stall_cycles : int;
   mutable faults_injected : int;
+  c_launched : Metrics.counter;
+  c_delivered : Metrics.counter;
+  c_credit_stalls : Metrics.counter;
 }
 
 let capacity = 4092 (* one-page channel minus the flag word *)
@@ -169,6 +172,10 @@ let create (cfg : config) ~pairs =
       credit_stalls = 0;
       credit_stall_cycles = 0;
       faults_injected = 0;
+      c_launched = Metrics.counter (Engine.metrics engine) "app.launched";
+      c_delivered = Metrics.counter (Engine.metrics engine) "app.delivered";
+      c_credit_stalls =
+        Metrics.counter (Engine.metrics engine) "app.credit_stalls";
     }
   in
   (* delivery sinks: receive the deposit, then fire the matched
@@ -183,7 +190,7 @@ let create (cfg : config) ~pairs =
         let q = inflight_q t (pkt.Udma_shrimp.Packet.src_node, d) in
         if not (Queue.is_empty q) then begin
           t.delivered <- t.delivered + 1;
-          Metrics.incr (Engine.metrics engine) "app.delivered";
+          Metrics.bump t.c_delivered;
           match Queue.pop q with
           | Some k -> k (Engine.now engine)
           | None -> ()
@@ -297,7 +304,7 @@ and launch t (s : cpu_q) =
   if ready > now then begin
     t.credit_stalls <- t.credit_stalls + 1;
     t.credit_stall_cycles <- t.credit_stall_cycles + (ready - now);
-    Metrics.incr (Engine.metrics t.engine) "app.credit_stalls";
+    Metrics.bump t.c_credit_stalls;
     Engine.schedule_at t.engine ~time:ready (fun _ -> launch t s)
   end
   else begin
@@ -305,7 +312,7 @@ and launch t (s : cpu_q) =
     Queue.push p.on_deliver (inflight_q t (s.node, p.dst));
     Messaging.inject (channel t s.node p.dst) (payload t ~nbytes:p.nbytes);
     t.launched <- t.launched + 1;
-    Metrics.incr (Engine.metrics t.engine) "app.launched";
+    Metrics.bump t.c_launched;
     s.serving <- false;
     pump t s
   end

@@ -71,25 +71,26 @@ let with_category t cat f =
       Profiler.set_current t.profiler prev;
       Printexc.raise_with_backtrace e bt
 
+(* Pop the earliest event and run it at its own timestamp. The gap up
+   to the event is charged to the event's category when it carries one
+   (a DMA burst completing attributes the burst cycles to Dma, not to
+   whoever was polling). The caller checks the queue is not empty. *)
+let fire_next t =
+  let time = Eventq.min_time t.queue in
+  let ev, cat = Eventq.pop_payload t.queue in
+  tick t ?cat time;
+  Metrics.bump t.fired;
+  ev t
+
 (* Fire every event due at or before [horizon], letting fired events
-   schedule more work inside the window. The clock tracks each event's
-   own timestamp while events run; the gap up to an event is charged to
-   the event's category when it carries one (a DMA burst completing
-   attributes the burst cycles to Dma, not to whoever was polling). *)
+   schedule more work inside the window. [is_empty] guards the pop:
+   [min_time]'s empty sentinel [max_int] is itself a valid horizon. *)
 let pump t horizon =
-  let rec loop () =
-    match Eventq.peek_time t.queue with
-    | Some time when time <= horizon -> (
-        match Eventq.pop t.queue with
-        | Some (time, (ev, cat)) ->
-            tick t ?cat time;
-            Metrics.bump t.fired;
-            ev t;
-            loop ()
-        | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ()
+  while
+    (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= horizon
+  do
+    fire_next t
+  done
 
 let run_until t time =
   if time > t.clock then begin
@@ -102,34 +103,25 @@ let advance t cost =
   run_until t (t.clock + cost)
 
 let run_until_idle t =
-  let rec loop () =
-    match Eventq.pop t.queue with
-    | Some (time, (ev, cat)) ->
-        tick t ?cat time;
-        Metrics.bump t.fired;
-        ev t;
-        loop ()
-    | None -> ()
-  in
-  loop ()
+  while not (Eventq.is_empty t.queue) do
+    fire_next t
+  done
 
 let pending_events t = Eventq.length t.queue
 
 let wait_for t ?(poll_cost = 2) ?(max_polls = 10_000_000) cond =
-  let rec loop polls =
-    if cond () then polls
-    else if polls >= max_polls then
-      failwith "Engine.wait_for: poll budget exhausted"
-    else if Eventq.is_empty t.queue then
-      failwith "Engine.wait_for: condition can never become true (idle)"
-    else begin
-      (* Jump straight to the next event when polling would only spin
-         through empty cycles; the clock ends at the same place as if
-         every intermediate poll had been simulated. *)
-      let next = Option.value (Eventq.peek_time t.queue) ~default:t.clock in
-      if t.clock + poll_cost < next then run_until t next
-      else advance t poll_cost;
-      loop (polls + 1)
-    end
-  in
-  loop 0
+  let polls = ref 0 in
+  while not (cond ()) do
+    if !polls >= max_polls then
+      failwith "Engine.wait_for: poll budget exhausted";
+    if Eventq.is_empty t.queue then
+      failwith "Engine.wait_for: condition can never become true (idle)";
+    (* Jump straight to the next event when polling would only spin
+       through empty cycles; the clock ends at the same place as if
+       every intermediate poll had been simulated. *)
+    let next = Eventq.min_time t.queue in
+    if t.clock + poll_cost < next then run_until t next
+    else advance t poll_cost;
+    incr polls
+  done;
+  !polls

@@ -1,14 +1,21 @@
 type 'a entry = { time : int; key : int; seq : int; payload : 'a }
 
-(* Slots at or beyond [size] hold [None] so the heap never retains a
-   popped entry (and, transitively, the event closure and everything it
-   captures). The previous representation kept vacated [entry] values
-   live in the backing array until they happened to be overwritten. *)
+(* [heap.(0 .. size - 1)] is a binary min-heap under [before]. Every
+   slot at or beyond [size] holds [filler ()], so the queue never keeps
+   a popped or cleared payload (and the closure and everything it
+   captures) reachable. *)
 type 'a t = {
-  mutable heap : 'a entry option array;
+  mutable heap : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
 }
+
+(* The one entry every vacated slot shares. Its payload is [()] cast to
+   ['a]; that is sound only because no slot at or beyond [size] is ever
+   read, so the payload is never used at type ['a]. *)
+let filler_unit = { time = max_int; key = max_int; seq = max_int; payload = () }
+
+let filler () : 'a entry = Obj.magic filler_unit
 
 let initial_capacity = 64
 
@@ -18,83 +25,79 @@ let is_empty q = q.size = 0
 
 let length q = q.size
 
-let get q i =
-  match q.heap.(i) with
-  | Some e -> e
-  | None -> invalid_arg "Eventq: corrupt heap slot"
-
 (* Entry ordering: earlier time first, then the caller-supplied key,
-   then FIFO among equal (time, key). *)
-let before a b =
+   then FIFO among equal (time, key). Sequence numbers are unique, so
+   this is a total order and the pop order does not depend on the heap's
+   shape. *)
+let[@inline] before a b =
   a.time < b.time
   || (a.time = b.time
       && (a.key < b.key || (a.key = b.key && a.seq < b.seq)))
 
-let ensure_capacity q =
+let grow q =
   let cap = Array.length q.heap in
-  if q.size >= cap then begin
-    let new_cap = if cap = 0 then initial_capacity else cap * 2 in
-    let heap = Array.make new_cap None in
-    Array.blit q.heap 0 heap 0 q.size;
-    q.heap <- heap
-  end
+  let heap = Array.make (max initial_capacity (cap * 2)) (filler ()) in
+  Array.blit q.heap 0 heap 0 q.size;
+  q.heap <- heap
 
-let sift_up q i =
-  let rec loop i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before (get q i) (get q parent) then begin
-        let tmp = q.heap.(i) in
-        q.heap.(i) <- q.heap.(parent);
-        q.heap.(parent) <- tmp;
-        loop parent
-      end
+(* Both sifts move a hole rather than swapping: each level copies one
+   entry into the hole, and [e] is written once where the hole stops. *)
+let rec sift_up h i e =
+  if i = 0 then h.(0) <- e
+  else
+    let parent = (i - 1) / 2 in
+    let p = h.(parent) in
+    if before e p then begin
+      h.(i) <- p;
+      sift_up h parent e
     end
-  in
-  loop i
+    else h.(i) <- e
 
-let sift_down q i =
-  let rec loop i =
-    let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    let smallest = ref i in
-    if left < q.size && before (get q left) (get q !smallest) then
-      smallest := left;
-    if right < q.size && before (get q right) (get q !smallest) then
-      smallest := right;
-    if !smallest <> i then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(!smallest);
-      q.heap.(!smallest) <- tmp;
-      loop !smallest
+let rec sift_down h n i e =
+  let left = (2 * i) + 1 in
+  if left >= n then h.(i) <- e
+  else
+    let right = left + 1 in
+    let child =
+      if right < n && before h.(right) h.(left) then right else left
+    in
+    let c = h.(child) in
+    if before c e then begin
+      h.(i) <- c;
+      sift_down h n child e
     end
-  in
-  loop i
+    else h.(i) <- e
 
 let push q ~time ?(key = 0) payload =
   if time < 0 then invalid_arg "Eventq.push: negative time";
-  let entry = { time; key; seq = q.next_seq; payload } in
+  let e = { time; key; seq = q.next_seq; payload } in
   q.next_seq <- q.next_seq + 1;
-  ensure_capacity q;
-  q.heap.(q.size) <- Some entry;
-  q.size <- q.size + 1;
-  sift_up q (q.size - 1)
+  if q.size = Array.length q.heap then grow q;
+  let i = q.size in
+  q.size <- i + 1;
+  sift_up q.heap i e
 
-let peek_time q = if q.size = 0 then None else Some (get q 0).time
+let min_time q = if q.size = 0 then max_int else q.heap.(0).time
+
+let pop_payload q =
+  if q.size = 0 then invalid_arg "Eventq.pop_payload: empty queue";
+  let h = q.heap in
+  let top = h.(0) in
+  let n = q.size - 1 in
+  q.size <- n;
+  let last = h.(n) in
+  h.(n) <- filler ();
+  if n > 0 then sift_down h n 0 last;
+  top.payload
+
+let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
 let pop q =
   if q.size = 0 then None
-  else begin
-    let top = get q 0 in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    (* Null out the vacated slot so the GC can reclaim the payload. *)
-    q.heap.(q.size) <- None;
-    Some (top.time, top.payload)
-  end
+  else
+    let time = q.heap.(0).time in
+    Some (time, pop_payload q)
 
 let clear q =
-  Array.fill q.heap 0 q.size None;
+  Array.fill q.heap 0 q.size (filler ());
   q.size <- 0

@@ -9,9 +9,13 @@
     count. Legacy callers omit it (all keys equal → pure FIFO ties,
     the historical order).
 
-    Popped and cleared slots are explicitly nulled so the queue never
-    keeps dead event closures (and whatever they capture — engines,
-    buffers, metrics) reachable. *)
+    The heap is a plain array of immutable entries, sifted by moving a
+    hole (one write per level). Every slot a pop or {!clear} vacates is
+    overwritten with one shared filler entry, so the queue never keeps
+    dead event closures (and whatever they capture — engines, buffers,
+    metrics) reachable. {!push} allocates only the entry; {!min_time}
+    and {!pop_payload} allocate nothing, which is what the event loops
+    use. *)
 
 type 'a t
 (** Mutable event queue holding payloads of type ['a]. *)
@@ -32,6 +36,17 @@ val push : 'a t -> time:int -> ?key:int -> 'a -> unit
 
 val peek_time : 'a t -> int option
 (** [peek_time q] is the firing time of the earliest event, if any. *)
+
+val min_time : 'a t -> int
+(** [min_time q] is the firing time of the earliest event, or [max_int]
+    when [q] is empty. An event may itself be due at [max_int], so test
+    {!is_empty} where that matters. Allocates nothing. *)
+
+val pop_payload : 'a t -> 'a
+(** [pop_payload q] removes the earliest event and returns its payload;
+    read its time with {!min_time} first. Same order and slot release
+    as {!pop}, without allocating. Raises [Invalid_argument] if [q] is
+    empty. *)
 
 val pop : 'a t -> (int * 'a) option
 (** [pop q] removes and returns the earliest event as [(time, payload)].

@@ -124,28 +124,22 @@ let post t ~src ~dst ?(key = 0) ~delay fn =
 let range_min t lo hi =
   let m = ref max_int in
   for s = lo to hi - 1 do
-    match Eventq.peek_time t.queues.(s) with
-    | Some u when u < !m -> m := u
-    | _ -> ()
+    let u = Eventq.min_time t.queues.(s) in
+    if u < !m then m := u
   done;
   !m
 
+(* An empty queue's [min_time] is [max_int], which no horizon exceeds,
+   so the strict test also stops there. *)
 let exec_window t s ~horizon =
   let q = t.queues.(s) in
   let executed = ref 0 in
-  let rec loop () =
-    match Eventq.peek_time q with
-    | Some time when time < horizon -> (
-        match Eventq.pop q with
-        | Some (time, fn) ->
-            t.clocks.(s * stride) <- time;
-            incr executed;
-            fn ();
-            loop ()
-        | None -> ())
-    | _ -> ()
-  in
-  loop ();
+  while Eventq.min_time q < horizon do
+    t.clocks.(s * stride) <- Eventq.min_time q;
+    let fn = Eventq.pop_payload q in
+    incr executed;
+    fn ()
+  done;
   t.clocks.(s * stride) <- horizon;
   t.shard_events.(s * stride) <- t.shard_events.(s * stride) + !executed
 

@@ -209,6 +209,12 @@ let run ?probe (cfg : config) =
   let measure_start = t0 + cfg.warmup_cycles in
   let t_end = measure_start + cfg.window_cycles in
   let em = Engine.metrics engine in
+  let m_latency = Metrics.sampler em "traffic.latency_cycles"
+  and m_delivered = Metrics.counter em "traffic.delivered"
+  and m_credit_stalls = Metrics.counter em "traffic.credit_stalls"
+  and m_credit_stall_cycles = Metrics.counter em "traffic.credit_stall_cycles"
+  and m_launched = Metrics.counter em "traffic.launched"
+  and m_injected = Metrics.counter em "traffic.injected" in
   (* delivery bookkeeping: per-(src,dst) FIFO of in-flight messages.
      Sound because each message is one packet and the router delivers
      in order per pair — under both routing policies (adaptive paths
@@ -237,8 +243,8 @@ let run ?probe (cfg : config) =
               incr delivered;
               let lat = now - msg.born in
               lat_acc := lat :: !lat_acc;
-              Metrics.observe em "traffic.latency_cycles" lat;
-              Metrics.incr em "traffic.delivered"
+              Metrics.sample m_latency lat;
+              Metrics.bump m_delivered
             end;
             match msg.on_deliver with
             | Some k -> k (Engine.now engine)
@@ -264,8 +270,8 @@ let run ?probe (cfg : config) =
     if ready > now then begin
       incr credit_stalls;
       credit_stall_cycles := !credit_stall_cycles + (ready - now);
-      Metrics.incr em "traffic.credit_stalls";
-      Metrics.add em "traffic.credit_stall_cycles" (ready - now);
+      Metrics.bump m_credit_stalls;
+      Metrics.bump_by m_credit_stall_cycles (ready - now);
       Engine.schedule_at engine ~time:ready (fun _ -> launch s)
     end
     else begin
@@ -273,7 +279,7 @@ let run ?probe (cfg : config) =
       Queue.push msg (inflight_q (s.src, dst));
       Messaging.inject (channel s.src dst) payload;
       incr launched;
-      Metrics.incr em "traffic.launched";
+      Metrics.bump m_launched;
       s.serving <- false;
       pump s
     end
@@ -287,7 +293,7 @@ let run ?probe (cfg : config) =
     let now = Engine.now engine in
     if now >= measure_start && now < t_end then begin
       incr injected;
-      Metrics.incr em "traffic.injected"
+      Metrics.bump m_injected
     end;
     Queue.push (dst, { born = now; on_deliver }) s.q;
     pump s

@@ -112,12 +112,21 @@ let test_eventq_clear_releases () =
         (Weak.check w 0))
     ws
 
-(* qcheck: an interleaved push/pop/clear trace agrees with a sorted-list
-   reference model — global time order, and among equal (time, key) the
-   push order (FIFO). *)
+(* qcheck: an interleaved push/pop/pop_payload/clear trace agrees with a
+   sorted-list reference model — global time order, then key, and among
+   equal (time, key) the push order (FIFO). After every step the
+   observers ([length], [is_empty], [peek_time], [min_time]) must agree
+   with the model too. Pushes outweigh pops, so long traces grow the
+   heap past its initial capacity between clears. *)
 let qtest = QCheck_alcotest.to_alcotest
 
-type eventq_op = Push of int * int | Pop | Clear
+type eventq_op = Push of int * int | Pop | Pop_payload | Clear
+
+(* Insert behind every entry that sorts at or before (t, k): FIFO ties. *)
+let rec model_insert ((t, k, _) as x) = function
+  | ((t', k', _) as y) :: rest when (t', k') <= (t, k) ->
+      y :: model_insert x rest
+  | l -> x :: l
 
 let eventq_model_prop =
   let open QCheck in
@@ -125,45 +134,65 @@ let eventq_model_prop =
     Gen.(
       frequency
         [
-          (6, map2 (fun t k -> Push (t, k)) (int_bound 20) (int_bound 3));
-          (3, return Pop);
+          (30, map2 (fun t k -> Push (t, k)) (int_bound 20) (int_bound 3));
+          (10, return Pop);
+          (10, return Pop_payload);
           (1, return Clear);
         ])
   in
   let print_op = function
     | Push (t, k) -> Printf.sprintf "push(t=%d,k=%d)" t k
     | Pop -> "pop"
+    | Pop_payload -> "pop_payload"
     | Clear -> "clear"
   in
-  let arb = make ~print:(Print.list print_op) Gen.(list_size (1 -- 60) gen_op) in
+  let arb = make ~print:(Print.list print_op) Gen.(list_size (1 -- 400) gen_op) in
   Test.make ~count:500 ~name:"Eventq trace = sorted-list model" arb (fun ops ->
       let q = Eventq.create () in
       let model = ref [] in
       let next_id = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Push (t, k) ->
-              let id = !next_id in
-              incr next_id;
-              Eventq.push q ~time:t ~key:k id;
-              (* stable sort keeps push order among equal (time, key) *)
-              model :=
-                List.stable_sort
-                  (fun (t1, k1, _) (t2, k2, _) -> compare (t1, k1) (t2, k2))
-                  (!model @ [ (t, k, id) ])
-          | Pop -> (
-              match (Eventq.pop q, !model) with
-              | None, [] -> ()
-              | Some (t, id), (mt, _, mid) :: rest ->
-                  if t <> mt || id <> mid then ok := false else model := rest
-              | Some _, [] | None, _ :: _ -> ok := false)
-          | Clear ->
-              Eventq.clear q;
-              model := [])
-        ops;
-      !ok && Eventq.length q = List.length !model)
+      let step op =
+        match op with
+        | Push (t, k) ->
+            let id = !next_id in
+            incr next_id;
+            Eventq.push q ~time:t ~key:k id;
+            model := model_insert (t, k, id) !model;
+            true
+        | Pop -> (
+            match (Eventq.pop q, !model) with
+            | None, [] -> true
+            | Some (t, id), (mt, _, mid) :: rest ->
+                model := rest;
+                t = mt && id = mid
+            | Some _, [] | None, _ :: _ -> false)
+        | Pop_payload -> (
+            match !model with
+            | [] -> (
+                match Eventq.pop_payload q with
+                | _ -> false
+                | exception Invalid_argument _ -> true)
+            | (_, _, mid) :: rest ->
+                model := rest;
+                Eventq.pop_payload q = mid)
+        | Clear ->
+            Eventq.clear q;
+            model := [];
+            true
+      in
+      let observers_agree () =
+        match !model with
+        | [] ->
+            Eventq.length q = 0 && Eventq.is_empty q
+            && Eventq.peek_time q = None
+            && Eventq.min_time q = max_int
+        | (t, _, _) :: _ ->
+            Eventq.length q = List.length !model
+            && (not (Eventq.is_empty q))
+            && Eventq.peek_time q = Some t
+            && Eventq.min_time q = t
+      in
+      List.for_all (fun op -> step op && observers_agree ()) ops)
 
 (* ---------- Engine ---------- *)
 
@@ -173,15 +202,17 @@ let test_engine_advance () =
   Engine.advance e 100;
   checki "advanced" 100 (Engine.now e)
 
+(* An event due exactly at the horizon fires inside the window. *)
 let test_engine_events_fire_in_window () =
   let e = Engine.create () in
   let fired = ref [] in
   Engine.schedule e ~delay:50 (fun _ -> fired := 50 :: !fired);
+  Engine.schedule e ~delay:100 (fun _ -> fired := 100 :: !fired);
   Engine.schedule e ~delay:150 (fun _ -> fired := 150 :: !fired);
   Engine.advance e 100;
-  Alcotest.(check (list int)) "only due events" [ 50 ] !fired;
+  Alcotest.(check (list int)) "only due events" [ 100; 50 ] !fired;
   Engine.advance e 100;
-  Alcotest.(check (list int)) "the rest" [ 150; 50 ] !fired
+  Alcotest.(check (list int)) "the rest" [ 150; 100; 50 ] !fired
 
 let test_engine_event_clock () =
   let e = Engine.create () in
@@ -225,20 +256,42 @@ let test_engine_run_until_idle () =
   checki "all fired" 5 !count;
   checki "clock at last event" 50 (Engine.now e)
 
+(* Pins [wait_for]'s jump rule: jump straight to the next event when
+   one poll would not reach it, otherwise charge one poll. Events at 5
+   and 6 and the flag at 1000: jump to 5, poll to 7 (firing 6), jump to
+   1000. *)
 let test_engine_wait_for () =
   let e = Engine.create () in
-  let flag = ref false in
-  Engine.schedule e ~delay:1000 (fun _ -> flag := true);
+  let flag = ref false and log = ref [] in
+  let note e = log := Engine.now e :: !log in
+  Engine.schedule e ~delay:5 note;
+  Engine.schedule e ~delay:6 note;
+  Engine.schedule e ~delay:1000 (fun e -> note e; flag := true);
   let polls = Engine.wait_for e ~poll_cost:2 (fun () -> !flag) in
   checkb "condition met" true !flag;
-  checkb "polled at least once" true (polls >= 1);
-  checkb "clock advanced to the event" true (Engine.now e >= 1000)
+  checki "polls" 3 polls;
+  checki "clock at the event" 1000 (Engine.now e);
+  Alcotest.(check (list int)) "events at their own times" [ 1000; 6; 5 ] !log
 
 let test_engine_wait_for_idle_failure () =
   let e = Engine.create () in
   Alcotest.check_raises "impossible condition"
     (Failure "Engine.wait_for: condition can never become true (idle)")
     (fun () -> ignore (Engine.wait_for e (fun () -> false)))
+
+(* A horizon of [max_int] equals the empty queue's [min_time]; the
+   loop must still stop instead of popping an empty queue. *)
+let test_engine_run_until_max_int () =
+  let e = Engine.create () in
+  Engine.run_until e max_int;
+  checki "empty queue: clock at horizon" max_int (Engine.now e);
+  let e = Engine.create () in
+  let seen = ref (-1) in
+  Engine.schedule_at e ~time:(max_int / 2) (fun e -> seen := Engine.now e);
+  Engine.run_until e max_int;
+  checki "event fired at its time" (max_int / 2) !seen;
+  checki "clock at horizon" max_int (Engine.now e);
+  checki "queue drained" 0 (Engine.pending_events e)
 
 let test_engine_time_conversion () =
   let e = Engine.create ~mhz:100 () in
@@ -502,6 +555,8 @@ let () =
           Alcotest.test_case "wait_for" `Quick test_engine_wait_for;
           Alcotest.test_case "wait_for idle failure" `Quick
             test_engine_wait_for_idle_failure;
+          Alcotest.test_case "run_until max_int" `Quick
+            test_engine_run_until_max_int;
           Alcotest.test_case "time conversion" `Quick test_engine_time_conversion;
         ] );
       ( "rng",
