@@ -1,9 +1,9 @@
 (* Command-line driver: run any single experiment from the paper's
    evaluation with parameter overrides, or all of them. Every
    experiment subcommand takes the same observability flags: --json
-   (udma-bench/1 document, the exact schema bench/main.exe --json
-   writes), --out FILE, --trace (typed JSON-lines event stream on
-   stderr) and --seed. *)
+   (one udma-bench/1 document), --out FILE, --trace (typed JSON-lines
+   event stream on stderr) and --seed; `all --check FILE` is the
+   anchor regression gate. *)
 
 module Runner = Udma_workloads.Runner
 module Report = Udma_obs.Report
@@ -64,7 +64,7 @@ let doc_meta c =
 
 (* Run [mk] (which builds the reports) with the global trace sink
    installed when asked, then render: one schema for --json, the
-   derived table otherwise. *)
+   derived table otherwise. Returns the reports. *)
 let emit_reports c mk =
   if c.trace then Trace.set_global_sink (Some (Event.jsonl_sink stderr));
   let reports = mk () in
@@ -74,7 +74,8 @@ let emit_reports c mk =
         output_string oc
           (Json.to_string ~indent:2 (Report.bench_json ~meta:(doc_meta c) reports));
         output_char oc '\n')
-  else with_out c (fun oc -> List.iter (Report.print ~oc) reports)
+  else with_out c (fun oc -> List.iter (Report.print ~oc) reports);
+  reports
 
 (* ------------------------------------------------------------------ *)
 (* experiment subcommands                                              *)
@@ -154,7 +155,7 @@ let quick_term ~doc = Arg.(value & flag & info [ "quick" ] ~doc)
 let experiment_term (e : Runner.experiment) =
   let run c quick params =
     let f = params ~quick in
-    try emit_reports c (fun () -> f ~quick ~seed:c.seed)
+    try ignore (emit_reports c (fun () -> f ~quick ~seed:c.seed))
     with Udma_traffic.Sweep.Invalid_config msg ->
       prerr_endline (Printf.sprintf "%s: %s" e.Runner.exp_name msg);
       exit 2
@@ -181,19 +182,70 @@ let experiment_cmds =
       ])
     Runner.experiments
 
+(* The anchor gate of `all --check FILE`. The baseline is read before
+   the run: a file that cannot be read or parsed exits 2. The fresh run
+   is serialized as the udma-bench/1 document it would be written as
+   and re-parsed, so both sides are read by Report.anchor_value; any
+   anchor drifting beyond +/-2 % exits 1. A passing report goes to
+   stdout (stderr when stdout carries the JSON document), a failing one
+   to stderr. *)
+let read_baseline path =
+  match Json.of_file path with
+  | Ok doc -> doc
+  | Error msg ->
+      prerr_endline ("all --check: " ^ msg);
+      exit 2
+
+let check_anchors c ~path baseline reports =
+  let current =
+    match Json.parse (Json.to_string (Report.bench_json reports)) with
+    | Ok doc -> doc
+    | Error msg -> failwith ("bench_json does not reparse: " ^ msg)
+  in
+  let passed, lines =
+    match Report.check ~tolerance:0.02 Runner.anchors ~baseline current with
+    | Ok lines -> (true, lines)
+    | Error lines -> (false, lines)
+  in
+  let oc = if passed && not (c.json && c.out = None) then stdout else stderr in
+  Printf.fprintf oc "anchor check vs %s (tolerance +/-2%%)\n" path;
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  if passed then output_string oc "anchor check passed.\n"
+  else begin
+    output_string oc
+      "anchor check FAILED: regenerate the baseline (see EXPERIMENTS.md) if \
+       the change is intended.\n";
+    exit 1
+  end
+
 let all_cmd =
-  let run c quick =
-    emit_reports c (fun () -> Runner.all_reports ~quick ~seed:c.seed ())
+  let check =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "check" ] ~docv:"FILE"
+          ~doc:
+            "Diff every anchor declared in the experiment registry between \
+             this run and the baseline document $(docv); exit 1 on >±2% \
+             drift, 2 if $(docv) cannot be read.")
+  in
+  let run c quick check =
+    let baseline = Option.map (fun path -> (path, read_baseline path)) check in
+    let reports = emit_reports c (fun () -> Runner.all_reports ~quick ~seed:c.seed ()) in
+    Option.iter (fun (path, b) -> check_anchors c ~path b reports) baseline
   in
   Cmd.v
     (Cmd.info "all"
-       ~doc:"Run every experiment (same series as bench/main.exe).")
+       ~doc:
+         "Run every experiment: the paper's whole evaluation, E1 to E18 in \
+          order.")
     Term.(
       const run $ common_term
       $ quick_term
           ~doc:
-            "Small deterministic parameters (what CI diffs against the \
-             committed BENCH_baseline.json).")
+            "Small deterministic parameters (what the committed \
+             BENCH_baseline.json holds)."
+      $ check)
 
 (* ------------------------------------------------------------------ *)
 (* trace walkthrough                                                   *)

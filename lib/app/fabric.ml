@@ -64,17 +64,20 @@ type t = {
 
 let capacity = 4092 (* one-page channel minus the flag word *)
 
+let router_config (cfg : config) =
+  { Router.default_config with
+    Router.link_contention = cfg.link_contention;
+    Router.routing = cfg.routing;
+    Router.per_word_cycles = cfg.link_per_word;
+    Router.vc_count = cfg.vc_count;
+    Router.rx_credits = cfg.rx_credits }
+
+(* The fabric's own limits; the mesh shape, VCs and credits are the
+   router's to judge. *)
 let validate (cfg : config) =
-  if cfg.nodes < 2 || cfg.nodes > 64 then
-    invalid_arg "Fabric: nodes must be in 2..64";
-  if not (Router.valid_nodes cfg.nodes) then
-    invalid_arg "Fabric: nodes must fill complete mesh rows";
-  if cfg.vc_count < 1 || cfg.vc_count > 4 then
-    invalid_arg "Fabric: vc_count must be in 1..4";
-  (match cfg.rx_credits with
-  | Some n when n < 1 -> invalid_arg "Fabric: rx_credits must be >= 1"
-  | Some _ | None -> ());
-  if cfg.link_per_word < 1 then invalid_arg "Fabric: link_per_word must be >= 1"
+  if cfg.nodes < 2 || cfg.nodes > 64 then Error "Fabric: nodes must be in 2..64"
+  else if cfg.link_per_word < 1 then Error "Fabric: link_per_word must be >= 1"
+  else Router.validate ~nodes:cfg.nodes (router_config cfg)
 
 let check_nbytes nbytes =
   if nbytes <= 0 || nbytes land 3 <> 0 || nbytes > capacity then
@@ -108,7 +111,7 @@ let payload t ~nbytes =
       b
 
 let create (cfg : config) ~pairs =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   if pairs = [] then invalid_arg "Fabric: empty pair list";
   List.iter
     (fun (s, d) ->
@@ -117,15 +120,7 @@ let create (cfg : config) ~pairs =
     pairs;
   let sys =
     System.create
-      ~config:
-        { System.default_config with
-          System.router =
-            { Router.default_config with
-              Router.link_contention = cfg.link_contention;
-              Router.routing = cfg.routing;
-              Router.per_word_cycles = cfg.link_per_word;
-              Router.vc_count = cfg.vc_count;
-              Router.rx_credits = cfg.rx_credits } }
+      ~config:{ System.default_config with System.router = router_config cfg }
       ~nodes:cfg.nodes ()
   in
   let engine = System.engine sys in

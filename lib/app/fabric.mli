@@ -42,12 +42,18 @@ val default_config : config
 (** 16 nodes, 1 VC, 8 credits, dimension-order, [link_per_word] 1,
     contention on, seed 42. *)
 
+val validate : config -> (unit, string) result
+(** [Error msg] for a config outside the documented ranges: the
+    fabric's own limits first (2..64 nodes, [link_per_word >= 1]),
+    then {!Udma_shrimp.Router.validate} on the router config {!create}
+    would build. *)
+
 type t
 
 val create : config -> pairs:(int * int) list -> t
 (** Build the mesh and a channel per directed pair (deduplicated;
-    [src = dst] pairs are rejected). Raises [Invalid_argument] on a
-    config outside the documented ranges or an empty pair list. *)
+    [src = dst] pairs are rejected). Raises [Invalid_argument msg]
+    when {!validate} gives [Error msg], and on an empty pair list. *)
 
 val engine : t -> Udma_sim.Engine.t
 val nodes : t -> int

@@ -34,25 +34,26 @@ type result = {
   drained : bool;
 }
 
+(* The exchange's own limits first, then the fabric's. *)
 let validate cfg =
-  if cfg.tile_rows < 1 then invalid_arg "Halo: tile_rows must be >= 1";
-  if cfg.row_bytes <= 0 || cfg.row_bytes land 3 <> 0 then
-    invalid_arg "Halo: row_bytes must be a positive 4-byte multiple";
-  if cfg.halo_cols <= 0 || cfg.halo_cols land 3 <> 0 then
-    invalid_arg "Halo: halo_cols must be a positive 4-byte multiple";
-  if cfg.halo_cols > cfg.row_bytes then
-    invalid_arg "Halo: halo_cols must be <= row_bytes";
-  if ((cfg.tile_rows - 1) * cfg.row_bytes) + cfg.halo_cols > 4096 then
-    invalid_arg "Halo: strided halo span exceeds the source page";
-  if cfg.tile_rows * cfg.halo_cols > 4092 then
-    invalid_arg "Halo: east/west halo exceeds the channel capacity";
-  if cfg.row_bytes > 4092 then
-    invalid_arg "Halo: north/south halo exceeds the channel capacity";
-  if cfg.iterations < 1 then invalid_arg "Halo: iterations must be >= 1";
-  if cfg.warmup_iters < 0 || cfg.warmup_iters >= cfg.iterations then
-    invalid_arg "Halo: warmup_iters must be in 0..iterations-1";
-  if not (cfg.load > 0.0 && cfg.load <= 1.0) then
-    invalid_arg "Halo: load must be in (0, 1]"
+  if cfg.tile_rows < 1 then Error "Halo: tile_rows must be >= 1"
+  else if cfg.row_bytes <= 0 || cfg.row_bytes land 3 <> 0 then
+    Error "Halo: row_bytes must be a positive 4-byte multiple"
+  else if cfg.halo_cols <= 0 || cfg.halo_cols land 3 <> 0 then
+    Error "Halo: halo_cols must be a positive 4-byte multiple"
+  else if cfg.halo_cols > cfg.row_bytes then Error "Halo: halo_cols must be <= row_bytes"
+  else if ((cfg.tile_rows - 1) * cfg.row_bytes) + cfg.halo_cols > 4096 then
+    Error "Halo: strided halo span exceeds the source page"
+  else if cfg.tile_rows * cfg.halo_cols > 4092 then
+    Error "Halo: east/west halo exceeds the channel capacity"
+  else if cfg.row_bytes > 4092 then
+    Error "Halo: north/south halo exceeds the channel capacity"
+  else if cfg.iterations < 1 then Error "Halo: iterations must be >= 1"
+  else if cfg.warmup_iters < 0 || cfg.warmup_iters >= cfg.iterations then
+    Error "Halo: warmup_iters must be in 0..iterations-1"
+  else if not (cfg.load > 0.0 && cfg.load <= 1.0) then
+    Error "Halo: load must be in (0, 1]"
+  else Fabric.validate cfg.fabric
 
 (* Mesh neighbourhood, computable before the fabric exists (same
    row-major layout as Fabric.neighbors / the router). *)
@@ -77,7 +78,7 @@ type node_state = {
 }
 
 let run ?probe cfg =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   let nodes = cfg.fabric.Fabric.nodes in
   let width = Router.mesh_width nodes in
   let nbrs = Array.init nodes (neighbors_of ~nodes ~width) in

@@ -50,9 +50,13 @@ type result = {
   drained : bool;  (** every node finished every iteration *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error msg] for a config outside the documented ranges
+    (including a strided span that would overrun the source page):
+    the application's own limits first, then {!Fabric.validate}. *)
+
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the
     fabric's engine before the run (for cycle-breakdown collection).
-    Raises [Invalid_argument] on a config outside the documented
-    ranges (including a strided span that would overrun the source
-    page). *)
+    Raises [Invalid_argument msg] when {!validate} gives
+    [Error msg]. *)

@@ -47,26 +47,25 @@ type result = {
   drained : bool;
 }
 
+(* The store's own limits first, then the fabric's. *)
 let validate cfg =
   let nodes = cfg.fabric.Fabric.nodes in
-  if cfg.shards < 1 || cfg.shards > nodes then
-    invalid_arg "Kv: shards must be in 1..nodes";
-  if cfg.clients_per_node < 1 then
-    invalid_arg "Kv: clients_per_node must be >= 1";
-  if cfg.value_bytes <= 0 || cfg.value_bytes land 3 <> 0 then
-    invalid_arg "Kv: value_bytes must be a positive 4-byte multiple";
-  if cfg.req_bytes <= 0 || cfg.req_bytes land 3 <> 0 then
-    invalid_arg "Kv: req_bytes must be a positive 4-byte multiple";
-  if cfg.req_bytes + cfg.value_bytes > 4092 then
-    invalid_arg "Kv: req_bytes + value_bytes must fit one channel page (4092)";
-  if cfg.write_pct < 0 || cfg.write_pct > 100 then
-    invalid_arg "Kv: write_pct must be in 0..100";
-  if cfg.hot_pct < 0 || cfg.hot_pct > 100 then
-    invalid_arg "Kv: hot_pct must be in 0..100";
-  if cfg.server_cycles < 0 then invalid_arg "Kv: server_cycles must be >= 0";
-  if cfg.warmup_cycles < 0 then invalid_arg "Kv: warmup_cycles must be >= 0";
-  if cfg.window_cycles < 1 then invalid_arg "Kv: window_cycles must be >= 1";
-  if not (cfg.load > 0.0) then invalid_arg "Kv: load must be > 0"
+  if cfg.shards < 1 || cfg.shards > nodes then Error "Kv: shards must be in 1..nodes"
+  else if cfg.clients_per_node < 1 then Error "Kv: clients_per_node must be >= 1"
+  else if cfg.value_bytes <= 0 || cfg.value_bytes land 3 <> 0 then
+    Error "Kv: value_bytes must be a positive 4-byte multiple"
+  else if cfg.req_bytes <= 0 || cfg.req_bytes land 3 <> 0 then
+    Error "Kv: req_bytes must be a positive 4-byte multiple"
+  else if cfg.req_bytes + cfg.value_bytes > 4092 then
+    Error "Kv: req_bytes + value_bytes must fit one channel page (4092)"
+  else if cfg.write_pct < 0 || cfg.write_pct > 100 then
+    Error "Kv: write_pct must be in 0..100"
+  else if cfg.hot_pct < 0 || cfg.hot_pct > 100 then Error "Kv: hot_pct must be in 0..100"
+  else if cfg.server_cycles < 0 then Error "Kv: server_cycles must be >= 0"
+  else if cfg.warmup_cycles < 0 then Error "Kv: warmup_cycles must be >= 0"
+  else if cfg.window_cycles < 1 then Error "Kv: window_cycles must be >= 1"
+  else if not (cfg.load > 0.0) then Error "Kv: load must be > 0"
+  else Fabric.validate cfg.fabric
 
 (* Every node runs clients against every remote shard: requests flow
    client -> shard node, replies shard node -> client. A client's own
@@ -84,7 +83,7 @@ let pairs_of cfg =
     (List.init nodes Fun.id)
 
 let run ?probe cfg =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   let nodes = cfg.fabric.Fabric.nodes in
   let fab = Fabric.create cfg.fabric ~pairs:(pairs_of cfg) in
   Option.iter (fun f -> f (Fabric.engine fab)) probe;

@@ -39,18 +39,20 @@ type result = {
   drained : bool;
 }
 
+(* The service's own limits first, then the fabric's. *)
 let validate cfg =
   if cfg.req_bytes <= 0 || cfg.req_bytes land 3 <> 0 then
-    invalid_arg "Rpc: req_bytes must be a positive 4-byte multiple";
-  if cfg.resp_bytes <= 0 || cfg.resp_bytes land 3 <> 0 || cfg.resp_bytes > 4092
-  then invalid_arg "Rpc: resp_bytes must be a positive 4-byte multiple <= 4092";
-  if cfg.req_bytes > 4092 then invalid_arg "Rpc: req_bytes must be <= 4092";
-  if cfg.server_cycles < 0 then invalid_arg "Rpc: server_cycles must be >= 0";
-  if cfg.burst < 1 then invalid_arg "Rpc: burst must be >= 1";
-  if cfg.pool < 1 then invalid_arg "Rpc: pool must be >= 1";
-  if cfg.warmup_cycles < 0 then invalid_arg "Rpc: warmup_cycles must be >= 0";
-  if cfg.window_cycles < 1 then invalid_arg "Rpc: window_cycles must be >= 1";
-  if not (cfg.load > 0.0) then invalid_arg "Rpc: load must be > 0"
+    Error "Rpc: req_bytes must be a positive 4-byte multiple"
+  else if cfg.resp_bytes <= 0 || cfg.resp_bytes land 3 <> 0 || cfg.resp_bytes > 4092
+  then Error "Rpc: resp_bytes must be a positive 4-byte multiple <= 4092"
+  else if cfg.req_bytes > 4092 then Error "Rpc: req_bytes must be <= 4092"
+  else if cfg.server_cycles < 0 then Error "Rpc: server_cycles must be >= 0"
+  else if cfg.burst < 1 then Error "Rpc: burst must be >= 1"
+  else if cfg.pool < 1 then Error "Rpc: pool must be >= 1"
+  else if cfg.warmup_cycles < 0 then Error "Rpc: warmup_cycles must be >= 0"
+  else if cfg.window_cycles < 1 then Error "Rpc: window_cycles must be >= 1"
+  else if not (cfg.load > 0.0) then Error "Rpc: load must be > 0"
+  else Fabric.validate cfg.fabric
 
 type client = {
   node : int;
@@ -62,7 +64,7 @@ type client = {
 let server = 0
 
 let run ?probe cfg =
-  validate cfg;
+  Result.iter_error invalid_arg (validate cfg);
   let nodes = cfg.fabric.Fabric.nodes in
   let n_clients = nodes - 1 in
   let pairs =

@@ -50,8 +50,12 @@ type result = {
   drained : bool;  (** every generated request completed *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error msg] for a config outside the documented ranges: the
+    application's own limits first, then {!Fabric.validate}. *)
+
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the
     fabric's engine before the run (for cycle-breakdown collection).
-    Raises [Invalid_argument] on a config outside the documented
-    ranges. *)
+    Raises [Invalid_argument msg] when {!validate} gives
+    [Error msg]. *)

@@ -4,7 +4,7 @@
     ({!print}) and the machine-readable JSON ({!to_json}) derive from
     the same value, so they can never drift. A list of reports wraps
     into the [BENCH_udma.json] document with {!bench_json} — the same
-    schema whether it comes from [bench/main.exe --json] or from
+    schema whether it comes from [shrimp_sim all --json] or from
     [shrimp_sim <exp> --json]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -58,10 +58,11 @@ val schema_version : string
 
     An anchor names one number in a udma-bench/1 document: a field of
     one experiment's meta, or of the first row whose fields match
-    every [field = value] pair of a row selector. The anchor gates
-    read both the committed baseline and a fresh run (serialized with
-    {!bench_json} and re-parsed) through {!anchor_value}, so the two
-    sides can never be extracted differently. *)
+    every [field = value] pair of a row selector. The anchor gate
+    ([shrimp_sim all --check]) reads both the committed baseline and
+    a fresh run (serialized with {!bench_json} and re-parsed) through
+    {!anchor_value}, so the two sides can never be extracted
+    differently. *)
 
 type selector =
   | Meta  (** the experiment's [meta] object *)

@@ -63,7 +63,7 @@ val run : ?domains:int -> ?until:int -> t -> unit
 
 val events_executed : t -> int
 (** Total events executed across all shards since {!create} — the
-    numerator of the [bench sim] events/sec metric. *)
+    numerator of E17's events/sec rate. *)
 
 val messages_posted : t -> int
 (** Cross-shard messages buffered through outboxes during {!run}. *)

@@ -83,16 +83,23 @@ let router_config (cfg : config) =
     Router.crossing = cfg.crossing;
     Router.flit_words = cfg.flit_words }
 
-(* The generator's own limits; the mesh shape, VCs, credits, flits and
-   the crossing/routing combination are the router's to judge. *)
-let validate (cfg : config) =
-  if cfg.nodes < 2 || cfg.nodes > 64 then Error "Load_gen: nodes must be in 2..64"
-  else if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
+(* The workload limits every generator engine shares. *)
+let validate_workload (cfg : config) =
+  if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
   then Error "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092"
   else if cfg.link_per_word < 1 then Error "Load_gen: link_per_word must be >= 1"
   else if cfg.window_cycles <= 0 then Error "Load_gen: window_cycles must be positive"
   else if cfg.warmup_cycles < 0 then Error "Load_gen: warmup_cycles must be non-negative"
-  else Router.validate ~nodes:cfg.nodes (router_config cfg)
+  else Ok ()
+
+(* The generator's own limits; the mesh shape, VCs, credits, flits and
+   the crossing/routing combination are the router's to judge. *)
+let validate (cfg : config) =
+  if cfg.nodes < 2 || cfg.nodes > 64 then Error "Load_gen: nodes must be in 2..64"
+  else
+    match validate_workload cfg with
+    | Error _ as e -> e
+    | Ok () -> Router.validate ~nodes:cfg.nodes (router_config cfg)
 
 let make_system (cfg : config) =
   System.create

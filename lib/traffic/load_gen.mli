@@ -93,10 +93,17 @@ val percentile_sorted : int array -> float -> int
 (** {!Udma_obs.Metrics.nearest_rank} under the name the host benchmark
     ([perfbench/]) reads its latency percentiles through. *)
 
+val validate_workload : config -> (unit, string) Stdlib.result
+(** [Error msg] unless [msg_bytes] is a positive 4-byte multiple
+    [<= 4092], [link_per_word >= 1], [window_cycles > 0] and
+    [warmup_cycles >= 0]: the workload limits {!validate} and
+    {!Shard_gen.validate} share. *)
+
 val validate : config -> (unit, string) Stdlib.result
 (** [Error msg] for a config outside the documented ranges: the
-    generator's own limits first, then {!Udma_shrimp.Router.validate}
-    on the router config the run would build. *)
+    generator's 2..64 node cap and {!validate_workload} first, then
+    {!Udma_shrimp.Router.validate} on the router config the run would
+    build. *)
 
 val calibrate : ?msg_bytes:int -> unit -> int
 (** The per-message initiation cost on a fresh 2-node system (what a

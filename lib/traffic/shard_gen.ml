@@ -17,8 +17,9 @@ module Router = Udma_shrimp.Router
    event at the link's owning shard, so contention is resolved in
    event order per link. The two models agree on uncontended latency
    (both telescope to base + hops·per_hop + words·per_word) but
-   resolve contention differently, so sharded results are anchored
-   separately (BENCH_sim.json) rather than against the legacy knees.
+   resolve contention differently, so sharded results are pinned
+   separately (E17's golden digest) rather than against the legacy
+   knees.
 
    Determinism: per-node RNG streams come from {!Rng.substream} (and
    draws use the unbiased reduction), so they depend only on
@@ -39,14 +40,13 @@ let max_nodes = 1024
 let base_cycles = Router.default_config.Router.base_cycles
 let per_hop_cycles = Router.default_config.Router.per_hop_cycles
 
+(* The node cap and the supported subset are the sharded engine's own;
+   the workload limits are {!Load_gen}'s. *)
 let validate (cfg : Load_gen.config) =
   if cfg.nodes < 2 || cfg.nodes > max_nodes then
     Error (Printf.sprintf "Shard_gen: nodes must be in 2..%d" max_nodes)
   else if not (Router.valid_nodes cfg.nodes) then
     Error "Shard_gen: nodes must fill complete mesh rows (16, 64, 256, 1024, ...)"
-  else if cfg.msg_bytes <= 0 || cfg.msg_bytes land 3 <> 0 || cfg.msg_bytes > 4092
-  then Error "Shard_gen: msg_bytes must be a positive 4-byte multiple <= 4092"
-  else if cfg.link_per_word < 1 then Error "Shard_gen: link_per_word must be >= 1"
   else if cfg.routing = `Minimal_adaptive then
     Error
       "Shard_gen: the sharded engine supports dimension-order routing only \
@@ -65,9 +65,7 @@ let validate (cfg : Load_gen.config) =
     Error
       "Shard_gen: closed-loop arrivals need sub-lookahead delivery feedback; \
        use the legacy engine"
-  else if cfg.window_cycles <= 0 then Error "Shard_gen: window_cycles must be positive"
-  else if cfg.warmup_cycles < 0 then Error "Shard_gen: warmup_cycles must be non-negative"
-  else Ok ()
+  else Load_gen.validate_workload cfg
 
 (* One directed mesh link, owned by the shard of its source node. *)
 type link = {

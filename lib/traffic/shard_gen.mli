@@ -12,7 +12,7 @@
       path atomically at send time against global link state (the
       unshardable part). Both telescope to the same uncontended
       latency; under contention they resolve queueing differently, so
-      sharded results are anchored in [BENCH_sim.json], not against
+      sharded results are pinned by E17's golden digest, not against
       legacy knees.
     - Supported config subset: dimension-order routing, one VC,
       unlimited rx credits, open-loop arrivals, no link faults.
@@ -36,7 +36,8 @@ val max_nodes : int
 (** 1024 (a 32×32 mesh). *)
 
 val validate : Load_gen.config -> (unit, string) result
-(** [Error msg] outside the supported subset above. *)
+(** [Error msg] outside the 2..{!max_nodes} cap and the supported
+    subset above, then {!Load_gen.validate_workload}. *)
 
 val run :
   ?domains:int -> ?send_cycles:int -> Load_gen.config -> Load_gen.result
@@ -52,5 +53,5 @@ val run_stats :
   ?send_cycles:int ->
   Load_gen.config ->
   Load_gen.result * kernel_stats
-(** As {!run}, also returning the kernel's event/window counters for
-    the [bench sim] events/sec metric. *)
+(** As {!run}, also returning the kernel's event/window counters (E17
+    reports them with its events/sec rate). *)

@@ -4,8 +4,8 @@
     flag, its documentation, the full-run default and the value the
     small deterministic [--quick] run uses — and combines them with the
     [let+ ... and+ ...] operators into the function that runs it.
-    [bench/main.exe] resolves the declarations to their defaults or
-    quick values ({!resolve}); [bin/shrimp_sim.exe] turns the same
+    [Runner.run] resolves the declarations to their defaults or quick
+    values ({!resolve}); [bin/shrimp_sim.exe] turns the same
     declarations into command-line options. This library does not
     depend on any command-line parser. *)
 

@@ -740,6 +740,9 @@ let e6 =
 (* E7: I4 vs pinning                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Static per-page costs plus a dynamic paging-under-transfers run
+   reporting I4 skips and deferred cleans, one [label]/[value]/[unit]
+   row per quantity. *)
 let report_pinning () =
   let p = probe () in
   let costs = Cost_model.default in
@@ -1184,6 +1187,15 @@ let traffic_domains =
        identical for every domain count."
     1
 
+(* E11: one row per load point of a {!Sweep}, with the detected knee
+   flagged in the rows and recorded in the meta as [knee_load] (or
+   "none"). Per {!Sweep.use_sharded}, [domains = 1] on a mesh of up to
+   64 nodes keeps the legacy single-engine path and its exact report
+   bytes; on the sharded path the meta gains [engine]/[domains] fields
+   and the report is identical for every [domains] value. [`Flit]
+   pins the legacy engine and adds [crossing]/[flit_words] meta
+   fields, leaving analytic reports byte-identical to the pre-flit
+   runner. *)
 let report_saturation ?(loads = Param.default traffic_loads)
     ?(nodes = Param.default traffic_nodes)
     ?(pattern = Param.default traffic_pattern)
@@ -1321,7 +1333,9 @@ let e11 =
    before any link does (occupancy/initiation ~ 0.26 per flow, and
    transpose concentrates only ~3 flows on its worst link), so both
    policies would knee together at source saturation and the routing
-   policy could not matter. *)
+   policy could not matter. One row per pattern: the knee under each
+   policy ([knee_dim], [knee_adaptive]), the shift, and the heaviest
+   point's head-of-line blocking under each. *)
 let report_adaptive ?loads ?(nodes = 16)
     ?(patterns = [ Pattern.Uniform; Pattern.Transpose; Pattern.default_hotspot ])
     ?(msg_bytes = 2048) ?(warmup_cycles = 2_000) ?(window_cycles = 100_000)
@@ -1422,7 +1436,9 @@ let e12 =
    stream. Extra VCs let cold flows backfill the wire around a blocked
    hot packet, so the knee holds (or improves) as the hotspot share
    grows; finite deposit credits turn the residual overload into
-   source-side [credit_stalls] instead of unbounded link queues. *)
+   source-side [credit_stalls] instead of unbounded link queues. One
+   row per (hotspot share, VC count): the knee and, at the heaviest
+   load, the credit stalls and the link-queue ceiling. *)
 let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
     ?(vc_counts = [ 1; 2; 4 ]) ?(msg_bytes = 2048) ?(warmup_cycles = 2_000)
     ?(window_cycles = 100_000) ?(link_per_word = 2) ?(rx_credits = Some 8)
@@ -1643,7 +1659,11 @@ let e18 =
    differ purely in protection-path cycle costs and fault taxonomy.
    Proxy pays only at grant time (syscall + proxy fault on recovery);
    the IOMMU pays the IOTLB walk on cold initiations and map/unmap on
-   churn; capabilities pay a per-transfer check plus grant/revoke. *)
+   churn; capabilities pay a per-transfer check plus grant/revoke.
+   One row per (backend, tenant count): initiation p50/p99/p999, the
+   recovered-fault rate, rogue probes denied, grant and invalidation
+   traffic, the IOTLB hit rate (IOMMU rows) and the isolation-breach
+   count (always 0). *)
 let tenants_backends =
   Param.v "backend"
     (List (Parsed (Backend.parse_kind, Backend.kind_name)))
@@ -1787,6 +1807,11 @@ let e14 =
 (* E15: bandwidth vs transfer shape                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [Shape_strided f] reads 64 bytes every [64 * f] source bytes and
+   packs them densely at the destination; [Shape_sg n] scatters [n]
+   destination elements across the whole transfer, each within its
+   initiation's device page. Both go through shaped initiations
+   ({!Initiator.start_shaped}). *)
 type shape_case = Shape_contig | Shape_strided of int | Shape_sg of int
 
 let shape_label = function
@@ -2042,6 +2067,19 @@ let app_fabric ~nodes ~vcs ~link_per_word ~seed =
     seed;
   }
 
+(* Pair each load with its config and check them all: a config the
+   application rejects raises Sweep.Invalid_config (exit 2 on the
+   command line, as for a traffic sweep). The E16 sweeps below are
+   staged on it: [report_kv ... ()] checks its configs and returns the
+   run, so E16 can reject any flag before any application calibrates. *)
+let app_configs validate ~loads config =
+  let configs = List.map (fun load -> (load, config load)) loads in
+  List.iter
+    (fun (_, c) ->
+      Result.iter_error (fun msg -> raise (Sweep.Invalid_config msg)) (validate c))
+    configs;
+  configs
+
 (* the SLO knee as a report value: the load of the first sustained
    violation, or "none" when the whole sweep holds the SLO *)
 let app_knee ?slo ~loads points =
@@ -2086,6 +2124,7 @@ let apps_value_bytes =
 
 let apps_slo =
   Param.v "slo" (Option Float) ~docv:"MULT"
+    ~check:(function Some m when not (m > 0.0) -> Some "must be > 0" | _ -> None)
     ~doc:
       "SLO multiple: the knee is the first sustained load whose p99 exceeds \
        MULT times the lightest load's p50 (absent: 5.0)."
@@ -2123,6 +2162,10 @@ let apps_chaos =
        M_link_fault action); the closed loop must still drain."
     false
 
+(* One row per load: request count, end-to-end percentiles plus the
+   cold (non-hot-shard) p99, throughput, credit stalls and the drain
+   check; the SLO knee lands in the meta. [shards] defaults to
+   [nodes]. *)
 let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
     ?shards ?(clients_per_node = 4)
     ?(value_bytes = Param.default apps_value_bytes)
@@ -2131,29 +2174,31 @@ let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
     ?(link_per_word = Param.default apps_link_per_word) ?slo ~window_cycles
     ?(chaos = Param.default apps_chaos) ?(seed = 42) () =
   let shards = Option.value shards ~default:nodes in
+  let configs =
+    app_configs Kv.validate ~loads (fun load ->
+        {
+          Kv.default_config with
+          Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
+          shards;
+          clients_per_node;
+          value_bytes;
+          write_pct;
+          hot_pct;
+          window_cycles;
+          load;
+          chaos_links = chaos;
+        })
+  in
+  fun () ->
   let p = probe () in
   let send_cycles = ref 0 in
   let results =
     List.map
-      (fun load ->
-        let r =
-          Kv.run ~probe:(watch p)
-            {
-              Kv.default_config with
-              Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
-              shards;
-              clients_per_node;
-              value_bytes;
-              write_pct;
-              hot_pct;
-              window_cycles;
-              load;
-              chaos_links = chaos;
-            }
-        in
+      (fun (load, cfg) ->
+        let r = Kv.run ~probe:(watch p) cfg in
         send_cycles := r.Kv.send_cycles;
         (load, r))
-      loads
+      configs
   in
   let knee =
     app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
@@ -2269,30 +2314,36 @@ let report_kv_vcs ?(load = 0.7) ?(nodes = Param.default apps_nodes) ?(vc_counts 
       ]
     ~breakdown:(breakdown p) rows
 
+(* One row per send-work share: per-(node, iteration) barrier-latency
+   percentiles, the derived compute budget, makespan and the drain
+   check; the calibrated strided (east/west) and contiguous send costs
+   land in the meta. *)
 let report_halo ?(loads = halo_default_loads)
     ?(nodes = Param.default apps_nodes) ?(tile_rows = 32) ?(row_bytes = 128)
     ?(halo_cols = 16) ~iterations ?(warmup_iters = 2) ?slo ?(seed = 42) () =
+  let configs =
+    app_configs Halo.validate ~loads (fun load ->
+        {
+          Halo.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
+          tile_rows;
+          row_bytes;
+          halo_cols;
+          iterations;
+          warmup_iters;
+          load;
+        })
+  in
+  fun () ->
   let p = probe () in
   let strided = ref 0 and contig = ref 0 in
   let results =
     List.map
-      (fun load ->
-        let r =
-          Halo.run ~probe:(watch p)
-            {
-              Halo.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-              tile_rows;
-              row_bytes;
-              halo_cols;
-              iterations;
-              warmup_iters;
-              load;
-            }
-        in
+      (fun (load, cfg) ->
+        let r = Halo.run ~probe:(watch p) cfg in
         strided := r.Halo.strided_send_cycles;
         contig := r.Halo.contiguous_send_cycles;
         (load, r))
-      loads
+      configs
   in
   (* the compute budget shrinks as the load (send-work share) grows, so
      raw barrier times are not comparable across loads; the SLO knee is
@@ -2358,30 +2409,35 @@ let report_halo ?(loads = halo_default_loads)
            ])
        results)
 
+(* One row per target server utilisation: arrival-to-reply percentiles
+   (backlog wait included), burst count, completed vs offered
+   throughput and the drain check; the SLO knee lands in the meta. *)
 let report_rpc ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
     ?(resp_bytes = 512) ?(server_cycles = 200) ?(burst = 8) ?(pool = 16) ?slo
     ~window_cycles ?(seed = 42) () =
+  let configs =
+    app_configs Rpc.validate ~loads (fun load ->
+        {
+          Rpc.default_config with
+          Rpc.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
+          resp_bytes;
+          server_cycles;
+          burst;
+          pool;
+          window_cycles;
+          load;
+        })
+  in
+  fun () ->
   let p = probe () in
   let send_cycles = ref 0 in
   let results =
     List.map
-      (fun load ->
-        let r =
-          Rpc.run ~probe:(watch p)
-            {
-              Rpc.default_config with
-              Rpc.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-              resp_bytes;
-              server_cycles;
-              burst;
-              pool;
-              window_cycles;
-              load;
-            }
-        in
+      (fun (load, cfg) ->
+        let r = Rpc.run ~probe:(watch p) cfg in
         send_cycles := r.Rpc.send_cycles;
         (load, r))
-      loads
+      configs
   in
   let knee =
     app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
@@ -2476,13 +2532,17 @@ let e16 =
               ~window_cycles:(if quick then 100_000 else 200_000)
               ~seed ()
           in
-          match app with
-          | Some `Kv -> [ kv () ]
-          | Some `Halo -> [ halo () ]
-          | Some `Rpc -> [ rpc () ]
-          | None ->
-              [ kv (); halo (); rpc () ]
-              @ if quick then [] else [ report_kv_vcs ~nodes ~seed () ]);
+          (* every selected sweep checks its configs before any runs *)
+          let sweeps =
+            match app with
+            | Some `Kv -> [ kv () ]
+            | Some `Halo -> [ halo () ]
+            | Some `Rpc -> [ rpc () ]
+            | None ->
+                [ kv (); halo (); rpc () ]
+                @ if quick then [] else [ (fun () -> report_kv_vcs ~nodes ~seed ()) ]
+          in
+          List.map (fun run -> run ()) sweeps);
     exp_anchors =
       [
         anchor "e16.kv_p99@0.8" "e16_kv" (Report.Row [ ("load", "0.8") ]) "p99";
@@ -2501,8 +2561,9 @@ module Shard_gen = Udma_traffic.Shard_gen
    identical for every row (the kernel is domain-count-invariant; the
    [deterministic] meta flag asserts it), so only the wall-clock rate
    columns vary between hosts and runs — they are advisory, never
-   anchored. The authoritative throughput anchors live in
-   BENCH_sim.json (bench sim). *)
+   anchored. The counters are held exactly by the golden digests of
+   test/golden/all_quick.md5 ([dune runtest]) and all.md5 (CI), which
+   mask only the wall-clock fields and [host_cores]. *)
 let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
     ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
     ?(domains_list = [ 1; 2; 4 ]) ?(seed = 42) () =
@@ -2588,6 +2649,7 @@ let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
            ("events", vi ks.Shard_gen.events);
            ("windows", vi ks.Shard_gen.windows);
            ("cross_posts", vi ks.Shard_gen.cross_posts);
+           ("injected", vi r.Load_gen.injected);
            ("delivered", vi r.Load_gen.delivered);
            ("mean_latency", vf r.Load_gen.mean_latency);
            ("p99_latency", vi r.Load_gen.p99_latency);
@@ -2624,10 +2686,11 @@ let e17 =
 (* ------------------------------------------------------------------ *)
 
 (* Every front end derives from this list: [all_reports] (hence
-   bench/main.exe, its anchor gate and the committed baselines)
-   concatenates it in order, and bin/shrimp_sim.ml builds a name + eN
-   alias command pair per entry, with one option per declared
-   parameter. Adding an experiment here is the whole registration. *)
+   [shrimp_sim all], its [--check] anchor gate and the committed
+   baselines) concatenates it in order, and bin/shrimp_sim.ml builds a
+   name + eN alias command pair per entry, with one option per
+   declared parameter. Adding an experiment here is the whole
+   registration. *)
 let experiments =
   [
     e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17;

@@ -356,6 +356,21 @@ let test_shard_gen_validation () =
       Load_gen.arrival = Arrival.Closed { clients = 2; think_cycles = 10 } };
   reject "oversized mesh" { (shard_cfg ()) with Load_gen.nodes = 2048 }
 
+(* Both engines judge the workload limits through one Load_gen function,
+   so a bad message size reads the same whichever engine the sweep picks. *)
+let test_sweep_workload_limits () =
+  let cfg = { (shard_cfg ~nodes:16 ()) with Load_gen.msg_bytes = 6 } in
+  let msg domains =
+    match Sweep.validate ~loads:[ 0.5 ] ~domains cfg with
+    | Error msg -> msg
+    | Ok () -> Alcotest.failf "domains %d: msg_bytes 6 accepted" domains
+  in
+  checkb "domains 2 picks the sharded engine" true
+    (Sweep.use_sharded ~nodes:16 ~domains:2 ());
+  Alcotest.(check string) "same message on either engine" (msg 1) (msg 2);
+  Alcotest.(check string) "the shared limit's message"
+    "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092" (msg 1)
+
 let test_sweep_dispatch () =
   checkb "small mesh, one domain: legacy" false
     (Sweep.use_sharded ~nodes:16 ~domains:1 ());
@@ -410,6 +425,8 @@ let () =
             test_sweep_deterministic;
           Alcotest.test_case "engine dispatch + sharded sweep" `Quick
             test_sweep_dispatch;
+          Alcotest.test_case "one set of workload limits" `Quick
+            test_sweep_workload_limits;
         ] );
       ( "shard_gen",
         [
