@@ -1,4 +1,5 @@
 module Engine = Udma_sim.Engine
+module Fabric = Udma_traffic.Fabric
 module Router = Udma_shrimp.Router
 
 type config = {

@@ -25,7 +25,7 @@
     crank it up and the exchange, not the stencil, dominates. *)
 
 type config = {
-  fabric : Fabric.config;
+  fabric : Udma_traffic.Fabric.config;
   tile_rows : int;  (** rows per tile; strided span must fit the page *)
   row_bytes : int;  (** bytes per tile row (4-byte multiple) *)
   halo_cols : int;  (** east/west halo bytes per row (4-byte multiple) *)
@@ -53,7 +53,7 @@ type result = {
 val validate : config -> (unit, string) Stdlib.result
 (** [Error msg] for a config outside the documented ranges
     (including a strided span that would overrun the source page):
-    the application's own limits first, then {!Fabric.validate}. *)
+    the application's own limits first, then {!Udma_traffic.Fabric.validate}. *)
 
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the

@@ -1,5 +1,6 @@
 module Rng = Udma_sim.Rng
 module Engine = Udma_sim.Engine
+module Fabric = Udma_traffic.Fabric
 
 type config = {
   fabric : Fabric.config;

@@ -24,7 +24,7 @@
     throughput is reported. Deterministic under the fabric seed. *)
 
 type config = {
-  fabric : Fabric.config;
+  fabric : Udma_traffic.Fabric.config;
   shards : int;  (** 1..nodes; shard i is served by node i *)
   clients_per_node : int;
   value_bytes : int;  (** 4-byte multiple <= 4092 *)
@@ -39,7 +39,7 @@ type config = {
 }
 
 val default_config : config
-(** 16 nodes via {!Fabric.default_config}, shards = nodes, 4 clients
+(** 16 nodes via {!Udma_traffic.Fabric.default_config}, shards = nodes, 4 clients
     per node, 2048-byte values, 64-byte requests, 10 % writes, no
     hotspot, 120-cycle server op, 2k warmup, 60k window, load 0.6,
     no chaos. *)
@@ -61,7 +61,7 @@ type result = {
 
 val validate : config -> (unit, string) Stdlib.result
 (** [Error msg] for a config outside the documented ranges: the
-    application's own limits first, then {!Fabric.validate}. *)
+    application's own limits first, then {!Udma_traffic.Fabric.validate}. *)
 
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the

@@ -1,5 +1,6 @@
 module Rng = Udma_sim.Rng
 module Engine = Udma_sim.Engine
+module Fabric = Udma_traffic.Fabric
 module Arrival = Udma_traffic.Arrival
 
 type config = {

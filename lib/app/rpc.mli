@@ -22,7 +22,7 @@
     [load]. *)
 
 type config = {
-  fabric : Fabric.config;
+  fabric : Udma_traffic.Fabric.config;
   req_bytes : int;  (** 4-byte multiple *)
   resp_bytes : int;  (** 4-byte multiple <= 4092 *)
   server_cycles : int;  (** per-request service cost on the server CPU *)
@@ -34,7 +34,7 @@ type config = {
 }
 
 val default_config : config
-(** 16 nodes via {!Fabric.default_config}, 64-byte requests, 512-byte
+(** 16 nodes via {!Udma_traffic.Fabric.default_config}, 64-byte requests, 512-byte
     responses, 200-cycle service, bursts of 8, pool 16, 2k warmup,
     60k window, load 0.6. *)
 
@@ -52,7 +52,7 @@ type result = {
 
 val validate : config -> (unit, string) Stdlib.result
 (** [Error msg] for a config outside the documented ranges: the
-    application's own limits first, then {!Fabric.validate}. *)
+    application's own limits first, then {!Udma_traffic.Fabric.validate}. *)
 
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.fabric.seed]; [probe] receives the

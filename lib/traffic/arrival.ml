@@ -7,6 +7,14 @@ type t =
 
 let open_loop = function Poisson _ | Periodic _ -> true | Closed _ -> false
 
+let validate = function
+  | Poisson { per_kcycle } | Periodic { per_kcycle } ->
+      if per_kcycle > 0.0 then Ok ()
+      else Error "Arrival: an open loop needs a rate > 0"
+  | Closed { clients; _ } ->
+      if clients >= 1 then Ok ()
+      else Error "Arrival: a closed loop needs clients >= 1"
+
 let check_rate what per_kcycle =
   if not (per_kcycle > 0.0) then
     invalid_arg (Printf.sprintf "Arrival.%s: rate must be positive" what)

@@ -18,6 +18,10 @@ type t =
 
 val open_loop : t -> bool
 
+val validate : t -> (unit, string) result
+(** [Error msg] for an open loop whose rate is not > 0 (NaN included)
+    or a closed loop with [clients < 1]. *)
+
 val next_gap : t -> Udma_sim.Rng.t -> int
 (** Next inter-arrival gap in cycles (at least 1). Raises
     [Invalid_argument] for {!Closed} (clients pace themselves) or a

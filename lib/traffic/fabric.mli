@@ -1,27 +1,29 @@
-(** The shared application fabric: a k×k SHRIMP mesh driven as a
-    closed-loop service network (E16).
+(** The mesh service model: a k×k SHRIMP mesh driven message by
+    message, for the load generator (E11–E13, E17's calibration, E18)
+    and the closed-loop applications (E16).
 
-    One fabric builds a fresh {!Udma_shrimp.System}, spawns one process
-    per node and establishes a {!Udma_shrimp.Messaging} channel (export
-    + NIPT + proxy grant) for every directed (src, dst) pair an
-    application will use. Per-message initiation costs are calibrated
-    with {e real} warm user-level sends — contiguous
+    A fabric spawns one process per node of a {!Udma_shrimp.System}
+    and establishes a {!Udma_shrimp.Messaging} channel (export + NIPT
+    + proxy grant) for every directed (src, dst) pair a client will
+    use. Per-message initiation costs are calibrated with {e real}
+    warm user-level sends — contiguous
     ({!Udma_shrimp.Messaging.send_nowait}) and strided
-    ({!Udma_shrimp.Messaging.send_strided}, the PR-7 shaped path) — so
-    the service model charges exactly what the protected two-reference
-    (or three-reference, shaped) sequence costs on this cost model.
+    ({!Udma_shrimp.Messaging.send_strided}, the shaped path) — so the
+    service model charges exactly what the protected two-reference (or
+    three-reference, shaped) sequence costs on this cost model.
 
-    Like {!Udma_traffic.Load_gen}, each node's CPU is modelled as a
-    single server: {!post} enqueues a message on the source node's CPU
-    queue, the CPU is occupied [cost] cycles per message (its
-    calibrated initiation cost, plus any application service time),
-    then the payload is handed to the NI with
-    {!Udma_shrimp.Messaging.inject} and takes the full simulated path —
-    outgoing FIFO, wire, router (VCs, credits, faults, adaptive
-    routing), receive-side DMA deposit into the importer's pinned
-    buffer. Delivery callbacks fire at deposit time, so end-to-end
-    request latencies include source CPU queueing, credit stalls and
-    link contention.
+    All nodes share one simulated clock, so concurrent sends cannot
+    each block it for their full initiation the way a single
+    foreground send does. Instead each node's CPU is a single server:
+    {!post} enqueues a message on the source node's CPU queue, the CPU
+    is occupied [cost] cycles per message (its calibrated initiation
+    cost, plus any application service time), then the payload is
+    handed to the NI with {!Udma_shrimp.Messaging.inject} and takes
+    the full simulated path — outgoing FIFO, wire, router (VCs,
+    credits, faults, adaptive routing, either crossing), receive-side
+    DMA deposit into the importer's pinned buffer. Delivery callbacks
+    fire at deposit time, so end-to-end latencies include source CPU
+    queueing, credit stalls and link contention.
 
     Because replies land in the client's own exported receive buffer
     (deliberate update into client-mapped memory), the read path is
@@ -50,10 +52,19 @@ val validate : config -> (unit, string) result
 
 type t
 
+val attach : Udma_shrimp.System.t -> seed:int -> pairs:(int * int) list -> t
+(** Drive a system the caller built, with any router config (the flit
+    crossing included): spawn one process per node, connect a channel
+    per directed pair (deduplicated; [src = dst] pairs and nodes
+    outside the system are rejected) and take over every node's router
+    sink. Pairs are connected in list order, so each sender's NIPT and
+    proxy indices count up from 0 in the order its pairs appear.
+    [seed] seeds {!rng} and the {!chaos_links} stream. Raises
+    [Invalid_argument] on an empty or bad pair list. *)
+
 val create : config -> pairs:(int * int) list -> t
-(** Build the mesh and a channel per directed pair (deduplicated;
-    [src = dst] pairs are rejected). Raises [Invalid_argument msg]
-    when {!validate} gives [Error msg], and on an empty pair list. *)
+(** {!validate}, build the mesh {!config} describes, then {!attach}.
+    Raises [Invalid_argument msg] when {!validate} gives [Error msg]. *)
 
 val engine : t -> Udma_sim.Engine.t
 val nodes : t -> int

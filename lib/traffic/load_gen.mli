@@ -1,21 +1,17 @@
-(** Multi-node load generator over the user-level messaging layer.
+(** Multi-node load generator: arrival processes over the mesh
+    service model.
 
-    One run builds a fresh k×k {!Udma_shrimp.System}, establishes a
-    {!Udma_shrimp.Messaging} channel (export + NIPT + proxy grant) for
-    every (src, dst) pair the {!Pattern} can produce, calibrates the
-    per-message initiation cost with a real warm user-level send, then
-    drives the mesh from the configured {!Arrival} process.
-
-    Because all nodes share one simulated clock, concurrent sends
-    cannot each block the global clock for their full initiation the
-    way a single foreground send does; instead each source is modelled
-    as a server occupied [send_cycles] (the calibrated cost) per
-    message, after which the payload is handed to the NI with
-    {!Udma_shrimp.Messaging.inject} — from there packets take the full
-    simulated path (outgoing FIFO, wire serialisation, router with
-    optional link contention, receive DMA deposit). Latency is
-    enqueue-to-delivery, so source queueing shows up past
-    saturation. *)
+    One run builds a fresh k×k {!Udma_shrimp.System} from its config
+    (either crossing), attaches a {!Fabric} with a channel for every
+    (src, dst) pair the {!Pattern} can produce, calibrates the
+    per-message initiation cost with {!Fabric.calibrate_send}, then
+    drives the mesh from the configured {!Arrival} process: every
+    arrival is one {!Fabric.post} at that cost, so each source is a
+    single server occupied [send_cycles] per message before its packet
+    takes the full simulated path. Latency is enqueue-to-delivery, so
+    source queueing shows up past saturation. Per-source arrival
+    streams are split off the generator's own [seed] stream, not the
+    fabric's. *)
 
 type config = {
   nodes : int;
@@ -93,11 +89,33 @@ val percentile_sorted : int array -> float -> int
 (** {!Udma_obs.Metrics.nearest_rank} under the name the host benchmark
     ([perfbench/]) reads its latency percentiles through. *)
 
+val summarize :
+  nodes:int ->
+  width:int ->
+  send_cycles:int ->
+  window_cycles:int ->
+  injected:int ->
+  launched:int ->
+  delivered:int ->
+  latencies:int array ->
+  links:Udma_shrimp.Router.link_stat list ->
+  credit_stalls:int ->
+  credit_stall_cycles:int ->
+  flit_hol_cycles:int ->
+  flit_occupancy:(float * int) array ->
+  result
+(** The one result builder both engines ({!run} and
+    {!Shard_gen.run_stats}) report through: sorts [latencies] in
+    place, then derives the mean, the nearest-rank p50/p95/p99, the
+    max, the link-wait sum, the deepest link queue and the per-node
+    rates over the window. *)
+
 val validate_workload : config -> (unit, string) Stdlib.result
 (** [Error msg] unless [msg_bytes] is a positive 4-byte multiple
-    [<= 4092], [link_per_word >= 1], [window_cycles > 0] and
-    [warmup_cycles >= 0]: the workload limits {!validate} and
-    {!Shard_gen.validate} share. *)
+    [<= 4092], [link_per_word >= 1], [window_cycles > 0],
+    [warmup_cycles >= 0] and {!Arrival.validate} accepts the arrival
+    process: the workload limits {!validate} and {!Shard_gen.validate}
+    share. *)
 
 val validate : config -> (unit, string) Stdlib.result
 (** [Error msg] for a config outside the documented ranges: the
@@ -106,14 +124,16 @@ val validate : config -> (unit, string) Stdlib.result
     build. *)
 
 val calibrate : ?msg_bytes:int -> unit -> int
-(** The per-message initiation cost on a fresh 2-node system (what a
+(** {!Fabric.calibrate_send} on a fresh default 2-node system (what a
     run would measure); lets a sweep plan arrival rates relative to
     source capacity before running. *)
 
 val run : ?probe:(Udma_sim.Engine.t -> unit) -> config -> result
 (** Deterministic under [config.seed]. [probe] receives the run's
-    engine right after creation (for cycle-attribution collection).
-    Also publishes [traffic.*] counters, a [traffic.latency_cycles]
-    histogram and (with contention) [net.link.*] metrics into that
-    engine's registry. Raises [Invalid_argument] on a config outside
+    engine right after creation, before any channel is connected (for
+    cycle-attribution collection). Also publishes [traffic.*] counters
+    (launches and credit stalls once, at the end, and only when
+    non-zero), a [traffic.latency_cycles] histogram, the fabric's
+    [app.*] counters and (with contention) [net.link.*] metrics into
+    that engine's registry. Raises [Invalid_argument] on a config outside
     the documented ranges, or if the pattern is silent on this mesh. *)

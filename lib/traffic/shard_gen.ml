@@ -263,13 +263,7 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
   let latencies =
     Array.of_list (Array.fold_left (fun a st -> List.rev_append st.lats a) [] stats)
   in
-  Array.sort compare latencies;
-  let n = Array.length latencies in
-  let mean_latency =
-    if n = 0 then 0.0
-    else float_of_int (Array.fold_left ( + ) 0 latencies) /. float_of_int n
-  in
-  let link_stats =
+  let links =
     Array.to_list links
     |> List.filter_map (fun l -> l)
     |> List.filter (fun l -> l.xmits > 0)
@@ -279,41 +273,11 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
              busy_cycles = l.busy_cycles; wait_cycles = l.wait_cycles;
              max_depth = l.max_depth })
   in
-  let per_kcycle count =
-    1000.0 *. float_of_int count
-    /. float_of_int (cfg.window_cycles * nodes)
-  in
   let result =
-    {
-      Load_gen.nodes;
-      width;
-      send_cycles;
-      window_cycles = cfg.window_cycles;
-      injected;
-      launched;
-      delivered;
-      offered_per_kcycle = per_kcycle injected;
-      delivered_per_kcycle = per_kcycle delivered;
-      latencies;
-      mean_latency;
-      p50_latency = Udma_obs.Metrics.nearest_rank latencies 50.0;
-      p95_latency = Udma_obs.Metrics.nearest_rank latencies 95.0;
-      p99_latency = Udma_obs.Metrics.nearest_rank latencies 99.0;
-      max_latency = (if n = 0 then 0 else latencies.(n - 1));
-      link_wait_cycles =
-        List.fold_left
-          (fun a (l : Router.link_stat) -> a + l.Router.wait_cycles)
-          0 link_stats;
-      link_max_depth =
-        List.fold_left
-          (fun a (l : Router.link_stat) -> max a l.Router.max_depth)
-          0 link_stats;
-      credit_stalls = 0;
-      credit_stall_cycles = 0;
-      links = link_stats;
-      flit_hol_cycles = 0;
-      flit_occupancy = [||];
-    }
+    Load_gen.summarize ~nodes ~width ~send_cycles
+      ~window_cycles:cfg.window_cycles ~injected ~launched ~delivered
+      ~latencies ~links ~credit_stalls:0 ~credit_stall_cycles:0
+      ~flit_hol_cycles:0 ~flit_occupancy:[||]
   in
   ( result,
     {

@@ -2046,7 +2046,7 @@ let e15 =
 (* E16: application workloads over the UDMA fabric (lib/app)           *)
 (* ------------------------------------------------------------------ *)
 
-module App_fabric = Udma_app.Fabric
+module Fabric = Udma_traffic.Fabric
 module App_slo = Udma_app.Slo
 module Kv = Udma_app.Kv
 module Halo = Udma_app.Halo
@@ -2060,8 +2060,8 @@ let halo_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
 
 let app_fabric ~nodes ~vcs ~link_per_word ~seed =
   {
-    App_fabric.default_config with
-    App_fabric.nodes;
+    Fabric.default_config with
+    Fabric.nodes;
     vc_count = vcs;
     link_per_word;
     seed;

@@ -5,7 +5,7 @@
    head-of-line win at the hotspot point. *)
 
 module Slo = Udma_app.Slo
-module Fabric = Udma_app.Fabric
+module Fabric = Udma_traffic.Fabric
 module Kv = Udma_app.Kv
 module Halo = Udma_app.Halo
 module Rpc = Udma_app.Rpc

@@ -9,6 +9,8 @@ module Pattern = Udma_traffic.Pattern
 module Load_gen = Udma_traffic.Load_gen
 module Sweep = Udma_traffic.Sweep
 module Router = Udma_shrimp.Router
+module Engine = Udma_sim.Engine
+module Metrics = Udma_obs.Metrics
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -218,6 +220,97 @@ let test_load_gen_credit_stalls () =
   checkb "backpressure bounds the link FIFOs" true
     (credited.Load_gen.link_max_depth <= unlimited.Load_gen.link_max_depth)
 
+(* The paths no golden digest covers — closed loops, credit stalls,
+   periodic arrivals, the flit crossing — pinned value for value on a
+   9-node mesh (16 for transpose on flits) with a 20 k-cycle window,
+   the defaults otherwise. Any change to the service model that moves
+   one of these numbers is a model change, not a refactor. *)
+let pinned_base =
+  { Load_gen.default_config with Load_gen.nodes = 9; window_cycles = 20_000 }
+
+type pin = {
+  label : string;
+  cfg : Load_gen.config;
+  launched : int;
+  delivered : int;
+  stalls : int;
+  stall_cycles : int;
+  p99 : int;
+  mean : float;
+  counters : (string * int) list;  (* every traffic.* counter *)
+}
+
+let pins =
+  [
+    { label = "closed 8 clients, think 2k";
+      cfg =
+        { pinned_base with
+          Load_gen.arrival = Arrival.Closed { clients = 8; think_cycles = 2_000 } };
+      launched = 64; delivered = 55; stalls = 0; stall_cycles = 0; p99 = 818;
+      mean = 0x1.915d1745d1746p+9;
+      counters =
+        [ ("traffic.delivered", 55); ("traffic.injected", 56);
+          ("traffic.launched", 64) ] };
+    { label = "closed 12 clients, 1 KB, slow links, 1 credit";
+      cfg =
+        { pinned_base with
+          Load_gen.arrival = Arrival.Closed { clients = 12; think_cycles = 50 };
+          msg_bytes = 1024;
+          link_per_word = 8;
+          rx_credits = Some 1 };
+      launched = 58; delivered = 34; stalls = 18; stall_cycles = 31_091;
+      p99 = 11_850; mean = 0x1.2621e1e1e1e1ep+12;
+      counters =
+        [ ("traffic.credit_stall_cycles", 31_091);
+          ("traffic.credit_stalls", 18); ("traffic.delivered", 34);
+          ("traffic.injected", 46); ("traffic.launched", 58) ] };
+    { label = "periodic 2.0, neighbor";
+      cfg =
+        { pinned_base with
+          Load_gen.arrival = Arrival.Periodic { per_kcycle = 2.0 };
+          pattern = Pattern.Neighbor };
+      launched = 387; delivered = 270; stalls = 0; stall_cycles = 0;
+      p99 = 4_954; mean = 0x1.7fap+11;
+      counters =
+        [ ("traffic.delivered", 270); ("traffic.injected", 360);
+          ("traffic.launched", 387) ] };
+    { label = "16-node flit transpose, 2 VCs, 2 credits";
+      cfg =
+        { pinned_base with
+          Load_gen.nodes = 16;
+          pattern = Pattern.Transpose;
+          crossing = `Flit;
+          vc_count = 2;
+          rx_credits = Some 2 };
+      launched = 249; delivered = 205; stalls = 0; stall_cycles = 0;
+      p99 = 2_632; mean = 0x1.57be7063e7064p+10;
+      counters =
+        [ ("traffic.delivered", 205); ("traffic.injected", 228);
+          ("traffic.launched", 249) ] };
+  ]
+
+let test_load_gen_pinned () =
+  List.iter
+    (fun p ->
+      let metrics = ref None in
+      let r =
+        Load_gen.run ~probe:(fun e -> metrics := Some (Engine.metrics e)) p.cfg
+      in
+      let check what = checki (p.label ^ ": " ^ what) in
+      check "launched" p.launched r.Load_gen.launched;
+      check "delivered" p.delivered r.Load_gen.delivered;
+      check "credit stalls" p.stalls r.Load_gen.credit_stalls;
+      check "credit stall cycles" p.stall_cycles r.Load_gen.credit_stall_cycles;
+      check "p99" p.p99 r.Load_gen.p99_latency;
+      Alcotest.(check (float 0.0)) (p.label ^ ": mean") p.mean
+        r.Load_gen.mean_latency;
+      Alcotest.(check (list (pair string int)))
+        (p.label ^ ": traffic.* counters") p.counters
+        (List.filter
+           (fun (name, _) -> String.starts_with ~prefix:"traffic." name)
+           (Metrics.counters (Option.get !metrics))))
+    pins
+
 (* ---------- sweep + knee ---------- *)
 
 let mk_point ?(injected = 100) ?(delivered = 100) load mean =
@@ -371,6 +464,30 @@ let test_sweep_workload_limits () =
   Alcotest.(check string) "the shared limit's message"
     "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092" (msg 1)
 
+(* An arrival process that can never fire is a config error: every
+   validator rejects it before calibrating or building a mesh, rather
+   than the run raising mid-way. *)
+let test_arrival_limits () =
+  let cfg = shard_cfg ~nodes:16 () in
+  let rejected arrival =
+    let cfg = { cfg with Load_gen.arrival } in
+    List.for_all Result.is_error
+      [ Load_gen.validate cfg; Shard_gen.validate cfg;
+        Sweep.validate ~loads:[ 0.5 ] ~domains:1 cfg ]
+  in
+  checkb "Poisson at rate 0" true
+    (rejected (Arrival.Poisson { per_kcycle = 0.0 }));
+  checkb "periodic at a negative rate" true
+    (rejected (Arrival.Periodic { per_kcycle = -1.0 }));
+  checkb "NaN rate" true (rejected (Arrival.Poisson { per_kcycle = Float.nan }));
+  checkb "closed loop without clients" true
+    (Result.is_error
+       (Load_gen.validate
+          { cfg with
+            Load_gen.arrival = Arrival.Closed { clients = 0; think_cycles = 10 } }));
+  checkb "a positive rate passes" true
+    (not (rejected (Arrival.Poisson { per_kcycle = 0.5 })))
+
 let test_sweep_dispatch () =
   checkb "small mesh, one domain: legacy" false
     (Sweep.use_sharded ~nodes:16 ~domains:1 ());
@@ -417,6 +534,8 @@ let () =
             test_load_gen_vcs_deterministic;
           Alcotest.test_case "credit backpressure stalls sources" `Quick
             test_load_gen_credit_stalls;
+          Alcotest.test_case "pinned closed, credit, periodic, flit runs"
+            `Quick test_load_gen_pinned;
         ] );
       ( "sweep",
         [
@@ -427,6 +546,8 @@ let () =
             test_sweep_dispatch;
           Alcotest.test_case "one set of workload limits" `Quick
             test_sweep_workload_limits;
+          Alcotest.test_case "arrival limits checked up front" `Quick
+            test_arrival_limits;
         ] );
       ( "shard_gen",
         [
