@@ -10,6 +10,7 @@ type t = {
   gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   mutable generation : int;  (* bumped by [reset]; stales every handle *)
+  mutable hooks : (unit -> unit) list;  (* [on_read] flushes, in order *)
 }
 
 let create () =
@@ -18,7 +19,13 @@ let create () =
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 8;
     generation = 0;
+    hooks = [];
   }
+
+(* Hot paths that count in plain fields publish through their handles
+   here, so every reader below sees what eager bumps would have made. *)
+let on_read t flush = t.hooks <- t.hooks @ [ flush ]
+let flush t = List.iter (fun f -> f ()) t.hooks
 
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
@@ -37,6 +44,7 @@ let add t name n =
 let set t name v = counter_ref t name := v
 
 let get t name =
+  flush t;
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 (* A handle caches the counter's cell after its first bump, so a hot
@@ -66,6 +74,7 @@ let bump_by c n =
   r := !r + n
 
 let counters t =
+  flush t;
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -114,13 +123,13 @@ let bucket_index h v =
   in
   if v > h.edges.(n - 1) then n else go 0 n
 
-let record h v =
+let record_n h v n =
   let i = bucket_index h v in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.n <- h.n + 1;
-  h.total <- h.total + v
+  h.counts.(i) <- h.counts.(i) + n;
+  h.n <- h.n + n;
+  h.total <- h.total + (v * n)
 
-let observe t ?buckets name v = record (hist_ref t ?buckets name) v
+let observe t ?buckets name v = record_n (hist_ref t ?buckets name) v 1
 
 (* The histogram counterpart of [counter]. *)
 type sampler = {
@@ -134,14 +143,17 @@ type sampler = {
 let sampler t ?buckets name =
   { s_reg = t; s_name = name; s_buckets = buckets; s_gen = -1; s_hist = None }
 
-let sample s v =
-  match s.s_hist with
-  | Some h when s.s_gen = s.s_reg.generation -> record h v
-  | Some _ | None ->
-      let h = hist_ref s.s_reg ?buckets:s.s_buckets s.s_name in
-      s.s_hist <- Some h;
-      s.s_gen <- s.s_reg.generation;
-      record h v
+let sample_n s v n =
+  if n > 0 then
+    match s.s_hist with
+    | Some h when s.s_gen = s.s_reg.generation -> record_n h v n
+    | Some _ | None ->
+        let h = hist_ref s.s_reg ?buckets:s.s_buckets s.s_name in
+        s.s_hist <- Some h;
+        s.s_gen <- s.s_reg.generation;
+        record_n h v n
+
+let sample s v = sample_n s v 1
 
 type histogram = {
   buckets : (int * int) list;
@@ -160,6 +172,7 @@ let snapshot_hist h =
   }
 
 let histogram t name =
+  flush t;
   Option.map snapshot_hist (Hashtbl.find_opt t.hists name)
 
 let nearest_rank sorted p =
@@ -191,6 +204,7 @@ let percentile (h : histogram) p =
     go 0 h.buckets
 
 let histograms t =
+  flush t;
   Hashtbl.fold (fun name h acc -> (name, snapshot_hist h) :: acc) t.hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -219,6 +233,7 @@ let to_json t =
     ]
 
 let reset t =
+  flush t;
   t.generation <- t.generation + 1;
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;

@@ -5,7 +5,8 @@
     [Scheduler], [Dma_engine] and [Network_interface] all publish into
     it. Counters are bumped by name or through pre-resolved handles;
     histograms hold latency-shaped data. Exact percentiles over a raw
-    sample use {!nearest_rank}. *)
+    sample use {!nearest_rank}. A hot path may also count in plain
+    fields of its own and publish them through {!on_read}. *)
 
 type t
 
@@ -27,6 +28,17 @@ val get : t -> string -> int
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
+
+val on_read : t -> (unit -> unit) -> unit
+(** [on_read t flush] registers a read hook: {!get}, {!counters},
+    {!histogram}, {!histograms}, {!to_json} and {!reset} run every
+    hook first, in registration order. A hot path that keeps its
+    counts in plain [int] fields publishes the deltas since its last
+    flush through its handles here ({!bump_by}, {!sample_n}), so every
+    reader, mid-run or at the end, sees exactly the names and values
+    eager bumps would have left; pending deltas are flushed before a
+    {!reset} clears them. A hook must only bump and sample, never
+    read. *)
 
 (** {2 Counter handles} — for hot paths. A handle names one counter
     and resolves that name on its first bump, then keeps the counter's
@@ -74,6 +86,10 @@ val sampler : t -> ?buckets:int list -> string -> sampler
 
 val sample : sampler -> int -> unit
 (** [sample s v] is [observe t ?buckets name v]. *)
+
+val sample_n : sampler -> int -> int -> unit
+(** [sample_n s v n] is [n] calls of [sample s v] in one step (nothing
+    when [n <= 0]). *)
 
 type histogram = {
   buckets : (int * int) list;  (** (upper edge, count), ascending. *)

@@ -32,6 +32,26 @@ let invariant_name = function
 
 let pp_invariant ppf inv = Format.pp_print_string ppf (invariant_name inv)
 
+type os_metrics = {
+  vm_proxy_invalidations : Metrics.counter;
+  vm_page_outs : Metrics.counter;
+  vm_i4_skips : Metrics.counter;
+  vm_evictions : Metrics.counter;
+  vm_maps : Metrics.counter;
+  vm_device_proxy_maps : Metrics.counter;
+  vm_page_ins : Metrics.counter;
+  vm_clean_deferred : Metrics.counter;
+  vm_cleans : Metrics.counter;
+  vm_proxy_faults : Metrics.counter;
+  vm_dirty_upgrades : Metrics.counter;
+  vm_faults : Metrics.counter;
+  vm_fault_cycles : Metrics.sampler;
+  vm_pins : Metrics.counter;
+  sched_switches : Metrics.counter;
+  syscall_dma : Metrics.counter;
+  syscall_map_device_proxy : Metrics.counter;
+}
+
 type t = {
   engine : Engine.t;
   layout : Layout.t;
@@ -45,6 +65,7 @@ type t = {
   costs : Cost_model.t;
   i3_policy : i3_policy;
   metrics : Metrics.t;
+  os : os_metrics;
   trace : Trace.t;
   mutable procs : Proc.t list;
   mutable runq : Proc.t list;
@@ -112,6 +133,28 @@ let create ?(config = default_config) ?skip_invariant () =
   let mmu = Mmu.create ~layout ~tlb_capacity:config.tlb_entries in
   let trace = Trace.create ~enabled:config.trace_enabled () in
   let metrics = Metrics.create () in
+  let c = Metrics.counter metrics in
+  let os =
+    {
+      vm_proxy_invalidations = c "vm.proxy_invalidations";
+      vm_page_outs = c "vm.page_outs";
+      vm_i4_skips = c "vm.i4_skips";
+      vm_evictions = c "vm.evictions";
+      vm_maps = c "vm.maps";
+      vm_device_proxy_maps = c "vm.device_proxy_maps";
+      vm_page_ins = c "vm.page_ins";
+      vm_clean_deferred = c "vm.clean_deferred";
+      vm_cleans = c "vm.cleans";
+      vm_proxy_faults = c "vm.proxy_faults";
+      vm_dirty_upgrades = c "vm.dirty_upgrades";
+      vm_faults = c "vm.faults";
+      vm_fault_cycles = Metrics.sampler metrics "vm.fault_cycles";
+      vm_pins = c "vm.pins";
+      sched_switches = c "sched.switches";
+      syscall_dma = c "syscall.dma";
+      syscall_map_device_proxy = c "syscall.map_device_proxy";
+    }
+  in
   let dma = Dma_engine.create ~engine ~bus ~trace ~metrics () in
   let udma =
     match config.udma_mode with
@@ -137,6 +180,7 @@ let create ?(config = default_config) ?skip_invariant () =
     costs = config.costs;
     i3_policy = config.i3_policy;
     metrics;
+    os;
     trace;
     procs = [];
     runq = [];

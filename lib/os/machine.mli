@@ -66,6 +66,29 @@ val invariant_name : invariant -> string
 
 val pp_invariant : Format.formatter -> invariant -> unit
 
+(** The OS's handles on the machine registry, one per [vm.*],
+    [sched.*] and [syscall.*] name (each field is the name with [_]
+    for [.]); a handle never bumped leaves the registry untouched. *)
+type os_metrics = {
+  vm_proxy_invalidations : Udma_obs.Metrics.counter;
+  vm_page_outs : Udma_obs.Metrics.counter;
+  vm_i4_skips : Udma_obs.Metrics.counter;
+  vm_evictions : Udma_obs.Metrics.counter;
+  vm_maps : Udma_obs.Metrics.counter;
+  vm_device_proxy_maps : Udma_obs.Metrics.counter;
+  vm_page_ins : Udma_obs.Metrics.counter;
+  vm_clean_deferred : Udma_obs.Metrics.counter;
+  vm_cleans : Udma_obs.Metrics.counter;
+  vm_proxy_faults : Udma_obs.Metrics.counter;
+  vm_dirty_upgrades : Udma_obs.Metrics.counter;
+  vm_faults : Udma_obs.Metrics.counter;
+  vm_fault_cycles : Udma_obs.Metrics.sampler;
+  vm_pins : Udma_obs.Metrics.counter;
+  sched_switches : Udma_obs.Metrics.counter;
+  syscall_dma : Udma_obs.Metrics.counter;
+  syscall_map_device_proxy : Udma_obs.Metrics.counter;
+}
+
 type t = {
   engine : Udma_sim.Engine.t;
   layout : Udma_mmu.Layout.t;
@@ -82,6 +105,7 @@ type t = {
   metrics : Udma_obs.Metrics.t;
       (** machine-wide registry: [vm.*], [sched.*], [syscall.*] plus
           the [udma.*] / [dma.*] counters the hardware mirrors in *)
+  os : os_metrics;  (** the OS's handles on [metrics] *)
   trace : Udma_sim.Trace.t;
   mutable procs : Proc.t list;
   mutable runq : Proc.t list;        (** round-robin ready queue *)

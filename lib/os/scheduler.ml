@@ -26,7 +26,7 @@ let switch_to m proc =
          by preemption. *)
       Engine.with_category m.M.engine Engine.Profiler.Kernel (fun () ->
           Machine.charge m m.M.costs.Cost_model.context_switch);
-      Metrics.incr m.M.metrics "sched.switches";
+      Metrics.bump m.M.os.M.sched_switches;
       (* I1: invalidate any partially initiated UDMA sequence with a
          single STORE of a negative count to a proxy address *)
       (match m.M.udma with

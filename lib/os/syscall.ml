@@ -195,7 +195,7 @@ let dma_transfer m proc ~dir ~vaddr ~nbytes ~port ~dev_addr ~strategy =
     let start = Engine.now m.M.engine in
     (* step 1: the system call itself *)
     Machine.charge m m.M.costs.Cost_model.syscall;
-    Metrics.incr m.M.metrics "syscall.dma";
+    Metrics.bump m.M.os.M.syscall_dma;
     let result =
       match strategy with
       | Pin_user_pages ->
@@ -210,7 +210,7 @@ let dma_transfer m proc ~dir ~vaddr ~nbytes ~port ~dev_addr ~strategy =
 
 let map_device_proxy m proc ~vdev_index ~pdev_index ~writable =
   Machine.charge m m.M.costs.Cost_model.syscall;
-  Metrics.incr m.M.metrics "syscall.map_device_proxy";
+  Metrics.bump m.M.os.M.syscall_map_device_proxy;
   match Vm.map_device_proxy m proc ~vdev_index ~pdev_index ~writable with
   | () -> Ok ()
   | exception Invalid_argument _ -> Error Bad_address

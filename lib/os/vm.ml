@@ -46,7 +46,7 @@ let invalidate_proxy_mapping m proc ~vpn =
   (match Page_table.find proc.Proc.page_table pvpn with
   | Some _ ->
       Page_table.remove proc.Proc.page_table pvpn;
-      Metrics.incr m.M.metrics "vm.proxy_invalidations"
+      Metrics.bump m.M.os.M.vm_proxy_invalidations
   | None -> ());
   Mmu.flush_tlb_page m.M.mmu ~vpn:pvpn
 
@@ -103,7 +103,7 @@ let page_out_frame m proc ~vpn ~frame ~(pte : Pte.t) =
   let key = (proc.Proc.pid, vpn) in
   if effective_dirty m proc ~vpn pte then begin
     Machine.charge m m.M.costs.Cost_model.page_io;
-    Metrics.incr m.M.metrics "vm.page_outs";
+    Metrics.bump m.M.os.M.vm_page_outs;
     let data = read_frame m frame in
     match Hashtbl.find_opt m.M.swap_slots key with
     | Some slot -> Backing_store.overwrite m.M.swap slot data
@@ -138,7 +138,7 @@ let evict_one m =
             | Some pte ->
                 if M.frame_is_pinned m frame then `Skip
                 else if frame_dma_busy m frame then begin
-                  Metrics.incr m.M.metrics "vm.i4_skips";
+                  Metrics.bump m.M.os.M.vm_i4_skips;
                   `Busy
                 end
                 else if pte.Pte.referenced then begin
@@ -165,7 +165,7 @@ let evict_one m =
   let rec attempt tries =
     match sweep (2 * frames) false with
     | `Found (proc, vpn, frame, pte) ->
-        Metrics.incr m.M.metrics "vm.evictions";
+        Metrics.bump m.M.os.M.vm_evictions;
         page_out_frame m proc ~vpn ~frame ~pte;
         frame
     | `All_busy when tries > 0 ->
@@ -197,7 +197,7 @@ let map_new_page m proc ~vpn ?(writable = true) () =
   Phys_mem.fill_frame m.M.mem ~frame 0;
   Page_table.set proc.Proc.page_table vpn (Pte.make ~writable ~ppage:frame ());
   Hashtbl.replace m.M.frame_owner frame (proc.Proc.pid, vpn);
-  Metrics.incr m.M.metrics "vm.maps";
+  Metrics.bump m.M.os.M.vm_maps;
   frame
 
 let frame_of_vpn _m proc ~vpn =
@@ -235,7 +235,7 @@ let map_device_proxy m proc ~vdev_index ~pdev_index ~writable =
   let base_page = Layout.page_of_addr m.M.layout (Layout.dev_proxy_base m.M.layout) in
   Page_table.set proc.Proc.page_table (base_page + vdev_index)
     (Pte.make ~writable ~ppage:(base_page + pdev_index) ());
-  Metrics.incr m.M.metrics "vm.device_proxy_maps"
+  Metrics.bump m.M.os.M.vm_device_proxy_maps
 
 (* ---------- paging entry points ---------- *)
 
@@ -248,7 +248,7 @@ let page_in m proc ~vpn =
       | Some slot ->
           let frame = alloc_frame m in
           Machine.charge m m.M.costs.Cost_model.page_io;
-          Metrics.incr m.M.metrics "vm.page_ins";
+          Metrics.bump m.M.os.M.vm_page_ins;
           write_frame m frame (Backing_store.load m.M.swap slot);
           pte.Pte.present <- true;
           pte.Pte.ppage <- frame;
@@ -266,12 +266,12 @@ let clean_page m proc ~vpn =
       (* the paper's race rule: never clear the dirty bit while a DMA
          transfer to the page is in progress *)
       if frame_dma_busy m frame then begin
-        Metrics.incr m.M.metrics "vm.clean_deferred";
+        Metrics.bump m.M.os.M.vm_clean_deferred;
         false
       end
       else begin
         Machine.charge m m.M.costs.Cost_model.page_io;
-        Metrics.incr m.M.metrics "vm.cleans";
+        Metrics.bump m.M.os.M.vm_cleans;
         let key = (proc.Proc.pid, vpn) in
         let data = read_frame m frame in
         (match Hashtbl.find_opt m.M.swap_slots key with
@@ -308,7 +308,7 @@ let charge_fault m = Machine.charge m m.M.costs.Cost_model.page_fault
    the I3 write-upgrade. *)
 let handle_proxy_fault m proc access ~vaddr =
   proc.Proc.proxy_faults <- proc.Proc.proxy_faults + 1;
-  Metrics.incr m.M.metrics "vm.proxy_faults";
+  Metrics.bump m.M.os.M.vm_proxy_faults;
   let vmem_addr = Layout.unproxy m.M.layout vaddr in
   let vpn = Layout.page_of_addr m.M.layout vmem_addr in
   let pvpn = M.proxy_vpn m vpn in
@@ -348,7 +348,7 @@ let handle_proxy_fault m proc access ~vaddr =
             | Mmu.Write when not real.Pte.dirty ->
                 (* upgrade: mark the real page dirty, enable the write *)
                 Machine.charge m m.M.costs.Cost_model.dirty_upgrade;
-                Metrics.incr m.M.metrics "vm.dirty_upgrades";
+                Metrics.bump m.M.os.M.vm_dirty_upgrades;
                 real.Pte.dirty <- true
             | Mmu.Write | Mmu.Read -> ());
             real.Pte.writable && real.Pte.dirty
@@ -364,7 +364,7 @@ let handle_fault m proc access ~vaddr =
   let t0 = Engine.now m.M.engine in
   charge_fault m;
   proc.Proc.faults <- proc.Proc.faults + 1;
-  Metrics.incr m.M.metrics "vm.faults";
+  Metrics.bump m.M.os.M.vm_faults;
   let region = Layout.region_of m.M.layout vaddr in
   let kind =
     match region with
@@ -377,8 +377,7 @@ let handle_fault m proc access ~vaddr =
     (Udma_obs.Event.Fault { vaddr; kind });
   Fun.protect
     ~finally:(fun () ->
-      Metrics.observe m.M.metrics "vm.fault_cycles"
-        (Engine.now m.M.engine - t0))
+      Metrics.sample m.M.os.M.vm_fault_cycles (Engine.now m.M.engine - t0))
   @@ fun () ->
   match region with
   | None -> segfault proc vaddr access "address outside every region"
@@ -413,7 +412,7 @@ let pin m proc ~vpn =
     | None -> invalid_arg "Vm.pin: page not mapped"
   in
   Machine.charge m m.M.costs.Cost_model.pin_page;
-  Metrics.incr m.M.metrics "vm.pins";
+  Metrics.bump m.M.os.M.vm_pins;
   let n = Option.value (Hashtbl.find_opt m.M.pinned frame) ~default:0 in
   Hashtbl.replace m.M.pinned frame (n + 1);
   frame

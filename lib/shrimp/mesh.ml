@@ -65,7 +65,9 @@ let occupancy_factor = function
    when none is). The caller advances [rr] to just past the grant,
    which bounds the wait of any continuously-ready competitor to
    [n - 1] skipped rounds (the distance from [rr] to it strictly
-   shrinks on every skip). Both crossings arbitrate with it. *)
+   shrinks on every skip). The analytic crossing's VC grants, the flit
+   crossing's head-flit VC allocator and [Router.arbitrate] all use
+   it. *)
 let arbitrate_by ~rr ~n ready =
   let g = ref (-1) and k = ref 0 in
   while !g < 0 && !k < n do

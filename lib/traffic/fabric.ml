@@ -60,6 +60,7 @@ type t = {
   c_launched : Metrics.counter;
   c_delivered : Metrics.counter;
   c_credit_stalls : Metrics.counter;
+  c_chaos_events : Metrics.counter;
 }
 
 let capacity = 4092 (* one-page channel minus the flag word *)
@@ -166,6 +167,8 @@ let attach sys ~seed ~pairs =
       c_delivered = Metrics.counter (Engine.metrics engine) "app.delivered";
       c_credit_stalls =
         Metrics.counter (Engine.metrics engine) "app.credit_stalls";
+      c_chaos_events =
+        Metrics.counter (Engine.metrics engine) "app.chaos_link_events";
     }
   in
   (* delivery sinks: receive the deposit, then fire the matched
@@ -347,7 +350,7 @@ let chaos_links t ?(period = 5_000) ?(slow_factor = 4) ~until () =
               in
               Router.set_link_fault t.router ~from_node ~to_node fault;
               t.faults_injected <- t.faults_injected + 1;
-              Metrics.incr (Engine.metrics t.engine) "app.chaos_link_events");
+              Metrics.bump t.c_chaos_events);
           step (time + period))
   in
   step (Engine.now t.engine + period)

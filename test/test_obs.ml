@@ -420,6 +420,86 @@ let test_handles_share_a_cell () =
   checkb "histogram after reset" true
     (match Metrics.histogram m "h" with Some h -> h.Metrics.count = 1 | None -> false)
 
+(* A hot path counting in plain fields, published through the read
+   hook: [pending] bumps "c" and samples "h" only when flushed. *)
+let hooked () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "c" and h = Metrics.sampler m "h" in
+  let pending = ref 0 and samples = ref [] in
+  Metrics.on_read m (fun () ->
+      if !pending > 0 then Metrics.bump_by c !pending;
+      List.iter (Metrics.sample h) (List.rev !samples);
+      pending := 0;
+      samples := []);
+  (m, pending, samples)
+
+let test_read_hook_readers () =
+  let count_of m =
+    match Metrics.histogram m "h" with Some h -> h.Metrics.count | None -> -1
+  in
+  let reads =
+    [ ("get", fun m -> checki "get" 3 (Metrics.get m "c"));
+      ("counters", fun m -> checkb "counters" true (Metrics.counters m = [ ("c", 3) ]));
+      ("histogram", fun m -> checki "histogram" 2 (count_of m));
+      ( "histograms",
+        fun m ->
+          checkb "histograms" true
+            (List.map (fun (n, h) -> (n, h.Metrics.count)) (Metrics.histograms m)
+            = [ ("h", 2) ]) );
+      ( "to_json",
+        fun m ->
+          let j = Json.to_string (Metrics.to_json m) in
+          let e = Metrics.create () in
+          Metrics.add e "c" 3;
+          Metrics.observe e "h" 5;
+          Metrics.observe e "h" 700;
+          checks "to_json" (Json.to_string (Metrics.to_json e)) j ) ]
+  in
+  List.iter
+    (fun (_, read) ->
+      let m, pending, samples = hooked () in
+      pending := 3;
+      samples := [ 700; 5 ];
+      read m)
+    reads
+
+let test_read_hook_before_reset () =
+  let m, pending, samples = hooked () in
+  pending := 4;
+  samples := [ 1 ];
+  Metrics.reset m;
+  checkb "reset drops the flushed deltas" true
+    (Metrics.counters m = [] && Metrics.histograms m = []);
+  pending := 2;
+  checki "counts after a reset start at 0" 2 (Metrics.get m "c");
+  checkb "no stale flush" true (Metrics.histogram m "h" = None)
+
+let test_read_hook_idle_adds_nothing () =
+  let m, _, _ = hooked () in
+  Metrics.incr m "seen";
+  checkb "an idle hook adds no name" true (Metrics.counters m = [ ("seen", 1) ]);
+  checkb "and no histogram" true (Metrics.histograms m = []);
+  checks "json" {|{"counters":{"seen":1},"gauges":{},"histograms":{}}|}
+    (Json.to_string (Metrics.to_json m))
+
+let test_sample_n_is_n_samples () =
+  let bulk = Metrics.create () and single = Metrics.create () in
+  let buckets = [ 1; 4; 16 ] in
+  let sb = Metrics.sampler bulk ~buckets "h" and ss = Metrics.sampler single ~buckets "h" in
+  List.iter
+    (fun (v, n) ->
+      Metrics.sample_n sb v n;
+      for _ = 1 to n do
+        Metrics.sample ss v
+      done)
+    [ (0, 2); (3, 5); (16, 1); (40, 7); (9, 0); (2, -1) ];
+  checks "bulk add = n samples"
+    (Json.to_string (Metrics.to_json single))
+    (Json.to_string (Metrics.to_json bulk));
+  let empty = Metrics.create () in
+  Metrics.sample_n (Metrics.sampler empty "h") 5 0;
+  checkb "n = 0 creates nothing" true (Metrics.histograms empty = [])
+
 (* The router reports its FIFO depth through two channels: the typed
    [Link_wait] trace event and the [net.link.depth] histogram. Both
    must describe the same thing — the post-claim depth, i.e. including
@@ -647,6 +727,14 @@ let () =
           prop_percentile_upper_bound;
           Alcotest.test_case "link wait depth matches metric" `Quick
             test_link_wait_depth_matches_metric;
+          Alcotest.test_case "read hook runs before every reader" `Quick
+            test_read_hook_readers;
+          Alcotest.test_case "read hook flushes before reset" `Quick
+            test_read_hook_before_reset;
+          Alcotest.test_case "idle read hook adds no name" `Quick
+            test_read_hook_idle_adds_nothing;
+          Alcotest.test_case "sample_n is n samples" `Quick
+            test_sample_n_is_n_samples;
         ] );
       ( "report",
         [

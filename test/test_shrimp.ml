@@ -626,7 +626,27 @@ let flit_regimes =
     (16, 4, Some 4, 8, 1, 1024); (9, 4, Some 8, 0, 2, 1);
     (16, 2, None, 1, 1, 2) ]
 
-let flit_regime_digest (nodes, vcs, credits, per_hop, per_word, flit_words)
+(* The flit counters and occupancy histogram as any registry reader
+   sees them: every [net.flit.*]/[net.link.*] counter (a present 0
+   included) and [net.flit.occupancy]. *)
+let flit_registry_snapshot buf em =
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"net.flit." name
+         || String.starts_with ~prefix:"net.link." name
+      then Printf.bprintf buf "c %s %d\n" name v)
+    (Udma_obs.Metrics.counters em);
+  match Udma_obs.Metrics.histogram em "net.flit.occupancy" with
+  | Some h ->
+      Printf.bprintf buf "h %d %d %d" h.Udma_obs.Metrics.count h.sum h.overflow;
+      List.iter (fun (e, c) -> Printf.bprintf buf " %d:%d" e c) h.buckets;
+      Buffer.add_char buf '\n'
+  | None -> Buffer.add_string buf "h -\n"
+
+(* One regime run: the digest of everything the crossing computes, and
+   the digest of the registry snapshots taken at every probe and at
+   the end. *)
+let flit_regime_run (nodes, vcs, credits, per_hop, per_word, flit_words)
     seed =
   let engine = Engine.create () in
   let r =
@@ -653,8 +673,11 @@ let flit_regime_digest (nodes, vcs, credits, per_hop, per_word, flit_words)
           p.Packet.dst_node (Engine.now engine))
   done;
   let rng = Rng.create ((seed * 7919) + nodes) in
-  let f1 = ref None in
-  let probe _ = if !f1 = None then f1 := Router.check_flits r in
+  let f1 = ref None and reads = Buffer.create 4096 in
+  let probe _ =
+    if !f1 = None then f1 := Router.check_flits r;
+    flit_registry_snapshot reads (Engine.metrics engine)
+  in
   for i = 1 to 24 do
     let src = Rng.int rng nodes in
     let dst = (src + 1 + Rng.int rng (nodes - 1)) mod nodes in
@@ -689,7 +712,8 @@ let flit_regime_digest (nodes, vcs, credits, per_hop, per_word, flit_words)
   Buffer.add_string log
     (Udma_obs.Json.to_string (Udma_obs.Metrics.to_json (Engine.metrics engine)));
   Printf.bprintf log "\nt %d\n" (Engine.now engine);
-  Digest.to_hex (Digest.string (Buffer.contents log))
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (digest log, digest reads)
 
 (* Recorded from the full-sweep flit clock (every link visited every
    tick); regime-major, seeds 1..12. *)
@@ -731,21 +755,211 @@ let flit_regime_expected =
      "4891b6f37dbc6d0f5449ea156df22815"; "164b3c40e231513399ae651809113de9";
      "5a14a6417f5af88d7698f8cfd6a9ae98"; "a70f035e9a69321179779894d0c7f43f" |]
 
-let test_flit_regimes_pinned () =
-  let got =
-    Array.of_list
-      (List.concat_map
-         (fun regime -> List.init 12 (fun s -> flit_regime_digest regime (s + 1)))
-         flit_regimes)
-  in
+let flit_regime_runs =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun regime -> List.init 12 (fun s -> flit_regime_run regime (s + 1)))
+          flit_regimes))
+
+let check_regime_digests what expected pick =
+  let got = Array.map pick (Lazy.force flit_regime_runs) in
   Array.iteri
     (fun i d ->
-      if flit_regime_expected.(i) <> d then
-        Alcotest.failf "regime %d seed %d: digest %s moved" (i / 12)
-          ((i mod 12) + 1) d)
+      if expected.(i) <> d then
+        Alcotest.failf "regime %d seed %d: %s digest %s moved" (i / 12)
+          ((i mod 12) + 1) what d)
     got;
-  checki "72 distinct regime digests" 72
+  checki ("72 distinct " ^ what ^ " digests") 72
     (List.length (List.sort_uniq compare (Array.to_list got)))
+
+let test_flit_regimes_pinned () =
+  check_regime_digests "regime" flit_regime_expected fst
+
+(* The registry as read mid-run and at the end, pinned separately so a
+   change to how the crossing publishes its counters (not just what it
+   computes) must keep every name and value every reader sees. Covers
+   per_word_cycles = 0 (net.link.busy_cycles present at 0) and
+   unlimited credits. Recorded before the counters moved to fields. *)
+let flit_registry_expected =
+  [| "6e1920ad55b99438431f615e9e4a7a4c"; "0b7cdd7ffc8ed65f10ae1ec3e30233f5";
+     "047202dc2358b3e6436728fa6855d7bf"; "b185f8554ff440d440682c4808801f0c";
+     "78f73c668d0152acab435c2c521f7030"; "510bcc5ca64e89e6421c4f290d7539f1";
+     "424a95e822f958798e0c7d06f82d44ab"; "95ffa7bb06e5717c7af4d553f841bd9e";
+     "56c33b774960cd4c5514e831af2b754f"; "5d7eea434c1ef9160a24edd36be1c227";
+     "ead566720c015af50e0e2a420d8ae638"; "a74b751edcafd242d887ad7974ea6e02";
+     "7e5424f2330e4a72a03bded65f10b863"; "7d40be983c75704b6f337229cd23c7c6";
+     "c83ec7093265e34f5db1093eb90d4780"; "277add603f5332f3a317ca95cb182ebd";
+     "4d8c16dff2f07ce2c00ff8142ea99540"; "43a1fdc4e3c81af089c5300ccb45af64";
+     "2e287e047c2d632df4fb981a6293a4ec"; "aab35d9e2917d59847541e6b08a20f9d";
+     "63824bde7fd4e218606468f8ca4b4eb0"; "1721066ddb5823d777280bdef328fdda";
+     "8e57a2d86b17033fd559345ccc590677"; "d67b0de3465428f250e73400d5285719";
+     "d72a6b9b8da8affbb33a7afcb7b50222"; "078363a09b0f6f90ccfedcedb616e1f0";
+     "0d70e634c203aeb41487179445f7d5c1"; "13ad499cdbbe3a07fc775089a0440918";
+     "5a1c158f280dfe956cc24ee750f328dd"; "09162a64d03696c9eb08915856c36832";
+     "6b665e03bb1d587b24c5651c9f6a9b43"; "00fff0dd8f81f88d20db66fe0d589d13";
+     "2baffb970316ec8ad1f67dd2d5b6f85d"; "96f971f786ce32984b86ad06f339435d";
+     "4db11f225a884948f8cca9a0a9738828"; "5c1afa1ba728cf76b43e906af2a38db6";
+     "40af74b5e255db03d39ff62b934c7350"; "49853775f7d6fa657eea955f29a3648f";
+     "f3724ad1bf929e544fd64c74ad8a25b7"; "5b62ae4fed637ff77596b0cd55569eb3";
+     "078d8a7d533108153bd89ad2f7141889"; "d707668a5db38f7e5bf67dadfc02d47e";
+     "1f533f6e8647e27e9192612e6f869510"; "ccd6036ae73239bcaa7de9b584e8c347";
+     "cebafcbd4014c493367cbb35025ce381"; "3363ab99f7ba535a45c6b9a3a9bf6cba";
+     "46fe839e1ed1034648ab82a90cdefd2f"; "a6e7837d18fd5a73439bc0cf0ab9286a";
+     "5fefa681d0d349c19f48a5e7662eefa0"; "bd27c3b33244febb681444cf908869a1";
+     "32278f24a970d4681408b40dca268b7f"; "f87d8543d75071bde45c2794024fc53e";
+     "b4c818f04af999cc9a08b1d8127bb61c"; "38270e875be3d1f223464cb9bc41af86";
+     "26142808febc0ee9ea4e062ed5bb3d1d"; "e373b2721e4dceb9e9fa4bfd1b1d7aec";
+     "3173e065c1820c3e08b2b1c731249424"; "f72429972615205b8562558f38f12394";
+     "98d587bdd92f3b1fd77a338dcb82ec79"; "1739e7e8ee70d4e9aba95ea00aabaf24";
+     "23fc842dac194bb17ea03a5a7e0fbdb7"; "d17e719cb00ec6f1be95fc0beeded0e1";
+     "b974114956fb2870999fd57d44a94aa6"; "8d453dce6d48770689794b946f55e520";
+     "5b4b881e65f2be348d2570a0dbb7fe70"; "a8dcaf20b5946205742473f42fceec4c";
+     "e94a206a2642e7a9902fdfa41e4dffc2"; "40524de64265e7d7b975bf9f606334a5";
+     "023db5e944b447bb9018fa60618c24c8"; "e122b59aaf0355b33764b81a43a3731b";
+     "a344e7c9d74194489a4bded9f5db2f92"; "4369ac9507ef7e1e1b1d2b5ce95cac91" |]
+
+let test_flit_registry_pinned () =
+  check_regime_digests "registry" flit_registry_expected snd
+
+(* Allocation guard on the flit clock: a fixed standalone-router run
+   (16 nodes, 2 VCs, 4 credits, one-word flits, 150 packets of up to
+   256 bytes) may allocate at most [flit_words_per_grant_max] minor
+   words per flit grant. Packets and their send events are built
+   before the measured window, which covers only the drain. *)
+let flit_words_per_grant_max = 5.4
+
+let test_flit_allocation_guard () =
+  let engine = Engine.create () in
+  let r =
+    Router.create ~engine ~nodes:16
+      ~config:
+        { Router.default_config with
+          Router.link_contention = true;
+          crossing = `Flit;
+          base_cycles = 3;
+          per_hop_cycles = 1;
+          per_word_cycles = 1;
+          flit_words = 1;
+          vc_count = 2;
+          rx_credits = Some 4 }
+      ()
+  in
+  let got = ref 0 in
+  for d = 0 to 15 do
+    Router.register r ~node_id:d (fun _ -> incr got)
+  done;
+  let rng = Rng.create 7 in
+  for i = 1 to 150 do
+    let src = Rng.int rng 16 in
+    let dst = (src + 1 + Rng.int rng 15) mod 16 in
+    let p =
+      { Packet.src_node = src; dst_node = dst; dst_paddr = 0;
+        payload = Bytes.make (4 * (1 + Rng.int rng 64)) 'x'; seq = i }
+    in
+    Engine.schedule_at engine ~time:(Rng.int rng 2_000) (fun _ -> Router.send r p)
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run_until_idle engine;
+  let words = Gc.minor_words () -. w0 in
+  checki "every packet delivered" 150 !got;
+  let grants = Udma_obs.Metrics.get (Engine.metrics engine) "net.flit.grants" in
+  let per_grant = words /. float_of_int grants in
+  Printf.printf "flit guard: %d grants, %.0f minor words, %.2f per grant\n" grants
+    words per_grant;
+  if per_grant > flit_words_per_grant_max then
+    Alcotest.failf "%.2f minor words per flit grant > %.2f" per_grant
+      flit_words_per_grant_max
+
+(* The flit crossing's data layout under a hotspot with unlimited
+   credits: 2,400 worms (a quarter aimed at node 0) through 16 nodes in
+   20 k cycles.
+   At every probe F1 holds, every buffered flit belongs to a live worm,
+   and the in-network total equals the sum of the ring lengths; the
+   rings toward the hotspot grow past their initial size; and the
+   worm table never outgrows the smallest power of two covering the
+   peak number of worms in flight, so worm ids are reused. *)
+let test_flit_worm_table_and_rings () =
+  let module Flit = Udma_shrimp.Flit in
+  let module Mesh = Udma_shrimp.Mesh in
+  let engine = Engine.create () in
+  let nodes = 16 in
+  let m =
+    Mesh.create ~engine ~nodes
+      { Mesh.default_config with
+        Mesh.link_contention = true;
+        crossing = `Flit;
+        base_cycles = 3;
+        per_hop_cycles = 1;
+        per_word_cycles = 1;
+        flit_words = 1;
+        vc_count = 2;
+        rx_credits = None }
+  in
+  let f = Flit.create m in
+  let got = ref 0 in
+  for d = 0 to nodes - 1 do
+    m.Mesh.sinks.(d) <- Some (fun _ -> incr got)
+  done;
+  let live () = Array.length f.Flit.w_flits - f.Flit.w_free_n in
+  let peak = ref 0 and grown = ref false in
+  let rings () =
+    Array.to_list f.Flit.inject
+    @ List.concat_map (fun l -> Array.to_list l.Flit.bufs) (Array.to_list f.Flit.arr)
+  in
+  let probe _ =
+    (match Flit.check_flits f with
+    | Some why -> Alcotest.failf "F1 at cycle %d: %s" (Engine.now engine) why
+    | None -> ());
+    let free = Array.sub f.Flit.w_free 0 f.Flit.w_free_n in
+    let sum =
+      List.fold_left
+        (fun acc (fb : Flit.fbuf) ->
+          let size = Array.length fb.Flit.fb_flit in
+          if size > 4 then grown := true;
+          for k = 0 to fb.Flit.fb_len - 1 do
+            let flit = fb.Flit.fb_flit.((fb.Flit.fb_head + k) land (size - 1)) in
+            let w = Flit.worm_of flit in
+            if Array.mem w free || Flit.idx_of flit >= f.Flit.w_flits.(w) then
+              Alcotest.failf "ring holds flit %d of dead worm %d" (Flit.idx_of flit) w
+          done;
+          acc + fb.Flit.fb_len)
+        0 (rings ())
+    in
+    let _, _, buffered = Flit.flit_counts f in
+    checki "in-network flits = sum of ring lengths" sum buffered
+  in
+  let rng = Rng.create 11 in
+  let worms = 2_400 in
+  for i = 1 to worms do
+    let src = 1 + Rng.int rng (nodes - 1) in
+    let dst =
+      if Rng.int rng 4 = 0 then 0 else (src + 1 + Rng.int rng (nodes - 1)) mod nodes
+    in
+    let p =
+      { Packet.src_node = src; dst_node = dst; dst_paddr = 0;
+        payload = Bytes.make (4 * (1 + Rng.int rng 48)) 'x'; seq = i }
+    in
+    Engine.schedule_at engine ~time:(Rng.int rng 20_000) (fun _ ->
+        Flit.send f p;
+        peak := max !peak (live ()))
+  done;
+  for k = 0 to 800 do
+    Engine.schedule_at engine ~time:(k * 31) probe
+  done;
+  Engine.run_until_idle engine;
+  probe ();
+  checki "every worm delivered" worms !got;
+  checki "no worm left in flight" 0 (live ());
+  checkb "hotspot rings grew" true !grown;
+  checkb "many worms in flight at once" true (!peak > 16);
+  let pow2 = ref 1 in
+  while !pow2 < !peak do
+    pow2 := 2 * !pow2
+  done;
+  let cap = Array.length f.Flit.w_flits in
+  if cap > !pow2 then
+    Alcotest.failf "worm table %d slots for a peak of %d in flight" cap !peak
 
 (* ---------- System + NI end to end ---------- *)
 
@@ -1353,6 +1567,12 @@ let () =
             test_flit_blocked_worm_credit_release;
           Alcotest.test_case "flit: regime digests pinned" `Quick
             test_flit_regimes_pinned;
+          Alcotest.test_case "flit: registry reads pinned" `Quick
+            test_flit_registry_pinned;
+          Alcotest.test_case "flit: allocation per grant bounded" `Quick
+            test_flit_allocation_guard;
+          Alcotest.test_case "flit: worm table reuse + ring growth" `Quick
+            test_flit_worm_table_and_rings;
         ] );
       ( "system",
         [
