@@ -15,6 +15,9 @@ val categories : category list
 val category_name : category -> string
 (** Lower-case stable name ("user_ref", "kernel", ...). *)
 
+val index : category -> int
+(** [index c] is [c]'s position in {!categories}, from 0. *)
+
 type t
 
 val create : unit -> t

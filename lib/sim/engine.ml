@@ -4,7 +4,7 @@ module Metrics = Udma_obs.Metrics
 type t = {
   mutable clock : int;
   mhz : int;
-  queue : (event * Profiler.category option) Eventq.t;
+  queue : event Eventq.t;
   profiler : Profiler.t;
   metrics : Metrics.t;
   scheduled : Metrics.counter;
@@ -49,15 +49,27 @@ let tick t ?cat time =
     t.clock <- time
   end
 
+(* An event's category travels as its queue tag: 0 for none,
+   [1 + Profiler.index c] for [Some c]. Both directions go through
+   static tables of preallocated options, so neither allocates. *)
+let cat_of_tag =
+  Array.of_list (None :: List.map Option.some Profiler.categories)
+
+let tag_opts = Array.init (Array.length cat_of_tag) Option.some
+
+let tag_of_cat = function
+  | None -> None
+  | Some c -> tag_opts.(1 + Profiler.index c)
+
 let schedule t ?cat ~delay ev =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   Metrics.bump t.scheduled;
-  Eventq.push t.queue ~time:(t.clock + delay) (ev, cat)
+  Eventq.push t.queue ~time:(t.clock + delay) ?tag:(tag_of_cat cat) ev
 
 let schedule_at t ?cat ~time ev =
   let time = max time t.clock in
   Metrics.bump t.scheduled;
-  Eventq.push t.queue ~time (ev, cat)
+  Eventq.push t.queue ~time ?tag:(tag_of_cat cat) ev
 
 let with_category t cat f =
   let prev = Profiler.current t.profiler in
@@ -77,7 +89,8 @@ let with_category t cat f =
    whoever was polling). The caller checks the queue is not empty. *)
 let fire_next t =
   let time = Eventq.min_time t.queue in
-  let ev, cat = Eventq.pop_payload t.queue in
+  let cat = cat_of_tag.(Eventq.min_tag t.queue) in
+  let ev = Eventq.pop_payload t.queue in
   tick t ?cat time;
   Metrics.bump t.fired;
   ev t

@@ -5,17 +5,20 @@
     cycle (and same key) fire in insertion order, which keeps every
     simulation run deterministic. The optional key gives callers a
     second ordering slot between time and insertion order; the sharded
-    engine uses it to make cross-shard merges independent of shard
-    count. Legacy callers omit it (all keys equal → pure FIFO ties,
-    the historical order).
+    engine uses it to order same-time messages by model identity rather
+    than by arrival. Callers that omit it (all keys equal) get pure
+    FIFO ties.
 
-    The heap is a plain array of immutable entries, sifted by moving a
-    hole (one write per level). Every slot a pop or {!clear} vacates is
-    overwritten with one shared filler entry, so the queue never keeps
+    The heap is a struct of arrays: each position is four plain ints
+    (time, key, sequence number, payload slot) in one flat [int array],
+    so a sift moves ints and never runs the write barrier. Payloads sit
+    in a slot-indexed array with a stack of free slots; a payload is
+    written once at {!push} and its slot is overwritten with a shared
+    filler when it is popped or {!clear}ed, so the queue never keeps
     dead event closures (and whatever they capture — engines, buffers,
-    metrics) reachable. {!push} allocates only the entry; {!min_time}
-    and {!pop_payload} allocate nothing, which is what the event loops
-    use. *)
+    metrics) reachable. Each entry also carries an unordered int tag.
+    Once the arrays have grown, {!push}, {!min_time}, {!min_tag} and
+    {!pop_payload} allocate nothing, which is what the event loops use. *)
 
 type 'a t
 (** Mutable event queue holding payloads of type ['a]. *)
@@ -29,10 +32,12 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 (** [length q] is the number of pending events. *)
 
-val push : 'a t -> time:int -> ?key:int -> 'a -> unit
-(** [push q ~time ?key payload] schedules [payload] at cycle [time].
-    [key] (default 0) breaks time ties before insertion order.
-    Raises [Invalid_argument] if [time < 0]. *)
+val push : 'a t -> time:int -> ?key:int -> ?tag:int -> 'a -> unit
+(** [push q ~time ?key ?tag payload] schedules [payload] at cycle
+    [time]. [key] (default 0) breaks time ties before insertion order.
+    [tag] (default 0) rides along with the payload and takes no part in
+    the order; {!min_tag} reads it back. Raises [Invalid_argument] if
+    [time < 0]. *)
 
 val peek_time : 'a t -> int option
 (** [peek_time q] is the firing time of the earliest event, if any. *)
@@ -42,6 +47,10 @@ val min_time : 'a t -> int
     when [q] is empty. An event may itself be due at [max_int], so test
     {!is_empty} where that matters. Allocates nothing. *)
 
+val min_tag : 'a t -> int
+(** [min_tag q] is the tag the earliest event was pushed with. Allocates
+    nothing. Raises [Invalid_argument] if [q] is empty. *)
+
 val pop_payload : 'a t -> 'a
 (** [pop_payload q] removes the earliest event and returns its payload;
     read its time with {!min_time} first. Same order and slot release
@@ -50,7 +59,7 @@ val pop_payload : 'a t -> 'a
 
 val pop : 'a t -> (int * 'a) option
 (** [pop q] removes and returns the earliest event as [(time, payload)].
-    Ties fire in (key, insertion) order. The vacated heap slot is
+    Ties fire in (key, insertion) order. The payload's slot is
     cleared, so the returned payload is the only remaining reference. *)
 
 val clear : 'a t -> unit

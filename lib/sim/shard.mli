@@ -12,12 +12,15 @@
     with the mesh link latency as the natural lookahead).
 
     Cross-shard posts buffer in per-(src, dst) outboxes and merge into
-    the destination queue at the window barrier, sorted by
-    (time, key, source shard, per-source sequence). That order — and
-    hence every downstream event order — depends only on the window
-    sequence and each shard's own deterministic execution, never on
-    how many OCaml domains the shards are packed onto: {!run} with any
-    [domains] value produces bit-identical results. *)
+    the destination queue before the next window: source shard by
+    source shard, each outbox in post order. The queue orders by
+    (time, key, push order), so messages with equal (time, key) fire
+    in (source shard, per-source post) order. That order — and hence
+    every downstream event order — depends only on the window sequence
+    and each shard's own deterministic execution, never on how many
+    OCaml domains the shards are packed onto: {!run} with any
+    [domains] value produces bit-identical results. The domains meet
+    at one barrier per window. *)
 
 type t
 
@@ -58,8 +61,9 @@ val run : ?domains:int -> ?until:int -> t -> unit
     events at [until] stay queued and a later [run] resumes. With
     [domains > 1] the shards are partitioned into that many contiguous
     blocks, one OCaml domain each (capped at the shard count); results
-    are bit-identical to [domains = 1]. Exceptions raised by events
-    are re-raised after the domains join. Not reentrant. *)
+    are bit-identical to [domains = 1]. An exception raised by an
+    event stops every domain at the end of that window and is
+    re-raised after the domains join. Not reentrant. *)
 
 val events_executed : t -> int
 (** Total events executed across all shards since {!create} — the
@@ -69,7 +73,7 @@ val messages_posted : t -> int
 (** Cross-shard messages buffered through outboxes during {!run}. *)
 
 val windows_run : t -> int
-(** Conservative windows (barrier rounds) executed. *)
+(** Conservative windows executed (one barrier round each). *)
 
 val pending_events : t -> int
 (** Events currently queued across all shards. *)

@@ -40,6 +40,85 @@ let prop_eventq_sorted =
       in
       List.length out = List.length times && sorted out)
 
+(* ---------- Eventq: tagged model across growth ---------- *)
+
+(* Random interleavings of push (random time, key and tag), pop and
+   clear against a sorted-list reference. Pops come out in (time, key,
+   insertion) order, and [min_tag] read before each pop is the tag its
+   payload was pushed with. Pushes outweigh pops 4:1, clears come about
+   once per 1,000 operations and traces run 500-2,000 operations, so
+   the queue grows through several doublings (64, 128, 256, ...
+   slots), and a clear leaves the grown arrays to be refilled through
+   their free-slot stack. *)
+type tagged_op = T_push of int * int * int | T_pop | T_clear
+
+let prop_eventq_tagged_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 800,
+            map3 (fun t k g -> T_push (t, k, g)) (int_bound 50) (int_bound 3)
+              (int_bound 1_000_000) );
+          (200, return T_pop);
+          (1, return T_clear);
+        ])
+  in
+  let print_op = function
+    | T_push (t, k, g) -> Printf.sprintf "push(t=%d,k=%d,tag=%d)" t k g
+    | T_pop -> "pop"
+    | T_clear -> "clear"
+  in
+  let arb =
+    QCheck.make
+      ~print:QCheck.Print.(list print_op)
+      QCheck.Gen.(list_size (500 -- 2_000) gen_op)
+  in
+  qtest ~count:100 "eventq tagged trace = sorted-list model across growth" arb
+    (fun ops ->
+      let q = Eventq.create () in
+      (* the model holds (time, key, id, tag), sorted; an insert goes
+         behind every entry at or before its (time, key) *)
+      let model = ref [] in
+      let rec insert ((t, k, _, _) as x) = function
+        | ((t', k', _, _) as y) :: rest when (t', k') <= (t, k) ->
+            y :: insert x rest
+        | l -> x :: l
+      in
+      let next_id = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | T_push (t, k, g) ->
+              let id = !next_id in
+              incr next_id;
+              Eventq.push q ~time:t ~key:k ~tag:g id;
+              model := insert (t, k, id, g) !model;
+              Eventq.length q = List.length !model
+          | T_pop -> (
+              match !model with
+              | [] -> Eventq.is_empty q && Eventq.pop q = None
+              | (t, _, id, g) :: rest ->
+                  model := rest;
+                  let time = Eventq.min_time q in
+                  let tag = Eventq.min_tag q in
+                  let got = Eventq.pop_payload q in
+                  time = t && tag = g && got = id)
+          | T_clear ->
+              Eventq.clear q;
+              model := [];
+              Eventq.is_empty q)
+        ops
+      &&
+      (* drain what is left: the same order, every tag with its payload *)
+      List.for_all
+        (fun (t, _, id, g) ->
+          Eventq.min_time q = t
+          && Eventq.min_tag q = g
+          && Eventq.pop_payload q = id)
+        !model
+      && Eventq.is_empty q)
+
 (* ---------- Status: encode/decode is the identity ---------- *)
 
 let status_gen =
@@ -1102,6 +1181,7 @@ let () =
       ( "structures",
         [
           prop_eventq_sorted;
+          prop_eventq_tagged_model;
           prop_status_roundtrip;
           prop_layout_proxy_bijection;
           prop_rng_in_bounds;

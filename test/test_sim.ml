@@ -194,6 +194,63 @@ let eventq_model_prop =
       in
       List.for_all (fun op -> step op && observers_agree ()) ops)
 
+(* Allocation guards for the event loops. On a warmed queue (its
+   arrays already grown), a push + pop_payload pair of a preallocated
+   closure allocates nothing, and an [Engine.schedule ~cat] plus the
+   fire of a preallocated event stays within
+   [engine_words_per_event_max] minor words. Both bounds sit below the
+   5 words a heap entry record per push would cost. The logs print the
+   measured figures. *)
+let eventq_words_per_pair_max = 1.0
+let engine_words_per_event_max = 1.0
+let alloc_rounds = 10_000
+
+let test_eventq_alloc_bound () =
+  let q = Eventq.create () in
+  let f () = () in
+  for i = 1 to alloc_rounds do
+    Eventq.push q ~time:i f
+  done;
+  while not (Eventq.is_empty q) do
+    Eventq.pop_payload q ()
+  done;
+  (* one resident event keeps every pop a genuine sift *)
+  Eventq.push q ~time:max_int f;
+  let w0 = Gc.minor_words () in
+  for i = 1 to alloc_rounds do
+    Eventq.push q ~time:(i land 1023) f;
+    Eventq.pop_payload q ()
+  done;
+  let per_pair = (Gc.minor_words () -. w0) /. float_of_int alloc_rounds in
+  Printf.printf "eventq guard: %.2f minor words per push + pop_payload\n"
+    per_pair;
+  if per_pair > eventq_words_per_pair_max then
+    Alcotest.failf "%.2f minor words per push + pop_payload > %.2f" per_pair
+      eventq_words_per_pair_max
+
+let test_engine_alloc_bound () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let ev _ = incr fired in
+  for _ = 1 to 64 do
+    Engine.schedule e ~cat:Engine.Profiler.Dma ~delay:1 ev
+  done;
+  Engine.run_until_idle e;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_rounds do
+    Engine.schedule e ~cat:Engine.Profiler.Dma ~delay:3 ev;
+    Engine.run_until_idle e
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int alloc_rounds in
+  Printf.printf "engine guard: %.2f minor words per schedule ~cat + fire\n"
+    per_event;
+  checki "every event fired" (64 + alloc_rounds) !fired;
+  checki "gaps charged to the event's category" (3 * alloc_rounds + 1)
+    (Udma_obs.Profiler.total (Engine.profiler e) Engine.Profiler.Dma);
+  if per_event > engine_words_per_event_max then
+    Alcotest.failf "%.2f minor words per schedule ~cat + fire > %.2f" per_event
+      engine_words_per_event_max
+
 (* ---------- Engine ---------- *)
 
 let test_engine_advance () =
@@ -526,6 +583,112 @@ let test_shard_until () =
   Shard.run k;
   Alcotest.(check (list int)) "resume drains the rest" [ 40; 12; 3 ] !fired
 
+(* Three keyed tokens circle a 5-shard ring, each hop a cross-shard
+   post. [cuts] stops the run at those times (exclusive) before a final
+   run drains the rest. *)
+let run_tokens ~domains ~cuts =
+  let shards = 5 in
+  let k = Shard.create ~lookahead:5 ~shards () in
+  let traces = Array.init shards (fun _ -> ref []) in
+  let rec arrive tok hop s () =
+    traces.(s) := (tok, hop, Shard.now k ~shard:s) :: !(traces.(s));
+    if hop < 30 then
+      let d = (s + 1 + tok) mod shards in
+      Shard.post k ~src:s ~dst:d ~key:tok
+        ~delay:(5 + (((hop * 7) + tok) mod 4))
+        (arrive tok (hop + 1) d)
+  in
+  for tok = 0 to 2 do
+    Shard.schedule k ~shard:tok ~key:tok ~delay:(1 + tok) (arrive tok 0 tok)
+  done;
+  List.iter (fun until -> Shard.run ~domains ~until k) cuts;
+  Shard.run ~domains k;
+  ( Array.map (fun r -> List.rev !r) traces,
+    Shard.events_executed k,
+    Shard.messages_posted k,
+    Shard.windows_run k )
+
+let test_shard_until_resume_domains () =
+  let cuts = [ 17; 40; 41; 95 ] in
+  let base = run_tokens ~domains:1 ~cuts in
+  List.iter
+    (fun domains ->
+      checkb
+        (Printf.sprintf "cut + resume at domains=%d identical to domains=1"
+           domains)
+        true
+        (run_tokens ~domains ~cuts = base))
+    [ 2; 3 ];
+  let traces, events, posts, _ = base in
+  let uncut, uncut_events, uncut_posts, _ = run_tokens ~domains:1 ~cuts:[] in
+  checkb "cuts do not change what fires when" true (traces = uncut);
+  checki "events" uncut_events events;
+  checki "posts" uncut_posts posts
+
+(* An event on shard 3 raises at cycle 42 while a token circles the
+   ring until cycle 200. At every domain count the exception reaches
+   the caller after the domains join, every domain stopped at the
+   failing window (the token is still pending), and the kernel can run
+   again. *)
+let test_shard_raise_on_worker () =
+  List.iter
+    (fun domains ->
+      let k = Shard.create ~lookahead:4 ~shards:4 () in
+      let rec hop s () =
+        if Shard.now k ~shard:s < 200 then
+          Shard.post k ~src:s ~dst:((s + 1) mod 4) ~delay:4 (hop ((s + 1) mod 4))
+      in
+      Shard.schedule k ~shard:0 ~delay:1 (hop 0);
+      Shard.schedule_at k ~shard:3 ~time:42 (fun () -> failwith "boom");
+      Alcotest.check_raises
+        (Printf.sprintf "domains=%d re-raises" domains)
+        (Failure "boom")
+        (fun () -> Shard.run ~domains k);
+      checki
+        (Printf.sprintf "domains=%d stops at the failing window" domains)
+        1 (Shard.pending_events k);
+      Shard.run ~domains k;
+      checki
+        (Printf.sprintf "domains=%d drains after the failure" domains)
+        0 (Shard.pending_events k))
+    [ 1; 2; 3; 4 ]
+
+(* Sources 3, 1 and 2 (posting in that time order) each post three
+   messages for cycle 20 with key 5 to shard 0, and source 3 one more
+   with key 4. Shard 0 holds a local event at (20, 5) from before the
+   run. The key-4 message fires first, then the local event, then the
+   rest in (source, post) order, at every domain count. *)
+let test_shard_merge_order_pinned () =
+  let order ~domains =
+    let k = Shard.create ~lookahead:8 ~shards:4 () in
+    let fired = ref [] in
+    let note tag () = fired := tag :: !fired in
+    Shard.schedule_at k ~shard:0 ~time:20 ~key:5 (note "local");
+    List.iter
+      (fun (src, at) ->
+        Shard.schedule_at k ~shard:src ~time:at (fun () ->
+            let delay = 20 - Shard.now k ~shard:src in
+            if src = 3 then
+              Shard.post k ~src ~dst:0 ~key:4 ~delay (note "3/key4");
+            for i = 0 to 2 do
+              Shard.post k ~src ~dst:0 ~key:5 ~delay
+                (note (Printf.sprintf "%d/%d" src i))
+            done))
+      [ (3, 1); (1, 3); (2, 2) ];
+    Shard.run ~domains k;
+    List.rev !fired
+  in
+  let expected =
+    [ "3/key4"; "local"; "1/0"; "1/1"; "1/2"; "2/0"; "2/1"; "2/2"; "3/0";
+      "3/1"; "3/2" ]
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domains=%d" domains)
+        expected (order ~domains))
+    [ 1; 2; 3; 4 ]
+
 let () =
   Alcotest.run "udma_sim"
     [
@@ -543,6 +706,8 @@ let () =
           qtest eventq_model_prop;
           Alcotest.test_case "clear" `Quick test_eventq_clear;
           Alcotest.test_case "peek" `Quick test_eventq_peek;
+          Alcotest.test_case "push + pop allocation bounded" `Quick
+            test_eventq_alloc_bound;
         ] );
       ( "engine",
         [
@@ -558,6 +723,8 @@ let () =
           Alcotest.test_case "run_until max_int" `Quick
             test_engine_run_until_max_int;
           Alcotest.test_case "time conversion" `Quick test_engine_time_conversion;
+          Alcotest.test_case "schedule + fire allocation bounded" `Quick
+            test_engine_alloc_bound;
         ] );
       ( "rng",
         [
@@ -584,6 +751,12 @@ let () =
           Alcotest.test_case "lookahead soundness check" `Quick
             test_shard_post_below_lookahead;
           Alcotest.test_case "until + resume" `Quick test_shard_until;
+          Alcotest.test_case "until + resume across domains" `Quick
+            test_shard_until_resume_domains;
+          Alcotest.test_case "raise on a worker domain" `Quick
+            test_shard_raise_on_worker;
+          Alcotest.test_case "merge order pinned" `Quick
+            test_shard_merge_order_pinned;
         ] );
       ( "trace",
         [
