@@ -74,7 +74,9 @@ type t = {
   mutable active : request option;
   user_queue : request Queue.t;
   system_queue : request Queue.t;
-  refcounts : (int, int) Hashtbl.t; (* memory frame -> outstanding refs *)
+  mutable refcounts : int array;
+      (* memory frame -> outstanding refs, grown to cover the highest
+         frame referenced so far *)
   mutable start_hook :
     (src_proxy:int -> dest_proxy:int -> nbytes:int -> unit) option;
   mutable c_initiations : int;
@@ -127,18 +129,21 @@ let iter_frames t r f =
 
 let ref_incr t r =
   iter_frames t r (fun f ->
-      let v = Option.value (Hashtbl.find_opt t.refcounts f) ~default:0 in
-      Hashtbl.replace t.refcounts f (v + 1))
+      let n = Array.length t.refcounts in
+      if f >= n then begin
+        let grown = Array.make (max (f + 1) (2 * n)) 0 in
+        Array.blit t.refcounts 0 grown 0 n;
+        t.refcounts <- grown
+      end;
+      t.refcounts.(f) <- t.refcounts.(f) + 1)
 
 let ref_decr t r =
   iter_frames t r (fun f ->
-      match Hashtbl.find_opt t.refcounts f with
-      | Some 1 -> Hashtbl.remove t.refcounts f
-      | Some v -> Hashtbl.replace t.refcounts f (v - 1)
-      | None -> assert false)
+      assert (t.refcounts.(f) > 0);
+      t.refcounts.(f) <- t.refcounts.(f) - 1)
 
 let refcount t ~frame =
-  Option.value (Hashtbl.find_opt t.refcounts frame) ~default:0
+  if frame >= 0 && frame < Array.length t.refcounts then t.refcounts.(frame) else 0
 
 (* ---------- device binding / endpoint resolution ---------- *)
 
@@ -444,8 +449,11 @@ let outstanding_frames t =
   List.rev !frames
 
 let refcounts_snapshot t =
-  List.sort compare
-    (Hashtbl.fold (fun f c acc -> (f, c) :: acc) t.refcounts [])
+  let acc = ref [] in
+  for f = Array.length t.refcounts - 1 downto 0 do
+    if t.refcounts.(f) > 0 then acc := (f, t.refcounts.(f)) :: !acc
+  done;
+  !acc
 
 (* ---------- match flag (associative query, §7) ---------- *)
 
@@ -720,7 +728,7 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
       active = None;
       user_queue = Queue.create ();
       system_queue = Queue.create ();
-      refcounts = Hashtbl.create 64;
+      refcounts = [||];
       start_hook = None;
       c_initiations = 0;
       c_completions = 0;

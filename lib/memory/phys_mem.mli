@@ -1,9 +1,17 @@
 (** Simulated physical memory.
 
-    A contiguous, byte-addressable array of [frames * page_size] bytes.
-    Frame [f] occupies physical bytes [f * page_size .. (f+1) * page_size - 1].
+    Byte-addressable memory of [frames * page_size] bytes. Frame [f]
+    occupies physical bytes [f * page_size .. (f+1) * page_size - 1].
     All accesses are bounds-checked; the MMU is responsible for
-    protection, this module only stores bits. *)
+    protection, this module only stores bits.
+
+    Storage is a table of one page per frame. Every frame starts on a
+    single shared page of zeros that is never written, and gets a page
+    of its own when a non-zero byte is first stored into it; storing
+    only zero bytes into such a frame leaves it shared, and
+    [fill_frame ~frame 0] returns a frame to the shared page. None of
+    this is visible through reads: memory behaves as if zero-filled at
+    [create]. *)
 
 type t
 
@@ -16,6 +24,10 @@ val frames : t -> int
 val page_size : t -> int
 val size : t -> int
 (** Total bytes. *)
+
+val materialized : t -> int
+(** [materialized t] is the number of frames holding a page of their
+    own rather than the shared zero page. *)
 
 val read_byte : t -> int -> int
 (** [read_byte t addr] is the byte at physical address [addr].

@@ -64,6 +64,8 @@ type link = {
 type t = {
   m : Mesh.t;
   links : (int * int, link) Hashtbl.t;  (* created on first use *)
+  by_dir : link option array;
+      (* the same links by [dir_slot], for the per-hop lookup *)
   mutable credits : int option;     (* current deposit-FIFO capacity *)
   adaptive_turns : Metrics.counter;
   dead_crossings : Metrics.counter;
@@ -89,6 +91,7 @@ let create (m : Mesh.t) =
   {
     m;
     links = Hashtbl.create 64;
+    by_dir = Array.make (4 * m.node_count) None;
     credits = m.config.rx_credits;
     adaptive_turns = c "net.router.adaptive_turns";
     dead_crossings = c "net.link.dead_crossings";
@@ -114,8 +117,19 @@ let fresh_pool ~now n =
   { cp_capacity = n; cp_slots = Array.make n now; cp_held = 0;
     cp_inflight = 0; cp_free = n }
 
+(* The [by_dir] slot of the link from [a] to its neighbour [b]: four
+   per node, one per direction; -1 when [b] is no neighbour. *)
+let dir_slot t a b =
+  let d = b - a and w = t.m.width in
+  if d = 1 then 4 * a
+  else if d = -1 then (4 * a) + 1
+  else if d = w then (4 * a) + 2
+  else if d = -w then (4 * a) + 3
+  else -1
+
 let link_of t a b =
-  match Hashtbl.find_opt t.links (a, b) with
+  let slot = dir_slot t a b in
+  match if slot < 0 then Hashtbl.find_opt t.links (a, b) else t.by_dir.(slot) with
   | Some l -> l
   | None ->
       let now = Engine.now t.m.engine and n = t.m.config.vc_count in
@@ -128,6 +142,7 @@ let link_of t a b =
             | Some c -> Array.init n (fun _ -> fresh_pool ~now c)) }
       in
       Hashtbl.add t.links (a, b) l;
+      if slot >= 0 then t.by_dir.(slot) <- Some l;
       l
 
 (* The links in (from, to) order. *)
@@ -177,18 +192,19 @@ let set_rx_credits t credits =
    reproduces the dimension-order path exactly. *)
 let next_hop t a dst =
   let m = t.m in
-  let x, y = Mesh.coords m a and dx, dy = Mesh.coords m dst in
+  Mesh.check_node m a "coords";
+  Mesh.check_node m dst "coords";
+  let w = m.width in
+  let x = a mod w and y = a / w and dx = dst mod w and dy = dst / w in
   let bx = Mesh.node_id m ~x:(Mesh.step x dx) ~y in
   let by = Mesh.node_id m ~x ~y:(Mesh.step y dy) in
   if x = dx then by
   else if y = dy || m.config.routing = `Dimension_order then bx
   else
-    let cost b =
-      let l = link_of t a b in
-      ((match l.ml.l_fault with Link_dead -> 1 | Link_ok | Link_slow _ -> 0),
-       l.busy_until)
-    in
-    if cost by < cost bx then by else bx
+    let lx = link_of t a bx and ly = link_of t a by in
+    let dead l = match l.ml.l_fault with Link_dead -> 1 | Link_ok | Link_slow _ -> 0 in
+    if dead ly < dead lx || (dead ly = dead lx && ly.busy_until < lx.busy_until) then by
+    else bx
 
 (* The links the configured policy would pick right now, against the
    current link state, without claiming anything. *)
@@ -209,31 +225,39 @@ let route t ~src ~dst =
    is the deliberate bug the N2 oracle must catch: it pins every grant
    to VC 0, so a ready VC's skip streak grows past [vc_count]. *)
 let claim_vc t s ~head =
-  let vcn = Array.length s.vcs in
+  let vcs = s.vcs in
+  let vcn = Array.length vcs in
   if vcn = 1 then 0
   else begin
     let c =
       match t.m.mutation with
       | Some Arb_stuck -> 0
-      | Some (Credit_leak | Flit_leak | Double_grant) | None -> (
-          match Mesh.arbitrate_by ~rr:s.rr ~n:vcn (fun i -> s.vcs.(i).v_tail <= head) with
-          | -1 ->
-              let best = ref 0 in
-              Array.iteri
-                (fun i v -> if v.v_tail < s.vcs.(!best).v_tail then best := i)
-                s.vcs;
-              !best
-          | v -> v)
+      | Some (Credit_leak | Flit_leak | Double_grant) | None ->
+          (* [Mesh.arbitrate_by] over the ready VCs, as a loop *)
+          let g = ref (-1) and k = ref 0 in
+          while !g < 0 && !k < vcn do
+            let i = (s.rr + !k) mod vcn in
+            if vcs.(i).v_tail <= head then g := i;
+            incr k
+          done;
+          if !g >= 0 then !g
+          else begin
+            let best = ref 0 in
+            for i = 1 to vcn - 1 do
+              if vcs.(i).v_tail < vcs.(!best).v_tail then best := i
+            done;
+            !best
+          end
     in
-    Array.iteri
-      (fun i v ->
-        if i = c then v.v_skip_streak <- 0
-        else if v.v_tail <= head then begin
-          v.v_skip_streak <- v.v_skip_streak + 1;
-          if v.v_skip_streak > v.v_max_skip then v.v_max_skip <- v.v_skip_streak
-        end
-        else v.v_skip_streak <- 0)
-      s.vcs;
+    for i = 0 to vcn - 1 do
+      let v = vcs.(i) in
+      if i = c then v.v_skip_streak <- 0
+      else if v.v_tail <= head then begin
+        v.v_skip_streak <- v.v_skip_streak + 1;
+        if v.v_skip_streak > v.v_max_skip then v.v_max_skip <- v.v_skip_streak
+      end
+      else v.v_skip_streak <- 0
+    done;
     s.rr <- (c + 1) mod vcn;
     c
   end
@@ -299,29 +323,27 @@ let arrival t ~now ~src ~dst ~words =
     (* deposit-side credit for the receive FIFO behind this link: take
        the slot that frees soonest; on a dead link the grant is pushed
        to the next NACK'd retry poll *)
-    let pinfo =
-      if Array.length s.pools = 0 then None
-      else begin
-        let p = s.pools.(ci) in
-        let si = ref 0 in
-        Array.iteri (fun i ft -> if ft < p.cp_slots.(!si) then si := i) p.cp_slots;
-        let slot_free = p.cp_slots.(!si) in
-        let granted =
-          if slot_free <= !head then !head
-          else
-            match l.l_fault with
-            | Link_dead ->
-                let polls =
-                  (slot_free - !head + nack_retry_cycles - 1) / nack_retry_cycles
-                in
-                Metrics.bump_by t.nacks polls;
-                !head + (polls * nack_retry_cycles)
-            | Link_ok | Link_slow _ -> slot_free
-        in
-        Some (p, !si, slot_free, granted)
-      end
+    let pooled = Array.length s.pools > 0 in
+    let si = ref 0 and slot_free = ref 0 in
+    if pooled then begin
+      let slots = s.pools.(ci).cp_slots in
+      for i = 1 to Array.length slots - 1 do
+        if slots.(i) < slots.(!si) then si := i
+      done;
+      slot_free := slots.(!si)
+    end;
+    let credit_floor =
+      if (not pooled) || !slot_free <= !head then !head
+      else
+        match l.l_fault with
+        | Link_dead ->
+            let polls =
+              (!slot_free - !head + nack_retry_cycles - 1) / nack_retry_cycles
+            in
+            Metrics.bump_by t.nacks polls;
+            !head + (polls * nack_retry_cycles)
+        | Link_ok | Link_slow _ -> !slot_free
     in
-    let credit_floor = match pinfo with None -> !head | Some (_, _, _, g) -> g in
     let cstall = credit_floor - !head in
     if cstall > 0 then begin
       Metrics.bump t.credit_stalls;
@@ -364,25 +386,25 @@ let arrival t ~now ~src ~dst ~words =
       Metrics.bump t.vc_grants_by_index.(ci);
       Metrics.sample t.vc_depth v.v_inflight
     end;
-    (match pinfo with
-    | None -> ()
-    | Some (p, si, slot_free, _) ->
-        let rel = start + locc + cfg.per_hop_cycles in
-        let leak = m.mutation = Some Credit_leak && not m.leak_used in
-        if leak then m.leak_used <- true;
-        (* a leaked slot never frees: the deposit side forgets to
-           return the credit, which is exactly what N1 must catch *)
-        p.cp_slots.(si) <- (if leak then max_int / 2 else rel);
-        let reserve_at = max now slot_free in
-        Engine.schedule_at m.engine ~time:reserve_at (fun _ ->
-            p.cp_free <- p.cp_free - 1;
-            p.cp_held <- p.cp_held + 1);
-        Engine.schedule_at m.engine ~time:start (fun _ ->
-            p.cp_held <- p.cp_held - 1;
-            p.cp_inflight <- p.cp_inflight + 1);
-        Engine.schedule_at m.engine ~time:rel (fun _ ->
-            p.cp_inflight <- p.cp_inflight - 1;
-            if not leak then p.cp_free <- p.cp_free + 1));
+    if pooled then begin
+      let p = s.pools.(ci) and si = !si and slot_free = !slot_free in
+      let rel = start + locc + cfg.per_hop_cycles in
+      let leak = m.mutation = Some Credit_leak && not m.leak_used in
+      if leak then m.leak_used <- true;
+      (* a leaked slot never frees: the deposit side forgets to
+         return the credit, which is exactly what N1 must catch *)
+      p.cp_slots.(si) <- (if leak then max_int / 2 else rel);
+      let reserve_at = max now slot_free in
+      Engine.schedule_at m.engine ~time:reserve_at (fun _ ->
+          p.cp_free <- p.cp_free - 1;
+          p.cp_held <- p.cp_held + 1);
+      Engine.schedule_at m.engine ~time:start (fun _ ->
+          p.cp_held <- p.cp_held - 1;
+          p.cp_inflight <- p.cp_inflight + 1);
+      Engine.schedule_at m.engine ~time:rel (fun _ ->
+          p.cp_inflight <- p.cp_inflight - 1;
+          if not leak then p.cp_free <- p.cp_free + 1)
+    end;
     Engine.schedule_at m.engine ~time:(start + locc) (fun _ ->
         s.inflight <- s.inflight - 1;
         v.v_inflight <- v.v_inflight - 1);
@@ -411,9 +433,16 @@ let injection_ready t ~src ~dst =
     Mesh.check_node m dst "injection_ready";
     let s = link_of t src (next_hop t src dst) in
     if Array.length s.pools = 0 then now
-    else
-      max now
-        (Array.fold_left (fun best p -> Array.fold_left min best p.cp_slots) max_int s.pools)
+    else begin
+      let best = ref max_int in
+      for v = 0 to Array.length s.pools - 1 do
+        let slots = s.pools.(v).cp_slots in
+        for i = 0 to Array.length slots - 1 do
+          if slots.(i) < !best then best := slots.(i)
+        done
+      done;
+      max now !best
+    end
   end
 
 (* [f l i] for every VC [i] of every link [l], in (from, to, vc) order;

@@ -156,11 +156,15 @@ let ring_create ~vc ~pos ~capacity =
     fb_flit = Array.make !size 0; fb_hop = Array.make !size 0;
     fb_ready = Array.make !size 0; fb_head = 0; fb_len = 0 }
 
-let ring_grow fb =
+(* Grow to the smallest power of two that holds [need] flits, in one
+   step: a worm's flits go onto the injection FIFO together. *)
+let ring_grow fb need =
   let size = Array.length fb.fb_flit in
+  let size' = ref (2 * size) in
+  while !size' < need do size' := 2 * !size' done;
   let move a =
-    let b = Array.make (2 * size) 0 in
-    for k = 0 to size - 1 do
+    let b = Array.make !size' 0 in
+    for k = 0 to fb.fb_len - 1 do
       b.(k) <- a.((fb.fb_head + k) land (size - 1))
     done;
     b
@@ -171,7 +175,7 @@ let ring_grow fb =
   fb.fb_head <- 0
 
 let ring_add fb flit hop ready =
-  if fb.fb_len = Array.length fb.fb_flit then ring_grow fb;
+  if fb.fb_len = Array.length fb.fb_flit then ring_grow fb (fb.fb_len + 1);
   let k = (fb.fb_head + fb.fb_len) land (Array.length fb.fb_flit - 1) in
   fb.fb_flit.(k) <- flit;
   fb.fb_hop.(k) <- hop;
@@ -706,6 +710,7 @@ let send t pkt =
   let ready = Engine.now m.engine + m.config.base_cycles in
   let q = t.inject.(src) in
   let was_empty = q.fb_len = 0 in
+  if q.fb_len + nf > Array.length q.fb_flit then ring_grow q (q.fb_len + nf);
   for i = 0 to nf - 1 do
     ring_add q (pack w i) 0 ready
   done;

@@ -65,9 +65,9 @@ let occupancy_factor = function
    when none is). The caller advances [rr] to just past the grant,
    which bounds the wait of any continuously-ready competitor to
    [n - 1] skipped rounds (the distance from [rr] to it strictly
-   shrinks on every skip). The analytic crossing's VC grants, the flit
-   crossing's head-flit VC allocator and [Router.arbitrate] all use
-   it. *)
+   shrinks on every skip). The flit crossing's head-flit VC allocator
+   and [Router.arbitrate] use it; the analytic crossing's VC claim runs
+   the same scan as a loop, with no closure per hop. *)
 let arbitrate_by ~rr ~n ready =
   let g = ref (-1) and k = ref 0 in
   while !g < 0 && !k < n do
@@ -108,9 +108,11 @@ type t = {
   node_count : int;
   width : int;
   sinks : (Packet.t -> unit) option array;
-  last_arrival : (int * int, int) Hashtbl.t;
+  last_arrival : int array array;
       (* the in-order guarantee: every arrival is clamped to after the
-         pair's previous one (see [deliver]) *)
+         pair's previous one (see [deliver]); row [src], indexed by
+         destination, is allocated on [src]'s first delivery and holds
+         -1 for a pair with none yet *)
   links : (int * int, link) Hashtbl.t;
   mutable packets_routed : int;
   mutable bytes_routed : int;
@@ -120,7 +122,7 @@ type t = {
 
 let create ~engine ~nodes config =
   { engine; config; node_count = nodes; width = mesh_width nodes;
-    sinks = Array.make nodes None; last_arrival = Hashtbl.create 16;
+    sinks = Array.make nodes None; last_arrival = Array.make nodes [||];
     links = Hashtbl.create 64;
     packets_routed = 0; bytes_routed = 0; mutation = None; leak_used = false }
 
@@ -135,8 +137,10 @@ let coords m id =
 let node_id m ~x ~y = x + (y * m.width)
 
 let hops m ~src ~dst =
-  let sx, sy = coords m src and dx, dy = coords m dst in
-  abs (sx - dx) + abs (sy - dy)
+  check_node m src "coords";
+  check_node m dst "coords";
+  let w = m.width in
+  abs ((src mod w) - (dst mod w)) + abs ((src / w) - (dst / w))
 
 (* One step from [v] toward [goal] along one axis. *)
 let step v goal = if v < goal then v + 1 else v - 1
@@ -170,14 +174,12 @@ let latency_cycles m ~src ~dst ~bytes =
    guarantee (test_props checks it under contention for both policies
    and with VCs + finite credits). *)
 let deliver m pkt nominal =
-  let key = (pkt.Packet.src_node, pkt.Packet.dst_node) in
-  let earliest =
-    match Hashtbl.find_opt m.last_arrival key with
-    | Some last -> last + 1
-    | None -> 0
-  in
-  let arrival = max nominal earliest in
-  Hashtbl.replace m.last_arrival key arrival;
+  let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
+  if Array.length m.last_arrival.(src) = 0 then
+    m.last_arrival.(src) <- Array.make m.node_count (-1);
+  let row = m.last_arrival.(src) in
+  let arrival = max nominal (row.(dst) + 1) in
+  row.(dst) <- arrival;
   match m.sinks.(pkt.Packet.dst_node) with
   | Some sink -> Engine.schedule_at m.engine ~time:arrival (fun _ -> sink pkt)
   | None -> ()

@@ -47,7 +47,8 @@ type t = {
   procs : Udma_os.Proc.t array;
   channels : Messaging.channel option array array;
   cpus : cpu_q array;
-  inflight : (int * int, (int -> unit) option Queue.t) Hashtbl.t;
+  inflight : (int -> unit) option Queue.t option array array;
+      (* shaped like [channels]; a pair's queue is made on first use *)
   payloads : (int, bytes) Hashtbl.t;
   send_costs : (int, int) Hashtbl.t;  (* nbytes -> calibrated cycles *)
   master : Rng.t;
@@ -93,12 +94,12 @@ let channel t src dst =
   | None ->
       invalid_arg (Printf.sprintf "Fabric: no channel for pair %d->%d" src dst)
 
-let inflight_q t key =
-  match Hashtbl.find_opt t.inflight key with
+let inflight_q t src dst =
+  match t.inflight.(src).(dst) with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.inflight key q;
+      t.inflight.(src).(dst) <- Some q;
       q
 
 (* Deterministic per-size fill; also what tests check in the importer's
@@ -153,7 +154,7 @@ let attach sys ~seed ~pairs =
       cpus =
         Array.init nodes (fun node ->
             { node; q = Queue.create (); serving = false });
-      inflight = Hashtbl.create 64;
+      inflight = Array.make_matrix nodes nodes None;
       payloads = Hashtbl.create 8;
       send_costs = Hashtbl.create 8;
       master;
@@ -180,7 +181,7 @@ let attach sys ~seed ~pairs =
     let node = System.node sys d in
     Router.register router ~node_id:d (fun pkt ->
         Network_interface.receive node.System.ni pkt;
-        let q = inflight_q t (pkt.Udma_shrimp.Packet.src_node, d) in
+        let q = inflight_q t pkt.Udma_shrimp.Packet.src_node d in
         if not (Queue.is_empty q) then begin
           t.delivered <- t.delivered + 1;
           Metrics.bump t.c_delivered;
@@ -310,7 +311,7 @@ and launch t (s : cpu_q) =
   end
   else begin
     let p = Queue.pop s.q in
-    Queue.push p.on_deliver (inflight_q t (s.node, p.dst));
+    Queue.push p.on_deliver (inflight_q t s.node p.dst);
     Messaging.inject (channel t s.node p.dst) (payload t ~nbytes:p.nbytes);
     t.launched <- t.launched + 1;
     Metrics.bump t.c_launched;

@@ -85,8 +85,12 @@ type shard_stats = {
   mutable injected : int;
   mutable launched : int;
   mutable delivered : int;
-  mutable lats : int list;
-  last_arrival : (int * int, int) Hashtbl.t;
+  mutable lats : int array;  (* the first [n_lats] are the latencies *)
+  mutable n_lats : int;
+  last_arrival : int array array;
+      (* the clamp for pairs into this shard's row: row [src], indexed
+         by the destination's column, is allocated on [src]'s first
+         delivery here and holds -1 for a pair with none yet *)
 }
 
 type source = {
@@ -141,8 +145,8 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
   in
   let stats =
     Array.init rows (fun _ ->
-        { injected = 0; launched = 0; delivered = 0; lats = [];
-          last_arrival = Hashtbl.create 64 })
+        { injected = 0; launched = 0; delivered = 0; lats = [||]; n_lats = 0;
+          last_arrival = Array.make nodes [||] })
   in
   let deliver ~psrc ~pdst ~born () =
     let shard = row_of pdst in
@@ -151,15 +155,20 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     (* per-pair in-order clamp, as the legacy router's [last_arrival]:
        a no-op under dimension-order + FIFO links, kept as the stated
        guarantee *)
-    let at =
-      match Hashtbl.find_opt st.last_arrival (psrc, pdst) with
-      | Some last -> max now (last + 1)
-      | None -> now
-    in
-    Hashtbl.replace st.last_arrival (psrc, pdst) at;
+    if Array.length st.last_arrival.(psrc) = 0 then
+      st.last_arrival.(psrc) <- Array.make width (-1);
+    let row = st.last_arrival.(psrc) and col = pdst mod width in
+    let at = max now (row.(col) + 1) in
+    row.(col) <- at;
     if born >= measure_start && at < t_end then begin
       st.delivered <- st.delivered + 1;
-      st.lats <- (at - born) :: st.lats
+      if st.n_lats = Array.length st.lats then begin
+        let grown = Array.make (max 64 (2 * st.n_lats)) 0 in
+        Array.blit st.lats 0 grown 0 st.n_lats;
+        st.lats <- grown
+      end;
+      st.lats.(st.n_lats) <- at - born;
+      st.n_lats <- st.n_lats + 1
     end
   in
   (* Header walk: each link claim is one event at the link owner's
@@ -261,7 +270,7 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
   let launched = Array.fold_left (fun a st -> a + st.launched) 0 stats in
   let delivered = Array.fold_left (fun a st -> a + st.delivered) 0 stats in
   let latencies =
-    Array.of_list (Array.fold_left (fun a st -> List.rev_append st.lats a) [] stats)
+    Array.concat (Array.to_list (Array.map (fun st -> Array.sub st.lats 0 st.n_lats) stats))
   in
   let links =
     Array.to_list links

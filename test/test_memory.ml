@@ -81,6 +81,39 @@ let test_mem_fill_frame () =
   checki "last byte" 0x5A (Phys_mem.read_byte m 8191);
   checki "neighbour untouched" 0 (Phys_mem.read_byte m 8192)
 
+(* Creating memory allocates the frame table and the one shared zero
+   page, never the frames themselves: 512 frames of 4 KB stay within
+   2,048 words (one zero-filled flat block of them is 262 k). *)
+let test_mem_create_allocation () =
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let w0 = words () in
+  let m = Phys_mem.create ~frames:512 ~page_size:4096 in
+  let used = words () -. w0 in
+  Printf.printf "phys_mem guard: create 512 x 4 KB allocated %.0f words\n" used;
+  checki "no frame of its own" 0 (Phys_mem.materialized m);
+  if used > 2048.0 then
+    Alcotest.failf "Phys_mem.create 512 x 4 KB allocated %.0f words > 2048" used
+
+(* Only a stored non-zero byte gives a frame its own page; zero stores
+   leave it shared, and filling with 0 shares it again. *)
+let test_mem_zero_page () =
+  let m = mem () in
+  Phys_mem.write_byte m 100 0;
+  Phys_mem.write_word m 4096 0l;
+  Phys_mem.write_bytes m ~addr:8000 (Bytes.make 500 '\000');
+  Phys_mem.blit m ~src:0 ~dst:20000 ~len:5000;
+  checki "zero stores share" 0 (Phys_mem.materialized m);
+  Phys_mem.write_bytes m ~addr:4090 (Bytes.of_string "\000\000\000\000\000\000\001");
+  checki "first non-zero byte" 1 (Phys_mem.materialized m);
+  checki "it landed" 1 (Phys_mem.read_byte m 4096);
+  Phys_mem.blit m ~src:4096 ~dst:(3 * 4096) ~len:1;
+  Phys_mem.fill_frame m ~frame:5 0x5A;
+  checki "blit and fill give pages" 3 (Phys_mem.materialized m);
+  Phys_mem.fill_frame m ~frame:1 0;
+  checki "fill 0 shares again" 2 (Phys_mem.materialized m);
+  checki "and reads zero" 0 (Phys_mem.read_byte m 4096);
+  checki "the shared page stayed zero" 0 (Phys_mem.read_byte m (2 * 4096))
+
 (* ---------- Frame_allocator ---------- *)
 
 let test_alloc_lowest_first () =
@@ -195,6 +228,9 @@ let () =
           Alcotest.test_case "bulk read/write" `Quick test_mem_bulk;
           Alcotest.test_case "overlapping blit" `Quick test_mem_blit_overlap;
           Alcotest.test_case "fill frame" `Quick test_mem_fill_frame;
+          Alcotest.test_case "zero page" `Quick test_mem_zero_page;
+          Alcotest.test_case "create allocation bounded" `Quick
+            test_mem_create_allocation;
         ] );
       ( "frame_allocator",
         [

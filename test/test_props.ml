@@ -147,6 +147,139 @@ let prop_status_roundtrip =
            (Status.make ~transferring:s.transferring ~invalid:s.invalid
               ~matches:s.matches ~remaining_bytes:s.remaining_bytes ()))
 
+(* ---------- Phys_mem: per-frame table = flat bytes ---------- *)
+
+(* Random traces of byte, word and bulk reads and writes, overlapping
+   blits and frame fills against one flat [Bytes.t]. Page sizes run
+   from 1 (a word spans four frames) through 64 to 512, ranges cross
+   frame boundaries, and written bytes are zero about half the time so
+   all-zero stores into untouched frames happen often. After every
+   step [materialized] must equal the frames the model says took a
+   non-zero byte since their last [fill_frame 0]; at the end, once every
+   all-zero frame is filled with 0, it must equal the frames that hold
+   a non-zero byte. *)
+type mem_op =
+  | M_byte of int * int
+  | M_word of int * int32
+  | M_bytes of int * string
+  | M_read of int * int
+  | M_blit of int * int * int
+  | M_fill of int * int
+
+let prop_phys_mem_model =
+  let module P = Udma_memory.Phys_mem in
+  let gen =
+    QCheck.Gen.(
+      let* page_size = oneofl [ 1; 2; 4; 64; 512 ] in
+      let* frames = int_range 1 12 in
+      let size = page_size * frames in
+      let addr = int_bound (size - 1) in
+      let byte = frequency [ (1, return 0); (1, int_range 1 255) ] in
+      let range =
+        let* a = addr in
+        let+ len = int_bound (min (size - a) (3 * page_size)) in
+        (a, len)
+      in
+      let op =
+        frequency
+          [
+            (3, map2 (fun a v -> M_byte (a, v)) addr byte);
+            ( 2,
+              if size < 4 then map2 (fun a v -> M_byte (a, v)) addr byte
+              else
+                map2
+                  (fun a v -> M_word (a land lnot 3, Int32.of_int v))
+                  (int_bound (size - 4))
+                  (frequency [ (1, return 0); (2, int_bound 0x3fffffff) ]) );
+            ( 3,
+              let* a, len = range in
+              let+ bytes = string_size ~gen:(map Char.chr byte) (return len) in
+              M_bytes (a, bytes) );
+            (2, map (fun (a, len) -> M_read (a, len)) range);
+            ( 3,
+              let* src, len = range in
+              let+ dst = int_bound (size - len) in
+              M_blit (src, dst, len) );
+            (1, map2 (fun f v -> M_fill (f, v)) (int_bound (frames - 1)) byte);
+          ]
+      in
+      let+ ops = list_size (1 -- 120) op in
+      (page_size, frames, ops))
+  in
+  let print_op = function
+    | M_byte (a, v) -> Printf.sprintf "byte(%d,%d)" a v
+    | M_word (a, v) -> Printf.sprintf "word(%d,%ld)" a v
+    | M_bytes (a, b) -> Printf.sprintf "bytes(%d,%S)" a b
+    | M_read (a, n) -> Printf.sprintf "read(%d,%d)" a n
+    | M_blit (s, d, n) -> Printf.sprintf "blit(%d->%d,%d)" s d n
+    | M_fill (f, v) -> Printf.sprintf "fill(%d,%d)" f v
+  in
+  let print (ps, fr, ops) =
+    Printf.sprintf "page %d, frames %d: %s" ps fr
+      (String.concat " " (List.map print_op ops))
+  in
+  qtest ~count:300 "phys_mem = flat-bytes model, materialized exact"
+    (QCheck.make ~print gen) (fun (page_size, frames, ops) ->
+      let m = P.create ~frames ~page_size in
+      let flat = Bytes.make (frames * page_size) '\000' in
+      let dirty = Array.make frames false in
+      (* the model side of a store: bytes [b] land at [addr] *)
+      let store addr b =
+        Bytes.iteri
+          (fun i c ->
+            if c <> '\000' then dirty.((addr + i) / page_size) <- true)
+          b;
+        Bytes.blit b 0 flat addr (Bytes.length b)
+      in
+      let dirty_count () =
+        Array.fold_left (fun n d -> if d then n + 1 else n) 0 dirty
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | M_byte (a, v) ->
+              P.write_byte m a v;
+              store a (Bytes.make 1 (Char.chr v))
+          | M_word (a, v) ->
+              P.write_word m a v;
+              let b = Bytes.create 4 in
+              Bytes.set_int32_le b 0 v;
+              store a b
+          | M_bytes (a, s) ->
+              P.write_bytes m ~addr:a (Bytes.of_string s);
+              store a (Bytes.of_string s)
+          | M_read _ -> ()
+          | M_blit (src, dst, len) ->
+              P.blit m ~src ~dst ~len;
+              store dst (Bytes.sub flat src len)
+          | M_fill (f, v) ->
+              P.fill_frame m ~frame:f v;
+              Bytes.fill flat (f * page_size) page_size (Char.chr v);
+              dirty.(f) <- v <> 0);
+          let reads_agree =
+            match op with
+            | M_read (a, len) ->
+                Bytes.equal (P.read_bytes m ~addr:a ~len) (Bytes.sub flat a len)
+                && (len = 0 || P.read_byte m a = Char.code (Bytes.get flat a))
+                && (a land 3 <> 0
+                   || a + 4 > Bytes.length flat
+                   || P.read_word m a = Bytes.get_int32_le flat a)
+            | M_byte _ | M_word _ | M_bytes _ | M_blit _ | M_fill _ -> true
+          in
+          reads_agree && P.materialized m = dirty_count ())
+        ops
+      && Bytes.equal (P.read_bytes m ~addr:0 ~len:(Bytes.length flat)) flat
+      &&
+      let holds_data f =
+        not (Bytes.for_all (( = ) '\000') (Bytes.sub flat (f * page_size) page_size))
+      in
+      let non_zero = ref 0 in
+      for f = 0 to frames - 1 do
+        if holds_data f then incr non_zero else P.fill_frame m ~frame:f 0
+      done;
+      P.materialized m = !non_zero
+      && Bytes.equal (P.read_bytes m ~addr:0 ~len:(Bytes.length flat)) flat)
+
 (* ---------- Layout: proxy is a bijection on memory ---------- *)
 
 let prop_layout_proxy_bijection =
@@ -1182,6 +1315,7 @@ let () =
         [
           prop_eventq_sorted;
           prop_eventq_tagged_model;
+          prop_phys_mem_model;
           prop_status_roundtrip;
           prop_layout_proxy_bijection;
           prop_rng_in_bounds;

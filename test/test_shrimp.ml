@@ -1522,6 +1522,19 @@ let test_auto_update_ignores_other_pages () =
   System.run_until_idle sys;
   checki "unbound page not propagated" 0 (Auto_update.updates_sent snd.System.auto)
 
+(* A node's memory is allocated as it is written, so building a 64-node
+   system stays within 400 k words (zero-filled 2 MB per node took
+   16.9 M). *)
+let test_system_create_allocation () =
+  let words () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8) in
+  let w0 = words () in
+  let sys = System.create ~nodes:64 () in
+  let used = words () -. w0 in
+  Printf.printf "system guard: create 64 nodes allocated %.0f words\n" used;
+  checki "nodes" 64 (System.node_count sys);
+  if used > 400_000.0 then
+    Alcotest.failf "System.create ~nodes:64 allocated %.0f words > 400000" used
+
 let () =
   Alcotest.run "udma_shrimp"
     [
@@ -1584,6 +1597,8 @@ let () =
           Alcotest.test_case "unconfigured NIPT page rejected" `Quick
             test_ni_unconfigured_page_rejected;
           Alcotest.test_case "receive marks dirty" `Quick test_receive_marks_dirty;
+          Alcotest.test_case "create allocation bounded" `Quick
+            test_system_create_allocation;
         ] );
       ( "collective",
         [
