@@ -376,8 +376,8 @@ let chaos_cmd =
           ~doc:
             "Sweep multi-node mesh schedules instead of single-machine \
              ones: random sends, link faults, credit squeezes, rogue \
-             tenants and import-slot revocations on a 2-4 node system \
-             with 1-4 VCs (a third of the seeds on the flit-level \
+             tenants and import-slot revocations on a 4, 6 or 9 node \
+             mesh with 1-4 VCs (a third of the seeds on the flit-level \
              wormhole crossing), checking I1-I4 and the I5 isolation \
              oracle on every node (proxy, IOMMU and capability \
              backends) and the router's credit (N1), arbitration (N2) \
@@ -387,86 +387,63 @@ let chaos_cmd =
     if c.trace then Trace.set_global_sink (Some (Event.jsonl_sink stderr));
     let skip_invariant = mutate in
     let finish () = Trace.set_global_sink None in
-    (* The single-machine and mesh sweeps differ only in their schedules,
-       oracles and wording. [replay_seed] prints a seed's schedule, runs
-       it and returns the failure report, if any; [sweep] returns the
-       failing-seed count and the first failure's report. *)
-    let name, clean, planted, replay_seed, sweep =
-      if mesh then
-        ( "mesh chaos sweep",
-          "I1-I5/N1-N2",
-          "a bug",
-          (fun ppf seed ->
-            let plan = Chaos.mesh_plan_of_seed ~steps seed in
-            Format.fprintf ppf "replaying mesh seed %d: %a@." seed
-              Chaos.pp_mesh_setup plan.Chaos.mesh_setup;
-            List.iteri
-              (fun i a -> Format.fprintf ppf "  %2d. %a@." i Chaos.pp_mesh_action a)
-              plan.Chaos.mesh_actions;
-            match Chaos.run_mesh_plan ?skip_invariant plan with
-            | Chaos.Mesh_pass -> None
-            | Chaos.Mesh_fail f -> Some (Chaos.mesh_report f)),
-          fun () ->
-            match Chaos.mesh_sweep ?skip_invariant ~steps ~start ~seeds () with
-            | [] -> (0, "")
-            | f :: _ as l -> (List.length l, Chaos.mesh_report f) )
-      else
-        let report f =
-          Chaos.report ?skip_invariant (Chaos.shrink ?skip_invariant f)
-        in
-        ( "chaos sweep",
-          "I1-I4",
-          "a kernel bug",
-          (fun ppf seed ->
-            let plan = Chaos.plan_of_seed ~steps seed in
-            Format.fprintf ppf "replaying seed %d: %a@." seed Chaos.pp_setup
-              plan.Chaos.setup;
-            List.iteri
-              (fun i a -> Format.fprintf ppf "  %2d. %a@." i Chaos.pp_action a)
-              plan.Chaos.actions;
-            match Chaos.run_plan ?skip_invariant plan with
-            | Chaos.Pass -> None
-            | Chaos.Fail f -> Some (report f)),
-          fun () ->
-            match Chaos.sweep ?skip_invariant ~steps ~start ~seeds () with
-            | [] -> (0, "")
-            | f :: _ as l -> (List.length l, report f) )
+    (* The single-machine and mesh sweeps differ only in their scenario
+       and in the wording of the clean and planted-bug lines. *)
+    let chaos sc ~clean ~planted =
+      let name = sc.Chaos.prefix ^ "chaos sweep" in
+      let report f =
+        Chaos.report sc ?skip_invariant (Chaos.shrink sc ?skip_invariant f)
+      in
+      with_out c (fun oc ->
+          let ppf = Format.formatter_of_out_channel oc in
+          match replay with
+          | Some seed -> (
+              let plan = Chaos.plan_of_seed sc ~steps seed in
+              Format.fprintf ppf "replaying %sseed %d: %a@." sc.Chaos.prefix
+                seed sc.Chaos.pp_setup plan.Chaos.setup;
+              List.iteri
+                (fun i a ->
+                  Format.fprintf ppf "  %2d. %a@." i sc.Chaos.pp_action a)
+                plan.Chaos.actions;
+              match Chaos.run_plan sc ?skip_invariant plan with
+              | Chaos.Pass ->
+                  Format.fprintf ppf "no invariant violation.@.";
+                  finish ();
+                  exit 0
+              | Chaos.Fail f ->
+                  output_string oc (report f);
+                  finish ();
+                  exit (if mutate = None then 1 else 0))
+          | None -> (
+              match
+                (Chaos.sweep sc ?skip_invariant ~steps ~start ~seeds (), mutate)
+              with
+              | [], None ->
+                  Format.fprintf ppf
+                    "%s: %d seeds x %d steps, no %s violation.@." name seeds
+                    steps clean;
+                  finish ()
+              | [], Some inv ->
+                  Format.fprintf ppf
+                    "%s with %a disabled found no violation in %d seeds — \
+                     the oracles missed a planted bug!@."
+                    name Udma_os.Machine.pp_invariant inv seeds;
+                  finish ();
+                  exit 1
+              | (f :: _ as failures), _ ->
+                  Format.fprintf ppf
+                    "%s: %d of %d seeds violated an invariant%s@." name
+                    (List.length failures) seeds
+                    (match mutate with
+                    | Some _ ->
+                        Printf.sprintf " (expected: %s was planted)" planted
+                    | None -> "");
+                  output_string oc (report f);
+                  finish ();
+                  if mutate = None then exit 1))
     in
-    with_out c (fun oc ->
-        let ppf = Format.formatter_of_out_channel oc in
-        match replay with
-        | Some seed -> (
-            match replay_seed ppf seed with
-            | None ->
-                Format.fprintf ppf "no invariant violation.@.";
-                finish ();
-                exit 0
-            | Some report ->
-                output_string oc report;
-                finish ();
-                exit (if mutate = None then 1 else 0))
-        | None -> (
-            match (sweep (), mutate) with
-            | (0, _), None ->
-                Format.fprintf ppf "%s: %d seeds x %d steps, no %s violation.@."
-                  name seeds steps clean;
-                finish ()
-            | (0, _), Some inv ->
-                Format.fprintf ppf
-                  "%s with %a disabled found no violation in %d seeds — the \
-                   oracles missed a planted bug!@."
-                  name Udma_os.Machine.pp_invariant inv seeds;
-                finish ();
-                exit 1
-            | (failed, report), _ ->
-                Format.fprintf ppf "%s: %d of %d seeds violated an invariant%s@."
-                  name failed seeds
-                  (match mutate with
-                  | Some _ -> Printf.sprintf " (expected: %s was planted)" planted
-                  | None -> "");
-                output_string oc report;
-                finish ();
-                if mutate = None then exit 1))
+    if mesh then chaos Chaos.mesh ~clean:"I1-I5/N1-N2/F1" ~planted:"a bug"
+    else chaos Chaos.node ~clean:"I1-I4" ~planted:"a kernel bug"
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -475,8 +452,9 @@ let chaos_cmd =
           invariants I1-I4 after every step; failing seeds are replayed \
           deterministically and shrunk to a minimal schedule. With \
           $(b,--mesh), sweeps multi-node schedules that also exercise the \
-          router's virtual-channel credit (N1) and arbitration (N2) \
-          oracles.")
+          I5 isolation oracle on every node and the router's \
+          virtual-channel credit (N1), arbitration (N2) and \
+          flit-conservation (F1) oracles.")
     Term.(
       const run $ common_term $ seeds $ start $ steps $ replay $ mutate $ mesh)
 

@@ -14,6 +14,157 @@ module Vm = Udma_os.Vm
 module Frame_allocator = Udma_memory.Frame_allocator
 module Disk = Udma_devices.Disk
 
+(* ---------- the harness: one driver, one scenario per system ---------- *)
+
+type ('s, 'a) plan = { setup : 's; actions : 'a list }
+
+type ('s, 'a) failure = {
+  plan : ('s, 'a) plan;
+  step : int;
+  violation : Oracle.violation;
+}
+
+type ('s, 'a) outcome = Pass | Fail of ('s, 'a) failure
+
+type 'a system = {
+  apply : 'a -> unit;
+  check : unit -> Oracle.violation option;
+  drain : unit -> unit;
+  events : unit -> Trace.Event.t list;
+}
+
+type ('s, 'a) scenario = {
+  prefix : string;
+  gen : int -> 's * (unit -> 'a);
+  seed_of : 's -> int;
+  build : ?skip_invariant:M.invariant -> trace:bool -> 's -> 'a system;
+  pp_setup : Format.formatter -> 's -> unit;
+  pp_action : Format.formatter -> 'a -> unit;
+}
+
+let plan_of_seed sc ?(steps = 40) seed =
+  let setup, next = sc.gen seed in
+  { setup; actions = List.init steps (fun _ -> next ()) }
+
+(* Exceptions the chaos workload is expected to provoke: illegal
+   accesses, allocation failure under pressure, unaligned references,
+   kernel refusals (Failure). Oracle.Violation is never one of them. *)
+let benign_exn = function
+  | Vm.Segfault _ | Vm.Out_of_memory | Invalid_argument _ | Failure _ -> true
+  | _ -> false
+
+(* Run [plan] from a fresh system: the oracles after every action, then
+   a final drain (leftover transfers must complete cleanly). Returns the
+   first (step, violation), if any, and the system for its trace. *)
+let execute sc ?skip_invariant ?(trace = false) plan =
+  let sys = sc.build ?skip_invariant ~trace plan.setup in
+  let guard f = try f () with Oracle.Violation v -> Some v in
+  let rec go i = function
+    | [] ->
+        guard (fun () -> sys.drain (); sys.check ())
+        |> Option.map (fun v -> (i, v))
+    | a :: rest -> (
+        match
+          guard (fun () ->
+              (try sys.apply a with e when benign_exn e -> ());
+              sys.check ())
+        with
+        | Some v -> Some (i, v)
+        | None -> go (i + 1) rest)
+  in
+  (go 0 plan.actions, sys)
+
+let run_plan sc ?skip_invariant ?trace plan =
+  match fst (execute sc ?skip_invariant ?trace plan) with
+  | None -> Pass
+  | Some (step, violation) -> Fail { plan; step; violation }
+
+let run_seed sc ?skip_invariant ?steps seed =
+  run_plan sc ?skip_invariant (plan_of_seed sc ?steps seed)
+
+let sweep sc ?skip_invariant ?steps ?(start = 0) ~seeds () =
+  List.filter_map
+    (fun seed ->
+      match run_seed sc ?skip_invariant ?steps seed with
+      | Pass -> None
+      | Fail f -> Some f)
+    (List.init seeds (fun i -> start + i))
+
+let first_failure sc ?skip_invariant ?steps ?(start = 0) ~seeds () =
+  let rec go seed =
+    if seed >= start + seeds then None
+    else
+      match run_seed sc ?skip_invariant ?steps seed with
+      | Pass -> go (seed + 1)
+      | Fail f -> Some f
+  in
+  go start
+
+(* ---------- shrinking ---------- *)
+
+let prefix n l = List.filteri (fun i _ -> i < n) l
+
+(* A failure's plan cut to its failing prefix: a deterministic replay. *)
+let failing_prefix f =
+  let actions = prefix (f.step + 1) f.plan.actions in
+  { f with plan = { f.plan with actions } }
+
+let shrink sc ?skip_invariant f =
+  let inv = f.violation.Oracle.invariant in
+  (* greedy deletion of each action before the failing one (every
+     action, when the final drain fails); on success keep only the
+     (possibly shorter) failing prefix of the candidate and rescan from
+     there *)
+  let rec del i best =
+    if i >= best.step then best
+    else
+      let actions = List.filteri (fun j _ -> j <> i) best.plan.actions in
+      match run_plan sc ?skip_invariant { best.plan with actions } with
+      | Fail g when g.violation.Oracle.invariant = inv ->
+          del i (failing_prefix g)
+      | Pass | Fail _ -> del (i + 1) best
+  in
+  del 0 (failing_prefix f)
+
+(* ---------- replay + report ---------- *)
+
+let replay_trace sc ?skip_invariant plan =
+  (snd (execute sc ?skip_invariant ~trace:true plan)).events ()
+
+let last n l =
+  let len = List.length l in
+  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
+
+let report sc ?skip_invariant f =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.fprintf ppf "%schaos failure: seed %d, %d-step schedule@." sc.prefix
+    (sc.seed_of f.plan.setup)
+    (List.length f.plan.actions);
+  Format.fprintf ppf "  %a@." Oracle.pp_violation f.violation;
+  Format.fprintf ppf "  setup: %a@." sc.pp_setup f.plan.setup;
+  Format.fprintf ppf "  schedule (deterministic replay):@.";
+  List.iteri
+    (fun i a ->
+      Format.fprintf ppf "    %2d. %a%s@." i sc.pp_action a
+        (if i = f.step then "   <- violation detected here" else ""))
+    f.plan.actions;
+  if f.step = List.length f.plan.actions then
+    Format.fprintf ppf "        final drain   <- violation detected here@.";
+  let tail = last 12 (replay_trace sc ?skip_invariant f.plan) in
+  if tail <> [] then begin
+    Format.fprintf ppf "  trace tail of the replay:@.";
+    List.iter
+      (fun ev ->
+        Format.fprintf ppf "    %8d  %s@." ev.Trace.Event.time
+          (Trace.Event.render ev))
+      tail
+  end;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* ---------- single-machine scenario ---------- *)
+
 type dir = Out | In
 
 type action =
@@ -49,12 +200,6 @@ type setup = {
   nprocs : int;
   pages_per_proc : int;
 }
-
-type plan = { setup : setup; actions : action list }
-
-type failure = { plan : plan; step : int; violation : Oracle.violation }
-
-type outcome = Pass | Fail of failure
 
 (* ---------- pretty-printing ---------- *)
 
@@ -160,7 +305,7 @@ let gen_action rng =
                  nbytes = 4 * (1 + Rng.int rng 1024); dir = dir ();
                  bounce = Rng.bool rng }
 
-let plan_of_seed ?(steps = 40) seed =
+let node_gen seed =
   let rng = Rng.create seed in
   let setup =
     { seed;
@@ -171,7 +316,7 @@ let plan_of_seed ?(steps = 40) seed =
       pages_per_proc = 3 + Rng.int rng 3;
     }
   in
-  { setup; actions = List.init steps (fun _ -> gen_action rng) }
+  (setup, fun () -> gen_action rng)
 
 (* ---------- execution ---------- *)
 
@@ -182,7 +327,6 @@ type ctx = {
   disk : Disk.t;
   flaky : bool ref;
   preempt_pct : int ref;
-  mutable benign : int;        (* faults/errors absorbed as expected *)
 }
 
 let dev_slots = 8
@@ -251,7 +395,7 @@ let build ?skip_invariant ~trace setup =
         match Oracle.post_switch m with
         | Some v -> raise (Oracle.Violation v)
         | None -> ());
-  { m; procs; bufs; disk; flaky; preempt_pct; benign = 0 }
+  { m; procs; bufs; disk; flaky; preempt_pct }
 
 let proc_of ctx i = ctx.procs.(i mod Array.length ctx.procs)
 
@@ -338,7 +482,7 @@ let apply ctx action =
       let vaddr = vaddr_of ctx ~proc ~page in
       let vpn = Layout.page_of_addr m.M.layout vaddr in
       match Vm.frame_of_vpn m p ~vpn with
-      | None -> ctx.benign <- ctx.benign + 1 (* not resident; skip *)
+      | None -> () (* not resident; skip *)
       | Some frame ->
           let src_proxy = Layout.proxy_of m.M.layout (frame * 4096) in
           let dest_proxy =
@@ -382,122 +526,30 @@ let apply ctx action =
         (Syscall.dma_transfer m p ~dir ~vaddr ~nbytes ~port:(Disk.port ctx.disk)
            ~dev_addr:((page mod 8) * 4096) ~strategy)
 
-(* Exceptions the chaos workload is expected to provoke: illegal
-   accesses, allocation failure under pressure, unaligned references,
-   kernel refusals (Failure). Oracle.Violation is never one of them. *)
-let benign_exn = function
-  | Vm.Segfault _ | Vm.Out_of_memory | Invalid_argument _ | Failure _ -> true
-  | _ -> false
-
-let execute ?skip_invariant ?(trace = false) plan =
-  let ctx = build ?skip_invariant ~trace plan.setup in
-  let check () =
-    match Oracle.check_now ctx.m with
-    | Some v -> raise (Oracle.Violation v)
-    | None -> ()
-  in
-  let rec go i = function
-    | [] -> (
-        (* final drain: leftover transfers must complete cleanly *)
-        match
-          (try Engine.run_until_idle ctx.m.M.engine; check (); None with
-          | Oracle.Violation v -> Some v)
-        with
-        | Some v -> (Error (i, v), ctx)
-        | None -> (Ok (), ctx))
-    | a :: rest -> (
-        match
-          (try apply ctx a; check (); None with
-          | Oracle.Violation v -> Some v
-          | e when benign_exn e ->
-              ctx.benign <- ctx.benign + 1;
-              (match (try check (); None with Oracle.Violation v -> Some v)
-               with
-              | Some v -> Some v
-              | None -> None))
-        with
-        | Some v -> (Error (i, v), ctx)
-        | None -> go (i + 1) rest)
-  in
-  go 0 plan.actions
-
-let run_plan ?skip_invariant ?trace plan =
-  match fst (execute ?skip_invariant ?trace plan) with
-  | Ok () -> Pass
-  | Error (step, violation) -> Fail { plan; step; violation }
-
-let run_seed ?skip_invariant ?steps seed =
-  run_plan ?skip_invariant (plan_of_seed ?steps seed)
-
-let sweep ?skip_invariant ?steps ?(start = 0) ~seeds () =
-  List.filter_map
-    (fun seed ->
-      match run_seed ?skip_invariant ?steps seed with
-      | Pass -> None
-      | Fail f -> Some f)
-    (List.init seeds (fun i -> start + i))
-
-let first_failure ?skip_invariant ?steps ?(start = 0) ~seeds () =
-  let rec go seed =
-    if seed >= start + seeds then None
-    else
-      match run_seed ?skip_invariant ?steps seed with
-      | Pass -> go (seed + 1)
-      | Fail f -> Some f
-  in
-  go start
-
-(* ---------- shrinking ---------- *)
-
-let prefix n l = List.filteri (fun i _ -> i < n) l
-
-let shrink ?skip_invariant (f : failure) =
-  let inv = f.violation.Oracle.invariant in
-  let fails actions =
-    match
-      fst (execute ?skip_invariant { f.plan with actions })
-    with
-    | Error (k, v) when v.Oracle.invariant = inv -> Some (k, v)
-    | Ok () | Error _ -> None
-  in
-  (* the failing prefix is a deterministic replay of the failure *)
-  let best = ref (prefix (f.step + 1) f.plan.actions) in
-  let bestv = ref f.violation in
-  (* greedy single-action deletion; on success keep only the (possibly
-     shorter) failing prefix of the candidate and rescan from the start *)
-  let rec del i =
-    let acts = !best in
-    let n = List.length acts in
-    if i < n - 1 then (
-      let candidate = List.filteri (fun j _ -> j <> i) acts in
-      match fails candidate with
-      | Some (k, v) ->
-          best := prefix (min (k + 1) (List.length candidate)) candidate;
-          bestv := v;
-          del i
-      | None -> del (i + 1))
-  in
-  del 0;
-  let actions = !best in
-  { plan = { f.plan with actions };
-    step = List.length actions - 1;
-    violation = !bestv }
-
-(* ---------- replay + report ---------- *)
-
-let replay_trace ?skip_invariant plan =
-  let _, ctx = execute ?skip_invariant ~trace:true plan in
-  (* Keep the invariant-relevant subsystems: UDMA engine activity, VM
-     faults and context switches; drop bus noise like queue traffic. *)
-  Trace.matching ctx.m.M.trace (fun ev ->
-      match ev.Trace.Event.subsystem with
-      | Trace.Event.Udma | Trace.Event.Vm | Trace.Event.Sched -> true
-      | Trace.Event.Dma | Trace.Event.Ni | Trace.Event.Dev
-      | Trace.Event.Kernel | Trace.Event.Sim -> false)
-
-let last n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
+let node =
+  { prefix = "";
+    gen = node_gen;
+    seed_of = (fun s -> s.seed);
+    build =
+      (fun ?skip_invariant ~trace setup ->
+        let ctx = build ?skip_invariant ~trace setup in
+        { apply = apply ctx;
+          check = (fun () -> Oracle.check_now ctx.m);
+          drain = (fun () -> Engine.run_until_idle ctx.m.M.engine);
+          events =
+            (fun () ->
+              (* Keep the invariant-relevant subsystems: UDMA engine
+                 activity, VM faults and context switches; drop bus
+                 noise like queue traffic. *)
+              Trace.matching ctx.m.M.trace (fun ev ->
+                  match ev.Trace.Event.subsystem with
+                  | Trace.Event.Udma | Trace.Event.Vm | Trace.Event.Sched ->
+                      true
+                  | Trace.Event.Dma | Trace.Event.Ni | Trace.Event.Dev
+                  | Trace.Event.Kernel | Trace.Event.Sim -> false)) });
+    pp_setup;
+    pp_action;
+  }
 
 (* ---------- mesh traffic scenario ---------- *)
 
@@ -539,15 +591,6 @@ type mesh_setup = {
   mesh_flit_words : int;
 }
 
-type mesh_plan = { mesh_setup : mesh_setup; mesh_actions : mesh_action list }
-
-type mesh_failure = {
-  mesh_plan : mesh_plan;
-  mesh_step : int;
-  mesh_violation : Oracle.violation;  (* detail names the node *)
-}
-
-type mesh_outcome = Mesh_pass | Mesh_fail of mesh_failure
 
 let pp_mesh_action ppf = function
   | M_send x ->
@@ -667,7 +710,7 @@ let gen_mesh_action rng ~nodes ~credits0 =
    2x2, 3x2 or 3x3 mesh, all with real adaptive path choice. *)
 let mesh_node_choices = [| 4; 6; 9 |]
 
-let mesh_plan_of_seed ?(steps = 40) seed =
+let mesh_gen seed =
   let rng = Rng.create (seed lxor 0x6e57) in
   (* the flit-crossing draws come from a second stream so that adding
      them did not perturb the main stream — every pre-flit seed still
@@ -695,11 +738,10 @@ let mesh_plan_of_seed ?(steps = 40) seed =
       mesh_flit_words = [| 1; 2; 4 |].(Rng.int frng 3);
     }
   in
-  { mesh_setup;
-    mesh_actions =
-      List.init steps (fun _ ->
-          gen_mesh_action rng ~nodes:mesh_setup.mesh_nodes
-            ~credits0:mesh_setup.mesh_credits) }
+  ( mesh_setup,
+    fun () ->
+      gen_mesh_action rng ~nodes:mesh_setup.mesh_nodes
+        ~credits0:mesh_setup.mesh_credits )
 
 type mesh_ctx = {
   sys : System.t;
@@ -711,7 +753,6 @@ type mesh_ctx = {
          grants, so the rogue tenant attacks all three designs *)
   preempt : int array;
   mesh_rng : Rng.t;
-  mutable mesh_benign : int;
   mesh_flit : bool;
       (* flit seeds cap message sizes: a 4 KB worm is ~1000 flit
          crossings per hop, which would dominate the sweep's runtime
@@ -819,13 +860,13 @@ let mesh_build ?skip_invariant setup =
             | None -> ()))
     mesh_procs;
   { sys; mesh_procs; mesh_chans; mesh_bufs; mesh_shadows; preempt;
-    mesh_rng; mesh_benign = 0; mesh_flit = flit }
+    mesh_rng; mesh_flit = flit }
 
 let mesh_apply ctx action =
   let machine i = (System.node ctx.sys i).System.machine in
   let chan src dst = Option.get ctx.mesh_chans.(src).(dst) in
   match action with
-  | M_send { src; dst; nbytes; pipelined } -> (
+  | M_send { src; dst; nbytes; pipelined } ->
       let m = machine src in
       let cpu = Kernel.user_cpu m ctx.mesh_procs.(src) in
       let buf = ctx.mesh_bufs.(src).(0) in
@@ -835,11 +876,9 @@ let mesh_apply ctx action =
         else Messaging.capacity ch
       in
       let nbytes = min nbytes cap in
-      match Messaging.send_nowait ch cpu ~src_vaddr:buf ~nbytes ~pipelined ()
-      with
-      | Ok () -> ()
-      | Error _ -> ctx.mesh_benign <- ctx.mesh_benign + 1)
-  | M_shaped_send { src; dst } -> (
+      ignore
+        (Messaging.send_nowait ch cpu ~src_vaddr:buf ~nbytes ~pipelined ())
+  | M_shaped_send { src; dst } ->
       (* A strided gather starting 256 bytes before the end of the
          node's last (highest-frame) buffer: elements 2..4 stride past
          the source page. Fire-and-forget so the post-action check
@@ -851,15 +890,12 @@ let mesh_apply ctx action =
       let buf = bufs.(Array.length bufs - 1) in
       let page = Layout.page_size m.M.layout in
       let ch = chan src dst in
-      match
-        Initiator.start_shaped cpu ~layout:m.M.layout
-          ~src:(Initiator.Memory (buf + page - 256))
-          ~dst:(Initiator.Device (Messaging.dev_vaddr ch ~offset:0))
-          ~shape:(Initiator.Strided_shape { stride = 512; chunk = 256 })
-          ~nbytes:1024 ()
-      with
-      | Ok _ -> ()
-      | Error _ -> ctx.mesh_benign <- ctx.mesh_benign + 1)
+      ignore
+        (Initiator.start_shaped cpu ~layout:m.M.layout
+           ~src:(Initiator.Memory (buf + page - 256))
+           ~dst:(Initiator.Device (Messaging.dev_vaddr ch ~offset:0))
+           ~shape:(Initiator.Strided_shape { stride = 512; chunk = 256 })
+           ~nbytes:1024 ())
   | M_burst { src; dst; count; nbytes } ->
       let ch = chan src dst in
       let cap =
@@ -923,112 +959,39 @@ let mesh_apply ctx action =
          live slot is benign, an acceptance is journalled for I5. *)
       let tenant = ctx.mesh_procs.(node).Proc.pid in
       List.iter
-        (fun b ->
-          match Backend.authorize b ~tenant ~index:page with
-          | Ok _ -> ()
-          | Error _ -> ctx.mesh_benign <- ctx.mesh_benign + 1)
+        (fun b -> ignore (Backend.authorize b ~tenant ~index:page))
         (node_backends ctx node)
   | M_run { cycles } -> Engine.advance (System.engine ctx.sys) cycles
   | M_drain -> System.run_until_idle ctx.sys
 
-let mesh_execute ?skip_invariant plan =
-  let ctx = mesh_build ?skip_invariant plan.mesh_setup in
-  let check () =
-    for i = 0 to System.node_count ctx.sys - 1 do
-      (match Oracle.check_now (System.node ctx.sys i).System.machine with
-      | Some v -> raise (Oracle.Violation (at_node v i))
-      | None -> ());
-      (* cross-tenant isolation, on the NI backend and both shadows *)
-      List.iter
-        (fun b ->
-          match Oracle.check_i5 b with
-          | Some v -> raise (Oracle.Violation (at_node v i))
-          | None -> ())
-        (node_backends ctx i)
-    done;
-    (* the network invariants live on the shared router, not a node *)
-    match Oracle.check_router (System.router ctx.sys) with
-    | Some v -> raise (Oracle.Violation v)
-    | None -> ()
+(* After every action: I2-I4 on every node's machine and I5 on each of
+   its three backends, node by node, then the shared router's N1, N2
+   and F1; first counterexample wins. *)
+let mesh_check ctx () =
+  let rec from i =
+    if i = System.node_count ctx.sys then
+      Oracle.check_router (System.router ctx.sys)
+    else
+      match Oracle.check_now (System.node ctx.sys i).System.machine with
+      | Some v -> Some (at_node v i)
+      | None -> (
+          match List.find_map Oracle.check_i5 (node_backends ctx i) with
+          | Some v -> Some (at_node v i)
+          | None -> from (i + 1))
   in
-  let rec go i = function
-    | [] -> (
-        match
-          (try System.run_until_idle ctx.sys; check (); None with
-          | Oracle.Violation v -> Some v)
-        with
-        | Some v -> (Error (i, v), ctx)
-        | None -> (Ok (), ctx))
-    | a :: rest -> (
-        match
-          (try mesh_apply ctx a; check (); None with
-          | Oracle.Violation v -> Some v
-          | e when benign_exn e ->
-              ctx.mesh_benign <- ctx.mesh_benign + 1;
-              (try check (); None with Oracle.Violation v -> Some v))
-        with
-        | Some v -> (Error (i, v), ctx)
-        | None -> go (i + 1) rest)
-  in
-  go 0 plan.mesh_actions
+  from 0
 
-let run_mesh_plan ?skip_invariant plan =
-  match fst (mesh_execute ?skip_invariant plan) with
-  | Ok () -> Mesh_pass
-  | Error (step, violation) ->
-      Mesh_fail { mesh_plan = plan; mesh_step = step;
-                  mesh_violation = violation }
-
-let run_mesh_seed ?skip_invariant ?steps seed =
-  run_mesh_plan ?skip_invariant (mesh_plan_of_seed ?steps seed)
-
-let mesh_sweep ?skip_invariant ?steps ?(start = 0) ~seeds () =
-  List.filter_map
-    (fun seed ->
-      match run_mesh_seed ?skip_invariant ?steps seed with
-      | Mesh_pass -> None
-      | Mesh_fail f -> Some f)
-    (List.init seeds (fun i -> start + i))
-
-let mesh_report (f : mesh_failure) =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "mesh chaos failure: seed %d, %d-step schedule@."
-    f.mesh_plan.mesh_setup.mesh_seed
-    (List.length f.mesh_plan.mesh_actions);
-  Format.fprintf ppf "  %a@." Oracle.pp_violation f.mesh_violation;
-  Format.fprintf ppf "  setup: %a@." pp_mesh_setup f.mesh_plan.mesh_setup;
-  Format.fprintf ppf "  schedule (deterministic replay):@.";
-  List.iteri
-    (fun i a ->
-      Format.fprintf ppf "    %2d. %a%s@." i pp_mesh_action a
-        (if i = f.mesh_step then "   <- violation detected here" else ""))
-    f.mesh_plan.mesh_actions;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-let report ?skip_invariant (f : failure) =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "chaos failure: seed %d, %d-step schedule@."
-    f.plan.setup.seed
-    (List.length f.plan.actions);
-  Format.fprintf ppf "  %a@." Oracle.pp_violation f.violation;
-  Format.fprintf ppf "  setup: %a@." pp_setup f.plan.setup;
-  Format.fprintf ppf "  schedule (deterministic replay):@.";
-  List.iteri
-    (fun i a ->
-      Format.fprintf ppf "    %2d. %a%s@." i pp_action a
-        (if i = f.step then "   <- violation detected here" else ""))
-    f.plan.actions;
-  let tail = last 12 (replay_trace ?skip_invariant f.plan) in
-  if tail <> [] then begin
-    Format.fprintf ppf "  trace tail of the replay:@.";
-    List.iter
-      (fun ev ->
-        Format.fprintf ppf "    %8d  %s@." ev.Trace.Event.time
-          (Trace.Event.render ev))
-      tail
-  end;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+let mesh =
+  { prefix = "mesh ";
+    gen = mesh_gen;
+    seed_of = (fun s -> s.mesh_seed);
+    build =
+      (fun ?skip_invariant ~trace:_ setup ->
+        let ctx = mesh_build ?skip_invariant setup in
+        { apply = mesh_apply ctx;
+          check = mesh_check ctx;
+          drain = (fun () -> System.run_until_idle ctx.sys);
+          events = (fun () -> []) });
+    pp_setup = pp_mesh_setup;
+    pp_action = pp_mesh_action;
+  }

@@ -1,24 +1,127 @@
 (** Seeded chaos explorer for the UDMA/OS invariants.
 
     One {e seed} deterministically derives a whole experiment: a
-    machine configuration (engine mode, installed memory, I3 policy),
-    a small multi-process population with mapped device proxies, and a
-    schedule of randomized actions — overlapping user transfers, raw
+    system configuration and a schedule of randomized actions
+    interleaved with injected faults. A {!scenario} says what the
+    system is: its setup and action types, generator, builder, oracle
+    check, final drain, printers and trace filter. Two scenarios
+    exist: {!node}, one machine under user-level DMA misuse and
+    paging pressure, and {!mesh}, a SHRIMP multi-node system under
+    network traffic. One driver runs both.
+
+    After every action the scenario's oracles are evaluated against
+    the system, and the I1 oracle runs inside every context switch.
+    Any violation stops the run and is reported with the seed, the
+    executed schedule prefix and the invariant broken. Because
+    everything derives from the seed, a failure replays exactly;
+    {!shrink} then greedily deletes actions to a minimal
+    still-failing schedule and {!report} formats the whole repro
+    recipe (with a traced replay, where the scenario records one) for
+    humans. *)
+
+(** {1 The harness} *)
+
+type ('s, 'a) plan = { setup : 's; actions : 'a list }
+
+type ('s, 'a) failure = {
+  plan : ('s, 'a) plan;  (** full generated plan *)
+  step : int;
+      (** index of the failing action; the action count when the final
+          drain fails *)
+  violation : Oracle.violation;
+}
+
+type ('s, 'a) outcome = Pass | Fail of ('s, 'a) failure
+
+(** One built system, as the driver sees it. *)
+type 'a system = {
+  apply : 'a -> unit;
+      (** may raise {!Oracle.Violation} (the I1 check at a context
+          switch) or an exception the workload is expected to provoke
+          (a segfault, out of memory, a kernel refusal), which the
+          driver absorbs *)
+  check : unit -> Oracle.violation option;  (** the post-action oracles *)
+  drain : unit -> unit;  (** run the system dry after the last action *)
+  events : unit -> Udma_obs.Event.t list;
+      (** the invariant-relevant part of the trace ([[]] untraced) *)
+}
+
+(** A system under test, with setup type ['s] and action type ['a]. *)
+type ('s, 'a) scenario = {
+  prefix : string;
+      (** ["mesh "] for the mesh scenario: prefixes "chaos failure",
+          "chaos sweep" and "seed" in printed lines *)
+  gen : int -> 's * (unit -> 'a);
+      (** a seed's setup, and the generator of its actions *)
+  seed_of : 's -> int;
+  build :
+    ?skip_invariant:Udma_os.Machine.invariant -> trace:bool -> 's -> 'a system;
+      (** a fresh system; [skip_invariant] plants one bug, [trace]
+          records the trace that {!replay_trace} returns *)
+  pp_setup : Format.formatter -> 's -> unit;
+  pp_action : Format.formatter -> 'a -> unit;
+}
+
+val plan_of_seed : ('s, 'a) scenario -> ?steps:int -> int -> ('s, 'a) plan
+(** [plan_of_seed sc seed] derives the full experiment ([steps] actions,
+    default 40) from one integer. *)
+
+val run_plan :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ?trace:bool -> ('s, 'a) plan -> ('s, 'a) outcome
+(** Execute a plan from scratch: the scenario's check after every
+    action, then its final drain and check. Deterministic: the same
+    plan (and [skip_invariant]) always produces the same outcome.
+    [trace] (default false) builds the system with tracing enabled. *)
+
+val run_seed :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ?steps:int -> int -> ('s, 'a) outcome
+
+val sweep :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ?steps:int -> ?start:int -> seeds:int -> unit -> ('s, 'a) failure list
+(** Run seeds [start .. start+seeds-1] (default [start = 0]); collect
+    every failure. *)
+
+val first_failure :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ?steps:int -> ?start:int -> seeds:int -> unit -> ('s, 'a) failure option
+(** Like {!sweep} but stops at the first failing seed. *)
+
+val shrink :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ('s, 'a) failure -> ('s, 'a) failure
+(** Truncate the schedule to the failing prefix, then greedily delete
+    earlier actions while the plan still fails with the {e same}
+    invariant. The result's plan is the minimized schedule. *)
+
+val replay_trace :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ('s, 'a) plan -> Udma_obs.Event.t list
+(** Re-run with the trace enabled and return the scenario's filtered
+    events (empty if the plan passes — trace of the full run). *)
+
+val report :
+  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
+  ('s, 'a) failure -> string
+(** Human-readable repro recipe: seed, violated invariant, setup, the
+    (ideally shrunk) schedule, and the tail of a traced replay if the
+    scenario records one. *)
+
+(** {1 Single-machine scenario}
+
+    A machine configuration (engine mode, installed memory, I3
+    policy), a small multi-process population with mapped device
+    proxies, and a schedule of overlapping user transfers, raw
     STORE/LOAD misuse (wrong-space pairs, unaligned references,
     half-finished initiations), hardware-queue pressure, system-queue
     enqueues, traditional disk DMA, paging pressure and forced
     evictions — interleaved with injected faults (random preemption
     between any two user references, device [validate] failures,
-    swap-outs mid-transfer).
-
-    After every action the {!Oracle} predicates for I2–I4 are
-    evaluated against the machine, and the I1 oracle runs inside every
-    context switch. Any violation stops the run and is reported with
-    the seed, the executed schedule prefix and the invariant broken.
-    Because everything derives from the seed, a failure replays
-    exactly; {!shrink} then greedily deletes actions to a minimal
-    still-failing schedule and {!report} formats the whole repro
-    recipe (with a traced replay) for humans. *)
+    swap-outs mid-transfer). The oracles are I2–I4 after every action
+    and I1 at every context switch; the replay trace keeps the UDMA,
+    VM and scheduler events. *)
 
 type dir = Out  (** memory → device *) | In  (** device → memory *)
 
@@ -64,61 +167,7 @@ type setup = {
   pages_per_proc : int;
 }
 
-type plan = { setup : setup; actions : action list }
-
-type failure = {
-  plan : plan;        (** full generated plan *)
-  step : int;         (** index of the failing action *)
-  violation : Oracle.violation;
-}
-
-type outcome = Pass | Fail of failure
-
-val plan_of_seed : ?steps:int -> int -> plan
-(** [plan_of_seed seed] derives the full experiment ([steps] actions,
-    default 40) from one integer. *)
-
-val run_plan :
-  ?skip_invariant:Udma_os.Machine.invariant -> ?trace:bool -> plan -> outcome
-(** Execute a plan from scratch. Deterministic: the same plan (and
-    [skip_invariant]) always produces the same outcome. [trace]
-    (default false) builds the machine with tracing enabled. *)
-
-val run_seed :
-  ?skip_invariant:Udma_os.Machine.invariant -> ?steps:int -> int -> outcome
-
-val sweep :
-  ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> ?start:int -> seeds:int -> unit -> failure list
-(** Run seeds [start .. start+seeds-1] (default [start = 0]); collect
-    every failure. *)
-
-val first_failure :
-  ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> ?start:int -> seeds:int -> unit -> failure option
-(** Like {!sweep} but stops at the first failing seed. *)
-
-val shrink :
-  ?skip_invariant:Udma_os.Machine.invariant -> failure -> failure
-(** Truncate the schedule to the failing prefix, then greedily delete
-    earlier actions while the plan still fails with the {e same}
-    invariant. The result's plan is the minimized schedule. *)
-
-val replay_trace :
-  ?skip_invariant:Udma_os.Machine.invariant ->
-  plan ->
-  Udma_obs.Event.t list
-(** Re-run with the hardware/kernel trace enabled and return its typed
-    events (empty if the plan passes — trace of the full run). *)
-
-val report :
-  ?skip_invariant:Udma_os.Machine.invariant -> failure -> string
-(** Human-readable repro recipe: seed, violated invariant, machine
-    setup, the (ideally shrunk) schedule, and the tail of a traced
-    replay. *)
-
-val pp_action : Format.formatter -> action -> unit
-val pp_setup : Format.formatter -> setup -> unit
+val node : (setup, action) scenario
 
 (** {1 Mesh traffic scenario}
 
@@ -148,8 +197,9 @@ val pp_setup : Format.formatter -> setup -> unit
     machine, each machine checks I1 at its context switches (the
     violation detail names the failing node), the I5 isolation oracle
     runs on every node's three backends, and the shared router is
-    checked against the network invariants N1 (credit conservation)
-    and N2 (arbitration fairness). *)
+    checked against the network invariants N1 (credit conservation),
+    N2 (arbitration fairness) and F1 (flit conservation). Failures
+    shrink like the single-machine ones. *)
 
 type mesh_action =
   | M_send of { src : int; dst : int; nbytes : int; pipelined : bool }
@@ -202,32 +252,6 @@ type mesh_setup = {
   mesh_flit_words : int;      (** flit size for [`Flit] seeds *)
 }
 
-type mesh_plan = { mesh_setup : mesh_setup; mesh_actions : mesh_action list }
-
-type mesh_failure = {
-  mesh_plan : mesh_plan;
-  mesh_step : int;
-  mesh_violation : Oracle.violation;  (** detail names the node *)
-}
-
-type mesh_outcome = Mesh_pass | Mesh_fail of mesh_failure
-
-val mesh_plan_of_seed : ?steps:int -> int -> mesh_plan
-
-val run_mesh_plan :
-  ?skip_invariant:Udma_os.Machine.invariant -> mesh_plan -> mesh_outcome
-(** Deterministic, like {!run_plan}. *)
-
-val run_mesh_seed :
-  ?skip_invariant:Udma_os.Machine.invariant -> ?steps:int -> int ->
-  mesh_outcome
-
-val mesh_sweep :
-  ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> ?start:int -> seeds:int -> unit -> mesh_failure list
-
-val mesh_report : mesh_failure -> string
-(** Seed, violated invariant (with the node), setup and schedule. *)
-
-val pp_mesh_action : Format.formatter -> mesh_action -> unit
-val pp_mesh_setup : Format.formatter -> mesh_setup -> unit
+val mesh : (mesh_setup, mesh_action) scenario
+(** Untraced: {!replay_trace} returns [[]] and {!report} has no trace
+    tail. *)

@@ -15,20 +15,28 @@ let mesh_seeds = 64
 (* ---------- the sweep itself: no violations in a correct kernel ---------- *)
 
 let test_clean_sweep () =
-  match Chaos.sweep ~seeds:sweep_seeds () with
+  match Chaos.sweep Chaos.node ~seeds:sweep_seeds () with
   | [] -> ()
   | f :: _ as failures ->
       Alcotest.failf "%d of %d seeds violated an invariant; first:\n%s"
         (List.length failures) sweep_seeds
-        (Chaos.report (Chaos.shrink f))
+        (Chaos.report Chaos.node (Chaos.shrink Chaos.node f))
+
+let test_mesh_sweep () =
+  match Chaos.sweep Chaos.mesh ~seeds:mesh_seeds () with
+  | [] -> ()
+  | f :: _ as failures ->
+      Alcotest.failf "%d of %d mesh seeds violated an invariant; first:\n%s"
+        (List.length failures) mesh_seeds
+        (Chaos.report Chaos.mesh (Chaos.shrink Chaos.mesh f))
 
 (* A failing run must replay identically: same step, same invariant,
-   same detail. Exercised through the mutated kernels below. *)
-let check_replay ~skip_invariant (f : Chaos.failure) =
-  match Chaos.run_plan ~skip_invariant f.Chaos.plan with
+   same detail. Exercised through the mutated systems below. *)
+let check_replay sc ~skip_invariant (f : _ Chaos.failure) =
+  match Chaos.run_plan sc ~skip_invariant f.Chaos.plan with
   | Chaos.Pass ->
       Alcotest.failf "seed %d failed once but replayed clean"
-        f.Chaos.plan.Chaos.setup.Chaos.seed
+        (sc.Chaos.seed_of f.Chaos.plan.Chaos.setup)
   | Chaos.Fail f' ->
       Alcotest.(check int) "replay stops at the same step" f.Chaos.step
         f'.Chaos.step;
@@ -37,93 +45,62 @@ let check_replay ~skip_invariant (f : Chaos.failure) =
 
 (* ---------- mutation self-test: the oracles catch planted bugs ---------- *)
 
-let test_mutation inv () =
-  match Chaos.first_failure ~skip_invariant:inv ~seeds:mutation_seeds () with
+(* Each planted bug ([~skip_invariant]) must be found within [seeds]
+   seeds under the invariant [expect] (default: the planted one), replay
+   deterministically, shrink to at most [max_shrunk] actions that still
+   fail at their last step (the last action or the final drain) under
+   the same invariant, and be named in the printed report.
+
+   Node bugs I1-I4 break the invariant they name. In the mesh, I2
+   (mapping consistency) breaks under paging pressure regardless of the
+   network; N1 (a leaked credit return) and N2 (a stuck VC arbiter) are
+   router bugs. The protection bugs P1 (ownership check skipped) and P2
+   (stale datapath entry survives teardown) surface as cross-tenant
+   isolation leaks (I5), D1 (per-element page clamp skipped) as frames
+   the proxy never named (I4), and the flit bugs F1 (a flit leaked on a
+   dead-link retry) and F2 (an arbiter double grant against one credit)
+   arm only on flit-crossing seeds and both surface through the F1
+   conservation oracle. *)
+let max_shrunk = 8
+
+let test_mutation sc ~seeds ?expect inv () =
+  let expect = Option.value expect ~default:(M.invariant_name inv) in
+  match Chaos.first_failure sc ~skip_invariant:inv ~seeds () with
   | None ->
       Alcotest.failf
-        "kernel built without the %s maintenance action survived %d chaos \
+        "a system built without the %s maintenance action survived %d chaos \
          seeds — the %s oracle is not sound"
-        (M.invariant_name inv) mutation_seeds (M.invariant_name inv)
+        (M.invariant_name inv) seeds expect
   | Some f ->
-      Alcotest.(check string)
-        "the violated invariant is the one whose maintenance was disabled"
-        (M.invariant_name inv)
-        (M.invariant_name f.Chaos.violation.Oracle.invariant);
-      check_replay ~skip_invariant:inv f;
-      let s = Chaos.shrink ~skip_invariant:inv f in
-      Alcotest.(check string) "shrinking preserves the invariant"
-        (M.invariant_name inv)
-        (M.invariant_name s.Chaos.violation.Oracle.invariant);
-      if List.length s.Chaos.plan.Chaos.actions
-         > List.length f.Chaos.plan.Chaos.actions
-      then Alcotest.fail "shrinking grew the schedule";
+      let name (f : _ Chaos.failure) =
+        M.invariant_name f.Chaos.violation.Oracle.invariant
+      in
+      Alcotest.(check string) "the violated invariant is the planted bug's"
+        expect (name f);
+      check_replay sc ~skip_invariant:inv f;
+      let s = Chaos.shrink sc ~skip_invariant:inv f in
+      Alcotest.(check string) "shrinking preserves the invariant" expect
+        (name s);
+      let n = List.length s.Chaos.plan.Chaos.actions in
+      if n > max_shrunk then
+        Alcotest.failf "shrunk schedule has %d actions (more than %d)" n
+          max_shrunk;
+      if s.Chaos.step < n - 1 then
+        Alcotest.failf "shrunk schedule fails at step %d of %d" s.Chaos.step n;
+      check_replay sc ~skip_invariant:inv s;
       (* the printed repro recipe names the invariant *)
-      let report = Chaos.report ~skip_invariant:inv s in
-      let name = M.invariant_name inv ^ " violated" in
+      let report = Chaos.report sc ~skip_invariant:inv s in
+      let needle = expect ^ " violated" in
       let contains hay needle =
         let nl = String.length needle and hl = String.length hay in
         let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
         go 0
       in
-      if not (contains report name) then
-        Alcotest.failf "report does not name %s:\n%s" (M.invariant_name inv)
-          report
+      if not (contains report needle) then
+        Alcotest.failf "report does not name %s:\n%s" expect report
 
-(* ---------- mesh scenario: oracles under multi-node traffic ---------- *)
-
-let test_mesh_sweep () =
-  match Chaos.mesh_sweep ~seeds:mesh_seeds () with
-  | [] -> ()
-  | f :: _ as failures ->
-      Alcotest.failf "%d of %d mesh seeds violated an invariant; first:\n%s"
-        (List.length failures) mesh_seeds (Chaos.mesh_report f)
-
-(* A mesh failure must also replay identically, checked through a
-   planted I2 bug (mapping consistency breaks under paging pressure
-   regardless of the network, so some mesh seed must find it) and the
-   two planted router bugs: a leaked credit return (N1) and a stuck
-   VC arbiter (N2). [check_name] asserts the violation names the
-   planted invariant — always true for the router bugs, whose mutation
-   cannot perturb the kernel invariants. The protection bugs P1
-   (ownership check skipped) and P2 (stale datapath entry survives
-   teardown) manifest as cross-tenant isolation leaks, so their
-   violations are reported under I5 — [expect_name] overrides the
-   expected name for those cases. The flit bugs F1 (a flit leaked on a
-   dead-link retry) and F2 (an arbiter double grant against one
-   credit) arm only on flit-crossing seeds and both surface through
-   the F1 conservation oracle. *)
-let test_mesh_mutation ?(check_name = false) ?expect_name inv () =
-  let rec first seed =
-    if seed >= mesh_seeds then None
-    else
-      match Chaos.run_mesh_seed ~skip_invariant:inv seed with
-      | Chaos.Mesh_pass -> first (seed + 1)
-      | Chaos.Mesh_fail f -> Some f
-  in
-  match first 0 with
-  | None ->
-      Alcotest.failf
-        "mesh kernels built without the %s maintenance action survived %d \
-         seeds"
-        (M.invariant_name inv) mesh_seeds
-  | Some f -> (
-      if check_name then
-        Alcotest.(check string)
-          "the violated invariant is the one whose maintenance was disabled"
-          (match expect_name with
-          | Some n -> n
-          | None -> M.invariant_name inv)
-          (M.invariant_name f.Chaos.mesh_violation.Oracle.invariant);
-      match Chaos.run_mesh_plan ~skip_invariant:inv f.Chaos.mesh_plan with
-      | Chaos.Mesh_pass ->
-          Alcotest.failf "mesh seed %d failed once but replayed clean"
-            f.Chaos.mesh_plan.Chaos.mesh_setup.Chaos.mesh_seed
-      | Chaos.Mesh_fail f' ->
-          Alcotest.(check int) "mesh replay stops at the same step"
-            f.Chaos.mesh_step f'.Chaos.mesh_step;
-          Alcotest.(check string) "mesh replay reports the same violation"
-            f.Chaos.mesh_violation.Oracle.detail
-            f'.Chaos.mesh_violation.Oracle.detail)
+let test_node_mutation = test_mutation Chaos.node ~seeds:mutation_seeds
+let test_mesh_mutation = test_mutation Chaos.mesh ~seeds:mesh_seeds
 
 (* The mesh generator must actually exercise the new failure surface:
    across the sweep's seeds there have to be link-fault actions (dead,
@@ -138,8 +115,8 @@ let test_mesh_generator_coverage () =
   let shaped = ref 0 in
   let flit = ref 0 in
   for seed = 0 to mesh_seeds - 1 do
-    let p = Chaos.mesh_plan_of_seed seed in
-    let setup = p.Chaos.mesh_setup in
+    let p = Chaos.plan_of_seed Chaos.mesh seed in
+    let setup = p.Chaos.setup in
     if not (Udma_shrimp.Router.valid_nodes setup.Chaos.mesh_nodes) then
       Alcotest.failf "seed %d generated unroutable node count %d" seed
         setup.Chaos.mesh_nodes;
@@ -181,7 +158,7 @@ let test_mesh_generator_coverage () =
         | Chaos.M_backend_send _ -> incr backend_send
         | Chaos.M_shaped_send _ -> incr shaped
         | _ -> ())
-      p.Chaos.mesh_actions
+      p.Chaos.actions
   done;
   Alcotest.(check bool) "dead links injected" true (!dead > 0);
   Alcotest.(check bool) "slowed links injected" true (!slow > 0);
@@ -207,12 +184,12 @@ let test_mesh_generator_coverage () =
 
 let test_plan_deterministic () =
   for seed = 0 to 63 do
-    let a = Chaos.plan_of_seed seed and b = Chaos.plan_of_seed seed in
-    if a <> b then Alcotest.failf "plan_of_seed %d is not deterministic" seed;
-    let ma = Chaos.mesh_plan_of_seed seed
-    and mb = Chaos.mesh_plan_of_seed seed in
-    if ma <> mb then
-      Alcotest.failf "mesh_plan_of_seed %d is not deterministic" seed
+    let a = Chaos.plan_of_seed Chaos.node seed
+    and b = Chaos.plan_of_seed Chaos.node seed in
+    if a <> b then Alcotest.failf "node plan %d is not deterministic" seed;
+    let ma = Chaos.plan_of_seed Chaos.mesh seed
+    and mb = Chaos.plan_of_seed Chaos.mesh seed in
+    if ma <> mb then Alcotest.failf "mesh plan %d is not deterministic" seed
   done
 
 let () =
@@ -226,16 +203,16 @@ let () =
             (Printf.sprintf "%d-seed sweep: no I1-I4 violation" sweep_seeds)
             `Quick test_clean_sweep;
           Alcotest.test_case "mutation: skipping I1 is detected" `Quick
-            (test_mutation `I1);
+            (test_node_mutation `I1);
           Alcotest.test_case "mutation: skipping I2 is detected" `Quick
-            (test_mutation `I2);
+            (test_node_mutation `I2);
           Alcotest.test_case "mutation: skipping I3 is detected" `Quick
-            (test_mutation `I3);
+            (test_node_mutation `I3);
           Alcotest.test_case "mutation: skipping I4 is detected" `Quick
-            (test_mutation `I4);
+            (test_node_mutation `I4);
           Alcotest.test_case
             (Printf.sprintf
-               "%d-seed mesh traffic sweep: no I1-I5/N1-N2 violation"
+               "%d-seed mesh traffic sweep: no I1-I5/N1-N2/F1 violation"
                mesh_seeds)
             `Quick test_mesh_sweep;
           Alcotest.test_case
@@ -243,35 +220,35 @@ let () =
             (test_mesh_mutation `I2);
           Alcotest.test_case
             "mesh mutation: leaking a credit is detected (N1)" `Quick
-            (test_mesh_mutation ~check_name:true `N1);
+            (test_mesh_mutation `N1);
           Alcotest.test_case
             "mesh mutation: a stuck VC arbiter is detected (N2)" `Quick
-            (test_mesh_mutation ~check_name:true `N2);
+            (test_mesh_mutation `N2);
           Alcotest.test_case
             "mesh mutation: skipping the owner check leaks across tenants \
              (P1 -> I5)"
             `Quick
-            (test_mesh_mutation ~check_name:true ~expect_name:"I5" `P1);
+            (test_mesh_mutation ~expect:"I5" `P1);
           Alcotest.test_case
             "mesh mutation: a stale datapath entry survives teardown \
              (P2 -> I5)"
             `Quick
-            (test_mesh_mutation ~check_name:true ~expect_name:"I5" `P2);
+            (test_mesh_mutation ~expect:"I5" `P2);
           Alcotest.test_case
             "mesh mutation: skipping the per-element page clamp reaches \
              unauthorized frames (D1 -> I4)"
             `Quick
-            (test_mesh_mutation ~check_name:true ~expect_name:"I4" `D1);
+            (test_mesh_mutation ~expect:"I4" `D1);
           Alcotest.test_case
             "mesh mutation: a flit leaked on a dead-link retry breaks \
              conservation (F1)"
             `Quick
-            (test_mesh_mutation ~check_name:true `F1);
+            (test_mesh_mutation `F1);
           Alcotest.test_case
             "mesh mutation: an arbiter double grant breaks the credit \
              identity (F2 -> F1)"
             `Quick
-            (test_mesh_mutation ~check_name:true ~expect_name:"F1" `F2);
+            (test_mesh_mutation ~expect:"F1" `F2);
           Alcotest.test_case "mesh generator covers faults + policies" `Quick
             test_mesh_generator_coverage;
         ] );
