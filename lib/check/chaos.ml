@@ -566,6 +566,7 @@ let rogue_pid = 9999
 type mesh_action =
   | M_send of { src : int; dst : int; nbytes : int; pipelined : bool }
   | M_shaped_send of { src : int; dst : int }
+  | M_half_pair of { node : int; page : int; nbytes : int }
   | M_burst of { src : int; dst : int; count : int; nbytes : int }
   | M_touch of { node : int; page : int; write : bool }
   | M_clean of { node : int; page : int }
@@ -597,6 +598,9 @@ let pp_mesh_action ppf = function
       Format.fprintf ppf "send%s %d->%d nbytes=%d"
         (if x.pipelined then "-pipelined" else "") x.src x.dst x.nbytes
   | M_shaped_send x -> Format.fprintf ppf "shaped-send %d->%d" x.src x.dst
+  | M_half_pair x ->
+      Format.fprintf ppf "half-pair node=%d page=%d nbytes=%d" x.node x.page
+        x.nbytes
   | M_burst x ->
       Format.fprintf ppf "burst %d->%d count=%d nbytes=%d" x.src x.dst
         x.count x.nbytes
@@ -717,6 +721,10 @@ let mesh_gen seed =
      produces the same nodes/contention/.../action sequence, keeping
      the committed N1/N2/P1/P2/D1 64-seed catch guarantees intact *)
   let frng = Rng.create (seed lxor 0xf117) in
+  (* half-initiated pairs come from a third stream for the same reason:
+     the main stream's action sequence stays as it was, and a half pair
+     only delays the main-stream actions after it *)
+  let hrng = Rng.create (seed lxor 0x4a1f) in
   let mesh_setup =
     { mesh_seed = seed;
       mesh_nodes = mesh_node_choices.(Rng.int rng 3);
@@ -738,10 +746,13 @@ let mesh_gen seed =
       mesh_flit_words = [| 1; 2; 4 |].(Rng.int frng 3);
     }
   in
+  let nodes = mesh_setup.mesh_nodes in
   ( mesh_setup,
     fun () ->
-      gen_mesh_action rng ~nodes:mesh_setup.mesh_nodes
-        ~credits0:mesh_setup.mesh_credits )
+      if Rng.int hrng 100 < 8 then
+        M_half_pair { node = Rng.int hrng nodes; page = Rng.int hrng 4;
+                      nbytes = 4 * (1 + Rng.int hrng 1024) }
+      else gen_mesh_action rng ~nodes ~credits0:mesh_setup.mesh_credits )
 
 type mesh_ctx = {
   sys : System.t;
@@ -794,8 +805,12 @@ let mesh_build ?skip_invariant setup =
   let nodes = setup.mesh_nodes in
   let mesh_procs =
     Array.init nodes (fun i ->
-        Scheduler.spawn (System.node sys i).System.machine
-          ~name:(Printf.sprintf "mesh%d" i))
+        let m = (System.node sys i).System.machine in
+        let proc = Scheduler.spawn m ~name:(Printf.sprintf "mesh%d" i) in
+        (* a second, idle process gives preemption somewhere to go:
+           without it no node ever context-switches and I1 is vacuous *)
+        ignore (Scheduler.spawn m ~name:(Printf.sprintf "idle%d" i));
+        proc)
   in
   (* all-pairs channels, sequential import slots per sender *)
   let mesh_chans = Array.make_matrix nodes nodes None in
@@ -896,6 +911,18 @@ let mesh_apply ctx action =
            ~dst:(Initiator.Device (Messaging.dev_vaddr ch ~offset:0))
            ~shape:(Initiator.Strided_shape { stride = 512; chunk = 256 })
            ~nbytes:1024 ())
+  | M_half_pair { node; page; nbytes } ->
+      (* the STORE of a device-to-memory pair with no LOAD: the engine
+         latches a memory DESTINATION, the one frame reference that
+         outlives simulated time (every transfer above completes as the
+         clock runs). A context switch must invalidate it (I1) and
+         replacement must leave its frame alone (I4). *)
+      let m = machine node in
+      let cpu = Kernel.user_cpu m ctx.mesh_procs.(node) in
+      let bufs = ctx.mesh_bufs.(node) in
+      let vaddr = bufs.(page mod Array.length bufs) in
+      cpu.Initiator.store ~vaddr:(Layout.proxy_of m.M.layout vaddr)
+        (Int32.of_int nbytes)
   | M_burst { src; dst; count; nbytes } ->
       let ch = chan src dst in
       let cap =

@@ -192,6 +192,9 @@ val node : (setup, action) scenario
     ([M_rogue_tenant]), slots are torn down under traffic
     ([M_revoke]) and legitimate owners initiate through every backend
     ([M_backend_send]) — every rogue probe must fault, never corrupt.
+    Every node also runs an idle second process, so preemption really
+    switches, and the schedule leaves half-initiated pairs
+    ([M_half_pair]) for the switch and the replacement code to meet.
 
     After every action the I2–I4 oracles run on {e every} node's
     machine, each machine checks I1 at its context switches (the
@@ -211,6 +214,11 @@ type mesh_action =
           in-page head transfers; under the planted [`D1] bug the
           overflow elements reference frames the proxy never named,
           which the I4 oracle flags while the transfer is in flight *)
+  | M_half_pair of { node : int; page : int; nbytes : int }
+      (** the STORE half of a device-to-memory pair: the node's engine
+          latches buffer [page] as a memory DESTINATION. The next
+          context switch must invalidate it (I1) and no replacement
+          may take its frame (I4) *)
   | M_burst of { src : int; dst : int; count : int; nbytes : int }
       (** hardware-level {!Udma_shrimp.Messaging.inject} burst *)
   | M_touch of { node : int; page : int; write : bool }

@@ -3,9 +3,9 @@
     Every experiment produces one [Report.t]; the paper-style table
     ({!print}) and the machine-readable JSON ({!to_json}) derive from
     the same value, so they can never drift. A list of reports wraps
-    into the [BENCH_udma.json] document with {!bench_json} — the same
-    schema whether it comes from [shrimp_sim all --json] or from
-    [shrimp_sim <exp> --json]. *)
+    into one JSON document with {!bench_json} — the same schema whether
+    it comes from [shrimp_sim all --json] (whose per-experiment digests
+    [test/golden/all.md5] pins) or from [shrimp_sim <exp> --json]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 

@@ -21,7 +21,7 @@ val int : t -> int -> int
     does not divide 2^62. The bias is at most [bound]/2^62 per value —
     negligible for simulation bounds (< 2^-40 for bounds up to a
     million) but real. It is kept as-is deliberately: every committed
-    anchor (BENCH_baseline/BENCH_udma knees, chaos replays) was
+    anchor (BENCH_baseline knees, the all.md5 digests, chaos replays) was
     produced by this exact stream, and changing the reduction would
     shift every seeded experiment. New code, including all sharded-
     engine paths, should use {!int_unbiased}. *)

@@ -60,10 +60,10 @@ let detect_knee points =
    parallelism is requested or the mesh exceeds the legacy 64-node
    cap. [domains = 1] on a small mesh therefore IS the current
    engine — the single-domain deterministic mode. *)
-let use_sharded ?(crossing = `Analytic) ~nodes ~domains () =
+let use_sharded ~domains (cfg : Load_gen.config) =
   (* the flit crossing is a legacy-engine feature: the sharded kernel
      has no cycle-level wire model, so flit sweeps ignore [domains] *)
-  crossing = `Analytic && (domains > 1 || nodes > 64)
+  cfg.crossing = `Analytic && (domains > 1 || cfg.nodes > 64)
 
 exception Invalid_config of string
 
@@ -71,50 +71,22 @@ let validate ~loads ~domains (cfg : Load_gen.config) =
   if loads = [] then Error "Sweep: empty load list"
   else if List.exists (fun l -> not (l > 0.0)) loads then Error "Sweep: loads must be > 0"
   else if domains < 1 then Error "Sweep: domains must be >= 1"
-  else if use_sharded ~crossing:cfg.crossing ~nodes:cfg.nodes ~domains () then
-    Shard_gen.validate cfg
+  else if use_sharded ~domains cfg then Shard_gen.validate cfg
   else Load_gen.validate cfg
 
-let run ?(loads = default_loads) ?probe ?(nodes = 16)
-    ?(pattern = Pattern.Uniform) ?(msg_bytes = 256) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 50_000) ?(link_contention = true)
-    ?(routing = `Dimension_order)
-    ?(link_per_word = Load_gen.default_config.Load_gen.link_per_word)
-    ?(vc_count = Load_gen.default_config.Load_gen.vc_count)
-    ?(rx_credits = Load_gen.default_config.Load_gen.rx_credits)
-    ?(crossing = Load_gen.default_config.Load_gen.crossing)
-    ?(flit_words = Load_gen.default_config.Load_gen.flit_words)
-    ?(seed = 42) ?(domains = 1) () =
-  let base =
-    {
-      Load_gen.nodes;
-      pattern;
-      arrival = Arrival.Poisson { per_kcycle = 1.0 };
-      msg_bytes;
-      warmup_cycles;
-      window_cycles;
-      link_contention;
-      routing;
-      link_per_word;
-      vc_count;
-      rx_credits;
-      crossing;
-      flit_words;
-      seed;
-    }
-  in
-  (match validate ~loads ~domains base with
+let over ?probe ?(domains = 1) ?(loads = default_loads) (cfg : Load_gen.config) =
+  (match validate ~loads ~domains cfg with
   | Error msg -> raise (Invalid_config msg)
   | Ok () -> ());
-  let sharded = use_sharded ~crossing ~nodes ~domains () in
+  let sharded = use_sharded ~domains cfg in
   (* per-source capacity: one initiation every [send_cycles]; a load
      fraction maps to that share of the capacity rate *)
-  let send_cycles = Load_gen.calibrate ~msg_bytes () in
+  let send_cycles = Load_gen.calibrate ~msg_bytes:cfg.msg_bytes () in
   let points =
     List.map
       (fun load ->
         let per_kcycle = load *. 1000.0 /. float_of_int send_cycles in
-        let cfg = { base with Load_gen.arrival = Arrival.Poisson { per_kcycle } } in
+        let cfg = { cfg with Load_gen.arrival = Arrival.Poisson { per_kcycle } } in
         let result =
           if sharded then Shard_gen.run ~domains ~send_cycles cfg
           else Load_gen.run ?probe cfg
@@ -130,3 +102,19 @@ let run ?(loads = default_loads) ?probe ?(nodes = 16)
     knee_load =
       Option.map (fun i -> (List.nth points i).load) knee_index;
   }
+
+let run ?loads ?probe ?(nodes = 16) ?(pattern = Pattern.Uniform)
+    ?(msg_bytes = 256) ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
+    ?(link_contention = true) ?(routing = `Dimension_order)
+    ?(link_per_word = Load_gen.default_config.Load_gen.link_per_word)
+    ?(vc_count = Load_gen.default_config.Load_gen.vc_count)
+    ?(rx_credits = Load_gen.default_config.Load_gen.rx_credits)
+    ?(crossing = Load_gen.default_config.Load_gen.crossing)
+    ?(flit_words = Load_gen.default_config.Load_gen.flit_words)
+    ?(seed = 42) ?domains () =
+  over ?probe ?domains ?loads
+    {
+      Load_gen.default_config with
+      nodes; pattern; msg_bytes; warmup_cycles; window_cycles; link_contention;
+      routing; link_per_word; vc_count; rx_credits; crossing; flit_words; seed;
+    }

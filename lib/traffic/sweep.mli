@@ -35,27 +35,42 @@ val detect_knee : point list -> int option
     [Some 0] (no later point is compared against the saturated
     baseline). *)
 
-val use_sharded :
-  ?crossing:Udma_shrimp.Router.crossing ->
-  nodes:int -> domains:int -> unit -> bool
-(** Engine dispatch rule for {!run}: the sharded conservative kernel
-    ({!Shard_gen}) runs the points when [domains > 1] or
+val use_sharded : domains:int -> Load_gen.config -> bool
+(** Engine dispatch rule for {!over}: the sharded conservative kernel
+    ({!Shard_gen}) runs the points when [domains > 1] or the config's
     [nodes > 64]; otherwise the legacy global-engine {!Load_gen} path
     does — so [domains = 1] on a small mesh is byte-identical to the
     engine every committed anchor was produced on. The [`Flit]
-    crossing (default [`Analytic]) always stays on the legacy engine:
-    the sharded kernel has no cycle-level wire model, so flit sweeps
-    ignore [domains]. *)
+    crossing always stays on the legacy engine: the sharded kernel has
+    no cycle-level wire model, so flit sweeps ignore [domains]. *)
 
 exception Invalid_config of string
-(** A sweep's arguments that {!validate} rejects; {!run} raises it
+(** A sweep's arguments that {!validate} rejects; {!over} raises it
     before it calibrates or simulates anything. *)
 
 val validate : loads:float list -> domains:int -> Load_gen.config -> (unit, string) result
-(** The checks {!run} applies to its arguments (with [config] standing
-    for every point: only its arrival rate varies): a non-empty list of
+(** The checks {!over} applies to its arguments: a non-empty list of
     positive loads, [domains >= 1], then {!Shard_gen.validate} or
     {!Load_gen.validate}, whichever engine {!use_sharded} picks. *)
+
+val over :
+  ?probe:(Udma_sim.Engine.t -> unit) ->
+  ?domains:int ->
+  ?loads:float list ->
+  Load_gen.config ->
+  outcome
+(** One run of [config] per load (default {!default_loads}), in order,
+    with only the arrival rate varying: each point replaces
+    [config.arrival] by the Poisson rate that offers that fraction of
+    the calibrated send capacity. Deterministic under [config.seed]:
+    equal arguments give equal outcomes, byte for byte — and on the
+    sharded path, identical for every [domains] value (default 1),
+    which only sets the worker-domain count. [probe] observes each
+    point's fresh engine (cycle attribution); it is consulted on the
+    legacy path only — the sharded kernel has no global engine to
+    probe. Raises {!Invalid_config} when {!validate} rejects the
+    arguments — e.g. configs outside the sharded subset (adaptive
+    routing, several VCs, finite credits) dispatched to it. *)
 
 val run :
   ?loads:float list ->
@@ -76,12 +91,7 @@ val run :
   ?domains:int ->
   unit ->
   outcome
-(** Deterministic under [seed]: equal arguments give equal outcomes,
-    byte for byte — and on the sharded path, identical for every
-    [domains] value (default 1), which only sets the worker-domain
-    count. [probe] observes each point's fresh engine (cycle
-    attribution); it is consulted on the legacy path only — the
-    sharded kernel has no global engine to probe. Raises
-    {!Invalid_config} when {!validate} rejects the arguments — e.g.
-    configs outside the sharded subset (adaptive routing, several VCs,
-    finite credits) dispatched to it. *)
+(** {!over} on {!Load_gen.default_config} with the given fields
+    replaced. It exists only for [perfbench/workloads.ml], whose
+    [mesh_sharded] workload calls it; everything else builds the
+    record and calls {!over}. *)

@@ -39,5 +39,3 @@ let rec resolve : type a. quick:bool -> a args -> a =
   | Both (a, b) ->
       let x = resolve ~quick a in
       (x, resolve ~quick b)
-
-let default a = resolve ~quick:false a

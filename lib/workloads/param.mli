@@ -57,6 +57,3 @@ val ( and+ ) : 'a args -> 'b args -> ('a * 'b) args
 val resolve : quick:bool -> 'a args -> 'a
 (** Every parameter at its quick value or its default. Parameters are
     read left to right, in declaration order. *)
-
-val default : 'a args -> 'a
-(** [resolve ~quick:false]. *)

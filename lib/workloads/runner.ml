@@ -74,18 +74,15 @@ let anchor name report select field = { Report.name; report; select; field }
 (* E1 / Figure 8                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* 64 B to 16 KB, denser below one page *)
 let figure8_sizes =
-  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes to sweep."
-    ~quick:[ 512; 1024; 4096; 16384 ]
-    (* 64 B to 16 KB, denser below one page *)
-    [ 64; 128; 256; 384; 512; 768; 1024; 1536; 2048; 3072; 4096;
-      4608; 5120; 6144; 7168; 8192; 10240; 12288; 16384 ]
+  [ 64; 128; 256; 384; 512; 768; 1024; 1536; 2048; 3072; 4096;
+    4608; 5120; 6144; 7168; 8192; 10240; 12288; 16384 ]
 
-let figure8_messages =
-  Param.v "messages" Int ~docv:"N" ~doc:"Messages per size point." ~quick:8 32
+let figure8_messages = 32
 
-let report_figure8 ?(sizes = Param.default figure8_sizes)
-    ?(messages = Param.default figure8_messages) ?(queued = false) () =
+let report_figure8 ?(sizes = figure8_sizes) ?(messages = figure8_messages)
+    ?(queued = false) () =
   let p = probe () in
   let sys =
     if queued then
@@ -175,8 +172,12 @@ let e1 =
     exp_doc = "E1: deliberate-update bandwidth vs message size (Figure 8).";
     exp_run =
       Param.(
-        let+ sizes = figure8_sizes
-        and+ messages = figure8_messages
+        let+ sizes =
+          v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes to sweep."
+            ~quick:[ 512; 1024; 4096; 16384 ] figure8_sizes
+        and+ messages =
+          v "messages" Int ~docv:"N" ~doc:"Messages per size point." ~quick:8
+            figure8_messages
         and+ hardware =
           v "hardware"
             (List (Enum [ ("basic", false); ("queued", true) ]))
@@ -318,12 +319,9 @@ let e2 =
 (* E3: HIPPI motivation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let hippi_blocks =
-  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Block sizes to sweep."
-    ~quick:[ 1024; 4096; 65536; 262144 ]
-    (List.init 11 (fun i -> 256 lsl i) (* 256 B to 256 KB *))
+let hippi_blocks = List.init 11 (fun i -> 256 lsl i) (* 256 B to 256 KB *)
 
-let report_hippi ?(blocks = Param.default hippi_blocks) () =
+let report_hippi ?(blocks = hippi_blocks) () =
   let p = probe () in
   let config =
     {
@@ -382,7 +380,10 @@ let e3 =
     exp_doc = "E3: kernel DMA bandwidth vs block size on a HIPPI profile.";
     exp_run =
       Param.(
-        let+ blocks = hippi_blocks in
+        let+ blocks =
+          v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Block sizes to sweep."
+            ~quick:[ 1024; 4096; 65536; 262144 ] hippi_blocks
+        in
         fun ~quick:_ ~seed:_ -> [ report_hippi ~blocks () ]);
     exp_anchors = [];
   }
@@ -469,16 +470,11 @@ let pio_latency p ~size ~trials =
   done;
   float_of_int !total /. float_of_int trials
 
-let crossover_sizes =
-  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes."
-    ~quick:[ 64; 512; 4096 ]
-    [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
+let crossover_sizes = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
+let crossover_trials = 8
 
-let crossover_trials =
-  Param.v "trials" Int ~docv:"N" ~doc:"Trials per size." ~quick:2 8
-
-let report_crossover ?(sizes = Param.default crossover_sizes)
-    ?(trials = Param.default crossover_trials) () =
+let report_crossover ?(sizes = crossover_sizes) ?(trials = crossover_trials) ()
+    =
   let p = probe () in
   (* UDMA side: one 2-node system reused across sizes *)
   let sys = System.create ~nodes:2 () in
@@ -538,7 +534,13 @@ let e4 =
     exp_doc = "E4: UDMA vs memory-mapped FIFO latency.";
     exp_run =
       Param.(
-        let+ sizes = crossover_sizes and+ trials = crossover_trials in
+        let+ sizes =
+          v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Message sizes."
+            ~quick:[ 64; 512; 4096 ] crossover_sizes
+        and+ trials =
+          v "trials" Int ~docv:"N" ~doc:"Trials per size." ~quick:2
+            crossover_trials
+        in
         fun ~quick:_ ~seed:_ -> [ report_crossover ~sizes ~trials () ]);
     exp_anchors = [];
   }
@@ -579,16 +581,11 @@ let one_big_transfer ~mode ~total p =
   | Ok s -> s.Initiator.cycles
   | Error e -> fail_transfer e
 
-let queueing_sizes =
-  Param.v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Total transfer sizes."
-    ~quick:[ 16384; 65536 ] [ 8192; 16384; 32768; 65536 ]
+let queueing_sizes = [ 8192; 16384; 32768; 65536 ]
+let queueing_depths = [ 2; 4; 8; 16 ]
 
-let queueing_depths =
-  Param.v "depths" (List Int) ~docv:"D,..." ~doc:"Hardware queue depths."
-    ~quick:[ 4; 8 ] [ 2; 4; 8; 16 ]
-
-let report_queueing ?(total_sizes = Param.default queueing_sizes)
-    ?(depths = Param.default queueing_depths) () =
+let report_queueing ?(total_sizes = queueing_sizes) ?(depths = queueing_depths)
+    () =
   let p = probe () in
   let depth_field d = Printf.sprintf "depth_%d" d in
   let rows =
@@ -619,7 +616,13 @@ let e5 =
     exp_doc = "E5: basic vs queued UDMA for multi-page transfers.";
     exp_run =
       Param.(
-        let+ total_sizes = queueing_sizes and+ depths = queueing_depths in
+        let+ total_sizes =
+          v "sizes" (List Int) ~docv:"BYTES,..." ~doc:"Total transfer sizes."
+            ~quick:[ 16384; 65536 ] queueing_sizes
+        and+ depths =
+          v "depths" (List Int) ~docv:"D,..." ~doc:"Hardware queue depths."
+            ~quick:[ 4; 8 ] queueing_depths
+        in
         fun ~quick:_ ~seed:_ -> [ report_queueing ~total_sizes ~depths () ]);
     exp_anchors = [];
   }
@@ -628,17 +631,11 @@ let e5 =
 (* E6: I1 atomicity under preemption                                   *)
 (* ------------------------------------------------------------------ *)
 
-let atomicity_probs =
-  Param.v "probs" (List Int) ~docv:"PCT,..."
-    ~doc:"Preemption probabilities (%)." ~quick:[ 0; 20 ]
-    [ 0; 5; 10; 20; 30; 50 ]
+let atomicity_probs = [ 0; 5; 10; 20; 30; 50 ]
+let atomicity_transfers = 200
 
-let atomicity_transfers =
-  Param.v "transfers" Int ~docv:"N" ~doc:"Transfers per probability point."
-    ~quick:40 200
-
-let report_atomicity ?(probs_pct = Param.default atomicity_probs)
-    ?(transfers = Param.default atomicity_transfers) ?(seed = 42) () =
+let report_atomicity ?(probs_pct = atomicity_probs)
+    ?(transfers = atomicity_transfers) ?(seed = 42) () =
   let p = probe () in
   let rows =
     List.map
@@ -731,7 +728,13 @@ let e6 =
     exp_doc = "E6: I1 retries under forced preemption.";
     exp_run =
       Param.(
-        let+ probs_pct = atomicity_probs and+ transfers = atomicity_transfers in
+        let+ probs_pct =
+          v "probs" (List Int) ~docv:"PCT,..."
+            ~doc:"Preemption probabilities (%)." ~quick:[ 0; 20 ] atomicity_probs
+        and+ transfers =
+          v "transfers" Int ~docv:"N" ~doc:"Transfers per probability point."
+            ~quick:40 atomicity_transfers
+        in
         fun ~quick:_ ~seed -> [ report_atomicity ~probs_pct ~transfers ~seed () ]);
     exp_anchors = [];
   }
@@ -1084,108 +1087,10 @@ module Pattern = Udma_traffic.Pattern
 module Load_gen = Udma_traffic.Load_gen
 module Sweep = Udma_traffic.Sweep
 
-let traffic_loads =
-  Param.v "loads" (List Float) ~docv:"L,..."
-    ~doc:
-      "Offered loads to sweep, as fractions of one source's calibrated \
-       initiation capacity."
-    ~quick:[ 0.2; 0.6; 0.9; 1.1 ] Sweep.default_loads
-
-let traffic_nodes =
-  Param.v "nodes" Int ~docv:"N"
-    ~doc:
-      "Mesh size, filling complete rows of the squarest covering mesh (4, 6, \
-       9, 12, 16, ...). The legacy engine covers 2..64; larger meshes (up to \
-       1024) run on the sharded engine (see $(b,--domains))."
-    16
-
-let traffic_pattern =
-  Param.v "pattern"
-    (Parsed (Pattern.parse, Pattern.to_string))
-    ~docv:"PATTERN"
-    ~doc:
-      "Spatial pattern: $(b,uniform), $(b,transpose), $(b,neighbor) or \
-       $(b,hotspot)[:PCT]."
-    Pattern.Uniform
-
-let traffic_msg_bytes =
-  Param.v "msg-bytes" Int ~docv:"BYTES"
-    ~doc:"Message size; a 4-byte multiple up to 4092 (one packet)." 256
-
-let traffic_window =
-  Param.v "window" Int ~docv:"CYCLES" ~doc:"Measurement window per point."
-    ~quick:20_000 50_000
-
-let traffic_warmup =
-  Param.v "warmup" Int ~docv:"CYCLES" ~doc:"Run-in before measurement." 2_000
-
-let traffic_no_contention =
-  Param.v "no-contention" Flag
-    ~doc:
-      "Disable the router's per-link FIFO model (contention-free latency, \
-       the pre-traffic behaviour)."
-    false
-
-let traffic_routing =
-  Param.v "routing"
-    (Enum [ ("dimension", `Dimension_order); ("adaptive", `Minimal_adaptive) ])
-    ~docv:"POLICY"
-    ~doc:
-      "Router path policy: $(b,dimension) (X then Y, the default) or \
-       $(b,adaptive) (minimal-adaptive: the less-busy productive link at \
-       every hop; needs the contention model)."
-    `Dimension_order
-
-let traffic_link_per_word =
-  Param.v "link-per-word" Int ~docv:"CYCLES"
-    ~doc:
-      "Router cycles per 4-byte word on a mesh link. Raising it slows the \
-       links relative to the send-initiation cost, moving the bottleneck \
-       onto the network (the E12 regime)."
-    Load_gen.default_config.Load_gen.link_per_word
-
-let traffic_vcs =
-  Param.v "vcs" Int ~docv:"N"
-    ~doc:
-      "Virtual channels per directed mesh link, 1..4 (1: the single-FIFO \
-       model, bit-for-bit). Extra VCs let other flows backfill the wire \
-       around a head-of-line-blocked packet."
-    Load_gen.default_config.Load_gen.vc_count
-
-let traffic_rx_credits =
-  Param.v "rx-credits" (Option Int) ~docv:"N"
-    ~doc:
-      "Deposit slots per (link, VC) receive FIFO (absent: unlimited, the \
-       pre-credit model). With finite credits sources stall at the \
-       injection gate instead of queueing on the wire."
-    Load_gen.default_config.Load_gen.rx_credits
-
-let traffic_crossing =
-  Param.v "crossing"
-    (Enum [ ("analytic", `Analytic); ("flit", `Flit) ])
-    ~docv:"MODEL"
-    ~doc:
-      "Wire model under contention: $(b,analytic) (packet-granularity link \
-       reservations — the model every committed anchor was produced on) or \
-       $(b,flit) (cycle-accurate wormhole flits through per-(link,VC) input \
-       FIFOs; dimension-order only, always on the legacy engine). See also \
-       $(b,--flit-words)."
-    Load_gen.default_config.Load_gen.crossing
-
-let traffic_flit_words =
-  Param.v "flit-words" Int ~docv:"N"
-    ~doc:"4-byte words per flit in the flit crossing."
-    Load_gen.default_config.Load_gen.flit_words
-
-let traffic_domains =
-  Param.v "domains" Int ~docv:"N"
-    ~doc:
-      "Worker domains for the sharded per-row simulation engine. 1 on a mesh \
-       of up to 64 nodes keeps the legacy single-queue engine \
-       (byte-identical reports); any higher value — or a larger mesh — \
-       dispatches to the sharded conservative kernel, whose results are \
-       identical for every domain count."
-    1
+(* E11's mesh: the load generator's own defaults (16 nodes, uniform
+   traffic, 256-byte messages, 2k-cycle run-in, 50k-cycle window,
+   contention on, one VC, unlimited credits, analytic wire). *)
+let e11_mesh = Load_gen.default_config
 
 (* E11: one row per load point of a {!Sweep}, with the detected knee
    flagged in the rows and recorded in the meta as [knee_load] (or
@@ -1196,26 +1101,10 @@ let traffic_domains =
    pins the legacy engine and adds [crossing]/[flit_words] meta
    fields, leaving analytic reports byte-identical to the pre-flit
    runner. *)
-let report_saturation ?(loads = Param.default traffic_loads)
-    ?(nodes = Param.default traffic_nodes)
-    ?(pattern = Param.default traffic_pattern)
-    ?(msg_bytes = Param.default traffic_msg_bytes)
-    ?(warmup_cycles = Param.default traffic_warmup)
-    ?(window_cycles = Param.default traffic_window) ?(link_contention = true)
-    ?(routing = Param.default traffic_routing)
-    ?(link_per_word = Param.default traffic_link_per_word)
-    ?(vc_count = Param.default traffic_vcs)
-    ?(rx_credits = Param.default traffic_rx_credits)
-    ?(crossing = Param.default traffic_crossing)
-    ?(flit_words = Param.default traffic_flit_words) ?(seed = 42)
-    ?(domains = Param.default traffic_domains) () =
+let report_saturation ~loads ~domains (cfg : Load_gen.config) =
   let p = probe () in
-  let sharded = Sweep.use_sharded ~crossing ~nodes ~domains () in
-  let outcome =
-    Sweep.run ~loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
-      ~warmup_cycles ~window_cycles ~link_contention ~routing ~link_per_word
-      ~vc_count ~rx_credits ~crossing ~flit_words ~seed ~domains ()
-  in
+  let sharded = Sweep.use_sharded ~domains cfg in
+  let outcome = Sweep.over ~loads ~probe:(watch p) ~domains cfg in
   let width =
     match outcome.Sweep.points with
     | { result; _ } :: _ -> result.Load_gen.width
@@ -1224,20 +1113,20 @@ let report_saturation ?(loads = Param.default traffic_loads)
   Report.make ~id:"e11_saturation"
     ~title:
       (Printf.sprintf
-         "E11: latency vs offered load, %d-node mesh, %s traffic%s" nodes
-         (Pattern.to_string pattern)
-         (if link_contention then "" else " (contention off)"))
+         "E11: latency vs offered load, %d-node mesh, %s traffic%s" cfg.nodes
+         (Pattern.to_string cfg.pattern)
+         (if cfg.link_contention then "" else " (contention off)"))
     ~meta:
       ([
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
-        ("pattern", vs (Pattern.to_string pattern));
-        ("msg_bytes", vi msg_bytes);
+        ("pattern", vs (Pattern.to_string cfg.pattern));
+        ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi outcome.Sweep.send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("link_contention", vb link_contention);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("link_contention", vb cfg.link_contention);
+        ("seed", vi cfg.seed);
         ("knee_load", v_opt vf "none" outcome.Sweep.knee_load);
         ("knee_index", v_opt vi "none" outcome.Sweep.knee_index);
       ]
@@ -1248,8 +1137,8 @@ let report_saturation ?(loads = Param.default traffic_loads)
          else [])
       (* same discipline for the flit crossing: analytic reports are
          byte-identical to the pre-flit runner *)
-      @ (if crossing = `Flit then
-           [ ("crossing", vs "flit"); ("flit_words", vi flit_words) ]
+      @ (if cfg.crossing = `Flit then
+           [ ("crossing", vs "flit"); ("flit_words", vi cfg.flit_words) ]
          else [])
     )
     ~columns:
@@ -1292,26 +1181,107 @@ let e11 =
        traffic with link contention.";
     exp_run =
       Param.(
-        let+ loads = traffic_loads
-        and+ nodes = traffic_nodes
-        and+ pattern = traffic_pattern
-        and+ msg_bytes = traffic_msg_bytes
-        and+ window_cycles = traffic_window
-        and+ warmup_cycles = traffic_warmup
-        and+ no_contention = traffic_no_contention
-        and+ routing = traffic_routing
-        and+ link_per_word = traffic_link_per_word
-        and+ vc_count = traffic_vcs
-        and+ rx_credits = traffic_rx_credits
-        and+ crossing = traffic_crossing
-        and+ flit_words = traffic_flit_words
-        and+ domains = traffic_domains in
+        let+ loads =
+          v "loads" (List Float) ~docv:"L,..."
+            ~doc:
+              "Offered loads to sweep, as fractions of one source's \
+               calibrated initiation capacity."
+            ~quick:[ 0.2; 0.6; 0.9; 1.1 ] Sweep.default_loads
+        and+ nodes =
+          v "nodes" Int ~docv:"N"
+            ~doc:
+              "Mesh size, filling complete rows of the squarest covering \
+               mesh (4, 6, 9, 12, 16, ...). The legacy engine covers 2..64; \
+               larger meshes (up to 1024) run on the sharded engine (see \
+               $(b,--domains))."
+            e11_mesh.nodes
+        and+ pattern =
+          v "pattern"
+            (Parsed (Pattern.parse, Pattern.to_string))
+            ~docv:"PATTERN"
+            ~doc:
+              "Spatial pattern: $(b,uniform), $(b,transpose), $(b,neighbor) \
+               or $(b,hotspot)[:PCT]."
+            e11_mesh.pattern
+        and+ msg_bytes =
+          v "msg-bytes" Int ~docv:"BYTES"
+            ~doc:"Message size; a 4-byte multiple up to 4092 (one packet)."
+            e11_mesh.msg_bytes
+        and+ window_cycles =
+          v "window" Int ~docv:"CYCLES" ~doc:"Measurement window per point."
+            ~quick:20_000 e11_mesh.window_cycles
+        and+ warmup_cycles =
+          v "warmup" Int ~docv:"CYCLES" ~doc:"Run-in before measurement."
+            e11_mesh.warmup_cycles
+        and+ no_contention =
+          v "no-contention" Flag
+            ~doc:
+              "Disable the router's per-link FIFO model (contention-free \
+               latency, the pre-traffic behaviour)."
+            (not e11_mesh.link_contention)
+        and+ routing =
+          v "routing"
+            (Enum
+               [ ("dimension", `Dimension_order); ("adaptive", `Minimal_adaptive) ])
+            ~docv:"POLICY"
+            ~doc:
+              "Router path policy: $(b,dimension) (X then Y, the default) or \
+               $(b,adaptive) (minimal-adaptive: the less-busy productive link \
+               at every hop; needs the contention model)."
+            e11_mesh.routing
+        and+ link_per_word =
+          v "link-per-word" Int ~docv:"CYCLES"
+            ~doc:
+              "Router cycles per 4-byte word on a mesh link. Raising it slows \
+               the links relative to the send-initiation cost, moving the \
+               bottleneck onto the network (the E12 regime)."
+            e11_mesh.link_per_word
+        and+ vc_count =
+          v "vcs" Int ~docv:"N"
+            ~doc:
+              "Virtual channels per directed mesh link, 1..4 (1: the \
+               single-FIFO model, bit-for-bit). Extra VCs let other flows \
+               backfill the wire around a head-of-line-blocked packet."
+            e11_mesh.vc_count
+        and+ rx_credits =
+          v "rx-credits" (Option Int) ~docv:"N"
+            ~doc:
+              "Deposit slots per (link, VC) receive FIFO (absent: unlimited, \
+               the pre-credit model). With finite credits sources stall at \
+               the injection gate instead of queueing on the wire."
+            e11_mesh.rx_credits
+        and+ crossing =
+          v "crossing"
+            (Enum [ ("analytic", `Analytic); ("flit", `Flit) ])
+            ~docv:"MODEL"
+            ~doc:
+              "Wire model under contention: $(b,analytic) (packet-granularity \
+               link reservations — the model every committed anchor was \
+               produced on) or $(b,flit) (cycle-accurate wormhole flits \
+               through per-(link,VC) input FIFOs; dimension-order only, \
+               always on the legacy engine). See also $(b,--flit-words)."
+            e11_mesh.crossing
+        and+ flit_words =
+          v "flit-words" Int ~docv:"N"
+            ~doc:"4-byte words per flit in the flit crossing."
+            e11_mesh.flit_words
+        and+ domains =
+          v "domains" Int ~docv:"N"
+            ~doc:
+              "Worker domains for the sharded per-row simulation engine. 1 on \
+               a mesh of up to 64 nodes keeps the legacy single-queue engine \
+               (byte-identical reports); any higher value — or a larger mesh \
+               — dispatches to the sharded conservative kernel, whose results \
+               are identical for every domain count."
+            1
+        in
         fun ~quick:_ ~seed ->
           [
-            report_saturation ~loads ~nodes ~pattern ~msg_bytes ~warmup_cycles
-              ~window_cycles ~link_contention:(not no_contention) ~routing
-              ~link_per_word ~vc_count ~rx_credits ~crossing ~flit_words ~seed
-              ~domains ();
+            report_saturation ~loads ~domains
+              { e11_mesh with nodes; pattern; msg_bytes; window_cycles;
+                warmup_cycles; link_contention = not no_contention; routing;
+                link_per_word; vc_count; rx_credits; crossing; flit_words;
+                seed };
           ]);
     exp_anchors =
       [
@@ -1326,7 +1296,7 @@ let e11 =
    transpose/hotspot flows over both productive directions, so their
    knees move to a strictly higher load while uniform barely moves.
 
-   The defaults deliberately pick a link-bound regime: 2 KB messages
+   The mesh deliberately picks a link-bound regime: 2 KB messages
    keep the per-message link occupancy large, and [link_per_word = 2]
    halves the mesh bandwidth relative to the fixed send-initiation
    cost. At the stock [link_per_word = 1] the 4x4 sources saturate
@@ -1336,15 +1306,14 @@ let e11 =
    policy could not matter. One row per pattern: the knee under each
    policy ([knee_dim], [knee_adaptive]), the shift, and the heaviest
    point's head-of-line blocking under each. *)
-let report_adaptive ?loads ?(nodes = 16)
-    ?(patterns = [ Pattern.Uniform; Pattern.Transpose; Pattern.default_hotspot ])
-    ?(msg_bytes = 2048) ?(warmup_cycles = 2_000) ?(window_cycles = 100_000)
-    ?(link_per_word = 2) ?(seed = 42) () =
+let e12_mesh =
+  { Load_gen.default_config with
+    msg_bytes = 2048; window_cycles = 100_000; link_per_word = 2 }
+
+let report_adaptive ?loads ~patterns (cfg : Load_gen.config) =
   let p = probe () in
   let sweep pattern routing =
-    Sweep.run ?loads ~probe:(watch p) ~nodes ~pattern ~msg_bytes
-      ~warmup_cycles ~window_cycles ~link_contention:true ~routing
-      ~link_per_word ~seed ()
+    Sweep.over ?loads ~probe:(watch p) { cfg with pattern; routing }
   in
   let send_cycles = ref 0 in
   let rows =
@@ -1371,23 +1340,23 @@ let report_adaptive ?loads ?(nodes = 16)
         ])
       patterns
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
+  let width = Udma_shrimp.Router.mesh_width cfg.nodes in
   Report.make ~id:"e12_adaptive"
     ~title:
       (Printf.sprintf
          "E12: dimension-order vs minimal-adaptive routing, %d-node mesh \
           (saturation knee per pattern)"
-         nodes)
+         cfg.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1409,15 +1378,22 @@ let e12 =
        saturation knee shift.";
     exp_run =
       Param.const (fun ~quick ~seed ->
+          let cfg = { e12_mesh with seed } in
           if quick then
             [
               (* same link-bound regime as the full sweep, on the four
                  loads that bracket both policies' knees with margin *)
               report_adaptive ~loads:[ 0.2; 0.6; 0.8; 1.0 ]
                 ~patterns:[ Pattern.Transpose; Pattern.default_hotspot ]
-                ~seed ();
+                cfg;
             ]
-          else [ report_adaptive ~seed () ]);
+          else
+            [
+              report_adaptive
+                ~patterns:
+                  [ Pattern.Uniform; Pattern.Transpose; Pattern.default_hotspot ]
+                cfg;
+            ]);
     exp_anchors =
       [
         anchor "e12.knee_dim@transpose" "e12_adaptive"
@@ -1429,8 +1405,8 @@ let e12 =
       ];
   }
 
-(* E13: hotspot saturation vs virtual channels. The regime is the same
-   link-bound one as E12 (2 KB messages, link_per_word = 2) so the
+(* E13: hotspot saturation vs virtual channels. The regime is E12's
+   link-bound one (2 KB messages, link_per_word = 2) so the
    bottleneck is the contended links into the hot node, where a single
    FIFO head-of-line blocks every flow sharing a link with the hotspot
    stream. Extra VCs let cold flows backfill the wire around a blocked
@@ -1439,10 +1415,9 @@ let e12 =
    source-side [credit_stalls] instead of unbounded link queues. One
    row per (hotspot share, VC count): the knee and, at the heaviest
    load, the credit stalls and the link-queue ceiling. *)
-let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
-    ?(vc_counts = [ 1; 2; 4 ]) ?(msg_bytes = 2048) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 100_000) ?(link_per_word = 2) ?(rx_credits = Some 8)
-    ?(seed = 42) () =
+let e13_mesh = { e12_mesh with rx_credits = Some 8 }
+
+let report_hotspot ?loads ~pcts ~vc_counts (cfg : Load_gen.config) =
   let p = probe () in
   let send_cycles = ref 0 in
   let rows =
@@ -1451,17 +1426,15 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
         List.map
           (fun vcs ->
             let o =
-              Sweep.run ?loads ~probe:(watch p) ~nodes
-                ~pattern:(Pattern.Hotspot { node = 0; pct })
-                ~msg_bytes ~warmup_cycles ~window_cycles
-                ~link_contention:true ~routing:`Dimension_order
-                ~link_per_word ~vc_count:vcs ~rx_credits ~seed ()
+              Sweep.over ?loads ~probe:(watch p)
+                { cfg with
+                  pattern = Pattern.Hotspot { node = 0; pct }; vc_count = vcs }
             in
             send_cycles := o.Sweep.send_cycles;
             let heaviest =
               match List.rev o.Sweep.points with
               | { Sweep.result; _ } :: _ -> result
-              | [] -> assert false (* Sweep.run rejects empty loads *)
+              | [] -> assert false (* Sweep.over rejects empty loads *)
             in
             [
               ("hot_pct", vi pct);
@@ -1476,24 +1449,24 @@ let report_hotspot ?loads ?(nodes = 16) ?(pcts = [ 10; 25; 50 ])
           vc_counts)
       pcts
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
+  let width = Udma_shrimp.Router.mesh_width cfg.nodes in
   Report.make ~id:"e13_hotspot"
     ~title:
       (Printf.sprintf
          "E13: hotspot saturation vs virtual channels, %d-node mesh \
           (knee per hotspot share; stall columns at the heaviest load)"
-         nodes)
+         cfg.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
-        ("rx_credits", v_opt vi "unlimited" rx_credits);
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
+        ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1516,12 +1489,13 @@ let e13 =
        1-4 VCs under credit backpressure.";
     exp_run =
       Param.const (fun ~quick ~seed ->
+          let cfg = { e13_mesh with seed } in
           if quick then
             [
               report_hotspot ~loads:[ 0.2; 0.6; 0.8; 1.0 ] ~pcts:[ 25; 50 ]
-                ~vc_counts:[ 1; 4 ] ~seed ();
+                ~vc_counts:[ 1; 4 ] cfg;
             ]
-          else [ report_hotspot ~seed () ]);
+          else [ report_hotspot ~pcts:[ 10; 25; 50 ] ~vc_counts:[ 1; 2; 4 ] cfg ]);
     exp_anchors =
       List.map
         (fun vcs ->
@@ -1548,19 +1522,22 @@ let e13 =
    availability, and [occupancy] shows where the worms sat per VC.
    Extra VCs let cold flits interleave around the blocked worm, so
    both the delta and the stall count shrink from 1 VC to 4. *)
-let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
-    ?(vc_counts = [ 1; 2; 4 ]) ?(msg_bytes = 2048) ?(warmup_cycles = 2_000)
-    ?(window_cycles = 60_000) ?(link_per_word = 2) ?(rx_credits = Some 8)
-    ?(flit_words = 1) ?(seed = 42) () =
+let e18_mesh =
+  { e13_mesh with
+    pattern = Pattern.Hotspot { node = 0; pct = 50 }; window_cycles = 60_000 }
+
+let report_flit ~load ~vc_counts (cfg : Load_gen.config) =
+  let hot_pct =
+    match cfg.pattern with
+    | Pattern.Hotspot { pct; _ } -> pct
+    | _ -> invalid_arg "report_flit: E18 needs a hotspot pattern"
+  in
   let p = probe () in
   let send_cycles = ref 0 in
   let point crossing vcs =
     let o =
-      Sweep.run ~loads:[ load ] ~probe:(watch p) ~nodes
-        ~pattern:(Pattern.Hotspot { node = 0; pct = hot_pct })
-        ~msg_bytes ~warmup_cycles ~window_cycles ~link_contention:true
-        ~routing:`Dimension_order ~link_per_word ~vc_count:vcs ~rx_credits
-        ~crossing ~flit_words ~seed ()
+      Sweep.over ~loads:[ load ] ~probe:(watch p)
+        { cfg with crossing; vc_count = vcs }
     in
     send_cycles := o.Sweep.send_cycles;
     match o.Sweep.points with
@@ -1593,28 +1570,28 @@ let report_flit ?(load = 0.5) ?(nodes = 16) ?(hot_pct = 50)
         ])
       vc_counts
   in
-  let width = Udma_shrimp.Router.mesh_width nodes in
+  let width = Udma_shrimp.Router.mesh_width cfg.nodes in
   Report.make ~id:"e18_flit"
     ~title:
       (Printf.sprintf
          "E18: flit-level wormhole crossing vs the analytic wire, %d-node \
           mesh, %d%% hotspot at load %.2f (head-of-line blocking per VC \
           count)"
-         nodes hot_pct load)
+         cfg.nodes hot_pct load)
     ~meta:
       [
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
         ("hot_pct", vi hot_pct);
         ("load", vf load);
-        ("msg_bytes", vi msg_bytes);
-        ("link_per_word", vi link_per_word);
-        ("flit_words", vi flit_words);
-        ("rx_credits", v_opt vi "unlimited" rx_credits);
+        ("msg_bytes", vi cfg.msg_bytes);
+        ("link_per_word", vi cfg.link_per_word);
+        ("flit_words", vi cfg.flit_words);
+        ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
         ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1637,9 +1614,12 @@ let e18 =
        head-of-line blocking delta and per-VC occupancy at 1-4 VCs.";
     exp_run =
       Param.const (fun ~quick ~seed ->
-          if quick then
-            [ report_flit ~vc_counts:[ 1; 4 ] ~window_cycles:20_000 ~seed () ]
-          else [ report_flit ~seed () ]);
+          let cfg = { e18_mesh with seed } in
+          let vc_counts, cfg =
+            if quick then ([ 1; 4 ], { cfg with window_cycles = 20_000 })
+            else ([ 1; 2; 4 ], cfg)
+          in
+          [ report_flit ~load:0.5 ~vc_counts cfg ]);
     exp_anchors =
       List.map
         (fun vcs ->
@@ -1663,57 +1643,20 @@ let e18 =
    One row per (backend, tenant count): initiation p50/p99/p999, the
    recovered-fault rate, rogue probes denied, grant and invalidation
    traffic, the IOTLB hit rate (IOMMU rows) and the isolation-breach
-   count (always 0). *)
-let tenants_backends =
-  Param.v "backend"
-    (List (Parsed (Backend.parse_kind, Backend.kind_name)))
-    ~docv:"KIND,..."
-    ~doc:
-      "Protection backends to sweep: $(b,proxy), $(b,iommu), \
-       $(b,capability)."
-    Backend.all_kinds
+   count (always 0).
 
-let tenants_counts =
-  Param.v "tenants" (List Int) ~docv:"N,..." ~doc:"Tenant counts to sweep."
-    ~quick:[ 8; 256 ] [ 8; 64; 256; 1024 ]
+   The harness runs on its own defaults (64 table slots, 20k ops, churn
+   8 %, evict 4 %, rogue 4 %); every field but the swept backend and
+   tenant count is a flag. *)
+let e14_tenants = Tenants.default_config
 
-let tenants_slots =
-  Param.v "slots" Int ~docv:"N"
-    ~doc:"Destination-table slots shared by all tenants." 64
-
-let tenants_ops =
-  Param.v "ops" Int ~docv:"N"
-    ~doc:"Operations per (backend, tenant count) point." ~quick:4000 20_000
-
-let tenants_churn =
-  Param.v "churn" Int ~docv:"PCT"
-    ~doc:"Per-op probability of descheduling a tenant (%)." 8
-
-let tenants_evict =
-  Param.v "evict" Int ~docv:"PCT"
-    ~doc:"Per-op probability of evicting a table slot (%)." 4
-
-let tenants_rogue =
-  Param.v "rogue" Int ~docv:"PCT"
-    ~doc:"Per-op probability of a rogue cross-tenant probe (%)." 4
-
-let report_tenants ?(tenant_counts = Param.default tenants_counts)
-    ?(kinds = Param.default tenants_backends)
-    ?(slots = Param.default tenants_slots) ?(ops = Param.default tenants_ops)
-    ?(churn_pct = Param.default tenants_churn)
-    ?(evict_pct = Param.default tenants_evict)
-    ?(rogue_pct = Param.default tenants_rogue) ?(seed = 42) () =
+let report_tenants ~tenant_counts ~kinds (cfg : Tenants.config) =
   let rows =
     List.concat_map
       (fun kind ->
         List.map
           (fun tenants ->
-            let r =
-              Tenants.run
-                { Tenants.default_config with
-                  Tenants.kind; tenants; slots; ops; churn_pct; evict_pct;
-                  rogue_pct; seed }
-            in
+            let r = Tenants.run { cfg with Tenants.kind; tenants } in
             let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b in
             [
               ("backend", vs (Backend.kind_name kind));
@@ -1741,15 +1684,15 @@ let report_tenants ?(tenant_counts = Param.default tenants_counts)
       (Printf.sprintf
          "E14: multi-tenant protection backends — initiation cost, fault \
           rate and invalidation traffic over %d table slots"
-         slots)
+         cfg.slots)
     ~meta:
       [
-        ("slots", vi slots);
-        ("ops", vi ops);
-        ("churn_pct", vi churn_pct);
-        ("evict_pct", vi evict_pct);
-        ("rogue_pct", vi rogue_pct);
-        ("seed", vi seed);
+        ("slots", vi cfg.slots);
+        ("ops", vi cfg.ops);
+        ("churn_pct", vi cfg.churn_pct);
+        ("evict_pct", vi cfg.evict_pct);
+        ("rogue_pct", vi cfg.rogue_pct);
+        ("seed", vi cfg.seed);
       ]
     ~columns:
       [
@@ -1776,17 +1719,41 @@ let e14 =
        initiation cost and fault rate under tenant churn.";
     exp_run =
       Param.(
-        let+ kinds = tenants_backends
-        and+ tenant_counts = tenants_counts
-        and+ slots = tenants_slots
-        and+ ops = tenants_ops
-        and+ churn_pct = tenants_churn
-        and+ evict_pct = tenants_evict
-        and+ rogue_pct = tenants_rogue in
+        let+ kinds =
+          v "backend"
+            (List (Parsed (Backend.parse_kind, Backend.kind_name)))
+            ~docv:"KIND,..."
+            ~doc:
+              "Protection backends to sweep: $(b,proxy), $(b,iommu), \
+               $(b,capability)."
+            Backend.all_kinds
+        and+ tenant_counts =
+          v "tenants" (List Int) ~docv:"N,..." ~doc:"Tenant counts to sweep."
+            ~quick:[ 8; 256 ] [ 8; 64; 256; 1024 ]
+        and+ slots =
+          v "slots" Int ~docv:"N"
+            ~doc:"Destination-table slots shared by all tenants." e14_tenants.slots
+        and+ ops =
+          v "ops" Int ~docv:"N"
+            ~doc:"Operations per (backend, tenant count) point." ~quick:4000
+            e14_tenants.ops
+        and+ churn_pct =
+          v "churn" Int ~docv:"PCT"
+            ~doc:"Per-op probability of descheduling a tenant (%)."
+            e14_tenants.churn_pct
+        and+ evict_pct =
+          v "evict" Int ~docv:"PCT"
+            ~doc:"Per-op probability of evicting a table slot (%)."
+            e14_tenants.evict_pct
+        and+ rogue_pct =
+          v "rogue" Int ~docv:"PCT"
+            ~doc:"Per-op probability of a rogue cross-tenant probe (%)."
+            e14_tenants.rogue_pct
+        in
         fun ~quick:_ ~seed ->
           [
-            report_tenants ~tenant_counts ~kinds ~slots ~ops ~churn_pct
-              ~evict_pct ~rogue_pct ~seed ();
+            report_tenants ~tenant_counts ~kinds
+              { e14_tenants with slots; ops; churn_pct; evict_pct; rogue_pct; seed };
           ]);
     exp_anchors =
       List.concat_map
@@ -1970,8 +1937,7 @@ let shape_cases =
         | `Sg -> List.map (fun n -> Shape_sg n) sg_elems)
       kinds)
 
-let report_shapes ?(total = Param.default shapes_total)
-    ?(cases = Param.default shape_cases) () =
+let report_shapes ~total ~cases =
   let p = probe () in
   let queued_mode = Udma_engine.Queued { depth = 8 } in
   let basic_contig = run_shape ~mode:Udma_engine.Basic ~total Shape_contig p in
@@ -2027,7 +1993,7 @@ let e15 =
     exp_run =
       Param.(
         let+ total = shapes_total and+ cases = shape_cases in
-        fun ~quick:_ ~seed:_ -> [ report_shapes ~total ~cases () ]);
+        fun ~quick:_ ~seed:_ -> [ report_shapes ~total ~cases ]);
     exp_anchors =
       [
         anchor "e15.bpc@contig.basic" "e15_shapes"
@@ -2058,27 +2024,21 @@ let app_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0; 1.2 ]
    it cannot exceed 1 *)
 let halo_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
 
-let app_fabric ~nodes ~vcs ~link_per_word ~seed =
-  {
-    Fabric.default_config with
-    Fabric.nodes;
-    vc_count = vcs;
-    link_per_word;
-    seed;
-  }
-
 (* Pair each load with its config and check them all: a config the
    application rejects raises Sweep.Invalid_config (exit 2 on the
    command line, as for a traffic sweep). The E16 sweeps below are
-   staged on it: [report_kv ... ()] checks its configs and returns the
-   run, so E16 can reject any flag before any application calibrates. *)
-let app_configs validate ~loads config =
+   staged on it: [report_kv ... cfg] checks its configs and returns the
+   run, so E16 can reject any flag before any application calibrates.
+   The run gives each load's result, every engine on one probe. *)
+let app_sweep validate (run : ?probe:(Engine.t -> unit) -> _) ~loads config =
   let configs = List.map (fun load -> (load, config load)) loads in
   List.iter
     (fun (_, c) ->
       Result.iter_error (fun msg -> raise (Sweep.Invalid_config msg)) (validate c))
     configs;
-  configs
+  fun () ->
+    let p = probe () in
+    (p, List.map (fun (load, c) -> (load, run ~probe:(watch p) c)) configs)
 
 (* the SLO knee as a report value: the load of the first sustained
    violation, or "none" when the whole sweep holds the SLO *)
@@ -2094,112 +2054,26 @@ let app_stat_cells (s : App_slo.stats) =
     ("p999", vi s.App_slo.p999);
   ]
 
-(* the `apps` command's flags; KV-only ones leave halo and RPC alone *)
-let apps_app =
-  Param.v "app"
-    (Option (Enum [ ("kv", `Kv); ("halo", `Halo); ("rpc", `Rpc) ]))
-    ~docv:"APP"
-    ~doc:
-      "Run one application: $(b,kv) (sharded key-value store), $(b,halo) \
-       (halo-exchange collective) or $(b,rpc) (bursty request-response \
-       service). Absent: all three, plus the KV VC-contrast table in a full \
-       run."
-    None
+(* E16's applications: each model's own defaults, with a 200k-cycle
+   RPC window. The VC-contrast table writes every KV op into a 50 %
+   hotspot shard on link-bound wires (the E13 regime) at load 0.7. *)
+let e16_kv = Kv.default_config
+let e16_halo = Halo.default_config
+let e16_rpc = { Rpc.default_config with window_cycles = 200_000 }
 
-let apps_nodes =
-  Param.v "nodes" Int ~docv:"N"
-    ~doc:
-      "Mesh size, 2..64, filling complete rows of the squarest covering \
-       mesh (4, 6, 9, 12, 16, ...)."
-    16
-
-let apps_shards =
-  Param.v "shards" (Option Int) ~docv:"N"
-    ~doc:"KV server shards, on nodes 0..N-1 (absent: one per node)." None
-
-let apps_value_bytes =
-  Param.v "value-bytes" Int ~docv:"BYTES"
-    ~doc:"KV value size; a 4-byte multiple (requests must still fit one page)."
-    2048
-
-let apps_slo =
-  Param.v "slo" (Option Float) ~docv:"MULT"
-    ~check:(function Some m when not (m > 0.0) -> Some "must be > 0" | _ -> None)
-    ~doc:
-      "SLO multiple: the knee is the first sustained load whose p99 exceeds \
-       MULT times the lightest load's p50 (absent: 5.0)."
-    None
-
-let apps_loads =
-  Param.v "loads" (Option (List Float)) ~docv:"L,..."
-    ~doc:
-      "Offered loads to sweep (halo caps at 1.0; applied to the halo sweep \
-       only with an explicit $(b,--app) halo)."
-    None
-
-let apps_vcs =
-  Param.v "vcs" Int ~docv:"N"
-    ~doc:"Virtual channels per directed mesh link for the KV sweep, 1..4." 1
-
-let apps_hot_pct =
-  Param.v "hot-pct" Int ~docv:"PCT"
-    ~doc:"Share of KV key draws pinned to shard 0 (the hotspot)." 0
-
-let apps_write_pct =
-  Param.v "write-pct" Int ~docv:"PCT" ~doc:"Share of KV ops that write." 10
-
-let apps_link_per_word =
-  Param.v "link-per-word" Int ~docv:"CYCLES"
-    ~doc:
-      "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
-       bottleneck on the wires, the VC regime)."
-    1
-
-let apps_chaos =
-  Param.v "chaos" Flag
-    ~doc:
-      "Run the KV store under a seeded link kill/slow/heal storm (the mesh \
-       M_link_fault action); the closed loop must still drain."
-    false
+let e16_kv_vcs =
+  { Kv.default_config with
+    fabric = { Fabric.default_config with link_per_word = 2 };
+    write_pct = 100; hot_pct = 50; load = 0.7 }
 
 (* One row per load: request count, end-to-end percentiles plus the
    cold (non-hot-shard) p99, throughput, credit stalls and the drain
-   check; the SLO knee lands in the meta. [shards] defaults to
-   [nodes]. *)
-let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
-    ?shards ?(clients_per_node = 4)
-    ?(value_bytes = Param.default apps_value_bytes)
-    ?(write_pct = Param.default apps_write_pct)
-    ?(hot_pct = Param.default apps_hot_pct) ?(vcs = Param.default apps_vcs)
-    ?(link_per_word = Param.default apps_link_per_word) ?slo ~window_cycles
-    ?(chaos = Param.default apps_chaos) ?(seed = 42) () =
-  let shards = Option.value shards ~default:nodes in
-  let configs =
-    app_configs Kv.validate ~loads (fun load ->
-        {
-          Kv.default_config with
-          Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
-          shards;
-          clients_per_node;
-          value_bytes;
-          write_pct;
-          hot_pct;
-          window_cycles;
-          load;
-          chaos_links = chaos;
-        })
-  in
+   check; the SLO knee lands in the meta. *)
+let report_kv ?slo ~loads (cfg : Kv.config) =
+  let sweep = app_sweep Kv.validate Kv.run ~loads (fun load -> { cfg with load }) in
   fun () ->
-  let p = probe () in
-  let send_cycles = ref 0 in
-  let results =
-    List.map
-      (fun (load, cfg) ->
-        let r = Kv.run ~probe:(watch p) cfg in
-        send_cycles := r.Kv.send_cycles;
-        (load, r))
-      configs
-  in
+  let p, results = sweep () in
+  let send_cycles = List.fold_left (fun _ (_, r) -> r.Kv.send_cycles) 0 results in
   let knee =
     app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
   in
@@ -2208,23 +2082,23 @@ let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
       (Printf.sprintf
          "E16: sharded KV store, %d shards on a %d-node mesh — tail latency \
           vs offered load (zero-copy reads via deliberate update)"
-         shards nodes)
+         cfg.shards cfg.fabric.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("shards", vi shards);
-        ("clients_per_node", vi clients_per_node);
-        ("value_bytes", vi value_bytes);
-        ("write_pct", vi write_pct);
-        ("hot_pct", vi hot_pct);
-        ("vcs", vi vcs);
-        ("link_per_word", vi link_per_word);
-        ("send_cycles", vi !send_cycles);
-        ("window_cycles", vi window_cycles);
+        ("nodes", vi cfg.fabric.nodes);
+        ("shards", vi cfg.shards);
+        ("clients_per_node", vi cfg.clients_per_node);
+        ("value_bytes", vi cfg.value_bytes);
+        ("write_pct", vi cfg.write_pct);
+        ("hot_pct", vi cfg.hot_pct);
+        ("vcs", vi cfg.fabric.vc_count);
+        ("link_per_word", vi cfg.fabric.link_per_word);
+        ("send_cycles", vi send_cycles);
+        ("window_cycles", vi cfg.window_cycles);
         ("slo", vf (Option.value slo ~default:App_slo.default_slo));
         ("slo_knee", knee);
-        ("chaos", vb chaos);
-        ("seed", vi seed);
+        ("chaos", vb cfg.chaos_links);
+        ("seed", vi cfg.fabric.seed);
       ]
     ~columns:
       [
@@ -2256,24 +2130,14 @@ let report_kv ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
    transfers converge on the hot node's entry links, so extra VCs let
    cold-shard requests backfill the shared wires — the p99 drop is the
    app-level payoff of PR 5's flow control. *)
-let report_kv_vcs ?(load = 0.7) ?(nodes = Param.default apps_nodes) ?(vc_counts = [ 1; 4 ])
-    ?(value_bytes = 2048) ?(hot_pct = 50) ?(link_per_word = 2)
-    ?(window_cycles = 60_000) ?(seed = 42) () =
+let report_kv_vcs ~vc_counts (cfg : Kv.config) =
   let p = probe () in
   let rows =
     List.map
       (fun vcs ->
         let r =
           Kv.run ~probe:(watch p)
-            {
-              Kv.default_config with
-              Kv.fabric = app_fabric ~nodes ~vcs ~link_per_word ~seed;
-              value_bytes;
-              write_pct = 100;
-              hot_pct;
-              window_cycles;
-              load;
-            }
+            { cfg with fabric = { cfg.fabric with vc_count = vcs } }
         in
         (("vcs", vi vcs) :: app_stat_cells r.Kv.stats)
         @ [
@@ -2288,17 +2152,17 @@ let report_kv_vcs ?(load = 0.7) ?(nodes = Param.default apps_nodes) ?(vc_counts 
       (Printf.sprintf
          "E16: KV hotspot shard (%d%% writes to shard 0) at load %.2f — \
           virtual channels vs request tail latency"
-         hot_pct load)
+         cfg.hot_pct cfg.load)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("value_bytes", vi value_bytes);
-        ("write_pct", vi 100);
-        ("hot_pct", vi hot_pct);
-        ("link_per_word", vi link_per_word);
-        ("load", vf load);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("nodes", vi cfg.fabric.nodes);
+        ("value_bytes", vi cfg.value_bytes);
+        ("write_pct", vi cfg.write_pct);
+        ("hot_pct", vi cfg.hot_pct);
+        ("link_per_word", vi cfg.fabric.link_per_word);
+        ("load", vf cfg.load);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.fabric.seed);
       ]
     ~columns:
       [
@@ -2318,32 +2182,16 @@ let report_kv_vcs ?(load = 0.7) ?(nodes = Param.default apps_nodes) ?(vc_counts 
    percentiles, the derived compute budget, makespan and the drain
    check; the calibrated strided (east/west) and contiguous send costs
    land in the meta. *)
-let report_halo ?(loads = halo_default_loads)
-    ?(nodes = Param.default apps_nodes) ?(tile_rows = 32) ?(row_bytes = 128)
-    ?(halo_cols = 16) ~iterations ?(warmup_iters = 2) ?slo ?(seed = 42) () =
-  let configs =
-    app_configs Halo.validate ~loads (fun load ->
-        {
-          Halo.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-          tile_rows;
-          row_bytes;
-          halo_cols;
-          iterations;
-          warmup_iters;
-          load;
-        })
+let report_halo ?slo ~loads (cfg : Halo.config) =
+  let sweep =
+    app_sweep Halo.validate Halo.run ~loads (fun load -> { cfg with Halo.load })
   in
   fun () ->
-  let p = probe () in
-  let strided = ref 0 and contig = ref 0 in
-  let results =
-    List.map
-      (fun (load, cfg) ->
-        let r = Halo.run ~probe:(watch p) cfg in
-        strided := r.Halo.strided_send_cycles;
-        contig := r.Halo.contiguous_send_cycles;
-        (load, r))
-      configs
+  let p, results = sweep () in
+  let strided, contig =
+    List.fold_left
+      (fun _ (_, r) -> (r.Halo.strided_send_cycles, r.Halo.contiguous_send_cycles))
+      (0, 0) results
   in
   (* the compute budget shrinks as the load (send-work share) grows, so
      raw barrier times are not comparable across loads; the SLO knee is
@@ -2370,19 +2218,19 @@ let report_halo ?(loads = halo_default_loads)
       (Printf.sprintf
          "E16: halo exchange, %dx%d-byte tiles on a %d-node mesh — barrier \
           latency vs send-work share (east/west halos strided)"
-         tile_rows row_bytes nodes)
+         cfg.tile_rows cfg.row_bytes cfg.fabric.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("tile_rows", vi tile_rows);
-        ("row_bytes", vi row_bytes);
-        ("halo_cols", vi halo_cols);
-        ("iterations", vi iterations);
-        ("strided_send_cycles", vi !strided);
-        ("contiguous_send_cycles", vi !contig);
+        ("nodes", vi cfg.fabric.nodes);
+        ("tile_rows", vi cfg.tile_rows);
+        ("row_bytes", vi cfg.row_bytes);
+        ("halo_cols", vi cfg.halo_cols);
+        ("iterations", vi cfg.iterations);
+        ("strided_send_cycles", vi strided);
+        ("contiguous_send_cycles", vi contig);
         ("slo", vf (Option.value slo ~default:App_slo.default_slo));
         ("slo_knee", knee);
-        ("seed", vi seed);
+        ("seed", vi cfg.fabric.seed);
       ]
     ~columns:
       [
@@ -2412,33 +2260,13 @@ let report_halo ?(loads = halo_default_loads)
 (* One row per target server utilisation: arrival-to-reply percentiles
    (backlog wait included), burst count, completed vs offered
    throughput and the drain check; the SLO knee lands in the meta. *)
-let report_rpc ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
-    ?(resp_bytes = 512) ?(server_cycles = 200) ?(burst = 8) ?(pool = 16) ?slo
-    ~window_cycles ?(seed = 42) () =
-  let configs =
-    app_configs Rpc.validate ~loads (fun load ->
-        {
-          Rpc.default_config with
-          Rpc.fabric = app_fabric ~nodes ~vcs:1 ~link_per_word:1 ~seed;
-          resp_bytes;
-          server_cycles;
-          burst;
-          pool;
-          window_cycles;
-          load;
-        })
+let report_rpc ?slo ~loads (cfg : Rpc.config) =
+  let sweep =
+    app_sweep Rpc.validate Rpc.run ~loads (fun load -> { cfg with Rpc.load })
   in
   fun () ->
-  let p = probe () in
-  let send_cycles = ref 0 in
-  let results =
-    List.map
-      (fun (load, cfg) ->
-        let r = Rpc.run ~probe:(watch p) cfg in
-        send_cycles := r.Rpc.send_cycles;
-        (load, r))
-      configs
-  in
+  let p, results = sweep () in
+  let send_cycles = List.fold_left (fun _ (_, r) -> r.Rpc.send_cycles) 0 results in
   let knee =
     app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
   in
@@ -2447,19 +2275,19 @@ let report_rpc ?(loads = app_default_loads) ?(nodes = Param.default apps_nodes)
       (Printf.sprintf
          "E16: bursty RPC service (bursts of %d, pool %d) on a %d-node mesh \
           — arrival-to-reply tail latency vs offered server load"
-         burst pool nodes)
+         cfg.burst cfg.pool cfg.fabric.nodes)
     ~meta:
       [
-        ("nodes", vi nodes);
-        ("resp_bytes", vi resp_bytes);
-        ("server_cycles", vi server_cycles);
-        ("burst", vi burst);
-        ("pool", vi pool);
-        ("send_cycles", vi !send_cycles);
-        ("window_cycles", vi window_cycles);
+        ("nodes", vi cfg.fabric.nodes);
+        ("resp_bytes", vi cfg.resp_bytes);
+        ("server_cycles", vi cfg.server_cycles);
+        ("burst", vi cfg.burst);
+        ("pool", vi cfg.pool);
+        ("send_cycles", vi send_cycles);
+        ("window_cycles", vi cfg.window_cycles);
         ("slo", vf (Option.value slo ~default:App_slo.default_slo));
         ("slo_knee", knee);
-        ("seed", vi seed);
+        ("seed", vi cfg.fabric.seed);
       ]
     ~columns:
       [
@@ -2495,27 +2323,90 @@ let e16 =
        RPC tail latency vs offered load over the user-level DMA fabric.";
     exp_run =
       Param.(
-        let+ app = apps_app
-        and+ nodes = apps_nodes
-        and+ shards = apps_shards
-        and+ value_bytes = apps_value_bytes
-        and+ slo = apps_slo
-        and+ loads = apps_loads
-        and+ vcs = apps_vcs
-        and+ hot_pct = apps_hot_pct
-        and+ write_pct = apps_write_pct
-        and+ link_per_word = apps_link_per_word
-        and+ chaos = apps_chaos in
+        (* KV-only flags leave halo and RPC alone *)
+        let+ app =
+          v "app"
+            (Option (Enum [ ("kv", `Kv); ("halo", `Halo); ("rpc", `Rpc) ]))
+            ~docv:"APP"
+            ~doc:
+              "Run one application: $(b,kv) (sharded key-value store), \
+               $(b,halo) (halo-exchange collective) or $(b,rpc) (bursty \
+               request-response service). Absent: all three, plus the KV \
+               VC-contrast table in a full run."
+            None
+        and+ nodes =
+          v "nodes" Int ~docv:"N"
+            ~doc:
+              "Mesh size, 2..64, filling complete rows of the squarest \
+               covering mesh (4, 6, 9, 12, 16, ...)."
+            e16_kv.fabric.nodes
+        and+ shards =
+          v "shards" (Option Int) ~docv:"N"
+            ~doc:"KV server shards, on nodes 0..N-1 (absent: one per node)."
+            None
+        and+ value_bytes =
+          v "value-bytes" Int ~docv:"BYTES"
+            ~doc:
+              "KV value size; a 4-byte multiple (requests must still fit one \
+               page)."
+            e16_kv.value_bytes
+        and+ slo =
+          v "slo" (Option Float) ~docv:"MULT"
+            ~check:(function
+              | Some m when not (m > 0.0) -> Some "must be > 0" | _ -> None)
+            ~doc:
+              "SLO multiple: the knee is the first sustained load whose p99 \
+               exceeds MULT times the lightest load's p50 (absent: 5.0)."
+            None
+        and+ loads =
+          v "loads" (Option (List Float)) ~docv:"L,..."
+            ~doc:
+              "Offered loads to sweep (halo caps at 1.0; applied to the halo \
+               sweep only with an explicit $(b,--app) halo)."
+            None
+        and+ vcs =
+          v "vcs" Int ~docv:"N"
+            ~doc:"Virtual channels per directed mesh link for the KV sweep, 1..4."
+            e16_kv.fabric.vc_count
+        and+ hot_pct =
+          v "hot-pct" Int ~docv:"PCT"
+            ~doc:"Share of KV key draws pinned to shard 0 (the hotspot)."
+            e16_kv.hot_pct
+        and+ write_pct =
+          v "write-pct" Int ~docv:"PCT" ~doc:"Share of KV ops that write."
+            e16_kv.write_pct
+        and+ link_per_word =
+          v "link-per-word" Int ~docv:"CYCLES"
+            ~doc:
+              "Router cycles per 4-byte word on a mesh link (>= 2 puts the \
+               bottleneck on the wires, the VC regime)."
+            e16_kv.fabric.link_per_word
+        and+ chaos =
+          v "chaos" Flag
+            ~doc:
+              "Run the KV store under a seeded link kill/slow/heal storm (the \
+               mesh M_link_fault action); the closed loop must still drain."
+            e16_kv.chaos_links
+        in
         fun ~quick ~seed ->
+          let on_mesh (f : Fabric.config) = { f with nodes; seed } in
+          let kv, halo, rpc =
+            if quick then
+              ( { e16_kv with window_cycles = 30_000 },
+                { e16_halo with iterations = 12 },
+                { e16_rpc with window_cycles = 100_000 } )
+            else (e16_kv, e16_halo, e16_rpc)
+          in
           let sweep =
             Option.value loads
               ~default:(if quick then [ 0.3; 0.8 ] else app_default_loads)
           in
           let kv () =
-            report_kv ~loads:sweep ~nodes ?shards ~value_bytes ~write_pct
-              ~hot_pct ~vcs ~link_per_word ?slo
-              ~window_cycles:(if quick then 30_000 else 60_000)
-              ~chaos ~seed ()
+            report_kv ?slo ~loads:sweep
+              { kv with
+                fabric = { (on_mesh kv.fabric) with vc_count = vcs; link_per_word };
+                shards = Option.value shards ~default:nodes;
+                value_bytes; write_pct; hot_pct; chaos_links = chaos }
           in
           let halo () =
             let loads =
@@ -2523,14 +2414,14 @@ let e16 =
               | Some `Halo, Some l -> l
               | _ -> if quick then [ 0.5 ] else halo_default_loads
             in
-            report_halo ~loads ?slo ~nodes
-              ~iterations:(if quick then 12 else 30)
-              ~seed ()
+            report_halo ?slo ~loads { halo with fabric = on_mesh halo.fabric }
           in
           let rpc () =
-            report_rpc ~loads:sweep ~nodes ?slo
-              ~window_cycles:(if quick then 100_000 else 200_000)
-              ~seed ()
+            report_rpc ?slo ~loads:sweep { rpc with fabric = on_mesh rpc.fabric }
+          in
+          let kv_vcs () =
+            report_kv_vcs ~vc_counts:[ 1; 4 ]
+              { e16_kv_vcs with fabric = on_mesh e16_kv_vcs.fabric }
           in
           (* every selected sweep checks its configs before any runs *)
           let sweeps =
@@ -2538,9 +2429,7 @@ let e16 =
             | Some `Kv -> [ kv () ]
             | Some `Halo -> [ halo () ]
             | Some `Rpc -> [ rpc () ]
-            | None ->
-                [ kv (); halo (); rpc () ]
-                @ if quick then [] else [ (fun () -> report_kv_vcs ~nodes ~seed ()) ]
+            | None -> [ kv (); halo (); rpc () ] @ if quick then [] else [ kv_vcs ]
           in
           List.map (fun run -> run ()) sweeps);
     exp_anchors =
@@ -2564,25 +2453,13 @@ module Shard_gen = Udma_traffic.Shard_gen
    anchored. The counters are held exactly by the golden digests of
    test/golden/all_quick.md5 ([dune runtest]) and all.md5 (CI), which
    mask only the wall-clock fields and [host_cores]. *)
-let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
-    ?(warmup_cycles = 2_000) ?(window_cycles = 50_000)
-    ?(domains_list = [ 1; 2; 4 ]) ?(seed = 42) () =
+let e17_mesh = { Load_gen.default_config with nodes = 256 }
+
+let report_simscale ~load ~domains_list (cfg : Load_gen.config) =
   if domains_list = [] then invalid_arg "report_simscale: empty domains list";
-  let send_cycles = Load_gen.calibrate ~msg_bytes () in
-  let cfg =
-    {
-      Load_gen.default_config with
-      Load_gen.nodes;
-      msg_bytes;
-      warmup_cycles;
-      window_cycles;
-      arrival =
-        Udma_traffic.Arrival.Poisson
-          { per_kcycle = load *. 1000.0 /. float_of_int send_cycles };
-      rx_credits = None;
-      seed;
-    }
-  in
+  let send_cycles = Load_gen.calibrate ~msg_bytes:cfg.msg_bytes () in
+  let per_kcycle = load *. 1000.0 /. float_of_int send_cycles in
+  let cfg = { cfg with arrival = Udma_traffic.Arrival.Poisson { per_kcycle } } in
   let runs =
     List.map
       (fun domains ->
@@ -2615,17 +2492,17 @@ let report_simscale ?(nodes = 256) ?(load = 0.9) ?(msg_bytes = 256)
     ~title:
       (Printf.sprintf
          "E17: sharded engine throughput — events/sec vs worker domains, \
-          %d-node mesh at load %.1f" nodes load)
+          %d-node mesh at load %.1f" cfg.nodes load)
     ~meta:
       [
-        ("nodes", vi nodes);
+        ("nodes", vi cfg.nodes);
         ("width", vi width);
         ("load", vf load);
-        ("msg_bytes", vi msg_bytes);
+        ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi send_cycles);
-        ("warmup_cycles", vi warmup_cycles);
-        ("window_cycles", vi window_cycles);
-        ("seed", vi seed);
+        ("warmup_cycles", vi cfg.warmup_cycles);
+        ("window_cycles", vi cfg.window_cycles);
+        ("seed", vi cfg.seed);
         ("host_cores", vi (Domain.recommended_domain_count ()));
         ("deterministic", vb deterministic);
       ]
@@ -2672,12 +2549,12 @@ let e17 =
        host-dependent).";
     exp_run =
       Param.const (fun ~quick ~seed ->
-          if quick then
-            [
-              report_simscale ~window_cycles:20_000 ~domains_list:[ 1; 2 ]
-                ~seed ();
-            ]
-          else [ report_simscale ~seed () ]);
+          let cfg = { e17_mesh with seed } in
+          let domains_list, cfg =
+            if quick then ([ 1; 2 ], { cfg with window_cycles = 20_000 })
+            else ([ 1; 2; 4 ], cfg)
+          in
+          [ report_simscale ~load:0.9 ~domains_list cfg ]);
     exp_anchors = [];
   }
 

@@ -51,10 +51,12 @@ let check_replay sc ~skip_invariant (f : _ Chaos.failure) =
    fail at their last step (the last action or the final drain) under
    the same invariant, and be named in the printed report.
 
-   Node bugs I1-I4 break the invariant they name. In the mesh, I2
-   (mapping consistency) breaks under paging pressure regardless of the
-   network; N1 (a leaked credit return) and N2 (a stuck VC arbiter) are
-   router bugs. The protection bugs P1 (ownership check skipped) and P2
+   Node bugs I1-I4 break the invariant they name. In the mesh, I1
+   needs each node's idle second process (a preemption that switches)
+   and I4 a half-initiated pair's latched frame under an eviction
+   storm; I2 (mapping consistency) breaks under paging pressure
+   regardless of the network; N1 (a leaked credit return) and N2 (a
+   stuck VC arbiter) are router bugs. The protection bugs P1 (ownership check skipped) and P2
    (stale datapath entry survives teardown) surface as cross-tenant
    isolation leaks (I5), D1 (per-element page clamp skipped) as frames
    the proxy never named (I4), and the flit bugs F1 (a flit leaked on a
@@ -112,7 +114,7 @@ let test_mesh_generator_coverage () =
   let multi_vc = ref 0 and finite = ref 0 and unlimited = ref 0 in
   let squeeze = ref 0 and squeeze_tight = ref 0 in
   let rogue = ref 0 and revoke = ref 0 and backend_send = ref 0 in
-  let shaped = ref 0 in
+  let shaped = ref 0 and half = ref 0 in
   let flit = ref 0 in
   for seed = 0 to mesh_seeds - 1 do
     let p = Chaos.plan_of_seed Chaos.mesh seed in
@@ -157,6 +159,7 @@ let test_mesh_generator_coverage () =
         | Chaos.M_revoke _ -> incr revoke
         | Chaos.M_backend_send _ -> incr backend_send
         | Chaos.M_shaped_send _ -> incr shaped
+        | Chaos.M_half_pair _ -> incr half
         | _ -> ())
       p.Chaos.actions
   done;
@@ -177,6 +180,7 @@ let test_mesh_generator_coverage () =
   Alcotest.(check bool) "authorized backend sends generated" true
     (!backend_send > 0);
   Alcotest.(check bool) "shaped sends generated" true (!shaped > 0);
+  Alcotest.(check bool) "half-initiated pairs generated" true (!half > 0);
   Alcotest.(check bool) "both crossings exercised" true
     (!flit > 0 && !flit < mesh_seeds)
 
@@ -216,8 +220,14 @@ let () =
                mesh_seeds)
             `Quick test_mesh_sweep;
           Alcotest.test_case
+            "mesh mutation: skipping I1 is detected and replays" `Quick
+            (test_mesh_mutation `I1);
+          Alcotest.test_case
             "mesh mutation: skipping I2 is detected and replays" `Quick
             (test_mesh_mutation `I2);
+          Alcotest.test_case
+            "mesh mutation: skipping I4 is detected and replays" `Quick
+            (test_mesh_mutation `I4);
           Alcotest.test_case
             "mesh mutation: leaking a credit is detected (N1)" `Quick
             (test_mesh_mutation `N1);

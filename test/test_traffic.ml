@@ -367,11 +367,20 @@ let test_knee_detection () =
          mk_point 0.8 150.0 ]
     = None)
 
+(* A short sweep config: [nodes] nodes, 128-byte messages, a 4k-cycle
+   window, seed 11. *)
+let sweep_cfg nodes =
+  {
+    Load_gen.default_config with
+    nodes;
+    msg_bytes = 128;
+    warmup_cycles = 500;
+    window_cycles = 4_000;
+    seed = 11;
+  }
+
 let test_sweep_deterministic () =
-  let run () =
-    Sweep.run ~loads:[ 0.3; 1.2 ] ~nodes:4 ~msg_bytes:128 ~warmup_cycles:500
-      ~window_cycles:4_000 ~seed:11 ()
-  in
+  let run () = Sweep.over ~loads:[ 0.3; 1.2 ] (sweep_cfg 4) in
   let a = run () and b = run () in
   checkb "sweep identical under one seed" true (a = b);
   checki "one point per load" 2 (List.length a.Sweep.points);
@@ -459,7 +468,7 @@ let test_sweep_workload_limits () =
     | Ok () -> Alcotest.failf "domains %d: msg_bytes 6 accepted" domains
   in
   checkb "domains 2 picks the sharded engine" true
-    (Sweep.use_sharded ~nodes:16 ~domains:2 ());
+    (Sweep.use_sharded ~domains:2 cfg);
   Alcotest.(check string) "same message on either engine" (msg 1) (msg 2);
   Alcotest.(check string) "the shared limit's message"
     "Load_gen: msg_bytes must be a positive 4-byte multiple <= 4092" (msg 1)
@@ -489,20 +498,80 @@ let test_arrival_limits () =
     (not (rejected (Arrival.Poisson { per_kcycle = 0.5 })))
 
 let test_sweep_dispatch () =
+  let mesh16 = sweep_cfg 16 in
   checkb "small mesh, one domain: legacy" false
-    (Sweep.use_sharded ~nodes:16 ~domains:1 ());
+    (Sweep.use_sharded ~domains:1 mesh16);
   checkb "small mesh, two domains: sharded" true
-    (Sweep.use_sharded ~nodes:16 ~domains:2 ());
+    (Sweep.use_sharded ~domains:2 mesh16);
   checkb "large mesh always sharded" true
-    (Sweep.use_sharded ~nodes:256 ~domains:1 ());
+    (Sweep.use_sharded ~domains:1 (sweep_cfg 256));
   checkb "flit crossing pins the legacy engine" false
-    (Sweep.use_sharded ~crossing:`Flit ~nodes:16 ~domains:2 ());
+    (Sweep.use_sharded ~domains:2 { mesh16 with crossing = `Flit });
   (* the sharded sweep is domain-count invariant end to end *)
-  let sweep domains =
-    Sweep.run ~loads:[ 0.3; 0.9 ] ~nodes:16 ~msg_bytes:128 ~warmup_cycles:500
-      ~window_cycles:4_000 ~seed:11 ~domains ()
-  in
+  let sweep domains = Sweep.over ~loads:[ 0.3; 0.9 ] ~domains mesh16 in
   checkb "sweep identical at domains 2 and 3" true (sweep 2 = sweep 3)
+
+(* Small sweep configs and the domain count to run them on: both
+   engines (1-3 domains on 4-16 nodes, 256 nodes on 2-3), analytic and
+   flit crossings, 1-4 VCs with or without finite credits wherever the
+   legacy engine runs, short windows. *)
+let gen_sweep_config =
+  let open QCheck.Gen in
+  let* domains = int_range 1 3 in
+  let* nodes =
+    oneofl (if domains > 1 then [ 4; 9; 16; 256 ] else [ 4; 6; 9; 12; 16 ])
+  in
+  let* crossing =
+    oneofl (if nodes > 64 then [ `Analytic ] else [ `Analytic; `Flit ])
+  in
+  let base = { (sweep_cfg nodes) with crossing } in
+  let legacy = not (Sweep.use_sharded ~domains base) in
+  let* vc_count = if legacy then int_range 1 4 else return 1 in
+  let* rx_credits = if legacy then opt (int_range 2 8) else return None in
+  let* routing =
+    oneofl
+      (if legacy && crossing = `Analytic then [ `Dimension_order; `Minimal_adaptive ]
+       else [ `Dimension_order ])
+  in
+  let+ pattern = oneofl Pattern.[ Uniform; Transpose; Neighbor; default_hotspot ]
+  and+ msg_bytes = map (( * ) 4) (int_range 1 64)
+  and+ window_cycles = int_range 1_000 3_000
+  and+ link_per_word = int_range 1 2
+  and+ flit_words = oneofl [ 1; 2; 4 ]
+  and+ seed = int_bound 1_000 in
+  ( domains,
+    { base with pattern; msg_bytes; window_cycles; routing; link_per_word;
+      vc_count; rx_credits; flit_words; seed } )
+
+let print_sweep_config (domains, (c : Load_gen.config)) =
+  Printf.sprintf
+    "domains=%d nodes=%d %s msg=%d window=%d %s lpw=%d vcs=%d rx=%s %s/%d \
+     seed=%d"
+    domains c.nodes (Pattern.to_string c.pattern) c.msg_bytes c.window_cycles
+    (if c.routing = `Dimension_order then "dimension" else "adaptive")
+    c.link_per_word c.vc_count
+    (Option.fold ~none:"unlimited" ~some:string_of_int c.rx_credits)
+    (if c.crossing = `Flit then "flit" else "analytic") c.flit_words c.seed
+
+(* The labelled [Sweep.run] is a wrapper kept for the host benchmark's
+   [mesh_sharded] workload; it must give exactly what the record form
+   gives, outcome or rejection, on every config. *)
+let prop_sweep_run_is_over =
+  QCheck.Test.make ~count:25 ~name:"labelled Sweep.run = Sweep.over"
+    (QCheck.make ~print:print_sweep_config gen_sweep_config)
+    (fun (domains, (c : Load_gen.config)) ->
+      let outcome f =
+        try Ok (f ()) with Sweep.Invalid_config msg -> Error msg
+      in
+      let loads = [ 0.4; 1.1 ] in
+      outcome (fun () ->
+          Sweep.run ~loads ~nodes:c.nodes ~pattern:c.pattern
+            ~msg_bytes:c.msg_bytes ~warmup_cycles:c.warmup_cycles
+            ~window_cycles:c.window_cycles ~link_contention:c.link_contention
+            ~routing:c.routing ~link_per_word:c.link_per_word
+            ~vc_count:c.vc_count ~rx_credits:c.rx_credits ~crossing:c.crossing
+            ~flit_words:c.flit_words ~seed:c.seed ~domains ())
+      = outcome (fun () -> Sweep.over ~loads ~domains c))
 
 let () =
   Alcotest.run "udma_traffic"
@@ -548,6 +617,7 @@ let () =
             test_sweep_workload_limits;
           Alcotest.test_case "arrival limits checked up front" `Quick
             test_arrival_limits;
+          QCheck_alcotest.to_alcotest prop_sweep_run_is_over;
         ] );
       ( "shard_gen",
         [
