@@ -763,7 +763,6 @@ type mesh_ctx = {
       (* per node: IOMMU and capability backends mirroring the NI's
          grants, so the rogue tenant attacks all three designs *)
   preempt : int array;
-  mesh_rng : Rng.t;
   mesh_flit : bool;
       (* flit seeds cap message sizes: a 4 KB worm is ~1000 flit
          crossings per hop, which would dominate the sweep's runtime
@@ -875,7 +874,7 @@ let mesh_build ?skip_invariant setup =
             | None -> ()))
     mesh_procs;
   { sys; mesh_procs; mesh_chans; mesh_bufs; mesh_shadows; preempt;
-    mesh_rng; mesh_flit = flit }
+    mesh_flit = flit }
 
 let mesh_apply ctx action =
   let machine i = (System.node ctx.sys i).System.machine in

@@ -57,7 +57,7 @@ type ('s, 'a) scenario = {
   build :
     ?skip_invariant:Udma_os.Machine.invariant -> trace:bool -> 's -> 'a system;
       (** a fresh system; [skip_invariant] plants one bug, [trace]
-          records the trace that {!replay_trace} returns *)
+          records the trace that {!report} prints the tail of *)
   pp_setup : Format.formatter -> 's -> unit;
   pp_action : Format.formatter -> 'a -> unit;
 }
@@ -73,10 +73,6 @@ val run_plan :
     action, then its final drain and check. Deterministic: the same
     plan (and [skip_invariant]) always produces the same outcome.
     [trace] (default false) builds the system with tracing enabled. *)
-
-val run_seed :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> int -> ('s, 'a) outcome
 
 val sweep :
   ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
@@ -95,12 +91,6 @@ val shrink :
 (** Truncate the schedule to the failing prefix, then greedily delete
     earlier actions while the plan still fails with the {e same}
     invariant. The result's plan is the minimized schedule. *)
-
-val replay_trace :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ('s, 'a) plan -> Udma_obs.Event.t list
-(** Re-run with the trace enabled and return the scenario's filtered
-    events (empty if the plan passes — trace of the full run). *)
 
 val report :
   ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
@@ -261,5 +251,4 @@ type mesh_setup = {
 }
 
 val mesh : (mesh_setup, mesh_action) scenario
-(** Untraced: {!replay_trace} returns [[]] and {!report} has no trace
-    tail. *)
+(** Untraced: {!report} has no trace tail. *)

@@ -39,30 +39,9 @@ val post_switch : Udma_os.Machine.t -> violation option
 (** The I1 oracle; sound only when evaluated right after a context
     switch (install it via [Machine.on_switch]). *)
 
-val check_i2 : Udma_os.Machine.t -> violation option
-val check_i3 : Udma_os.Machine.t -> violation option
-val check_i4 : Udma_os.Machine.t -> violation option
-
 val check_now : Udma_os.Machine.t -> violation option
 (** I2, I3 and I4 in that order; first counterexample wins. Safe to
     call between any two simulation events. *)
-
-val check_n1 : Udma_shrimp.Router.t -> violation option
-(** N1, credit conservation: per (link, VC) deposit pool,
-    [held + in_flight + free = capacity] at every cycle
-    ({!Udma_shrimp.Router.check_credits}). *)
-
-val check_n2 : Udma_shrimp.Router.t -> violation option
-(** N2, arbitration fairness: no ready VC skipped [vc_count] or more
-    consecutive rounds ({!Udma_shrimp.Router.check_arbitration}). *)
-
-val check_f1 : Udma_shrimp.Router.t -> violation option
-(** F1, flit conservation ({!Udma_shrimp.Router.check_flits}):
-    injected = delivered + in-network flits, and every finite
-    (link, VC) input FIFO keeps [credits + occupancy = capacity].
-    Trivially [None] when the router runs the analytic crossing. Both
-    planted flit bugs (the [`F1] leak and the [`F2] double-grant)
-    surface here. *)
 
 val check_router : Udma_shrimp.Router.t -> violation option
 (** N1, N2 then F1; first counterexample wins. Safe between any two

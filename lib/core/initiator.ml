@@ -9,10 +9,6 @@ type cpu = {
 
 type endpoint = Memory of int | Device of int
 
-let pp_endpoint ppf = function
-  | Memory a -> Format.fprintf ppf "memory:%#x" a
-  | Device a -> Format.fprintf ppf "device-proxy:%#x" a
-
 type split_strategy = Optimistic | Precompute
 
 type config = {
@@ -155,12 +151,6 @@ let initiate_piece cpu layout config acc ~queued ~src ~dst ~count =
 type shape_spec =
   | Strided_shape of { stride : int; chunk : int }
   | Gather_shape of (endpoint * int) list
-
-let pp_shape_spec ppf = function
-  | Strided_shape { stride; chunk } ->
-      Format.fprintf ppf "strided(stride=%d,chunk=%d)" stride chunk
-  | Gather_shape elems ->
-      Format.fprintf ppf "sg[%d extra]" (List.length elems)
 
 let shape_stores layout ~dst_p = function
   | Strided_shape { stride; chunk } ->

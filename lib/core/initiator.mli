@@ -24,8 +24,6 @@ type endpoint =
   | Device of int
       (** virtual device-proxy address *)
 
-val pp_endpoint : Format.formatter -> endpoint -> unit
-
 type split_strategy =
   | Optimistic
       (** SHRIMP's strategy (§8): pass the full remaining count and let
@@ -123,8 +121,6 @@ type shape_spec =
       (** extra destination elements after the latched first one, each
           [(endpoint, len)]; the first element keeps the remainder
           [nbytes - sum of listed lens], which must be positive *)
-
-val pp_shape_spec : Format.formatter -> shape_spec -> unit
 
 val transfer_shaped :
   cpu ->

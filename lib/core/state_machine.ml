@@ -43,12 +43,6 @@ type event =
   | Load of { proxy : int; space : space }
   | Done
 
-let pp_event ppf = function
-  | Store { proxy; space; value } ->
-      Format.fprintf ppf "Store(%a:%#x,%d)" pp_space space proxy value
-  | Load { proxy; space } -> Format.fprintf ppf "Load(%a:%#x)" pp_space space proxy
-  | Done -> Format.pp_print_string ppf "Done"
-
 type action =
   | No_action
   | Latch_dest

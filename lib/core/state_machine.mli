@@ -39,8 +39,6 @@ type shape =
           the latched destination is element zero and receives the
           remainder — the count minus the listed lengths *)
 
-val pp_shape : Format.formatter -> shape -> unit
-
 type dest = { dest_proxy : int; dest_space : space; nbytes : int; shape : shape }
 (** Latched DESTINATION register + COUNT + shape refinement.
     [dest_proxy] is a physical proxy address. *)
@@ -58,8 +56,6 @@ type event =
           [value <= 0] is an [Inval], bit 30 marks a shape word *)
   | Load of { proxy : int; space : space }
   | Done  (** the DMA engine finished the transfer *)
-
-val pp_event : Format.formatter -> event -> unit
 
 type action =
   | No_action        (** event ignored in this state *)
@@ -82,8 +78,6 @@ val step : state -> event -> state * action
     Bit 30 tags a shape word; bit 29 selects sg over strided; strided
     words carry the stride in bits 28..14 and the chunk in bits 13..0;
     sg words carry the element length in bits 13..0. *)
-
-val shape_tag_bit : int
 
 val max_stride : int
 (** 32767 — largest encodable strided stride. *)

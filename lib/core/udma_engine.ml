@@ -53,7 +53,6 @@ type counters = {
 type t = {
   engine : Engine.t;
   layout : Layout.t;
-  bus : Bus.t;
   dma_engine : Dma_engine.t;
   mode : mode;
   skip_clamp : bool; (* D1 mutation: drop the per-element page clamp *)
@@ -79,21 +78,10 @@ type t = {
          frame referenced so far *)
   mutable start_hook :
     (src_proxy:int -> dest_proxy:int -> nbytes:int -> unit) option;
-  mutable c_initiations : int;
-  mutable c_completions : int;
-  mutable c_bad_loads : int;
-  mutable c_invals : int;
-  mutable c_probes : int;
-  mutable c_clamped : int;
-  mutable c_refused_full : int;
-  mutable c_device_errors : int;
-  mutable c_aborts : int;
-  mutable c_shape_latches : int;
 }
 
 let mode t = t.mode
 let state t = t.sm
-let dma t = t.dma_engine
 
 let sm_name s = Format.asprintf "%a" Sm.pp_state s
 
@@ -201,7 +189,6 @@ let resolve_elem t ~src_space ~dest_space s d len =
 (* ---------- starting / queueing transfers ---------- *)
 
 let record_started t r =
-  t.c_initiations <- t.c_initiations + 1;
   Metrics.bump t.m_initiations;
   (match t.start_hook with
   | Some hook ->
@@ -232,7 +219,6 @@ let rec start_on_dma t r =
 
 and on_dma_complete t r =
   ref_decr t r;
-  t.c_completions <- t.c_completions + 1;
   Metrics.bump t.m_completions;
   Metrics.sample t.m_transfer_cycles (Engine.now t.engine - r.accepted_at);
   (match t.mode with
@@ -352,10 +338,7 @@ let build_request t ~src_proxy ~src_space ~dest ~priority =
   | Error e -> Error e
   | Ok { total; _ } when total <= 0 -> Error err_bad_shape
   | Ok { total; rev_elems; refusal } -> (
-      if total < dest.Sm.nbytes then begin
-        t.c_clamped <- t.c_clamped + 1;
-        Metrics.bump t.m_clamped
-      end;
+      if total < dest.Sm.nbytes then Metrics.bump t.m_clamped;
       match refusal with
       | Some bits -> Error bits
       | None ->
@@ -393,7 +376,6 @@ let accept t r =
     | Error e ->
         ref_decr t r;
         t.active <- None;
-        t.c_initiations <- t.c_initiations - 1;
         Metrics.bump_by t.m_initiations (-1);
         Error e
   end
@@ -512,10 +494,8 @@ let handle_store t ~paddr value =
       (match action with
       | Sm.Latch_dest -> ()
       | Sm.Latch_shape ->
-          t.c_shape_latches <- t.c_shape_latches + 1;
           Metrics.bump t.m_shape_latches
       | Sm.Invalidated ->
-          t.c_invals <- t.c_invals + 1;
           Metrics.bump t.m_invals
       | Sm.No_action -> ()
       | Sm.Start _ | Sm.Bad_load | Sm.Status_probe | Sm.Completed ->
@@ -535,12 +515,10 @@ let handle_load t ~paddr =
       match action with
       | Sm.Status_probe ->
           set_sm t ~cause:"probe" sm;
-          t.c_probes <- t.c_probes + 1;
           Metrics.bump t.m_probes;
           probe_status t paddr
       | Sm.Bad_load ->
           set_sm t ~cause:"bad-load" sm;
-          t.c_bad_loads <- t.c_bad_loads + 1;
           Metrics.bump t.m_bad_loads;
           Status.make ~wrong_space:true ~invalid:true
             ~transferring:(Dma_engine.busy t.dma_engine) ()
@@ -548,7 +526,6 @@ let handle_load t ~paddr =
           match build_request t ~src_proxy ~src_space ~dest ~priority:User with
           | Error bits ->
               set_sm t ~cause:"device-error" Sm.Idle;
-              t.c_device_errors <- t.c_device_errors + 1;
               Metrics.bump t.m_device_errors;
               Status.make ~invalid:true ~device_error:(bits land 0xf)
                 ~transferring:(Dma_engine.busy t.dma_engine) ()
@@ -566,7 +543,6 @@ let handle_load t ~paddr =
                       assert false
                   | Error bits ->
                       set_sm t ~cause:"device-error" Sm.Idle;
-                      t.c_device_errors <- t.c_device_errors + 1;
                       Metrics.bump t.m_device_errors;
                       Status.make ~invalid:true ~device_error:(bits land 0xf) ())
               | Queued { depth } ->
@@ -574,7 +550,6 @@ let handle_load t ~paddr =
                     (* refuse; keep DestLoaded so the user can retry the
                        LOAD alone (§7: refused only when the queue is
                        full) *)
-                    t.c_refused_full <- t.c_refused_full + 1;
                     Metrics.bump t.m_refused_full;
                     Status.make ~transferring:true ~queue_full:true
                       ~remaining_bytes:dest.Sm.nbytes ()
@@ -589,7 +564,6 @@ let handle_load t ~paddr =
                           ()
                     | Error bits ->
                         set_sm t ~cause:"device-error" Sm.Idle;
-                        t.c_device_errors <- t.c_device_errors + 1;
                         Metrics.bump t.m_device_errors;
                         Status.make ~invalid:true
                           ~device_error:(bits land 0xf) ())))
@@ -607,7 +581,6 @@ let abort_active t =
       ignore (Dma_engine.abort t.dma_engine);
       ref_decr t r;
       t.active <- None;
-      t.c_aborts <- t.c_aborts + 1;
       Metrics.bump t.m_aborts;
       if Trace.active t.trace then
         Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
@@ -681,16 +654,16 @@ let enqueue_system t ~src_proxy ~dest_proxy ~nbytes =
 
 let counters t =
   {
-    initiations = t.c_initiations;
-    completions = t.c_completions;
-    bad_loads = t.c_bad_loads;
-    invals = t.c_invals;
-    probes = t.c_probes;
-    clamped = t.c_clamped;
-    refused_full = t.c_refused_full;
-    device_errors = t.c_device_errors;
-    aborts = t.c_aborts;
-    shape_latches = t.c_shape_latches;
+    initiations = Metrics.read t.m_initiations;
+    completions = Metrics.read t.m_completions;
+    bad_loads = Metrics.read t.m_bad_loads;
+    invals = Metrics.read t.m_invals;
+    probes = Metrics.read t.m_probes;
+    clamped = Metrics.read t.m_clamped;
+    refused_full = Metrics.read t.m_refused_full;
+    device_errors = Metrics.read t.m_device_errors;
+    aborts = Metrics.read t.m_aborts;
+    shape_latches = Metrics.read t.m_shape_latches;
   }
 
 let set_start_hook t hook = t.start_hook <- Some hook
@@ -707,7 +680,6 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
     {
       engine;
       layout;
-      bus;
       dma_engine = dma;
       mode;
       skip_clamp;
@@ -730,16 +702,6 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
       system_queue = Queue.create ();
       refcounts = [||];
       start_hook = None;
-      c_initiations = 0;
-      c_completions = 0;
-      c_bad_loads = 0;
-      c_invals = 0;
-      c_probes = 0;
-      c_clamped = 0;
-      c_refused_full = 0;
-      c_device_errors = 0;
-      c_aborts = 0;
-      c_shape_latches = 0;
     }
   in
   let handler =

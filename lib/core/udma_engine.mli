@@ -43,8 +43,9 @@ val create :
     initiation reaches frames its references never authorized — the
     chaos mesh must catch this through I1/I4. [trace] receives typed
     events (proxy references, state-machine transitions, queue
-    traffic); [metrics] mirrors the {!counters} record under [udma.*]
-    names and records the [udma.transfer_cycles] histogram. *)
+    traffic); [metrics] holds the engine's counts under [udma.*]
+    names, which {!counters} reads back, and records the
+    [udma.transfer_cycles] histogram. *)
 
 val mode : t -> mode
 val state : t -> State_machine.state
@@ -163,5 +164,3 @@ val set_start_hook :
 (** Test hook invoked whenever a transfer is started or accepted, with
     the physical proxy base addresses of the pair — used by the I1
     property tests to detect cross-process pairing. *)
-
-val dma : t -> Udma_dma.Dma_engine.t

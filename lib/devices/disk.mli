@@ -16,14 +16,9 @@ type geometry = {
   transfer_cycles_per_block : int;
 }
 
-val default_geometry : geometry
-(** 1024 × 4 KB blocks, 2000 + 4/block seek, 500 cycles/block media
-    transfer. *)
-
 val create : ?geometry:geometry -> unit -> t
 
 val geometry : t -> geometry
-val size_bytes : t -> int
 
 val port : t -> Udma_dma.Device.port
 (** DMA port; [access_cycles] implements the seek + media-transfer

@@ -7,8 +7,6 @@ let create ~width ~height =
     invalid_arg "Frame_buffer.create: dimensions must be positive";
   { width; height; pixels = Bytes.make (width * height * bytes_per_pixel) '\000' }
 
-let width t = t.width
-let height t = t.height
 let size_bytes t = Bytes.length t.pixels
 
 let port t =

@@ -9,8 +9,6 @@ type t
 
 val create : width:int -> height:int -> t
 
-val width : t -> int
-val height : t -> int
 val size_bytes : t -> int
 
 val port : t -> Udma_dma.Device.port

@@ -2,10 +2,6 @@
 
 type endpoint = Mem of int | Dev of Device.port * int
 
-let pp_endpoint ppf = function
-  | Mem a -> Format.fprintf ppf "mem:%#x" a
-  | Dev (p, a) -> Format.fprintf ppf "dev(%s):%#x" p.Device.name a
-
 type error = Busy | Bad_size | Unsupported_pair | Device_refused
 
 let pp_error ppf = function
@@ -15,9 +11,6 @@ let pp_error ppf = function
   | Device_refused -> Format.pp_print_string ppf "device-refused"
 
 type element = { src : endpoint; dst : endpoint; len : int }
-
-let pp_element ppf e =
-  Format.fprintf ppf "%a->%a[%d]" pp_endpoint e.src pp_endpoint e.dst e.len
 
 type t =
   | Contiguous of { src : endpoint; dst : endpoint; nbytes : int }
@@ -45,17 +38,3 @@ let elements = function
   | Scatter_gather es -> es
 
 let total_bytes d = List.fold_left (fun acc e -> acc + e.len) 0 (elements d)
-
-let pp ppf = function
-  | Contiguous { src; dst; nbytes } ->
-      Format.fprintf ppf "contiguous %a->%a[%d]" pp_endpoint src pp_endpoint
-        dst nbytes
-  | Strided { src; dst; stride; chunk; reps } ->
-      Format.fprintf ppf "strided %a->%a stride=%d chunk=%d reps=%d"
-        pp_endpoint src pp_endpoint dst stride chunk reps
-  | Scatter_gather es ->
-      Format.fprintf ppf "sg[%d](%a)" (List.length es)
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-           pp_element)
-        es

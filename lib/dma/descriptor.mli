@@ -6,17 +6,13 @@
     modular-iDMA architecture (Benz et al.): description is an API
     layer, cost realization is another.
 
-    Formatter convention for [lib/dma]: every public type [ty] here and
-    in the sibling modules exposes exactly one [pp_ty :
-    Format.formatter -> ty -> unit] (or [pp] for the module's main
-    type); other modules alias these printers instead of redefining
-    them. *)
+    Formatter convention for [lib/dma]: a type that something prints
+    has exactly one printer, here ({!pp_error}); other modules alias it
+    instead of redefining it. *)
 
 type endpoint =
   | Mem of int                  (** physical byte address in real memory *)
   | Dev of Device.port * int    (** device port + device-internal address *)
-
-val pp_endpoint : Format.formatter -> endpoint -> unit
 
 type error =
   | Busy                  (** a transfer is already in flight *)
@@ -28,8 +24,6 @@ val pp_error : Format.formatter -> error -> unit
 
 type element = { src : endpoint; dst : endpoint; len : int }
 (** One flat piece of a transfer: [len] bytes from [src] to [dst]. *)
-
-val pp_element : Format.formatter -> element -> unit
 
 type t =
   | Contiguous of { src : endpoint; dst : endpoint; nbytes : int }
@@ -47,11 +41,6 @@ type t =
           packed densely ([chunk] apart). Total bytes = [chunk * reps]. *)
   | Scatter_gather of element list
       (** Arbitrary vector of elements, realized in order. *)
-
-val pp : Format.formatter -> t -> unit
-
-val advance : endpoint -> int -> endpoint
-(** [advance ep n] is [ep] with its address moved forward [n] bytes. *)
 
 val elements : t -> element list
 (** Flatten a descriptor into its ordered flat elements. *)

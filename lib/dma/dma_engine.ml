@@ -6,8 +6,6 @@ module Phys_mem = Udma_memory.Phys_mem
 
 type endpoint = Descriptor.endpoint = Mem of int | Dev of Device.port * int
 
-let pp_endpoint = Descriptor.pp_endpoint
-
 type error = Descriptor.error =
   | Busy
   | Bad_size
@@ -33,8 +31,6 @@ type t = {
   m_bytes_moved : Metrics.counter;
   mutable current : transfer option;
   mutable next_id : int;
-  mutable transfers_completed : int;
-  mutable bytes_moved : int;
 }
 
 let create ~engine ~bus ?(trace = Trace.create ~enabled:false ())
@@ -47,8 +43,6 @@ let create ~engine ~bus ?(trace = Trace.create ~enabled:false ())
     m_bytes_moved = Metrics.counter metrics "dma.bytes_moved";
     current = None;
     next_id = 0;
-    transfers_completed = 0;
-    bytes_moved = 0;
   }
 
 let busy t = t.current <> None
@@ -94,8 +88,6 @@ let submit t desc ~on_complete =
             | Some cur when cur.id = id ->
                 Backend.execute t.bus cur.plan;
                 t.current <- None;
-                t.transfers_completed <- t.transfers_completed + 1;
-                t.bytes_moved <- t.bytes_moved + cur.plan.Midend.total_bytes;
                 Metrics.bump t.m_transfers;
                 Metrics.bump_by t.m_bytes_moved cur.plan.Midend.total_bytes;
                 cur.on_complete ()
@@ -108,12 +100,6 @@ let descriptor t = Option.map (fun x -> x.desc) t.current
    first burst. *)
 let first_element t =
   Option.map (fun x -> x.plan.Midend.bursts.(0).Midend.element) t.current
-
-let source t =
-  Option.map (fun (e : Descriptor.element) -> e.src) (first_element t)
-
-let destination t =
-  Option.map (fun (e : Descriptor.element) -> e.dst) (first_element t)
 
 let count t =
   match t.current with Some x -> x.plan.Midend.total_bytes | None -> 0
@@ -162,5 +148,5 @@ let abort t =
       true
   | None -> false
 
-let transfers_completed t = t.transfers_completed
-let bytes_moved t = t.bytes_moved
+let transfers_completed t = Metrics.read t.m_transfers
+let bytes_moved t = Metrics.read t.m_bytes_moved

@@ -21,9 +21,6 @@ type endpoint = Descriptor.endpoint =
   | Mem of int                  (** physical byte address in real memory *)
   | Dev of Device.port * int    (** device port + device-internal address *)
 
-val pp_endpoint : Format.formatter -> endpoint -> unit
-(** Alias of {!Descriptor.pp_endpoint} — the one printer for the type. *)
-
 type error = Descriptor.error =
   | Busy                  (** a transfer is already in flight *)
   | Bad_size              (** nbytes <= 0 or beyond device/memory limits *)
@@ -60,14 +57,6 @@ val submit :
 
 val descriptor : t -> Descriptor.t option
 (** The in-flight descriptor, if any. *)
-
-val source : t -> endpoint option
-(** Value of the SOURCE register: the first element's source while a
-    transfer is in flight. *)
-
-val destination : t -> endpoint option
-(** Value of the DESTINATION register: the first element's destination
-    while a transfer is in flight. *)
 
 val count : t -> int
 (** Total bytes requested by the in-flight transfer; 0 when idle. *)

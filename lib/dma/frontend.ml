@@ -36,6 +36,4 @@ let normalize ~mem_size desc =
     in
     go elems
 
-let page_room ~page_size addr = page_size - (addr mod page_size)
-
-let clamp_to_page ~page_size ~addr len = min len (page_room ~page_size addr)
+let clamp_to_page ~page_size ~addr len = min len (page_size - (addr mod page_size))

@@ -18,9 +18,6 @@ val normalize :
     elements are [Unsupported_pair]; out-of-bounds memory is
     [Bad_size]; a device refusing the address is [Device_refused]. *)
 
-val page_room : page_size:int -> int -> int
-(** Bytes from address to the end of its page. *)
-
 val clamp_to_page : page_size:int -> addr:int -> int -> int
 (** [clamp_to_page ~page_size ~addr len] is the prefix of [len] that
     keeps [addr .. addr+len) inside [addr]'s page. *)

@@ -11,8 +11,6 @@ let create ~page_size =
     invalid_arg "Backing_store.create: page_size must be positive";
   { page_size; table = Hashtbl.create 64; next = 0 }
 
-let page_size t = t.page_size
-
 let slots_used t = Hashtbl.length t.table
 
 let check_size t page what =
@@ -44,5 +42,3 @@ let load t s = Bytes.copy (find t s "load")
 let release t s =
   ignore (find t s "release");
   Hashtbl.remove t.table s
-
-let pp_slot ppf s = Format.fprintf ppf "slot#%d" s

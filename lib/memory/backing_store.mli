@@ -12,8 +12,6 @@ type slot
 
 val create : page_size:int -> t
 
-val page_size : t -> int
-
 val slots_used : t -> int
 
 val store : t -> bytes -> slot
@@ -29,5 +27,3 @@ val load : t -> slot -> bytes
 
 val release : t -> slot -> unit
 (** [release t s] frees the slot; further access raises. *)
-
-val pp_slot : Format.formatter -> slot -> unit

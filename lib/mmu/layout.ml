@@ -31,7 +31,6 @@ let mem_pages t = t.mem_pages
 let dev_pages t = t.dev_pages
 let span t = t.span
 
-let mem_base _ = 0
 let mem_proxy_base t = t.span
 let dev_proxy_base t = 2 * t.span
 

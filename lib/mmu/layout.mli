@@ -35,7 +35,6 @@ val dev_pages : t -> int
 val span : t -> int
 (** Size of the memory region in bytes (power of two). *)
 
-val mem_base : t -> int
 val mem_proxy_base : t -> int
 val dev_proxy_base : t -> int
 

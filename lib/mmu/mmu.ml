@@ -26,7 +26,6 @@ type t = { layout : Layout.t; tlb : Tlb.t }
 let create ~layout ~tlb_capacity =
   { layout; tlb = Tlb.create ~capacity:tlb_capacity }
 
-let layout t = t.layout
 let tlb t = t.tlb
 
 type translation = { paddr : int; tlb_hit : bool }

@@ -15,15 +15,12 @@ type fault_kind =
   | Protection    (** write to a read-only page *)
   | Out_of_range  (** address in no architected region *)
 
-val pp_fault_kind : Format.formatter -> fault_kind -> unit
-
 exception Fault of { vaddr : int; access : access; kind : fault_kind }
 
 type t
 
 val create : layout:Layout.t -> tlb_capacity:int -> t
 
-val layout : t -> Layout.t
 val tlb : t -> Tlb.t
 
 type translation = { paddr : int; tlb_hit : bool }

@@ -13,5 +13,3 @@ let entries t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let mapped_count t = Hashtbl.length t
-
-let iter f t = Hashtbl.iter f t

@@ -17,5 +17,3 @@ val entries : t -> (int * Pte.t) list
 (** All entries, sorted by virtual page number. *)
 
 val mapped_count : t -> int
-
-val iter : (int -> Pte.t -> unit) -> t -> unit

@@ -8,15 +8,3 @@ type t = {
 
 let make ?(writable = true) ~ppage () =
   { present = true; writable; dirty = false; referenced = false; ppage }
-
-let absent () =
-  { present = false; writable = false; dirty = false; referenced = false;
-    ppage = -1 }
-
-let pp ppf t =
-  Format.fprintf ppf "{%s%s%s%s ppage=%d}"
-    (if t.present then "P" else "-")
-    (if t.writable then "W" else "-")
-    (if t.dirty then "D" else "-")
-    (if t.referenced then "R" else "-")
-    t.ppage

@@ -16,8 +16,3 @@ type t = {
 
 val make : ?writable:bool -> ppage:int -> unit -> t
 (** A present, clean, unreferenced entry ([writable] defaults [true]). *)
-
-val absent : unit -> t
-(** A non-present entry ([ppage] = -1). *)
-
-val pp : Format.formatter -> t -> unit

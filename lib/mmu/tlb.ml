@@ -12,8 +12,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   { capacity; entries = []; tick = 0; hits = 0; misses = 0 }
 
-let capacity t = t.capacity
-
 let rec entry vpn = function
   | [] -> raise Not_found
   | e :: rest -> if e.vpn = vpn then e else entry vpn rest

@@ -11,8 +11,6 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val lookup : t -> int -> Pte.t option
 (** [lookup t vpn] is a hit (refreshing LRU order) or [None]. *)
 

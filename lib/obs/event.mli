@@ -10,9 +10,6 @@
 
 type subsystem = Udma | Dma | Vm | Sched | Ni | Dev | Kernel | Sim
 
-val subsystem_name : subsystem -> string
-(** Stable lower-case name ("udma", "dma", "vm", ...). *)
-
 type payload =
   | Proxy_store of { proxy : int; value : int }
       (** User STORE into destination proxy space (count word). *)

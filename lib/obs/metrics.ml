@@ -73,6 +73,8 @@ let bump_by c n =
   let r = cell c in
   r := !r + n
 
+let read c = get c.c_reg c.c_name
+
 let counters t =
   flush t;
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []

@@ -5,8 +5,10 @@
     [Scheduler], [Dma_engine] and [Network_interface] all publish into
     it. Counters are bumped by name or through pre-resolved handles;
     histograms hold latency-shaped data. Exact percentiles over a raw
-    sample use {!nearest_rank}. A hot path may also count in plain
-    fields of its own and publish them through {!on_read}. *)
+    sample use {!nearest_rank}. A model counts each event once: it
+    bumps a handle and reads the count back with {!read}, or, on a
+    path as hot as the flit crossing, counts in plain fields of its own
+    and publishes them through {!on_read} — never both. *)
 
 type t
 
@@ -20,8 +22,7 @@ val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 
 val set : t -> string -> int -> unit
-(** Publish an absolute value — used by hardware models that keep
-    internal counters and mirror them into the registry. *)
+(** Overwrite a counter with an absolute value, creating it. *)
 
 val get : t -> string -> int
 (** Counter value, 0 if never touched. *)
@@ -57,13 +58,16 @@ val bump : counter -> unit
 val bump_by : counter -> int -> unit
 (** [bump_by c n] is [add t name n]. *)
 
+val read : counter -> int
+(** [read c] is [get t name]: the count, 0 if never bumped. Like
+    {!get} it creates nothing, so a hardware model can keep its counts
+    in the registry alone and read them back through its handles. *)
+
 (** {1 Gauges} — last-write-wins instantaneous values. *)
 
 val set_gauge : t -> string -> float -> unit
 
 val gauge : t -> string -> float option
-
-val gauges : t -> (string * float) list
 
 (** {1 Histograms}
 
@@ -71,8 +75,6 @@ val gauges : t -> (string * float) list
     whose edge satisfies [v <= edge]; values above the last edge land
     in the overflow bucket. Default edges are powers of two from 1 to
     65536 — a good ladder for cycle counts. *)
-
-val default_buckets : int list
 
 val observe : t -> ?buckets:int list -> string -> int -> unit
 (** Record one value into histogram [name], creating the histogram on

@@ -9,8 +9,6 @@
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
-val json_of_value : value -> Json.t
-
 type row = (string * value) list
 (** Field name -> value; fields appear in the table in [columns]
     order. Rows may carry extra fields that are JSON-only. *)
@@ -51,8 +49,6 @@ val bench_json :
   ?meta:(string * value) list -> t list -> Json.t
 (** The full benchmark document:
     [{"schema": "udma-bench/1", "meta": {...}, "experiments": [...]}]. *)
-
-val schema_version : string
 
 (** {1 Anchors}
 

@@ -104,7 +104,8 @@ type t = {
   i3_policy : i3_policy;
   metrics : Udma_obs.Metrics.t;
       (** machine-wide registry: [vm.*], [sched.*], [syscall.*] plus
-          the [udma.*] / [dma.*] counters the hardware mirrors in *)
+          the [udma.*] / [dma.*] / [ni.*] counters, the hardware's only
+          copy of its counts *)
   os : os_metrics;  (** the OS's handles on [metrics] *)
   trace : Udma_sim.Trace.t;
   mutable procs : Proc.t list;

@@ -1,11 +1,5 @@
 type state = Ready | Running | Blocked | Exited
 
-let pp_state ppf = function
-  | Ready -> Format.pp_print_string ppf "ready"
-  | Running -> Format.pp_print_string ppf "running"
-  | Blocked -> Format.pp_print_string ppf "blocked"
-  | Exited -> Format.pp_print_string ppf "exited"
-
 type t = {
   pid : int;
   name : string;
@@ -28,6 +22,3 @@ let make ~pid ~name =
     proxy_faults = 0;
     cpu_cycles = 0;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "proc(%d:%s,%a)" t.pid t.name pp_state t.state

@@ -2,8 +2,6 @@
 
 type state = Ready | Running | Blocked | Exited
 
-val pp_state : Format.formatter -> state -> unit
-
 type t = {
   pid : int;
   name : string;
@@ -19,5 +17,3 @@ val make : pid:int -> name:string -> t
 (** A fresh [Ready] process with an empty page table; allocations start
     at virtual page 1 (page 0 is never mapped, so null dereferences
     fault). *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ module Layout = Udma_mmu.Layout
 module Page_table = Udma_mmu.Page_table
 module Pte = Udma_mmu.Pte
 module Phys_mem = Udma_memory.Phys_mem
-module Device = Udma_dma.Device
 module Dma_engine = Udma_dma.Dma_engine
 module Udma_engine = Udma.Udma_engine
 module M = Machine

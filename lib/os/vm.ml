@@ -423,20 +423,3 @@ let unpin m ~frame =
   | Some 1 -> Hashtbl.remove m.M.pinned frame
   | Some n when n > 1 -> Hashtbl.replace m.M.pinned frame (n - 1)
   | Some _ | None -> invalid_arg "Vm.unpin: frame not pinned"
-
-(* ---------- introspection ---------- *)
-
-let resident_pages m proc =
-  ignore m;
-  List.length
-    (List.filter
-       (fun (_, pte) -> pte.Pte.present)
-       (Page_table.entries proc.Proc.page_table))
-
-let proxy_mappings m proc =
-  let first_proxy = M.proxy_vpn m 0 in
-  let dev_base = Layout.page_of_addr m.M.layout (Layout.dev_proxy_base m.M.layout) in
-  List.length
-    (List.filter
-       (fun (vpn, pte) -> pte.Pte.present && vpn >= first_proxy && vpn < dev_base)
-       (Page_table.entries proc.Proc.page_table))

@@ -82,8 +82,3 @@ val pin : Machine.t -> Proc.t -> vpn:int -> int
 (** Make resident and pin; returns the frame. *)
 
 val unpin : Machine.t -> frame:int -> unit
-
-(** {1 Introspection} *)
-
-val resident_pages : Machine.t -> Proc.t -> int
-val proxy_mappings : Machine.t -> Proc.t -> int

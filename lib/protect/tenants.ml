@@ -3,10 +3,6 @@ module Cost_model = Udma_os.Cost_model
 
 type fault = Invalidated | Backend_fault of Backend.fault
 
-let fault_name = function
-  | Invalidated -> "invalidated"
-  | Backend_fault f -> Backend.fault_name f
-
 type config = {
   kind : Backend.kind;
   tenants : int;

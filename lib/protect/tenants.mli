@@ -26,8 +26,6 @@ type fault = Invalidated | Backend_fault of Backend.fault
     initiation, so the next attempt's status read fails and the
     library retries. Backend faults surface the protection check. *)
 
-val fault_name : fault -> string
-
 type config = {
   kind : Backend.kind;
   tenants : int;

@@ -124,6 +124,5 @@ let unbind t ~frame =
   | Some _ | None -> ());
   Hashtbl.remove t.bindings frame
 
-let bound_count t = Hashtbl.length t.bindings
 let updates_sent t = t.updates_sent
 let words_combined t = t.words_combined

@@ -18,9 +18,6 @@ type config = {
   flush_window : int;    (** cycles of write silence before a flush *)
 }
 
-val default_config : config
-(** 64-byte combining, 200-cycle window. *)
-
 type t
 
 val create :
@@ -37,11 +34,6 @@ val bind : t -> frame:int -> dst_node:int -> dst_frame:int -> unit
 
 val unbind : t -> frame:int -> unit
 (** Stop propagation (flushes any pending combined run first). *)
-
-val flush : t -> unit
-(** Push out the pending combining buffer immediately. *)
-
-val bound_count : t -> int
 
 val updates_sent : t -> int
 (** Update packets launched. *)

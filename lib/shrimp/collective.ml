@@ -1,6 +1,4 @@
-module Layout = Udma_mmu.Layout
 module Initiator = Udma.Initiator
-module M = Udma_os.Machine
 module Kernel = Udma_os.Kernel
 
 type member = {
@@ -13,7 +11,6 @@ type member = {
 type link = { channel : Messaging.channel; mutable last_seq : int }
 
 type group = {
-  system : System.t;
   members : member array;
   links : link option array array; (* data channels, links.(s).(r), s <> r *)
   barrier_up : link option array;  (* rank r -> root, r >= 1 *)
@@ -72,7 +69,6 @@ let create_group system ~members ?(first_index = 0) ?(pages_per_channel = 1) ()
     barrier_down.(r) <- connect ~src:0 ~dst:r ~pages:1
   done;
   {
-    system;
     members;
     links;
     barrier_up;
@@ -81,8 +77,6 @@ let create_group system ~members ?(first_index = 0) ?(pages_per_channel = 1) ()
     barrier_round = 0;
     barriers_completed = 0;
   }
-
-let cpu_of g ~rank = g.members.(rank).cpu
 
 let fail_send e =
   failwith (Format.asprintf "Collective: %a" Messaging.pp_send_error e)

@@ -27,9 +27,6 @@ val create_group :
     [Invalid_argument] for fewer than 2 members or if the device-proxy
     region cannot hold all the channels. *)
 
-val cpu_of : group -> rank:int -> Udma.Initiator.cpu
-(** The member's CPU (convenience). *)
-
 val barrier : group -> rank:int -> unit
 (** Execute rank [rank]'s part of the barrier. Because the simulation
     is single-threaded, call this once for every rank in any order;

@@ -2,17 +2,13 @@ type t = {
   capacity : int;
   q : Packet.t Queue.t;
   mutable used : int;
-  mutable pushes : int;
   mutable rejections : int;
 }
 
 let create ~capacity_bytes =
   if capacity_bytes <= 0 then invalid_arg "Fifo.create: capacity";
-  { capacity = capacity_bytes; q = Queue.create (); used = 0; pushes = 0;
-    rejections = 0 }
+  { capacity = capacity_bytes; q = Queue.create (); used = 0; rejections = 0 }
 
-let capacity_bytes t = t.capacity
-let used_bytes t = t.used
 let length t = Queue.length t.q
 
 let push t pkt =
@@ -24,7 +20,6 @@ let push t pkt =
   else begin
     Queue.push pkt t.q;
     t.used <- t.used + sz;
-    t.pushes <- t.pushes + 1;
     true
   end
 
@@ -35,9 +30,4 @@ let pop t =
       Some pkt
   | None -> None
 
-let peek t = Queue.peek_opt t.q
-
-let is_empty t = Queue.is_empty t.q
-
-let pushes t = t.pushes
 let rejections t = t.rejections

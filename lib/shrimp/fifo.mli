@@ -7,8 +7,6 @@ type t
 
 val create : capacity_bytes:int -> t
 
-val capacity_bytes : t -> int
-val used_bytes : t -> int
 val length : t -> int
 
 val push : t -> Packet.t -> bool
@@ -17,9 +15,4 @@ val push : t -> Packet.t -> bool
 
 val pop : t -> Packet.t option
 
-val peek : t -> Packet.t option
-
-val is_empty : t -> bool
-
-val pushes : t -> int
 val rejections : t -> int

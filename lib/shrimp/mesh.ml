@@ -115,7 +115,6 @@ type t = {
          -1 for a pair with none yet *)
   links : (int * int, link) Hashtbl.t;
   mutable packets_routed : int;
-  mutable bytes_routed : int;
   mutable mutation : mutation option;  (* a planted flow-control bug *)
   mutable leak_used : bool;            (* it fires once *)
 }
@@ -124,7 +123,7 @@ let create ~engine ~nodes config =
   { engine; config; node_count = nodes; width = mesh_width nodes;
     sinks = Array.make nodes None; last_arrival = Array.make nodes [||];
     links = Hashtbl.create 64;
-    packets_routed = 0; bytes_routed = 0; mutation = None; leak_used = false }
+    packets_routed = 0; mutation = None; leak_used = false }
 
 let check_node m id what =
   if id < 0 || id >= m.node_count then

@@ -23,9 +23,6 @@ let capacity ch = flag_offset ch
 
 let recv_vaddr ch = ch.export.System.vaddr
 
-let sender_node ch = ch.snd_node
-let receiver_node ch = ch.rcv_node
-
 let connect system ~sender:(snd_node, snd_proc) ~receiver:(rcv_node, rcv_proc)
     ?(first_index = 0) ~pages () =
   if pages <= 0 then invalid_arg "Messaging.connect: pages must be positive";

@@ -17,9 +17,6 @@ val capacity : channel -> int
 val recv_vaddr : channel -> int
 (** Receiver's virtual address of the payload. *)
 
-val sender_node : channel -> int
-val receiver_node : channel -> int
-
 val dev_vaddr : channel -> offset:int -> int
 (** Sender's virtual device-proxy address of payload byte [offset] —
     the destination address shaped initiations target directly. *)
@@ -108,10 +105,6 @@ val inject : channel -> ?offset:int -> bytes -> unit
     overwrite [bytes] while the packet is still queued. Load generators use this to model many concurrently
     initiating senders on the one shared clock, charging the
     calibrated initiation cost out of band. *)
-
-val recv_poll : channel -> Udma.Initiator.cpu -> int
-(** Current value of the flag word (the last delivered sequence
-    number; 0 before any message). *)
 
 val recv_wait :
   channel -> Udma.Initiator.cpu -> seq:int -> ?max_polls:int -> unit ->

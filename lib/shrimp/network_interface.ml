@@ -38,13 +38,6 @@ type t = {
   mutable out_busy_until : int;
   mutable in_busy_until : int;
   mutable next_seq : int;
-  mutable packets_sent : int;
-  mutable bytes_sent : int;
-  mutable packets_received : int;
-  mutable bytes_received : int;
-  mutable send_drops : int;
-  mutable receive_drops : int;
-  mutable delivery_errors : int;
   m_packets_sent : Metrics.counter;
   m_bytes_sent : Metrics.counter;
   m_send_drops : Metrics.counter;
@@ -69,13 +62,6 @@ let create ~id ~machine ?(config = default_config) () =
     out_busy_until = 0;
     in_busy_until = 0;
     next_seq = 0;
-    packets_sent = 0;
-    bytes_sent = 0;
-    packets_received = 0;
-    bytes_received = 0;
-    send_drops = 0;
-    receive_drops = 0;
-    delivery_errors = 0;
     m_packets_sent = counter "ni.packets_sent";
     m_bytes_sent = counter "ni.bytes_sent";
     m_send_drops = counter "ni.send_drops";
@@ -85,7 +71,6 @@ let create ~id ~machine ?(config = default_config) () =
     m_delivery_errors = counter "ni.delivery_errors";
   }
 
-let id t = t.id
 let backend t = t.backend
 
 let set_router t router = t.router <- Some router
@@ -97,7 +82,7 @@ let validate t ~dev_addr ~nbytes =
 (* Launch one packet: serialise on the outgoing link, then route. *)
 let launch t pkt =
   match t.router with
-  | None -> t.send_drops <- t.send_drops + 1
+  | None -> Metrics.bump t.m_send_drops
   | Some router ->
       if Fifo.push t.out_fifo pkt then begin
         let engine = t.machine.M.engine in
@@ -110,18 +95,13 @@ let launch t pkt =
           ~delay:(t.out_busy_until - now) (fun _ ->
             match Fifo.pop t.out_fifo with
             | Some pkt ->
-                t.packets_sent <- t.packets_sent + 1;
-                t.bytes_sent <- t.bytes_sent + Bytes.length pkt.Packet.payload;
                 Metrics.bump t.m_packets_sent;
                 Metrics.bump_by t.m_bytes_sent
                   (Bytes.length pkt.Packet.payload);
                 Router.send router pkt
             | None -> ())
       end
-      else begin
-        t.send_drops <- t.send_drops + 1;
-        Metrics.bump t.m_send_drops
-      end
+      else Metrics.bump t.m_send_drops
 
 (* The DMA engine hands over one element's data, in a buffer it read
    for this call alone: the packet takes it as its payload, so the
@@ -132,7 +112,7 @@ let dev_write t ~addr data =
   match Backend.decode t.backend ~index:page with
   | None ->
       (* validated at initiation; a vanished entry is a kernel bug *)
-      t.send_drops <- t.send_drops + 1
+      Metrics.bump t.m_send_drops
   | Some { Backend.dst_node; dst_frame; owner = _ } ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
@@ -166,14 +146,10 @@ let deposit t pkt =
   let mem = t.machine.M.mem in
   let paddr = pkt.Packet.dst_paddr in
   let len = Bytes.length pkt.Packet.payload in
-  if paddr < 0 || paddr + len > Phys_mem.size mem then begin
-    t.delivery_errors <- t.delivery_errors + 1;
+  if paddr < 0 || paddr + len > Phys_mem.size mem then
     Metrics.bump t.m_delivery_errors
-  end
   else begin
     Phys_mem.write_bytes mem ~addr:paddr pkt.Packet.payload;
-    t.packets_received <- t.packets_received + 1;
-    t.bytes_received <- t.bytes_received + len;
     Metrics.bump t.m_packets_received;
     Metrics.bump_by t.m_bytes_received len;
     let frame = paddr / Layout.page_size t.machine.M.layout in
@@ -204,10 +180,7 @@ let receive t pkt =
         | Some pkt -> deposit t pkt
         | None -> ())
   end
-  else begin
-    t.receive_drops <- t.receive_drops + 1;
-    Metrics.bump t.m_receive_drops
-  end
+  else Metrics.bump t.m_receive_drops
 
 let port t =
   Device.
@@ -235,10 +208,6 @@ let attach t =
         ~validate:(fun ~dev_addr ~nbytes -> validate t ~dev_addr ~nbytes)
         ()
 
-let packets_sent t = t.packets_sent
-let bytes_sent t = t.bytes_sent
-let packets_received t = t.packets_received
-let bytes_received t = t.bytes_received
-let send_drops t = t.send_drops
-let receive_drops t = t.receive_drops
-let delivery_errors t = t.delivery_errors
+let packets_sent t = Metrics.read t.m_packets_sent
+let packets_received t = Metrics.read t.m_packets_received
+let bytes_received t = Metrics.read t.m_bytes_received

@@ -29,8 +29,6 @@ type t
 val create :
   id:int -> machine:Udma_os.Machine.t -> ?config:config -> unit -> t
 
-val id : t -> int
-
 val backend : t -> Udma_protect.Backend.t
 (** The interface's protection backend (always
     {!Udma_protect.Backend.kind.Proxy} — its table is the NIPT). The
@@ -43,11 +41,6 @@ val set_router : t -> Router.t -> unit
 val port : t -> Udma_dma.Device.port
 (** Send-only DMA port ([readable] is always false: SHRIMP uses UDMA
     only for memory-to-device transfers, §8). *)
-
-val validate : t -> dev_addr:int -> nbytes:int -> int
-(** Device-specific validation for the UDMA engine: bit 0 set on a
-    misaligned address or count, bit 1 set on an unconfigured NIPT
-    entry. *)
 
 val send_raw : t -> dst_node:int -> dst_paddr:int -> bytes -> unit
 (** Launch a packet straight through the outgoing path, bypassing the
@@ -67,15 +60,5 @@ val attach : t -> unit
 (** {1 Counters} *)
 
 val packets_sent : t -> int
-val bytes_sent : t -> int
 val packets_received : t -> int
 val bytes_received : t -> int
-
-val send_drops : t -> int
-(** Packets lost to outgoing FIFO overflow. *)
-
-val receive_drops : t -> int
-(** Packets lost to incoming FIFO overflow. *)
-
-val delivery_errors : t -> int
-(** Packets naming physical memory out of range. *)

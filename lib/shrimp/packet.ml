@@ -9,7 +9,3 @@ type t = {
 let header_bytes = 16
 
 let size_bytes t = Bytes.length t.payload + header_bytes
-
-let pp ppf t =
-  Format.fprintf ppf "pkt#%d %d->%d @%#x (%d bytes)" t.seq t.src_node
-    t.dst_node t.dst_paddr (Bytes.length t.payload)

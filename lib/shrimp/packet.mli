@@ -18,5 +18,3 @@ val size_bytes : t -> int
 
 val header_bytes : int
 (** 16: node ids, address, length. *)
-
-val pp : Format.formatter -> t -> unit

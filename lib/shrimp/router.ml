@@ -9,7 +9,6 @@ include Mesh.Types
 
 let default_config = Mesh.default_config
 let dead_crossing_factor = Mesh.dead_crossing_factor
-let nack_retry_cycles = Analytic.nack_retry_cycles
 let arbitrate ~rr ~ready =
   match Mesh.arbitrate_by ~rr ~n:(Array.length ready) (Array.get ready) with
   | -1 -> None
@@ -59,14 +58,12 @@ let create ~engine ~nodes ?(config = default_config) () =
   in
   { mesh; wire }
 
-let nodes t = t.mesh.node_count
 let width t = t.mesh.width
 let coords t = Mesh.coords t.mesh
 let hops t = Mesh.hops t.mesh
 let path t = Mesh.path t.mesh
 let latency_cycles t = Mesh.latency_cycles t.mesh
 let packets_routed t = t.mesh.packets_routed
-let bytes_routed t = t.mesh.bytes_routed
 
 let set_mutation t m =
   t.mesh.mutation <- m;
@@ -90,7 +87,6 @@ let send t pkt =
     invalid_arg (Printf.sprintf "Router.send: node %d has no sink" dst);
   let bytes = Packet.size_bytes pkt in
   m.packets_routed <- m.packets_routed + 1;
-  m.bytes_routed <- m.bytes_routed + bytes;
   (* a packet to its own node crosses no wire *)
   match t.wire with
   | Analytic a when src <> dst -> Analytic.send a pkt

@@ -45,8 +45,8 @@
     header's arrival the claim stalls ([net.credit.stalls] /
     [net.credit.stall_cycles]) instead of queueing without bound. On a
     [Link_dead] link the deposit side's credit returns are lost, so
-    grants are quantised to {!nack_retry_cycles} retry polls, each
-    counted in [net.credit.nacks]. Sources can consult
+    grants are quantised to 32-cycle retry polls, each counted in
+    [net.credit.nacks]. Sources can consult
     {!injection_ready} to stall at injection rather than on the wire.
     Credit conservation ([held + in_flight + free = capacity] per
     (link, VC), checked by {!check_credits}) and arbitration fairness
@@ -147,8 +147,6 @@ val create :
     the config selects. Raises [Invalid_argument msg] when {!validate}
     gives [Error msg]. *)
 
-val nodes : t -> int
-
 val width : t -> int
 (** Mesh width (ids are row-major: [id = x + y·width]). *)
 
@@ -204,9 +202,6 @@ val set_link_fault : t -> from_node:int -> to_node:int -> fault -> unit
 val link_fault : t -> from_node:int -> to_node:int -> fault
 
 (** {1 Virtual channels and credits} *)
-
-val nack_retry_cycles : int
-(** Retry-poll period for credit grants across a dead link. *)
 
 val arbitrate : rr:int -> ready:bool array -> int option
 (** The pure round-robin arbiter: the first ready VC scanning
@@ -341,4 +336,3 @@ val publish_link_gauges : t -> unit
     [net.link.util.A-B] gauges into the engine's metrics registry. *)
 
 val packets_routed : t -> int
-val bytes_routed : t -> int

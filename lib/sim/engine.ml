@@ -28,8 +28,6 @@ let create ?(mhz = 120) () =
 
 let now t = t.clock
 
-let mhz t = t.mhz
-
 let profiler t = t.profiler
 
 let profile t = Profiler.snapshot t.profiler

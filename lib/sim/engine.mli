@@ -22,9 +22,6 @@ val create : ?mhz:int -> unit -> t
 val now : t -> int
 (** [now t] is the current cycle. *)
 
-val mhz : t -> int
-(** Modelled clock frequency in MHz. *)
-
 val ns_of_cycles : t -> int -> float
 (** [ns_of_cycles t c] converts a cycle count to nanoseconds. *)
 

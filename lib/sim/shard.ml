@@ -153,8 +153,6 @@ let create ?(lookahead = 1) ~shards () =
     running = false;
   }
 
-let shards t = t.nshards
-let lookahead t = t.lookahead
 let now t ~shard = t.hot.((shard * stride) + h_clock)
 let windows_run t = t.windows
 

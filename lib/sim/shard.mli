@@ -29,9 +29,6 @@ val create : ?lookahead:int -> shards:int -> unit -> t
     given lookahead (default 1). Raises [Invalid_argument] unless both
     are positive. *)
 
-val shards : t -> int
-val lookahead : t -> int
-
 val now : t -> shard:int -> int
 (** [now t ~shard] is the shard's clock: the timestamp of the event it
     is executing, or the last window horizon when idle. *)
@@ -51,7 +48,7 @@ val post :
 (** [post t ~src ~dst ~delay fn] sends a timestamped message from the
     shard currently executing ([src]) to [dst], to fire at
     [now t ~shard:src + delay]. Cross-shard delays must be at least
-    {!lookahead} (raises [Invalid_argument] otherwise); [src = dst]
+    the kernel's lookahead (raises [Invalid_argument] otherwise); [src = dst]
     degenerates to {!schedule} with no minimum. Before {!run} starts,
     posts go straight to the destination queue. *)
 

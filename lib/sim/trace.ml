@@ -16,8 +16,6 @@ let create ?(capacity = 4096) ~enabled () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { enabled; capacity; items = []; count = 0; sinks = [] }
 
-let enabled t = t.enabled
-
 let active t = t.enabled || t.sinks <> [] || !global_sink <> None
 
 let add_sink t sink = t.sinks <- sink :: t.sinks
@@ -48,7 +46,3 @@ let note t ~time subsystem msg = record t ~time subsystem (Event.Note msg)
 let events t = List.rev t.items
 
 let matching t pred = List.filter pred (events t)
-
-let clear t =
-  t.items <- [];
-  t.count <- 0

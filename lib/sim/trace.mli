@@ -19,9 +19,6 @@ val create : ?capacity:int -> enabled:bool -> unit -> t
     events in the ring when [enabled]; otherwise the ring stays empty
     (sinks still fire). *)
 
-val enabled : t -> bool
-(** Ring-buffer recording is on. *)
-
 val active : t -> bool
 (** Something will consume a record: the ring is enabled, a sink is
     attached, or the global sink is installed. Emitters may use this
@@ -45,5 +42,3 @@ val events : t -> Event.t list
 val matching : t -> (Event.t -> bool) -> Event.t list
 (** [matching t pred] keeps ring events satisfying [pred], oldest
     first. *)
-
-val clear : t -> unit

@@ -32,9 +32,3 @@ let next_gap t rng =
       check_rate "next_gap" per_kcycle;
       max 1 (int_of_float (Float.round (1000.0 /. per_kcycle)))
   | Closed _ -> invalid_arg "Arrival.next_gap: closed-loop has no rate"
-
-let to_string = function
-  | Poisson { per_kcycle } -> Printf.sprintf "poisson(%.3f/kcyc)" per_kcycle
-  | Periodic { per_kcycle } -> Printf.sprintf "periodic(%.3f/kcyc)" per_kcycle
-  | Closed { clients; think_cycles } ->
-      Printf.sprintf "closed(%d clients, think %d)" clients think_cycles

@@ -26,5 +26,3 @@ val next_gap : t -> Udma_sim.Rng.t -> int
 (** Next inter-arrival gap in cycles (at least 1). Raises
     [Invalid_argument] for {!Closed} (clients pace themselves) or a
     non-positive rate. *)
-
-val to_string : t -> string

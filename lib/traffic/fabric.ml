@@ -43,7 +43,6 @@ type t = {
   sys : System.t;
   engine : Engine.t;
   router : Router.t;
-  width : int;
   procs : Udma_os.Proc.t array;
   channels : Messaging.channel option array array;
   cpus : cpu_q array;
@@ -53,11 +52,7 @@ type t = {
   send_costs : (int, int) Hashtbl.t;  (* nbytes -> calibrated cycles *)
   master : Rng.t;
   chaos_rng : Rng.t;
-  mutable launched : int;
-  mutable delivered : int;
-  mutable credit_stalls : int;
   mutable credit_stall_cycles : int;
-  mutable faults_injected : int;
   c_launched : Metrics.counter;
   c_delivered : Metrics.counter;
   c_credit_stalls : Metrics.counter;
@@ -148,7 +143,6 @@ let attach sys ~seed ~pairs =
       sys;
       engine;
       router;
-      width = Router.width router;
       procs;
       channels;
       cpus =
@@ -159,11 +153,7 @@ let attach sys ~seed ~pairs =
       send_costs = Hashtbl.create 8;
       master;
       chaos_rng = Rng.split master;
-      launched = 0;
-      delivered = 0;
-      credit_stalls = 0;
       credit_stall_cycles = 0;
-      faults_injected = 0;
       c_launched = Metrics.counter (Engine.metrics engine) "app.launched";
       c_delivered = Metrics.counter (Engine.metrics engine) "app.delivered";
       c_credit_stalls =
@@ -183,7 +173,6 @@ let attach sys ~seed ~pairs =
         Network_interface.receive node.System.ni pkt;
         let q = inflight_q t pkt.Udma_shrimp.Packet.src_node d in
         if not (Queue.is_empty q) then begin
-          t.delivered <- t.delivered + 1;
           Metrics.bump t.c_delivered;
           match Queue.pop q with
           | Some k -> k (Engine.now engine)
@@ -202,12 +191,11 @@ let create (cfg : config) ~pairs =
 
 let engine t = t.engine
 let nodes t = t.nodes
-let width t = t.width
 let now t = Engine.now t.engine
 let rng t = Rng.split t.master
 
 let neighbors t id =
-  let w = t.width in
+  let w = Router.width t.router in
   let x = id mod w and y = id / w in
   List.filter_map
     (fun (nx, ny) ->
@@ -304,7 +292,6 @@ and launch t (s : cpu_q) =
   let now = Engine.now t.engine in
   let ready = Router.injection_ready t.router ~src:s.node ~dst:p.dst in
   if ready > now then begin
-    t.credit_stalls <- t.credit_stalls + 1;
     t.credit_stall_cycles <- t.credit_stall_cycles + (ready - now);
     Metrics.bump t.c_credit_stalls;
     Engine.schedule_at t.engine ~time:ready (fun _ -> launch t s)
@@ -313,7 +300,6 @@ and launch t (s : cpu_q) =
     let p = Queue.pop s.q in
     Queue.push p.on_deliver (inflight_q t s.node p.dst);
     Messaging.inject (channel t s.node p.dst) (payload t ~nbytes:p.nbytes);
-    t.launched <- t.launched + 1;
     Metrics.bump t.c_launched;
     s.serving <- false;
     pump t s
@@ -350,16 +336,15 @@ let chaos_links t ?(period = 5_000) ?(slow_factor = 4) ~until () =
                 | _ -> Router.Link_ok
               in
               Router.set_link_fault t.router ~from_node ~to_node fault;
-              t.faults_injected <- t.faults_injected + 1;
               Metrics.bump t.c_chaos_events);
           step (time + period))
   in
   step (Engine.now t.engine + period)
 
-let launched t = t.launched
-let delivered t = t.delivered
-let credit_stalls t = t.credit_stalls
+let launched t = Metrics.read t.c_launched
+let delivered t = Metrics.read t.c_delivered
+let credit_stalls t = Metrics.read t.c_credit_stalls
 let credit_stall_cycles t = t.credit_stall_cycles
-let faults_injected t = t.faults_injected
+let faults_injected t = Metrics.read t.c_chaos_events
 
 let read_payload t ~src ~dst ~len = Messaging.read_payload (channel t src dst) ~len

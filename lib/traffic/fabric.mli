@@ -68,13 +68,9 @@ val create : config -> pairs:(int * int) list -> t
 
 val engine : t -> Udma_sim.Engine.t
 val nodes : t -> int
-val width : t -> int
 val now : t -> int
 val rng : t -> Udma_sim.Rng.t
 (** A fresh independent stream split off the fabric's master RNG. *)
-
-val neighbors : t -> int -> int list
-(** Mesh neighbours of a node id (2..4 of them), ascending. *)
 
 val calibrate_send : t -> nbytes:int -> int
 (** Cycles one warm contiguous user-level send of [nbytes] costs on

@@ -32,11 +32,8 @@ type kernel_stats = {
   shards : int;  (** mesh rows *)
 }
 
-val max_nodes : int
-(** 1024 (a 32×32 mesh). *)
-
 val validate : Load_gen.config -> (unit, string) result
-(** [Error msg] outside the 2..{!max_nodes} cap and the supported
+(** [Error msg] outside the 2..1024 cap (a 32×32 mesh) and the supported
     subset above, then {!Load_gen.validate_workload}. *)
 
 val run :

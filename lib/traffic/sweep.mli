@@ -4,7 +4,9 @@
     Offered load is expressed as a fraction of one source's initiation
     capacity (a calibrated real user-level send every [send_cycles]
     cycles = load 1.0), so the x-axis is stable across message sizes
-    and cost-model changes. *)
+    and cost-model changes. A point is saturated when its mean
+    latency is at least twice the lightest point's mean, or when it
+    delivers less than 90 % of what was offered. *)
 
 type point = { load : float; result : Load_gen.result }
 
@@ -17,16 +19,9 @@ type outcome = {
 
 val default_loads : float list
 
-val latency_factor : float
-(** Knee rule 1: mean latency at least this multiple of the lightest
-    point's mean. *)
-
-val min_efficiency : float
-(** Knee rule 2: delivered/offered below this fraction. *)
-
 val detect_knee : point list -> int option
 (** Index of the first point of {e sustained} saturation: the first
-    point saturated under either rule above with every later point
+    point saturated with every later point
     saturated too. A non-monotone dip back under the threshold (one
     lucky seed mid-curve) disqualifies earlier candidates, so a dip's
     rebound is never reported as the knee. The lightest point anchors

@@ -10,7 +10,6 @@ module Status = Udma.Status
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
-module Proc = Udma_os.Proc
 module Vm = Udma_os.Vm
 module Scheduler = Udma_os.Scheduler
 module Syscall = Udma_os.Syscall
@@ -55,6 +54,13 @@ let vb x = Report.Bool x
 
 (* an optional value, or [none] when absent *)
 let v_opt v none = function Some x -> v x | None -> vs none
+
+(* [Param] checks for counts: a count of zero would divide by zero or
+   build a model that refuses it, so the flag is rejected instead *)
+let positive n =
+  if n < 1 then Some (Printf.sprintf "must be >= 1, not %d" n) else None
+
+let all_positive = List.find_map positive
 
 (* ------------------------------------------------------------------ *)
 (* the experiment declaration                                          *)
@@ -177,7 +183,7 @@ let e1 =
             ~quick:[ 512; 1024; 4096; 16384 ] figure8_sizes
         and+ messages =
           v "messages" Int ~docv:"N" ~doc:"Messages per size point." ~quick:8
-            figure8_messages
+            ~check:positive figure8_messages
         and+ hardware =
           v "hardware"
             (List (Enum [ ("basic", false); ("queued", true) ]))
@@ -539,7 +545,7 @@ let e4 =
             ~quick:[ 64; 512; 4096 ] crossover_sizes
         and+ trials =
           v "trials" Int ~docv:"N" ~doc:"Trials per size." ~quick:2
-            crossover_trials
+            ~check:positive crossover_trials
         in
         fun ~quick:_ ~seed:_ -> [ report_crossover ~sizes ~trials () ]);
     exp_anchors = [];
@@ -621,7 +627,7 @@ let e5 =
             ~quick:[ 16384; 65536 ] queueing_sizes
         and+ depths =
           v "depths" (List Int) ~docv:"D,..." ~doc:"Hardware queue depths."
-            ~quick:[ 4; 8 ] queueing_depths
+            ~quick:[ 4; 8 ] ~check:all_positive queueing_depths
         in
         fun ~quick:_ ~seed:_ -> [ report_queueing ~total_sizes ~depths () ]);
     exp_anchors = [];
@@ -733,7 +739,7 @@ let e6 =
             ~doc:"Preemption probabilities (%)." ~quick:[ 0; 20 ] atomicity_probs
         and+ transfers =
           v "transfers" Int ~docv:"N" ~doc:"Transfers per probability point."
-            ~quick:40 atomicity_transfers
+            ~quick:40 ~check:positive atomicity_transfers
         in
         fun ~quick:_ ~seed -> [ report_atomicity ~probs_pct ~transfers ~seed () ]);
     exp_anchors = [];
@@ -1729,7 +1735,7 @@ let e14 =
             Backend.all_kinds
         and+ tenant_counts =
           v "tenants" (List Int) ~docv:"N,..." ~doc:"Tenant counts to sweep."
-            ~quick:[ 8; 256 ] [ 8; 64; 256; 1024 ]
+            ~quick:[ 8; 256 ] ~check:all_positive [ 8; 64; 256; 1024 ]
         and+ slots =
           v "slots" Int ~docv:"N"
             ~doc:"Destination-table slots shared by all tenants." e14_tenants.slots
@@ -2131,21 +2137,28 @@ let report_kv ?slo ~loads (cfg : Kv.config) =
    cold-shard requests backfill the shared wires — the p99 drop is the
    app-level payoff of PR 5's flow control. *)
 let report_kv_vcs ~vc_counts (cfg : Kv.config) =
-  let p = probe () in
+  (* the table keeps its own shard count whatever the mesh size *)
+  let validate c =
+    Result.map_error
+      (Printf.sprintf "VC-contrast table (%d KV shards): %s" cfg.shards)
+      (Kv.validate c)
+  in
+  let sweep =
+    app_sweep validate Kv.run ~loads:vc_counts (fun vc_count ->
+        { cfg with fabric = { cfg.fabric with vc_count } })
+  in
+  fun () ->
+  let p, results = sweep () in
   let rows =
     List.map
-      (fun vcs ->
-        let r =
-          Kv.run ~probe:(watch p)
-            { cfg with fabric = { cfg.fabric with vc_count = vcs } }
-        in
+      (fun (vcs, r) ->
         (("vcs", vi vcs) :: app_stat_cells r.Kv.stats)
         @ [
             ("cold_p99", vi r.Kv.cold_stats.App_slo.p99);
             ("credit_stalls", vi r.Kv.credit_stalls);
             ("drained", vb r.Kv.drained);
           ])
-      vc_counts
+      results
   in
   Report.make ~id:"e16_kv_vcs"
     ~title:
@@ -2429,7 +2442,7 @@ let e16 =
             | Some `Kv -> [ kv () ]
             | Some `Halo -> [ halo () ]
             | Some `Rpc -> [ rpc () ]
-            | None -> [ kv (); halo (); rpc () ] @ if quick then [] else [ kv_vcs ]
+            | None -> [ kv (); halo (); rpc () ] @ if quick then [] else [ kv_vcs () ]
           in
           List.map (fun run -> run ()) sweeps);
     exp_anchors =
@@ -2574,10 +2587,7 @@ let experiments =
     e18;
   ]
 
-let run ?(quick = false) ?(seed = 42) e =
-  (Param.resolve ~quick e.exp_run) ~quick ~seed
-
-let all_reports ?quick ?seed () =
-  List.concat_map (fun e -> run ?quick ?seed e) experiments
+let all_reports ?(quick = false) ?(seed = 42) () =
+  List.concat_map (fun e -> (Param.resolve ~quick e.exp_run) ~quick ~seed) experiments
 
 let anchors = List.concat_map (fun e -> e.exp_anchors) experiments

@@ -104,15 +104,13 @@ type experiment = {
 val experiments : experiment list
 (** The experiment registry, E1 to E18 in order. *)
 
-val run : ?quick:bool -> ?seed:int -> experiment -> Report.t list
-(** Run one experiment with every parameter at its default, or at its
-    quick value when [quick] (default false). [seed] (default 42)
-    feeds the randomized experiments. *)
-
 val all_reports : ?quick:bool -> ?seed:int -> unit -> Report.t list
-(** {!run} over the whole registry, in order. Each report carries its
-    own cycle breakdown; the breakdown's sum equals the total
-    simulated cycles across every engine that experiment created. *)
+(** Every experiment of the registry, in order, with every parameter
+    at its default, or at its quick value when [quick] (default
+    false). [seed] (default 42) feeds the randomized experiments. Each
+    report carries its own cycle breakdown; the breakdown's sum equals
+    the total simulated cycles across every engine that experiment
+    created. *)
 
 val anchors : Report.anchor list
 (** Every experiment's anchors, in registry order. *)

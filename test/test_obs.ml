@@ -395,6 +395,20 @@ let test_unbumped_handle_invisible () =
   checkb "bump_by 0 creates" true
     (Metrics.counters m = [ ("seen", 1); ("zero", 0) ])
 
+(* Reading through a handle is [get] by name: an unbumped handle reads
+   0 and, like every reader, leaves the registry's names unchanged. *)
+let test_read_by_handle () =
+  let m = Metrics.create () in
+  let h = Metrics.counter m "c" in
+  checki "unbumped handle reads 0" 0 (Metrics.read h);
+  checkb "reading created nothing" true (Metrics.counters m = []);
+  Metrics.bump_by h 3;
+  Metrics.incr m "c";
+  checki "read = get" 4 (Metrics.read h);
+  Metrics.reset m;
+  checki "read after reset" 0 (Metrics.read h);
+  checkb "nothing created after reset" true (Metrics.counters m = [])
+
 let test_handles_share_a_cell () =
   let m = Metrics.create () in
   let h1 = Metrics.counter m "c" and h2 = Metrics.counter m "c" in
@@ -717,6 +731,8 @@ let () =
           prop_handles_match_names;
           Alcotest.test_case "unbumped handle is invisible" `Quick
             test_unbumped_handle_invisible;
+          Alcotest.test_case "read by handle creates nothing" `Quick
+            test_read_by_handle;
           Alcotest.test_case "handles share a cell" `Quick
             test_handles_share_a_cell;
           Alcotest.test_case "percentile agreement on exact edges" `Quick

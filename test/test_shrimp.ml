@@ -1061,6 +1061,16 @@ let test_ni_unconfigured_page_rejected () =
   | Ok _ -> Alcotest.fail "send through empty NIPT entry accepted"
   | Error e -> Alcotest.failf "unexpected error: %a" Initiator.pp_error e
 
+(* A send on an interface with no router attached is dropped, and the
+   drop reaches the machine's published metrics. *)
+let test_ni_send_without_router_dropped () =
+  let machine = M.create () in
+  let ni = Ni.create ~id:0 ~machine () in
+  Ni.send_raw ni ~dst_node:1 ~dst_paddr:0 (Bytes.make 64 'x');
+  checki "ni.send_drops" 1
+    (Udma_obs.Metrics.get machine.M.metrics "ni.send_drops");
+  checki "nothing sent" 0 (Ni.packets_sent ni)
+
 let test_receive_marks_dirty () =
   let sys, snd, rcv, sp, rp = two_nodes () in
   let export = System.export_buffer sys ~node:1 ~proc:rp ~pages:1 in
@@ -1596,6 +1606,8 @@ let () =
           Alcotest.test_case "alignment rejected" `Quick test_ni_alignment_rejected;
           Alcotest.test_case "unconfigured NIPT page rejected" `Quick
             test_ni_unconfigured_page_rejected;
+          Alcotest.test_case "send without router dropped" `Quick
+            test_ni_send_without_router_dropped;
           Alcotest.test_case "receive marks dirty" `Quick test_receive_marks_dirty;
           Alcotest.test_case "create allocation bounded" `Quick
             test_system_create_allocation;
