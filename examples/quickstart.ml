@@ -63,7 +63,10 @@ let () =
     (Bytes.to_string (Bytes.sub device_memory 0 (Bytes.length message)));
 
   (* -- what the status word looks like ------------------------------ *)
-  let st = Udma_engine.handle_load udma ~paddr:(Layout.mem_proxy_base m.M.layout) in
+  let st =
+    Status.decode
+      (Udma_engine.handle_load udma ~paddr:(Layout.mem_proxy_base m.M.layout))
+  in
   Format.printf "probe of the idle engine: %a@." Status.pp st;
 
   (* -- the cost picture --------------------------------------------- *)

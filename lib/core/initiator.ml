@@ -3,6 +3,7 @@ module Layout = Udma_mmu.Layout
 type cpu = {
   load : vaddr:int -> int32;
   store : vaddr:int -> int32 -> unit;
+  repeat_load : vaddr:int -> max:int -> int;
   compute : int -> unit;
   now : unit -> int;
 }
@@ -80,10 +81,11 @@ let proxy_vaddr layout = function
 let page_room layout addr =
   Layout.page_size layout - Layout.offset_in_page layout addr
 
-(* Probe the engine until the transferring condition clears, i.e. the
-   machine reports Idle. Used between back-to-back pieces in basic
-   mode. *)
-let poll_until_idle cpu config acc probe_addr =
+(* Re-issue the LOAD at [probe_addr] while [waiting] holds of the word
+   it returns. After a probe that says "keep waiting", [repeat_load]
+   accounts at once the probes that would provably return the same
+   flags (the budget still caps them). *)
+let poll cpu config acc probe_addr ~waiting =
   let rec loop n =
     if n >= config.poll_limit then Error Poll_limit_exceeded
     else begin
@@ -91,27 +93,29 @@ let poll_until_idle cpu config acc probe_addr =
       let w = cpu.load ~vaddr:probe_addr in
       if Status.(has Started w) then
         Error (Protocol_violation "completion probe initiated a transfer")
-      else if Status.(has Invalid w && not (has Transferring w)) then Ok ()
-      else loop (n + 1)
-    end
-  in
-  loop 0
-
-(* Wait for a piece to finish: repeat the initiating LOAD; the transfer
-   has completed once the match flag is clear (§5). *)
-let wait_match_clear cpu config acc probe_addr =
-  let rec loop n =
-    if n >= config.poll_limit then Error Poll_limit_exceeded
-    else begin
-      acc.a_polls <- acc.a_polls + 1;
-      let w = cpu.load ~vaddr:probe_addr in
-      if Status.(has Started w) then
-        Error (Protocol_violation "completion probe initiated a transfer")
-      else if Status.(has Matches w) then loop (n + 1)
+      else if waiting w then begin
+        let k =
+          cpu.repeat_load ~vaddr:probe_addr ~max:(config.poll_limit - n - 1)
+        in
+        acc.a_polls <- acc.a_polls + k;
+        loop (n + 1 + k)
+      end
       else Ok ()
     end
   in
   loop 0
+
+(* Probe the engine until the transferring condition clears, i.e. the
+   machine reports Idle. Used between back-to-back pieces in basic
+   mode. *)
+let poll_until_idle cpu config acc probe_addr =
+  poll cpu config acc probe_addr ~waiting:(fun w ->
+      not Status.(has Invalid w && not (has Transferring w)))
+
+(* Wait for a piece to finish: repeat the initiating LOAD; the transfer
+   has completed once the match flag is clear (§5). *)
+let wait_match_clear cpu config acc probe_addr =
+  poll cpu config acc probe_addr ~waiting:(fun w -> Status.(has Matches w))
 
 (* One piece: execute the two-reference sequence until it is accepted.
    [queued] selects the retry behaviour for a full hardware queue.

@@ -13,6 +13,15 @@
 type cpu = {
   load : vaddr:int -> int32;         (** user-level LOAD *)
   store : vaddr:int -> int32 -> unit;  (** user-level STORE *)
+  repeat_load : vaddr:int -> max:int -> int;
+      (** [repeat_load ~vaddr ~max] is called by the completion polls
+          right after a [load] of [vaddr] whose word said "keep
+          waiting". It accounts, in one step, the next [k <= max] loads
+          of [vaddr] — every cycle, counter and side effect they would
+          have had — when it can prove each would return a word with
+          the same flags, and returns [k]. [0] means nothing was
+          accounted and the caller loads again; the result is the same
+          either way, only faster. *)
   compute : int -> unit;             (** charge pure CPU cycles *)
   now : unit -> int;                 (** current cycle *)
 }

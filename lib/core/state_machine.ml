@@ -183,3 +183,7 @@ let step state event =
   (* --- Done from the DMA engine --- *)
   | Transferring _, Done -> (Idle, Completed)
   | (Idle as s), Done | (Dest_loaded _ as s), Done -> (s, No_action)
+
+let load_is_probe = function
+  | Idle | Transferring _ -> true
+  | Dest_loaded _ -> false

@@ -73,6 +73,12 @@ val pp_action : Format.formatter -> action -> unit
 val step : state -> event -> state * action
 (** One transition. Total over all [state * event] pairs. *)
 
+val load_is_probe : state -> bool
+(** [load_is_probe s] holds exactly when {!step} answers every [Load]
+    in [s] with [(s, Status_probe)]: in [Idle] and [Transferring]. The
+    engine answers such loads without building the event or the
+    result pair. *)
+
 (** {1 Shape-word encoding}
 
     Bit 30 tags a shape word; bit 29 selects sg over strided; strided

@@ -27,37 +27,35 @@ let make ?(started = false) ?(transferring = false) ?(invalid = false)
     remaining_bytes;
   }
 
-let probe ~transferring ~invalid ~matches ~remaining_bytes =
-  if remaining_bytes < 0 then
-    invalid_arg "Status.probe: negative remaining_bytes";
-  {
-    started = false;
-    transferring;
-    invalid;
-    matches;
-    wrong_space = false;
-    queue_full = false;
-    device_error = 0;
-    remaining_bytes;
-  }
-
 let idle = make ~invalid:true ()
 
 let max_remaining = (1 lsl 21) - 1
 
 let bit b pos = if b then 1 lsl pos else 0
 
-let encode t =
-  let remaining = min t.remaining_bytes max_remaining in
+let pack ~started ~transferring ~invalid ~matches ~wrong_space ~queue_full
+    ~device_error ~remaining_bytes =
+  let remaining = min remaining_bytes max_remaining in
   Int32.of_int
-    (bit (not t.started) 0
-    lor bit t.transferring 1
-    lor bit t.invalid 2
-    lor bit t.matches 3
-    lor bit t.wrong_space 4
-    lor bit t.queue_full 5
-    lor ((t.device_error land 0xf) lsl 6)
+    (bit (not started) 0
+    lor bit transferring 1
+    lor bit invalid 2
+    lor bit matches 3
+    lor bit wrong_space 4
+    lor bit queue_full 5
+    lor ((device_error land 0xf) lsl 6)
     lor (remaining lsl 10))
+
+let encode t =
+  pack ~started:t.started ~transferring:t.transferring ~invalid:t.invalid
+    ~matches:t.matches ~wrong_space:t.wrong_space ~queue_full:t.queue_full
+    ~device_error:t.device_error ~remaining_bytes:t.remaining_bytes
+
+let probe ~transferring ~invalid ~matches ~remaining_bytes =
+  if remaining_bytes < 0 then
+    invalid_arg "Status.probe: negative remaining_bytes";
+  pack ~started:false ~transferring ~invalid ~matches ~wrong_space:false
+    ~queue_full:false ~device_error:0 ~remaining_bytes
 
 let field w shift mask = (w asr shift) land mask
 let is_set w pos = field w pos 1 = 1

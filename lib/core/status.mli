@@ -39,12 +39,6 @@ val make :
   unit ->
   t
 
-val probe :
-  transferring:bool -> invalid:bool -> matches:bool -> remaining_bytes:int -> t
-(** The word a status probe returns: [make] with the fields a probe
-    can set. Every argument is required, so building the most frequent
-    word boxes no optional argument. *)
-
 val encode : t -> int32
 (** Bit layout: bit 0 = INITIATION FLAG (1 = {e not} started), 1 =
     TRANSFERRING, 2 = INVALID, 3 = MATCH, 4 = WRONG-SPACE, 5 =
@@ -52,6 +46,14 @@ val encode : t -> int32
     (saturating). *)
 
 val decode : int32 -> t
+
+val probe :
+  transferring:bool -> invalid:bool -> matches:bool -> remaining_bytes:int ->
+  int32
+(** The encoded word a status probe returns, built straight from its
+    fields: [encode (make ~transferring ~invalid ~matches
+    ~remaining_bytes ())] without the record, so the most frequent
+    word boxes only the [int32]. *)
 
 type flag = Started | Transferring | Invalid | Matches
 

@@ -439,20 +439,24 @@ let refcounts_snapshot t =
 
 (* ---------- match flag (associative query, §7) ---------- *)
 
+(* Written as plain recursion so a probe allocates no closure; the
+   queues are folded only when they hold a request. *)
+let rec elems_match proxy = function
+  | [] -> false
+  | e :: rest ->
+      e.e_src_proxy = proxy || e.e_dst_proxy = proxy || elems_match proxy rest
+
 let request_matches proxy r =
-  r.src_proxy = proxy || r.dest_proxy = proxy
-  || List.exists
-       (fun e -> e.e_src_proxy = proxy || e.e_dst_proxy = proxy)
-       r.elems
+  r.src_proxy = proxy || r.dest_proxy = proxy || elems_match proxy r.elems
+
+let queue_matches proxy q =
+  (not (Queue.is_empty q))
+  && Queue.fold (fun acc r -> acc || request_matches proxy r) false q
 
 let match_flag t proxy =
-  let active = match t.active with Some r -> request_matches proxy r | None -> false in
-  if active then true
-  else
-    let in_queue q =
-      Queue.fold (fun acc r -> acc || request_matches proxy r) false q
-    in
-    in_queue t.user_queue || in_queue t.system_queue
+  (match t.active with Some r -> request_matches proxy r | None -> false)
+  || queue_matches proxy t.user_queue
+  || queue_matches proxy t.system_queue
 
 (* ---------- status composition ---------- *)
 
@@ -502,75 +506,84 @@ let handle_store t ~paddr value =
           (* stores never produce these *)
           assert false)
 
+let count_probes t k = Metrics.bump_by t.m_probes k
+
+(* A load in [Dest_loaded]: the rows of [Sm.step] that are not a
+   status probe. *)
+let load_step t ~paddr ~space =
+  let sm, action = Sm.step t.sm (Load { proxy = paddr; space }) in
+  match action with
+  | Sm.Bad_load ->
+      set_sm t ~cause:"bad-load" sm;
+      Metrics.bump t.m_bad_loads;
+      Status.make ~wrong_space:true ~invalid:true
+        ~transferring:(Dma_engine.busy t.dma_engine) ()
+  | Sm.Start { src_proxy; src_space; dest } -> (
+      match build_request t ~src_proxy ~src_space ~dest ~priority:User with
+      | Error bits ->
+          set_sm t ~cause:"device-error" Sm.Idle;
+          Metrics.bump t.m_device_errors;
+          Status.make ~invalid:true ~device_error:(bits land 0xf)
+            ~transferring:(Dma_engine.busy t.dma_engine) ()
+      | Ok r -> (
+          match t.mode with
+          | Basic -> (
+              (* the machine is Transferring iff the DMA is busy *)
+              match accept t r with
+              | Ok `Started ->
+                  set_sm t ~cause:"start" sm;
+                  Status.make ~started:true ~transferring:true ~matches:true
+                    ~remaining_bytes:r.nbytes ()
+              | Ok `Queued ->
+                  (* cannot happen: basic mode implies dma idle here *)
+                  assert false
+              | Error bits ->
+                  set_sm t ~cause:"device-error" Sm.Idle;
+                  Metrics.bump t.m_device_errors;
+                  Status.make ~invalid:true ~device_error:(bits land 0xf) ())
+          | Queued { depth } ->
+              if Dma_engine.busy t.dma_engine && queued_len t >= depth then begin
+                (* refuse; keep DestLoaded so the user can retry the
+                   LOAD alone (§7: refused only when the queue is
+                   full) *)
+                Metrics.bump t.m_refused_full;
+                Status.make ~transferring:true ~queue_full:true
+                  ~remaining_bytes:dest.Sm.nbytes ()
+              end
+              else
+                (match accept t r with
+                | Ok (`Started | `Queued) ->
+                    set_sm t ~cause:"start" Sm.Idle;
+                    Status.make ~started:true
+                      ~transferring:(Dma_engine.busy t.dma_engine)
+                      ~invalid:true ~matches:true ~remaining_bytes:r.nbytes
+                      ()
+                | Error bits ->
+                    set_sm t ~cause:"device-error" Sm.Idle;
+                    Metrics.bump t.m_device_errors;
+                    Status.make ~invalid:true
+                      ~device_error:(bits land 0xf) ())))
+  | Sm.Status_probe | Sm.No_action | Sm.Latch_dest | Sm.Latch_shape
+  | Sm.Invalidated | Sm.Completed ->
+      (* answered by [handle_load]; loads never produce the rest *)
+      assert false
+
 let handle_load t ~paddr =
   match space_of_paddr t paddr with
   | None ->
       invalid_arg
         (Printf.sprintf "Udma_engine.handle_load: %#x not proxy space" paddr)
-  | Some space -> (
+  | Some space ->
       if Trace.active t.trace then
         Trace.record t.trace ~time:(Engine.now t.engine) Event.Udma
           (Event.Proxy_load { proxy = paddr });
-      let sm, action = Sm.step t.sm (Load { proxy = paddr; space }) in
-      match action with
-      | Sm.Status_probe ->
-          set_sm t ~cause:"probe" sm;
-          Metrics.bump t.m_probes;
-          probe_status t paddr
-      | Sm.Bad_load ->
-          set_sm t ~cause:"bad-load" sm;
-          Metrics.bump t.m_bad_loads;
-          Status.make ~wrong_space:true ~invalid:true
-            ~transferring:(Dma_engine.busy t.dma_engine) ()
-      | Sm.Start { src_proxy; src_space; dest } -> (
-          match build_request t ~src_proxy ~src_space ~dest ~priority:User with
-          | Error bits ->
-              set_sm t ~cause:"device-error" Sm.Idle;
-              Metrics.bump t.m_device_errors;
-              Status.make ~invalid:true ~device_error:(bits land 0xf)
-                ~transferring:(Dma_engine.busy t.dma_engine) ()
-          | Ok r -> (
-              match t.mode with
-              | Basic -> (
-                  (* the machine is Transferring iff the DMA is busy *)
-                  match accept t r with
-                  | Ok `Started ->
-                      set_sm t ~cause:"start" sm;
-                      Status.make ~started:true ~transferring:true ~matches:true
-                        ~remaining_bytes:r.nbytes ()
-                  | Ok `Queued ->
-                      (* cannot happen: basic mode implies dma idle here *)
-                      assert false
-                  | Error bits ->
-                      set_sm t ~cause:"device-error" Sm.Idle;
-                      Metrics.bump t.m_device_errors;
-                      Status.make ~invalid:true ~device_error:(bits land 0xf) ())
-              | Queued { depth } ->
-                  if Dma_engine.busy t.dma_engine && queued_len t >= depth then begin
-                    (* refuse; keep DestLoaded so the user can retry the
-                       LOAD alone (§7: refused only when the queue is
-                       full) *)
-                    Metrics.bump t.m_refused_full;
-                    Status.make ~transferring:true ~queue_full:true
-                      ~remaining_bytes:dest.Sm.nbytes ()
-                  end
-                  else
-                    (match accept t r with
-                    | Ok (`Started | `Queued) ->
-                        set_sm t ~cause:"start" Sm.Idle;
-                        Status.make ~started:true
-                          ~transferring:(Dma_engine.busy t.dma_engine)
-                          ~invalid:true ~matches:true ~remaining_bytes:r.nbytes
-                          ()
-                    | Error bits ->
-                        set_sm t ~cause:"device-error" Sm.Idle;
-                        Metrics.bump t.m_device_errors;
-                        Status.make ~invalid:true
-                          ~device_error:(bits land 0xf) ())))
-      | Sm.No_action | Sm.Latch_dest | Sm.Latch_shape | Sm.Invalidated
-      | Sm.Completed ->
-          (* loads never produce these *)
-          assert false)
+      if Sm.load_is_probe t.sm then begin
+        (* what [Sm.step] answers here: a status probe in the same
+           state, so there is no transition to record *)
+        Metrics.bump t.m_probes;
+        probe_status t paddr
+      end
+      else Status.encode (load_step t ~paddr ~space)
 
 (* ---------- kernel interface ---------- *)
 
@@ -707,7 +720,7 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
   let handler =
     Bus.
       {
-        io_load = (fun ~paddr -> Status.encode (handle_load t ~paddr));
+        io_load = (fun ~paddr -> handle_load t ~paddr);
         io_store = (fun ~paddr v -> handle_store t ~paddr v);
       }
   in

@@ -71,7 +71,16 @@ val attach_device :
     engine registers, but are exposed for direct tests. *)
 
 val handle_store : t -> paddr:int -> int32 -> unit
-val handle_load : t -> paddr:int -> Status.t
+
+val handle_load : t -> paddr:int -> int32
+(** The encoded status word ({!Status.decode} reads it back). A load
+    in a state where {!State_machine.load_is_probe} holds is answered
+    without calling {!State_machine.step}, by the same rows of it. *)
+
+val count_probes : t -> int -> unit
+(** [count_probes t k] records [k] status probes that were answered
+    without reaching the engine because each would have repeated the
+    last one ({!Udma_os.Kernel}'s completion polls). *)
 
 (** {1 Kernel interface} *)
 

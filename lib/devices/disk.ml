@@ -55,6 +55,7 @@ let port t =
   Udma_dma.Device.
     {
       name = "disk";
+      sink_buffer = Udma_dma.Device.fresh_buffer;
       dev_write =
         (fun ~addr b ->
           check t addr (Bytes.length b) "dev_write";

@@ -18,6 +18,7 @@ let port t =
   Udma_dma.Device.
     {
       name = "framebuffer";
+      sink_buffer = Udma_dma.Device.fresh_buffer;
       dev_write =
         (fun ~addr b ->
           check addr (Bytes.length b) "dev_write";

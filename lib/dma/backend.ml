@@ -33,7 +33,8 @@ let move_element bus (e : Descriptor.element) =
   let mem = Bus.memory bus in
   match (e.src, e.dst) with
   | Descriptor.Mem src, Descriptor.Dev (p, dst) ->
-      let data = Phys_mem.read_bytes mem ~addr:src ~len:e.len in
+      let data = p.Device.sink_buffer ~len:e.len in
+      Phys_mem.read_into mem ~addr:src data;
       p.Device.dev_write ~addr:dst data
   | Descriptor.Dev (p, src), Descriptor.Mem dst ->
       let data = p.Device.dev_read ~addr:src ~len:e.len in

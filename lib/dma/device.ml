@@ -1,5 +1,6 @@
 type port = {
   name : string;
+  sink_buffer : len:int -> bytes;
   dev_write : addr:int -> bytes -> unit;
   dev_read : addr:int -> len:int -> bytes;
   access_cycles : addr:int -> len:int -> int;
@@ -7,9 +8,12 @@ type port = {
   readable : addr:int -> bool;
 }
 
+let fresh_buffer ~len = Bytes.create len
+
 let null name =
   {
     name;
+    sink_buffer = fresh_buffer;
     dev_write = (fun ~addr:_ _ -> ());
     dev_read = (fun ~addr:_ ~len -> Bytes.make len '\000');
     access_cycles = (fun ~addr:_ ~len:_ -> 0);
@@ -29,6 +33,7 @@ let buffer name ~size =
   let port =
     {
       name;
+      sink_buffer = fresh_buffer;
       dev_write =
         (fun ~addr b ->
           check addr (Bytes.length b) "dev_write";

@@ -9,10 +9,15 @@
 
 type port = {
   name : string;
+  sink_buffer : len:int -> bytes;
+      (** The buffer of exactly [len] bytes the DMA backend reads one
+          memory-to-device element into before it hands it to
+          [dev_write]. A port that keeps payloads may hand out recycled
+          ones; the backend overwrites all of it. *)
   dev_write : addr:int -> bytes -> unit;
       (** Accept [bytes] at device address [addr] (memory → device).
-          The DMA backend reads a fresh buffer for every element and
-          never touches it again, so the port owns it and may keep it
+          The buffer comes from [sink_buffer] and the backend never
+          touches it again, so the port owns it and may keep it
           without copying. *)
   dev_read : addr:int -> len:int -> bytes;
       (** Produce [len] bytes from device address [addr]
@@ -25,6 +30,9 @@ type port = {
   readable : addr:int -> bool;
       (** Whether [addr] may be a transfer source. *)
 }
+
+val fresh_buffer : len:int -> bytes
+(** A [sink_buffer] that allocates a new buffer every time. *)
 
 val null : string -> port
 (** A port that accepts and produces zeros at zero cost — useful in

@@ -72,9 +72,9 @@ let check_aligned addr what =
   if addr land 3 <> 0 then
     invalid_arg (Printf.sprintf "Phys_mem.%s: unaligned address %#x" what addr)
 
-let read_bytes t ~addr ~len =
-  check t addr len "read_bytes";
-  let out = Bytes.create len in
+let read_into t ~addr out =
+  let len = Bytes.length out in
+  check t addr len "read_into";
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
@@ -82,7 +82,12 @@ let read_bytes t ~addr ~len =
     let n = min (len - !i) (t.page_size - off) in
     Bytes.blit t.pages.(a lsr t.shift) off out !i n;
     i := !i + n
-  done;
+  done
+
+let read_bytes t ~addr ~len =
+  check t addr len "read_bytes";
+  let out = Bytes.create len in
+  read_into t ~addr out;
   out
 
 let write_bytes t ~addr b =

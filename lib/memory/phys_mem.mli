@@ -46,6 +46,10 @@ val write_word : t -> int -> int32 -> unit
 val read_bytes : t -> addr:int -> len:int -> bytes
 (** [read_bytes t ~addr ~len] copies out a region. *)
 
+val read_into : t -> addr:int -> bytes -> unit
+(** [read_into t ~addr b] fills all of [b] from memory at [addr]: the
+    {!read_bytes} of a caller that owns the buffer. *)
+
 val write_bytes : t -> addr:int -> bytes -> unit
 (** [write_bytes t ~addr b] copies [b] into memory at [addr]. *)
 

@@ -21,14 +21,14 @@ let () =
              pp_fault_kind kind)
     | _ -> None)
 
-type t = { layout : Layout.t; tlb : Tlb.t }
+type t = { layout : Layout.t; tlb : Tlb.t; mutable tlb_hit : bool }
 
 let create ~layout ~tlb_capacity =
-  { layout; tlb = Tlb.create ~capacity:tlb_capacity }
+  { layout; tlb = Tlb.create ~capacity:tlb_capacity; tlb_hit = false }
 
 let tlb t = t.tlb
 
-type translation = { paddr : int; tlb_hit : bool }
+let tlb_hit t = t.tlb_hit
 
 let fault vaddr access kind = raise (Fault { vaddr; access; kind })
 
@@ -42,11 +42,9 @@ let access_through t pte access vaddr ~tlb_hit =
   (match access with
   | Write -> pte.Pte.dirty <- true
   | Read -> ());
-  let paddr =
-    Layout.addr_of_page t.layout pte.Pte.ppage
-    + Layout.offset_in_page t.layout vaddr
-  in
-  { paddr; tlb_hit }
+  t.tlb_hit <- tlb_hit;
+  Layout.addr_of_page t.layout pte.Pte.ppage
+  + Layout.offset_in_page t.layout vaddr
 
 (* The page-table walk; [refill] caches its result in the TLB. *)
 let walk t pt access vaddr vpn ~refill =
@@ -82,11 +80,16 @@ let probe t pt access vaddr =
           match access with
           | Write when not pte.Pte.writable -> Error Protection
           | Read | Write ->
-              let paddr =
-                Layout.addr_of_page t.layout pte.Pte.ppage
-                + Layout.offset_in_page t.layout vaddr
-              in
-              Ok { paddr; tlb_hit = false }))
+              Ok
+                (Layout.addr_of_page t.layout pte.Pte.ppage
+                + Layout.offset_in_page t.layout vaddr)))
+
+let rehit t vaddr k =
+  Tlb.rehit t.tlb (Layout.page_of_addr t.layout vaddr) k
+  && begin
+       t.tlb_hit <- true;
+       true
+     end
 
 let flush_tlb t = Tlb.flush_all t.tlb
 

@@ -23,18 +23,28 @@ val create : layout:Layout.t -> tlb_capacity:int -> t
 
 val tlb : t -> Tlb.t
 
-type translation = { paddr : int; tlb_hit : bool }
-
-val translate : t -> Page_table.t -> access -> int -> translation
+val translate : t -> Page_table.t -> access -> int -> int
 (** [translate t pt access vaddr] checks the virtual address against
     the layout, consults the TLB then the page table, enforces
     [present] and (for [Write]) [writable], sets the referenced bit —
     and the dirty bit on writes — and returns the physical address.
-    Raises {!Fault} on any failure. *)
+    Whether the TLB held the entry is left in {!tlb_hit}. Raises
+    {!Fault} on any failure. *)
 
-val probe : t -> Page_table.t -> access -> int -> (translation, fault_kind) result
+val tlb_hit : t -> bool
+(** Whether the last successful {!translate} found its entry in the
+    TLB. *)
+
+val rehit : t -> int -> int -> bool
+(** [rehit t vaddr k] accounts [k] more [Read] translations of [vaddr]
+    that hit the TLB, as {!translate} would make them ({!Tlb.rehit}),
+    and returns [true]; returns [false], changing nothing, when the
+    entry is not cached and present. The caller has just translated
+    [vaddr], so its referenced bit is already set. *)
+
+val probe : t -> Page_table.t -> access -> int -> (int, fault_kind) result
 (** Like {!translate} but returns the fault instead of raising, and
-    does not disturb referenced/dirty bits or the TLB. *)
+    does not disturb referenced/dirty bits, the TLB or {!tlb_hit}. *)
 
 val flush_tlb : t -> unit
 (** Full TLB flush (performed on context switch). *)

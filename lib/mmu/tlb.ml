@@ -27,6 +27,16 @@ let find t vpn =
       t.misses <- t.misses + 1;
       raise Not_found
 
+let rehit t vpn k =
+  match entry vpn t.entries with
+  | e when e.pte.Pte.present ->
+      t.tick <- t.tick + k;
+      e.stamp <- t.tick;
+      t.hits <- t.hits + k;
+      true
+  | _ -> false
+  | exception Not_found -> false
+
 let lookup t vpn =
   match find t vpn with pte -> Some pte | exception Not_found -> None
 

@@ -19,6 +19,12 @@ val find : t -> int -> Pte.t
     returning an option: the translation fast path allocates nothing
     on a hit. *)
 
+val rehit : t -> int -> int -> bool
+(** [rehit t vpn k] does to a cached, present entry for [vpn] what [k]
+    more {!find}s would: [k] hits, and the entry is the most recently
+    used. Returns [false], changing nothing, when [vpn] is not cached
+    or its entry is not present. *)
+
 val insert : t -> int -> Pte.t -> unit
 (** [insert t vpn pte] caches an entry, evicting the LRU one if full. *)
 

@@ -23,10 +23,16 @@ let rec translate m proc access vaddr ~tries =
          })
   else
     match Mmu.translate m.M.mmu proc.Proc.page_table access vaddr with
-    | tr -> tr
+    | paddr -> paddr
     | exception Mmu.Fault _ ->
         Vm.handle_fault m proc access ~vaddr;
         translate m proc access vaddr ~tries:(tries + 1)
+
+(* Executing any instruction of [proc] means it was scheduled. *)
+let run_as m proc =
+  match m.M.current with
+  | Some cur when cur == proc -> ()
+  | Some _ | None -> Scheduler.switch_to m proc
 
 (* One user-level memory reference up to the bus: preemption check,
    translation with fault handling, cost accounting. Returns the
@@ -35,21 +41,54 @@ let user_access m proc access vaddr =
   if vaddr land 3 <> 0 then
     invalid_arg (Printf.sprintf "user access: unaligned address %#x" vaddr);
   Scheduler.maybe_preempt m;
-  (match m.M.current with
-  | Some cur when cur == proc -> ()
-  | Some _ | None -> Scheduler.switch_to m proc);
-  let tr = translate m proc access vaddr ~tries:0 in
+  run_as m proc;
+  let paddr = translate m proc access vaddr ~tries:0 in
   let costs = m.M.costs in
   let base =
-    if Bus.is_memory m.M.bus tr.Mmu.paddr then costs.Cost_model.cached_ref
+    if Bus.is_memory m.M.bus paddr then costs.Cost_model.cached_ref
     else costs.Cost_model.uncached_ref
   in
   let cost =
-    if tr.Mmu.tlb_hit then base else base + costs.Cost_model.tlb_miss
+    if Mmu.tlb_hit m.M.mmu then base else base + costs.Cost_model.tlb_miss
   in
-  Engine.with_category m.M.engine Engine.Profiler.User_ref (fun () ->
-      Machine.charge m cost);
-  tr.Mmu.paddr
+  Machine.charge_as m Engine.Profiler.User_ref cost;
+  paddr
+
+let is_proxy m vaddr =
+  match Layout.region_of m.M.layout vaddr with
+  | Some (Layout.Mem_proxy | Layout.Dev_proxy) -> true
+  | Some Layout.Mem | None -> false
+
+(* The completion poll's bulk step: account the next [k] loads of
+   [vaddr], which has just been loaded, all at once. Each would repeat
+   that load exactly: no preemption can intervene and nothing is
+   traced; the UDMA engine answers loads with a status probe that
+   keeps its state ([Idle] or [Transferring]); the proxy address hits
+   a present TLB entry, so each costs [uncached_ref]; and [k] is small
+   enough that no event fires before the last one ends, so no flag the
+   word carries can change. *)
+let repeat_load m proc ~vaddr ~max =
+  match (m.M.udma, m.M.preempt_hook, m.M.current) with
+  | Some u, None, Some cur
+    when cur == proc && max > 0
+         && (not (Udma_sim.Trace.active m.M.trace))
+         && Udma.State_machine.load_is_probe (Udma.Udma_engine.state u)
+         && is_proxy m vaddr ->
+      let engine = m.M.engine in
+      let cost = m.M.costs.Cost_model.uncached_ref in
+      let k =
+        if cost <= 0 then 0
+        else
+          min max
+            ((Engine.next_event_time engine - Engine.now engine - 1) / cost)
+      in
+      if k > 0 && Mmu.rehit m.M.mmu vaddr k then begin
+        Udma.Udma_engine.count_probes u k;
+        Machine.charge_as m Engine.Profiler.User_ref (k * cost);
+        k
+      end
+      else 0
+  | _ -> 0
 
 let user_cpu m proc =
   Initiator.
@@ -60,14 +99,11 @@ let user_cpu m proc =
       store =
         (fun ~vaddr v ->
           Bus.store_word m.M.bus (user_access m proc Mmu.Write vaddr) v);
+      repeat_load = (fun ~vaddr ~max -> repeat_load m proc ~vaddr ~max);
       compute =
         (fun cycles ->
-          (* executing any instruction of [proc] means it was scheduled *)
-          (match m.M.current with
-          | Some cur when cur == proc -> ()
-          | Some _ | None -> Scheduler.switch_to m proc);
-          Engine.with_category m.M.engine Engine.Profiler.User_ref (fun () ->
-              Machine.charge m cycles));
+          run_as m proc;
+          Machine.charge_as m Engine.Profiler.User_ref cycles);
       now = (fun () -> Engine.now m.M.engine);
     }
 

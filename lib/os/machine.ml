@@ -199,16 +199,21 @@ let skips t inv = t.skip_invariant = Some (inv :> invariant)
 
 let find_proc t ~pid = List.find_opt (fun p -> p.Proc.pid = pid) t.procs
 
-let charge t cycles =
-  (* Uncategorized machine work is kernel work; user references set
-     User_ref before reaching here and keep their attribution. *)
-  (if Profiler.current (Engine.profiler t.engine) = Profiler.Idle then
-     Engine.with_category t.engine Profiler.Kernel (fun () ->
-         Engine.advance t.engine cycles)
-   else Engine.advance t.engine cycles);
+let charge_as t cat cycles =
+  Engine.advance_in t.engine cat cycles;
   match t.current with
   | Some p -> p.Proc.cpu_cycles <- p.Proc.cpu_cycles + cycles
   | None -> ()
+
+let charge t cycles =
+  (* Uncategorized machine work is kernel work; work charged inside a
+     category keeps its attribution. *)
+  let cat =
+    match Profiler.current (Engine.profiler t.engine) with
+    | Profiler.Idle -> Profiler.Kernel
+    | cat -> cat
+  in
+  charge_as t cat cycles
 
 let pages_per_span t = Layout.span t.layout / Layout.page_size t.layout
 

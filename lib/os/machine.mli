@@ -172,6 +172,10 @@ val charge : t -> int -> unit
     profiler's current category, or to [Kernel] when no category is
     set (uncategorized machine work is kernel work by definition). *)
 
+val charge_as : t -> Udma_obs.Profiler.category -> int -> unit
+(** [charge_as m cat cycles] is {!charge} with the cycles attributed to
+    [cat]; it allocates nothing, so every user reference uses it. *)
+
 val proxy_vpn : t -> int -> int
 (** [proxy_vpn m vpn] is the virtual page number of [PROXY] of virtual
     page [vpn]. *)

@@ -24,8 +24,8 @@ let switch_to m proc =
   | cur ->
       (* A switch is kernel work even when triggered mid-user-reference
          by preemption. *)
-      Engine.with_category m.M.engine Engine.Profiler.Kernel (fun () ->
-          Machine.charge m m.M.costs.Cost_model.context_switch);
+      Machine.charge_as m Engine.Profiler.Kernel
+        m.M.costs.Cost_model.context_switch;
       Metrics.bump m.M.os.M.sched_switches;
       (* I1: invalidate any partially initiated UDMA sequence with a
          single STORE of a negative count to a proxy address *)

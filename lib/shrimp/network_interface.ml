@@ -32,6 +32,7 @@ type t = {
   machine : M.t;
   config : config;
   backend : Backend.t;
+  pool : Payload_pool.t;
   out_fifo : Fifo.t;
   in_fifo : Fifo.t;
   mutable router : Router.t option;
@@ -47,7 +48,7 @@ type t = {
   m_delivery_errors : Metrics.counter;
 }
 
-let create ~id ~machine ?(config = default_config) () =
+let create ~id ~machine ?(config = default_config) ~pool () =
   let counter = Metrics.counter machine.M.metrics in
   {
     id;
@@ -56,6 +57,7 @@ let create ~id ~machine ?(config = default_config) () =
     backend =
       Backend.create Backend.Proxy
         ~entries:(Layout.dev_pages machine.M.layout) ();
+    pool;
     out_fifo = Fifo.create ~capacity_bytes:config.out_fifo_bytes;
     in_fifo = Fifo.create ~capacity_bytes:config.in_fifo_bytes;
     router = None;
@@ -104,8 +106,9 @@ let launch t pkt =
       else Metrics.bump t.m_send_drops
 
 (* The DMA engine hands over one element's data, in a buffer it read
-   for this call alone: the packet takes it as its payload, so the
-   bytes are captured once, when the element moves. *)
+   for this call alone (taken from the pool by [port]'s
+   [sink_buffer]): the packet takes it as its payload, so the bytes
+   are captured once, when the element moves. *)
 let dev_write t ~addr data =
   let page_size = Layout.page_size t.machine.M.layout in
   let page = addr / page_size and offset = addr mod page_size in
@@ -130,18 +133,21 @@ let dev_write t ~addr data =
         }
 
 (* Callers ([Messaging.inject], the automatic-update snooper) own
-   [data] and may reuse it: copy it at send time. *)
+   [data] and may reuse it: copy it at send time, into a pool buffer. *)
 let send_raw t ~dst_node ~dst_paddr data =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  launch t
-    { Packet.src_node = t.id; dst_node; dst_paddr; payload = Bytes.copy data;
-      seq }
+  let len = Bytes.length data in
+  let payload = Payload_pool.take t.pool len in
+  Bytes.blit data 0 payload 0 len;
+  launch t { Packet.src_node = t.id; dst_node; dst_paddr; payload; seq }
 
 (* EISA DMA on the receiving node: write payload to physical memory
    and mark the page dirty so the data survives paging (paper §6 I3 —
    here the hardware path, with the receive mapping pinned at import
-   time). *)
+   time). Once written, the payload goes back to the pool: this is the
+   only place a buffer returns. A packet dropped anywhere else leaves
+   its buffer to the GC. *)
 let deposit t pkt =
   let mem = t.machine.M.mem in
   let paddr = pkt.Packet.dst_paddr in
@@ -150,6 +156,7 @@ let deposit t pkt =
     Metrics.bump t.m_delivery_errors
   else begin
     Phys_mem.write_bytes mem ~addr:paddr pkt.Packet.payload;
+    Payload_pool.give t.pool pkt.Packet.payload;
     Metrics.bump t.m_packets_received;
     Metrics.bump_by t.m_bytes_received len;
     let frame = paddr / Layout.page_size t.machine.M.layout in
@@ -186,6 +193,7 @@ let port t =
   Device.
     {
       name = Printf.sprintf "shrimp-ni%d" t.id;
+      sink_buffer = (fun ~len -> Payload_pool.take t.pool len);
       dev_write = (fun ~addr b -> dev_write t ~addr b);
       dev_read =
         (fun ~addr:_ ~len ->

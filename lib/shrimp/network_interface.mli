@@ -27,7 +27,18 @@ val default_config : config
 type t
 
 val create :
-  id:int -> machine:Udma_os.Machine.t -> ?config:config -> unit -> t
+  id:int -> machine:Udma_os.Machine.t -> ?config:config ->
+  pool:Payload_pool.t -> unit -> t
+(** [pool] supplies packet payloads and takes them back.
+
+    {b Payload ownership.} A payload is taken from [pool] when a packet
+    is made: by the DMA backend, through {!port}'s [sink_buffer], for a
+    memory-to-device element, and by {!send_raw} for its copy. The
+    packet owns it in flight. {!receive}'s deposit returns it to the
+    pool once the bytes are in the receiver's memory; that is the only
+    return. A packet dropped on the way — no router, a full FIFO, a
+    vanished NIPT entry, a dead link, a receive drop, a delivery error
+    — leaves its buffer to the GC. *)
 
 val backend : t -> Udma_protect.Backend.t
 (** The interface's protection backend (always

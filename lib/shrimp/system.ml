@@ -25,6 +25,7 @@ let default_config =
 type t = {
   engine : Engine.t;
   router : Router.t;
+  pool : Payload_pool.t;
   nodes : node array;
 }
 
@@ -57,22 +58,26 @@ let create ?(config = default_config) ?skip_invariant ~nodes () =
     | None ->
         None
   in
+  (* one pool for all the nodes' payloads: a packet's buffer is taken
+     on the sender and returned on the receiver *)
+  let pool = Payload_pool.create () in
   let make_node id =
     let machine =
       M.create
         ~config:{ config.machine with M.shared_engine = Some engine }
         ?skip_invariant ()
     in
-    let ni = Network_interface.create ~id ~machine ~config:config.ni () in
+    let ni = Network_interface.create ~id ~machine ~config:config.ni ~pool () in
     Backend.set_mutation (Network_interface.backend ni) backend_mutation;
     Network_interface.set_router ni router;
     Network_interface.attach ni;
     Router.register router ~node_id:id (Network_interface.receive ni);
     { id; machine; ni; auto = Auto_update.create ~machine ~ni () }
   in
-  { engine; router; nodes = Array.init nodes make_node }
+  { engine; router; pool; nodes = Array.init nodes make_node }
 
 let engine t = t.engine
+let pool t = t.pool
 let router t = t.router
 let node_count t = Array.length t.nodes
 

@@ -43,6 +43,11 @@ val create :
 
 val engine : t -> Udma_sim.Engine.t
 val router : t -> Router.t
+
+val pool : t -> Payload_pool.t
+(** The payload pool every node's interface takes packet buffers from
+    and returns them to. *)
+
 val node_count : t -> int
 val node : t -> int -> node
 

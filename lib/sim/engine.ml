@@ -113,6 +113,20 @@ let advance t cost =
   if cost < 0 then invalid_arg "Engine.advance: negative cost";
   run_until t (t.clock + cost)
 
+(* [with_category] for a plain advance, without the closure: the
+   per-reference charge of every user load and store goes through it. *)
+let advance_in t cat cost =
+  let prev = Profiler.current t.profiler in
+  Profiler.set_current t.profiler cat;
+  match advance t cost with
+  | () -> Profiler.set_current t.profiler prev
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Profiler.set_current t.profiler prev;
+      Printexc.raise_with_backtrace e bt
+
+let next_event_time t = Eventq.min_time t.queue
+
 let run_until_idle t =
   while not (Eventq.is_empty t.queue) do
     fire_next t

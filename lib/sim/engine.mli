@@ -49,6 +49,17 @@ val run_until : t -> int -> unit
 (** [run_until t time] runs due events and moves the clock to [time]
     (no-op if [time <= now]). *)
 
+val advance_in : t -> Profiler.category -> int -> unit
+(** [advance_in t cat cost] is [with_category t cat (fun () -> advance
+    t cost)] without the closure: it sets the profiler's category,
+    advances, and restores the previous category, also when an event
+    raises. *)
+
+val next_event_time : t -> int
+(** The time of the earliest scheduled event, or [max_int] when none
+    is. Nothing can change simulated state before it except the
+    caller's own actions. *)
+
 val run_until_idle : t -> unit
 (** [run_until_idle t] drains the event queue entirely, advancing the
     clock to the last event's time. *)

@@ -16,6 +16,10 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let status_t = Alcotest.testable Status.pp Status.equal
 
+(* the engine answers a load with the encoded word; tests read it as
+   the record *)
+let load_status udma ~paddr = Status.decode (Udma_engine.handle_load udma ~paddr)
+
 (* ---------- Status ---------- *)
 
 let test_status_encode_decode () =
@@ -336,6 +340,41 @@ let test_sm_shaped_load_starts () =
     (Sm.Start { src_proxy = 0x9000; src_space = Sm.Mem_space; dest = shaped_dest })
     a
 
+(* The engine answers a load without [Sm.step] exactly where
+   [load_is_probe] holds, so the predicate must agree with [step] on
+   every state and a load in either space. *)
+let test_sm_load_is_probe () =
+  let states =
+    [
+      Sm.Idle;
+      Sm.Dest_loaded dest;
+      Sm.Dest_loaded { dest with Sm.dest_space = Sm.Mem_space };
+      Sm.Dest_loaded
+        { dest with Sm.shape = Sm.Strided { stride = 512; chunk = 64 } };
+      Sm.Dest_loaded
+        { dest with Sm.shape = Sm.Gather { rev_elems = [ (0x1100, 16) ] } };
+      transferring;
+      Sm.Transferring
+        { src_proxy = 0x9000; src_space = Sm.Dev_space;
+          dest = { dest2 with Sm.dest_space = Sm.Mem_space } };
+    ]
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun space ->
+          List.iter
+            (fun proxy ->
+              let stepped = Sm.step s (Sm.Load { proxy; space }) in
+              checkb
+                (Format.asprintf "%a, load %a:%#x" Sm.pp_state s Sm.pp_space
+                   space proxy)
+                (stepped = (s, Sm.Status_probe))
+                (Sm.load_is_probe s))
+            [ 0x1000; 0x9000 ])
+        [ Sm.Mem_space; Sm.Dev_space ])
+    states
+
 let test_sm_totality () =
   (* every (state, event) pair steps without raising *)
   let states =
@@ -390,7 +429,7 @@ let test_engine_basic_sequence () =
   (match Udma_engine.state udma with
   | Sm.Dest_loaded d -> checki "count latched" 16 d.Sm.nbytes
   | s -> Alcotest.failf "expected DestLoaded, got %a" Sm.pp_state s);
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "started" true st.Status.started;
   checkb "transferring" true st.Status.transferring;
   checkb "match on initiating load" true st.Status.matches;
@@ -398,7 +437,7 @@ let test_engine_basic_sequence () =
   Engine.run_until_idle engine;
   Alcotest.check Alcotest.string "data" "0123456789abcdef"
     (Bytes.to_string (Bytes.sub store 0 16));
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "probe after done: invalid" true st.Status.invalid;
   checkb "match cleared" false st.Status.matches
 
@@ -407,7 +446,7 @@ let test_engine_dev_to_mem () =
   Bytes.blit_string "from-the-device!" 0 store 100 16;
   (* dest = memory proxy, source = device proxy *)
   Udma_engine.handle_store udma ~paddr:(mp layout 8192) 16l;
-  let st = Udma_engine.handle_load udma ~paddr:(dp layout 0 100) in
+  let st = load_status udma ~paddr:(dp layout 0 100) in
   checkb "started" true st.Status.started;
   Engine.run_until_idle engine;
   Alcotest.check Alcotest.string "landed" "from-the-device!"
@@ -417,7 +456,7 @@ let test_engine_badload_wrong_space () =
   let _, layout, _, _, udma, _ = rig () in
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 16l;
   (* load from device space while dest is device space: dev-to-dev *)
-  let st = Udma_engine.handle_load udma ~paddr:(dp layout 1 0) in
+  let st = load_status udma ~paddr:(dp layout 1 0) in
   checkb "wrong space flagged" true st.Status.wrong_space;
   checkb "not started" false st.Status.started;
   checkb "machine reset" true (Udma_engine.state udma = Sm.Idle);
@@ -428,7 +467,7 @@ let test_engine_invalidate () =
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 64l;
   Udma_engine.invalidate udma;
   checkb "idle" true (Udma_engine.state udma = Sm.Idle);
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "subsequent load is a probe" false st.Status.started;
   checkb "invalid flag" true st.Status.invalid
 
@@ -437,14 +476,14 @@ let test_engine_page_boundary_clamp () =
   (* source starts 100 bytes before a page end; ask for 4096 *)
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 4096l;
   let src = mp layout (2 * 4096 - 100) in
-  let st = Udma_engine.handle_load udma ~paddr:src in
+  let st = load_status udma ~paddr:src in
   checkb "started" true st.Status.started;
   checki "clamped to source page room" 100 st.Status.remaining_bytes;
   checki "clamp counted" 1 (Udma_engine.counters udma).Udma_engine.clamped;
   Engine.run_until_idle engine;
   (* destination-side clamp *)
   Udma_engine.handle_store udma ~paddr:(dp layout 0 (4096 - 8)) 4096l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checki "clamped to dest page room" 8 st.Status.remaining_bytes
 
 let test_engine_unbound_device_page () =
@@ -459,7 +498,7 @@ let test_engine_unbound_device_page () =
   let port, _ = Device.buffer "d" ~size:(4 * 4096) in
   Udma_engine.attach_device udma2 ~base_page:0 ~pages:4 ~port ();
   Udma_engine.handle_store udma2 ~paddr:(dp layout2 6 0) 16l;
-  let st = Udma_engine.handle_load udma2 ~paddr:(mp layout2 4096) in
+  let st = load_status udma2 ~paddr:(mp layout2 4096) in
   checkb "device error" true (st.Status.device_error <> 0);
   checkb "not started" false st.Status.started;
   checkb "reset" true (Udma_engine.state udma2 = Sm.Idle)
@@ -478,11 +517,11 @@ let test_engine_validate_hook () =
       if dev_addr land 3 <> 0 || nbytes land 3 <> 0 then 1 else 0)
     ();
   Udma_engine.handle_store udma ~paddr:(dp layout 0 2) 16l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "alignment rejected" true (st.Status.device_error <> 0);
   (* aligned passes *)
   Udma_engine.handle_store udma ~paddr:(dp layout 0 4) 16l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "aligned accepted" true st.Status.started
 
 let test_engine_status_via_bus () =
@@ -496,7 +535,7 @@ let test_engine_status_via_bus () =
 let test_engine_mem_frame_busy_during_transfer () =
   let engine, layout, _, _, udma, _ = rig () in
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout (3 * 4096)));
+  ignore (load_status udma ~paddr:(mp layout (3 * 4096)));
   checkb "frame 3 busy" true (Udma_engine.mem_frame_busy udma ~frame:3);
   checkb "frame 5 free" false (Udma_engine.mem_frame_busy udma ~frame:5);
   Engine.run_until_idle engine;
@@ -511,7 +550,7 @@ let test_queued_accepts_while_busy () =
   (* three back-to-back pieces without waiting *)
   for i = 0 to 2 do
     Udma_engine.handle_store udma ~paddr:(dp layout i 0) 4096l;
-    let st = Udma_engine.handle_load udma ~paddr:(mp layout ((i + 1) * 4096)) in
+    let st = load_status udma ~paddr:(mp layout ((i + 1) * 4096)) in
     checkb (Printf.sprintf "piece %d accepted" i) true st.Status.started
   done;
   checki "outstanding" 3 (Udma_engine.outstanding udma);
@@ -528,7 +567,7 @@ let test_queued_refuses_when_full () =
   (* first: starts on the DMA engine; second: queued; third: refused *)
   let issue i =
     Udma_engine.handle_store udma ~paddr:(dp layout i 0) 4096l;
-    Udma_engine.handle_load udma ~paddr:(mp layout ((i + 1) * 4096))
+    load_status udma ~paddr:(mp layout ((i + 1) * 4096))
   in
   checkb "1 started" true (issue 0).Status.started;
   checkb "2 queued" true (issue 1).Status.started;
@@ -540,7 +579,7 @@ let test_queued_refuses_when_full () =
   | Sm.Dest_loaded _ -> ()
   | s -> Alcotest.failf "expected DestLoaded after refusal, got %a" Sm.pp_state s);
   Engine.run_until_idle engine;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout (3 * 4096)) in
+  let st = load_status udma ~paddr:(mp layout (3 * 4096)) in
   checkb "retried LOAD succeeds after drain" true st.Status.started;
   Engine.run_until_idle engine
 
@@ -551,7 +590,7 @@ let test_queued_refcounts () =
   (* two requests from the same source frame *)
   for i = 0 to 1 do
     Udma_engine.handle_store udma ~paddr:(dp layout i 0) 4096l;
-    ignore (Udma_engine.handle_load udma ~paddr:(mp layout (2 * 4096)))
+    ignore (load_status udma ~paddr:(mp layout (2 * 4096)))
   done;
   checki "refcount 2" 2 (Udma_engine.refcount udma ~frame:2);
   checkb "frame busy" true (Udma_engine.mem_frame_busy udma ~frame:2);
@@ -563,18 +602,18 @@ let test_queued_match_is_associative () =
     rig ~mode:(Udma_engine.Queued { depth = 4 }) ()
   in
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout 4096));
+  ignore (load_status udma ~paddr:(mp layout 4096));
   Udma_engine.handle_store udma ~paddr:(dp layout 1 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout (2 * 4096)));
+  ignore (load_status udma ~paddr:(mp layout (2 * 4096)));
   (* both outstanding requests answer to the match query *)
-  let st1 = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st1 = load_status udma ~paddr:(mp layout 4096) in
   checkb "queued req 1 matches" true st1.Status.matches;
-  let st2 = Udma_engine.handle_load udma ~paddr:(mp layout (2 * 4096)) in
+  let st2 = load_status udma ~paddr:(mp layout (2 * 4096)) in
   checkb "queued req 2 matches" true st2.Status.matches;
-  let st3 = Udma_engine.handle_load udma ~paddr:(mp layout (3 * 4096)) in
+  let st3 = load_status udma ~paddr:(mp layout (3 * 4096)) in
   checkb "other address does not" false st3.Status.matches;
   Engine.run_until_idle engine;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "cleared after completion" false st.Status.matches
 
 let test_system_queue_priority () =
@@ -587,9 +626,9 @@ let test_system_queue_priority () =
   (* occupy the engine, then queue one user and one system request;
      the system one must run first *)
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout 4096));
+  ignore (load_status udma ~paddr:(mp layout 4096));
   Udma_engine.handle_store udma ~paddr:(dp layout 1 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout (2 * 4096)));
+  ignore (load_status udma ~paddr:(mp layout (2 * 4096)));
   (match
      Udma_engine.enqueue_system udma
        ~src_proxy:(mp layout (3 * 4096))
@@ -618,7 +657,7 @@ let test_basic_enqueue_system_requires_idle () =
   (* and a user pair during the kernel transfer is held off: the
      machine mirrors Transferring, so the store is ignored *)
   Udma_engine.handle_store udma ~paddr:(dp layout 1 0) 64l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 8192) in
+  let st = load_status udma ~paddr:(mp layout 8192) in
   checkb "user probe sees transferring" true st.Status.transferring;
   checkb "user pair not started" false st.Status.started;
   Engine.run_until_idle engine;
@@ -628,7 +667,7 @@ let test_abort_active () =
   let engine, layout, mem, _, udma, store = rig () in
   Phys_mem.write_bytes mem ~addr:4096 (Bytes.make 64 'Z');
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 64l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "started" true st.Status.started;
   checkb "abort succeeds" true (Udma_engine.abort_active udma);
   checkb "machine idle" true (Udma_engine.state udma = Sm.Idle);
@@ -637,12 +676,12 @@ let test_abort_active () =
   checkb "no data moved" true (Bytes.get store 0 = '\000');
   checki "no completion" 0 (Udma_engine.counters udma).Udma_engine.completions;
   (* the initiating process's completion check sees the match clear *)
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "match cleared" false st.Status.matches;
   checkb "abort when idle is false" false (Udma_engine.abort_active udma);
   (* the engine is reusable afterwards *)
   Udma_engine.handle_store udma ~paddr:(dp layout 0 0) 64l;
-  let st = Udma_engine.handle_load udma ~paddr:(mp layout 4096) in
+  let st = load_status udma ~paddr:(mp layout 4096) in
   checkb "restarted fine" true st.Status.started;
   Engine.run_until_idle engine;
   checkb "data moved this time" true (Bytes.get store 0 = 'Z')
@@ -653,7 +692,7 @@ let test_queued_abort_dispatches_next () =
   in
   for i = 0 to 1 do
     Udma_engine.handle_store udma ~paddr:(dp layout i 0) 4096l;
-    ignore (Udma_engine.handle_load udma ~paddr:(mp layout ((i + 1) * 4096)))
+    ignore (load_status udma ~paddr:(mp layout ((i + 1) * 4096)))
   done;
   checki "two outstanding" 2 (Udma_engine.outstanding udma);
   checkb "abort head" true (Udma_engine.abort_active udma);
@@ -667,12 +706,12 @@ let test_queued_dev_proxy_match () =
     rig ~mode:(Udma_engine.Queued { depth = 4 }) ()
   in
   Udma_engine.handle_store udma ~paddr:(dp layout 2 0) 4096l;
-  ignore (Udma_engine.handle_load udma ~paddr:(mp layout 4096));
+  ignore (load_status udma ~paddr:(mp layout 4096));
   (* the associative query answers for the DESTINATION base too *)
-  let st = Udma_engine.handle_load udma ~paddr:(dp layout 2 0) in
+  let st = load_status udma ~paddr:(dp layout 2 0) in
   checkb "dest proxy matches" true st.Status.matches;
   Engine.run_until_idle engine;
-  let st = Udma_engine.handle_load udma ~paddr:(dp layout 2 0) in
+  let st = load_status udma ~paddr:(dp layout 2 0) in
   checkb "clears after completion" false st.Status.matches
 
 let test_nipt_scale_32k () =
@@ -715,6 +754,8 @@ let () =
             test_sm_transferring_load_probes;
           Alcotest.test_case "done" `Quick test_sm_done;
           Alcotest.test_case "totality" `Quick test_sm_totality;
+          Alcotest.test_case "load_is_probe = step's probe rows" `Quick
+            test_sm_load_is_probe;
         ] );
       ( "shape-words",
         [

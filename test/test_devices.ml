@@ -142,7 +142,6 @@ let test_pio_unconnected () =
 
 (* ---------- devices driven through the full UDMA stack ---------- *)
 
-module Layout = Udma_mmu.Layout
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine

@@ -6,7 +6,6 @@ module Phys_mem = Udma_memory.Phys_mem
 module Bus = Udma_dma.Bus
 module Device = Udma_dma.Device
 module Descriptor = Udma_dma.Descriptor
-module Frontend = Udma_dma.Frontend
 module Midend = Udma_dma.Midend
 module Dma_engine = Udma_dma.Dma_engine
 

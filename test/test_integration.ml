@@ -4,11 +4,9 @@
 module Engine = Udma_sim.Engine
 module Layout = Udma_mmu.Layout
 module Device = Udma_dma.Device
-module Status = Udma.Status
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
-module Proc = Udma_os.Proc
 module Vm = Udma_os.Vm
 module Scheduler = Udma_os.Scheduler
 module Syscall = Udma_os.Syscall
@@ -490,6 +488,239 @@ let test_multi_device_node () =
   | Ok _ -> Alcotest.fail "transfer to an unbound device page succeeded"
   | Error e -> Alcotest.failf "unexpected: %a" Initiator.pp_error e
 
+(* ---------- completion polls: the bulk step is exact ---------- *)
+
+(* Everything a completion probe can touch, after a send mix: the
+   clock, the profiler, every counter, the TLBs, each transfer's
+   statistics and the bytes that arrived. The bulk step must leave all
+   of it as loading one probe at a time does. *)
+type poll_outcome = {
+  now : int;
+  profile : (string * int) list;
+  counters : (string * int) list list;
+  tlbs : (int * int) list;
+  stats : string list;
+  received : bytes list;
+}
+
+let stats_line = function
+  | Ok s ->
+      Printf.sprintf "pieces %d, pairs %d, retries %d, polls %d, cycles %d"
+        s.Initiator.pieces s.Initiator.pairs s.Initiator.retries
+        s.Initiator.polls s.Initiator.cycles
+  | Error e -> Format.asprintf "error: %a" Initiator.pp_error e
+
+let poll_outcome engine machines results =
+  let tlb m =
+    let t = Udma_mmu.Mmu.tlb m.M.mmu in
+    (Udma_mmu.Tlb.hits t, Udma_mmu.Tlb.misses t)
+  in
+  {
+    now = Engine.now engine;
+    profile = Udma_obs.Profiler.to_list (Engine.profile engine);
+    counters =
+      List.map Udma_obs.Metrics.counters
+        (Engine.metrics engine :: List.map (fun m -> m.M.metrics) machines);
+    tlbs = List.map tlb machines;
+    stats = List.map (fun (r, _) -> stats_line r) results;
+    received = List.map snd results;
+  }
+
+(* [proc]'s CPU, counting the loads that reach its machine. With
+   [step_by_step], a preempt hook that never preempts is set: it rules
+   the bulk step out and changes nothing else. *)
+let polling_cpu ~step_by_step m proc loads =
+  if step_by_step then Scheduler.set_preempt_hook m (Some (fun _ -> false));
+  let cpu = Kernel.user_cpu m proc in
+  {
+    cpu with
+    Initiator.load =
+      (fun ~vaddr ->
+        incr loads;
+        cpu.Initiator.load ~vaddr);
+  }
+
+(* Sends on a 2-node system: contiguous ones from 4 B to 8 KB, two that
+   cross a page (on the source, then on the destination side), a
+   strided and a gather send — or, on queued hardware, pipelined and
+   queued shaped ones. Each send is drained and the receive buffer read
+   before the next. *)
+let system_mix ~queued ~step_by_step =
+  let config =
+    if not queued then System.default_config
+    else
+      {
+        System.default_config with
+        System.machine =
+          {
+            M.default_config with
+            M.udma_mode = Some (Udma_engine.Queued { depth = 4 });
+          };
+      }
+  in
+  let sys = System.create ~config ~nodes:2 () in
+  let snd = System.node sys 0 and rcv = System.node sys 1 in
+  let m = snd.System.machine in
+  let sp = Scheduler.spawn m ~name:"s" in
+  let rp = Scheduler.spawn rcv.System.machine ~name:"r" in
+  let ch = Messaging.connect sys ~sender:(0, sp) ~receiver:(1, rp) ~pages:3 () in
+  let buf = Kernel.alloc_buffer m sp ~bytes:(3 * 4096) in
+  Kernel.write_user m sp ~vaddr:buf (pattern (3 * 4096) 11);
+  let loads = ref 0 in
+  let cpu = polling_cpu ~step_by_step m sp loads in
+  let layout = m.M.layout in
+  let src off = Initiator.Memory (buf + off) in
+  let dst off = Initiator.Device (Messaging.dev_vaddr ch ~offset:off) in
+  let contig transfer (s, d, nbytes) () =
+    transfer cpu ~layout ?config:None ~src:(src s) ~dst:(dst d) ~nbytes ()
+  in
+  let shaped shape nbytes () =
+    Initiator.transfer_shaped cpu ~layout ~queued ~src:(src 0) ~dst:(dst 0)
+      ~shape ~nbytes ()
+  in
+  let strided = shaped (Initiator.Strided_shape { stride = 16; chunk = 8 }) 512 in
+  let sends =
+    if queued then
+      List.map
+        (contig Initiator.transfer_queued)
+        [ (0, 0, 64); (0, 0, 8192); (100, 0, 6000); (0, 4000, 512) ]
+      @ [ strided ]
+    else
+      List.map
+        (contig Initiator.transfer)
+        [ (0, 0, 4); (0, 0, 64); (0, 0, 512); (0, 0, 4096); (0, 0, 8192);
+          (4000, 0, 512); (0, 4000, 512) ]
+      @ [ strided;
+          shaped
+            (Initiator.Gather_shape [ (dst 1024, 256); (dst 2048, 128) ])
+            640 ]
+  in
+  let results =
+    List.map
+      (fun send ->
+        let r = send () in
+        System.run_until_idle sys;
+        (r, Messaging.read_payload ch ~len:(Messaging.capacity ch)))
+      sends
+  in
+  (poll_outcome (System.engine sys) [ m; rcv.System.machine ] results, !loads)
+
+(* Device-to-memory transfers (one crossing a page) and one back, on a
+   machine with a buffer device. The last finds the engine busy with a
+   kernel transfer, so its initiation polls until the engine is idle. *)
+let device_mix ~step_by_step =
+  let m = M.create () in
+  let udma = Option.get m.M.udma in
+  let port, store = Device.buffer "buf" ~size:(4 * 4096) in
+  Bytes.blit (pattern (4 * 4096) 5) 0 store 0 (4 * 4096);
+  Udma_engine.attach_device udma ~base_page:0 ~pages:4 ~port ();
+  let proc = Scheduler.spawn m ~name:"p" in
+  List.iter
+    (fun i ->
+      ignore
+        (Syscall.map_device_proxy m proc ~vdev_index:i ~pdev_index:i
+           ~writable:true))
+    [ 0; 1; 2; 3 ];
+  let buf = Kernel.alloc_buffer m proc ~bytes:(2 * 4096) in
+  Kernel.touch_dirty m proc ~vaddr:buf;
+  Kernel.touch_dirty m proc ~vaddr:(buf + 4096);
+  let loads = ref 0 in
+  let cpu = polling_cpu ~step_by_step m proc loads in
+  let dev off =
+    Initiator.Device
+      (Kernel.vdev_addr m ~index:(off / 4096) ~offset:(off mod 4096))
+  in
+  let mem off = Initiator.Memory (buf + off) in
+  let kernel_transfer () =
+    match
+      Udma_engine.enqueue_system udma
+        ~src_proxy:(Layout.proxy_of m.M.layout (20 * 4096))
+        ~dest_proxy:(Kernel.vdev_addr m ~index:3 ~offset:0) ~nbytes:4096
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "kernel transfer refused"
+  in
+  let results =
+    List.map
+      (fun (busy, src, dst, nbytes) ->
+        if busy then kernel_transfer ();
+        let r = Initiator.transfer cpu ~layout:m.M.layout ~src ~dst ~nbytes () in
+        Engine.run_until_idle m.M.engine;
+        ( r,
+          Bytes.cat (Kernel.read_user m proc ~vaddr:buf ~len:(2 * 4096)) store ))
+      [ (false, dev 0, mem 0, 4096); (false, dev 100, mem 2000, 6000);
+        (false, mem 0, dev 8192, 1024); (true, mem 0, dev 8192, 2048) ]
+  in
+  (poll_outcome m.M.engine [ m ] results, !loads)
+
+let check_poll_outcome name (step : poll_outcome) (bulk : poll_outcome) =
+  let msg what = name ^ ": " ^ what in
+  checki (msg "Engine.now") step.now bulk.now;
+  Alcotest.(check (list (pair string int))) (msg "profiler totals") step.profile
+    bulk.profile;
+  Alcotest.(check (list (list (pair string int))))
+    (msg "counters") step.counters bulk.counters;
+  Alcotest.(check (list (pair int int))) (msg "TLB hits, misses") step.tlbs
+    bulk.tlbs;
+  Alcotest.(check (list string)) (msg "Initiator.stats") step.stats bulk.stats;
+  Alcotest.(check (list bytes)) (msg "received bytes") step.received
+    bulk.received
+
+let test_bulk_poll_exact () =
+  List.iter
+    (fun (name, mix) ->
+      let bulk, bulk_loads = mix ~step_by_step:false in
+      let step, step_loads = mix ~step_by_step:true in
+      check_poll_outcome name step bulk;
+      Printf.printf "%s: %d loads reach the machine, %d step by step\n" name
+        bulk_loads step_loads;
+      List.iter (Printf.printf "  %s\n") bulk.stats;
+      if bulk_loads >= step_loads then
+        Alcotest.failf "%s: the bulk step was never taken (%d loads, %d step by step)"
+          name bulk_loads step_loads)
+    [
+      ("basic", system_mix ~queued:false);
+      ("queued", system_mix ~queued:true);
+      ("device", device_mix);
+    ]
+
+(* A probe the bulk step does not cover still allocates only its boxed
+   status word. *)
+let probe_words_max = 5.0
+
+let test_probe_alloc_bound () =
+  let m = M.create () in
+  let udma = Option.get m.M.udma in
+  let port, _ = Device.buffer "d" ~size:(4 * 4096) in
+  Udma_engine.attach_device udma ~base_page:0 ~pages:4 ~port ();
+  let proc = Scheduler.spawn m ~name:"p" in
+  ignore
+    (Syscall.map_device_proxy m proc ~vdev_index:0 ~pdev_index:0 ~writable:true);
+  let buf = Kernel.alloc_buffer m proc ~bytes:4096 in
+  Kernel.write_user m proc ~vaddr:buf (pattern 4096 1);
+  let cpu = Kernel.user_cpu m proc in
+  (match
+     Initiator.initiation_cycles cpu ~layout:m.M.layout
+       ~config:Initiator.default_config ~src:(Initiator.Memory buf)
+       ~dst:(Initiator.Device (Kernel.vdev_addr m ~index:0 ~offset:0))
+       ~nbytes:4096
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "initiation failed: %a" Initiator.pp_error e);
+  let probe = Layout.proxy_of m.M.layout buf in
+  let rounds = 40 in
+  ignore (cpu.Initiator.load ~vaddr:probe);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (cpu.Initiator.load ~vaddr:probe)
+  done;
+  let per_probe = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Printf.printf "probe guard: %.2f minor words per real probe\n" per_probe;
+  checkb "every probe met the transfer in flight" true
+    (Udma.Status.has Udma.Status.Matches (cpu.Initiator.load ~vaddr:probe));
+  if per_probe > probe_words_max then
+    Alcotest.failf "%.2f minor words per probe > %.2f" per_probe probe_words_max
+
 let () =
   Alcotest.run "udma_integration"
     [
@@ -525,6 +756,13 @@ let () =
             test_anchor_values_survive_serialization;
           Alcotest.test_case "1% drift passes, 3% fails" `Quick
             test_anchor_drift_gate;
+        ] );
+      ( "bulk-poll",
+        [
+          Alcotest.test_case "bulk step = step by step" `Quick
+            test_bulk_poll_exact;
+          Alcotest.test_case "real probe allocation bounded" `Quick
+            test_probe_alloc_bound;
         ] );
       ( "multi-device",
         [ Alcotest.test_case "three devices, one engine" `Quick test_multi_device_node ] );

@@ -7,7 +7,6 @@ module Layout = Udma_mmu.Layout
 module Page_table = Udma_mmu.Page_table
 module Pte = Udma_mmu.Pte
 module Device = Udma_dma.Device
-module Dma_engine = Udma_dma.Dma_engine
 module Status = Udma.Status
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine

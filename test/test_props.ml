@@ -141,11 +141,12 @@ let prop_status_roundtrip =
       && Status.(has Transferring w) = s.transferring
       && Status.(has Invalid w) = s.invalid
       && Status.(has Matches w) = s.matches
-      && Status.equal
+      && Int32.equal
            (Status.probe ~transferring:s.transferring ~invalid:s.invalid
               ~matches:s.matches ~remaining_bytes:s.remaining_bytes)
-           (Status.make ~transferring:s.transferring ~invalid:s.invalid
-              ~matches:s.matches ~remaining_bytes:s.remaining_bytes ()))
+           (Status.encode
+              (Status.make ~transferring:s.transferring ~invalid:s.invalid
+                 ~matches:s.matches ~remaining_bytes:s.remaining_bytes ())))
 
 (* ---------- Phys_mem: per-frame table = flat bytes ---------- *)
 
@@ -1085,7 +1086,6 @@ let prop_router_paths_valid =
 (* ---------- automatic update: every write eventually visible ---------- *)
 
 module System = Udma_shrimp.System
-module Auto_update = Udma_shrimp.Auto_update
 
 let prop_auto_update_complete =
   qtest ~count:15 "every snooped write is eventually visible remotely"
@@ -1122,6 +1122,7 @@ let prop_auto_update_complete =
 
 module Page_table = Udma_mmu.Page_table
 module Pte = Udma_mmu.Pte
+module Frame_allocator = Udma_memory.Frame_allocator
 
 (* I2: every present proxy mapping points at the proxy of the frame the
    real mapping currently holds. I3 (write-upgrade policy): a writable
@@ -1226,8 +1227,10 @@ let prop_invariants_under_random_ops =
             | Some b -> ignore (Vm.clean_page m proc ~vpn:(b / 4096))
             | None -> ())
         | 5 ->
-            (* memory pressure: force an eviction if possible *)
-            (try ignore (Vm.evict_one m) with Vm.Out_of_memory -> ())
+            (* memory pressure: force an eviction if possible; the
+               evicted frame is ours to return *)
+            (try Frame_allocator.free m.M.alloc (Vm.evict_one m)
+             with Vm.Out_of_memory -> ())
         | _ -> (
             (* read a page back (page-in path) *)
             match pick_buf () with

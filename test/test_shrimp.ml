@@ -3,7 +3,6 @@
 
 module Engine = Udma_sim.Engine
 module Layout = Udma_mmu.Layout
-module Phys_mem = Udma_memory.Phys_mem
 module Initiator = Udma.Initiator
 module Status = Udma.Status
 module M = Udma_os.Machine
@@ -15,6 +14,7 @@ module Backend = Udma_protect.Backend
 module Fifo = Udma_shrimp.Fifo
 module Router = Udma_shrimp.Router
 module Ni = Udma_shrimp.Network_interface
+module Payload_pool = Udma_shrimp.Payload_pool
 module System = Udma_shrimp.System
 module Messaging = Udma_shrimp.Messaging
 module Rng = Udma_sim.Rng
@@ -1065,11 +1065,75 @@ let test_ni_unconfigured_page_rejected () =
    drop reaches the machine's published metrics. *)
 let test_ni_send_without_router_dropped () =
   let machine = M.create () in
-  let ni = Ni.create ~id:0 ~machine () in
+  let ni = Ni.create ~id:0 ~machine ~pool:(Payload_pool.create ()) () in
   Ni.send_raw ni ~dst_node:1 ~dst_paddr:0 (Bytes.make 64 'x');
   checki "ni.send_drops" 1
     (Udma_obs.Metrics.get machine.M.metrics "ni.send_drops");
   checki "nothing sent" 0 (Ni.packets_sent ni)
+
+(* ---------- payload pool ---------- *)
+
+(* Three 4 KB sends back to back, each to its own receive page, then
+   three more with new contents: the second round runs on the buffers
+   the first returned, and every page holds exactly its last send. *)
+let test_pool_reuse_lands_exactly () =
+  let sys, snd, _rcv, sp, rp = two_nodes () in
+  let m = snd.System.machine in
+  let ch = Messaging.connect sys ~sender:(0, sp) ~receiver:(1, rp) ~pages:4 () in
+  let buf = Kernel.alloc_buffer m sp ~bytes:(3 * 4096) in
+  let cpu = Kernel.user_cpu m sp in
+  let pool = System.pool sys in
+  let round seed =
+    let data = pattern (3 * 4096) seed in
+    Kernel.write_user m sp ~vaddr:buf data;
+    for page = 0 to 2 do
+      match
+        Initiator.transfer cpu ~layout:m.M.layout
+          ~src:(Initiator.Memory (buf + (page * 4096)))
+          ~dst:(Initiator.Device (Messaging.dev_vaddr ch ~offset:(page * 4096)))
+          ~nbytes:4096 ()
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "send failed: %a" Initiator.pp_error e
+    done;
+    System.run_until_idle sys;
+    check Alcotest.bytes
+      (Printf.sprintf "round %d landed" seed)
+      data
+      (Messaging.read_payload ch ~len:(3 * 4096));
+    Payload_pool.held pool
+  in
+  let first = round 1 in
+  checkb "deposits returned their buffers" true (first > 0);
+  let second = round 2 in
+  checki "the second round took no fresh buffer" first second;
+  let third = round 3 in
+  checki "nor the third" first third
+
+(* A send an interface drops for want of a router never reaches a
+   deposit, so its buffer is not returned. *)
+let test_pool_dropped_send_returns_nothing () =
+  let machine = M.create () in
+  let pool = Payload_pool.create () in
+  let ni = Ni.create ~id:0 ~machine ~pool () in
+  Ni.send_raw ni ~dst_node:1 ~dst_paddr:0 (Bytes.make 4096 'x');
+  checki "ni.send_drops" 1
+    (Udma_obs.Metrics.get machine.M.metrics "ni.send_drops");
+  checki "nothing returned" 0 (Payload_pool.held pool)
+
+let test_pool_refuses_double_return () =
+  let pool = Payload_pool.create () in
+  let b = Payload_pool.take pool 4096 in
+  Payload_pool.give pool b;
+  Payload_pool.give pool b;
+  checki "held once" 1 (Payload_pool.held pool);
+  let b1 = Payload_pool.take pool 4096 in
+  let b2 = Payload_pool.take pool 4096 in
+  checkb "taken back" true (b1 == b);
+  checkb "no second owner" false (b2 == b);
+  Payload_pool.give pool (Bytes.create (Payload_pool.min_bytes - 4));
+  checki "short buffers are not kept" 0 (Payload_pool.held pool);
+  checki "exact length" 8192 (Bytes.length (Payload_pool.take pool 8192))
 
 let test_receive_marks_dirty () =
   let sys, snd, rcv, sp, rp = two_nodes () in
@@ -1608,6 +1672,12 @@ let () =
             test_ni_unconfigured_page_rejected;
           Alcotest.test_case "send without router dropped" `Quick
             test_ni_send_without_router_dropped;
+          Alcotest.test_case "pool: reused buffers land exactly" `Quick
+            test_pool_reuse_lands_exactly;
+          Alcotest.test_case "pool: dropped send returns nothing" `Quick
+            test_pool_dropped_send_returns_nothing;
+          Alcotest.test_case "pool: double return refused" `Quick
+            test_pool_refuses_double_return;
           Alcotest.test_case "receive marks dirty" `Quick test_receive_marks_dirty;
           Alcotest.test_case "create allocation bounded" `Quick
             test_system_create_allocation;
