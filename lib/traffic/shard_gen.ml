@@ -67,17 +67,68 @@ let validate (cfg : Load_gen.config) =
        use the legacy engine"
   else Load_gen.validate_workload cfg
 
-(* One directed mesh link, owned by the shard of its source node. *)
+(* One directed mesh link, owned by the shard of its source node.
+
+   Occupancy is settled at the link's next claim, never by an event of
+   its own. [fifo] holds the claims still on the wire, oldest first, as
+   (release time, packet id) pairs: a ring of [Array.length fifo / 2]
+   slots (a power of two) starting at slot [head]. Each claim starts no
+   earlier than the previous claim's release and occupies the wire for
+   at least one cycle, so release times strictly increase along the
+   ring. *)
 type link = {
   l_from : int;
   l_to : int;
-  mutable busy_until : int;
-  mutable inflight : int;
+  mutable fifo : int array;
+  mutable head : int;
+  mutable depth : int;  (* claims in [fifo]: the link's occupancy *)
   mutable max_depth : int;
   mutable xmits : int;
   mutable busy_cycles : int;
   mutable wait_cycles : int;
 }
+
+(* Drop every claim whose release the kernel's (time, key) order would
+   have run before a claim at [now] with key [pid], had each release
+   been an event at (release time, its packet's id): since release
+   times increase, exactly the front entries below (now, pid). *)
+let rec settle l ~now ~pid =
+  if l.depth > 0 then begin
+    let i = 2 * l.head in
+    let rt = l.fifo.(i) in
+    if rt < now || (rt = now && l.fifo.(i + 1) < pid) then begin
+      l.head <- (l.head + 1) land ((Array.length l.fifo / 2) - 1);
+      l.depth <- l.depth - 1;
+      settle l ~now ~pid
+    end
+  end
+
+(* Claim the wire for [occ] cycles from when it frees: the last
+   outstanding release, or [now] when none is outstanding. Settling
+   leaves only releases at or after [now]. Returns the start. *)
+let claim l ~now ~pid ~occ =
+  settle l ~now ~pid;
+  let slots = Array.length l.fifo / 2 in
+  if l.depth = slots then begin
+    let grown = Array.make (4 * slots) 0 in
+    for j = 0 to slots - 1 do
+      let i = 2 * ((l.head + j) land (slots - 1)) in
+      grown.(2 * j) <- l.fifo.(i);
+      grown.((2 * j) + 1) <- l.fifo.(i + 1)
+    done;
+    l.fifo <- grown;
+    l.head <- 0
+  end;
+  let mask = (Array.length l.fifo / 2) - 1 in
+  let start =
+    if l.depth = 0 then now else l.fifo.(2 * ((l.head + l.depth - 1) land mask))
+  in
+  let i = 2 * ((l.head + l.depth) land mask) in
+  l.fifo.(i) <- start + occ;
+  l.fifo.(i + 1) <- pid;
+  l.depth <- l.depth + 1;
+  if l.depth > l.max_depth then l.max_depth <- l.depth;
+  start
 
 (* Per-shard accumulators: each record is touched only by its owning
    shard while the kernel runs, so no synchronisation is needed. *)
@@ -101,8 +152,12 @@ type source = {
   mutable next_pid : int;
 }
 
-(* Packet ids order same-cycle events of different packets at a merge;
-   they only need to be unique and deterministic. *)
+(* Packet ids key every walk and delivery event, ordering same-cycle
+   events of different packets at a merge; they only need to be unique
+   and deterministic. They start at 1: key 0 belongs to the arrival
+   and launch events alone, so no walk event ties with one on (time,
+   key) and falls back to push order, which depends on where the
+   windows fall. *)
 let pid_stride = 1 lsl 20
 
 let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
@@ -137,8 +192,8 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     | Some l -> l
     | None ->
         let l =
-          { l_from = a; l_to = b; busy_until = 0; inflight = 0; max_depth = 0;
-            xmits = 0; busy_cycles = 0; wait_cycles = 0 }
+          { l_from = a; l_to = b; fifo = Array.make 8 0; head = 0; depth = 0;
+            max_depth = 0; xmits = 0; busy_cycles = 0; wait_cycles = 0 }
         in
         links.(i) <- Some l;
         l
@@ -182,16 +237,11 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     let x', y' = if x <> dx then (step x dx, y) else (x, step y dy) in
     let b = node_id ~x:x' ~y:y' in
     let l = link_for a b in
-    let start = max head l.busy_until in
+    let start = claim l ~now:head ~pid ~occ in
     let wait = start - head in
     if wait > 0 then l.wait_cycles <- l.wait_cycles + wait;
-    l.inflight <- l.inflight + 1;
-    if l.inflight > l.max_depth then l.max_depth <- l.inflight;
-    l.busy_until <- start + occ;
     l.xmits <- l.xmits + 1;
     l.busy_cycles <- l.busy_cycles + occ;
-    Shard.schedule k ~shard:y ~key:pid ~delay:(start + occ - head) (fun () ->
-        l.inflight <- l.inflight - 1);
     if b = pdst then
       Shard.post k ~src:y ~dst:y' ~key:pid
         ~delay:(start + per_hop_cycles + occ - head)
@@ -232,7 +282,7 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     end
   and launch (s : source) =
     let dst, born = Queue.pop s.q in
-    let pid = (s.src * pid_stride) + s.next_pid in
+    let pid = (s.src * pid_stride) + s.next_pid + 1 in
     s.next_pid <- s.next_pid + 1;
     stats.(row_of s.src).launched <- stats.(row_of s.src).launched + 1;
     start_walk ~pid ~psrc:s.src ~pdst:dst ~born;

@@ -689,6 +689,94 @@ let test_shard_merge_order_pinned () =
         expected (order ~domains))
     [ 1; 2; 3; 4 ]
 
+(* qcheck: when every event carries a unique non-zero key, each shard's
+   execution order is fixed by (time, key) alone, so it cannot depend
+   on where the windows fall. Random tokens walk the shards; each hop
+   folds its id into its shard's state, logs (time, id, state) and
+   posts the next hop with a delay that reads that state, so any change
+   of order on a shard changes the logs. A hop may also schedule a
+   local event that does nothing but move the windows. The logs must be
+   identical under lookahead [la] and 1 (every cross-shard delay is at
+   least [la], so both are sound), at domains 1 and 2, and with or
+   without the do-nothing events. *)
+type hop_step = { to_shard : int; extra : int; idle : int option }
+
+type shard_model = {
+  m_shards : int;
+  la : int;
+  tokens : (int * int * hop_step list) list;  (* shard, time, steps *)
+}
+
+let shard_logs ~lookahead ~domains ~idle m =
+  let k = Shard.create ~lookahead ~shards:m.m_shards () in
+  let logs = Array.make m.m_shards [] in
+  let state = Array.make m.m_shards 0 in
+  let id tok h = (tok * 64) + h in
+  let key_of tok h = (2 * id tok h) + 1 in
+  let rec fire tok h s steps () =
+    state.(s) <- ((state.(s) * 31) + id tok h) land 0xffffff;
+    logs.(s) <- (Shard.now k ~shard:s, id tok h, state.(s)) :: logs.(s);
+    match steps with
+    | [] -> ()
+    | st :: rest ->
+        (match st.idle with
+        | Some delay when idle ->
+            Shard.schedule k ~shard:s ~key:(key_of tok h + 1) ~delay ignore
+        | _ -> ());
+        let delay =
+          st.extra + (state.(s) mod 3) + if st.to_shard = s then 0 else m.la
+        in
+        Shard.post k ~src:s ~dst:st.to_shard ~key:(key_of tok (h + 1)) ~delay
+          (fire tok (h + 1) st.to_shard rest)
+  in
+  List.iteri
+    (fun tok (shard, time, steps) ->
+      Shard.schedule_at k ~shard ~time ~key:(key_of tok 0) (fire tok 0 shard steps))
+    m.tokens;
+  Shard.run ~domains k;
+  Array.map List.rev logs
+
+let shard_order_prop =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* m_shards = int_range 2 3 in
+      let* la = int_range 1 4 in
+      let step =
+        let+ to_shard = int_bound (m_shards - 1)
+        and+ extra = int_bound 2
+        and+ idle = opt (int_bound 6) in
+        { to_shard; extra; idle }
+      in
+      let token =
+        triple (int_bound (m_shards - 1)) (int_bound 4) (list_size (0 -- 16) step)
+      in
+      let+ tokens = list_size (1 -- 12) token in
+      { m_shards; la; tokens })
+  in
+  let print m =
+    Printf.sprintf "shards=%d la=%d %s" m.m_shards m.la
+      (String.concat "; "
+         (List.map
+            (fun (s, t, steps) ->
+              Printf.sprintf "%d@%d:%s" s t
+                (String.concat ","
+                   (List.map
+                      (fun st ->
+                        Printf.sprintf "%d+%d%s" st.to_shard st.extra
+                          (Option.fold ~none:"" ~some:(Printf.sprintf "/i%d") st.idle))
+                      steps)))
+            m.tokens))
+  in
+  Test.make ~count:200 ~name:"keyed order independent of windows"
+    (make ~print gen) (fun m ->
+      let base = shard_logs ~lookahead:m.la ~domains:1 ~idle:true m in
+      List.for_all
+        (fun (lookahead, domains, idle) ->
+          shard_logs ~lookahead ~domains ~idle m = base)
+        [ (1, 1, true); (m.la, 2, true); (1, 2, true); (m.la, 1, false);
+          (1, 2, false) ])
+
 let () =
   Alcotest.run "udma_sim"
     [
@@ -757,6 +845,7 @@ let () =
             test_shard_raise_on_worker;
           Alcotest.test_case "merge order pinned" `Quick
             test_shard_merge_order_pinned;
+          qtest shard_order_prop;
         ] );
       ( "trace",
         [

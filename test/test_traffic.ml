@@ -443,6 +443,62 @@ let test_shard_gen_large_mesh () =
   checkb "deliveries on the big mesh" true (r.Load_gen.delivered > 0);
   checkb "in-order per pair" true (r.Load_gen.injected >= r.Load_gen.delivered)
 
+(* Every field of a result, links included, floats in exact hex. *)
+let render_result (r : Load_gen.result) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  add "%d %d %d %d %d %d %d %h %h %h %d %d %d %d %d %d %d %d %d\n" r.nodes
+    r.width r.send_cycles r.window_cycles r.injected r.launched r.delivered
+    r.offered_per_kcycle r.delivered_per_kcycle r.mean_latency r.p50_latency
+    r.p95_latency r.p99_latency r.max_latency r.link_wait_cycles
+    r.link_max_depth r.credit_stalls r.credit_stall_cycles r.flit_hol_cycles;
+  Array.iter (add "%d ") r.latencies;
+  List.iter
+    (fun (l : Router.link_stat) ->
+      add "\n%d>%d %d %d %d %d" l.from_node l.to_node l.xmits l.busy_cycles
+        l.wait_cycles l.max_depth)
+    r.links;
+  Array.iter (fun (m, x) -> add "\n%h %d" m x) r.flit_occupancy;
+  Buffer.contents b
+
+(* The sharded generator's full output on three link regimes, recorded
+   when every claim's release was an event of its own, so they pin
+   that settling occupancy at the next claim changes nothing: deep
+   queues (4092 B into a hotspot), one-cycle occupancy (4 B messages,
+   so a release can fall on the very cycle of the next claim) and a
+   1024-node transpose. [(delivered, link_max_depth, link_wait_cycles)]
+   stay readable; the digest covers every field and every link. *)
+let test_shard_gen_pinned () =
+  let pin name ~send_cycles cfg (delivered, depth, wait, digest) =
+    let r = Shard_gen.run ~domains:1 ~send_cycles cfg in
+    Alcotest.(check (triple int int int))
+      (name ^ ": delivered, deepest link, link waits")
+      (delivered, depth, wait)
+      (r.Load_gen.delivered, r.Load_gen.link_max_depth,
+       r.Load_gen.link_wait_cycles);
+    Alcotest.(check string)
+      (name ^ ": digest of every field")
+      digest
+      (Digest.to_hex (Digest.string (render_result r)))
+  in
+  pin "4092 B hotspot" ~send_cycles:1_500
+    { (shard_cfg ~window:20_000 ()) with
+      Load_gen.msg_bytes = 4092;
+      pattern = Pattern.Hotspot { node = 0; pct = 50 };
+      arrival = Arrival.Poisson { per_kcycle = 0.6 } }
+    (247, 58, 59_771_225, "002f44dff88e31ec4fb69f7fa7005cfe");
+  pin "4 B, one-cycle occupancy" ~send_cycles:40
+    { (shard_cfg ~nodes:256 ~window:3_000 ()) with
+      Load_gen.msg_bytes = 4;
+      arrival = Arrival.Poisson { per_kcycle = 20.0 } }
+    (14_179, 3, 1_894, "ac068b2096bbaaffbb8be2cb377b3925");
+  pin "1024-node transpose" ~send_cycles:300
+    { (shard_cfg ~nodes:1024 ~window:2_000 ()) with
+      Load_gen.pattern = Pattern.Transpose;
+      link_per_word = 2;
+      arrival = Arrival.Poisson { per_kcycle = 3.0 } }
+    (520, 19, 36_446_872, "1c819430c81c359ae5d31a1a35771a7c")
+
 let test_shard_gen_validation () =
   let reject name cfg =
     match Shard_gen.run cfg with
@@ -626,6 +682,7 @@ let () =
           Alcotest.test_case "repeatable under seed" `Quick
             test_shard_gen_repeatable;
           Alcotest.test_case "1024-node mesh" `Quick test_shard_gen_large_mesh;
+          Alcotest.test_case "outputs pinned" `Quick test_shard_gen_pinned;
           Alcotest.test_case "config validation" `Quick
             test_shard_gen_validation;
         ] );
