@@ -16,7 +16,7 @@ let stats_of latencies =
   if n = 0 then empty_stats
   else begin
     let sorted = Array.copy latencies in
-    Array.sort compare sorted;
+    Array.stable_sort Int.compare sorted;
     {
       count = n;
       mean = float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int n;

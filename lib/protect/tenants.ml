@@ -255,7 +255,7 @@ let run cfg =
   done;
   sweep ();
   let sorted = Array.of_list !lat in
-  Array.sort compare sorted;
+  Array.stable_sort Int.compare sorted;
   let sum = Array.fold_left ( + ) 0 sorted in
   let st = Backend.stats t.backend in
   {

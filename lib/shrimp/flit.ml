@@ -38,7 +38,12 @@ let ctz x =
    packed flit, the next hop it will traverse (|path| once at its
    destination) and the cycle it is usable where it sits — that
    doubles when full (an unlimited FIFO grows; so does a finite one
-   overrun by the planted [Double_grant]). [fb_capacity] flit slots
+   overrun by the planted [Double_grant]). An input FIFO holds one
+   entry per flit, since credits count flit slots. An injection FIFO
+   holds one entry per queued worm: its front flit, whose index
+   advances in place as flits leave, and every flit of a worm is ready
+   at the same cycle and bound for the same first hop, so the front
+   reads exactly as a ring of single flits would. [fb_capacity] flit slots
    (-1 = unlimited); [fb_credits] is the credit counter the sender
    side spends one of per flit pushed and the receiver returns one of
    per flit popped, so [credits + occupancy = capacity] at every
@@ -100,6 +105,7 @@ type t = {
   paths : (int, int array) Hashtbl.t;  (* src * nodes + dst -> link indices *)
   inject : fbuf array;              (* per-source injection FIFOs *)
   mutable injected : int;
+  mutable queued : int;             (* flits still in injection FIFOs *)
   mutable delivered : int;
   mutable last_tick : int;
   mutable tick_ev : Engine.event;   (* the one flit-clock event *)
@@ -156,14 +162,10 @@ let ring_create ~vc ~pos ~capacity =
     fb_flit = Array.make !size 0; fb_hop = Array.make !size 0;
     fb_ready = Array.make !size 0; fb_head = 0; fb_len = 0 }
 
-(* Grow to the smallest power of two that holds [need] flits, in one
-   step: a worm's flits go onto the injection FIFO together. *)
-let ring_grow fb need =
+let ring_grow fb =
   let size = Array.length fb.fb_flit in
-  let size' = ref (2 * size) in
-  while !size' < need do size' := 2 * !size' done;
   let move a =
-    let b = Array.make !size' 0 in
+    let b = Array.make (2 * size) 0 in
     for k = 0 to fb.fb_len - 1 do
       b.(k) <- a.((fb.fb_head + k) land (size - 1))
     done;
@@ -175,7 +177,7 @@ let ring_grow fb need =
   fb.fb_head <- 0
 
 let ring_add fb flit hop ready =
-  if fb.fb_len = Array.length fb.fb_flit then ring_grow fb (fb.fb_len + 1);
+  if fb.fb_len = Array.length fb.fb_flit then ring_grow fb;
   let k = (fb.fb_head + fb.fb_len) land (Array.length fb.fb_flit - 1) in
   fb.fb_flit.(k) <- flit;
   fb.fb_hop.(k) <- hop;
@@ -313,7 +315,7 @@ let note_occupancy t occ =
 
 (* ---- The flit clock ----
 
-   One engine event per active flit-cycle. Each tick first ejects (at
+   One tick per active flit-cycle. Each tick first ejects (at
    most one flit per link), then arbitrates the wires (at most one
    flit crosses per link per flit-cycle), in the fixed [arr] order —
    fully deterministic. A tick visits only the links of its active
@@ -327,7 +329,10 @@ let note_occupancy t occ =
    to the next flit-ready or wire-free time instead of spinning, and
    goes quiescent when neither exists (empty network, or a worm wedged
    by a planted mutation — which is why the F1 oracle and not a hang
-   is how a leak surfaces). *)
+   is how a leak surfaces). The next tick runs in place when it would
+   be the engine's next event anyway ([Engine.step_to]) and is
+   scheduled as the one flit-clock event only when something else is
+   due first or the running pump stops short of it. *)
 
 (* A queue's front changed: mark the link its new front waits for and
    set the queue's bit in that link's waiter mask. A front past its
@@ -352,9 +357,10 @@ let push t fb flit hop ready =
   t.occ_now.(fb.fb_vc) <- t.occ_now.(fb.fb_vc) + 1;
   if fb.fb_len = 1 then refront t fb
 
-(* Pop a FIFO's front: it leaves its wire's waiter mask; an input
-   FIFO returns its credit upstream, and a popped tail releases the
-   VC. *)
+(* Pop a FIFO's front: it leaves its wire's waiter mask; an injection
+   FIFO's entry moves on to its worm's next flit and leaves after the
+   tail; an input FIFO returns its credit upstream, and a popped tail
+   releases the VC. *)
 let pop t fb =
   let k = fb.fb_head in
   let flit = fb.fb_flit.(k) and hop = fb.fb_hop.(k) in
@@ -364,11 +370,16 @@ let pop t fb =
     let s = t.arr.(p.(hop)) in
     s.waiters <- s.waiters land lnot (1 lsl fb.fb_pos)
   end;
-  ring_drop fb;
-  if fb.fb_vc >= 0 then begin
+  let tail = idx_of flit = t.w_flits.(w) - 1 in
+  if fb.fb_vc < 0 then begin
+    t.queued <- t.queued - 1;
+    if tail then ring_drop fb else fb.fb_flit.(k) <- flit + 1
+  end
+  else begin
+    ring_drop fb;
     t.occ_now.(fb.fb_vc) <- t.occ_now.(fb.fb_vc) - 1;
     if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
-    if idx_of flit = t.w_flits.(w) - 1 then fb.fb_owner <- -1
+    if tail then fb.fb_owner <- -1
   end;
   refront t fb
 
@@ -578,8 +589,9 @@ let next_time t now =
     !best
   end
 
-let tick t =
-  let now = Engine.now t.m.engine in
+let rec tick t =
+  let e = t.m.engine in
+  let now = Engine.now e in
   if now > t.last_tick then begin
     t.last_tick <- now;
     t.min_ready <- max_int;
@@ -602,7 +614,8 @@ let tick t =
       if occ > t.occ_max.(v) then t.occ_max.(v) <- occ
     done;
     let tn = if !progress then now + 1 else next_time t now in
-    if tn < max_int then Engine.schedule_at t.m.engine ~time:tn t.tick_ev
+    if tn < max_int then
+      if Engine.step_to e tn then tick t else Engine.schedule_at e ~time:tn t.tick_ev
   end
 
 (* Every directed mesh link is materialised up front, in (src, dst)
@@ -655,7 +668,7 @@ let create (m : Mesh.t) =
   let t =
     {
       m; arr; index; paths = Hashtbl.create 64; inject;
-      injected = 0; delivered = 0; last_tick = -1; tick_ev = ignore;
+      injected = 0; queued = 0; delivered = 0; last_tick = -1; tick_ev = ignore;
       arb = wl_create nl; eject = wl_create nl;
       busy = Array.make nl 0; busy_n = 0; min_ready = max_int;
       occ_now = Array.make vcn 0;
@@ -698,9 +711,10 @@ let path_of t ~src ~dst =
       Hashtbl.add t.paths key p;
       p
 
-(* Decompose a packet for another node into a worm and enqueue its
-   flits on the source node's injection FIFO (worms of one source
-   serialize there, like the NI's outgoing FIFO). *)
+(* Decompose a packet for another node into a worm and enqueue it, as
+   one entry at its head flit, on the source node's injection FIFO
+   (worms of one source serialize there, like the NI's outgoing
+   FIFO). *)
 let send t pkt =
   let m = t.m in
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
@@ -709,13 +723,10 @@ let send t pkt =
   let w = worm_alloc t pkt nf (path_of t ~src ~dst) in
   let ready = Engine.now m.engine + m.config.base_cycles in
   let q = t.inject.(src) in
-  let was_empty = q.fb_len = 0 in
-  if q.fb_len + nf > Array.length q.fb_flit then ring_grow q (q.fb_len + nf);
-  for i = 0 to nf - 1 do
-    ring_add q (pack w i) 0 ready
-  done;
-  if was_empty then refront t q;
+  ring_add q (pack w 0) 0 ready;
+  if q.fb_len = 1 then refront t q;
   t.injected <- t.injected + nf;
+  t.queued <- t.queued + nf;
   t.n_injected <- t.n_injected + nf;
   Engine.schedule_at m.engine ~time:ready t.tick_ev
 
@@ -733,8 +744,7 @@ let flit_stats t =
            (Array.to_list s.bufs))
 
 let flit_counts t =
-  let buffered = ref 0 in
-  Array.iter (fun q -> buffered := !buffered + q.fb_len) t.inject;
+  let buffered = ref t.queued in
   Array.iter
     (fun l -> Array.iter (fun fb -> buffered := !buffered + fb.fb_len) l.bufs)
     t.arr;

@@ -5,6 +5,7 @@ type t = {
   mutable clock : int;
   mhz : int;
   queue : event Eventq.t;
+  mutable horizon : int;  (* the running pump's target; min_int outside *)
   profiler : Profiler.t;
   metrics : Metrics.t;
   scheduled : Metrics.counter;
@@ -20,6 +21,7 @@ let create ?(mhz = 120) () =
     clock = 0;
     mhz;
     queue = Eventq.create ();
+    horizon = min_int;
     profiler = Profiler.create ();
     metrics;
     scheduled = Metrics.counter metrics "engine.scheduled";
@@ -95,13 +97,36 @@ let fire_next t =
 
 (* Fire every event due at or before [horizon], letting fired events
    schedule more work inside the window. [is_empty] guards the pop:
-   [min_time]'s empty sentinel [max_int] is itself a valid horizon. *)
+   [min_time]'s empty sentinel [max_int] is itself a valid horizon.
+   The horizon is published for {!step_to} while the loop runs and the
+   enclosing pump's is restored afterwards, also when an event
+   raises. *)
 let pump t horizon =
-  while
-    (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= horizon
-  do
-    fire_next t
-  done
+  let outer = t.horizon in
+  t.horizon <- horizon;
+  match
+    while
+      (not (Eventq.is_empty t.queue)) && Eventq.min_time t.queue <= horizon
+    do
+      fire_next t
+    done
+  with
+  | () -> t.horizon <- outer
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.horizon <- outer;
+      Printexc.raise_with_backtrace e bt
+
+(* An uncategorised event at [time] would be the next to fire exactly
+   when nothing is due at or before [time] and the running pump would
+   still fire it; firing it then only moves the clock through [tick],
+   which is all this does. *)
+let step_to t time =
+  if time <= t.horizon && Eventq.min_time t.queue > time then begin
+    tick t time;
+    true
+  end
+  else false
 
 let run_until t time =
   if time > t.clock then begin
@@ -127,10 +152,7 @@ let advance_in t cat cost =
 
 let next_event_time t = Eventq.min_time t.queue
 
-let run_until_idle t =
-  while not (Eventq.is_empty t.queue) do
-    fire_next t
-  done
+let run_until_idle t = pump t max_int
 
 let pending_events t = Eventq.length t.queue
 

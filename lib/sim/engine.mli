@@ -64,6 +64,17 @@ val run_until_idle : t -> unit
 (** [run_until_idle t] drains the event queue entirely, advancing the
     clock to the last event's time. *)
 
+val step_to : t -> int -> bool
+(** [step_to t time] lets an event that would reschedule itself at
+    [time] run on in place instead. When no event is due at or before
+    [time] and the running {!run_until} (or {!advance}, {!wait_for},
+    {!run_until_idle}) would still fire an event at [time], it moves
+    the clock to [time] exactly as an uncategorised event firing there
+    would — the same profiler charge — and returns [true]; the caller
+    then does that event's work itself. Otherwise, and always outside
+    a running event loop, it returns [false] and changes nothing. It
+    counts nothing in [engine.scheduled] or [engine.events_fired]. *)
+
 val wait_for : t -> ?poll_cost:int -> ?max_polls:int -> (unit -> bool) -> int
 (** [wait_for t cond] repeatedly charges [poll_cost] cycles (default 2)
     until [cond ()] holds or the queue is idle and [cond] still fails,

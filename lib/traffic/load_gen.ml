@@ -70,7 +70,7 @@ let percentile_sorted = Metrics.nearest_rank
 let summarize ~nodes ~width ~send_cycles ~window_cycles ~injected ~launched
     ~delivered ~latencies ~links ~credit_stalls ~credit_stall_cycles
     ~flit_hol_cycles ~flit_occupancy =
-  Array.sort compare latencies;
+  Array.stable_sort Int.compare latencies;
   let n = Array.length latencies in
   let per_kcycle count =
     1000.0 *. float_of_int count /. float_of_int (window_cycles * nodes)

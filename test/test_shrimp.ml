@@ -617,9 +617,12 @@ let test_flit_blocked_worm_credit_release () =
    one dead wire, under 12 traffic seeds. Each run is reduced to one
    MD5 over everything the crossing computes — the delivery log, the
    per-FIFO and per-link stats, the per-VC occupancy profile, the
-   metrics registry and the final clock — so any change to the tick
-   schedule, arbitration order or accounting moves a digest. F1 is
-   probed at random mid-run points. *)
+   metrics registry without the engine's [engine.*] counters and the
+   final clock — so any change to the tick schedule, arbitration order
+   or accounting moves a digest. The engine's event counters are
+   pinned apart: they count how the flit clock reaches its cycles, not
+   what the crossing computes. F1 is probed at random mid-run
+   points. *)
 let flit_regimes =
   (* nodes, vcs, credits, per_hop, per_word, flit_words *)
   [ (4, 1, Some 1, 0, 1, 1); (9, 2, Some 2, 1, 2, 2); (16, 3, Some 3, 2, 0, 4);
@@ -643,9 +646,9 @@ let flit_registry_snapshot buf em =
       Buffer.add_char buf '\n'
   | None -> Buffer.add_string buf "h -\n"
 
-(* One regime run: the digest of everything the crossing computes, and
-   the digest of the registry snapshots taken at every probe and at
-   the end. *)
+(* One regime run: the digest of everything the crossing computes, the
+   digest of the registry snapshots taken at every probe and at the
+   end, and the digest of the engine's event counters. *)
 let flit_regime_run (nodes, vcs, credits, per_hop, per_word, flit_words)
     seed =
   let engine = Engine.create () in
@@ -709,51 +712,69 @@ let flit_regime_run (nodes, vcs, credits, per_hop, per_word, flit_words)
   Array.iter
     (fun (mean, mx) -> Printf.bprintf log "o %h %d\n" mean mx)
     (Router.flit_vc_occupancy r);
-  Buffer.add_string log
-    (Udma_obs.Json.to_string (Udma_obs.Metrics.to_json (Engine.metrics engine)));
+  let is_engine (name, _) = String.starts_with ~prefix:"engine." name in
+  let registry =
+    match Udma_obs.Metrics.to_json (Engine.metrics engine) with
+    | Udma_obs.Json.Obj fields ->
+        Udma_obs.Json.Obj
+          (List.map
+             (function
+               | "counters", Udma_obs.Json.Obj cs ->
+                   ("counters", Udma_obs.Json.Obj (List.filter (Fun.negate is_engine) cs))
+               | field -> field)
+             fields)
+    | j -> j
+  in
+  Buffer.add_string log (Udma_obs.Json.to_string registry);
   Printf.bprintf log "\nt %d\n" (Engine.now engine);
+  let events = Buffer.create 64 in
+  List.iter
+    (fun (name, v) -> Printf.bprintf events "%s %d\n" name v)
+    (List.filter is_engine (Udma_obs.Metrics.counters (Engine.metrics engine)));
   let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
-  (digest log, digest reads)
+  (digest log, digest reads, digest events)
 
-(* Recorded from the full-sweep flit clock (every link visited every
-   tick); regime-major, seeds 1..12. *)
+(* Recorded with one injection-FIFO entry per flit and one engine
+   event per active flit-cycle, the layout and clock the crossing had
+   before it queued worms and stepped in place; regime-major, seeds
+   1..12. *)
 let flit_regime_expected =
-  [| "74ff205ef4c94562285e280107a0c381"; "117b73273c3ec569ba4ee222a3345134";
-     "e6a2240d9aaf3468a4925dae4ecda7b0"; "8e0354997101da6183da6b66ed94f425";
-     "3be99039674eaa5bdb3e7b5b3bf6c3bf"; "0f52558834f591586afbeaf3ef444d6e";
-     "f18e2839e5f66fb96ffdf2381a0d2e5d"; "de276218fd8df54e5ac6ef02956d0b1e";
-     "a7c937c240609b22c142ef762ff1cbaa"; "c116e20379f003d1d502744b95dc1554";
-     "2b44eb05216cb8d3a3f3a1ac60b5fa22"; "23be8e61ea316b71ca3c82a0cf536cbe";
-     "d4a5b8ee1ee5f2ac0b5d600cf3f6378a"; "9064243f1adfd0dad41fe6de75e4cbba";
-     "75e5875af44761a3d5281282fb1b3dd2"; "ac46a54c490c1dc5937cc86d856dcf08";
-     "0ea4f882fbb8f748ad7e54eceaf8421b"; "296419503353afed7dc5aa8eff3c0618";
-     "35aa19adf9632b4ca502cb1c6b707c67"; "b378014797ee8f46c73c8d4d9d6e3dd7";
-     "5b04e814d30ed01d18a590263d08a46e"; "f8f07f54bb6bccf8fdab240edbac8ea2";
-     "c85df1360d9d3481ba3b03443705f666"; "df8adf46e224d027691d8b4b8299c63e";
-     "e350d3d0fdffc9d6b51a5b85e1198186"; "0acda58102f7c48255a9e574a18f7006";
-     "6084ad3d6d12030c7010520994e95366"; "8cc2f4d637080bb98235768bd4e5c26c";
-     "8a4c65fa9791d6b71dad84a319a29544"; "c9ef352acfd764db3f6c53f5fa736008";
-     "1d7cc9a507b6184eb400070cf0577d2c"; "2c4e7670a6e20fb485e9bc9fc531ae20";
-     "92b63cb0f898c4bbd6ab329e67abddc3"; "cf4ec9e023e98af87907bb16ec3e09aa";
-     "c66702dcbb3ac41eb5f5d2fa4c07691b"; "f876526bb42c4e960bd0fccfd75e6629";
-     "83054ed81279f33d3027166031c9bad9"; "6cd79c22ea1b7e8c21a5dc5718d51702";
-     "910db29c1ec52f4b7ef506544effa184"; "d7c36c9844d5e0bb5a89baffa17d6800";
-     "eafba77b34f1570c62438074fd026f4f"; "b6cc287f70bccc505009266f6a362b34";
-     "fbf5dc3663fdfd3df2a532f9176714d1"; "0ee66380383f906d08aa587a45e49dbc";
-     "20ca5b5d047fb2fe4de9b152b9bbc853"; "f7bb6d613bd1bf7c4016db5fe96bd8f5";
-     "1b1342f07480eed89186bebce3c2fc2f"; "da8708c13e561446d66def92c07ed8cd";
-     "fcc92fa2cbe216c452a563f633544612"; "4b37a60cf786ec2b1a9ea10601cc4a67";
-     "d61c75195f01cd007963958f9cf8a339"; "8a50d9332d968d6461178091ceb4f7ff";
-     "756ad894464d125f7d325423687d87dd"; "c599dc2020a4fb9d5a0727e6f75fa14c";
-     "dc1f6905775ba9eacdecc1cbdcc6a35b"; "d0a30a323d83141755b44f6f97f2f4a8";
-     "cbd0df7db1fb8c8481f656d28ef5b584"; "052e62d17d6a597283ef63d5d3e4c94e";
-     "06308b940d01f8e2262a1a2973cd5b95"; "ec5a7f6565f8650c0141e1b0bd7adc93";
-     "92fa73ccfad0eb4d97c700b9c74a330c"; "acb9d7f2d8a4359f3f9bfa8b56ab1158";
-     "d741e1cf19c8b6f64736d3499f2b8edf"; "7e1eb69e56875919798e21a7f30eb6b1";
-     "2f41ede238b0e1a3f6a8f17f51eac4e3"; "19788e7e0acf58f7bf291fe3034ba6bc";
-     "9d9298e49dd87722a906ee2a4ee8e832"; "7ea7c3ef16b738a0f2e817012a9293a1";
-     "4891b6f37dbc6d0f5449ea156df22815"; "164b3c40e231513399ae651809113de9";
-     "5a14a6417f5af88d7698f8cfd6a9ae98"; "a70f035e9a69321179779894d0c7f43f" |]
+  [| "434b94b0c59048d5aafe04b95957bf5d"; "6c4e6fe0b6c174621a660136eb25c173";
+     "bdcfaaf78cd67ce9bca8adbe553dd901"; "0d28504f5d3d7d0b36b1ef8a1153aec6";
+     "60bf39e0117ffb360543502d90ea26f6"; "8946f4844a1a515508b2314494800084";
+     "bdc26c549352dc52f428b9cb81706adb"; "b919fbf5a5b2f10464b259453678c82d";
+     "2a18852a964075083261e99e986ab88a"; "6f0c1ff09ee85956bf85216f96f91c70";
+     "2e07afc20dd08c8378d326ec9fdaa36e"; "152c76637c5e4888b0e4e957ecbc48fe";
+     "e7bd0661f200a69950db3fa862ed685c"; "b23de4a830c0a120f2028841b6f8ea98";
+     "fea23045e94d1f4ffa27be3444cf0fa9"; "1584020bba270fb8ee09c446a466aa39";
+     "b3d821630358ac0edf7e88ab4ad7c0b9"; "a97d7ec4b742973c9badd0acd4f0a469";
+     "f5e5c98201f23dd43f875cb251176d0e"; "8e940d9784f23dd80533be0674362842";
+     "6e2648e3eecf85c53112d6d1c5307414"; "2f445a668b7033d34eac554cc0e0e0a1";
+     "f886e83876d9d5cd702a49a222c1d4fb"; "fed06455abd682da8bf0da6ed16c434d";
+     "0147095a7cced106d7c62daadd647e79"; "fd14512e3438b01aa27c5ca6679b199c";
+     "495fb3c14c8a8b5c7ebc609049506f5b"; "7ce57d268dfe018f47b2b20c337d3306";
+     "2c5d21af89a878bff6031f12b859ee9f"; "bd0ad37d5ba4ea763ca4145b32c22686";
+     "9dd31e6270d962da276cb3fc9f159b0c"; "5690ba09aff2191298a4f8ce76b7d09a";
+     "6c8d8006b4fb76d51551831577d459f3"; "7560016ae2de8be388a0b760fff3da61";
+     "a67d279773a25bf71673c7d7ea8eea24"; "023cb1e33737f18a9bd61a48a54af200";
+     "c64b12be90d606915bee60de5fc51311"; "6affabe68aa186f0ae7dff966cd188ce";
+     "4233766c570f4b168fff0506a74c06ef"; "8b803d2dbbfc4b9d82c00b892b06b978";
+     "1587815eeb737c202b92e89dbde0c397"; "2220baae98429977e662c786e5f21fde";
+     "994771a74d58d8293dfbee7c6d3dd178"; "5700cc381980f100f3d8fefaab612f51";
+     "2e4b9298f27418ca89f5cbde8cb9f043"; "2d77a802e85ec559ebfe358ae8b5dd48";
+     "178f0ceba520e33b6c14b874615fa773"; "7a568945efe0bfa152739ba953429c42";
+     "bbdd06f412b58400dad696086dbf0687"; "ee55206195ee3763f7d214a2c78dd979";
+     "9c2cbe5a43b4cb41c97cb2270dbda9c0"; "ca29f4250389e18df6cdbd139be6ee27";
+     "498f78901ff23568fb01e27599b6be9b"; "fb99744d0c24025cf9df0aff77acf27c";
+     "905f23594a9de8d027b3b0d463a77691"; "f4af5ec67fc79bbb005e802af4054a48";
+     "117463abe01aa8d544a460f194f13509"; "b59948f96556d569ed71a96352386cc1";
+     "9bf44fd379e9a25c0041a7ee13b8016d"; "9dc1f30b8318b0d109078e73c499e426";
+     "d56d0f91447048442bd4c1e44845c411"; "03ab0c978c9b65101b07d9ae528f8f9e";
+     "9bfecee0bb50315b019ca7b8349679f6"; "4aedbea13f651ea89ea3c1b1737a6d56";
+     "cc30b18ae43af34531857178ca5af9de"; "744927dd24fbda25feb253655cb39179";
+     "9793d5134274fcac6e6f023086c9a6bc"; "072b3a77aec6a75506ce2a09149b309d";
+     "3a6d5f79d9b4133f69a0d4b79c65267e"; "f7e8a38a49b307e747866c4c0ea64e91";
+     "9c596205c1a22ef7e8fd5ec97fa0b3da"; "4eaf39115ec225fd2261f7f639a0dee1" |]
 
 let flit_regime_runs =
   lazy
@@ -762,7 +783,7 @@ let flit_regime_runs =
           (fun regime -> List.init 12 (fun s -> flit_regime_run regime (s + 1)))
           flit_regimes))
 
-let check_regime_digests what expected pick =
+let check_regime_digests ?(distinct = true) what expected pick =
   let got = Array.map pick (Lazy.force flit_regime_runs) in
   Array.iteri
     (fun i d ->
@@ -770,11 +791,56 @@ let check_regime_digests what expected pick =
         Alcotest.failf "regime %d seed %d: %s digest %s moved" (i / 12)
           ((i mod 12) + 1) what d)
     got;
-  checki ("72 distinct " ^ what ^ " digests") 72
-    (List.length (List.sort_uniq compare (Array.to_list got)))
+  if distinct then
+    checki ("72 distinct " ^ what ^ " digests") 72
+      (List.length (List.sort_uniq compare (Array.to_list got)))
 
 let test_flit_regimes_pinned () =
-  check_regime_digests "regime" flit_regime_expected fst
+  check_regime_digests "regime" flit_regime_expected (fun (c, _, _) -> c)
+
+(* The engine's [engine.scheduled] and [engine.events_fired] at the end
+   of each regime run. Two runs may share counts, so these need not be
+   distinct. *)
+let flit_events_expected =
+  [| "3ea890b7fa17ab3081b72ce732abae77"; "6bb1b228f32fa3a96af56f3a76479d89";
+     "f3771c73f2a46ff5eb0f0894f4f21fda"; "3ea890b7fa17ab3081b72ce732abae77";
+     "20d5da67f2db3c7d7fdb7970d84aa039"; "a112562b137d99d027e3ebf530212421";
+     "831785a16b09b015415d43c6897e71f3"; "3437bc93af8f9a8aea106f8869a8a5ad";
+     "831785a16b09b015415d43c6897e71f3"; "a112562b137d99d027e3ebf530212421";
+     "e53c6a56365cfbaf8495a46a4899b184"; "6bb1b228f32fa3a96af56f3a76479d89";
+     "3ea890b7fa17ab3081b72ce732abae77"; "bec9a821fd6c22832c4ebb149708994c";
+     "3437bc93af8f9a8aea106f8869a8a5ad"; "a00f6562188375ad7ca1e2adf9ad4bed";
+     "a112562b137d99d027e3ebf530212421"; "3437bc93af8f9a8aea106f8869a8a5ad";
+     "e53c6a56365cfbaf8495a46a4899b184"; "32e90fc202d7b2d4f8dffd5cb8de4ab7";
+     "7e2bacb77086203e9d396d2a5bb166f1"; "e53c6a56365cfbaf8495a46a4899b184";
+     "32e90fc202d7b2d4f8dffd5cb8de4ab7"; "3437bc93af8f9a8aea106f8869a8a5ad";
+     "a4e80c24f46366f97f6a6a2e05353eb8"; "27313159ad2c890c433c684934182537";
+     "7a53bdc427c55e60e72459a39d3ad5aa"; "7a53bdc427c55e60e72459a39d3ad5aa";
+     "27313159ad2c890c433c684934182537"; "7a53bdc427c55e60e72459a39d3ad5aa";
+     "3ada2a75461e30f0283dbb5bb8d822b6"; "c79c8bbcc0c50f291f9ff27e62e563bf";
+     "7fec5b3d156fe084c3d8700ff10904a1"; "83dc72d929832d092d9661bd2fbee5e5";
+     "a4e80c24f46366f97f6a6a2e05353eb8"; "a4e80c24f46366f97f6a6a2e05353eb8";
+     "616e1254bb3af224f6e1325fcd0ddba3"; "3239035260bba29b1b1decbc487092ec";
+     "618e04397c66f7b075d89db731f00fdb"; "618e04397c66f7b075d89db731f00fdb";
+     "3239035260bba29b1b1decbc487092ec"; "a24d4edb2d224fad7aea5269bd585d7c";
+     "35460750638417848e811329fbcc6849"; "4360117b70d331ab338baf378d3a7edc";
+     "3239035260bba29b1b1decbc487092ec"; "618e04397c66f7b075d89db731f00fdb";
+     "434c0e39bf9e25d5b7c5736d58445f6b"; "c5b174d6a4e535d5a7ff89add069901f";
+     "bec9a821fd6c22832c4ebb149708994c"; "bec9a821fd6c22832c4ebb149708994c";
+     "e53c6a56365cfbaf8495a46a4899b184"; "6bb1b228f32fa3a96af56f3a76479d89";
+     "bec9a821fd6c22832c4ebb149708994c"; "20d5da67f2db3c7d7fdb7970d84aa039";
+     "e53c6a56365cfbaf8495a46a4899b184"; "25f02cea57158db9545a01d2565c5f74";
+     "32e90fc202d7b2d4f8dffd5cb8de4ab7"; "a00f6562188375ad7ca1e2adf9ad4bed";
+     "1a6bf862822cb7f70f6719b6361c6ace"; "002bebe65390fcc408d645c1eccd9a5a";
+     "7ea6bc13ce218133bbade00160ed1ae6"; "12fbdc919218b17ed35d7907814cbb32";
+     "ab2d7bde9128bd8a862b5335b3b73218"; "7e2bacb77086203e9d396d2a5bb166f1";
+     "a112562b137d99d027e3ebf530212421"; "4360117b70d331ab338baf378d3a7edc";
+     "c5b174d6a4e535d5a7ff89add069901f"; "f3771c73f2a46ff5eb0f0894f4f21fda";
+     "1b79bc43e718f8c1c4cedde67da824ae"; "35460750638417848e811329fbcc6849";
+     "ac002d974825cf8d8fcd4bd538f92919"; "f3771c73f2a46ff5eb0f0894f4f21fda" |]
+
+let test_flit_regime_events_pinned () =
+  check_regime_digests ~distinct:false "event counter" flit_events_expected (fun (_, _, e) -> e)
 
 (* The registry as read mid-run and at the end, pinned separately so a
    change to how the crossing publishes its counters (not just what it
@@ -820,7 +886,7 @@ let flit_registry_expected =
      "a344e7c9d74194489a4bded9f5db2f92"; "4369ac9507ef7e1e1b1d2b5ce95cac91" |]
 
 let test_flit_registry_pinned () =
-  check_regime_digests "registry" flit_registry_expected snd
+  check_regime_digests "registry" flit_registry_expected (fun (_, r, _) -> r)
 
 (* Allocation guard on the flit clock: a fixed standalone-router run
    (16 nodes, 2 VCs, 4 credits, one-word flits, 150 packets of up to
@@ -875,10 +941,13 @@ let test_flit_allocation_guard () =
    credits: 2,400 worms (a quarter aimed at node 0) through 16 nodes in
    20 k cycles.
    At every probe F1 holds, every buffered flit belongs to a live worm,
-   and the in-network total equals the sum of the ring lengths; the
-   rings toward the hotspot grow past their initial size; and the
-   worm table never outgrows the smallest power of two covering the
-   peak number of worms in flight, so worm ids are reused. *)
+   and the in-network total equals the link rings' lengths plus the
+   flits each injection entry has left; each injection ring holds
+   exactly one entry per worm queued there (live, its tail in no link
+   ring); the rings toward the hotspot grow past their initial size;
+   and the worm table never outgrows the smallest power of two
+   covering the peak number of worms in flight, so worm ids are
+   reused. *)
 let test_flit_worm_table_and_rings () =
   let module Flit = Udma_shrimp.Flit in
   let module Mesh = Udma_shrimp.Mesh in
@@ -903,31 +972,67 @@ let test_flit_worm_table_and_rings () =
   done;
   let live () = Array.length f.Flit.w_flits - f.Flit.w_free_n in
   let peak = ref 0 and grown = ref false in
-  let rings () =
-    Array.to_list f.Flit.inject
-    @ List.concat_map (fun l -> Array.to_list l.Flit.bufs) (Array.to_list f.Flit.arr)
+  let links () =
+    List.concat_map (fun l -> Array.to_list l.Flit.bufs) (Array.to_list f.Flit.arr)
+  in
+  let entries (fb : Flit.fbuf) =
+    let size = Array.length fb.Flit.fb_flit in
+    List.init fb.Flit.fb_len (fun k -> fb.Flit.fb_flit.((fb.Flit.fb_head + k) land (size - 1)))
   in
   let probe _ =
     (match Flit.check_flits f with
     | Some why -> Alcotest.failf "F1 at cycle %d: %s" (Engine.now engine) why
     | None -> ());
     let free = Array.sub f.Flit.w_free 0 f.Flit.w_free_n in
-    let sum =
+    let live_flit flit =
+      let w = Flit.worm_of flit in
+      if Array.mem w free || Flit.idx_of flit >= f.Flit.w_flits.(w) then
+        Alcotest.failf "ring holds flit %d of dead worm %d" (Flit.idx_of flit) w
+    in
+    let tails_out = Hashtbl.create 64 in
+    let in_links =
       List.fold_left
         (fun acc (fb : Flit.fbuf) ->
-          let size = Array.length fb.Flit.fb_flit in
-          if size > 4 then grown := true;
-          for k = 0 to fb.Flit.fb_len - 1 do
-            let flit = fb.Flit.fb_flit.((fb.Flit.fb_head + k) land (size - 1)) in
-            let w = Flit.worm_of flit in
-            if Array.mem w free || Flit.idx_of flit >= f.Flit.w_flits.(w) then
-              Alcotest.failf "ring holds flit %d of dead worm %d" (Flit.idx_of flit) w
-          done;
+          if Array.length fb.Flit.fb_flit > 4 then grown := true;
+          List.iter
+            (fun flit ->
+              live_flit flit;
+              let w = Flit.worm_of flit in
+              if Flit.idx_of flit = f.Flit.w_flits.(w) - 1 then Hashtbl.replace tails_out w ())
+            (entries fb);
           acc + fb.Flit.fb_len)
-        0 (rings ())
+        0 (links ())
+    in
+    let at_sources =
+      Array.fold_left
+        (fun acc (fb : Flit.fbuf) ->
+          if Array.length fb.Flit.fb_flit > 4 then grown := true;
+          List.fold_left
+            (fun acc flit ->
+              live_flit flit;
+              acc + f.Flit.w_flits.(Flit.worm_of flit) - Flit.idx_of flit)
+            acc (entries fb))
+        0 f.Flit.inject
     in
     let _, _, buffered = Flit.flit_counts f in
-    checki "in-network flits = sum of ring lengths" sum buffered
+    checki "in-network flits = link rings + flits left at injection entries"
+      (in_links + at_sources) buffered;
+    (* a worm is queued at its source while live with its tail in no
+       link ring; its injection FIFO holds it as exactly one entry *)
+    let queued = Array.make nodes [] in
+    for w = 0 to Array.length f.Flit.w_flits - 1 do
+      if (not (Array.mem w free)) && not (Hashtbl.mem tails_out w) then begin
+        let src = f.Flit.w_pkt.(w).Packet.src_node in
+        queued.(src) <- w :: queued.(src)
+      end
+    done;
+    Array.iteri
+      (fun src (fb : Flit.fbuf) ->
+        let held = List.sort compare (List.map Flit.worm_of (entries fb)) in
+        if held <> List.sort compare queued.(src) then
+          Alcotest.failf "cycle %d: node %d's injection ring holds %d entries for %d queued worms"
+            (Engine.now engine) src fb.Flit.fb_len (List.length queued.(src)))
+      f.Flit.inject
   in
   let rng = Rng.create 11 in
   let worms = 2_400 in
@@ -1654,6 +1759,8 @@ let () =
             test_flit_blocked_worm_credit_release;
           Alcotest.test_case "flit: regime digests pinned" `Quick
             test_flit_regimes_pinned;
+          Alcotest.test_case "flit: regime event counters pinned" `Quick
+            test_flit_regime_events_pinned;
           Alcotest.test_case "flit: registry reads pinned" `Quick
             test_flit_registry_pinned;
           Alcotest.test_case "flit: allocation per grant bounded" `Quick

@@ -356,6 +356,128 @@ let test_engine_time_conversion () =
     (Engine.ns_of_cycles e 1);
   Alcotest.(check (float 0.001)) "us" 1.0 (Engine.us_of_cycles e 100)
 
+(* [Engine.step_to] against the event it stands for. A chain event
+   that wants to run again at [now + gap] either steps there in place
+   when [step_to] allows it or schedules itself, and must see the same
+   clock and profiler totals at every run as a chain that always
+   schedules an uncategorised event; so must every other event, some
+   categorised and some scheduling a follow-up, and the top-level
+   [advance_in]/[run_until] calls around them. *)
+type step_drive = Advance_in of Engine.Profiler.category * int | Run_until of int
+
+let step_to_prop =
+  let open QCheck in
+  let cats = Array.of_list Engine.Profiler.categories in
+  let gen =
+    Gen.(
+      let cat = map (fun i -> cats.(i)) (int_bound (Array.length cats - 1)) in
+      let other = triple (int_bound 300) (opt cat) (opt (int_range 0 40)) in
+      let drive =
+        frequency
+          [ (3, map2 (fun c n -> Advance_in (c, n)) cat (int_bound 60));
+            (1, map (fun t -> Run_until t) (int_bound 400)) ]
+      in
+      quad (int_bound 50) (list_size (0 -- 40) (int_range 1 20))
+        (list_size (0 -- 30) other) (list_size (0 -- 12) drive))
+  in
+  let print (start, gaps, others, drive) =
+    let cat c = Engine.Profiler.category_name c in
+    Printf.sprintf "chain@%d gaps=[%s] others=[%s] drive=[%s]" start
+      (String.concat "," (List.map string_of_int gaps))
+      (String.concat ","
+         (List.map
+            (fun (t, c, f) ->
+              Printf.sprintf "%d%s%s" t (Option.fold ~none:"" ~some:(fun c -> ":" ^ cat c) c)
+                (Option.fold ~none:"" ~some:(Printf.sprintf "+%d") f))
+            others))
+      (String.concat ","
+         (List.map
+            (function
+              | Advance_in (c, n) -> Printf.sprintf "%s %d" (cat c) n
+              | Run_until t -> Printf.sprintf "until %d" t)
+            drive))
+  in
+  let run ~stepping (start, gaps, others, drive) =
+    let e = Engine.create () in
+    let log = ref [] in
+    let note what e =
+      log := (what, Engine.now e, Engine.Profiler.to_list (Engine.profile e)) :: !log
+    in
+    let rec chain gaps e =
+      note (-1) e;
+      match gaps with
+      | [] -> ()
+      | g :: rest ->
+          let time = Engine.now e + g in
+          if stepping && Engine.step_to e time then chain rest e
+          else Engine.schedule_at e ~time (chain rest)
+    in
+    Engine.schedule_at e ~time:start (chain gaps);
+    List.iteri
+      (fun i (time, cat, follow) ->
+        Engine.schedule_at e ?cat ~time (fun e ->
+            note i e;
+            Option.iter (fun delay -> Engine.schedule e ~delay (note (1000 + i))) follow))
+      others;
+    List.iter
+      (function
+        | Advance_in (cat, n) -> Engine.advance_in e cat n
+        | Run_until t -> Engine.run_until e t)
+      drive;
+    Engine.run_until_idle e;
+    (List.rev !log, Engine.now e, Engine.Profiler.to_list (Engine.profile e))
+  in
+  Test.make ~count:500 ~name:"step_to = an uncategorised event at the same time"
+    (make ~print gen) (fun m -> run ~stepping:true m = run ~stepping:false m)
+
+(* [step_to] refuses when an event is due at or before the target, when
+   the target lies past the running pump's, and outside any pump. *)
+let test_engine_step_to_refuses () =
+  let e = Engine.create () in
+  checkb "outside a pump" false (Engine.step_to e 5);
+  checki "clock unmoved" 0 (Engine.now e);
+  let seen = ref [] in
+  let probe time e =
+    let stepped = Engine.step_to e time in
+    seen := (time, stepped, Engine.now e) :: !seen
+  in
+  Engine.schedule_at e ~time:10 ignore;
+  Engine.schedule_at e ~time:5 (fun e -> List.iter (fun t -> probe t e) [ 12; 10; 9 ]);
+  Engine.schedule_at e ~time:15 (fun e -> List.iter (fun t -> probe t e) [ 21; 20 ]);
+  Engine.run_until e 20;
+  Alcotest.(check (list (triple int bool int)))
+    "due event, then past the target"
+    [ (12, false, 5); (10, false, 5); (9, true, 9); (21, false, 15); (20, true, 20) ]
+    (List.rev !seen);
+  checki "run_until still ends at its target" 20 (Engine.now e);
+  checkb "outside again" false (Engine.step_to e 25)
+
+(* A nested pump publishes its own horizon and restores the enclosing
+   one when it returns, and when one of its events raises. *)
+let test_engine_step_to_nested () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  let probe what time e = seen := (what, Engine.step_to e time) :: !seen in
+  Engine.schedule_at e ~time:5 (fun e ->
+      Engine.schedule_at e ~time:8 (fun e ->
+          probe "past inner" 16 e;
+          probe "inner" 15 e);
+      Engine.advance e 10;
+      probe "outer restored" 60 e;
+      Engine.schedule_at e ~time:62 (fun _ -> failwith "boom");
+      (try Engine.advance e 10 with Failure _ -> ());
+      probe "outer restored after raise" 90 e;
+      probe "past outer" 101 e);
+  Engine.run_until e 100;
+  Alcotest.(check (list (pair string bool)))
+    "horizons"
+    [ ("past inner", false); ("inner", true); ("outer restored", true);
+      ("outer restored after raise", true); ("past outer", false) ]
+    (List.rev !seen);
+  Engine.schedule_at e ~time:110 (fun _ -> failwith "boom");
+  (try Engine.run_until_idle e with Failure _ -> ());
+  checkb "no pump after a raise at top level" false (Engine.step_to e 120)
+
 (* ---------- Rng ---------- *)
 
 let test_rng_determinism () =
@@ -811,6 +933,10 @@ let () =
           Alcotest.test_case "run_until max_int" `Quick
             test_engine_run_until_max_int;
           Alcotest.test_case "time conversion" `Quick test_engine_time_conversion;
+          Alcotest.test_case "step_to refuses" `Quick test_engine_step_to_refuses;
+          Alcotest.test_case "step_to nested horizons" `Quick
+            test_engine_step_to_nested;
+          qtest step_to_prop;
           Alcotest.test_case "schedule + fire allocation bounded" `Quick
             test_engine_alloc_bound;
         ] );
