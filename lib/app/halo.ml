@@ -104,10 +104,11 @@ let run ?probe cfg =
       0 nbrs.(n)
   in
   let max_work =
-    Array.fold_left max 0 (Array.init nodes send_work)
+    Array.fold_left Int.max 0 (Array.init nodes send_work)
   in
   let compute =
-    max 0 (int_of_float (float_of_int max_work *. ((1.0 /. cfg.load) -. 1.0)))
+    Int.max 0
+      (int_of_float (float_of_int max_work *. ((1.0 /. cfg.load) -. 1.0)))
   in
   let states =
     Array.init nodes (fun n ->

@@ -102,7 +102,7 @@ let run ?probe cfg =
      against a 1/value_cost initiation capacity, so think scales the
      offered fraction. Hotspot skew then concentrates that offer. *)
   let think =
-    max 1
+    Int.max 1
       (int_of_float
          (float_of_int (cfg.clients_per_node * value_cost) /. cfg.load))
   in

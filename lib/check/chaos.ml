@@ -886,10 +886,10 @@ let mesh_apply ctx action =
       let buf = ctx.mesh_bufs.(src).(0) in
       let ch = chan src dst in
       let cap =
-        if ctx.mesh_flit then min 512 (Messaging.capacity ch)
+        if ctx.mesh_flit then Int.min 512 (Messaging.capacity ch)
         else Messaging.capacity ch
       in
-      let nbytes = min nbytes cap in
+      let nbytes = Int.min nbytes cap in
       ignore
         (Messaging.send_nowait ch cpu ~src_vaddr:buf ~nbytes ~pipelined ())
   | M_shaped_send { src; dst } ->
@@ -925,10 +925,10 @@ let mesh_apply ctx action =
   | M_burst { src; dst; count; nbytes } ->
       let ch = chan src dst in
       let cap =
-        if ctx.mesh_flit then min 512 (Messaging.capacity ch)
+        if ctx.mesh_flit then Int.min 512 (Messaging.capacity ch)
         else Messaging.capacity ch
       in
-      let payload = Bytes.make (min nbytes cap) '\xAB' in
+      let payload = Bytes.make (Int.min nbytes cap) '\xAB' in
       for _ = 1 to count do
         Messaging.inject ch payload
       done

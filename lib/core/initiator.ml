@@ -202,8 +202,8 @@ let initiate_shaped cpu layout config acc ~queued ~src ~dst ~count ~shape =
 
 let piece_count config ~remaining ~src_room ~dst_room =
   match config.split with
-  | Optimistic -> min remaining Status.max_remaining
-  | Precompute -> min remaining (min src_room dst_room)
+  | Optimistic -> Int.min remaining Status.max_remaining
+  | Precompute -> Int.min remaining (Int.min src_room dst_room)
 
 (* Issue all pieces of one (src, dst, nbytes) transfer. When
    [wait_each] is set (basic hardware) each piece is drained before the
@@ -227,7 +227,7 @@ let issue cpu layout config acc ~queued ~wait_each ~src ~dst ~nbytes =
           acc.a_pieces <- acc.a_pieces + 1;
           let moved =
             match config.split with
-            | Optimistic -> min st.Status.remaining_bytes remaining
+            | Optimistic -> Int.min st.Status.remaining_bytes remaining
             | Precompute -> count
           in
           if moved <= 0 then

@@ -35,7 +35,7 @@ let bit b pos = if b then 1 lsl pos else 0
 
 let pack ~started ~transferring ~invalid ~matches ~wrong_space ~queue_full
     ~device_error ~remaining_bytes =
-  let remaining = min remaining_bytes max_remaining in
+  let remaining = Int.min remaining_bytes max_remaining in
   Int32.of_int
     (bit (not started) 0
     lor bit transferring 1

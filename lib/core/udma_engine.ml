@@ -119,7 +119,7 @@ let ref_incr t r =
   iter_frames t r (fun f ->
       let n = Array.length t.refcounts in
       if f >= n then begin
-        let grown = Array.make (max (f + 1) (2 * n)) 0 in
+        let grown = Array.make (Int.max (f + 1) (2 * n)) 0 in
         Array.blit t.refcounts 0 grown 0 n;
         t.refcounts <- grown
       end;
@@ -279,7 +279,7 @@ let fold_shape ~src_proxy ~dest f acc =
         else
           go (i + 1)
             (f acc (src_proxy + (i * stride)) (dst + (i * chunk))
-               (min chunk (total - (i * chunk)))
+               (Int.min chunk (total - (i * chunk)))
                dst)
       in
       Ok (go 0 acc)
@@ -319,7 +319,7 @@ let build_request t ~src_proxy ~src_space ~dest ~priority =
   let step acc s d len dbase =
     let len =
       if t.skip_clamp then len
-      else min (confine ~base:src_proxy s len) (confine ~base:dbase d len)
+      else Int.min (confine ~base:src_proxy s len) (confine ~base:dbase d len)
     in
     if len <= 0 then acc
     else

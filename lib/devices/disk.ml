@@ -43,7 +43,7 @@ let check t addr len what =
 let access_cycles t ~addr ~len =
   let g = t.geometry in
   let first = addr / g.block_size in
-  let last = (addr + max 1 len - 1) / g.block_size in
+  let last = (addr + Int.max 1 len - 1) / g.block_size in
   let distance = abs (first - t.head) in
   if distance > 0 then t.seeks <- t.seeks + 1;
   t.head <- last;

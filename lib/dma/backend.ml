@@ -6,28 +6,43 @@ module Phys_mem = Udma_memory.Phys_mem
 let data_start (b : Midend.burst) = b.start_cycle + b.overhead_cycles
 
 (* Bursts lie back to back, so their data-phase starts never decrease.
-   Binary-search the last burst whose data phase has begun: every
-   earlier burst ended before it started, so counts whole, and no later
-   burst has begun. The counter is that burst's prefix sum plus its
-   own words on the wire. *)
-let rec begun bursts ~elapsed lo hi =
+   [begun] counts the bursts whose data phase has begun: every earlier
+   burst ended before the last of them started, so counts whole, and
+   no later burst has begun. The count is the first index whose data
+   phase starts at or after [elapsed]. *)
+let rec search bursts ~elapsed lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if data_start bursts.(mid) < elapsed then begun bursts ~elapsed (mid + 1) hi
-    else begun bursts ~elapsed lo mid
+    if data_start bursts.(mid) < elapsed then search bursts ~elapsed (mid + 1) hi
+    else search bursts ~elapsed lo mid
 
-let bytes_done (plan : Midend.plan) ~elapsed =
+(* From a count [lo] known to have begun, double the step until a
+   burst has not begun, then search the last step. *)
+let rec gallop bursts ~elapsed lo step =
+  let n = Array.length bursts in
+  let probe = lo + step - 1 in
+  if probe >= n then search bursts ~elapsed lo n
+  else if data_start bursts.(probe) < elapsed then
+    gallop bursts ~elapsed (probe + 1) (2 * step)
+  else search bursts ~elapsed lo probe
+
+let begun (plan : Midend.plan) ~elapsed ~from =
   let bursts = plan.Midend.bursts in
-  match begun bursts ~elapsed 0 (Array.length bursts) with
-  | 0 -> 0
-  | k ->
-      let b = bursts.(k - 1) in
-      let words_done =
-        if b.word_cycles <= 0 then b.words
-        else (elapsed - data_start b) / b.word_cycles
-      in
-      b.bytes_before + min b.element.Descriptor.len (min words_done b.words * 4)
+  if from > 0 && data_start bursts.(from - 1) >= elapsed then
+    search bursts ~elapsed 0 from
+  else gallop bursts ~elapsed from 1
+
+let bytes_done (plan : Midend.plan) ~elapsed ~begun =
+  if begun = 0 then 0
+  else
+    let b = plan.Midend.bursts.(begun - 1) in
+    let words_done =
+      if b.word_cycles <= 0 then b.words
+      else (elapsed - data_start b) / b.word_cycles
+    in
+    b.bytes_before
+    + Int.min b.element.Descriptor.len (Int.min words_done b.words * 4)
 
 let move_element bus (e : Descriptor.element) =
   let mem = Bus.memory bus in

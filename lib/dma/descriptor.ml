@@ -29,7 +29,7 @@ let advance ep delta =
 let elements = function
   | Contiguous { src; dst; nbytes } -> [ { src; dst; len = nbytes } ]
   | Strided { src; dst; stride; chunk; reps } ->
-      List.init (max reps 0) (fun i ->
+      List.init (Int.max reps 0) (fun i ->
           {
             src = advance src (i * stride);
             dst = advance dst (i * chunk);

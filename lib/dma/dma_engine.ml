@@ -21,6 +21,7 @@ type transfer = {
   duration : int;
   on_complete : unit -> unit;
   id : int;
+  mutable begun : int;  (* bursts begun at the last probe: a hint *)
 }
 
 type t = {
@@ -45,7 +46,7 @@ let create ~engine ~bus ?(trace = Trace.create ~enabled:false ())
     next_id = 0;
   }
 
-let busy t = t.current <> None
+let busy t = Option.is_some t.current
 
 let mem_size t = Phys_mem.size (Bus.memory t.bus)
 
@@ -62,7 +63,7 @@ let submit t desc ~on_complete =
         let id = t.next_id in
         t.next_id <- t.next_id + 1;
         let started_at = Engine.now t.engine in
-        let xfer = { desc; plan; started_at; duration; on_complete; id } in
+        let xfer = { desc; plan; started_at; duration; on_complete; id; begun = 0 } in
         t.current <- Some xfer;
         if Trace.active t.trace then
           Array.iter
@@ -111,7 +112,11 @@ let remaining_bytes t =
       let elapsed = Engine.now t.engine - x.started_at in
       if x.duration <= 0 || elapsed >= x.duration then 0
       else
-        let done_bytes = Backend.bytes_done x.plan ~elapsed in
+        (* probes of one transfer move forward in time: resume the
+           burst search where the last one stopped *)
+        let begun = Backend.begun x.plan ~elapsed ~from:x.begun in
+        x.begun <- begun;
+        let done_bytes = Backend.bytes_done x.plan ~elapsed ~begun in
         (* report whole words, as the hardware counter would *)
         x.plan.Midend.total_bytes - (done_bytes land lnot 3)
 

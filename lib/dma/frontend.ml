@@ -25,15 +25,14 @@ let check_element ~mem_size e =
 
 let normalize ~mem_size desc =
   let elems = elements desc in
-  if elems = [] then Error Bad_size
-  else
-    let rec go = function
-      | [] -> Ok elems
-      | e :: rest -> (
-          match check_element ~mem_size e with
-          | Ok () -> go rest
-          | Error _ as err -> err)
-    in
-    go elems
+  let rec go = function
+    | [] -> Ok elems
+    | e :: rest -> (
+        match check_element ~mem_size e with
+        | Ok () -> go rest
+        | Error _ as err -> err)
+  in
+  match elems with [] -> Error Bad_size | _ :: _ -> go elems
 
-let clamp_to_page ~page_size ~addr len = min len (page_size - (addr mod page_size))
+let clamp_to_page ~page_size ~addr len =
+  Int.min len (page_size - (addr mod page_size))

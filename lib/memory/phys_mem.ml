@@ -79,7 +79,7 @@ let read_into t ~addr out =
   while !i < len do
     let a = addr + !i in
     let off = a land (t.page_size - 1) in
-    let n = min (len - !i) (t.page_size - off) in
+    let n = Int.min (len - !i) (t.page_size - off) in
     Bytes.blit t.pages.(a lsr t.shift) off out !i n;
     i := !i + n
   done
@@ -97,7 +97,7 @@ let write_bytes t ~addr b =
   while !i < len do
     let a = addr + !i in
     let off = a land (t.page_size - 1) in
-    let n = min (len - !i) (t.page_size - off) in
+    let n = Int.min (len - !i) (t.page_size - off) in
     store t (a lsr t.shift) off b !i n;
     i := !i + n
   done
@@ -139,8 +139,10 @@ let blit t ~src ~dst ~len =
   if dst <= src || dst >= src + len then begin
     let i = ref 0 in
     while !i < len do
-      let room = t.page_size - max ((src + !i) land mask) ((dst + !i) land mask) in
-      let n = min (len - !i) room in
+      let room =
+        t.page_size - Int.max ((src + !i) land mask) ((dst + !i) land mask)
+      in
+      let n = Int.min (len - !i) room in
       copy !i n;
       i := !i + n
     done
@@ -148,8 +150,10 @@ let blit t ~src ~dst ~len =
   else begin
     let i = ref len in
     while !i > 0 do
-      let room = 1 + min ((src + !i - 1) land mask) ((dst + !i - 1) land mask) in
-      let n = min !i room in
+      let room =
+        1 + Int.min ((src + !i - 1) land mask) ((dst + !i - 1) land mask)
+      in
+      let n = Int.min !i room in
       i := !i - n;
       copy !i n
     done

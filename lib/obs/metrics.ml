@@ -182,7 +182,7 @@ let nearest_rank sorted p =
   if n = 0 then 0
   else
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+    sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
 
 let percentile (h : histogram) p =
   if p <= 0.0 || p > 100.0 then

@@ -54,12 +54,12 @@ let print ?(oc = stdout) t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun w row -> max w (String.length (fst (List.nth row i))))
+          (fun w row -> Int.max w (String.length (fst (List.nth row i))))
           (String.length h) body)
       header
   in
   let pad s w right =
-    let gap = String.make (max 0 (w - String.length s)) ' ' in
+    let gap = String.make (Int.max 0 (w - String.length s)) ' ' in
     if right then gap ^ s else s ^ gap
   in
   p "  %s\n"
@@ -81,7 +81,7 @@ let print ?(oc = stdout) t =
             else
               Some
                 (Printf.sprintf "%s %d (%.1f%%)" name c
-                   (100.0 *. float_of_int c /. float_of_int (max 1 total))))
+                   (100.0 *. float_of_int c /. float_of_int (Int.max 1 total))))
           (Profiler.to_list totals)
       in
       p "  cycles: %d  [%s]\n" total (String.concat ", " parts));

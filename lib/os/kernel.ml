@@ -67,10 +67,10 @@ let is_proxy m vaddr =
    a present TLB entry, so each costs [uncached_ref]; and [k] is small
    enough that no event fires before the last one ends, so no flag the
    word carries can change. *)
-let repeat_load m proc ~vaddr ~max =
+let repeat_load m proc ~vaddr ~max:budget =
   match (m.M.udma, m.M.preempt_hook, m.M.current) with
   | Some u, None, Some cur
-    when cur == proc && max > 0
+    when cur == proc && budget > 0
          && (not (Udma_sim.Trace.active m.M.trace))
          && Udma.State_machine.load_is_probe (Udma.Udma_engine.state u)
          && is_proxy m vaddr ->
@@ -79,7 +79,7 @@ let repeat_load m proc ~vaddr ~max =
       let k =
         if cost <= 0 then 0
         else
-          min max
+          Int.min budget
             ((Engine.next_event_time engine - Engine.now engine - 1) / cost)
       in
       if k > 0 && Mmu.rehit m.M.mmu vaddr k then begin
@@ -138,7 +138,7 @@ let write_user m proc ~vaddr data =
     if off < len then begin
       let addr = vaddr + off in
       let room = page_size - Layout.offset_in_page layout addr in
-      let piece = min room (len - off) in
+      let piece = Int.min room (len - off) in
       let frame = kernel_resolve m proc ~vaddr:addr in
       let paddr =
         Phys_mem.frame_base m.M.mem frame + Layout.offset_in_page layout addr
@@ -164,7 +164,7 @@ let read_user m proc ~vaddr ~len =
     if off < len then begin
       let addr = vaddr + off in
       let room = page_size - Layout.offset_in_page layout addr in
-      let piece = min room (len - off) in
+      let piece = Int.min room (len - off) in
       let frame = kernel_resolve m proc ~vaddr:addr in
       let paddr =
         Phys_mem.frame_base m.M.mem frame + Layout.offset_in_page layout addr

@@ -116,7 +116,7 @@ let create ?(config = default_config) ?skip_invariant () =
   (* the virtual user region may exceed installed memory (demand
      paging); the layout describes the larger of the two and physical
      addresses beyond installed memory simply never get mapped *)
-  let virt_pages = max config.virt_pages config.mem_pages in
+  let virt_pages = Int.max config.virt_pages config.mem_pages in
   let layout =
     Layout.create ~page_size:config.page_size ~mem_pages:virt_pages
       ~dev_pages:config.dev_pages

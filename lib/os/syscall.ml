@@ -26,7 +26,7 @@ let page_pieces layout ~vaddr ~nbytes =
     if remaining <= 0 then List.rev acc
     else
       let room = page_size - Layout.offset_in_page layout addr in
-      let piece = min room remaining in
+      let piece = Int.min room remaining in
       go (addr + piece) (remaining - piece) ((addr, piece) :: acc)
   in
   go vaddr nbytes []
@@ -130,7 +130,7 @@ let transfer_bounce m proc ~dir ~vaddr ~nbytes ~port ~dev_addr =
   let rec chunks off acc =
     if off >= nbytes then List.rev acc
     else
-      let len = min page_size (nbytes - off) in
+      let len = Int.min page_size (nbytes - off) in
       chunks (off + len) ((off, len) :: acc)
   in
   let copy_user_chunk ~off ~len ~to_bounce =

@@ -252,7 +252,9 @@ let journal_push t rec_ =
 let owner_checked t ~tenant ~index (e : entry) =
   tenant < 0
   || e.owner = tenant
-  || t.mutation = Some (Owner_skip index)
+  || match t.mutation with
+     | Some (Owner_skip i) -> i = index
+     | Some Stale_revoke | None -> false
 
 let authorize t ~tenant ~index =
   t.authorizations <- t.authorizations + 1;

@@ -316,7 +316,9 @@ let arrival t ~now ~src ~dst ~words =
     let s = link_of t a b in
     let l = s.ml in
     let locc = occ * Mesh.occupancy_factor l.l_fault in
-    if l.l_fault = Link_dead then Metrics.bump t.dead_crossings;
+    (match l.l_fault with
+     | Link_dead -> Metrics.bump t.dead_crossings
+     | Link_ok | Link_slow _ -> ());
     let vcn = Array.length s.vcs in
     let ci = claim_vc t s ~head:!head in
     let v = s.vcs.(ci) in
@@ -349,9 +351,9 @@ let arrival t ~now ~src ~dst ~words =
       Metrics.bump t.credit_stalls;
       Metrics.bump_by t.credit_stall_cycles cstall
     end;
-    let earliest = max credit_floor v.v_tail in
+    let earliest = Int.max credit_floor v.v_tail in
     let start =
-      if vcn = 1 then max earliest s.busy_until
+      if vcn = 1 then Int.max earliest s.busy_until
       else begin
         s.busy <- prune_iv now s.busy;
         let st = fit_gap s.busy earliest locc in
@@ -389,12 +391,17 @@ let arrival t ~now ~src ~dst ~words =
     if pooled then begin
       let p = s.pools.(ci) and si = !si and slot_free = !slot_free in
       let rel = start + locc + cfg.per_hop_cycles in
-      let leak = m.mutation = Some Credit_leak && not m.leak_used in
+      let leak =
+        (match m.mutation with
+         | Some Credit_leak -> true
+         | Some (Arb_stuck | Flit_leak | Double_grant) | None -> false)
+        && not m.leak_used
+      in
       if leak then m.leak_used <- true;
       (* a leaked slot never frees: the deposit side forgets to
          return the credit, which is exactly what N1 must catch *)
       p.cp_slots.(si) <- (if leak then max_int / 2 else rel);
-      let reserve_at = max now slot_free in
+      let reserve_at = Int.max now slot_free in
       Engine.schedule_at m.engine ~time:reserve_at (fun _ ->
           p.cp_free <- p.cp_free - 1;
           p.cp_held <- p.cp_held + 1);
@@ -411,7 +418,7 @@ let arrival t ~now ~src ~dst ~words =
     head := start + cfg.per_hop_cycles;
     here := b
   done;
-  max (!head + occ) !tail
+  Int.max (!head + occ) !tail
 
 let send t pkt =
   let words = (Packet.size_bytes pkt + 3) / 4 in
@@ -427,7 +434,7 @@ let send t pkt =
 let injection_ready t ~src ~dst =
   let m = t.m in
   let now = Engine.now m.engine in
-  if src = dst || t.credits = None then now
+  if src = dst || Option.is_none t.credits then now
   else begin
     Mesh.check_node m src "injection_ready";
     Mesh.check_node m dst "injection_ready";
@@ -441,7 +448,7 @@ let injection_ready t ~src ~dst =
           if slots.(i) < !best then best := slots.(i)
         done
       done;
-      max now !best
+      Int.max now !best
     end
   end
 

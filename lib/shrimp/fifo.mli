@@ -13,6 +13,8 @@ val push : t -> Packet.t -> bool
 (** [false] when the packet does not fit (caller applies
     backpressure). *)
 
-val pop : t -> Packet.t option
+val pop : t -> Packet.t
+(** [pop t] removes and returns the oldest packet. Allocates nothing.
+    Raises [Invalid_argument] if [t] is empty. *)
 
 val rejections : t -> int

@@ -235,7 +235,7 @@ let dummy_pkt =
 (* Double the table, queueing the new ids lowest first. *)
 let worms_grow t =
   let cap = Array.length t.w_flits in
-  let cap' = max 1 (2 * cap) in
+  let cap' = Int.max 1 (2 * cap) in
   let extend a fill =
     let b = Array.make cap' fill in
     Array.blit a 0 b 0 cap;
@@ -522,7 +522,13 @@ let arbitrate_link t s now =
     (* F1 planted bug: on a dead-link retry the flit is popped from the
        sender but the retransmit never lands — it vanishes from the
        network, which only the conservation oracle can notice *)
-    let leak = dead && m.mutation = Some Flit_leak && not m.leak_used in
+    let leak =
+      dead
+      && (match m.mutation with
+          | Some Flit_leak -> true
+          | Some (Credit_leak | Arb_stuck | Double_grant) | None -> false)
+      && not m.leak_used
+    in
     if leak then begin
       m.leak_used <- true;
       t.n_leaked <- t.n_leaked + 1
@@ -719,7 +725,9 @@ let send t pkt =
   let m = t.m in
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
   let words = (Packet.size_bytes pkt + 3) / 4 in
-  let nf = max 1 ((words + m.config.flit_words - 1) / m.config.flit_words) in
+  let nf =
+    Int.max 1 ((words + m.config.flit_words - 1) / m.config.flit_words)
+  in
   let w = worm_alloc t pkt nf (path_of t ~src ~dst) in
   let ready = Engine.now m.engine + m.config.base_cycles in
   let q = t.inject.(src) in

@@ -177,7 +177,7 @@ let deliver m pkt nominal =
   if Array.length m.last_arrival.(src) = 0 then
     m.last_arrival.(src) <- Array.make m.node_count (-1);
   let row = m.last_arrival.(src) in
-  let arrival = max nominal (row.(dst) + 1) in
+  let arrival = Int.max nominal (row.(dst) + 1) in
   row.(dst) <- arrival;
   match m.sinks.(pkt.Packet.dst_node) with
   | Some sink -> Engine.schedule_at m.engine ~time:arrival (fun _ -> sink pkt)

@@ -36,8 +36,8 @@ type t = {
   out_fifo : Fifo.t;
   in_fifo : Fifo.t;
   mutable router : Router.t option;
-  mutable out_busy_until : int;
-  mutable in_busy_until : int;
+  mutable out_lane : Engine.lane;  (* departures: pops [out_fifo] *)
+  mutable in_lane : Engine.lane;  (* deposits: pops [in_fifo] *)
   mutable next_seq : int;
   m_packets_sent : Metrics.counter;
   m_bytes_sent : Metrics.counter;
@@ -48,31 +48,6 @@ type t = {
   m_delivery_errors : Metrics.counter;
 }
 
-let create ~id ~machine ?(config = default_config) ~pool () =
-  let counter = Metrics.counter machine.M.metrics in
-  {
-    id;
-    machine;
-    config;
-    backend =
-      Backend.create Backend.Proxy
-        ~entries:(Layout.dev_pages machine.M.layout) ();
-    pool;
-    out_fifo = Fifo.create ~capacity_bytes:config.out_fifo_bytes;
-    in_fifo = Fifo.create ~capacity_bytes:config.in_fifo_bytes;
-    router = None;
-    out_busy_until = 0;
-    in_busy_until = 0;
-    next_seq = 0;
-    m_packets_sent = counter "ni.packets_sent";
-    m_bytes_sent = counter "ni.bytes_sent";
-    m_send_drops = counter "ni.send_drops";
-    m_packets_received = counter "ni.packets_received";
-    m_bytes_received = counter "ni.bytes_received";
-    m_receive_drops = counter "ni.receive_drops";
-    m_delivery_errors = counter "ni.delivery_errors";
-  }
-
 let backend t = t.backend
 
 let set_router t router = t.router <- Some router
@@ -81,27 +56,20 @@ let validate t ~dev_addr ~nbytes =
   let page_size = Layout.page_size t.machine.M.layout in
   Backend.validate_bits t.backend ~dev_addr ~nbytes ~page_size
 
-(* Launch one packet: serialise on the outgoing link, then route. *)
+(* Launch one packet: serialise on the outgoing link, then route. The
+   link is busy until its last departure, so departure times never
+   decrease: they run on [out_lane], one firing per packet in
+   [out_fifo]. *)
 let launch t pkt =
   match t.router with
   | None -> Metrics.bump t.m_send_drops
-  | Some router ->
+  | Some _ ->
       if Fifo.push t.out_fifo pkt then begin
-        let engine = t.machine.M.engine in
-        let now = Engine.now engine in
+        let now = Engine.now t.machine.M.engine in
         let words = (Packet.size_bytes pkt + 3) / 4 in
-        let start = max now t.out_busy_until in
-        t.out_busy_until <- start + (words * t.config.link_word_cycles);
-        (* Link serialisation is wire time. *)
-        Engine.schedule engine ~cat:Engine.Profiler.Wire
-          ~delay:(t.out_busy_until - now) (fun _ ->
-            match Fifo.pop t.out_fifo with
-            | Some pkt ->
-                Metrics.bump t.m_packets_sent;
-                Metrics.bump_by t.m_bytes_sent
-                  (Bytes.length pkt.Packet.payload);
-                Router.send router pkt
-            | None -> ())
+        let start = Int.max now (Engine.lane_last t.out_lane) in
+        Engine.lane_at t.out_lane
+          ~time:(start + (words * t.config.link_word_cycles))
       end
       else Metrics.bump t.m_send_drops
 
@@ -171,21 +139,60 @@ let deposit t pkt =
     | None -> ()
   end
 
+(* A packet leaves on the outgoing link: the front of [out_fifo]. *)
+let depart t =
+  let pkt = Fifo.pop t.out_fifo in
+  Metrics.bump t.m_packets_sent;
+  Metrics.bump_by t.m_bytes_sent (Bytes.length pkt.Packet.payload);
+  match t.router with Some router -> Router.send router pkt | None -> ()
+
+let create ~id ~machine ?(config = default_config) ~pool () =
+  let counter = Metrics.counter machine.M.metrics in
+  (* a placeholder until the lanes, whose events need [t], exist *)
+  let idle = Engine.lane machine.M.engine ignore in
+  let t =
+    {
+      id;
+      machine;
+      config;
+      backend =
+        Backend.create Backend.Proxy
+          ~entries:(Layout.dev_pages machine.M.layout) ();
+      pool;
+      out_fifo = Fifo.create ~capacity_bytes:config.out_fifo_bytes;
+      in_fifo = Fifo.create ~capacity_bytes:config.in_fifo_bytes;
+      router = None;
+      out_lane = idle;
+      in_lane = idle;
+      next_seq = 0;
+      m_packets_sent = counter "ni.packets_sent";
+      m_bytes_sent = counter "ni.bytes_sent";
+      m_send_drops = counter "ni.send_drops";
+      m_packets_received = counter "ni.packets_received";
+      m_bytes_received = counter "ni.bytes_received";
+      m_receive_drops = counter "ni.receive_drops";
+      m_delivery_errors = counter "ni.delivery_errors";
+    }
+  in
+  (* Link serialisation is wire time; the receive-side deposit is the
+     NI device writing memory. *)
+  t.out_lane <-
+    Engine.lane machine.M.engine ~cat:Engine.Profiler.Wire (fun _ -> depart t);
+  t.in_lane <-
+    Engine.lane machine.M.engine ~cat:Engine.Profiler.Device (fun _ ->
+        deposit t (Fifo.pop t.in_fifo));
+  t
+
+(* The receive DMA is busy until its last deposit: the deposits run on
+   [in_lane], one firing per packet in [in_fifo]. *)
 let receive t pkt =
   if Fifo.push t.in_fifo pkt then begin
-    let engine = t.machine.M.engine in
-    let now = Engine.now engine in
+    let now = Engine.now t.machine.M.engine in
     let dma_cycles =
       Bus.dma_burst_cycles t.machine.M.bus ~nbytes:(Packet.size_bytes pkt)
     in
-    let start = max now t.in_busy_until in
-    t.in_busy_until <- start + dma_cycles;
-    (* The receive-side deposit is the NI device writing memory. *)
-    Engine.schedule engine ~cat:Engine.Profiler.Device
-      ~delay:(t.in_busy_until - now) (fun _ ->
-        match Fifo.pop t.in_fifo with
-        | Some pkt -> deposit t pkt
-        | None -> ())
+    let start = Int.max now (Engine.lane_last t.in_lane) in
+    Engine.lane_at t.in_lane ~time:(start + dma_cycles)
   end
   else Metrics.bump t.m_receive_drops
 
@@ -203,7 +210,8 @@ let port t =
       writable =
         (fun ~addr ->
           let page_size = Layout.page_size t.machine.M.layout in
-          Backend.decode t.backend ~index:(addr / page_size) <> None);
+          Option.is_some
+            (Backend.decode t.backend ~index:(addr / page_size)));
       readable = (fun ~addr:_ -> false);
     }
 

@@ -34,7 +34,7 @@ let give (t : t) b =
     in
     if not (holds s b 0) then begin
       if s.n = Array.length s.bufs then begin
-        let grown = Array.make (max 4 (2 * s.n)) Bytes.empty in
+        let grown = Array.make (Int.max 4 (2 * s.n)) Bytes.empty in
         Array.blit s.bufs 0 grown 0 s.n;
         s.bufs <- grown
       end;

@@ -83,7 +83,7 @@ let send t pkt =
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
   Mesh.check_node m src "send";
   Mesh.check_node m dst "send";
-  if m.sinks.(dst) = None then
+  if Option.is_none m.sinks.(dst) then
     invalid_arg (Printf.sprintf "Router.send: node %d has no sink" dst);
   let bytes = Packet.size_bytes pkt in
   m.packets_routed <- m.packets_routed + 1;

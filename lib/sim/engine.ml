@@ -6,6 +6,7 @@ type t = {
   mhz : int;
   queue : event Eventq.t;
   mutable horizon : int;  (* the running pump's target; min_int outside *)
+  mutable backlog : int;  (* lane firings not yet in [queue] *)
   profiler : Profiler.t;
   metrics : Metrics.t;
   scheduled : Metrics.counter;
@@ -22,6 +23,7 @@ let create ?(mhz = 120) () =
     mhz;
     queue = Eventq.create ();
     horizon = min_int;
+    backlog = 0;
     profiler = Profiler.create ();
     metrics;
     scheduled = Metrics.counter metrics "engine.scheduled";
@@ -67,9 +69,88 @@ let schedule t ?cat ~delay ev =
   Eventq.push t.queue ~time:(t.clock + delay) ?tag:(tag_of_cat cat) ev
 
 let schedule_at t ?cat ~time ev =
-  let time = max time t.clock in
+  let time = Int.max time t.clock in
   Metrics.bump t.scheduled;
   Eventq.push t.queue ~time ?tag:(tag_of_cat cat) ev
+
+(* A lane's firings are the one queued with [fire] as its payload and,
+   after it, the [len] pairs (time, reserved seq) in [ring] from pair
+   [head] on (the ring holds a power of two of pairs). [last] is the
+   latest of their times, or -1 while the lane has no queued firing.
+   Times never decrease along the lane, and seqs increase since each
+   was reserved later. The record keeps to eight fields on purpose:
+   OCaml 5 gives each object size class its own 32 KB heap pool, and a
+   larger record opened a new one (DESIGN §16). *)
+type lane = {
+  engine : t;
+  tag : int;
+  ev : event;
+  mutable fire : event;
+  mutable ring : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable last : int;
+}
+
+(* The lane's queued firing pops. Its successor is ordered after it, so
+   anything ordered after the successor is too, and cannot pop before
+   the successor enters the queue here, before [ev] runs. *)
+let fire_lane l t =
+  if l.len = 0 then l.last <- -1
+  else begin
+    let i = l.head in
+    Eventq.push_reserved t.queue ~time:l.ring.(2 * i) ~seq:l.ring.((2 * i) + 1)
+      ~tag:l.tag l.fire;
+    l.head <- (i + 1) land ((Array.length l.ring / 2) - 1);
+    l.len <- l.len - 1;
+    t.backlog <- t.backlog - 1
+  end;
+  l.ev t
+
+let lane t ?cat ev =
+  let tag = Option.value (tag_of_cat cat) ~default:0 in
+  let l =
+    { engine = t; tag; ev; fire = ev; ring = [||]; head = 0; len = 0;
+      last = -1 }
+  in
+  l.fire <- fire_lane l;
+  l
+
+(* Double the ring, unwrapping it to start at pair 0. *)
+let grow_lane l =
+  let cap = Array.length l.ring / 2 in
+  let ring = Array.make (2 * Int.max 8 (2 * cap)) 0 in
+  for j = 0 to l.len - 1 do
+    let k = (l.head + j) land (cap - 1) in
+    ring.(2 * j) <- l.ring.(2 * k);
+    ring.((2 * j) + 1) <- l.ring.((2 * k) + 1)
+  done;
+  l.ring <- ring;
+  l.head <- 0
+
+let lane_last l = l.last
+
+let lane_at l ~time =
+  let t = l.engine in
+  let time = Int.max time t.clock in
+  Metrics.bump t.scheduled;
+  let seq = Eventq.reserve t.queue in
+  if l.last < 0 then begin
+    l.last <- time;
+    Eventq.push_reserved t.queue ~time ~seq ~tag:l.tag l.fire
+  end
+  else if time >= l.last then begin
+    if l.len = Array.length l.ring / 2 then grow_lane l;
+    let i = (l.head + l.len) land ((Array.length l.ring / 2) - 1) in
+    l.ring.(2 * i) <- time;
+    l.ring.((2 * i) + 1) <- seq;
+    l.len <- l.len + 1;
+    l.last <- time;
+    t.backlog <- t.backlog + 1
+  end
+  else
+    (* Earlier than the lane's last firing: an ordinary event. *)
+    Eventq.push_reserved t.queue ~time ~seq ~tag:l.tag l.ev
 
 let with_category t cat f =
   let prev = Profiler.current t.profiler in
@@ -154,7 +235,7 @@ let next_event_time t = Eventq.min_time t.queue
 
 let run_until_idle t = pump t max_int
 
-let pending_events t = Eventq.length t.queue
+let pending_events t = Eventq.length t.queue + t.backlog
 
 let wait_for t ?(poll_cost = 2) ?(max_polls = 10_000_000) cond =
   let polls = ref 0 in

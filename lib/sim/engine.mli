@@ -39,6 +39,30 @@ val schedule_at : t -> ?cat:Profiler.category -> time:int -> event -> unit
 (** [schedule_at t ~time ev] fires [ev] at absolute cycle [time]
     (clamped to [now] if in the past). [cat] as in {!schedule}. *)
 
+type lane
+(** A FIFO of future firings of one event and category, for an event
+    that is scheduled over and over at times that never decrease (a
+    link's departures, a receive DMA's deposits). Only the earliest
+    firing sits in the event queue, so a backlog of [n] costs no heap
+    depth. *)
+
+val lane : t -> ?cat:Profiler.category -> event -> lane
+(** [lane t ?cat ev] is an empty lane of [t] firing [ev] under [cat]
+    (as in {!schedule}). *)
+
+val lane_last : lane -> int
+(** [lane_last l] is the time of [l]'s latest queued firing, or -1
+    when it has none: a link on a lane is busy until then. *)
+
+val lane_at : lane -> time:int -> unit
+(** [lane_at l ~time] is [schedule_at t ?cat ~time ev] for the lane's
+    [ev] and [cat], exactly: the firing keeps the place among all
+    events that call would have given it, and the clock, the profiler,
+    [engine.scheduled], [engine.events_fired] and {!pending_events} see
+    the same. A time earlier than the lane's last firing becomes an
+    ordinary event. Once the lane's ring has grown, allocates
+    nothing. *)
+
 val advance : t -> int -> unit
 (** [advance t cost] charges [cost] cycles of CPU work: runs every event
     due at or before [now + cost], then sets the clock to [now + cost].

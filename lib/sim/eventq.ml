@@ -40,7 +40,7 @@ let[@inline] before (t : int) (k : int) (s : int) t' k' s' =
    [cap .. cap' - 1] become the whole free stack. *)
 let grow q =
   let cap = Array.length q.payloads in
-  let cap' = max initial_capacity (cap * 2) in
+  let cap' = Int.max initial_capacity (cap * 2) in
   let heap = Array.make (4 * cap') 0 in
   Array.blit q.heap 0 heap 0 (4 * q.size);
   let payloads = Array.make cap' (filler ()) in
@@ -104,17 +104,29 @@ let rec hole_down h n i =
     move h ~src:child ~dst:i;
     hole_down h n child
 
-let push q ~time ?(key = 0) ?(tag = 0) payload =
-  if time < 0 then invalid_arg "Eventq.push: negative time";
+let[@inline] insert q ~time ~key ~seq ~tag payload =
   if q.size = Array.length q.payloads then grow q;
   let i = q.size in
   let slot = q.free.(Array.length q.payloads - i - 1) in
   q.size <- i + 1;
   q.payloads.(slot) <- payload;
   q.tags.(slot) <- tag;
+  sift_up q.heap i time key seq slot
+
+let reserve q =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
-  sift_up q.heap i time key seq slot
+  seq
+
+let push q ~time ?(key = 0) ?(tag = 0) payload =
+  if time < 0 then invalid_arg "Eventq.push: negative time";
+  insert q ~time ~key ~seq:(reserve q) ~tag payload
+
+let push_reserved q ~time ~seq ~tag payload =
+  if time < 0 then invalid_arg "Eventq.push_reserved: negative time";
+  if seq < 0 || seq >= q.next_seq then
+    invalid_arg "Eventq.push_reserved: sequence number not reserved";
+  insert q ~time ~key:0 ~seq ~tag payload
 
 let min_time q = if q.size = 0 then max_int else q.heap.(0)
 

@@ -17,8 +17,9 @@
     filler when it is popped or {!clear}ed, so the queue never keeps
     dead event closures (and whatever they capture — engines, buffers,
     metrics) reachable. Each entry also carries an unordered int tag.
-    Once the arrays have grown, {!push}, {!min_time}, {!min_tag} and
-    {!pop_payload} allocate nothing, which is what the event loops use. *)
+    Once the arrays have grown, {!push}, {!push_reserved}, {!min_time},
+    {!min_tag} and {!pop_payload} allocate nothing, which is what the
+    event loops use. *)
 
 type 'a t
 (** Mutable event queue holding payloads of type ['a]. *)
@@ -38,6 +39,19 @@ val push : 'a t -> time:int -> ?key:int -> ?tag:int -> 'a -> unit
     [tag] (default 0) rides along with the payload and takes no part in
     the order; {!min_tag} reads it back. Raises [Invalid_argument] if
     [time < 0]. *)
+
+val reserve : 'a t -> int
+(** [reserve q] takes the sequence number the next {!push} would have
+    used and returns it; the queue counts it as used. {!push_reserved}
+    later enqueues an event under it. *)
+
+val push_reserved : 'a t -> time:int -> seq:int -> tag:int -> 'a -> unit
+(** [push_reserved q ~time ~seq ~tag payload] is the {!push} with key 0
+    that took [seq] at its {!reserve}: the event pops in that push's
+    place, however late it enters the queue, provided it enters before
+    anything ordered after it pops. Each reserved number is pushed at
+    most once. Raises [Invalid_argument] if [time < 0] or [seq] was
+    never reserved. *)
 
 val peek_time : 'a t -> int option
 (** [peek_time q] is the firing time of the earliest event, if any. *)

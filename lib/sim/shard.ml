@@ -39,7 +39,7 @@ let ob_push ob time key fn =
   let n = ob.ob_len in
   if n = Array.length ob.ob_time then begin
     let grow a fill =
-      let a' = Array.make (max 16 (2 * n)) fill in
+      let a' = Array.make (Int.max 16 (2 * n)) fill in
       Array.blit a 0 a' 0 n;
       a'
     in
@@ -316,7 +316,7 @@ let stop_at ~until g =
    at the same window. *)
 let run_windows ?until t ~domains =
   let n = t.nshards in
-  let d = min domains n in
+  let d = Int.min domains n in
   (* a previous run may have left the sense flipped *)
   t.barrier.parties <- d;
   Atomic.set t.barrier.sense false;

@@ -16,7 +16,10 @@ let create ?(capacity = 4096) ~enabled () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { enabled; capacity; items = []; count = 0; sinks = [] }
 
-let active t = t.enabled || t.sinks <> [] || !global_sink <> None
+let active t =
+  t.enabled
+  || (match t.sinks with _ :: _ -> true | [] -> false)
+  || Option.is_some !global_sink
 
 let add_sink t sink = t.sinks <- sink :: t.sinks
 
@@ -24,7 +27,7 @@ let trim t =
   if t.count > t.capacity then begin
     (* Drop the oldest half; amortises the O(n) rebuild. At capacity 1
        half would be 0 and silently discard even the newest record. *)
-    let keep = max 1 (t.capacity / 2) in
+    let keep = Int.max 1 (t.capacity / 2) in
     t.items <- List.filteri (fun i _ -> i < keep) t.items;
     t.count <- keep
   end

@@ -27,8 +27,8 @@ let next_gap t rng =
          least one cycle so a chain of arrivals always advances time *)
       let u = Rng.float rng 1.0 in
       let mean = 1000.0 /. per_kcycle in
-      max 1 (int_of_float (Float.round (-.mean *. log (1.0 -. u))))
+      Int.max 1 (int_of_float (Float.round (-.mean *. log (1.0 -. u))))
   | Periodic { per_kcycle } ->
       check_rate "next_gap" per_kcycle;
-      max 1 (int_of_float (Float.round (1000.0 /. per_kcycle)))
+      Int.max 1 (int_of_float (Float.round (1000.0 /. per_kcycle)))
   | Closed _ -> invalid_arg "Arrival.next_gap: closed-loop has no rate"

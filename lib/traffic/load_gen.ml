@@ -96,7 +96,9 @@ let summarize ~nodes ~width ~send_cycles ~window_cycles ~injected ~launched
     link_wait_cycles =
       List.fold_left (fun a (l : Router.link_stat) -> a + l.Router.wait_cycles) 0 links;
     link_max_depth =
-      List.fold_left (fun a (l : Router.link_stat) -> max a l.Router.max_depth) 0 links;
+      List.fold_left
+        (fun a (l : Router.link_stat) -> Int.max a l.Router.max_depth)
+        0 links;
     credit_stalls;
     credit_stall_cycles;
     links;
@@ -226,7 +228,7 @@ let run ?probe (cfg : config) =
         let src = c mod nodes in
         (* stagger first requests across one think interval *)
         Engine.schedule_at engine
-          ~time:(t0 + Rng.int rngs.(src) (max 1 think_cycles))
+          ~time:(t0 + Rng.int rngs.(src) (Int.max 1 think_cycles))
           (fun _ -> client_turn src)
       done);
   Fabric.run_until_idle fab;

@@ -213,12 +213,12 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     if Array.length st.last_arrival.(psrc) = 0 then
       st.last_arrival.(psrc) <- Array.make width (-1);
     let row = st.last_arrival.(psrc) and col = pdst mod width in
-    let at = max now (row.(col) + 1) in
+    let at = Int.max now (row.(col) + 1) in
     row.(col) <- at;
     if born >= measure_start && at < t_end then begin
       st.delivered <- st.delivered + 1;
       if st.n_lats = Array.length st.lats then begin
-        let grown = Array.make (max 64 (2 * st.n_lats)) 0 in
+        let grown = Array.make (Int.max 64 (2 * st.n_lats)) 0 in
         Array.blit st.lats 0 grown 0 st.n_lats;
         st.lats <- grown
       end;

@@ -105,7 +105,7 @@ let report_figure8 ?(sizes = figure8_sizes) ?(messages = figure8_messages)
   let snd = System.node sys 0 and rcv = System.node sys 1 in
   let sender = Scheduler.spawn snd.System.machine ~name:"sender" in
   let receiver = Scheduler.spawn rcv.System.machine ~name:"receiver" in
-  let max_size = List.fold_left max 4096 sizes in
+  let max_size = List.fold_left Int.max 4096 sizes in
   let page_size = Layout.page_size snd.System.machine.M.layout in
   let pages = ((max_size + 4) + page_size - 1) / page_size + 1 in
   let ch =
@@ -342,9 +342,9 @@ let report_hippi ?(blocks = hippi_blocks) () =
   watch p m.M.engine;
   let proc = Scheduler.spawn m ~name:"p" in
   let port = Device.null "hippi" in
-  let max_block = List.fold_left max 4096 blocks in
+  let max_block = List.fold_left Int.max 4096 blocks in
   let buf = Kernel.alloc_buffer m proc ~bytes:max_block in
-  Kernel.write_user m proc ~vaddr:buf (pattern (min max_block 65536));
+  Kernel.write_user m proc ~vaddr:buf (pattern (Int.min max_block 65536));
   let mhz = float_of_int m.M.costs.Cost_model.mhz in
   (* raw channel rate: one 4-byte word per [burst_word_cycles] *)
   let channel_mbps =
@@ -464,7 +464,7 @@ let pio_latency p ~size ~trials =
       else if polls > 10_000_000 then failwith "pio: poll budget"
       else begin
         let avail = Int32.to_int (cb.Initiator.load ~vaddr:count_b) in
-        let take = min avail (expected - got) in
+        let take = Int.min avail (expected - got) in
         for _ = 1 to take do
           ignore (cb.Initiator.load ~vaddr:rx_b)
         done;
@@ -488,7 +488,7 @@ let report_crossover ?(sizes = crossover_sizes) ?(trials = crossover_trials) ()
   let snd = System.node sys 0 and rcv = System.node sys 1 in
   let sender = Scheduler.spawn snd.System.machine ~name:"s" in
   let receiver = Scheduler.spawn rcv.System.machine ~name:"r" in
-  let max_size = List.fold_left max 4096 sizes in
+  let max_size = List.fold_left Int.max 4096 sizes in
   let page_size = Layout.page_size snd.System.machine.M.layout in
   let pages = ((max_size + 4) + page_size - 1) / page_size + 1 in
   let ch =
@@ -510,7 +510,7 @@ let report_crossover ?(sizes = crossover_sizes) ?(trials = crossover_trials) ()
   let rows =
     List.map
       (fun size ->
-        let size = max 4 (size land lnot 3) in
+        let size = Int.max 4 (size land lnot 3) in
         let udma = udma_latency sys ch cpu_snd cpu_rcv ~buf ~size ~trials in
         let pio = pio_latency p ~size ~trials in
         [
@@ -563,7 +563,7 @@ let one_big_transfer ~mode ~total p =
   let pages = (total + page_size - 1) / page_size in
   grant_dev m proc ~pages;
   let buf = Kernel.alloc_buffer m proc ~bytes:total in
-  Kernel.write_user m proc ~vaddr:buf (pattern (min total 65536));
+  Kernel.write_user m proc ~vaddr:buf (pattern (Int.min total 65536));
   let cpu = Kernel.user_cpu m proc in
   let dst = Initiator.Device (Kernel.vdev_addr m ~index:0 ~offset:0) in
   (* warm one page of mappings, then measure the full transfer cold on
@@ -1852,7 +1852,7 @@ let run_shape ~mode ~total shape p =
                   bytes_per_init ))
         | Shape_sg n ->
             let inits_n = total / page_size in
-            let per_init = max 1 (n / inits_n) in
+            let per_init = Int.max 1 (n / inits_n) in
             let len = page_size / per_init in
             List.init inits_n (fun k ->
                 let base = k * page_size in

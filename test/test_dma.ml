@@ -646,12 +646,27 @@ let prop_progress_counter_matches_fold =
       let plan = plan_of_case c in
       if not (back_to_back plan) then
         QCheck.Test.fail_report "bursts not laid out back to back";
-      for elapsed = 0 to plan.Midend.total_cycles + 1 do
-        let want = reference_bytes_done plan ~elapsed
-        and got = Backend.bytes_done plan ~elapsed in
+      (* [begun]'s hint takes no part in the result: a fresh search, one
+         resumed from the last probe (forward, then backward in time)
+         and one from an arbitrary count all read the fold *)
+      let n = Array.length plan.Midend.bursts in
+      let check ~elapsed ~from what =
+        let want = reference_bytes_done plan ~elapsed in
+        let begun = Backend.begun plan ~elapsed ~from in
+        let got = Backend.bytes_done plan ~elapsed ~begun in
         if got <> want then
-          QCheck.Test.fail_reportf "elapsed %d: bytes_done %d, fold %d" elapsed
-            got want
+          QCheck.Test.fail_reportf "elapsed %d, %s from %d: bytes_done %d, fold %d"
+            elapsed what from got want;
+        begun
+      in
+      let last = ref 0 in
+      for elapsed = 0 to plan.Midend.total_cycles + 1 do
+        ignore (check ~elapsed ~from:0 "fresh");
+        ignore (check ~elapsed ~from:(elapsed * 7919 mod (n + 1)) "hinted");
+        last := check ~elapsed ~from:!last "resumed"
+      done;
+      for elapsed = plan.Midend.total_cycles + 1 downto 0 do
+        last := check ~elapsed ~from:!last "resumed backward"
       done;
       true)
 

@@ -54,11 +54,35 @@ let test_fifo_order_and_capacity () =
   checkb "push 2" true (Fifo.push f (pkt 2));
   checkb "third does not fit (2x116 used)" false (Fifo.push f (pkt ~len:100 3));
   checki "rejections" 1 (Fifo.rejections f);
-  (match Fifo.pop f with
-  | Some p -> checki "fifo order" 1 p.Packet.seq
-  | None -> Alcotest.fail "empty");
+  checki "fifo order" 1 (Fifo.pop f).Packet.seq;
   checkb "space reclaimed" true (Fifo.push f (pkt 3));
-  checki "length" 2 (Fifo.length f)
+  checki "length" 2 (Fifo.length f);
+  checki "then 2" 2 (Fifo.pop f).Packet.seq;
+  checki "then 3" 3 (Fifo.pop f).Packet.seq;
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Fifo.pop: empty")
+    (fun () -> ignore (Fifo.pop f));
+  (* the ring wraps and grows while it holds packets: order and bytes
+     hold across both *)
+  let f = Fifo.create ~capacity_bytes:(20 * 64) in
+  let next = ref 0 and front = ref 0 in
+  for round = 1 to 30 do
+    for _ = 1 to round mod 7 + 1 do
+      if Fifo.push f (pkt ~len:4 !next) then incr next
+    done;
+    for _ = 1 to round mod 5 do
+      if Fifo.length f > 0 then begin
+        checki "ring order" !front (Fifo.pop f).Packet.seq;
+        incr front
+      end
+    done
+  done;
+  checki "ring length" (!next - !front) (Fifo.length f);
+  checki "no rejections" 0 (Fifo.rejections f);
+  while Fifo.length f > 0 do
+    checki "drain order" !front (Fifo.pop f).Packet.seq;
+    incr front
+  done;
+  checkb "all bytes back" true (Fifo.push f (pkt ~len:((20 * 64) - 16) 0))
 
 (* ---------- Router ---------- *)
 

@@ -430,6 +430,186 @@ let step_to_prop =
   Test.make ~count:500 ~name:"step_to = an uncategorised event at the same time"
     (make ~print gen) (fun m -> run ~stepping:true m = run ~stepping:false m)
 
+(* qcheck: a lane is [schedule_at] of its event and category, exactly.
+   Up to four lanes, each under a random category or none, fire beside
+   ordinary events and a chain that steps in place through [step_to].
+   Lane firings are posted before the run, from the drive between
+   [advance_in]/[run_until] steps, by ordinary events and by lane
+   firings themselves, at times drawn from a narrow range, so they tie
+   with other events and come out of order (and into the past, where
+   the clock clamps them). Some lane firings run a nested [advance],
+   which fires later events from inside the firing. The same case runs
+   once on lanes and once with every [lane_at] made a [schedule_at];
+   after every firing and every drive step the firing log, the clock,
+   the profiler totals, [pending_events] and both engine counters must
+   agree. *)
+type lane_drive =
+  | Lane_advance_in of Engine.Profiler.category * int
+  | Lane_run_until of int
+  | Lane_post of int * int
+
+type lane_case = {
+  lane_cats : Engine.Profiler.category option array;
+  lane_follow : (int * int) option array array;
+  lane_nest : int option array array;
+  lane_posts : (int * int) list;
+  lane_others : (int * Engine.Profiler.category option * (int * int) option) list;
+  lane_chain : int * int list;
+  lane_drive : lane_drive list;
+}
+
+let lane_prop =
+  let open QCheck in
+  let cats = Array.of_list Engine.Profiler.categories in
+  let cat = Gen.(map (fun i -> cats.(i)) (int_bound (Array.length cats - 1))) in
+  let post = Gen.(pair (int_bound 3) (int_range (-6) 12)) in
+  let gen =
+    Gen.(
+      let* n = int_range 1 4 in
+      let* lane_cats = array_repeat n (opt cat) in
+      let* lane_follow = array_repeat n (array_size (0 -- 12) (opt post)) in
+      let* lane_nest =
+        array_repeat n (array_size (0 -- 6) (opt ~ratio:0.3 (int_bound 10)))
+      in
+      let* lane_posts = list_size (0 -- 30) (pair (int_bound 3) (int_bound 40)) in
+      let* lane_others =
+        list_size (0 -- 20) (triple (int_bound 40) (opt cat) (opt post))
+      in
+      let* lane_chain = pair (int_bound 30) (list_size (0 -- 20) (int_range 1 8)) in
+      let* lane_drive =
+        list_size (0 -- 16)
+          (frequency
+             [ (3, map2 (fun c n -> Lane_advance_in (c, n)) cat (int_bound 15));
+               (1, map (fun t -> Lane_run_until t) (int_bound 80));
+               (2, map (fun (j, d) -> Lane_post (j, d)) post) ])
+      in
+      return
+        { lane_cats; lane_follow; lane_nest; lane_posts; lane_others; lane_chain;
+          lane_drive })
+  in
+  let print c =
+    let cat = Option.fold ~none:"-" ~some:Engine.Profiler.category_name in
+    let post = Option.fold ~none:"." ~some:(fun (j, d) -> Printf.sprintf "%d%+d" j d) in
+    let list f l = "[" ^ String.concat "," (List.map f l) ^ "]" in
+    let nest = Option.fold ~none:"." ~some:string_of_int in
+    Printf.sprintf "lanes=%s follow=%s nest=%s posts=%s others=%s chain=%d%s drive=%s"
+      (list cat (Array.to_list c.lane_cats))
+      (list (fun a -> list post (Array.to_list a)) (Array.to_list c.lane_follow))
+      (list (fun a -> list nest (Array.to_list a)) (Array.to_list c.lane_nest))
+      (list (fun (j, t) -> Printf.sprintf "%d@%d" j t) c.lane_posts)
+      (list (fun (t, c, p) -> Printf.sprintf "%d:%s:%s" t (cat c) (post p)) c.lane_others)
+      (fst c.lane_chain) (list string_of_int (snd c.lane_chain))
+      (list
+         (function
+           | Lane_advance_in (c, n) -> Printf.sprintf "%s %d" (cat (Some c)) n
+           | Lane_run_until t -> Printf.sprintf "until %d" t
+           | Lane_post (j, d) -> Printf.sprintf "post %d%+d" j d)
+         c.lane_drive)
+  in
+  let run ~lanes c =
+    let e = Engine.create () in
+    let metrics = Engine.metrics e in
+    let log = ref [] in
+    let note what =
+      log :=
+        ( what, Engine.now e, Engine.Profiler.to_list (Engine.profile e),
+          Engine.pending_events e,
+          Udma_obs.Metrics.get metrics "engine.scheduled",
+          Udma_obs.Metrics.get metrics "engine.events_fired" )
+        :: !log
+    in
+    let n = Array.length c.lane_cats in
+    let fired = Array.make n 0 in
+    let posts = Array.make n (fun ~time:_ -> ()) in
+    let post (j, delay) = posts.(j mod n) ~time:(Engine.now e + delay) in
+    let ev j _ =
+      note (100 + j);
+      let k = fired.(j) in
+      fired.(j) <- k + 1;
+      let follow = c.lane_follow.(j) in
+      if k < Array.length follow then Option.iter post follow.(k);
+      let nest = c.lane_nest.(j) in
+      if k < Array.length nest then
+        Option.iter
+          (fun n ->
+            Engine.advance e n;
+            note (200 + j))
+          nest.(k)
+    in
+    Array.iteri
+      (fun j cat ->
+        posts.(j) <-
+          (if lanes then
+             let l = Engine.lane e ?cat (ev j) in
+             fun ~time -> Engine.lane_at l ~time
+           else fun ~time -> Engine.schedule_at e ?cat ~time (ev j)))
+      c.lane_cats;
+    List.iter (fun (j, time) -> posts.(j mod n) ~time) c.lane_posts;
+    List.iteri
+      (fun i (time, cat, follow) ->
+        Engine.schedule_at e ?cat ~time (fun _ ->
+            note i;
+            Option.iter post follow))
+      c.lane_others;
+    let rec chain gaps e =
+      note (-1);
+      match gaps with
+      | [] -> ()
+      | g :: rest ->
+          let time = Engine.now e + g in
+          if Engine.step_to e time then chain rest e
+          else Engine.schedule_at e ~time (chain rest)
+    in
+    Engine.schedule_at e ~time:(fst c.lane_chain) (chain (snd c.lane_chain));
+    note (-2);
+    List.iter
+      (fun d ->
+        (match d with
+        | Lane_advance_in (cat, n) -> Engine.advance_in e cat n
+        | Lane_run_until t -> Engine.run_until e t
+        | Lane_post (j, delay) -> post (j, delay));
+        note (-3))
+      c.lane_drive;
+    Engine.run_until_idle e;
+    note (-4);
+    List.rev !log
+  in
+  Test.make ~count:500 ~name:"lanes = schedule_at" (make ~print gen) (fun c ->
+      run ~lanes:true c = run ~lanes:false c)
+
+(* A warm lane's [lane_at] plus its fire allocates nothing: a lane of
+   four firings in flight (three in the backlog) posts and fires
+   [alloc_rounds] times each. The measurement's own float boxes are
+   read first and taken off. *)
+let test_lane_alloc_bound () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let l = Engine.lane e ~cat:Engine.Profiler.Wire (fun _ -> incr fired) in
+  for i = 1 to 64 do
+    Engine.lane_at l ~time:i
+  done;
+  Engine.run_until_idle e;
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_rounds do
+    let now = Engine.now e in
+    for d = 1 to 4 do
+      Engine.lane_at l ~time:(now + d)
+    done;
+    Engine.run_until_idle e
+  done;
+  let words = Gc.minor_words () -. w0 -. (m1 -. m0) in
+  Printf.printf "lane guard: %.0f minor words over %d lane_at + fire
+" words
+    (4 * alloc_rounds);
+  checki "every firing fired" (64 + (4 * alloc_rounds)) !fired;
+  checki "gaps charged to the lane's category" (64 + (4 * alloc_rounds))
+    (Udma_obs.Profiler.total (Engine.profiler e) Engine.Profiler.Wire);
+  if words > 0.0 then
+    Alcotest.failf "%.0f minor words over %d lane_at + fire, want 0" words
+      (4 * alloc_rounds)
+
 (* [step_to] refuses when an event is due at or before the target, when
    the target lies past the running pump's, and outside any pump. *)
 let test_engine_step_to_refuses () =
@@ -937,6 +1117,9 @@ let () =
           Alcotest.test_case "step_to nested horizons" `Quick
             test_engine_step_to_nested;
           qtest step_to_prop;
+          qtest lane_prop;
+          Alcotest.test_case "lane_at + fire allocates nothing" `Quick
+            test_lane_alloc_bound;
           Alcotest.test_case "schedule + fire allocation bounded" `Quick
             test_engine_alloc_bound;
         ] );
