@@ -183,14 +183,21 @@ let experiment_cmds =
     Runner.experiments
 
 (* The anchor gate of `all --check FILE`. The baseline is read before
-   the run: a file that cannot be read or parsed exits 2. The fresh run
-   is serialized as the udma-bench/1 document it would be written as
-   and re-parsed, so both sides are read by Report.anchor_value; any
-   anchor drifting beyond +/-2 % exits 1. A passing report goes to
-   stdout (stderr when stdout carries the JSON document), a failing one
-   to stderr. *)
-let read_baseline path =
+   the run: a file that cannot be read or parsed, or that holds a run of
+   the other mode (its meta "quick" against --quick), exits 2. The
+   fresh run is serialized as the udma-bench/1 document it would be
+   written as and re-parsed, so both sides are read by
+   Report.anchor_value; any anchor drifting beyond +/-2 % exits 1. A
+   passing report goes to stdout (stderr when stdout carries the JSON
+   document), a failing one to stderr. *)
+let read_baseline ~quick path =
+  let mode q = if q then "quick" else "full" in
   match Json.of_file path with
+  | Ok doc when Json.path [ "meta"; "quick" ] doc = Some (Json.Bool (not quick))
+    ->
+      Printf.eprintf "all --check: %s holds a %s-mode run, this is a %s-mode run\n"
+        path (mode (not quick)) (mode quick);
+      exit 2
   | Ok doc -> doc
   | Error msg ->
       prerr_endline ("all --check: " ^ msg);
@@ -227,10 +234,11 @@ let all_cmd =
           ~doc:
             "Diff every anchor declared in the experiment registry between \
              this run and the baseline document $(docv); exit 1 on >±2% \
-             drift, 2 if $(docv) cannot be read.")
+             drift, 2 if $(docv) cannot be read or holds a run of the \
+             other mode (its meta field \"quick\" against $(b,--quick)).")
   in
   let run c quick check =
-    let baseline = Option.map (fun path -> (path, read_baseline path)) check in
+    let baseline = Option.map (fun p -> (p, read_baseline ~quick p)) check in
     let reports = emit_reports c (fun () -> Runner.all_reports ~quick ~seed:c.seed ()) in
     Option.iter (fun (path, b) -> check_anchors c ~path b reports) baseline
   in

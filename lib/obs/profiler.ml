@@ -28,7 +28,7 @@ let current t = t.current
 
 let set_current t cat = t.current <- cat
 
-let charge t ?cat n =
+let[@inline] charge t ?cat n =
   if n < 0 then invalid_arg "Profiler.charge: negative cycles";
   let cat = Option.value cat ~default:t.current in
   let i = index cat in

@@ -7,28 +7,41 @@ type t = {
   queue : event Eventq.t;
   mutable horizon : int;  (* the running pump's target; min_int outside *)
   mutable backlog : int;  (* lane firings not yet in [queue] *)
+  mutable scheduled : int;  (* every schedule and lane post so far *)
   profiler : Profiler.t;
   metrics : Metrics.t;
-  scheduled : Metrics.counter;
-  fired : Metrics.counter;
 }
 
 and event = t -> unit
 
+let pending_events t = Eventq.length t.queue + t.backlog
+
+(* The engine counts one thing, in a plain field: [scheduled]. Every
+   scheduled event has fired or is still pending ([step_to] counts in
+   neither), so [engine.events_fired] is scheduled - pending. Both reach
+   the registry on read, as the deltas since the last read; a zero delta
+   publishes nothing, so each name appears exactly when an eager bump
+   would have made it. *)
+let publish_counts t =
+  let counter = Metrics.counter t.metrics and said = [| 0; 0 |] in
+  let scheduled = counter "engine.scheduled"
+  and fired = counter "engine.events_fired" in
+  let publish i c count =
+    if count > said.(i) then Metrics.bump_by c (count - said.(i));
+    said.(i) <- count
+  in
+  fun () ->
+    publish 0 scheduled t.scheduled;
+    publish 1 fired (t.scheduled - pending_events t)
+
 let create ?(mhz = 120) () =
   if mhz <= 0 then invalid_arg "Engine.create: mhz must be positive";
-  let metrics = Metrics.create () in
-  {
-    clock = 0;
-    mhz;
-    queue = Eventq.create ();
-    horizon = min_int;
-    backlog = 0;
-    profiler = Profiler.create ();
-    metrics;
-    scheduled = Metrics.counter metrics "engine.scheduled";
-    fired = Metrics.counter metrics "engine.events_fired";
-  }
+  let t =
+    { clock = 0; mhz; queue = Eventq.create (); horizon = min_int; backlog = 0;
+      scheduled = 0; profiler = Profiler.create (); metrics = Metrics.create () }
+  in
+  Metrics.on_read t.metrics (publish_counts t);
+  t
 
 let now t = t.clock
 
@@ -45,33 +58,32 @@ let us_of_cycles t c = ns_of_cycles t c /. 1000.0
 (* Every clock mutation funnels through here, charging the elapsed
    cycles to [cat] (or the profiler's current category). This is what
    makes "category totals sum to Engine.now" hold by construction. *)
-let tick t ?cat time =
+let[@inline] tick t ?cat time =
   if time > t.clock then begin
     Profiler.charge t.profiler ?cat (time - t.clock);
     t.clock <- time
   end
 
 (* An event's category travels as its queue tag: 0 for none,
-   [1 + Profiler.index c] for [Some c]. Both directions go through
-   static tables of preallocated options, so neither allocates. *)
+   [1 + Profiler.index c] for [Some c]. The way back goes through a
+   static table of preallocated options, so neither direction
+   allocates. *)
 let cat_of_tag =
   Array.of_list (None :: List.map Option.some Profiler.categories)
 
-let tag_opts = Array.init (Array.length cat_of_tag) Option.some
+let tag_of_cat = function None -> 0 | Some c -> 1 + Profiler.index c
 
-let tag_of_cat = function
-  | None -> None
-  | Some c -> tag_opts.(1 + Profiler.index c)
+let[@inline] push t ~time ~key ~tag ev =
+  t.scheduled <- t.scheduled + 1;
+  Eventq.add t.queue ~time:(Int.max time t.clock) ~key ~tag ev
+
+let[@inline] schedule_keyed t ~key ~time ev = push t ~time ~key ~tag:0 ev
+
+let schedule_at t ?cat ~time ev = push t ~time ~key:0 ~tag:(tag_of_cat cat) ev
 
 let schedule t ?cat ~delay ev =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Metrics.bump t.scheduled;
-  Eventq.push t.queue ~time:(t.clock + delay) ?tag:(tag_of_cat cat) ev
-
-let schedule_at t ?cat ~time ev =
-  let time = Int.max time t.clock in
-  Metrics.bump t.scheduled;
-  Eventq.push t.queue ~time ?tag:(tag_of_cat cat) ev
+  push t ~time:(t.clock + delay) ~key:0 ~tag:(tag_of_cat cat) ev
 
 (* A lane's firings are the one queued with [fire] as its payload and,
    after it, the [len] pairs (time, reserved seq) in [ring] from pair
@@ -108,10 +120,9 @@ let fire_lane l t =
   l.ev t
 
 let lane t ?cat ev =
-  let tag = Option.value (tag_of_cat cat) ~default:0 in
   let l =
-    { engine = t; tag; ev; fire = ev; ring = [||]; head = 0; len = 0;
-      last = -1 }
+    { engine = t; tag = tag_of_cat cat; ev; fire = ev; ring = [||]; head = 0;
+      len = 0; last = -1 }
   in
   l.fire <- fire_lane l;
   l
@@ -133,7 +144,7 @@ let lane_last l = l.last
 let lane_at l ~time =
   let t = l.engine in
   let time = Int.max time t.clock in
-  Metrics.bump t.scheduled;
+  t.scheduled <- t.scheduled + 1;
   let seq = Eventq.reserve t.queue in
   if l.last < 0 then begin
     l.last <- time;
@@ -168,12 +179,11 @@ let with_category t cat f =
    to the event is charged to the event's category when it carries one
    (a DMA burst completing attributes the burst cycles to Dma, not to
    whoever was polling). The caller checks the queue is not empty. *)
-let fire_next t =
+let[@inline] fire_next t =
   let time = Eventq.min_time t.queue in
   let cat = cat_of_tag.(Eventq.min_tag t.queue) in
   let ev = Eventq.pop_payload t.queue in
   tick t ?cat time;
-  Metrics.bump t.fired;
   ev t
 
 (* Fire every event due at or before [horizon], letting fired events
@@ -215,6 +225,12 @@ let run_until t time =
     tick t time
   end
 
+(* [run_until (time - 1)] would not do: it fires nothing when the
+   clock is already at [time - 1], even with an event due there. *)
+let run_before t time =
+  if Eventq.min_time t.queue < time then pump t (time - 1);
+  tick t time
+
 let advance t cost =
   if cost < 0 then invalid_arg "Engine.advance: negative cost";
   run_until t (t.clock + cost)
@@ -231,11 +247,9 @@ let advance_in t cat cost =
       Profiler.set_current t.profiler prev;
       Printexc.raise_with_backtrace e bt
 
-let next_event_time t = Eventq.min_time t.queue
+let[@inline] next_event_time t = Eventq.min_time t.queue
 
 let run_until_idle t = pump t max_int
-
-let pending_events t = Eventq.length t.queue + t.backlog
 
 let wait_for t ?(poll_cost = 2) ?(max_polls = 10_000_000) cond =
   let polls = ref 0 in

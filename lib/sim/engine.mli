@@ -39,6 +39,12 @@ val schedule_at : t -> ?cat:Profiler.category -> time:int -> event -> unit
 (** [schedule_at t ~time ev] fires [ev] at absolute cycle [time]
     (clamped to [now] if in the past). [cat] as in {!schedule}. *)
 
+val schedule_keyed : t -> key:int -> time:int -> event -> unit
+(** [schedule_keyed t ~key ~time ev] is [schedule_at t ~time ev], but
+    events due at the same cycle fire in [key] order before scheduling
+    order ({!schedule} and {!schedule_at} use key 0). A non-optional
+    [key] allocates nothing. *)
+
 type lane
 (** A FIFO of future firings of one event and category, for an event
     that is scheduled over and over at times that never decrease (a
@@ -73,6 +79,11 @@ val run_until : t -> int -> unit
 (** [run_until t time] runs due events and moves the clock to [time]
     (no-op if [time <= now]). *)
 
+val run_before : t -> int -> unit
+(** [run_before t time] fires every event due strictly before [time],
+    then moves the clock to [time] (one window of {!Shard}). Unlike
+    [run_until t (time - 1)], it fires an event due at the clock. *)
+
 val advance_in : t -> Profiler.category -> int -> unit
 (** [advance_in t cat cost] is [with_category t cat (fun () -> advance
     t cost)] without the closure: it sets the profiler's category,
@@ -92,12 +103,13 @@ val step_to : t -> int -> bool
 (** [step_to t time] lets an event that would reschedule itself at
     [time] run on in place instead. When no event is due at or before
     [time] and the running {!run_until} (or {!advance}, {!wait_for},
-    {!run_until_idle}) would still fire an event at [time], it moves
-    the clock to [time] exactly as an uncategorised event firing there
-    would — the same profiler charge — and returns [true]; the caller
-    then does that event's work itself. Otherwise, and always outside
-    a running event loop, it returns [false] and changes nothing. It
-    counts nothing in [engine.scheduled] or [engine.events_fired]. *)
+    {!run_until_idle}, {!run_before}) would still fire an event at
+    [time], it moves the clock to [time] exactly as an uncategorised
+    event firing there would — the same profiler charge — and returns
+    [true]; the caller then does that event's work itself. Otherwise,
+    and always outside a running event loop, it returns [false] and
+    changes nothing. It counts nothing in [engine.scheduled] or
+    [engine.events_fired]. *)
 
 val wait_for : t -> ?poll_cost:int -> ?max_polls:int -> (unit -> bool) -> int
 (** [wait_for t cond] repeatedly charges [poll_cost] cycles (default 2)
@@ -114,7 +126,8 @@ val pending_events : t -> int
     The engine owns a {!Udma_obs.Profiler.t} that every clock mutation
     is charged through, so category totals always sum to {!now}, and a
     {!Udma_obs.Metrics.t} it publishes scheduling counters into
-    ([engine.scheduled], [engine.events_fired]). *)
+    ([engine.scheduled], [engine.events_fired]) on read: the first is
+    a plain count, the second that count less {!pending_events}. *)
 
 val profiler : t -> Profiler.t
 

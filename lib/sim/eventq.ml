@@ -118,9 +118,11 @@ let reserve q =
   q.next_seq <- seq + 1;
   seq
 
-let push q ~time ?(key = 0) ?(tag = 0) payload =
+let add q ~time ~key ~tag payload =
   if time < 0 then invalid_arg "Eventq.push: negative time";
   insert q ~time ~key ~seq:(reserve q) ~tag payload
+
+let push q ~time ?(key = 0) ?(tag = 0) payload = add q ~time ~key ~tag payload
 
 let push_reserved q ~time ~seq ~tag payload =
   if time < 0 then invalid_arg "Eventq.push_reserved: negative time";
@@ -128,9 +130,9 @@ let push_reserved q ~time ~seq ~tag payload =
     invalid_arg "Eventq.push_reserved: sequence number not reserved";
   insert q ~time ~key:0 ~seq ~tag payload
 
-let min_time q = if q.size = 0 then max_int else q.heap.(0)
+let[@inline] min_time q = if q.size = 0 then max_int else q.heap.(0)
 
-let min_tag q =
+let[@inline] min_tag q =
   if q.size = 0 then invalid_arg "Eventq.min_tag: empty queue";
   q.tags.(q.heap.(3))
 

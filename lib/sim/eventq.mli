@@ -17,7 +17,7 @@
     filler when it is popped or {!clear}ed, so the queue never keeps
     dead event closures (and whatever they capture — engines, buffers,
     metrics) reachable. Each entry also carries an unordered int tag.
-    Once the arrays have grown, {!push}, {!push_reserved}, {!min_time},
+    Once the arrays have grown, {!add}, {!push_reserved}, {!min_time},
     {!min_tag} and {!pop_payload} allocate nothing, which is what the
     event loops use. *)
 
@@ -39,6 +39,9 @@ val push : 'a t -> time:int -> ?key:int -> ?tag:int -> 'a -> unit
     [tag] (default 0) rides along with the payload and takes no part in
     the order; {!min_tag} reads it back. Raises [Invalid_argument] if
     [time < 0]. *)
+
+val add : 'a t -> time:int -> key:int -> tag:int -> 'a -> unit
+(** [add] is {!push} with every argument given: no option to build. *)
 
 val reserve : 'a t -> int
 (** [reserve q] takes the sequence number the next {!push} would have

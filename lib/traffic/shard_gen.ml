@@ -1,3 +1,4 @@
+module Engine = Udma_sim.Engine
 module Rng = Udma_sim.Rng
 module Shard = Udma_sim.Shard
 module Router = Udma_shrimp.Router
@@ -203,10 +204,9 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
         { injected = 0; launched = 0; delivered = 0; lats = [||]; n_lats = 0;
           last_arrival = Array.make nodes [||] })
   in
-  let deliver ~psrc ~pdst ~born () =
-    let shard = row_of pdst in
-    let st = stats.(shard) in
-    let now = Shard.now k ~shard in
+  let deliver ~psrc ~pdst ~born e =
+    let st = stats.(row_of pdst) in
+    let now = Engine.now e in
     (* per-pair in-order clamp, as the legacy router's [last_arrival]:
        a no-op under dimension-order + FIFO links, kept as the stated
        guarantee *)
@@ -249,18 +249,18 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
     else
       Shard.post k ~src:y ~dst:y' ~key:pid
         ~delay:(start + per_hop_cycles - head)
-        (fun () ->
+        (fun _ ->
           hop ~x:x' ~y:y' ~pid ~psrc ~pdst ~born
             ~head:(start + per_hop_cycles))
   in
-  let start_walk ~pid ~psrc ~pdst ~born =
+  let start_walk e ~pid ~psrc ~pdst ~born =
     let sy = psrc / width in
-    let now = Shard.now k ~shard:sy in
+    let now = Engine.now e in
     if psrc = pdst then
-      Shard.schedule k ~shard:sy ~key:pid ~delay:(base_cycles + occ)
+      Engine.schedule_keyed e ~key:pid ~time:(now + base_cycles + occ)
         (deliver ~psrc ~pdst ~born)
     else if cfg.link_contention then
-      Shard.schedule k ~shard:sy ~key:pid ~delay:base_cycles (fun () ->
+      Engine.schedule_keyed e ~key:pid ~time:(now + base_cycles) (fun _ ->
           hop ~x:(psrc mod width) ~y:sy ~pid ~psrc ~pdst ~born
             ~head:(now + base_cycles))
     else begin
@@ -274,46 +274,49 @@ let run_stats ?(domains = 1) ?send_cycles (cfg : Load_gen.config) =
   in
   (* service model: one initiation every [send_cycles] per source, as
      the legacy generator *)
-  let rec pump (s : source) =
+  let rec pump (s : source) e =
     if (not s.serving) && not (Queue.is_empty s.q) then begin
       s.serving <- true;
-      Shard.schedule k ~shard:(row_of s.src) ~delay:send_cycles (fun () ->
-          launch s)
+      Engine.schedule e ~delay:send_cycles (launch s)
     end
-  and launch (s : source) =
+  and launch (s : source) e =
     let dst, born = Queue.pop s.q in
     let pid = (s.src * pid_stride) + s.next_pid + 1 in
     s.next_pid <- s.next_pid + 1;
     stats.(row_of s.src).launched <- stats.(row_of s.src).launched + 1;
-    start_walk ~pid ~psrc:s.src ~pdst:dst ~born;
+    start_walk e ~pid ~psrc:s.src ~pdst:dst ~born;
     s.serving <- false;
-    pump s
+    pump s e
   in
   let sources =
     Array.init nodes (fun src ->
         { src; rng = Rng.substream cfg.seed src; q = Queue.create ();
           serving = false; next_pid = 0 })
   in
-  let enqueue s dst =
+  let enqueue s e dst =
     let shard = row_of s.src in
-    let now = Shard.now k ~shard in
+    let now = Engine.now e in
     if now >= measure_start && now < t_end then
       stats.(shard).injected <- stats.(shard).injected + 1;
     Queue.push (dst, now) s.q;
-    pump s
+    pump s e
   in
-  let rec arrive s time =
+  let rec arrive s e time =
     if time < t_end then
-      Shard.schedule_at k ~shard:(row_of s.src) ~time (fun () ->
+      Engine.schedule_at e ~time (fun e ->
           (match
              Pattern.dest_unbiased cfg.pattern s.rng ~width ~nodes ~src:s.src
            with
-          | Some dst -> enqueue s dst
+          | Some dst -> enqueue s e dst
           | None -> ());
-          arrive s (Shard.now k ~shard:(row_of s.src)
-                    + Arrival.next_gap cfg.arrival s.rng))
+          arrive s e (Engine.now e + Arrival.next_gap cfg.arrival s.rng))
   in
-  Array.iter (fun s -> arrive s (Arrival.next_gap cfg.arrival s.rng)) sources;
+  Array.iter
+    (fun s ->
+      arrive s
+        (Shard.engine k ~shard:(row_of s.src))
+        (Arrival.next_gap cfg.arrival s.rng))
+    sources;
   Shard.run ~domains k;
   (* deterministic merge: sums, sorted latencies, links by (from, to) *)
   let injected = Array.fold_left (fun a st -> a + st.injected) 0 stats in

@@ -829,11 +829,12 @@ module Shard = Udma_sim.Shard
 let run_ring ~domains ~shards ~hops =
   let k = Shard.create ~lookahead:5 ~shards () in
   let traces = Array.init shards (fun _ -> ref []) in
-  let rec arrive hop s () =
-    traces.(s) := (hop, Shard.now k ~shard:s) :: !(traces.(s));
+  let rec arrive hop s e =
+    traces.(s) := (hop, Engine.now e) :: !(traces.(s));
     if hop < hops then
       let d = (s + 1) mod shards in
-      Shard.post k ~src:s ~dst:d ~delay:(5 + (hop mod 3)) (arrive (hop + 1) d)
+      Shard.post k ~src:s ~dst:d ~key:0 ~delay:(5 + (hop mod 3))
+        (arrive (hop + 1) d)
   in
   Shard.schedule k ~shard:0 ~delay:1 (arrive 0 0);
   Shard.run ~domains k;
@@ -868,20 +869,22 @@ let test_shard_post_below_lookahead () =
     (Invalid_argument
        "Shard.post: cross-shard delay 3 below lookahead 8 (the conservative \
         window would be unsound)") (fun () ->
-      Shard.post k ~src:0 ~dst:1 ~delay:3 (fun () -> ()));
+      Shard.post k ~src:0 ~dst:1 ~key:0 ~delay:3 ignore);
   (* the same delay within a shard is fine: no window boundary crossed *)
-  Shard.post k ~src:0 ~dst:0 ~delay:3 (fun () -> ());
+  Shard.post k ~src:0 ~dst:0 ~key:0 ~delay:3 ignore;
   checki "local short post queued" 1 (Shard.pending_events k)
 
 let test_shard_until () =
   let k = Shard.create ~lookahead:10 ~shards:2 () in
+  let e0 = Shard.engine k ~shard:0 in
   let fired = ref [] in
   List.iter
-    (fun t -> Shard.schedule_at k ~shard:0 ~time:t (fun () -> fired := t :: !fired))
+    (fun t -> Engine.schedule_at e0 ~time:t (fun _ -> fired := t :: !fired))
     [ 3; 12; 40 ];
   Shard.run ~until:20 k;
   Alcotest.(check (list int)) "only events before the cut" [ 12; 3 ] !fired;
   checki "later event still pending" 1 (Shard.pending_events k);
+  checki "the clock stops at the cut" 20 (Engine.now e0);
   Shard.run k;
   Alcotest.(check (list int)) "resume drains the rest" [ 40; 12; 3 ] !fired
 
@@ -892,8 +895,8 @@ let run_tokens ~domains ~cuts =
   let shards = 5 in
   let k = Shard.create ~lookahead:5 ~shards () in
   let traces = Array.init shards (fun _ -> ref []) in
-  let rec arrive tok hop s () =
-    traces.(s) := (tok, hop, Shard.now k ~shard:s) :: !(traces.(s));
+  let rec arrive tok hop s e =
+    traces.(s) := (tok, hop, Engine.now e) :: !(traces.(s));
     if hop < 30 then
       let d = (s + 1 + tok) mod shards in
       Shard.post k ~src:s ~dst:d ~key:tok
@@ -936,12 +939,14 @@ let test_shard_raise_on_worker () =
   List.iter
     (fun domains ->
       let k = Shard.create ~lookahead:4 ~shards:4 () in
-      let rec hop s () =
-        if Shard.now k ~shard:s < 200 then
-          Shard.post k ~src:s ~dst:((s + 1) mod 4) ~delay:4 (hop ((s + 1) mod 4))
+      let rec hop s e =
+        if Engine.now e < 200 then
+          Shard.post k ~src:s ~dst:((s + 1) mod 4) ~key:0 ~delay:4
+            (hop ((s + 1) mod 4))
       in
       Shard.schedule k ~shard:0 ~delay:1 (hop 0);
-      Shard.schedule_at k ~shard:3 ~time:42 (fun () -> failwith "boom");
+      Engine.schedule_at (Shard.engine k ~shard:3) ~time:42 (fun _ ->
+          failwith "boom");
       Alcotest.check_raises
         (Printf.sprintf "domains=%d re-raises" domains)
         (Failure "boom")
@@ -964,12 +969,13 @@ let test_shard_merge_order_pinned () =
   let order ~domains =
     let k = Shard.create ~lookahead:8 ~shards:4 () in
     let fired = ref [] in
-    let note tag () = fired := tag :: !fired in
-    Shard.schedule_at k ~shard:0 ~time:20 ~key:5 (note "local");
+    let note tag _ = fired := tag :: !fired in
+    Engine.schedule_keyed (Shard.engine k ~shard:0) ~key:5 ~time:20
+      (note "local");
     List.iter
       (fun (src, at) ->
-        Shard.schedule_at k ~shard:src ~time:at (fun () ->
-            let delay = 20 - Shard.now k ~shard:src in
+        Engine.schedule_at (Shard.engine k ~shard:src) ~time:at (fun e ->
+            let delay = 20 - Engine.now e in
             if src = 3 then
               Shard.post k ~src ~dst:0 ~key:4 ~delay (note "3/key4");
             for i = 0 to 2 do
@@ -990,6 +996,114 @@ let test_shard_merge_order_pinned () =
         (Printf.sprintf "domains=%d" domains)
         expected (order ~domains))
     [ 1; 2; 3; 4 ]
+
+(* Each shard is an [Engine], so a lane works inside one: tokens circle
+   three shards, and every arrival also posts a firing [d] cycles ahead
+   on its shard, through the shard's lane or through [schedule_at] with
+   the same category. Each firing logs and, every third time, forwards
+   a token itself. The logs, clocks, profiler totals and engine
+   counters of every shard must agree, at domains 1 and 2. *)
+let lane_shard_run ~lanes ~domains =
+  let shards = 3 in
+  let k = Shard.create ~lookahead:3 ~shards () in
+  let logs = Array.make shards [] in
+  let fired = Array.make shards 0 in
+  let posts = Array.make shards (fun ~time:_ -> ()) in
+  let rec arrive tok hop s e =
+    logs.(s) <- (`Arrive, tok, hop, Engine.now e) :: logs.(s);
+    posts.(s) ~time:(Engine.now e + ((tok + hop) mod 4));
+    if hop < 20 then
+      Shard.post k ~src:s ~dst:((s + 1 + tok) mod shards) ~key:(1 + tok)
+        ~delay:(3 + (hop mod 2))
+        (arrive tok (hop + 1) ((s + 1 + tok) mod shards))
+  and fire s e =
+    let n = fired.(s) in
+    fired.(s) <- n + 1;
+    logs.(s) <- (`Fire, n, 0, Engine.now e) :: logs.(s);
+    if n mod 3 = 2 && n < 30 then
+      Shard.post k ~src:s ~dst:((s + 2) mod shards) ~key:(10 + n) ~delay:5
+        (arrive (10 + n) 20 ((s + 2) mod shards))
+  in
+  Array.iteri
+    (fun s _ ->
+      let e = Shard.engine k ~shard:s in
+      let cat = Engine.Profiler.Wire in
+      posts.(s) <-
+        (if lanes then
+           let l = Engine.lane e ~cat (fire s) in
+           fun ~time -> Engine.lane_at l ~time
+         else fun ~time -> Engine.schedule_at e ~cat ~time (fire s)))
+    posts;
+  for tok = 0 to 2 do
+    Shard.schedule k ~shard:tok ~key:(1 + tok) ~delay:tok (arrive tok 0 tok)
+  done;
+  Shard.run ~domains k;
+  Array.mapi
+    (fun s log ->
+      let e = Shard.engine k ~shard:s in
+      ( List.rev log, Engine.now e,
+        Engine.Profiler.to_list (Engine.profile e),
+        Udma_obs.Metrics.counters (Engine.metrics e) ))
+    logs
+
+let test_shard_lane () =
+  let base = lane_shard_run ~lanes:false ~domains:1 in
+  List.iter
+    (fun domains ->
+      checkb
+        (Printf.sprintf "lane = schedule_at at domains=%d" domains)
+        true
+        (lane_shard_run ~lanes:true ~domains = base))
+    [ 1; 2 ];
+  checkb "the lanes fired" true
+    (Array.for_all
+       (fun (log, _, _, _) ->
+         List.exists (fun (what, _, _, _) -> what = `Fire) log)
+       base)
+
+(* A warm [Shard.schedule], a cross-shard post, its merge into the
+   destination engine and both fires allocate nothing: a ping-pong
+   between two shards, whose events are preallocated, runs [n] rounds,
+   and the words of [alloc_rounds] extra rounds are compared with a
+   run of a few. Every round is a window of its own, so the per-window
+   work is in the figure too. A [?key] forwarded through an optional
+   argument would cost 2 words per round. *)
+let shard_round_words rounds =
+  let k = Shard.create ~lookahead:1 ~shards:2 () in
+  let left = ref rounds in
+  let rec ping _ =
+    decr left;
+    if !left > 0 then begin
+      Shard.schedule k ~shard:0 ~delay:0 ignore;
+      Shard.post k ~src:0 ~dst:1 ~key:1 ~delay:1 pong
+    end
+  and pong _ = Shard.post k ~src:1 ~dst:0 ~key:2 ~delay:1 ping in
+  (* warm: grow the outboxes and the queues *)
+  for _ = 1 to 64 do
+    Shard.schedule k ~shard:0 ~delay:0 ignore;
+    Shard.schedule k ~shard:1 ~delay:0 ignore
+  done;
+  Shard.run k;
+  left := 3;
+  Shard.schedule k ~shard:0 ~delay:0 ping;
+  Shard.run k;
+  left := rounds;
+  Shard.schedule k ~shard:0 ~delay:0 ping;
+  let w0 = Gc.minor_words () in
+  Shard.run k;
+  let w = Gc.minor_words () -. w0 in
+  checki "pending" 0 (Shard.pending_events k);
+  w
+
+let test_shard_alloc_bound () =
+  let few = shard_round_words 16 in
+  let many = shard_round_words (16 + alloc_rounds) in
+  let per_round = (many -. few) /. float_of_int alloc_rounds in
+  Printf.printf
+    "shard guard: %.3f minor words per schedule + post + merge + fires\n"
+    per_round;
+  if per_round > 0.0 then
+    Alcotest.failf "%.3f minor words per round, want 0" per_round
 
 (* qcheck: when every event carries a unique non-zero key, each shard's
    execution order is fixed by (time, key) alone, so it cannot depend
@@ -1015,15 +1129,16 @@ let shard_logs ~lookahead ~domains ~idle m =
   let state = Array.make m.m_shards 0 in
   let id tok h = (tok * 64) + h in
   let key_of tok h = (2 * id tok h) + 1 in
-  let rec fire tok h s steps () =
+  let rec fire tok h s steps e =
     state.(s) <- ((state.(s) * 31) + id tok h) land 0xffffff;
-    logs.(s) <- (Shard.now k ~shard:s, id tok h, state.(s)) :: logs.(s);
+    logs.(s) <- (Engine.now e, id tok h, state.(s)) :: logs.(s);
     match steps with
     | [] -> ()
     | st :: rest ->
         (match st.idle with
         | Some delay when idle ->
-            Shard.schedule k ~shard:s ~key:(key_of tok h + 1) ~delay ignore
+            Engine.schedule_keyed e ~key:(key_of tok h + 1)
+              ~time:(Engine.now e + delay) ignore
         | _ -> ());
         let delay =
           st.extra + (state.(s) mod 3) + if st.to_shard = s then 0 else m.la
@@ -1033,12 +1148,13 @@ let shard_logs ~lookahead ~domains ~idle m =
   in
   List.iteri
     (fun tok (shard, time, steps) ->
-      Shard.schedule_at k ~shard ~time ~key:(key_of tok 0) (fire tok 0 shard steps))
+      Engine.schedule_keyed (Shard.engine k ~shard) ~key:(key_of tok 0) ~time
+        (fire tok 0 shard steps))
     m.tokens;
   Shard.run ~domains k;
   Array.map List.rev logs
 
-let shard_order_prop =
+let shard_model_gen =
   let open QCheck in
   let gen =
     Gen.(
@@ -1070,14 +1186,62 @@ let shard_order_prop =
                       steps)))
             m.tokens))
   in
-  Test.make ~count:200 ~name:"keyed order independent of windows"
-    (make ~print gen) (fun m ->
+  make ~print gen
+
+let shard_order_prop =
+  QCheck.Test.make ~count:200 ~name:"keyed order independent of windows"
+    shard_model_gen (fun m ->
       let base = shard_logs ~lookahead:m.la ~domains:1 ~idle:true m in
       List.for_all
         (fun (lookahead, domains, idle) ->
           shard_logs ~lookahead ~domains ~idle m = base)
         [ (1, 1, true); (m.la, 2, true); (1, 2, true); (m.la, 1, false);
           (1, 2, false) ])
+
+(* qcheck: the same random keyed token walks, each hop also scheduling
+   an event with a category chosen by the hop (the "idle" steps, as
+   [Engine.schedule ~cat]). Each shard's engine keeps its own profiler
+   and registry: after the run, each shard's profiler totals sum to its
+   [Engine.now], and every shard's clock, totals and counters are the
+   same at domains 1, 2 and 3. *)
+let shard_profile ~domains m =
+  let k = Shard.create ~lookahead:m.la ~shards:m.m_shards () in
+  let cats = Array.of_list Engine.Profiler.categories in
+  let rec fire tok h s steps e =
+    match steps with
+    | [] -> ()
+    | st :: rest ->
+        Option.iter
+          (fun delay ->
+            let cat = cats.((tok + h) mod Array.length cats) in
+            Engine.schedule e ~cat ~delay ignore)
+          st.idle;
+        let delay = st.extra + if st.to_shard = s then 0 else m.la in
+        Shard.post k ~src:s ~dst:st.to_shard ~key:((tok * 64) + h + 1) ~delay
+          (fire tok (h + 1) st.to_shard rest)
+  in
+  List.iteri
+    (fun tok (shard, time, steps) ->
+      Engine.schedule_keyed (Shard.engine k ~shard) ~key:(tok * 64) ~time
+        (fire tok 0 shard steps))
+    m.tokens;
+  Shard.run ~domains k;
+  List.init m.m_shards (fun shard ->
+      let e = Shard.engine k ~shard in
+      ( Engine.now e,
+        Engine.Profiler.to_list (Engine.profile e),
+        Udma_obs.Metrics.counters (Engine.metrics e) ))
+
+let shard_profile_prop =
+  QCheck.Test.make ~count:200
+    ~name:"per-shard profiler and counters independent of domains"
+    shard_model_gen (fun m ->
+      let base = shard_profile ~domains:1 m in
+      List.for_all
+        (fun (now, totals, _) ->
+          List.fold_left (fun a (_, c) -> a + c) 0 totals = now)
+        base
+      && List.for_all (fun domains -> shard_profile ~domains m = base) [ 2; 3 ])
 
 let () =
   Alcotest.run "udma_sim"
@@ -1155,6 +1319,10 @@ let () =
           Alcotest.test_case "merge order pinned" `Quick
             test_shard_merge_order_pinned;
           qtest shard_order_prop;
+          qtest shard_profile_prop;
+          Alcotest.test_case "a lane inside a shard" `Quick test_shard_lane;
+          Alcotest.test_case "schedule + post + merge + fire allocate nothing"
+            `Quick test_shard_alloc_bound;
         ] );
       ( "trace",
         [
