@@ -141,8 +141,8 @@ let check_i3_inflight (m : M.t) =
         (List.concat_map
            (fun (v : Udma_engine.req_view) ->
              List.map
-               (fun (e : Udma_engine.elem_view) () ->
-                 match (v.Udma_engine.v_priority, e.Udma_engine.ev_dst) with
+               (fun (e : Udma_dma.Descriptor.element) () ->
+                 match (v.Udma_engine.v_priority, e.dst) with
                  | Udma_engine.System, _ | _, Dma_engine.Dev _ -> None
                  | Udma_engine.User, Dma_engine.Mem a -> (
                      let frame = a / page_size in

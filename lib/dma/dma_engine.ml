@@ -15,7 +15,6 @@ type error = Descriptor.error =
 let pp_error = Descriptor.pp_error
 
 type transfer = {
-  desc : Descriptor.t;
   plan : Midend.plan;
   started_at : int;
   duration : int;
@@ -52,18 +51,18 @@ let mem_size t = Phys_mem.size (Bus.memory t.bus)
 
 let addr_of = function Mem a -> a | Dev (_, a) -> a
 
-let submit t desc ~on_complete =
+let submit t elements ~on_complete =
   if busy t then Error Busy
   else
-    match Frontend.normalize ~mem_size:(mem_size t) desc with
+    match Frontend.validate ~mem_size:(mem_size t) elements with
     | Error _ as e -> e
-    | Ok elements ->
+    | Ok () ->
         let plan = Midend.plan ~bus:t.bus elements in
         let duration = plan.Midend.total_cycles in
         let id = t.next_id in
         t.next_id <- t.next_id + 1;
         let started_at = Engine.now t.engine in
-        let xfer = { desc; plan; started_at; duration; on_complete; id; begun = 0 } in
+        let xfer = { plan; started_at; duration; on_complete; id; begun = 0 } in
         t.current <- Some xfer;
         if Trace.active t.trace then
           Array.iter
@@ -95,9 +94,7 @@ let submit t desc ~on_complete =
             | Some _ | None -> ());
         Ok ()
 
-let descriptor t = Option.map (fun x -> x.desc) t.current
-
-(* The frontend refuses empty descriptors, so a transfer always has a
+(* The frontend refuses an empty element list, so a transfer always has a
    first burst. *)
 let first_element t =
   Option.map (fun x -> x.plan.Midend.bursts.(0).Midend.element) t.current

@@ -1,19 +1,18 @@
 (** Modular DMA controller (paper §2, Figure 1, refactored along the
     iDMA frontend/midend/backend split).
 
-    The engine accepts typed {!Descriptor.t} transfers. The frontend
-    ({!Frontend}) validates and flattens the descriptor, the midend
-    ({!Midend}) decomposes it into bursts with per-descriptor fetch
-    cost, and the backend ({!Backend}) realizes bus occupancy against
-    {!Bus.timing}. One descriptor may be in flight at a time; it
-    occupies the bus for the planned cycles plus any device-side
-    latency, then raises its completion callback (the "interrupt").
-    Data is deposited atomically at completion time.
+    The engine accepts a transfer as a non-empty list of
+    {!Descriptor.element}s. The frontend ({!Frontend}) validates the
+    list, the midend ({!Midend}) decomposes it into bursts with
+    per-element fetch cost, and the backend ({!Backend}) realizes bus
+    occupancy against {!Bus.timing}. One transfer may be in flight at a
+    time; it occupies the bus for the planned cycles plus any
+    device-side latency, then raises its completion callback (the
+    "interrupt"). Data is deposited atomically at completion time.
 
-    A [Contiguous] descriptor is the flat single-burst transfer: one
-    source, one destination, one length. The engine moves data between
-    memory and exactly
-    one device endpoint per element — memory-to-memory and
+    A one-element list is the flat single-burst transfer: one source,
+    one destination, one length. The engine moves data between memory
+    and exactly one device endpoint per element — memory-to-memory and
     device-to-device are refused, which is what makes the UDMA
     [BadLoad] event observable (paper §5). *)
 
@@ -48,15 +47,12 @@ val busy : t -> bool
 
 val submit :
   t ->
-  Descriptor.t ->
+  Descriptor.element list ->
   on_complete:(unit -> unit) ->
   (unit, error) result
-(** [submit t desc ~on_complete] begins a descriptor transfer.
-    [on_complete] fires (via the simulation engine) after the modelled
-    duration, after all elements' data has been moved. *)
-
-val descriptor : t -> Descriptor.t option
-(** The in-flight descriptor, if any. *)
+(** [submit t elements ~on_complete] begins a transfer of [elements],
+    in order. [on_complete] fires (via the simulation engine) after the
+    modelled duration, after all elements' data has been moved. *)
 
 val count : t -> int
 (** Total bytes requested by the in-flight transfer; 0 when idle. *)
@@ -69,7 +65,9 @@ val remaining_bytes : t -> int
 
 val transfer_base : t -> int option
 (** Memory-side physical base address of the in-flight transfer's first
-    element, if it has one — what the kernel's I4 check reads. *)
+    element, if it has one (the base register a flat transfer loads).
+    The kernel's I4 check reads {!mem_page_in_flight} instead, which
+    covers every element. *)
 
 val mem_page_in_flight : t -> page_size:int -> int -> bool
 (** [mem_page_in_flight t ~page_size frame] is [true] when physical
@@ -78,7 +76,7 @@ val mem_page_in_flight : t -> page_size:int -> int -> bool
 
 val abort : t -> bool
 (** Cancel the in-flight transfer (no data is moved — including
-    elements of a scatter-gather list not yet reached — and no
+    elements of a multi-element list not yet reached — and no
     completion callback fires). Returns [false] when idle. The paper
     notes such a mechanism "is not hard to imagine adding" (§5); it is
     exercised in failure-injection tests. *)

@@ -1,4 +1,4 @@
-(* Frontend: validate and normalize descriptors into flat elements. *)
+(* Frontend: validate a transfer's element list. *)
 
 open Descriptor
 
@@ -23,16 +23,16 @@ let check_element ~mem_size e =
           | Dev _ -> Error Device_refused
         else Ok ()
 
-let normalize ~mem_size desc =
-  let elems = elements desc in
-  let rec go = function
-    | [] -> Ok elems
-    | e :: rest -> (
-        match check_element ~mem_size e with
-        | Ok () -> go rest
-        | Error _ as err -> err)
-  in
-  match elems with [] -> Error Bad_size | _ :: _ -> go elems
+let rec check_all ~mem_size = function
+  | [] -> Ok ()
+  | e :: rest -> (
+      match check_element ~mem_size e with
+      | Ok () -> check_all ~mem_size rest
+      | Error _ as err -> err)
+
+let validate ~mem_size = function
+  | [] -> Error Bad_size
+  | elems -> check_all ~mem_size elems
 
 let clamp_to_page ~page_size ~addr len =
   Int.min len (page_size - (addr mod page_size))

@@ -35,31 +35,27 @@ let plan ~bus ?desc_fetch_cycles:fetch elems =
   let fetch =
     match fetch with Some c -> c | None -> desc_fetch_cycles bus
   in
-  let cursor = ref 0 and bytes = ref 0 in
-  let bursts =
-    List.mapi
-      (fun i (e : Descriptor.element) ->
-        let overhead =
-          (if i = 0 then 0 else fetch)
-          + timing.Bus.burst_setup_cycles + dev_cycles e
-        in
-        let b =
-          {
-            element = e;
-            start_cycle = !cursor;
-            overhead_cycles = overhead;
-            word_cycles = timing.Bus.burst_word_cycles;
-            words = words_of_bytes e.len;
-            bytes_before = !bytes;
-          }
-        in
-        cursor := !cursor + burst_cycles b;
-        bytes := !bytes + e.len;
-        b)
-      elems
+  let burst ~fetch ~start_cycle ~bytes_before (e : Descriptor.element) =
+    {
+      element = e;
+      start_cycle;
+      overhead_cycles = fetch + timing.Bus.burst_setup_cycles + dev_cycles e;
+      word_cycles = timing.Bus.burst_word_cycles;
+      words = words_of_bytes e.len;
+      bytes_before;
+    }
   in
-  {
-    bursts = Array.of_list bursts;
-    total_cycles = !cursor;
-    total_bytes = !bytes;
-  }
+  match elems with
+  | [] -> { bursts = [||]; total_cycles = 0; total_bytes = 0 }
+  | e0 :: rest ->
+      (* the first burst's registers came with the initiation: no fetch *)
+      let b0 = burst ~fetch:0 ~start_cycle:0 ~bytes_before:0 e0 in
+      let bursts = Array.make (List.length elems) b0 in
+      let rec fill i cursor bytes = function
+        | [] -> { bursts; total_cycles = cursor; total_bytes = bytes }
+        | (e : Descriptor.element) :: rest ->
+            let b = burst ~fetch ~start_cycle:cursor ~bytes_before:bytes e in
+            bursts.(i) <- b;
+            fill (i + 1) (cursor + burst_cycles b) (bytes + e.len) rest
+      in
+      fill 1 (burst_cycles b0) e0.len rest

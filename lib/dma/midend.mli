@@ -9,7 +9,7 @@
 
     so a single-element plan costs exactly what the flat engine
     charged — [Bus.dma_burst_cycles ~nbytes] plus device latency — and
-    multi-element descriptors pay a per-element fetch/setup overhead
+    multi-element transfers pay a per-element fetch/setup overhead
     that makes short chunks measurably worse (the irregular-DMAC
     effect, measured in experiment E15). *)
 
@@ -25,7 +25,7 @@ type burst = {
 }
 
 type plan = {
-  bursts : burst array;  (** in descriptor order, laid out back to back *)
+  bursts : burst array;  (** in element order, laid out back to back *)
   total_cycles : int;
   total_bytes : int;
 }

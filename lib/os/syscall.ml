@@ -45,7 +45,7 @@ let run_piece m ~src ~dst ~nbytes =
   let finished = ref false in
   match
     Dma_engine.submit m.M.dma
-      (Udma_dma.Descriptor.Contiguous { src; dst; nbytes })
+      [ { Udma_dma.Descriptor.src; dst; len = nbytes } ]
       ~on_complete:(fun () -> finished := true)
   with
   | Error e -> Error (Device_error (Format.asprintf "%a" Dma_engine.pp_error e))

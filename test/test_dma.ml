@@ -19,9 +19,22 @@ let rig () =
   let dma = Dma_engine.create ~engine ~bus () in
   (engine, mem, bus, dma)
 
-let contiguous ~src ~dst ~nbytes = Descriptor.Contiguous { src; dst; nbytes }
+let contiguous ~src ~dst ~nbytes = [ { Descriptor.src; dst; len = nbytes } ]
 
-let submit dma desc ~on_complete = Dma_engine.submit dma desc ~on_complete
+let advance ep delta =
+  match ep with
+  | Dma_engine.Mem a -> Dma_engine.Mem (a + delta)
+  | Dma_engine.Dev (p, a) -> Dma_engine.Dev (p, a + delta)
+
+(* [reps] chunks of [chunk] bytes, the source stepping by [stride] per
+   chunk (a strided read of rows/columns) and the destination packed
+   densely: the list the UDMA engine expands a strided shape into. *)
+let strided ~src ~dst ~stride ~chunk ~reps =
+  List.init reps (fun i ->
+      { Descriptor.src = advance src (i * stride); dst = advance dst (i * chunk);
+        len = chunk })
+
+let submit dma elems ~on_complete = Dma_engine.submit dma elems ~on_complete
 
 (* ---------- Bus ---------- *)
 
@@ -295,8 +308,8 @@ let test_dma_device_latency_counts () =
     (Engine.now engine - t0)
 
 let test_dma_flat_contiguous () =
-  (* a one-element Contiguous descriptor is the flat transfer: data
-     moves and the burst cost matches the bus model exactly *)
+  (* a one-element list is the flat transfer: data moves and the burst
+     cost matches the bus model exactly *)
   let engine, mem, bus, dma = rig () in
   let port, store = Device.buffer "d" ~size:4096 in
   Phys_mem.write_bytes mem ~addr:0 (Bytes.of_string "via-flat");
@@ -317,7 +330,7 @@ let test_dma_flat_contiguous () =
     (Bus.dma_burst_cycles bus ~nbytes:8)
     (Engine.now engine - t0)
 
-(* ---------- Dma_engine: shaped descriptors ---------- *)
+(* ---------- Dma_engine: multi-element transfers ---------- *)
 
 let test_dma_strided () =
   let engine, mem, _, dma = rig () in
@@ -329,14 +342,8 @@ let test_dma_strided () =
   done;
   (match
      submit dma
-       (Descriptor.Strided
-          {
-            src = Dma_engine.Mem 0;
-            dst = Dma_engine.Dev (port, 0);
-            stride = 32;
-            chunk = 8;
-            reps = 4;
-          })
+       (strided ~src:(Dma_engine.Mem 0) ~dst:(Dma_engine.Dev (port, 0))
+          ~stride:32 ~chunk:8 ~reps:4)
        ~on_complete:ignore
    with
   | Ok () -> ()
@@ -367,7 +374,7 @@ let test_dma_sg_overhead_monotone () =
     in
     let t0 = Engine.now engine in
     (match
-       submit dma (Descriptor.Scatter_gather elems) ~on_complete:ignore
+       submit dma elems ~on_complete:ignore
      with
     | Ok () -> ()
     | Error e -> Alcotest.failf "submit failed: %a" Dma_engine.pp_error e);
@@ -400,10 +407,10 @@ let test_dma_sg_zero_length_rejected () =
     ]
   in
   checkb "zero-length element rejected" true
-    (submit dma (Descriptor.Scatter_gather elems) ~on_complete:ignore
+    (submit dma elems ~on_complete:ignore
      = Error Dma_engine.Bad_size);
   checkb "empty list rejected" true
-    (submit dma (Descriptor.Scatter_gather []) ~on_complete:ignore
+    (submit dma [] ~on_complete:ignore
      = Error Dma_engine.Bad_size)
 
 let test_dma_abort_mid_sg () =
@@ -421,19 +428,13 @@ let test_dma_abort_mid_sg () =
           })
   in
   (match
-     submit dma (Descriptor.Scatter_gather elems)
-       ~on_complete:(fun () -> completed := true)
+     submit dma elems ~on_complete:(fun () -> completed := true)
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "submit failed: %a" Dma_engine.pp_error e);
   (* advance past the first two elements' bursts, then abort: the
      deposit is atomic at completion, so nothing may have landed *)
-  let elapsed =
-    match Dma_engine.descriptor dma with
-    | Some d -> Descriptor.total_bytes d (* just a sanity poke *)
-    | None -> 0
-  in
-  checki "descriptor visible" 64 elapsed;
+  checki "transfer visible" 64 (Dma_engine.count dma);
   Engine.advance engine 100;
   checkb "still busy mid-list" true (Dma_engine.busy dma);
   checkb "abort mid-list succeeds" true (Dma_engine.abort dma);
@@ -453,7 +454,7 @@ let test_dma_sg_pages_in_flight () =
         { src = Dma_engine.Mem (5 * 4096); dst = Dma_engine.Dev (port, 8); len = 8 };
     ]
   in
-  ignore (submit dma (Descriptor.Scatter_gather elems) ~on_complete:ignore);
+  ignore (submit dma elems ~on_complete:ignore);
   checkb "first element's page busy" true
     (Dma_engine.mem_page_in_flight dma ~page_size:4096 0);
   checkb "second element's page busy" true
@@ -462,7 +463,7 @@ let test_dma_sg_pages_in_flight () =
     (Dma_engine.mem_page_in_flight dma ~page_size:4096 3);
   Engine.run_until_idle engine
 
-(* ---------- qcheck: descriptor vs naive memcpy oracle ---------- *)
+(* ---------- qcheck: element list vs naive memcpy oracle ---------- *)
 
 let mem_bytes = 8 * 4096
 let dev_size = 4096
@@ -499,36 +500,28 @@ let gen_descriptor =
   in
   frequency [ (2, gen_contig); (2, gen_strided); (3, gen_sg) ]
 
-let shape_to_descriptor port = function
+let shape_to_elements port = function
   | `Contig (s, d, len) ->
-      Descriptor.Contiguous
-        { src = Dma_engine.Mem s; dst = Dma_engine.Dev (port, d); nbytes = len }
+      contiguous ~src:(Dma_engine.Mem s) ~dst:(Dma_engine.Dev (port, d)) ~nbytes:len
   | `Strided (s, d, stride, chunk, reps) ->
-      Descriptor.Strided
-        {
-          src = Dma_engine.Mem s;
-          dst = Dma_engine.Dev (port, d);
-          stride;
-          chunk;
-          reps;
-        }
+      strided ~src:(Dma_engine.Mem s) ~dst:(Dma_engine.Dev (port, d)) ~stride
+        ~chunk ~reps
   | `Sg elems ->
-      Descriptor.Scatter_gather
-        (List.map
-           (fun (s, d, len) ->
-             Descriptor.
-               { src = Dma_engine.Mem s; dst = Dma_engine.Dev (port, d); len })
-           elems)
+      List.map
+        (fun (s, d, len) ->
+          Descriptor.
+            { src = Dma_engine.Mem s; dst = Dma_engine.Dev (port, d); len })
+        elems
 
 (* the naive oracle: apply each element as a memcpy, in order *)
-let oracle_apply ~mem_img ~dev_img desc =
+let oracle_apply ~mem_img ~dev_img elems =
   List.iter
     (fun (e : Descriptor.element) ->
       match (e.src, e.dst) with
       | Dma_engine.Mem s, Dma_engine.Dev (_, d) ->
           Bytes.blit mem_img s dev_img d e.len
       | _ -> assert false)
-    (Descriptor.elements desc)
+    elems
 
 let prop_descriptor_matches_oracle =
   QCheck.Test.make ~count:300 ~name:"descriptor moves = memcpy oracle"
@@ -541,23 +534,27 @@ let prop_descriptor_matches_oracle =
         Bytes.init mem_bytes (fun i -> Char.chr ((i * 131) land 0xff))
       in
       Phys_mem.write_bytes mem ~addr:0 mem_img;
-      let desc = shape_to_descriptor port shape in
-      let total = Descriptor.total_bytes desc in
-      match Dma_engine.submit dma desc ~on_complete:ignore with
+      let elems = shape_to_elements port shape in
+      let total =
+        match shape with
+        | `Contig (_, _, len) -> len
+        | `Strided (_, _, _, chunk, reps) -> chunk * reps
+        | `Sg es -> List.fold_left (fun acc (_, _, len) -> acc + len) 0 es
+      in
+      match Dma_engine.submit dma elems ~on_complete:ignore with
       | Error e ->
           QCheck.Test.fail_reportf "refused valid descriptor: %a"
             Dma_engine.pp_error e
       | Ok () ->
           Engine.run_until_idle engine;
           let dev_img = Bytes.make dev_size '\000' in
-          oracle_apply ~mem_img ~dev_img desc;
+          oracle_apply ~mem_img ~dev_img elems;
           Bytes.equal dev_img store
           && Dma_engine.bytes_moved dma = total
           && total
              = List.fold_left
                  (fun acc (e : Descriptor.element) -> acc + e.len)
-                 0
-                 (Descriptor.elements desc))
+                 0 elems)
 
 (* ---------- progress counter: binary search vs the linear fold ---------- *)
 
@@ -675,12 +672,11 @@ let test_remaining_monotone_strided () =
   let port =
     { (Device.null "ni") with Device.access_cycles = (fun ~addr:_ ~len:_ -> 15) }
   in
-  let desc =
-    Descriptor.Strided
-      { src = Dma_engine.Mem 0; dst = Dma_engine.Dev (port, 0); stride = 8;
-        chunk = 4; reps = 256 }
+  let elems =
+    strided ~src:(Dma_engine.Mem 0) ~dst:(Dma_engine.Dev (port, 0)) ~stride:8
+      ~chunk:4 ~reps:256
   in
-  (match submit dma desc ~on_complete:ignore with
+  (match submit dma elems ~on_complete:ignore with
   | Ok () -> ()
   | Error e -> Alcotest.failf "submit failed: %a" Dma_engine.pp_error e);
   checki "starts at the full count" 1024 (Dma_engine.remaining_bytes dma);
