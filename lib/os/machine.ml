@@ -197,7 +197,13 @@ let create ?(config = default_config) ?skip_invariant () =
 
 let skips t inv = t.skip_invariant = Some (inv :> invariant)
 
-let find_proc t ~pid = List.find_opt (fun p -> p.Proc.pid = pid) t.procs
+(* Plain recursion, so a lookup allocates no closure: the NI's deposit
+   runs one per received packet. *)
+let rec proc_with pid = function
+  | [] -> None
+  | p :: rest -> if p.Proc.pid = pid then Some p else proc_with pid rest
+
+let find_proc t ~pid = proc_with pid t.procs
 
 let charge_as t cat cycles =
   Engine.advance_in t.engine cat cycles;

@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Planted bugs, kept as patches: each one must make its named test fail.
+
+Every test/mutants/NAME.patch is a unified diff against lib/. Its
+header, the '#' lines before the diff, says what the bug is and names
+the Alcotest test that must catch it:
+
+    # Test: SUITE GROUP INDEX NAME
+
+SUITE is the test executable (test/SUITE.exe), GROUP and INDEX select
+the test as `SUITE.exe test GROUP INDEX` does, and NAME is the test's
+name, checked against the suite's own listing so an index that drifts
+is reported instead of running the wrong test.
+
+The script copies the tree into a cache directory (kept between runs
+under the system temporary directory, so dune rebuilds only what a
+patch touches), checks that each named test passes on the unpatched
+copy, then for each patch: applies it, rebuilds the suite, runs the one
+test and requires it to fail, and takes the patch back out. A patch
+that no longer applies, a test that passes with its bug in, or a test
+that fails without it all make the script exit 1.
+
+Run from the repository root: python3 test/mutants.py
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MUTANTS = os.path.join(ROOT, "test", "mutants")
+CACHE = os.path.join(tempfile.gettempdir(), "udma-mutants")
+# what building the test suites needs
+COPIED = ["dune-project", "lib", "bin", "test"]
+TEST_LINE = re.compile(r"^# Test: (\S+) (\S+) (\d+) (.+)$")
+
+
+def run(cmd, cwd):
+    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+
+
+def sync_tree():
+    """Refresh the cached copy from the repository, keeping its _build."""
+    os.makedirs(CACHE, exist_ok=True)
+    for name in COPIED:
+        src, dst = os.path.join(ROOT, name), os.path.join(CACHE, name)
+        if os.path.isdir(dst):
+            shutil.rmtree(dst)
+        elif os.path.exists(dst):
+            os.remove(dst)
+        if os.path.isdir(src):
+            shutil.copytree(src, dst, ignore=shutil.ignore_patterns("_build"))
+        else:
+            shutil.copy2(src, dst)
+
+
+def read_mutant(path):
+    """The (suite, group, index, name) a patch's header names."""
+    with open(path) as f:
+        for line in f:
+            if not line.startswith("#"):
+                break
+            m = TEST_LINE.match(line.rstrip("\n"))
+            if m:
+                suite, group, index, name = m.groups()
+                return suite, group, int(index), name
+    return None
+
+
+def build(suite):
+    return run(["dune", "build", "--root", ".", f"test/{suite}.exe"], CACHE)
+
+
+def run_test(suite, group, index):
+    exe = os.path.join(CACHE, "_build", "default", "test", f"{suite}.exe")
+    return run([exe, "test", group, str(index)], CACHE)
+
+
+def listed_name(suite, group, index):
+    """The suite's own (possibly shortened) name for GROUP INDEX."""
+    exe = os.path.join(CACHE, "_build", "default", "test", f"{suite}.exe")
+    out = run([exe, "list"], CACHE).stdout
+    for line in out.splitlines():
+        fields = line.split(None, 2)
+        if len(fields) == 3 and fields[0] == group and fields[1] == str(index):
+            return fields[2]
+    return None
+
+
+def names_agree(listed, name):
+    # Alcotest ends a listed name with "." and shortens a long one with "..."
+    if listed.endswith("..."):
+        return name.startswith(listed[:-3])
+    return listed.rstrip(".") == name.rstrip(".")
+
+
+def git_apply(patch, *flags):
+    return run(["git", "apply", *flags, patch], CACHE)
+
+
+def main():
+    patches = sorted(
+        os.path.join(MUTANTS, p) for p in os.listdir(MUTANTS) if p.endswith(".patch")
+    )
+    if not patches:
+        print("no mutants under test/mutants")
+        return 1
+    sync_tree()
+    failures = []
+    mutants = []
+    for patch in patches:
+        label = os.path.basename(patch)[: -len(".patch")]
+        target = read_mutant(patch)
+        if target is None:
+            failures.append(f"{label}: header names no test ('# Test: SUITE GROUP INDEX NAME')")
+        else:
+            mutants.append((label, patch, target))
+
+    # every named test passes, under its name, before any bug goes in
+    for suite in sorted({t[0] for _, _, t in mutants}):
+        b = build(suite)
+        if b.returncode != 0:
+            print(b.stderr)
+            print(f"FAIL: test/{suite}.exe does not build from the unpatched tree")
+            return 1
+    checked = set()
+    for label, _, (suite, group, index, name) in mutants:
+        if (suite, group, index) in checked:
+            continue
+        checked.add((suite, group, index))
+        listed = listed_name(suite, group, index)
+        if listed is None or not names_agree(listed, name):
+            failures.append(
+                f"{label}: {suite} {group} {index} is {listed!r}, not {name!r}"
+            )
+        elif run_test(suite, group, index).returncode != 0:
+            failures.append(f"{label}: {suite} {group} {index} fails without the bug")
+
+    for label, patch, (suite, group, index, name) in mutants:
+        if git_apply(patch, "--check").returncode != 0:
+            failures.append(f"{label}: the patch no longer applies")
+            print(f"{label:32} does not apply")
+            continue
+        git_apply(patch)
+        try:
+            b = build(suite)
+            if b.returncode != 0:
+                failures.append(f"{label}: the patched tree does not build")
+                print(b.stderr)
+                verdict = "does not build"
+            elif run_test(suite, group, index).returncode == 0:
+                failures.append(f"{label}: {suite} {group} {index} ({name}) passes with the bug in")
+                verdict = "MISSED"
+            else:
+                verdict = "caught"
+        finally:
+            git_apply(patch, "-R")
+        print(f"{label:32} {verdict} by {suite} {group} {index} ({name})")
+
+    for f in failures:
+        print("FAIL:", f)
+    print(f"{len(mutants)} mutants, {len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
