@@ -108,6 +108,14 @@ let check_i2 (m : M.t) =
              (real page is unmapped)"
             proc.Proc.pid real_vpn)
 
+(* The owner entry a frame caches must be the page-table entry its
+   (pid, vpn) names: the deposit dirties that cached entry. *)
+let stale_owner inv frame (o : M.owner) =
+  violation inv
+    "frame %d's owner entry caches a PTE that is not pid %d vpn %d's \
+     page-table entry"
+    frame o.M.pid o.M.vpn
+
 (* ---------- I3: content consistency ---------- *)
 
 (* (a) write-upgrade policy: a writable proxy page implies a dirty real
@@ -146,19 +154,21 @@ let check_i3_inflight (m : M.t) =
                  | Udma_engine.System, _ | _, Dma_engine.Dev _ -> None
                  | Udma_engine.User, Dma_engine.Mem a -> (
                      let frame = a / page_size in
-                     match Hashtbl.find_opt m.M.frame_owner frame with
-                     | None -> None (* replacement is I4's domain *)
-                     | Some (pid, vpn) -> (
-                         match (M.find_proc m ~pid, pte_of m ~pid ~vpn) with
-                         | Some proc, Some pte
-                           when pte.Pte.present
-                                && not (effective_dirty m proc ~vpn pte) ->
-                             violation `I3
-                               "pid %d vpn %d (frame %d): UDMA destination \
-                                of an outstanding transfer but the page is \
-                                not marked dirty"
-                               pid vpn frame
-                         | _ -> None)))
+                     let o = M.owner m frame in
+                     if o == M.no_owner then None (* replacement is I4's domain *)
+                     else
+                       let pid = o.M.pid and vpn = o.M.vpn in
+                       match (M.find_proc m ~pid, pte_of m ~pid ~vpn) with
+                       | _, Some pte when pte != o.M.pte -> stale_owner `I3 frame o
+                       | Some proc, Some pte
+                         when pte.Pte.present
+                              && not (effective_dirty m proc ~vpn pte) ->
+                           violation `I3
+                             "pid %d vpn %d (frame %d): UDMA destination \
+                              of an outstanding transfer but the page is \
+                              not marked dirty"
+                             pid vpn frame
+                       | _ -> None))
                v.Udma_engine.v_elements)
            (Udma_engine.outstanding_views u))
 
@@ -168,20 +178,21 @@ let check_i3 (m : M.t) = first_of [ (fun () -> check_i3_static m);
 (* ---------- I4: no frame named by the engine is ever replaced ---------- *)
 
 let frame_still_backs m frame =
-  match Hashtbl.find_opt m.M.frame_owner frame with
-  | None ->
-      violation `I4
-        "frame %d is referenced by the UDMA engine but no longer backs any \
-         user page — it was replaced mid-transfer"
-        frame
-  | Some (pid, vpn) -> (
-      match pte_of m ~pid ~vpn with
-      | Some pte when pte.Pte.present && pte.Pte.ppage = frame -> None
-      | Some _ | None ->
-          violation `I4
-            "frame %d is referenced by the UDMA engine but pid %d vpn %d no \
-             longer maps it"
-            frame pid vpn)
+  let o = M.owner m frame in
+  if o == M.no_owner then
+    violation `I4
+      "frame %d is referenced by the UDMA engine but no longer backs any \
+       user page — it was replaced mid-transfer"
+      frame
+  else
+    match pte_of m ~pid:o.M.pid ~vpn:o.M.vpn with
+    | Some pte when pte != o.M.pte -> stale_owner `I4 frame o
+    | Some pte when pte.Pte.present && pte.Pte.ppage = frame -> None
+    | Some _ | None ->
+        violation `I4
+          "frame %d is referenced by the UDMA engine but pid %d vpn %d no \
+           longer maps it"
+          frame o.M.pid o.M.vpn
 
 let check_i4 (m : M.t) =
   match m.M.udma with

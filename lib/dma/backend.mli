@@ -19,4 +19,5 @@ val bytes_done : Midend.plan -> elapsed:int -> begun:int -> int
     word per [burst_word_cycles], capped at each element's length. *)
 
 val execute : Bus.t -> Midend.plan -> unit
-(** Move every element's data (memory→device or device→memory). *)
+(** Move every element's data (memory→device or device→memory), in
+    element order, reading addresses from the plan's descriptor. *)

@@ -49,15 +49,13 @@ let busy t = Option.is_some t.current
 
 let mem_size t = Phys_mem.size (Bus.memory t.bus)
 
-let addr_of = function Mem a -> a | Dev (_, a) -> a
-
-let submit t elements ~on_complete =
+let submit_desc t desc ~on_complete =
   if busy t then Error Busy
   else
-    match Frontend.validate ~mem_size:(mem_size t) elements with
+    match Frontend.validate ~mem_size:(mem_size t) desc with
     | Error _ as e -> e
     | Ok () ->
-        let plan = Midend.plan ~bus:t.bus elements in
+        let plan = Midend.plan_desc ~bus:t.bus desc in
         let duration = plan.Midend.total_cycles in
         let id = t.next_id in
         t.next_id <- t.next_id + 1;
@@ -65,20 +63,18 @@ let submit t elements ~on_complete =
         let xfer = { plan; started_at; duration; on_complete; id; begun = 0 } in
         t.current <- Some xfer;
         if Trace.active t.trace then
-          Array.iter
-            (fun (b : Midend.burst) ->
-              let e = b.Midend.element in
-              Trace.record t.trace
-                ~time:(started_at + b.Midend.start_cycle)
-                Event.Dma
-                (Event.Dma_burst
-                   {
-                     src = addr_of e.Descriptor.src;
-                     dst = addr_of e.Descriptor.dst;
-                     nbytes = e.Descriptor.len;
-                     duration = Midend.burst_cycles b;
-                   }))
-            plan.Midend.bursts;
+          for i = 0 to Midend.bursts plan - 1 do
+            Trace.record t.trace
+              ~time:(started_at + Midend.start_cycle plan i)
+              Event.Dma
+              (Event.Dma_burst
+                 {
+                   src = Descriptor.src_addr desc i;
+                   dst = Descriptor.dst_addr desc i;
+                   nbytes = Descriptor.length desc i;
+                   duration = Midend.burst_cycles plan i;
+                 })
+          done;
         (* The cycles the clock jumps to reach the completion are the
            burst itself: attribute them to the Dma category. *)
         Engine.schedule t.engine ~cat:Engine.Profiler.Dma ~delay:duration
@@ -94,10 +90,8 @@ let submit t elements ~on_complete =
             | Some _ | None -> ());
         Ok ()
 
-(* The frontend refuses an empty element list, so a transfer always has a
-   first burst. *)
-let first_element t =
-  Option.map (fun x -> x.plan.Midend.bursts.(0).Midend.element) t.current
+let submit t elements ~on_complete =
+  submit_desc t (Descriptor.of_list elements) ~on_complete
 
 let count t =
   match t.current with Some x -> x.plan.Midend.total_bytes | None -> 0
@@ -117,31 +111,33 @@ let remaining_bytes t =
         (* report whole words, as the hardware counter would *)
         x.plan.Midend.total_bytes - (done_bytes land lnot 3)
 
+(* The frontend refuses a descriptor with no element, so a transfer
+   always has an element 0. *)
 let transfer_base t =
-  match first_element t with
-  | Some e -> (
-      match (e.Descriptor.src, e.Descriptor.dst) with
-      | Mem a, _ | _, Mem a -> Some a
-      | _ -> None)
+  match t.current with
   | None -> None
+  | Some x -> (
+      let d = x.plan.Midend.desc in
+      match (Descriptor.src_side d 0, Descriptor.dst_side d 0) with
+      | Mem _, _ -> Some (Descriptor.src_addr d 0)
+      | _, Mem _ -> Some (Descriptor.dst_addr d 0)
+      | Dev _, Dev _ -> None)
 
 let mem_page_in_flight t ~page_size frame =
   match t.current with
   | None -> false
   | Some x ->
-      Array.exists
-        (fun ({ Midend.element = e; _ } : Midend.burst) ->
-          let mem_addr =
-            match (e.src, e.dst) with
-            | Mem a, _ | _, Mem a -> Some a
-            | _ -> None
-          in
-          match mem_addr with
-          | None -> false
-          | Some a ->
-              let lo = a / page_size and hi = (a + e.len - 1) / page_size in
-              frame >= lo && frame <= hi)
-        x.plan.Midend.bursts
+      let d = x.plan.Midend.desc in
+      let covers a len = frame >= a / page_size && frame <= (a + len - 1) / page_size in
+      let rec from i =
+        i < Descriptor.count d
+        && ((match (Descriptor.src_side d i, Descriptor.dst_side d i) with
+            | Mem _, _ -> covers (Descriptor.src_addr d i) (Descriptor.length d i)
+            | _, Mem _ -> covers (Descriptor.dst_addr d i) (Descriptor.length d i)
+            | Dev _, Dev _ -> false)
+           || from (i + 1))
+      in
+      from 0
 
 let abort t =
   match t.current with

@@ -1,16 +1,13 @@
-(* Midend: decompose flat elements into timed bursts with descriptor
-   fetch/setup cost. *)
+(* Midend: lay a descriptor's elements out as timed bursts with
+   descriptor fetch/setup cost. *)
 
-type burst = {
-  element : Descriptor.element;
-  start_cycle : int;
-  overhead_cycles : int;
+type plan = {
+  desc : Descriptor.t;
+  data_starts : int array;
   word_cycles : int;
-  words : int;
-  bytes_before : int;
+  total_cycles : int;
+  total_bytes : int;
 }
-
-type plan = { bursts : burst array; total_cycles : int; total_bytes : int }
 
 let words_of_bytes n = (n + 3) / 4
 
@@ -22,40 +19,52 @@ let words_of_bytes n = (n + 3) / 4
    against the bus timing instead of a free parameter. *)
 let desc_fetch_cycles bus = Bus.dma_burst_cycles bus ~nbytes:16
 
-let dev_cycles (e : Descriptor.element) =
-  match (e.src, e.dst) with
-  | Descriptor.Dev (p, a), _ | _, Descriptor.Dev (p, a) ->
-      p.Device.access_cycles ~addr:a ~len:e.len
+let dev_cycles d i len =
+  match (Descriptor.src_side d i, Descriptor.dst_side d i) with
+  | Descriptor.Dev (p, _), _ ->
+      p.Device.access_cycles ~addr:(Descriptor.src_addr d i) ~len
+  | _, Descriptor.Dev (p, _) ->
+      p.Device.access_cycles ~addr:(Descriptor.dst_addr d i) ~len
   | Descriptor.Mem _, Descriptor.Mem _ -> 0
 
-let burst_cycles b = b.overhead_cycles + (b.words * b.word_cycles)
-
-let plan ~bus ?desc_fetch_cycles:fetch elems =
+let plan_desc ~bus ?desc_fetch_cycles:fetch d =
   let timing = Bus.timing bus in
   let fetch =
     match fetch with Some c -> c | None -> desc_fetch_cycles bus
   in
-  let burst ~fetch ~start_cycle ~bytes_before (e : Descriptor.element) =
-    {
-      element = e;
-      start_cycle;
-      overhead_cycles = fetch + timing.Bus.burst_setup_cycles + dev_cycles e;
-      word_cycles = timing.Bus.burst_word_cycles;
-      words = words_of_bytes e.len;
-      bytes_before;
-    }
-  in
-  match elems with
-  | [] -> { bursts = [||]; total_cycles = 0; total_bytes = 0 }
-  | e0 :: rest ->
-      (* the first burst's registers came with the initiation: no fetch *)
-      let b0 = burst ~fetch:0 ~start_cycle:0 ~bytes_before:0 e0 in
-      let bursts = Array.make (List.length elems) b0 in
-      let rec fill i cursor bytes = function
-        | [] -> { bursts; total_cycles = cursor; total_bytes = bytes }
-        | (e : Descriptor.element) :: rest ->
-            let b = burst ~fetch ~start_cycle:cursor ~bytes_before:bytes e in
-            bursts.(i) <- b;
-            fill (i + 1) (cursor + burst_cycles b) (bytes + e.len) rest
-      in
-      fill 1 (burst_cycles b0) e0.len rest
+  let n = Descriptor.count d in
+  let data_starts = Array.make n 0 in
+  let cursor = ref 0 in
+  for i = 0 to n - 1 do
+    let len = Descriptor.length d i in
+    (* the first burst's registers came with the initiation: no fetch *)
+    let data_start =
+      !cursor
+      + (if i = 0 then 0 else fetch)
+      + timing.Bus.burst_setup_cycles + dev_cycles d i len
+    in
+    data_starts.(i) <- data_start;
+    cursor := data_start + (words_of_bytes len * timing.Bus.burst_word_cycles)
+  done;
+  {
+    desc = d;
+    data_starts;
+    word_cycles = timing.Bus.burst_word_cycles;
+    total_cycles = !cursor;
+    total_bytes = Descriptor.total_bytes d;
+  }
+
+let plan ~bus ?desc_fetch_cycles elems =
+  plan_desc ~bus ?desc_fetch_cycles (Descriptor.of_list elems)
+
+let[@inline] bursts p = Array.length p.data_starts
+
+let[@inline] words p i = words_of_bytes (Descriptor.length p.desc i)
+
+let[@inline] data_start p i = p.data_starts.(i)
+
+let burst_end p i = p.data_starts.(i) + (words p i * p.word_cycles)
+
+let start_cycle p i = if i = 0 then 0 else burst_end p (i - 1)
+
+let burst_cycles p i = burst_end p i - start_cycle p i

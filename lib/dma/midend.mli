@@ -1,6 +1,7 @@
-(** Midend: burst decomposition and the descriptor cost model.
+(** Midend: burst layout and the descriptor cost model.
 
-    Each flat element becomes one bus burst. An element's cost is
+    Each element of a {!Descriptor.t} becomes one bus burst. An
+    element's cost is
 
     {[ fetch (elements after the first)
        + burst_setup_cycles
@@ -11,21 +12,20 @@
     charged — [Bus.dma_burst_cycles ~nbytes] plus device latency — and
     multi-element transfers pay a per-element fetch/setup overhead
     that makes short chunks measurably worse (the irregular-DMAC
-    effect, measured in experiment E15). *)
+    effect, measured in experiment E15).
 
-type burst = {
-  element : Descriptor.element;
-  start_cycle : int;      (** cycle offset from transfer start *)
-  overhead_cycles : int;  (** fetch (non-first) + setup + device latency *)
-  word_cycles : int;      (** per-word cost while data is on the wire *)
-  words : int;            (** 32-bit words in the burst *)
-  bytes_before : int;
-      (** element bytes of every earlier burst: the prefix sum that
-          lets the progress counter skip them *)
-}
+    A plan keeps the descriptor and one int array: the cycle each
+    burst's data phase starts at, which is what a progress probe
+    searches. Bursts lie back to back, so everything else about burst
+    [i] — its start, its end, the bytes before it — follows from that
+    array and the descriptor's cursor. A device's [access_cycles] is
+    asked once per element, in element order. *)
 
-type plan = {
-  bursts : burst array;  (** in element order, laid out back to back *)
+type plan = private {
+  desc : Descriptor.t;
+  data_starts : int array;
+      (** the cycle each burst's data phase begins, from transfer start *)
+  word_cycles : int;  (** per-word cost while data is on the wire *)
   total_cycles : int;
   total_bytes : int;
 }
@@ -35,11 +35,27 @@ val desc_fetch_cycles : Bus.t -> int
     the same bus, [Bus.dma_burst_cycles ~nbytes:16] (28 cycles at
     default timing). Charged per element after the first. *)
 
-val burst_cycles : burst -> int
-(** Total cycles of one burst: overhead + words × per-word. *)
-
-val plan : bus:Bus.t -> ?desc_fetch_cycles:int -> Descriptor.element list -> plan
+val plan_desc : bus:Bus.t -> ?desc_fetch_cycles:int -> Descriptor.t -> plan
 (** Lay the elements out back-to-back on the bus: each burst starts the
     cycle the previous one ends. The optional [desc_fetch_cycles]
     overrides the self-calibrated fetch cost (used by cost-model
     tests); like the bus timing it must not be negative. *)
+
+val plan : bus:Bus.t -> ?desc_fetch_cycles:int -> Descriptor.element list -> plan
+(** {!plan_desc} of {!Descriptor.of_list}. *)
+
+val bursts : plan -> int
+(** The number of bursts: one per element. *)
+
+val start_cycle : plan -> int -> int
+
+val burst_cycles : plan -> int -> int
+(** Total cycles of burst [i]: fetch/setup/device overhead plus its
+    words. *)
+
+val words : plan -> int -> int
+(** 32-bit words in burst [i]. *)
+
+val data_start : plan -> int -> int
+(** The cycle burst [i]'s data phase begins: its start plus its
+    fetch/setup/device overhead. *)

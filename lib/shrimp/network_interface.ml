@@ -3,7 +3,6 @@ module Trace = Udma_sim.Trace
 module Event = Udma_obs.Event
 module Metrics = Udma_obs.Metrics
 module Layout = Udma_mmu.Layout
-module Page_table = Udma_mmu.Page_table
 module Pte = Udma_mmu.Pte
 module Phys_mem = Udma_memory.Phys_mem
 module Bus = Udma_dma.Bus
@@ -127,16 +126,8 @@ let deposit t pkt =
     Payload_pool.give t.pool pkt.Packet.payload;
     Metrics.bump t.m_packets_received;
     Metrics.bump_by t.m_bytes_received len;
-    let frame = paddr / Layout.page_size t.machine.M.layout in
-    match Hashtbl.find_opt t.machine.M.frame_owner frame with
-    | Some (pid, vpn) -> (
-        match M.find_proc t.machine ~pid with
-        | Some proc -> (
-            match Page_table.find proc.Udma_os.Proc.page_table vpn with
-            | Some pte -> pte.Pte.dirty <- true
-            | None -> ())
-        | None -> ())
-    | None -> ()
+    let o = M.owner t.machine (paddr / Layout.page_size t.machine.M.layout) in
+    if o != M.no_owner then o.M.pte.Pte.dirty <- true
   end
 
 (* A packet leaves on the outgoing link: the front of [out_fifo]. *)

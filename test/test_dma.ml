@@ -564,16 +564,19 @@ module Backend = Udma_dma.Backend
    folded over the whole plan. The binary search must match it
    exactly. *)
 let reference_bytes_done (plan : Midend.plan) ~elapsed =
-  Array.fold_left
-    (fun acc (b : Midend.burst) ->
-      let into = elapsed - b.start_cycle - b.overhead_cycles in
-      if into <= 0 then acc
-      else
-        let words_done =
-          if b.word_cycles <= 0 then b.words else into / b.word_cycles
-        in
-        acc + min b.element.Descriptor.len (min words_done b.words * 4))
-    0 plan.Midend.bursts
+  let d = plan.Midend.desc in
+  let acc = ref 0 in
+  for i = 0 to Midend.bursts plan - 1 do
+    let into = elapsed - Midend.data_start plan i in
+    if into > 0 then begin
+      let words = Midend.words plan i in
+      let words_done =
+        if plan.Midend.word_cycles <= 0 then words else into / plan.Midend.word_cycles
+      in
+      acc := !acc + min (Descriptor.length d i) (min words_done words * 4)
+    end
+  done;
+  !acc
 
 type plan_case = {
   setup : int;
@@ -619,20 +622,18 @@ let plan_of_case c =
   Midend.plan ~bus ~desc_fetch_cycles:c.fetch elems
 
 let back_to_back (plan : Midend.plan) =
-  let bursts = plan.Midend.bursts in
-  let n = Array.length bursts in
-  let ok = ref (n > 0 && bursts.(0).Midend.start_cycle = 0) in
+  let d = plan.Midend.desc in
+  let n = Midend.bursts plan in
+  let ok = ref (n > 0 && Midend.start_cycle plan 0 = 0) in
   let bytes = ref 0 in
-  Array.iteri
-    (fun i (b : Midend.burst) ->
-      if b.Midend.bytes_before <> !bytes then ok := false;
-      bytes := !bytes + b.Midend.element.Descriptor.len;
-      let next =
-        if i + 1 < n then bursts.(i + 1).Midend.start_cycle
-        else plan.Midend.total_cycles
-      in
-      if b.Midend.start_cycle + Midend.burst_cycles b <> next then ok := false)
-    bursts;
+  for i = 0 to n - 1 do
+    if Descriptor.bytes_before d i <> !bytes then ok := false;
+    bytes := !bytes + Descriptor.length d i;
+    let next =
+      if i + 1 < n then Midend.start_cycle plan (i + 1) else plan.Midend.total_cycles
+    in
+    if Midend.start_cycle plan i + Midend.burst_cycles plan i <> next then ok := false
+  done;
   !ok && !bytes = plan.Midend.total_bytes
 
 let prop_progress_counter_matches_fold =
@@ -646,7 +647,7 @@ let prop_progress_counter_matches_fold =
       (* [begun]'s hint takes no part in the result: a fresh search, one
          resumed from the last probe (forward, then backward in time)
          and one from an arbitrary count all read the fold *)
-      let n = Array.length plan.Midend.bursts in
+      let n = Midend.bursts plan in
       let check ~elapsed ~from what =
         let want = reference_bytes_done plan ~elapsed in
         let begun = Backend.begun plan ~elapsed ~from in
