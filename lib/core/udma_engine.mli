@@ -130,7 +130,7 @@ type req_view = {
   v_elements : Udma_dma.Descriptor.element list;
 }
 (** [v_elements] is every flat element of the (possibly shaped)
-    request, the list the DMA engine is handed, so the oracles can
+    request: its descriptor expanded on demand, so the oracles can
     check each page an irregular transfer touches. *)
 
 val outstanding_views : t -> req_view list
