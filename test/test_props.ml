@@ -1011,6 +1011,75 @@ let prop_arbiter_no_starvation =
       done;
       !ok && Router.arbitrate ~rr:!rr ~ready:(Array.make n false) = None)
 
+(* ---------- analytic: credit slots = naive argmin array ---------- *)
+
+(* The credit slots of one (link, VC) pool against the plain model they
+   replace: an unordered array whose claim scans for the slot that frees
+   first and overwrites it, and whose resize sorts the free times latest
+   first, keeping the first [n] or appending slots free at [now]. After
+   every random claim (a release time around the front, or a leaked
+   slot's [max_int / 2]) and every grow or shrink, the front and the
+   multiset of free times agree. *)
+module Slots = Udma_shrimp.Analytic.Slots
+
+type slot_op = Claim of int | Leak | Resize of int * int
+
+let prop_credit_slots_naive =
+  let naive_front a = Array.fold_left Int.min max_int a in
+  let naive_claim a v =
+    let si = ref 0 in
+    for i = 1 to Array.length a - 1 do
+      if a.(i) < a.(!si) then si := i
+    done;
+    a.(!si) <- v
+  in
+  let naive_resize a ~now n =
+    let old = Array.length a in
+    let s = Array.copy a in
+    Array.sort (fun x y -> Int.compare y x) s;
+    if n > old then Array.append s (Array.make (n - old) now) else Array.sub s 0 n
+  in
+  let sorted a =
+    let c = Array.copy a in
+    Array.sort Int.compare c;
+    c
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun d -> Claim d) (int_range (-40) 200));
+          (1, return Leak);
+          (2, map2 (fun n d -> Resize (n, d)) (int_range 1 9) (int_range (-40) 200));
+        ])
+  in
+  let print_op = function
+    | Claim d -> Printf.sprintf "claim(front%+d)" d
+    | Leak -> "leak"
+    | Resize (n, d) -> Printf.sprintf "resize(%d, now=front%+d)" n d
+  in
+  qtest ~count:300 "credit slots = naive argmin array"
+    QCheck.(
+      pair (int_range 1 9)
+        (make ~print:(Print.list print_op) Gen.(list_size (1 -- 200) gen_op)))
+    (fun (n, ops) ->
+      let slots = ref (Array.make n 0) and naive = ref (Array.make n 0) in
+      List.for_all
+        (fun op ->
+          let front = naive_front !naive in
+          (match op with
+          | Claim d ->
+              Slots.take_insert !slots (front + d);
+              naive_claim !naive (front + d)
+          | Leak ->
+              Slots.take_insert !slots (max_int / 2);
+              naive_claim !naive (max_int / 2)
+          | Resize (n, d) ->
+              slots := Slots.resize !slots ~now:(front + d) n;
+              naive := naive_resize !naive ~now:(front + d) n);
+          Slots.front !slots = naive_front !naive && sorted !slots = sorted !naive)
+        ops)
+
 (* ---------- router: every produced path is a real mesh walk ---------- *)
 
 (* The phantom-node regression, as a property: on every routable node
@@ -1325,6 +1394,7 @@ let () =
           prop_trace_wraparound;
           prop_tlb_lru_model;
           prop_arbiter_no_starvation;
+          prop_credit_slots_naive;
         ] );
       ( "state-machine",
         [ prop_sm_transferring_only_via_start; prop_sm_inval_resets ] );

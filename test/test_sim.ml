@@ -114,17 +114,27 @@ let test_eventq_clear_releases () =
 
 (* qcheck: an interleaved push/pop/pop_payload/clear trace agrees with a
    sorted-list reference model — global time order, then key, and among
-   equal (time, key) the push order (FIFO). After every step the
+   equal (time, key) the sequence number: push order (FIFO), or for a
+   [push_reserved] the place its [reserve] took. After every step the
    observers ([length], [is_empty], [peek_time], [min_time]) must agree
-   with the model too. Pushes outweigh pops, so long traces grow the
-   heap past its initial capacity between clears. *)
+   with the model too. Pushes outweigh pops, and bursts of pushes onto a
+   few times grow the heap past 7 levels between clears, with many
+   equal times, so a pop that picks the wrong child deep in the heap
+   shows. *)
 let qtest = QCheck_alcotest.to_alcotest
 
-type eventq_op = Push of int * int | Pop | Pop_payload | Clear
+type eventq_op =
+  | Push of int * int
+  | Burst of int * int
+  | Reserve
+  | Push_reserved of int
+  | Pop
+  | Pop_payload
+  | Clear
 
-(* Insert behind every entry that sorts at or before (t, k): FIFO ties. *)
-let rec model_insert ((t, k, _) as x) = function
-  | ((t', k', _) as y) :: rest when (t', k') <= (t, k) ->
+(* Insert behind every entry that sorts at or before (t, k, seq). *)
+let rec model_insert ((t, k, s, _) as x) = function
+  | ((t', k', s', _) as y) :: rest when (t', k', s') <= (t, k, s) ->
       y :: model_insert x rest
   | l -> x :: l
 
@@ -135,6 +145,9 @@ let eventq_model_prop =
       frequency
         [
           (30, map2 (fun t k -> Push (t, k)) (int_bound 20) (int_bound 3));
+          (3, map2 (fun n t -> Burst (n, t)) (int_range 16 64) (int_bound 20));
+          (4, return Reserve);
+          (4, map (fun t -> Push_reserved t) (int_bound 20));
           (10, return Pop);
           (10, return Pop_payload);
           (1, return Clear);
@@ -142,6 +155,9 @@ let eventq_model_prop =
   in
   let print_op = function
     | Push (t, k) -> Printf.sprintf "push(t=%d,k=%d)" t k
+    | Burst (n, t) -> Printf.sprintf "burst(n=%d,t=%d..%d)" n t (t + 2)
+    | Reserve -> "reserve"
+    | Push_reserved t -> Printf.sprintf "push_reserved(t=%d)" t
     | Pop -> "pop"
     | Pop_payload -> "pop_payload"
     | Clear -> "clear"
@@ -150,19 +166,46 @@ let eventq_model_prop =
   Test.make ~count:500 ~name:"Eventq trace = sorted-list model" arb (fun ops ->
       let q = Eventq.create () in
       let model = ref [] in
-      let next_id = ref 0 in
+      (* [next_seq] mirrors the queue's: every push and reserve takes
+         one. [reserved] holds the seqs taken but not yet pushed. *)
+      let next_seq = ref 0 and next_id = ref 0 and reserved = ref [] in
+      let push t k =
+        let id = !next_id in
+        incr next_id;
+        Eventq.push q ~time:t ~key:k id;
+        model := model_insert (t, k, !next_seq, id) !model;
+        incr next_seq
+      in
       let step op =
         match op with
         | Push (t, k) ->
-            let id = !next_id in
-            incr next_id;
-            Eventq.push q ~time:t ~key:k id;
-            model := model_insert (t, k, id) !model;
+            push t k;
             true
+        | Burst (n, t) ->
+            (* keys 0 and 1 over three times: deep runs of equal times *)
+            for i = 0 to n - 1 do
+              push (t + (i mod 3)) (i / 3 mod 2)
+            done;
+            true
+        | Reserve ->
+            let seq = Eventq.reserve q in
+            reserved := !reserved @ [ seq ];
+            incr next_seq;
+            seq = !next_seq - 1
+        | Push_reserved t -> (
+            match !reserved with
+            | [] -> true
+            | seq :: rest ->
+                reserved := rest;
+                let id = !next_id in
+                incr next_id;
+                Eventq.push_reserved q ~time:t ~seq ~tag:0 id;
+                model := model_insert (t, 0, seq, id) !model;
+                true)
         | Pop -> (
             match (Eventq.pop q, !model) with
             | None, [] -> true
-            | Some (t, id), (mt, _, mid) :: rest ->
+            | Some (t, id), (mt, _, _, mid) :: rest ->
                 model := rest;
                 t = mt && id = mid
             | Some _, [] | None, _ :: _ -> false)
@@ -172,7 +215,7 @@ let eventq_model_prop =
                 match Eventq.pop_payload q with
                 | _ -> false
                 | exception Invalid_argument _ -> true)
-            | (_, _, mid) :: rest ->
+            | (_, _, _, mid) :: rest ->
                 model := rest;
                 Eventq.pop_payload q = mid)
         | Clear ->
@@ -186,7 +229,7 @@ let eventq_model_prop =
             Eventq.length q = 0 && Eventq.is_empty q
             && Eventq.peek_time q = None
             && Eventq.min_time q = max_int
-        | (t, _, _) :: _ ->
+        | (t, _, _, _) :: _ ->
             Eventq.length q = List.length !model
             && (not (Eventq.is_empty q))
             && Eventq.peek_time q = Some t
