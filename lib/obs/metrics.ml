@@ -117,13 +117,17 @@ let hist_ref t ?(buckets = default_buckets) name =
 (* First bucket whose upper edge >= v; overflow slot otherwise. *)
 let bucket_index h v =
   let n = Array.length h.edges in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if h.edges.(mid) >= v then go lo mid else go (mid + 1) hi
-  in
-  if v > h.edges.(n - 1) then n else go 0 n
+  if v > h.edges.(n - 1) then n
+  else begin
+    (* a loop, not a local recursive function: a closure over [h]
+       would be allocated on every sample *)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if h.edges.(mid) >= v then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
 
 let record_n h v n =
   let i = bucket_index h v in
