@@ -16,9 +16,13 @@ The script copies the tree into a cache directory (kept between runs
 under the system temporary directory, so dune rebuilds only what a
 patch touches), checks that each named test passes on the unpatched
 copy, then for each patch: applies it, rebuilds the suite, runs the one
-test and requires it to fail, and takes the patch back out. A patch
-that no longer applies, a test that passes with its bug in, or a test
-that fails without it all make the script exit 1.
+test and requires it to fail, and takes the patch back out. Every test
+run is repeated under each of the fixed QCHECK_SEED values in SEEDS, so
+a property test draws the same cases on every run of the script, and a
+bug its property catches under some seeds only is reported as missed. A
+patch that no longer applies, a test that passes with its bug in under
+any seed, or a test that fails without it under any seed all make the
+script exit 1.
 
 Run from the repository root: python3 test/mutants.py
 """
@@ -35,11 +39,13 @@ MUTANTS = os.path.join(ROOT, "test", "mutants")
 CACHE = os.path.join(tempfile.gettempdir(), "udma-mutants")
 # what building the test suites needs
 COPIED = ["dune-project", "lib", "bin", "test"]
+# the QCHECK_SEED values every named test runs under
+SEEDS = (11, 257, 4099)
 TEST_LINE = re.compile(r"^# Test: (\S+) (\S+) (\d+) (.+)$")
 
 
-def run(cmd, cwd):
-    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+def run(cmd, cwd, env=None):
+    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, env=env)
 
 
 def sync_tree():
@@ -75,8 +81,14 @@ def build(suite):
 
 
 def run_test(suite, group, index):
+    """The seeds of SEEDS under which the test passes."""
     exe = os.path.join(CACHE, "_build", "default", "test", f"{suite}.exe")
-    return run([exe, "test", group, str(index)], CACHE)
+    passed = []
+    for seed in SEEDS:
+        env = dict(os.environ, QCHECK_SEED=str(seed))
+        if run([exe, "test", group, str(index)], CACHE, env).returncode == 0:
+            passed.append(seed)
+    return passed
 
 
 def listed_name(suite, group, index):
@@ -136,8 +148,14 @@ def main():
             failures.append(
                 f"{label}: {suite} {group} {index} is {listed!r}, not {name!r}"
             )
-        elif run_test(suite, group, index).returncode != 0:
-            failures.append(f"{label}: {suite} {group} {index} fails without the bug")
+        else:
+            passed = run_test(suite, group, index)
+            if len(passed) < len(SEEDS):
+                failed = [s for s in SEEDS if s not in passed]
+                failures.append(
+                    f"{label}: {suite} {group} {index} fails without the bug"
+                    f" (QCHECK_SEED {failed})"
+                )
 
     for label, patch, (suite, group, index, name) in mutants:
         if git_apply(patch, "--check").returncode != 0:
@@ -151,18 +169,23 @@ def main():
                 failures.append(f"{label}: the patched tree does not build")
                 print(b.stderr)
                 verdict = "does not build"
-            elif run_test(suite, group, index).returncode == 0:
-                failures.append(f"{label}: {suite} {group} {index} ({name}) passes with the bug in")
-                verdict = "MISSED"
             else:
-                verdict = "caught"
+                passed = run_test(suite, group, index)
+                if passed:
+                    failures.append(
+                        f"{label}: {suite} {group} {index} ({name}) passes with the"
+                        f" bug in (QCHECK_SEED {passed})"
+                    )
+                    verdict = "MISSED"
+                else:
+                    verdict = "caught"
         finally:
             git_apply(patch, "-R")
         print(f"{label:32} {verdict} by {suite} {group} {index} ({name})")
 
     for f in failures:
         print("FAIL:", f)
-    print(f"{len(mutants)} mutants, {len(failures)} failures")
+    print(f"{len(mutants)} mutants, {len(SEEDS)} seeds each, {len(failures)} failures")
     return 1 if failures else 0
 
 
