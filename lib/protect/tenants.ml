@@ -63,14 +63,18 @@ type t = {
   mutable breaches : int;
 }
 
+let validate cfg =
+  if cfg.tenants <= 0 then Error "tenants must be positive"
+  else if cfg.slots <= 0 then Error "slots must be positive"
+  else if cfg.ops <= 0 then Error "ops must be positive"
+  else if cfg.churn_pct < 0 || cfg.evict_pct < 0 || cfg.rogue_pct < 0 then
+    Error "negative injection rate"
+  else if cfg.churn_pct + cfg.evict_pct + cfg.rogue_pct > 100 then
+    Error "injection rates exceed 100%"
+  else Ok ()
+
 let create cfg =
-  if cfg.tenants <= 0 then invalid_arg "Tenants.create: tenants must be positive";
-  if cfg.slots <= 0 then invalid_arg "Tenants.create: slots must be positive";
-  if cfg.ops <= 0 then invalid_arg "Tenants.create: ops must be positive";
-  if cfg.churn_pct < 0 || cfg.evict_pct < 0 || cfg.rogue_pct < 0 then
-    invalid_arg "Tenants.create: negative injection rate";
-  if cfg.churn_pct + cfg.evict_pct + cfg.rogue_pct > 100 then
-    invalid_arg "Tenants.create: injection rates exceed 100%";
+  Result.iter_error (fun msg -> invalid_arg ("Tenants.create: " ^ msg)) (validate cfg);
   {
     cfg;
     backend = Backend.create ~costs:cfg.bcosts cfg.kind ~entries:cfg.slots ();

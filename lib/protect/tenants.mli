@@ -62,11 +62,14 @@ type result = {
                                  counterexamples — must be 0 *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error msg] on nonpositive [tenants]/[slots]/[ops], a negative
+    injection rate, or rates summing past 100%. *)
+
 val run : config -> result
 (** The whole sweep loop; deterministic (equal configs give equal
-    results, byte for byte). Raises [Invalid_argument] on nonpositive
-    [tenants]/[slots]/[ops], a negative injection rate, or rates
-    summing past 100%. *)
+    results, byte for byte). Raises [Invalid_argument] when
+    {!validate} gives [Error]. *)
 
 (** {1 Single-step interface (the qcheck surface)} *)
 

@@ -12,6 +12,8 @@ module Scheduler = Udma_os.Scheduler
 module Syscall = Udma_os.Syscall
 module Kernel = Udma_os.Kernel
 module Runner = Udma_workloads.Runner
+module Exp_send = Udma_workloads.Exp_send
+module Exp_kernel = Udma_workloads.Exp_kernel
 module System = Udma_shrimp.System
 module Messaging = Udma_shrimp.Messaging
 
@@ -135,7 +137,7 @@ let row_where (r : Report.t) key v =
   | None -> Alcotest.failf "%s: no row with that %s" r.Report.id key
 
 let test_figure8_anchors () =
-  let r = Runner.report_figure8 ~messages:16 () in
+  let r = Exp_send.report_figure8 ~messages:16 () in
   let pct size = num (row_where r "size" (Report.Int size)) "pct_of_max" in
   (* §8: "exceeds 50% of the maximum measured at a message size of
      only 512 bytes" *)
@@ -162,7 +164,7 @@ let test_figure8_anchors () =
   checkb "monotone rise to 4K" true (pct 64 < pct 512 && pct 512 < pct 4096)
 
 let test_initiation_cost_anchor () =
-  let r = Runner.report_costs () in
+  let r = Exp_send.report_costs () in
   let find label = row_where r "label" (Report.Str label) in
   let udma = find "UDMA initiation (2 refs + check)" in
   (* §8: about 2.8 microseconds *)
@@ -175,7 +177,7 @@ let test_initiation_cost_anchor () =
     (num trad "cycles" > 10.0 *. num udma "cycles")
 
 let test_hippi_anchor () =
-  let r = Runner.report_hippi () in
+  let r = Exp_send.report_hippi () in
   let at block = num (row_where r "block" (Report.Int block)) "mbytes_per_s" in
   (* §1: "With a data block size of 1 Kbyte, the transfer rate achieved
      is only 2.7 MByte/sec, which is less than 2% of the raw hardware
@@ -189,7 +191,7 @@ let test_hippi_anchor () =
   checkb "256KB reaches ~80MB/s" true (at 262144 >= 78.0)
 
 let test_crossover_anchor () =
-  let r = Runner.report_crossover ~sizes:[ 16; 4096 ] ~trials:3 () in
+  let r = Exp_send.report_crossover ~sizes:[ 16; 4096 ] ~trials:3 () in
   let at size field = num (row_where r "size" (Report.Int size)) field in
   (* §9: FIFO interfaces win small messages, DMA wins long ones *)
   checkb "PIO wins at 16B" true (at 16 "pio_cycles" < at 16 "udma_cycles");
@@ -197,7 +199,7 @@ let test_crossover_anchor () =
     (at 4096 "pio_cycles" > 5.0 *. at 4096 "udma_cycles")
 
 let test_queueing_anchor () =
-  let r = Runner.report_queueing ~total_sizes:[ 65536 ] ~depths:[ 4 ] () in
+  let r = Exp_send.report_queueing ~total_sizes:[ 65536 ] ~depths:[ 4 ] () in
   match r.Report.rows with
   | [ row ] ->
       checkb "queueing beats basic for multi-page transfers" true
@@ -205,7 +207,7 @@ let test_queueing_anchor () =
   | _ -> Alcotest.fail "expected one row"
 
 let test_atomicity_never_violates () =
-  let r = Runner.report_atomicity ~probs_pct:[ 0; 25; 50 ] ~transfers:100 () in
+  let r = Exp_kernel.report_atomicity ~probs_pct:[ 0; 25; 50 ] ~transfers:100 () in
   List.iter
     (fun row ->
       let pct = num row "preempt_pct" in
@@ -220,7 +222,7 @@ let test_atomicity_never_violates () =
     r.Report.rows
 
 let test_i3_policy_anchor () =
-  let r = Runner.report_i3 ~transfers:32 ~pages:4 () in
+  let r = Exp_kernel.report_i3 ~transfers:32 ~pages:4 () in
   match r.Report.rows with
   | [ upgrade; union ] ->
       checkb "union takes fewer proxy faults" true
@@ -231,7 +233,7 @@ let test_i3_policy_anchor () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_update_strategy_anchor () =
-  let r = Runner.report_updates () in
+  let r = Exp_kernel.report_updates () in
   let find w = row_where r "workload" (Report.Str w) in
   let scattered = find "32 scattered single-word updates" in
   (* automatic update has no initiation cost: scattered word updates

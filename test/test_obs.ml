@@ -127,7 +127,7 @@ let bench_doc =
     (Json.to_string ~indent:2
        (Report.bench_json
           ~meta:[ ("seed", Report.Int 42) ]
-          [ Udma_workloads.Runner.report_costs () ]))
+          [ Udma_workloads.Exp_send.report_costs () ]))
 
 let prop_json_parse_total =
   let gen =
@@ -587,8 +587,8 @@ let test_report_schema_fields () =
      sums match the declared total *)
   let reports =
     [
-      Udma_workloads.Runner.report_costs ();
-      Udma_workloads.Runner.report_proxy_faults ();
+      Udma_workloads.Exp_send.report_costs ();
+      Udma_workloads.Exp_kernel.report_proxy_faults ();
     ]
   in
   List.iter
@@ -699,7 +699,7 @@ let prop_profiler_sums_to_now =
 (* the same invariant over a real workload harness: every engine a
    report tracked ends with totals summing to its elapsed cycles *)
 let test_report_breakdown_matches_engines () =
-  let r = Udma_workloads.Runner.report_costs () in
+  let r = Udma_workloads.Exp_send.report_costs () in
   match r.Report.breakdown with
   | None -> Alcotest.fail "report has no breakdown"
   | Some totals -> checkb "non-empty" true (Profiler.sum totals > 0)
