@@ -6,7 +6,6 @@
    anchor regression gate. *)
 
 module Runner = Udma_workloads.Runner
-module Experiment = Udma_workloads.Experiment
 module Report = Udma_obs.Report
 module Json = Udma_obs.Json
 module Event = Udma_obs.Event
@@ -153,32 +152,32 @@ let quick_term ~doc = Arg.(value & flag & info [ "quick" ] ~doc)
 (* A sweep whose flags combine into a configuration the model rejects
    stops before simulating anything, like a rejected flag value: exit 2
    with one line. Any other exception is a bug and surfaces as such. *)
-let experiment_term (e : Experiment.experiment) =
+let experiment_term (e : Udma_workloads.Experiment.experiment) =
   let run c quick params =
     let f = params ~quick in
     try ignore (emit_reports c (fun () -> f ~quick ~seed:c.seed))
     with Udma_traffic.Sweep.Invalid_config msg ->
-      prerr_endline (Printf.sprintf "%s: %s" e.Experiment.exp_name msg);
+      prerr_endline (Printf.sprintf "%s: %s" e.exp_name msg);
       exit 2
   in
   Term.(
     const run $ common_term
     $ quick_term ~doc:"Use the small deterministic CI parameter set."
-    $ params_term e.Experiment.exp_name e.Experiment.exp_run)
+    $ params_term e.exp_name e.exp_run)
 
 (* Each experiment registers under its paper-section name and an
    eN alias, so `shrimp_sim e1 --json` works as EXPERIMENTS.md
    documents. *)
 let experiment_cmds =
   List.concat_map
-    (fun (e : Experiment.experiment) ->
+    (fun (e : Udma_workloads.Experiment.experiment) ->
       let term = experiment_term e in
-      let doc = e.Experiment.exp_doc in
+      let doc = e.exp_doc in
       [
-        Cmd.v (Cmd.info e.Experiment.exp_name ~doc) term;
+        Cmd.v (Cmd.info e.exp_name ~doc) term;
         Cmd.v
-          (Cmd.info e.Experiment.exp_alias
-             ~doc:(Printf.sprintf "Alias for $(b,%s): %s" e.Experiment.exp_name doc))
+          (Cmd.info e.exp_alias
+             ~doc:(Printf.sprintf "Alias for $(b,%s): %s" e.exp_name doc))
           term;
       ])
     Runner.experiments

@@ -1,16 +1,20 @@
 let min_bytes = 2048
 
-(* The free buffers of one length, as a stack. *)
-type shelf = { mutable bufs : bytes array; mutable n : int }
+(* The free buffers of one length, as a stack. A pool holds one or two
+   lengths, so a list compared by length beats hashing the length. *)
+type shelf = { len : int; mutable bufs : bytes array; mutable n : int }
+type t = { mutable shelves : shelf list }
 
-type t = (int, shelf) Hashtbl.t
+let create () = { shelves = [] }
 
-let create () : t = Hashtbl.create 4
+let rec shelf len = function
+  | s :: rest -> if s.len = len then s else shelf len rest
+  | [] -> raise Not_found
 
-let take (t : t) len =
+let take t len =
   if len < min_bytes then Bytes.create len
   else
-    match Hashtbl.find t len with
+    match shelf len t.shelves with
     | s when s.n > 0 ->
         s.n <- s.n - 1;
         let b = s.bufs.(s.n) in
@@ -21,15 +25,15 @@ let take (t : t) len =
 
 let rec holds s b i = i < s.n && (s.bufs.(i) == b || holds s b (i + 1))
 
-let give (t : t) b =
+let give t b =
   let len = Bytes.length b in
   if len >= min_bytes then begin
     let s =
-      match Hashtbl.find_opt t len with
-      | Some s -> s
-      | None ->
-          let s = { bufs = [||]; n = 0 } in
-          Hashtbl.add t len s;
+      match shelf len t.shelves with
+      | s -> s
+      | exception Not_found ->
+          let s = { len; bufs = [||]; n = 0 } in
+          t.shelves <- s :: t.shelves;
           s
     in
     if not (holds s b 0) then begin
@@ -43,4 +47,4 @@ let give (t : t) b =
     end
   end
 
-let held (t : t) = Hashtbl.fold (fun _ s acc -> acc + s.n) t 0
+let held t = List.fold_left (fun acc s -> acc + s.n) 0 t.shelves

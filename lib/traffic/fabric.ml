@@ -48,7 +48,7 @@ type t = {
   cpus : cpu_q array;
   inflight : (int -> unit) option Queue.t option array array;
       (* shaped like [channels]; a pair's queue is made on first use *)
-  payloads : (int, bytes) Hashtbl.t;
+  mutable payloads : bytes list;  (* one per size; a fabric sends one or two *)
   send_costs : (int, int) Hashtbl.t;  (* nbytes -> calibrated cycles *)
   master : Rng.t;
   chaos_rng : Rng.t;
@@ -97,14 +97,18 @@ let inflight_q t src dst =
       t.inflight.(src).(dst) <- Some q;
       q
 
+let rec sized nbytes = function
+  | b :: rest -> if Bytes.length b = nbytes then b else sized nbytes rest
+  | [] -> raise Not_found
+
 (* Deterministic per-size fill; also what tests check in the importer's
    receive buffer to confirm the zero-copy deposit. *)
 let payload t ~nbytes =
-  match Hashtbl.find_opt t.payloads nbytes with
-  | Some b -> b
-  | None ->
+  match sized nbytes t.payloads with
+  | b -> b
+  | exception Not_found ->
       let b = Bytes.init nbytes (fun i -> Char.chr ((i + nbytes) land 0xff)) in
-      Hashtbl.add t.payloads nbytes b;
+      t.payloads <- b :: t.payloads;
       b
 
 let attach sys ~seed ~pairs =
@@ -149,7 +153,7 @@ let attach sys ~seed ~pairs =
         Array.init nodes (fun node ->
             { node; q = Queue.create (); serving = false });
       inflight = Array.make_matrix nodes nodes None;
-      payloads = Hashtbl.create 8;
+      payloads = [];
       send_costs = Hashtbl.create 8;
       master;
       chaos_rng = Rng.split master;

@@ -1,4 +1,3 @@
-module Engine = Udma_sim.Engine
 module Report = Udma_obs.Report
 module Sweep = Udma_traffic.Sweep
 module Fabric = Udma_traffic.Fabric
@@ -24,7 +23,7 @@ let halo_default_loads = [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
    staged on it: [report_kv ... cfg] checks its configs and returns the
    run, so E16 can reject any flag before any application calibrates.
    The run gives each load's result, every engine on one probe. *)
-let app_sweep validate (run : ?probe:(Engine.t -> unit) -> _) ~loads config =
+let app_sweep validate (run : ?probe:(Udma_sim.Engine.t -> unit) -> _) ~loads config =
   let configs = List.map (fun load -> (load, config load)) loads in
   List.iter
     (fun (_, c) ->
@@ -34,10 +33,14 @@ let app_sweep validate (run : ?probe:(Engine.t -> unit) -> _) ~loads config =
     let p = probe () in
     (p, List.map (fun (load, c) -> (load, run ~probe:(watch p) c)) configs)
 
-(* the SLO knee as a report value: the load of the first sustained
-   violation, or "none" when the whole sweep holds the SLO *)
-let app_knee ?slo ~loads points =
-  v_opt (fun i -> vf (List.nth loads i)) "none" (App_slo.detect_knee ?slo points)
+(* the SLO and its knee as meta cells: the knee is the load of the first
+   sustained violation, or "none" when the whole sweep holds the SLO *)
+let app_slo ?slo ~loads points =
+  [
+    ("slo", vf (Option.value slo ~default:App_slo.default_slo));
+    ( "slo_knee",
+      v_opt (fun i -> vf (List.nth loads i)) "none" (App_slo.detect_knee ?slo points) );
+  ]
 
 let app_stat_cells (s : App_slo.stats) =
   [
@@ -68,9 +71,6 @@ let report_kv ?slo ~loads (cfg : Kv.config) =
   fun () ->
   let p, results = sweep () in
   let send_cycles = List.fold_left (fun _ (_, r) -> r.Kv.send_cycles) 0 results in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
-  in
   Report.make ~id:"e16_kv"
     ~title:
       (Printf.sprintf
@@ -78,7 +78,7 @@ let report_kv ?slo ~loads (cfg : Kv.config) =
           vs offered load (zero-copy reads via deliberate update)"
          cfg.shards cfg.fabric.nodes)
     ~meta:
-      [
+      ([
         ("nodes", vi cfg.fabric.nodes);
         ("shards", vi cfg.shards);
         ("clients_per_node", vi cfg.clients_per_node);
@@ -89,11 +89,9 @@ let report_kv ?slo ~loads (cfg : Kv.config) =
         ("link_per_word", vi cfg.fabric.link_per_word);
         ("send_cycles", vi send_cycles);
         ("window_cycles", vi cfg.window_cycles);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("chaos", vb cfg.chaos_links);
-        ("seed", vi cfg.fabric.seed);
       ]
+      @ app_slo ?slo ~loads (List.map (fun (l, r) -> (l, r.Kv.stats)) results)
+      @ [ ("chaos", vb cfg.chaos_links); ("seed", vi cfg.fabric.seed) ])
     ~columns:
       [
         ("load", "load");
@@ -211,9 +209,6 @@ let report_halo ?slo ~loads (cfg : Halo.config) =
       max = s.App_slo.max - c;
     }
   in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, overhead r)) results)
-  in
   Report.make ~id:"e16_halo"
     ~title:
       (Printf.sprintf
@@ -221,7 +216,7 @@ let report_halo ?slo ~loads (cfg : Halo.config) =
           latency vs send-work share (east/west halos strided)"
          cfg.tile_rows cfg.row_bytes cfg.fabric.nodes)
     ~meta:
-      [
+      ([
         ("nodes", vi cfg.fabric.nodes);
         ("tile_rows", vi cfg.tile_rows);
         ("row_bytes", vi cfg.row_bytes);
@@ -229,10 +224,9 @@ let report_halo ?slo ~loads (cfg : Halo.config) =
         ("iterations", vi cfg.iterations);
         ("strided_send_cycles", vi strided);
         ("contiguous_send_cycles", vi contig);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("seed", vi cfg.fabric.seed);
       ]
+      @ app_slo ?slo ~loads (List.map (fun (l, r) -> (l, overhead r)) results)
+      @ [ ("seed", vi cfg.fabric.seed) ])
     ~columns:
       [
         ("load", "load");
@@ -268,9 +262,6 @@ let report_rpc ?slo ~loads (cfg : Rpc.config) =
   fun () ->
   let p, results = sweep () in
   let send_cycles = List.fold_left (fun _ (_, r) -> r.Rpc.send_cycles) 0 results in
-  let knee =
-    app_knee ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
-  in
   Report.make ~id:"e16_rpc"
     ~title:
       (Printf.sprintf
@@ -278,7 +269,7 @@ let report_rpc ?slo ~loads (cfg : Rpc.config) =
           — arrival-to-reply tail latency vs offered server load"
          cfg.burst cfg.pool cfg.fabric.nodes)
     ~meta:
-      [
+      ([
         ("nodes", vi cfg.fabric.nodes);
         ("resp_bytes", vi cfg.resp_bytes);
         ("server_cycles", vi cfg.server_cycles);
@@ -286,10 +277,9 @@ let report_rpc ?slo ~loads (cfg : Rpc.config) =
         ("pool", vi cfg.pool);
         ("send_cycles", vi send_cycles);
         ("window_cycles", vi cfg.window_cycles);
-        ("slo", vf (Option.value slo ~default:App_slo.default_slo));
-        ("slo_knee", knee);
-        ("seed", vi cfg.fabric.seed);
       ]
+      @ app_slo ?slo ~loads (List.map (fun (l, r) -> (l, r.Rpc.stats)) results)
+      @ [ ("seed", vi cfg.fabric.seed) ])
     ~columns:
       [
         ("load", "load");

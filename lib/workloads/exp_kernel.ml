@@ -1,19 +1,14 @@
 module Engine = Udma_sim.Engine
-module Rng = Udma_sim.Rng
 module Metrics = Udma_obs.Metrics
 module Report = Udma_obs.Report
 module Layout = Udma_mmu.Layout
-module Status = Udma.Status
 module Initiator = Udma.Initiator
-module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
 module Vm = Udma_os.Vm
 module Scheduler = Udma_os.Scheduler
-module Syscall = Udma_os.Syscall
 module Kernel = Udma_os.Kernel
 module Cost_model = Udma_os.Cost_model
 module System = Udma_shrimp.System
-module Network_interface = Udma_shrimp.Network_interface
 open Experiment
 
 (* ------------------------------------------------------------------ *)
@@ -29,18 +24,15 @@ let report_atomicity ?(probs_pct = atomicity_probs)
   let rows =
     List.map
       (fun pct ->
-        let m, udma, _ = buffer_rig () in
-        watch p m.M.engine;
+        let m, udma, _ = buffer_rig p in
         let p1 = Scheduler.spawn m ~name:"p1" in
         let p2 = Scheduler.spawn m ~name:"p2" in
         grant_dev m p1 ~pages:1;
-        ok_or_fail Syscall.pp_error
-          (Syscall.map_device_proxy m p2 ~vdev_index:1 ~pdev_index:1
-             ~writable:true);
-        let b1 = Kernel.alloc_buffer m p1 ~bytes:4096 in
-        Kernel.write_user m p1 ~vaddr:b1 (pattern 512);
-        let b2 = Kernel.alloc_buffer m p2 ~bytes:4096 in
-        Kernel.write_user m p2 ~vaddr:b2 (pattern 512);
+        Udma_os.Syscall.(
+          ok_or_fail pp_error
+            (map_device_proxy m p2 ~vdev_index:1 ~pdev_index:1 ~writable:true));
+        let b1 = pattern_buffer m p1 ~bytes:4096 512 in
+        let b2 = pattern_buffer m p2 ~bytes:4096 512 in
         let cpu1 = Kernel.user_cpu m p1 in
         let cpu2 = Kernel.user_cpu m p2 in
         (* legal pairings: p1 sends b1 -> dev page 0, p2 sends b2 -> dev
@@ -59,15 +51,15 @@ let report_atomicity ?(probs_pct = atomicity_probs)
           | None -> -1
         in
         let violations = ref 0 in
-        Udma_engine.set_start_hook udma (fun ~src_proxy ~dest_proxy ~nbytes:_ ->
+        Udma.Udma_engine.set_start_hook udma (fun ~src_proxy ~dest_proxy ~nbytes:_ ->
             let legal =
               (src_proxy = phys_src b1 p1 && dest_proxy = dev0)
               || (src_proxy = phys_src b2 p2 && dest_proxy = dev1)
             in
             if not legal then incr violations);
-        let rng = Rng.create (seed + pct) in
+        let rng = Udma_sim.Rng.create (seed + pct) in
         Scheduler.set_preempt_hook m
-          (Some (fun _ -> pct > 0 && Rng.int rng 100 < pct));
+          (Some (fun _ -> pct > 0 && Udma_sim.Rng.int rng 100 < pct));
         let retries = ref 0 and cycles = ref 0 in
         for i = 1 to transfers do
           let cpu, buf, dev =
@@ -138,13 +130,11 @@ let report_pinning () =
   let p = probe () in
   let costs = Cost_model.default in
   (* dynamic: paging pressure while transfers are in flight *)
-  let m, _udma, _ = buffer_rig ~mem_pages:24 () in
-  watch p m.M.engine;
+  let m, _udma, _ = buffer_rig ~mem_pages:24 p in
   let p1 = Scheduler.spawn m ~name:"streamer" in
   let hog = Scheduler.spawn m ~name:"hog" in
   grant_dev m p1 ~pages:1;
-  let buf = Kernel.alloc_buffer m p1 ~bytes:4096 in
-  Kernel.write_user m p1 ~vaddr:buf (pattern 4096);
+  let buf = pattern_buffer m p1 ~bytes:4096 4096 in
   let cpu = Kernel.user_cpu m p1 in
   let transfers = 60 in
   for _ = 1 to transfers do
@@ -153,10 +143,8 @@ let report_pinning () =
     cpu.Initiator.store
       ~vaddr:(Kernel.vdev_addr m ~index:0 ~offset:0)
       (Int32.of_int 4096);
-    let st =
-      Status.decode (cpu.Initiator.load ~vaddr:(Layout.proxy_of m.M.layout buf))
-    in
-    if not (Status.ok st) then failwith "report_pinning: initiation failed";
+    let st = cpu.Initiator.load ~vaddr:(Layout.proxy_of m.M.layout buf) in
+    if not Udma.Status.(ok (decode st)) then failwith "report_pinning: initiation failed";
     ignore (Kernel.alloc_buffer m hog ~bytes:4096);
     Scheduler.switch_to m p1;
     Engine.run_until_idle m.M.engine
@@ -197,14 +185,12 @@ let e7 =
 
 let report_proxy_faults () =
   let p = probe () in
-  let m, udma, _ = buffer_rig ~mem_pages:16 () in
-  watch p m.M.engine;
+  let m, udma, _ = buffer_rig ~mem_pages:16 p in
   let proc = Scheduler.spawn m ~name:"p" in
   grant_dev m proc ~pages:1;
   let costs = m.M.costs in
   let cpu = Kernel.user_cpu m proc in
-  let buf = Kernel.alloc_buffer m proc ~bytes:4096 in
-  Kernel.write_user m proc ~vaddr:buf (pattern 64);
+  let buf = pattern_buffer m proc ~bytes:4096 64 in
   let proxy = Layout.proxy_of m.M.layout buf in
   let timed f =
     let t0 = Engine.now m.M.engine in
@@ -220,7 +206,7 @@ let report_proxy_faults () =
   let upgrade =
     timed (fun () -> cpu.Initiator.store ~vaddr:proxy 64l)
   in
-  Udma_engine.invalidate udma;
+  Udma.Udma_engine.invalidate udma;
   (* paged out: evict buf, then touch its proxy (§6 case 2) *)
   let hog = Scheduler.spawn m ~name:"hog" in
   let rec force i =
@@ -269,8 +255,7 @@ let e8 =
 (* ------------------------------------------------------------------ *)
 
 let i3_run ~policy ~transfers ~pages p =
-  let m, _udma, _ = buffer_rig ~i3_policy:policy () in
-  watch p m.M.engine;
+  let m, _udma, _ = buffer_rig ~i3_policy:policy p in
   let page_size = Layout.page_size m.M.layout in
   let proc = Scheduler.spawn m ~name:"sink" in
   grant_dev m proc ~pages:1;
@@ -347,7 +332,7 @@ let e9 =
 
 (* The cycles [f] takes and the packets node 0 sends meanwhile. *)
 let counted sys (snd : System.node) f =
-  let sent () = Network_interface.packets_sent snd.System.ni in
+  let sent () = Udma_shrimp.Network_interface.packets_sent snd.System.ni in
   let sent0 = sent () and t0 = Engine.now (System.engine sys) in
   f ();
   let cycles = Engine.now (System.engine sys) - t0 in
@@ -360,8 +345,7 @@ let deliberate_updates ~offsets ~len p =
   let m = snd.System.machine in
   let export = System.export_buffer sys ~node:1 ~proc:rp ~pages:1 in
   System.import_export sys ~node:0 ~proc:sp ~first_index:0 export;
-  let buf = Kernel.alloc_buffer m sp ~bytes:4096 in
-  Kernel.write_user m sp ~vaddr:buf (pattern 4096);
+  let buf = pattern_buffer m sp ~bytes:4096 4096 in
   let cpu = Kernel.user_cpu m sp in
   let transfer off =
     ignore
@@ -381,8 +365,7 @@ let automatic_updates ~offsets ~len p =
   let sys, snd, sp, _, rp = node_pair p in
   let m = snd.System.machine in
   let export = System.export_buffer sys ~node:1 ~proc:rp ~pages:1 in
-  let buf = Kernel.alloc_buffer m sp ~bytes:4096 in
-  Kernel.write_user m sp ~vaddr:buf (pattern 4096);
+  let buf = pattern_buffer m sp ~bytes:4096 4096 in
   System.auto_bind sys ~node:0 ~proc:sp ~vaddr:buf export;
   let cpu = Kernel.user_cpu m sp in
   (* warm the TLB *)

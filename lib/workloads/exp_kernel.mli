@@ -3,14 +3,12 @@
     [report_*] functions are the entry points the tests call directly;
     an omitted argument takes the declared default. *)
 
-module Report = Udma_obs.Report
-
 (** {1 E6 — I1 atomicity under preemption} *)
 
 val e6 : Experiment.experiment
 
 val report_atomicity :
-  ?probs_pct:int list -> ?transfers:int -> ?seed:int -> unit -> Report.t
+  ?probs_pct:int list -> ?transfers:int -> ?seed:int -> unit -> Udma_obs.Report.t
 (** Per preemption probability: [retries], [avg_cycles] and the
     cross-process pairings observed ([violations], must be 0). [seed]
     (default 42) drives the preemption coin flips; the per-point RNG
@@ -24,7 +22,7 @@ val e7 : Experiment.experiment
 
 val e8 : Experiment.experiment
 
-val report_proxy_faults : unit -> Report.t
+val report_proxy_faults : unit -> Udma_obs.Report.t
 (** Cold (fault + mapping) vs. warm proxy references; the in-core,
     paged-out and illegal cases. *)
 
@@ -32,7 +30,7 @@ val report_proxy_faults : unit -> Report.t
 
 val e9 : Experiment.experiment
 
-val report_i3 : ?transfers:int -> ?pages:int -> unit -> Report.t
+val report_i3 : ?transfers:int -> ?pages:int -> unit -> Udma_obs.Report.t
 (** Incoming (device-to-memory) transfers across [pages] buffers with a
     page-cleaning daemon running between rounds, one row per policy
     ([Write_upgrade] then [Proxy_dirty_union]): [cycles],
@@ -43,7 +41,7 @@ val report_i3 : ?transfers:int -> ?pages:int -> unit -> Report.t
 
 val e10 : Experiment.experiment
 
-val report_updates : unit -> Report.t
+val report_updates : unit -> Udma_obs.Report.t
 (** Word-grain scattered updates vs bulk sequential writes, sent with
     a deliberate-update UDMA transfer per update vs snooped automatic
     update ([deliberate_cycles], [automatic_cycles],

@@ -5,6 +5,22 @@ module Load_gen = Udma_traffic.Load_gen
 module Sweep = Udma_traffic.Sweep
 open Experiment
 
+(* The result at a sweep's heaviest load; E12, E13 and E18 frame their
+   meta the same way: the mesh, then [fields], then the run. *)
+let heaviest o =
+  match List.rev o.Sweep.points with
+  | { Sweep.result; _ } :: _ -> result
+  | [] -> assert false (* Sweep.over rejects empty loads *)
+
+let mesh_meta (cfg : Load_gen.config) ~send_cycles fields =
+  (("nodes", vi cfg.nodes) :: ("width", vi (Router.mesh_width cfg.nodes)) :: fields)
+  @ [
+      ("send_cycles", vi send_cycles);
+      ("warmup_cycles", vi cfg.warmup_cycles);
+      ("window_cycles", vi cfg.window_cycles);
+      ("seed", vi cfg.seed);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* E11: traffic saturation sweep                                       *)
 (* ------------------------------------------------------------------ *)
@@ -27,11 +43,6 @@ let report_saturation ~loads ~domains (cfg : Load_gen.config) =
   let p = probe () in
   let sharded = Sweep.use_sharded ~domains cfg in
   let outcome = Sweep.over ~loads ~probe:(watch p) ~domains cfg in
-  let width =
-    match outcome.Sweep.points with
-    | { result; _ } :: _ -> result.Load_gen.width
-    | [] -> 0
-  in
   Report.make ~id:"e11_saturation"
     ~title:
       (Printf.sprintf
@@ -41,7 +52,7 @@ let report_saturation ~loads ~domains (cfg : Load_gen.config) =
     ~meta:
       ([
         ("nodes", vi cfg.nodes);
-        ("width", vi width);
+        ("width", vi (heaviest outcome).Load_gen.width);
         ("pattern", vs (Pattern.to_string cfg.pattern));
         ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi outcome.Sweep.send_cycles);
@@ -244,11 +255,6 @@ let report_adaptive ?loads ~patterns (cfg : Load_gen.config) =
         let dim = sweep pattern `Dimension_order in
         let ada = sweep pattern `Minimal_adaptive in
         send_cycles := dim.Sweep.send_cycles;
-        let wait_at_heaviest o =
-          match List.rev o.Sweep.points with
-          | { Sweep.result; _ } :: _ -> result.Load_gen.link_wait_cycles
-          | [] -> 0
-        in
         [
           ("pattern", vs (Pattern.to_string pattern));
           ("knee_dim", v_opt vf "none" dim.Sweep.knee_load);
@@ -257,12 +263,11 @@ let report_adaptive ?loads ~patterns (cfg : Load_gen.config) =
             match (dim.Sweep.knee_load, ada.Sweep.knee_load) with
             | Some d, Some a -> vf (a -. d)
             | _ -> vs "n/a" );
-          ("wait_dim", vi (wait_at_heaviest dim));
-          ("wait_adaptive", vi (wait_at_heaviest ada));
+          ("wait_dim", vi (heaviest dim).Load_gen.link_wait_cycles);
+          ("wait_adaptive", vi (heaviest ada).Load_gen.link_wait_cycles);
         ])
       patterns
   in
-  let width = Router.mesh_width cfg.nodes in
   Report.make ~id:"e12_adaptive"
     ~title:
       (Printf.sprintf
@@ -270,16 +275,8 @@ let report_adaptive ?loads ~patterns (cfg : Load_gen.config) =
           (saturation knee per pattern)"
          cfg.nodes)
     ~meta:
-      [
-        ("nodes", vi cfg.nodes);
-        ("width", vi width);
-        ("msg_bytes", vi cfg.msg_bytes);
-        ("link_per_word", vi cfg.link_per_word);
-        ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi cfg.warmup_cycles);
-        ("window_cycles", vi cfg.window_cycles);
-        ("seed", vi cfg.seed);
-      ]
+      (mesh_meta cfg ~send_cycles:!send_cycles
+         [ ("msg_bytes", vi cfg.msg_bytes); ("link_per_word", vi cfg.link_per_word) ])
     ~columns:
       [
         ("pattern", "pattern");
@@ -317,14 +314,11 @@ let e12 =
                 cfg;
             ]);
     exp_anchors =
-      [
-        anchor "e12.knee_dim@transpose" "e12_adaptive"
-          (Report.Row [ ("pattern", "transpose") ])
-          "knee_dim";
-        anchor "e12.knee_adaptive@transpose" "e12_adaptive"
-          (Report.Row [ ("pattern", "transpose") ])
-          "knee_adaptive";
-      ];
+      List.map
+        (fun field ->
+          anchor ("e12." ^ field ^ "@transpose") "e12_adaptive"
+            (Report.Row [ ("pattern", "transpose") ]) field)
+        [ "knee_dim"; "knee_adaptive" ];
   }
 
 (* E13: hotspot saturation vs virtual channels. The regime is E12's
@@ -353,11 +347,7 @@ let report_hotspot ?loads ~pcts ~vc_counts (cfg : Load_gen.config) =
                   pattern = Pattern.Hotspot { node = 0; pct }; vc_count = vcs }
             in
             send_cycles := o.Sweep.send_cycles;
-            let heaviest =
-              match List.rev o.Sweep.points with
-              | { Sweep.result; _ } :: _ -> result
-              | [] -> assert false (* Sweep.over rejects empty loads *)
-            in
+            let heaviest = heaviest o in
             [
               ("hot_pct", vi pct);
               ("vcs", vi vcs);
@@ -371,7 +361,6 @@ let report_hotspot ?loads ~pcts ~vc_counts (cfg : Load_gen.config) =
           vc_counts)
       pcts
   in
-  let width = Router.mesh_width cfg.nodes in
   Report.make ~id:"e13_hotspot"
     ~title:
       (Printf.sprintf
@@ -379,17 +368,12 @@ let report_hotspot ?loads ~pcts ~vc_counts (cfg : Load_gen.config) =
           (knee per hotspot share; stall columns at the heaviest load)"
          cfg.nodes)
     ~meta:
-      [
-        ("nodes", vi cfg.nodes);
-        ("width", vi width);
-        ("msg_bytes", vi cfg.msg_bytes);
-        ("link_per_word", vi cfg.link_per_word);
-        ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
-        ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi cfg.warmup_cycles);
-        ("window_cycles", vi cfg.window_cycles);
-        ("seed", vi cfg.seed);
-      ]
+      (mesh_meta cfg ~send_cycles:!send_cycles
+         [
+           ("msg_bytes", vi cfg.msg_bytes);
+           ("link_per_word", vi cfg.link_per_word);
+           ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
+         ])
     ~columns:
       [
         ("hot_pct", "hot %");
@@ -462,9 +446,7 @@ let report_flit ~load ~vc_counts (cfg : Load_gen.config) =
         { cfg with crossing; vc_count = vcs }
     in
     send_cycles := o.Sweep.send_cycles;
-    match o.Sweep.points with
-    | [ { Sweep.result; _ } ] -> result
-    | _ -> assert false (* one load in, one point out *)
+    heaviest o
   in
   let rows =
     List.map
@@ -492,7 +474,6 @@ let report_flit ~load ~vc_counts (cfg : Load_gen.config) =
         ])
       vc_counts
   in
-  let width = Router.mesh_width cfg.nodes in
   Report.make ~id:"e18_flit"
     ~title:
       (Printf.sprintf
@@ -501,20 +482,15 @@ let report_flit ~load ~vc_counts (cfg : Load_gen.config) =
           count)"
          cfg.nodes hot_pct load)
     ~meta:
-      [
-        ("nodes", vi cfg.nodes);
-        ("width", vi width);
-        ("hot_pct", vi hot_pct);
-        ("load", vf load);
-        ("msg_bytes", vi cfg.msg_bytes);
-        ("link_per_word", vi cfg.link_per_word);
-        ("flit_words", vi cfg.flit_words);
-        ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
-        ("send_cycles", vi !send_cycles);
-        ("warmup_cycles", vi cfg.warmup_cycles);
-        ("window_cycles", vi cfg.window_cycles);
-        ("seed", vi cfg.seed);
-      ]
+      (mesh_meta cfg ~send_cycles:!send_cycles
+         [
+           ("hot_pct", vi hot_pct);
+           ("load", vf load);
+           ("msg_bytes", vi cfg.msg_bytes);
+           ("link_per_word", vi cfg.link_per_word);
+           ("flit_words", vi cfg.flit_words);
+           ("rx_credits", v_opt vi "unlimited" cfg.rx_credits);
+         ])
     ~columns:
       [
         ("vcs", "VCs");

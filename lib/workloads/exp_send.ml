@@ -1,8 +1,6 @@
 module Engine = Udma_sim.Engine
 module Report = Udma_obs.Report
 module Layout = Udma_mmu.Layout
-module Bus = Udma_dma.Bus
-module Device = Udma_dma.Device
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
@@ -15,10 +13,6 @@ module Messaging = Udma_shrimp.Messaging
 module Pio_fifo = Udma_devices.Pio_fifo
 open Experiment
 
-(* ------------------------------------------------------------------ *)
-(* the 2-node channel rig of E1 and E4                                 *)
-(* ------------------------------------------------------------------ *)
-
 (* The largest message a channel between two default nodes carries: the
    channel takes one page more than the message and its flag word need,
    and it has the sender's device-proxy pages to take them from. *)
@@ -29,16 +23,15 @@ let channel_max =
 (* A channel from node 0 to node 1 big enough for [max_size] bytes, and a
    sender buffer holding the pattern: [(sys, channel, buffer, sender cpu,
    receiver cpu)]. *)
-let channel_rig ?config p ~max_size =
-  let sys, snd, sender, rcv, receiver = node_pair ?config p in
+let channel_rig ?mode p ~max_size =
+  let sys, snd, sender, rcv, receiver = node_pair ?mode p in
   let m = snd.System.machine in
   let page_size = Layout.page_size m.M.layout in
   let pages = ((max_size + 4) + page_size - 1) / page_size + 1 in
   let ch =
     Messaging.connect sys ~sender:(0, sender) ~receiver:(1, receiver) ~pages ()
   in
-  let buf = Kernel.alloc_buffer m sender ~bytes:(pages * page_size) in
-  Kernel.write_user m sender ~vaddr:buf (pattern max_size);
+  let buf = pattern_buffer m sender ~bytes:(pages * page_size) max_size in
   let cpu_snd = Kernel.user_cpu m sender in
   (sys, ch, buf, cpu_snd, Kernel.user_cpu rcv.System.machine receiver)
 
@@ -56,17 +49,9 @@ let figure8_messages = 32
 let report_figure8 ?(sizes = figure8_sizes) ?(messages = figure8_messages)
     ?(queued = false) () =
   let p = probe () in
-  let config =
-    if queued then
-      Some
-        { System.default_config with
-          System.machine =
-            { M.default_config with
-              M.udma_mode = Some (Udma_engine.Queued { depth = 8 }) } }
-    else None
-  in
+  let mode = if queued then Udma_engine.Queued { depth = 8 } else Udma_engine.Basic in
   let max_size = List.fold_left Int.max 4096 sizes in
-  let sys, ch, buf, cpu, _ = channel_rig ?config p ~max_size in
+  let sys, ch, buf, cpu, _ = channel_rig ~mode p ~max_size in
   let send nbytes =
     ok_or_fail Messaging.pp_send_error
       (Messaging.send_nowait ch cpu ~src_vaddr:buf ~nbytes ~pipelined:queued ())
@@ -130,8 +115,8 @@ let e1 =
             ~quick:[ 512; 1024; 4096; 16384 ]
             ~check:
               (List.find_map (fun s ->
-                   if s land 3 <> 0 then Some (Printf.sprintf "%d is not a 4-byte multiple" s)
-                   else within 4 channel_max s))
+                   if s land 3 = 0 then within 4 channel_max s
+                   else Some (Printf.sprintf "%d is not a 4-byte multiple" s)))
             figure8_sizes
         and+ messages =
           v "messages" Int ~docv:"N" ~doc:"Messages per size point." ~quick:8
@@ -151,14 +136,11 @@ let e1 =
             (fun queued -> report_figure8 ~sizes ~messages ~queued ())
             hardware);
     exp_anchors =
-      [
-        anchor "e1.pct_of_max@512B" "e1_figure8"
-          (Report.Row [ ("size", "512") ])
-          "pct_of_max";
-        anchor "e1.pct_of_max@4KB" "e1_figure8"
-          (Report.Row [ ("size", "4096") ])
-          "pct_of_max";
-      ];
+      List.map
+        (fun (at, size) ->
+          anchor ("e1.pct_of_max@" ^ at) "e1_figure8" (Report.Row [ ("size", size) ])
+            "pct_of_max")
+        [ ("512B", "512"); ("4KB", "4096") ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -167,12 +149,10 @@ let e1 =
 
 let report_costs () =
   let p = probe () in
-  let m, _udma, port = buffer_rig () in
-  watch p m.M.engine;
+  let m, _udma, port = buffer_rig p in
   let proc = Scheduler.spawn m ~name:"p" in
   grant_dev m proc ~pages:2;
-  let buf = Kernel.alloc_buffer m proc ~bytes:8192 in
-  Kernel.write_user m proc ~vaddr:buf (pattern 8192);
+  let buf = pattern_buffer m proc ~bytes:8192 8192 in
   let cpu = Kernel.user_cpu m proc in
   let src = Initiator.Memory buf in
   let dst = Initiator.Device (Kernel.vdev_addr m ~index:0 ~offset:0) in
@@ -251,14 +231,13 @@ let report_hippi ?(blocks = hippi_blocks) () =
   let m = M.create ~config:hippi_config () in
   watch p m.M.engine;
   let proc = Scheduler.spawn m ~name:"p" in
-  let port = Device.null "hippi" in
+  let port = Udma_dma.Device.null "hippi" in
   let max_block = List.fold_left Int.max 4096 blocks in
-  let buf = Kernel.alloc_buffer m proc ~bytes:max_block in
-  Kernel.write_user m proc ~vaddr:buf (pattern (Int.min max_block 65536));
+  let buf = pattern_buffer m proc ~bytes:max_block (Int.min max_block 65536) in
   let mhz = float_of_int m.M.costs.Cost_model.mhz in
   (* raw channel rate: one 4-byte word per [burst_word_cycles] *)
   let channel_mbps =
-    4.0 *. mhz /. float_of_int (Bus.timing m.M.bus).Bus.burst_word_cycles
+    4.0 *. mhz /. float_of_int Udma_dma.Bus.((timing m.M.bus).burst_word_cycles)
   in
   let rows =
     List.map
@@ -451,14 +430,12 @@ let e4 =
 (* ------------------------------------------------------------------ *)
 
 let one_big_transfer ~mode ~total p =
-  let m, _udma, _ = buffer_rig ~mode () in
-  watch p m.M.engine;
+  let m, _udma, _ = buffer_rig ~mode p in
   let proc = Scheduler.spawn m ~name:"p" in
   let page_size = Layout.page_size m.M.layout in
   let pages = (total + page_size - 1) / page_size in
   grant_dev m proc ~pages;
-  let buf = Kernel.alloc_buffer m proc ~bytes:total in
-  Kernel.write_user m proc ~vaddr:buf (pattern (Int.min total 65536));
+  let buf = pattern_buffer m proc ~bytes:total (Int.min total 65536) in
   let cpu = Kernel.user_cpu m proc in
   let src = Initiator.Memory buf in
   let dst = Initiator.Device (Kernel.vdev_addr m ~index:0 ~offset:0) in

@@ -3,14 +3,12 @@
     The [report_*] functions are the entry points the tests call
     directly; an omitted argument takes the declared default. *)
 
-module Report = Udma_obs.Report
-
 (** {1 E1 — Figure 8: deliberate-update bandwidth vs. message size} *)
 
 val e1 : Experiment.experiment
 
 val report_figure8 :
-  ?sizes:int list -> ?messages:int -> ?queued:bool -> unit -> Report.t
+  ?sizes:int list -> ?messages:int -> ?queued:bool -> unit -> Udma_obs.Report.t
 (** 2-node SHRIMP, back-to-back blocking sends of each size
     ([messages] per point), normalised to the maximum measured
     bandwidth, exactly as Figure 8: one row per size with
@@ -22,7 +20,7 @@ val report_figure8 :
 
 val e2 : Experiment.experiment
 
-val report_costs : unit -> Report.t
+val report_costs : unit -> Udma_obs.Report.t
 (** UDMA two-reference initiation vs. the traditional kernel paths
     (pin and copy strategies, 4 B and 4 KB), on the default profile:
     one [label]/[cycles]/[us] row per path. *)
@@ -31,7 +29,7 @@ val report_costs : unit -> Report.t
 
 val e3 : Experiment.experiment
 
-val report_hippi : ?blocks:int list -> unit -> Report.t
+val report_hippi : ?blocks:int list -> unit -> Udma_obs.Report.t
 (** Kernel-initiated DMA on the HIPPI cost profile over a ~96 MB/s
     channel; reproduces "2.7 MB/s at 1 KB" and the large-block
     requirement for 80 % utilisation ([block], [mbytes_per_s],
@@ -41,7 +39,7 @@ val report_hippi : ?blocks:int list -> unit -> Report.t
 
 val e4 : Experiment.experiment
 
-val report_crossover : ?sizes:int list -> ?trials:int -> unit -> Report.t
+val report_crossover : ?sizes:int list -> ?trials:int -> unit -> Udma_obs.Report.t
 (** One-way user-to-user latency per size ([udma_cycles],
     [pio_cycles], [winner]). *)
 
@@ -50,6 +48,6 @@ val report_crossover : ?sizes:int list -> ?trials:int -> unit -> Report.t
 val e5 : Experiment.experiment
 
 val report_queueing :
-  ?total_sizes:int list -> ?depths:int list -> unit -> Report.t
+  ?total_sizes:int list -> ?depths:int list -> unit -> Udma_obs.Report.t
 (** One multi-page transfer per total size: [basic_cycles] and one
     [depth_D] column per queue depth. *)

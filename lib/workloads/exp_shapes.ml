@@ -1,10 +1,7 @@
-module Engine = Udma_sim.Engine
 module Report = Udma_obs.Report
-module Layout = Udma_mmu.Layout
 module Initiator = Udma.Initiator
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
-module Scheduler = Udma_os.Scheduler
 module Kernel = Udma_os.Kernel
 open Experiment
 
@@ -32,13 +29,11 @@ let shape_label = function
    device page, so every element stays inside one page — the shape the
    per-element clamp admits whole. *)
 let run_shape ~mode ~total shape p =
-  let m, _udma, _ = buffer_rig ~mode () in
-  watch p m.M.engine;
-  let proc = Scheduler.spawn m ~name:"p" in
-  let page_size = Layout.page_size m.M.layout in
+  let m, _udma, _ = buffer_rig ~mode p in
+  let proc = Udma_os.Scheduler.spawn m ~name:"p" in
+  let page_size = Udma_mmu.Layout.page_size m.M.layout in
   grant_dev m proc ~pages:((total + page_size - 1) / page_size);
-  let buf = Kernel.alloc_buffer m proc ~bytes:total in
-  Kernel.write_user m proc ~vaddr:buf (pattern total);
+  let buf = pattern_buffer m proc ~bytes:total total in
   let cpu = Kernel.user_cpu m proc in
   let layout = m.M.layout in
   let dev off =
@@ -52,7 +47,7 @@ let run_shape ~mode ~total shape p =
   in
   (* warm every mapping the measured run touches *)
   whole false;
-  Engine.run_until_idle m.M.engine;
+  Udma_sim.Engine.run_until_idle m.M.engine;
   let queued =
     match mode with Udma_engine.Basic -> false | Udma_engine.Queued _ -> true
   in
@@ -103,7 +98,7 @@ let run_shape ~mode ~total shape p =
       in
       Option.iter await last);
   let cycles = cpu.Initiator.now () - start in
-  Engine.run_until_idle m.M.engine;
+  Udma_sim.Engine.run_until_idle m.M.engine;
   cycles
 
 let shapes_total =
@@ -218,15 +213,9 @@ let e15 =
         let+ total = shapes_total and+ cases = shape_cases in
         fun ~quick:_ ~seed:_ -> [ report_shapes ~total ~cases ]);
     exp_anchors =
-      [
-        anchor "e15.bpc@contig.basic" "e15_shapes"
-          (Report.Row [ ("shape", "contig") ])
-          "basic_bpc";
-        anchor "e15.bpc@sg256.basic" "e15_shapes"
-          (Report.Row [ ("shape", "sg256") ])
-          "basic_bpc";
-        anchor "e15.pct@sg256.basic" "e15_shapes"
-          (Report.Row [ ("shape", "sg256") ])
-          "basic_pct";
-      ];
+      List.map
+        (fun (field, shape) ->
+          anchor (Printf.sprintf "e15.%s@%s.basic" field shape) "e15_shapes"
+            (Report.Row [ ("shape", shape) ]) ("basic_" ^ field))
+        [ ("bpc", "contig"); ("bpc", "sg256"); ("pct", "sg256") ];
   }

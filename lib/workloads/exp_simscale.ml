@@ -1,5 +1,3 @@
-module Report = Udma_obs.Report
-module Arrival = Udma_traffic.Arrival
 module Load_gen = Udma_traffic.Load_gen
 module Shard_gen = Udma_traffic.Shard_gen
 open Experiment
@@ -22,7 +20,7 @@ let report_simscale ~load ~domains_list (cfg : Load_gen.config) =
   if domains_list = [] then invalid_arg "report_simscale: empty domains list";
   let send_cycles = Load_gen.calibrate ~msg_bytes:cfg.msg_bytes () in
   let per_kcycle = load *. 1000.0 /. float_of_int send_cycles in
-  let cfg = { cfg with arrival = Arrival.Poisson { per_kcycle } } in
+  let cfg = { cfg with arrival = Udma_traffic.Arrival.Poisson { per_kcycle } } in
   let runs =
     List.map
       (fun domains ->
@@ -36,22 +34,11 @@ let report_simscale ~load ~domains_list (cfg : Load_gen.config) =
     (ks.Shard_gen.events, ks.Shard_gen.windows, ks.Shard_gen.cross_posts,
      r.Load_gen.injected, r.Load_gen.delivered, r.Load_gen.latencies)
   in
+  let _, r0, k0, base_wall = List.hd runs (* one run per domain count *) in
   let deterministic =
-    match runs with
-    | [] -> true
-    | (_, r0, k0, _) :: rest ->
-        let f0 = fingerprint r0 k0 in
-        List.for_all (fun (_, r, k, _) -> fingerprint r k = f0) rest
+    List.for_all (fun (_, r, k, _) -> fingerprint r k = fingerprint r0 k0) runs
   in
-  let base_wall =
-    match runs with (_, _, _, w) :: _ -> w | [] -> 0.0
-  in
-  let width =
-    match runs with
-    | (_, r, _, _) :: _ -> r.Load_gen.width
-    | [] -> 0
-  in
-  Report.make ~id:"e17_simscale"
+  Udma_obs.Report.make ~id:"e17_simscale"
     ~title:
       (Printf.sprintf
          "E17: sharded engine throughput — events/sec vs worker domains, \
@@ -59,7 +46,7 @@ let report_simscale ~load ~domains_list (cfg : Load_gen.config) =
     ~meta:
       [
         ("nodes", vi cfg.nodes);
-        ("width", vi width);
+        ("width", vi r0.Load_gen.width);
         ("load", vf load);
         ("msg_bytes", vi cfg.msg_bytes);
         ("send_cycles", vi send_cycles);

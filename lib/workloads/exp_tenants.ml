@@ -1,7 +1,6 @@
 module Report = Udma_obs.Report
 module Backend = Udma_protect.Backend
 module Tenants = Udma_protect.Tenants
-module Sweep = Udma_traffic.Sweep
 open Experiment
 
 (* E14: multi-tenant protection backends. Tenant counts sweep from
@@ -25,7 +24,8 @@ let e14_tenants = Tenants.default_config
 
 let report_tenants ~tenant_counts ~kinds (cfg : Tenants.config) =
   (* rates the model refuses stop the sweep before any point runs *)
-  Result.iter_error (fun msg -> raise (Sweep.Invalid_config msg)) (Tenants.validate cfg);
+  Result.iter_error (fun msg -> raise (Udma_traffic.Sweep.Invalid_config msg))
+    (Tenants.validate cfg);
   let rows =
     List.concat_map
       (fun kind ->

@@ -1,13 +1,9 @@
 module Engine = Udma_sim.Engine
-module Profiler = Udma_obs.Profiler
 module Report = Udma_obs.Report
-module Layout = Udma_mmu.Layout
-module Device = Udma_dma.Device
 module Udma_engine = Udma.Udma_engine
 module M = Udma_os.Machine
 module Scheduler = Udma_os.Scheduler
 module Syscall = Udma_os.Syscall
-module Cost_model = Udma_os.Cost_model
 module System = Udma_shrimp.System
 
 type experiment = {
@@ -29,8 +25,8 @@ let watch p engine =
 
 let breakdown p =
   List.fold_left
-    (fun acc e -> Profiler.add_totals acc (Engine.profile e))
-    Profiler.zero p.engines
+    (fun acc e -> Udma_obs.Profiler.add_totals acc (Engine.profile e))
+    Udma_obs.Profiler.zero p.engines
 
 let vi n = Report.Int n
 let vf x = Report.Float x
@@ -51,21 +47,22 @@ let ok_or_fail pp = function
   | Ok x -> x
   | Error e -> failwith (Format.asprintf "%a" pp e)
 
-let pattern n = Bytes.init n (fun i -> Char.chr (i land 0xff))
-
-(* ------------------------------------------------------------------ *)
-(* shared single-node rig: machine + UDMA + one buffer device          *)
-(* ------------------------------------------------------------------ *)
+let pattern_buffer m proc ~bytes fill =
+  let buf = Udma_os.Kernel.alloc_buffer m proc ~bytes in
+  Udma_os.Kernel.write_user m proc ~vaddr:buf
+    (Bytes.init fill (fun i -> Char.chr (i land 0xff)));
+  buf
 
 let buffer_rig ?(mode = Udma_engine.Basic) ?(mem_pages = 128)
-    ?(i3_policy = M.default_config.M.i3_policy) () =
+    ?(i3_policy = M.default_config.M.i3_policy) p =
   let config =
     { M.default_config with M.udma_mode = Some mode; mem_pages; i3_policy }
   in
   let m = M.create ~config () in
+  watch p m.M.engine;
   let udma = Option.get m.M.udma in
   let pages = config.M.dev_pages in
-  let port, _ = Device.buffer "dev" ~size:(pages * Layout.page_size m.M.layout) in
+  let port, _ = Udma_dma.Device.buffer "dev" ~size:(pages * config.M.page_size) in
   Udma_engine.attach_device udma ~base_page:0 ~pages ~port ();
   (m, udma, port)
 
@@ -75,12 +72,9 @@ let grant_dev m proc ~pages =
       (Syscall.map_device_proxy m proc ~vdev_index:i ~pdev_index:i ~writable:true)
   done
 
-(* ------------------------------------------------------------------ *)
-(* shared 2-node rig: E1, E4 and E10                                   *)
-(* ------------------------------------------------------------------ *)
-
-let node_pair ?config p =
-  let sys = System.create ?config ~nodes:2 () in
+let node_pair ?(mode = Udma_engine.Basic) p =
+  let machine = { M.default_config with M.udma_mode = Some mode } in
+  let sys = System.create ~config:{ System.default_config with machine } ~nodes:2 () in
   watch p (System.engine sys);
   let snd = System.node sys 0 and rcv = System.node sys 1 in
   let sender = Scheduler.spawn snd.System.machine ~name:"s" in
@@ -90,7 +84,7 @@ let cost_row costs label cycles =
   [
     ("label", vs label);
     ("cycles", vi cycles);
-    ("us", vf (Cost_model.us_of_cycles costs cycles));
+    ("us", vf (Udma_os.Cost_model.us_of_cycles costs cycles));
   ]
 
 let cost_columns = [ ("label", "path"); ("cycles", "cycles"); ("us", "us") ]

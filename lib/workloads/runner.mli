@@ -1,16 +1,7 @@
-(** The experiment registry — one entry per paper table/figure (see
-    DESIGN.md §4 for the index).
-
-    Each experiment is declared once, as an {!Experiment.experiment}
-    record in its group's module ({!Exp_send}, {!Exp_kernel},
-    {!Exp_mesh}, {!Exp_tenants}, {!Exp_shapes}, {!Exp_apps},
-    {!Exp_simscale}): its command name and eN alias, its typed
-    parameters ({!Param}: flag, doc, default and [--quick] value), the
-    one function that runs it, and the anchors CI checks on its
-    output. Every [bin/shrimp_sim.exe] experiment command, [all] and
-    its [--check] anchor gate derive from this list. Each run returns
-    {!Udma_obs.Report.t}s: rows, parameters and a cycle breakdown, from
-    which the paper-style table and the JSON document both derive. *)
+(** The experiment registry (DESIGN.md §4 has the index). Each
+    experiment is one {!Experiment.experiment} record, declared in its
+    group's module; every [bin/shrimp_sim.exe] experiment command,
+    [all] and its [--check] anchor gate derive from this list. *)
 
 val experiments : Experiment.experiment list
 (** The experiment registry, E1 to E18 in order. *)

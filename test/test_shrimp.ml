@@ -1342,7 +1342,12 @@ let test_pool_refuses_double_return () =
   checkb "no second owner" false (b2 == b);
   Payload_pool.give pool (Bytes.create (Payload_pool.min_bytes - 4));
   checki "short buffers are not kept" 0 (Payload_pool.held pool);
-  checki "exact length" 8192 (Bytes.length (Payload_pool.take pool 8192))
+  (* a kept buffer of another length is not handed out *)
+  Payload_pool.give pool b;
+  let big = Payload_pool.take pool 8192 in
+  checki "exact length" 8192 (Bytes.length big);
+  checkb "a fresh buffer" false (big == b);
+  checki "the 4096-byte buffer stays" 1 (Payload_pool.held pool)
 
 let test_receive_marks_dirty () =
   let sys, snd, rcv, sp, rp = two_nodes () in
