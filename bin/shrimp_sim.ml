@@ -349,34 +349,6 @@ let chaos_cmd =
       & info [ "replay" ] ~docv:"SEED"
           ~doc:"Replay one seed and print its full schedule (and trace).")
   in
-  let mutate =
-    let inv_conv =
-      Arg.enum
-        [
-          ("i1", `I1); ("i2", `I2); ("i3", `I3); ("i4", `I4);
-          ("n1", `N1); ("n2", `N2); ("f1", `F1); ("f2", `F2);
-          ("p1", `P1); ("p2", `P2); ("d1", `D1);
-        ]
-    in
-    Arg.(
-      value
-      & opt (some inv_conv) None
-      & info [ "mutate" ] ~docv:"INVARIANT"
-          ~doc:
-            "Disable the kernel action maintaining this invariant \
-             (deliberate bug); the sweep is then expected to find \
-             violations, and the first is reported shrunk. $(b,n1) \
-             (credit leak) and $(b,n2) (stuck arbiter) plant router \
-             bugs, $(b,f1) (flit leaked on a dead-link retry) and \
-             $(b,f2) (arbiter double-grant past the credit check) \
-             plant flit-crossing bugs the F1 conservation oracle must \
-             catch, $(b,p1) (owner check skipped) and $(b,p2) (stale \
-             datapath entry after teardown) plant protection-backend \
-             bugs the I5 oracle must catch, and $(b,d1) (per-element \
-             page clamp skipped on shaped transfers) plants a \
-             DMA-frontend bug the I4 oracle must catch; all seven are \
-             meant for $(b,--mesh) sweeps.")
-  in
   let mesh =
     Arg.(
       value & flag
@@ -391,17 +363,21 @@ let chaos_cmd =
              backends) and the router's credit (N1), arbitration (N2) \
              and flit-conservation (F1) oracles after every action.")
   in
-  let run c seeds start steps replay mutate mesh =
+  let run c seeds start steps replay mesh =
+    List.iter
+      (fun (flag, n) ->
+        if n < 0 then begin
+          prerr_endline (Printf.sprintf "chaos: --%s must be >= 0, not %d" flag n);
+          exit 2
+        end)
+      [ ("seeds", seeds); ("steps", steps) ];
     if c.trace then Trace.set_global_sink (Some (Event.jsonl_sink stderr));
-    let skip_invariant = mutate in
     let finish () = Trace.set_global_sink None in
     (* The single-machine and mesh sweeps differ only in their scenario
-       and in the wording of the clean and planted-bug lines. *)
-    let chaos sc ~clean ~planted =
+       and in the wording of the clean line. *)
+    let chaos sc ~clean =
       let name = sc.Chaos.prefix ^ "chaos sweep" in
-      let report f =
-        Chaos.report sc ?skip_invariant (Chaos.shrink sc ?skip_invariant f)
-      in
+      let report f = Chaos.report sc (Chaos.shrink sc f) in
       with_out c (fun oc ->
           let ppf = Format.formatter_of_out_channel oc in
           match replay with
@@ -413,7 +389,7 @@ let chaos_cmd =
                 (fun i a ->
                   Format.fprintf ppf "  %2d. %a@." i sc.Chaos.pp_action a)
                 plan.Chaos.actions;
-              match Chaos.run_plan sc ?skip_invariant plan with
+              match Chaos.run_plan sc plan with
               | Chaos.Pass ->
                   Format.fprintf ppf "no invariant violation.@.";
                   finish ();
@@ -421,37 +397,23 @@ let chaos_cmd =
               | Chaos.Fail f ->
                   output_string oc (report f);
                   finish ();
-                  exit (if mutate = None then 1 else 0))
+                  exit 1)
           | None -> (
-              match
-                (Chaos.sweep sc ?skip_invariant ~steps ~start ~seeds (), mutate)
-              with
-              | [], None ->
+              match Chaos.sweep sc ~steps ~start ~seeds () with
+              | [] ->
                   Format.fprintf ppf
                     "%s: %d seeds x %d steps, no %s violation.@." name seeds
                     steps clean;
                   finish ()
-              | [], Some inv ->
-                  Format.fprintf ppf
-                    "%s with %a disabled found no violation in %d seeds — \
-                     the oracles missed a planted bug!@."
-                    name Udma_os.Machine.pp_invariant inv seeds;
-                  finish ();
-                  exit 1
-              | (f :: _ as failures), _ ->
-                  Format.fprintf ppf
-                    "%s: %d of %d seeds violated an invariant%s@." name
-                    (List.length failures) seeds
-                    (match mutate with
-                    | Some _ ->
-                        Printf.sprintf " (expected: %s was planted)" planted
-                    | None -> "");
+              | f :: _ as failures ->
+                  Format.fprintf ppf "%s: %d of %d seeds violated an invariant@."
+                    name (List.length failures) seeds;
                   output_string oc (report f);
                   finish ();
-                  if mutate = None then exit 1))
+                  exit 1))
     in
-    if mesh then chaos Chaos.mesh ~clean:"I1-I5/N1-N2/F1" ~planted:"a bug"
-    else chaos Chaos.node ~clean:"I1-I4" ~planted:"a kernel bug"
+    if mesh then chaos Chaos.mesh ~clean:"I1-I5/N1-N2/F1"
+    else chaos Chaos.node ~clean:"I1-I4"
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -464,7 +426,7 @@ let chaos_cmd =
           virtual-channel credit (N1), arbitration (N2) and \
           flit-conservation (F1) oracles.")
     Term.(
-      const run $ common_term $ seeds $ start $ steps $ replay $ mutate $ mesh)
+      const run $ common_term $ seeds $ start $ steps $ replay $ mesh)
 
 let () =
   let info =

@@ -37,7 +37,7 @@ type ('s, 'a) scenario = {
   prefix : string;
   gen : int -> 's * (unit -> 'a);
   seed_of : 's -> int;
-  build : ?skip_invariant:M.invariant -> trace:bool -> 's -> 'a system;
+  build : trace:bool -> 's -> 'a system;
   pp_setup : Format.formatter -> 's -> unit;
   pp_action : Format.formatter -> 'a -> unit;
 }
@@ -56,8 +56,8 @@ let benign_exn = function
 (* Run [plan] from a fresh system: the oracles after every action, then
    a final drain (leftover transfers must complete cleanly). Returns the
    first (step, violation), if any, and the system for its trace. *)
-let execute sc ?skip_invariant ?(trace = false) plan =
-  let sys = sc.build ?skip_invariant ~trace plan.setup in
+let execute sc ~trace plan =
+  let sys = sc.build ~trace plan.setup in
   let guard f = try f () with Oracle.Violation v -> Some v in
   let rec go i = function
     | [] ->
@@ -74,31 +74,28 @@ let execute sc ?skip_invariant ?(trace = false) plan =
   in
   (go 0 plan.actions, sys)
 
-let run_plan sc ?skip_invariant ?trace plan =
-  match fst (execute sc ?skip_invariant ?trace plan) with
+let run_plan sc plan =
+  match fst (execute sc ~trace:false plan) with
   | None -> Pass
   | Some (step, violation) -> Fail { plan; step; violation }
 
-let run_seed sc ?skip_invariant ?steps seed =
-  run_plan sc ?skip_invariant (plan_of_seed sc ?steps seed)
+let run_seed sc ?steps seed =
+  run_plan sc (plan_of_seed sc ?steps seed)
 
-let sweep sc ?skip_invariant ?steps ?(start = 0) ~seeds () =
+let sweep sc ?steps ?(start = 0) ~seeds () =
   List.filter_map
     (fun seed ->
-      match run_seed sc ?skip_invariant ?steps seed with
+      match run_seed sc ?steps seed with
       | Pass -> None
       | Fail f -> Some f)
     (List.init seeds (fun i -> start + i))
 
-let first_failure sc ?skip_invariant ?steps ?(start = 0) ~seeds () =
+let first_failure sc ~seeds =
   let rec go seed =
-    if seed >= start + seeds then None
-    else
-      match run_seed sc ?skip_invariant ?steps seed with
-      | Pass -> go (seed + 1)
-      | Fail f -> Some f
+    if seed >= seeds then None
+    else match run_seed sc seed with Pass -> go (seed + 1) | Fail f -> Some f
   in
-  go start
+  go 0
 
 (* ---------- shrinking ---------- *)
 
@@ -109,7 +106,7 @@ let failing_prefix f =
   let actions = prefix (f.step + 1) f.plan.actions in
   { f with plan = { f.plan with actions } }
 
-let shrink sc ?skip_invariant f =
+let shrink sc f =
   let inv = f.violation.Oracle.invariant in
   (* greedy deletion of each action before the failing one (every
      action, when the final drain fails); on success keep only the
@@ -119,7 +116,7 @@ let shrink sc ?skip_invariant f =
     if i >= best.step then best
     else
       let actions = List.filteri (fun j _ -> j <> i) best.plan.actions in
-      match run_plan sc ?skip_invariant { best.plan with actions } with
+      match run_plan sc { best.plan with actions } with
       | Fail g when g.violation.Oracle.invariant = inv ->
           del i (failing_prefix g)
       | Pass | Fail _ -> del (i + 1) best
@@ -128,14 +125,14 @@ let shrink sc ?skip_invariant f =
 
 (* ---------- replay + report ---------- *)
 
-let replay_trace sc ?skip_invariant plan =
-  (snd (execute sc ?skip_invariant ~trace:true plan)).events ()
+let replay_trace sc plan =
+  (snd (execute sc ~trace:true plan)).events ()
 
 let last n l =
   let len = List.length l in
   if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
 
-let report sc ?skip_invariant f =
+let report sc f =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "%schaos failure: seed %d, %d-step schedule@." sc.prefix
@@ -151,7 +148,7 @@ let report sc ?skip_invariant f =
     f.plan.actions;
   if f.step = List.length f.plan.actions then
     Format.fprintf ppf "        final drain   <- violation detected here@.";
-  let tail = last 12 (replay_trace sc ?skip_invariant f.plan) in
+  let tail = last 12 (replay_trace sc f.plan) in
   if tail <> [] then begin
     Format.fprintf ppf "  trace tail of the replay:@.";
     List.iter
@@ -332,7 +329,7 @@ type ctx = {
 let dev_slots = 8
 let max_pages_per_proc = 12
 
-let build ?skip_invariant ~trace setup =
+let build ~trace setup =
   let config =
     { M.default_config with
       M.mem_pages = setup.mem_pages;
@@ -348,7 +345,7 @@ let build ?skip_invariant ~trace setup =
       trace_enabled = trace;
     }
   in
-  let m = M.create ~config ?skip_invariant () in
+  let m = M.create ~config () in
   let udma = Option.get m.M.udma in
   let flaky = ref false in
   let port, _store = Device.buffer "chaos-dev" ~size:(dev_slots * 4096) in
@@ -531,8 +528,8 @@ let node =
     gen = node_gen;
     seed_of = (fun s -> s.seed);
     build =
-      (fun ?skip_invariant ~trace setup ->
-        let ctx = build ?skip_invariant ~trace setup in
+      (fun ~trace setup ->
+        let ctx = build ~trace setup in
         { apply = apply ctx;
           check = (fun () -> Oracle.check_now ctx.m);
           drain = (fun () -> Engine.run_until_idle ctx.m.M.engine);
@@ -719,7 +716,7 @@ let mesh_gen seed =
   (* the flit-crossing draws come from a second stream so that adding
      them did not perturb the main stream — every pre-flit seed still
      produces the same nodes/contention/.../action sequence, keeping
-     the committed N1/N2/P1/P2/D1 64-seed catch guarantees intact *)
+     the planted bugs' 64-seed catches intact *)
   let frng = Rng.create (seed lxor 0xf117) in
   (* half-initiated pairs come from a third stream for the same reason:
      the main stream's action sequence stays as it was, and a half pair
@@ -780,7 +777,7 @@ let at_node violation i =
     Oracle.detail =
       Printf.sprintf "node %d: %s" i violation.Oracle.detail }
 
-let mesh_build ?skip_invariant setup =
+let mesh_build setup =
   let flit = setup.mesh_crossing = `Flit in
   let config =
     { System.default_config with
@@ -800,7 +797,7 @@ let mesh_build ?skip_invariant setup =
           Router.crossing = setup.mesh_crossing;
           Router.flit_words = setup.mesh_flit_words } }
   in
-  let sys = System.create ~config ?skip_invariant ~nodes:setup.mesh_nodes () in
+  let sys = System.create ~config ~nodes:setup.mesh_nodes () in
   let nodes = setup.mesh_nodes in
   let mesh_procs =
     Array.init nodes (fun i ->
@@ -832,16 +829,8 @@ let mesh_build ?skip_invariant setup =
             Kernel.alloc_buffer m mesh_procs.(i) ~bytes:4096))
   in
   (* Shadow IOMMU/capability backends mirror the proxy grants the
-     channel setup just installed, under the same planted bug (if
-     any), so every design faces the same rogue probes. *)
-  let backend_mutation =
-    match skip_invariant with
-    | Some `P1 -> Some (Backend.Owner_skip 0)
-    | Some `P2 -> Some Backend.Stale_revoke
-    | Some (`I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 | `F2 | `D1)
-    | None ->
-        None
-  in
+     channel setup just installed, so every design faces the same
+     rogue probes. *)
   let mesh_shadows =
     Array.init nodes (fun i ->
         let ni_backend = Ni.backend (System.node sys i).System.ni in
@@ -854,7 +843,6 @@ let mesh_build ?skip_invariant setup =
                 ignore (Backend.grant b ~owner ~index ~dst_node ~dst_frame)
             | None -> ()
           done;
-          Backend.set_mutation b backend_mutation;
           b
         in
         (mirror Backend.Iommu, mirror Backend.Capability))
@@ -897,7 +885,8 @@ let mesh_apply ctx action =
          node's last (highest-frame) buffer: elements 2..4 stride past
          the source page. Fire-and-forget so the post-action check
          observes the request while it is outstanding — that is the
-         window in which D1's unauthorized frame references exist. *)
+         window in which an unclamped element's frame references would
+         exist. *)
       let m = machine src in
       let cpu = Kernel.user_cpu m ctx.mesh_procs.(src) in
       let bufs = ctx.mesh_bufs.(src) in
@@ -1012,8 +1001,8 @@ let mesh =
     gen = mesh_gen;
     seed_of = (fun s -> s.mesh_seed);
     build =
-      (fun ?skip_invariant ~trace:_ setup ->
-        let ctx = mesh_build ?skip_invariant setup in
+      (fun ~trace:_ setup ->
+        let ctx = mesh_build setup in
         { apply = mesh_apply ctx;
           check = mesh_check ctx;
           drain = (fun () -> System.run_until_idle ctx.sys);

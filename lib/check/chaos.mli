@@ -54,10 +54,9 @@ type ('s, 'a) scenario = {
   gen : int -> 's * (unit -> 'a);
       (** a seed's setup, and the generator of its actions *)
   seed_of : 's -> int;
-  build :
-    ?skip_invariant:Udma_os.Machine.invariant -> trace:bool -> 's -> 'a system;
-      (** a fresh system; [skip_invariant] plants one bug, [trace]
-          records the trace that {!report} prints the tail of *)
+  build : trace:bool -> 's -> 'a system;
+      (** a fresh system; [trace] records the trace that {!report}
+          prints the tail of *)
   pp_setup : Format.formatter -> 's -> unit;
   pp_action : Format.formatter -> 'a -> unit;
 }
@@ -66,35 +65,27 @@ val plan_of_seed : ('s, 'a) scenario -> ?steps:int -> int -> ('s, 'a) plan
 (** [plan_of_seed sc seed] derives the full experiment ([steps] actions,
     default 40) from one integer. *)
 
-val run_plan :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ?trace:bool -> ('s, 'a) plan -> ('s, 'a) outcome
-(** Execute a plan from scratch: the scenario's check after every
-    action, then its final drain and check. Deterministic: the same
-    plan (and [skip_invariant]) always produces the same outcome.
-    [trace] (default false) builds the system with tracing enabled. *)
+val run_plan : ('s, 'a) scenario -> ('s, 'a) plan -> ('s, 'a) outcome
+(** Execute a plan from scratch, untraced: the scenario's check after
+    every action, then its final drain and check. Deterministic: the
+    same plan always produces the same outcome. *)
 
 val sweep :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> ?start:int -> seeds:int -> unit -> ('s, 'a) failure list
+  ('s, 'a) scenario -> ?steps:int -> ?start:int -> seeds:int -> unit ->
+  ('s, 'a) failure list
 (** Run seeds [start .. start+seeds-1] (default [start = 0]); collect
     every failure. *)
 
-val first_failure :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ?steps:int -> ?start:int -> seeds:int -> unit -> ('s, 'a) failure option
-(** Like {!sweep} but stops at the first failing seed. *)
+val first_failure : ('s, 'a) scenario -> seeds:int -> ('s, 'a) failure option
+(** Like {!sweep} from seed 0 with default steps, but stops at the
+    first failing seed. *)
 
-val shrink :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ('s, 'a) failure -> ('s, 'a) failure
+val shrink : ('s, 'a) scenario -> ('s, 'a) failure -> ('s, 'a) failure
 (** Truncate the schedule to the failing prefix, then greedily delete
     earlier actions while the plan still fails with the {e same}
     invariant. The result's plan is the minimized schedule. *)
 
-val report :
-  ('s, 'a) scenario -> ?skip_invariant:Udma_os.Machine.invariant ->
-  ('s, 'a) failure -> string
+val report : ('s, 'a) scenario -> ('s, 'a) failure -> string
 (** Human-readable repro recipe: seed, violated invariant, setup, the
     (ideally shrunk) schedule, and the tail of a traced replay if the
     scenario records one. *)
@@ -201,9 +192,9 @@ type mesh_action =
       (** fire-and-forget strided initiation on the (src,dst) channel
           whose tail elements stride past the source page: legal
           hardware clamps each element to its own page, so only the
-          in-page head transfers; under the planted [`D1] bug the
-          overflow elements reference frames the proxy never named,
-          which the I4 oracle flags while the transfer is in flight *)
+          in-page head transfers; hardware that skipped the clamp
+          would reference frames the proxy never named, which the I4
+          oracle flags while the transfer is in flight *)
   | M_half_pair of { node : int; page : int; nbytes : int }
       (** the STORE half of a device-to-memory pair: the node's engine
           latches buffer [page] as a memory DESTINATION. The next

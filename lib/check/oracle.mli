@@ -52,5 +52,6 @@ val check_i5 : Udma_protect.Backend.t -> violation option
     datapath-visible decode entry (NIPT / IOTLB / capability) is
     backed by a live grant, and no journalled authorization paired a
     tenant with a page it does not own or whose grant was already
-    revoked. Catches the planted [`P1] (owner check skipped) and
-    [`P2] (stale entry survives teardown) bugs. *)
+    revoked. The two planted protection bugs of [test/mutants/] (an
+    owner check skipped on one page, a datapath entry left alive by
+    teardown) must both surface here. *)

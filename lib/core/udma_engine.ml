@@ -51,7 +51,6 @@ type t = {
   layout : Layout.t;
   dma_engine : Dma_engine.t;
   mode : mode;
-  skip_clamp : bool; (* D1 mutation: drop the per-element page clamp *)
   trace : Trace.t;
   m_initiations : Metrics.counter;
   m_completions : Metrics.counter;
@@ -104,10 +103,10 @@ let add_ref t frame delta =
   t.refcounts.(frame) <- c
 
 (* Count [delta] once per element for every frame the element's
-   memory side touches: its whole range, so an unclamped (mutated)
-   transfer is accounted honestly and I4 can see it. Clamped elements
-   each touch one frame, so an affine side whose elements all lie in
-   one frame counts them in one step. *)
+   memory side touches: its whole range, so a transfer that escaped
+   the page clamp would still be accounted honestly and I4 would see
+   it. Clamped elements each touch one frame, so an affine side whose
+   elements all lie in one frame counts them in one step. *)
 let count_refs t r delta =
   let page_size = Layout.page_size t.layout in
   let range a len =
@@ -316,14 +315,11 @@ let strided_pieces t ~src_proxy ~dest ~stride ~chunk =
   let room a = page_size - (a mod page_size) in
   let room_src = room src_proxy and room_dst = room dest.Sm.dest_proxy in
   let kept i =
-    if t.skip_clamp then piece i
-    else Int.min (piece i) (Int.min (room_src - (i * stride)) (room_dst - (i * chunk)))
+    Int.min (piece i) (Int.min (room_src - (i * stride)) (room_dst - (i * chunk)))
   in
   let count =
-    if t.skip_clamp then reps
-    else
-      let src_reach = if stride = 0 then reps else (room_src + stride - 1) / stride in
-      Int.min reps (Int.min src_reach ((room_dst + chunk - 1) / chunk))
+    let src_reach = if stride = 0 then reps else (room_src + stride - 1) / stride in
+    Int.min reps (Int.min src_reach ((room_dst + chunk - 1) / chunk))
   in
   if count >= 2 && kept (count - 2) < chunk then
     Listed
@@ -336,8 +332,7 @@ let strided_pieces t ~src_proxy ~dest ~stride ~chunk =
 let gather_pieces t ~src_proxy ~dest rev_elems =
   let page_size = Layout.page_size t.layout in
   let confine ~base addr len =
-    if t.skip_clamp then len
-    else if addr / page_size <> base / page_size then 0
+    if addr / page_size <> base / page_size then 0
     else Frontend.clamp_to_page ~page_size ~addr len
   in
   let others = List.rev rev_elems in
@@ -781,7 +776,7 @@ let counters t =
 
 let set_start_hook t hook = t.start_hook <- Some hook
 
-let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
+let create ~engine ~layout ~bus ~dma ?(mode = Basic)
     ?(trace = Trace.create ~enabled:false ())
     ?(metrics = Metrics.create ()) () =
   (match mode with
@@ -795,7 +790,6 @@ let create ~engine ~layout ~bus ~dma ?(mode = Basic) ?(skip_clamp = false)
       layout;
       dma_engine = dma;
       mode;
-      skip_clamp;
       trace;
       m_initiations = counter "udma.initiations";
       m_completions = counter "udma.completions";

@@ -31,17 +31,13 @@ val create :
   bus:Udma_dma.Bus.t ->
   dma:Udma_dma.Dma_engine.t ->
   ?mode:mode ->
-  ?skip_clamp:bool ->
   ?trace:Udma_sim.Trace.t ->
   ?metrics:Udma_obs.Metrics.t ->
   unit ->
   t
 (** Creates the engine and registers its I/O ranges (the whole memory
     proxy region and the whole device proxy region) on [bus]. [mode]
-    defaults to [Basic]. [skip_clamp] is the planted D1 mutation: the
-    per-element page clamp is dropped, so a shaped (or oversized flat)
-    initiation reaches frames its references never authorized — the
-    chaos mesh must catch this through I1/I4. [trace] receives typed
+    defaults to [Basic]. [trace] receives typed
     events (proxy references, state-machine transitions, queue
     traffic); [metrics] holds the engine's counts under [udma.*]
     names, which {!counters} reads back, and records the

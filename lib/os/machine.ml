@@ -13,8 +13,7 @@ module Udma_engine = Udma.Udma_engine
 
 type i3_policy = Write_upgrade | Proxy_dirty_union
 
-type invariant =
-  [ `I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 | `F2 | `P1 | `P2 | `D1 ]
+type invariant = [ `I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 ]
 
 let invariant_name = function
   | `I1 -> "I1"
@@ -25,10 +24,6 @@ let invariant_name = function
   | `N1 -> "N1"
   | `N2 -> "N2"
   | `F1 -> "F1"
-  | `F2 -> "F2"
-  | `P1 -> "P1"
-  | `P2 -> "P2"
-  | `D1 -> "D1"
 
 let pp_invariant ppf inv = Format.pp_print_string ppf (invariant_name inv)
 
@@ -80,7 +75,6 @@ type t = {
   pinned : (int, int) Hashtbl.t;
   mutable clock_hand : int;
   mutable preempt_hook : (t -> bool) option;
-  mutable skip_invariant : invariant option;
   mutable on_switch : (t -> unit) option;
 }
 
@@ -116,7 +110,7 @@ let default_config =
     shared_engine = None;
   }
 
-let create ?(config = default_config) ?skip_invariant () =
+let create ?(config = default_config) () =
   (* the virtual user region may exceed installed memory (demand
      paging); the layout describes the larger of the two and physical
      addresses beyond installed memory simply never get mapped *)
@@ -165,9 +159,7 @@ let create ?(config = default_config) ?skip_invariant () =
     | None -> None
     | Some mode ->
         Some
-          (Udma_engine.create ~engine ~layout ~bus ~dma ~mode
-             ~skip_clamp:(skip_invariant = Some `D1)
-             ~trace ~metrics ())
+          (Udma_engine.create ~engine ~layout ~bus ~dma ~mode ~trace ~metrics ())
   in
   {
     engine;
@@ -195,11 +187,8 @@ let create ?(config = default_config) ?skip_invariant () =
     pinned = Hashtbl.create 16;
     clock_hand = config.reserved_frames;
     preempt_hook = None;
-    skip_invariant;
     on_switch = None;
   }
-
-let skips t inv = t.skip_invariant = Some (inv :> invariant)
 
 (* Plain recursion, so a lookup allocates no closure: the NI's deposit
    runs one per received packet. *)

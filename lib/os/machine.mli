@@ -17,50 +17,21 @@ type i3_policy =
           it or its proxy page is dirty — "conceptually simpler, but
           requires more changes to the paging code" *)
 
-(** The paper's four OS invariants (§6), plus two network invariants
-    the router's flow-control model must maintain, named so the
-    fault-injection harness can disable the action maintaining each
-    one and so oracles can report which invariant a state violates.
-
-    [`N1] is credit conservation: for every (link, virtual channel)
-    pool, [held + in_flight + free = capacity] at every cycle.
-    [`N2] is arbitration fairness: a ready virtual channel is granted
-    the physical link within [vc_count] arbitration rounds. Passing
-    either to [create]'s [skip_invariant] is forwarded by
-    [Udma_shrimp.System] to the router as the matching deliberate
-    bug (credit leak / stuck arbiter); the machine itself has no
-    [`N1]/[`N2] maintenance path.
-
-    [`F1] is flit conservation, the oracle of the flit-level crossing
-    model: every flit ever injected is either delivered or sitting in
-    some injection/input FIFO, and every finite input FIFO satisfies
-    [credits + occupancy = capacity] (with occupancy never exceeding
-    capacity). [`F2] is its second planted bug: the per-link arbiter
-    grants two flits in one flit-cycle against a single credit, which
-    the same conservation oracle catches as a credit/occupancy
-    mismatch. [Udma_shrimp.System] forwards [`F1]/[`F2] to the router
-    as the flit-leak / double-grant mutations; both are reported by
-    oracles as [`F1] violations and only fire when the router runs
-    with [crossing = `Flit].
-
-    [`I5] is cross-tenant isolation: no transfer is authorized against
-    a destination page its tenant does not own, and no datapath decode
-    state (NIPT entry, IOTLB line, capability) survives the teardown of
-    the grant backing it. [`P1] (owner check skipped on one page) and
-    [`P2] (stale datapath entry survives teardown) are the two
-    deliberate protection bugs: [Udma_shrimp.System] forwards either
-    to the node's protection backend, and the [`I5] oracle must catch
-    both. Like [`N1]/[`N2], the machine itself has no maintenance path
-    for them.
-
-    [`D1] is the DMA-frontend clamp bug: the UDMA engine skips the
-    per-element page clamp, so a shaped (strided/scatter-gather) or
-    oversized flat initiation reaches physical frames its proxy
-    references never authorized. The mesh chaos harness must catch it
-    through I1/I4 (a referenced frame no longer backs — or never
-    backed — a user page). *)
-type invariant =
-  [ `I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 | `F2 | `P1 | `P2 | `D1 ]
+(** The invariants an oracle reports: the paper's four OS invariants
+    (§6) [`I1]–[`I4]; [`I5], cross-tenant isolation: no transfer is
+    authorized against a destination page its tenant does not own, and
+    no datapath decode state (NIPT entry, IOTLB line, capability)
+    survives the teardown of the grant backing it; two network
+    invariants the router's flow-control model maintains: [`N1],
+    credit conservation ([held + in_flight + free = capacity] for
+    every (link, virtual channel) pool at every cycle), and [`N2],
+    arbitration fairness (a ready virtual channel is granted the
+    physical link within [vc_count] arbitration rounds); and [`F1],
+    flit conservation in the flit-level crossing: every flit ever
+    injected is delivered or sits in some injection/input FIFO, and
+    every finite input FIFO satisfies [credits + occupancy = capacity]
+    with occupancy within capacity. *)
+type invariant = [ `I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 ]
 
 val invariant_name : invariant -> string
 
@@ -133,10 +104,6 @@ type t = {
   mutable preempt_hook : (t -> bool) option;
       (** consulted before every user reference; returning [true]
           forces a context switch (failure injection for I1 tests) *)
-  mutable skip_invariant : invariant option;
-      (** debug hook: the kernel/VM action maintaining this invariant
-          is skipped — a deliberate OS bug used to prove the chaos
-          oracles actually detect each class of violation *)
   mutable on_switch : (t -> unit) option;
       (** observer called at the end of every real context switch,
           after the I1 Inval; the chaos harness installs its I1 oracle
@@ -167,14 +134,7 @@ val default_config : config
     2 reserved frames, 64 TLB entries, basic UDMA, default costs and
     timing, no trace. *)
 
-val create : ?config:config -> ?skip_invariant:invariant -> unit -> t
-(** [skip_invariant] installs the deliberate-bug debug hook: the
-    kernel action maintaining that invariant is omitted (see
-    {!skips}). Intended only for oracle-soundness tests. *)
-
-val skips : t -> invariant -> bool
-(** [skips m inv] is [true] when the kernel was built with
-    [~skip_invariant:inv]; the maintenance paths consult this. *)
+val create : ?config:config -> unit -> t
 
 val find_proc : t -> pid:int -> Proc.t option
 

@@ -29,9 +29,7 @@ let switch_to m proc =
       Metrics.bump m.M.os.M.sched_switches;
       (* I1: invalidate any partially initiated UDMA sequence with a
          single STORE of a negative count to a proxy address *)
-      (match m.M.udma with
-      | Some u when not (M.skips m `I1) -> Udma_engine.invalidate u
-      | Some _ | None -> ());
+      Option.iter Udma_engine.invalidate m.M.udma;
       Mmu.flush_tlb m.M.mmu;
       (match cur with
       | Some c when c.Proc.state = Proc.Running -> c.Proc.state <- Proc.Ready

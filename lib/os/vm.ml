@@ -40,8 +40,6 @@ let is_user_mem_vpn m vpn =
 
 (* Any change to vpn→frame invalidates PROXY(vpn)→PROXY(frame). *)
 let invalidate_proxy_mapping m proc ~vpn =
-  if M.skips m `I2 then ()
-  else
   let pvpn = M.proxy_vpn m vpn in
   (match Page_table.find proc.Proc.page_table pvpn with
   | Some _ ->
@@ -53,15 +51,12 @@ let invalidate_proxy_mapping m proc ~vpn =
 (* ---------- I4: may this frame be replaced right now? ---------- *)
 
 let frame_dma_busy m frame =
-  if M.skips m `I4 then false
-  else begin
   Machine.charge m m.M.costs.Cost_model.remap_check;
   match m.M.udma with
   | Some u -> Udma_engine.mem_frame_busy u ~frame
   | None ->
       Dma_engine.mem_page_in_flight m.M.dma
         ~page_size:(Layout.page_size m.M.layout) frame
-  end
 
 (* ---------- I3: content consistency ---------- *)
 
@@ -278,9 +273,6 @@ let clean_page m proc ~vpn =
               (Backing_store.store m.M.swap data));
         clear_dirty m proc ~vpn pte;
         (match m.M.i3_policy with
-        | M.Write_upgrade when M.skips m `I3 ->
-            (* deliberate bug: leave the proxy page writable *)
-            ()
         | M.Write_upgrade ->
             (* I3: the proxy page must become read-only again *)
             let pvpn = M.proxy_vpn m vpn in
@@ -335,9 +327,6 @@ let handle_proxy_fault m proc access ~vaddr =
         | M.Proxy_dirty_union ->
             (* the proxy page is writable whenever the real page is;
                its own dirty bit tracks incoming transfers *)
-            real.Pte.writable
-        | M.Write_upgrade when M.skips m `I3 ->
-            (* deliberate bug: enable the write without dirtying *)
             real.Pte.writable
         | M.Write_upgrade ->
             (* I3: writable only while the real page is dirty *)

@@ -51,8 +51,6 @@ let default_costs =
     cap_revoke = 220;
   }
 
-type mutation = Owner_skip of int | Stale_revoke
-
 type stats = {
   st_grants : int;
   st_revokes : int;
@@ -84,7 +82,6 @@ type t = {
   cap_revoked : bool array;      (* Capability: killed, not just absent *)
   journal : jrec option array;
   mutable j_cursor : int;
-  mutable mutation : mutation option;
   mutable grants : int;
   mutable revokes : int;
   mutable invalidations : int;
@@ -112,7 +109,6 @@ let create ?(costs = default_costs) ?(iotlb_entries = 8) kind ~entries () =
     cap_revoked = Array.make entries false;
     journal = Array.make journal_depth None;
     j_cursor = 0;
-    mutation = None;
     grants = 0;
     revokes = 0;
     invalidations = 0;
@@ -127,8 +123,6 @@ let capacity t = Array.length t.granted
 
 let valid_count t =
   Array.fold_left (fun n e -> if e = None then n else n + 1) 0 t.granted
-
-let set_mutation t m = t.mutation <- m
 
 let in_range t index = index >= 0 && index < Array.length t.granted
 
@@ -212,24 +206,15 @@ let revoke t ~index =
   else begin
     t.revokes <- t.revokes + 1;
     t.granted.(index) <- None;
-    let stale = t.mutation = Some Stale_revoke in
-    (match t.kind with
-    | Proxy | Capability ->
-        if not stale then begin
-          t.hw.(index) <- None;
-          t.invalidations <- t.invalidations + 1
-        end
-    | Iommu ->
-        t.hw.(index) <- None;
-        if not stale then begin
-          ignore (iotlb_drop t ~index);
-          t.invalidations <- t.invalidations + 1
-        end);
+    t.hw.(index) <- None;
+    t.invalidations <- t.invalidations + 1;
     match t.kind with
     | Proxy -> 0
-    | Iommu -> t.costs.iommu_unmap
+    | Iommu ->
+        ignore (iotlb_drop t ~index);
+        t.costs.iommu_unmap
     | Capability ->
-        if not stale then t.cap_revoked.(index) <- true;
+        t.cap_revoked.(index) <- true;
         t.costs.cap_revoke
   end
 
@@ -249,12 +234,7 @@ let journal_push t rec_ =
   t.journal.(t.j_cursor) <- Some rec_;
   t.j_cursor <- (t.j_cursor + 1) mod journal_depth
 
-let owner_checked t ~tenant ~index (e : entry) =
-  tenant < 0
-  || e.owner = tenant
-  || match t.mutation with
-     | Some (Owner_skip i) -> i = index
-     | Some Stale_revoke | None -> false
+let owner_checked ~tenant (e : entry) = tenant < 0 || e.owner = tenant
 
 let authorize t ~tenant ~index =
   t.authorizations <- t.authorizations + 1;
@@ -291,7 +271,7 @@ let authorize t ~tenant ~index =
       in
       deny fault cost
   | Some e ->
-      if not (owner_checked t ~tenant ~index e) then deny Not_owner cost
+      if not (owner_checked ~tenant e) then deny Not_owner cost
       else begin
         let backed =
           in_range t index

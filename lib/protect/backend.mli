@@ -60,17 +60,6 @@ type costs = {
 
 val default_costs : costs
 
-(** Deliberate bugs for mutation-soundness tests (planted via
-    [System.create ~skip_invariant:`P1|`P2]). *)
-type mutation =
-  | Owner_skip of int
-      (** P1, isolation leak: the owner check is skipped on this one
-          page *)
-  | Stale_revoke
-      (** P2, stale invalidation: teardown clears the grant but leaves
-          the datapath entry (NIPT entry / IOTLB line / capability)
-          alive *)
-
 type stats = {
   st_grants : int;
   st_revokes : int;
@@ -92,7 +81,6 @@ val create :
 val kind : t -> kind
 val capacity : t -> int
 val valid_count : t -> int
-val set_mutation : t -> mutation option -> unit
 
 (** {1 Datapath (device decode — the old NIPT surface)} *)
 
@@ -145,9 +133,9 @@ val authorize : t -> tenant:int -> index:int -> (entry * int, fault * int) resul
 val check : t -> string option
 (** Cross-tenant isolation, I5: (a) every datapath-visible entry
     (NIPT / IOTLB / capability) is backed by a live grant with the
-    same owner — a stale entry surviving teardown is the P2 bug; and
-    (b) no journalled authorization paired a tenant with a page it
-    does not own, or a page whose grant was already gone — the P1
-    isolation leak. Returns the first counterexample. *)
+    same owner, so no stale entry survives teardown; and (b) no
+    journalled authorization paired a tenant with a page it does not
+    own, or a page whose grant was already gone (an isolation leak).
+    Returns the first counterexample. *)
 
 val stats : t -> stats

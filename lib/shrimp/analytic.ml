@@ -289,34 +289,29 @@ let route t ~src ~dst =
 
 (* Assign the claim to a virtual channel: round-robin among the ready
    VCs (tail already clear of the wire when this head arrives); when
-   none is ready, the one that drains first. The [Arb_stuck] mutation
-   is the deliberate bug the N2 oracle must catch: it pins every grant
-   to VC 0, so a ready VC's skip streak grows past [vc_count]. *)
-let claim_vc t s ~head =
+   none is ready, the one that drains first. *)
+let claim_vc s ~head =
   let vcs = s.vcs in
   let vcn = Array.length vcs in
   if vcn = 1 then 0
   else begin
     let c =
-      match t.m.mutation with
-      | Some Arb_stuck -> 0
-      | Some (Credit_leak | Flit_leak | Double_grant) | None ->
-          (* [Mesh.arbitrate_by] over the ready VCs, as a loop *)
-          let g = ref (-1) and k = ref 0 in
-          while !g < 0 && !k < vcn do
-            let i = s.rr + !k in
-            let i = if i >= vcn then i - vcn else i in
-            if vcs.(i).v_tail <= head then g := i;
-            incr k
-          done;
-          if !g >= 0 then !g
-          else begin
-            let best = ref 0 in
-            for i = 1 to vcn - 1 do
-              if vcs.(i).v_tail < vcs.(!best).v_tail then best := i
-            done;
-            !best
-          end
+      (* [Mesh.arbitrate_by] over the ready VCs, as a loop *)
+      let g = ref (-1) and k = ref 0 in
+      while !g < 0 && !k < vcn do
+        let i = s.rr + !k in
+        let i = if i >= vcn then i - vcn else i in
+        if vcs.(i).v_tail <= head then g := i;
+        incr k
+      done;
+      if !g >= 0 then !g
+      else begin
+        let best = ref 0 in
+        for i = 1 to vcn - 1 do
+          if vcs.(i).v_tail < vcs.(!best).v_tail then best := i
+        done;
+        !best
+      end
     in
     for i = 0 to vcn - 1 do
       let v = vcs.(i) in
@@ -410,7 +405,7 @@ let arrival t ~now ~src ~dst ~words =
      | Link_dead -> Metrics.bump t.dead_crossings
      | Link_ok | Link_slow _ -> ());
     let vcn = Array.length s.vcs in
-    let ci = claim_vc t s ~head:!head in
+    let ci = claim_vc s ~head:!head in
     let v = s.vcs.(ci) in
     (* deposit-side credit for the receive FIFO behind this link: take
        the slot that frees soonest; on a dead link the grant is pushed
@@ -474,20 +469,10 @@ let arrival t ~now ~src ~dst ~words =
     if pooled then begin
       let p = s.pools.(ci) in
       let rel = start + locc + cfg.per_hop_cycles in
-      let leak =
-        (match m.mutation with
-         | Some Credit_leak -> true
-         | Some (Arb_stuck | Flit_leak | Double_grant) | None -> false)
-        && not m.leak_used
-      in
-      if leak then m.leak_used <- true;
-      (* a leaked slot never frees: the deposit side forgets to
-         return the credit, which is exactly what N1 must catch *)
-      Slots.take_insert p.cp_slots (if leak then max_int / 2 else rel);
+      Slots.take_insert p.cp_slots rel;
       Engine.schedule_at m.engine ~time:(Int.max now slot_free) p.cp_reserve;
       Engine.schedule_at m.engine ~time:start p.cp_start;
-      Engine.schedule_at m.engine ~time:rel
-        (if leak then fun _ -> p.cp_inflight <- p.cp_inflight - 1 else p.cp_release)
+      Engine.schedule_at m.engine ~time:rel p.cp_release
     end;
     Engine.schedule_at m.engine ~time:(start + locc) v.v_clear;
     head := start + cfg.per_hop_cycles;
@@ -547,7 +532,7 @@ let credit_stats t =
 (* N1: credit conservation. Every scheduled token transition moves a
    unit between exactly two of {free, held, inflight}, and a resize
    moves [capacity] and [free] together, so the sum can only drift if
-   a return was dropped (the Credit_leak mutation). [cp_free] is
+   a return was dropped. [cp_free] is
    allowed to be negative transiently after a shrink (revoked buffers
    still draining); the sum is the invariant. *)
 let check_credits t =
@@ -565,8 +550,7 @@ let check_credits t =
 
 (* N2: arbitration fairness. Correct round-robin bounds a continuously
    ready VC's skip streak to vc_count - 1 (see [Mesh.arbitrate_by]); a
-   streak reaching vc_count means some VC is being starved (the
-   Arb_stuck mutation pins grants to VC 0). *)
+   streak reaching vc_count means some VC is being starved. *)
 let check_arbitration t =
   let vcn = t.m.config.vc_count in
   if vcn = 1 then None

@@ -37,8 +37,7 @@ let ctz x =
    directed link. The queue is a ring of three parallel arrays — the
    packed flit, the next hop it will traverse (|path| once at its
    destination) and the cycle it is usable where it sits — that
-   doubles when full (an unlimited FIFO grows; so does a finite one
-   overrun by the planted [Double_grant]). An input FIFO holds one
+   doubles when full (an unlimited FIFO grows). An input FIFO holds one
    entry per flit, since credits count flit slots. An injection FIFO
    holds one entry per queued worm: its front flit, whose index
    advances in place as flits leave, and every flit of a worm is ready
@@ -135,8 +134,6 @@ type t = {
   mutable n_busy : int;
   mutable busy_touched : bool;      (* a grant bumped busy_cycles, even by 0 *)
   mutable n_dead_retries : int;
-  mutable n_leaked : int;
-  mutable n_double_grants : int;
   mutable occ_hist : int array;     (* per-grant occupancy -> samples *)
   mutable occ_hist_hi : int;        (* highest occupancy sampled *)
   c_injected : Metrics.counter;
@@ -147,8 +144,6 @@ type t = {
   c_busy : Metrics.counter;
   c_dead_retries : Metrics.counter;
   c_dead_crossings : Metrics.counter;
-  c_leaked : Metrics.counter;
-  c_double_grants : Metrics.counter;
   s_occupancy : Metrics.sampler;
 }
 
@@ -286,8 +281,6 @@ let publish t =
   (* a dead-link grant is both a retry and a dead crossing *)
   pub t.c_dead_retries t.n_dead_retries;
   pub t.c_dead_crossings t.n_dead_retries;
-  pub t.c_leaked t.n_leaked;
-  pub t.c_double_grants t.n_double_grants;
   t.n_injected <- 0;
   t.n_grants <- 0;
   t.n_delivered <- 0;
@@ -296,8 +289,6 @@ let publish t =
   t.n_busy <- 0;
   t.busy_touched <- false;
   t.n_dead_retries <- 0;
-  t.n_leaked <- 0;
-  t.n_double_grants <- 0;
   for v = 0 to t.occ_hist_hi do
     Metrics.sample_n t.s_occupancy v t.occ_hist.(v);
     t.occ_hist.(v) <- 0
@@ -328,8 +319,8 @@ let note_occupancy t occ =
    the same state. When a tick makes no progress the clock skips ahead
    to the next flit-ready or wire-free time instead of spinning, and
    goes quiescent when neither exists (empty network, or a worm wedged
-   by a planted mutation — which is why the F1 oracle and not a hang
-   is how a leak surfaces). The next tick runs in place when it would
+   by a lost flit — which is why the F1 oracle and not a hang is how a
+   leak surfaces). The next tick runs in place when it would
    be the engine's next event anyway ([Engine.step_to]) and is
    scheduled as the one flit-clock event only when something else is
    due first or the running pump stops short of it. *)
@@ -519,42 +510,7 @@ let arbitrate_link t s now =
     t.busy_touched <- true;
     let dead = match l.l_fault with Link_dead -> true | Link_ok | Link_slow _ -> false in
     if dead then t.n_dead_retries <- t.n_dead_retries + 1;
-    (* F1 planted bug: on a dead-link retry the flit is popped from the
-       sender but the retransmit never lands — it vanishes from the
-       network, which only the conservation oracle can notice *)
-    let leak =
-      dead
-      && (match m.mutation with
-          | Some Flit_leak -> true
-          | Some (Credit_leak | Arb_stuck | Double_grant) | None -> false)
-      && not m.leak_used
-    in
-    if leak then begin
-      m.leak_used <- true;
-      t.n_leaked <- t.n_leaked + 1
-    end
-    else begin
-      advance t fb vc flit hop now;
-      (* F2 planted bug: the arbiter grants a second flit of the same
-         worm in the same flit-cycle without spending a second credit —
-         the input FIFO overruns and credits + occupancy leaves
-         capacity *)
-      match m.mutation with
-      | Some Double_grant
-        when (not m.leak_used) && fb.fb_credits >= 0 && idx_of flit < t.w_flits.(w) - 1
-        ->
-          if u.fb_len > 0 then begin
-            let k2 = u.fb_head in
-            let f2 = u.fb_flit.(k2) and hop2 = u.fb_hop.(k2) in
-            if worm_of f2 = w && u.fb_ready.(k2) <= now then begin
-              m.leak_used <- true;
-              pop t u;
-              push t fb f2 (hop2 + 1) (now + m.config.per_hop_cycles);
-              t.n_double_grants <- t.n_double_grants + 1
-            end
-          end
-      | Some (Double_grant | Credit_leak | Arb_stuck | Flit_leak) | None -> ()
-    end;
+    advance t fb vc flit hop now;
     true
   end
   else begin
@@ -685,8 +641,8 @@ let create (m : Mesh.t) =
       w_pkt = [||]; w_flits = [||]; w_path = [||]; w_vcs = [||]; w_free = [||];
       w_free_n = 0;
       n_injected = 0; n_grants = 0; n_delivered = 0; n_stalls = 0; n_hol = 0;
-      n_busy = 0; busy_touched = false; n_dead_retries = 0; n_leaked = 0;
-      n_double_grants = 0; occ_hist = Array.make 16 0; occ_hist_hi = 0;
+      n_busy = 0; busy_touched = false; n_dead_retries = 0;
+      occ_hist = Array.make 16 0; occ_hist_hi = 0;
       c_injected = c "net.flit.injected";
       c_grants = c "net.flit.grants";
       c_delivered = c "net.flit.delivered";
@@ -695,8 +651,6 @@ let create (m : Mesh.t) =
       c_busy = c "net.link.busy_cycles";
       c_dead_retries = c "net.flit.dead_retries";
       c_dead_crossings = c "net.link.dead_crossings";
-      c_leaked = c "net.flit.leaked";
-      c_double_grants = c "net.flit.double_grants";
       s_occupancy = Metrics.sampler em "net.flit.occupancy";
     }
   in
@@ -767,11 +721,9 @@ let flit_vc_occupancy t =
 
 (* F1: flit conservation. Every flit ever injected is delivered or
    still sitting in some FIFO, and every finite input FIFO satisfies
-   credits + occupancy = capacity with occupancy within capacity. The
-   planted [Flit_leak] drops a flit mid-retry (the sum comes up
-   short); the planted [Double_grant] pushes two flits against one
-   credit (the per-FIFO identity breaks). Holds at every flit-cycle
-   in an unmutated router. *)
+   credits + occupancy = capacity with occupancy within capacity: a
+   lost flit makes the sum come up short, two flits moved against one
+   credit break the per-FIFO identity. Holds at every flit-cycle. *)
 let check_flits t =
   let injected, delivered, buffered = flit_counts t in
   let sums = Array.make (Array.length t.occ_now) 0 and fifo = ref None in

@@ -18,7 +18,6 @@ module Types = struct
   }
 
   type fault = Link_ok | Link_slow of int | Link_dead
-  type mutation = Credit_leak | Arb_stuck | Flit_leak | Double_grant
 
   (* The stats records, documented in router.mli. *)
   type link_stat = {
@@ -115,15 +114,13 @@ type t = {
          -1 for a pair with none yet *)
   links : (int * int, link) Hashtbl.t;
   mutable packets_routed : int;
-  mutable mutation : mutation option;  (* a planted flow-control bug *)
-  mutable leak_used : bool;            (* it fires once *)
 }
 
 let create ~engine ~nodes config =
   { engine; config; node_count = nodes; width = mesh_width nodes;
     sinks = Array.make nodes None; last_arrival = Array.make nodes [||];
     links = Hashtbl.create 64;
-    packets_routed = 0; mutation = None; leak_used = false }
+    packets_routed = 0 }
 
 let check_node m id what =
   if id < 0 || id >= m.node_count then

@@ -65,10 +65,6 @@ let path t = Mesh.path t.mesh
 let latency_cycles t = Mesh.latency_cycles t.mesh
 let packets_routed t = t.mesh.packets_routed
 
-let set_mutation t m =
-  t.mesh.mutation <- m;
-  t.mesh.leak_used <- false
-
 let register t ~node_id sink =
   Mesh.check_node t.mesh node_id "register";
   t.mesh.sinks.(node_id) <- Some sink

@@ -51,8 +51,7 @@
     Credit conservation ([held + in_flight + free = capacity] per
     (link, VC), checked by {!check_credits}) and arbitration fairness
     (a ready VC is granted within [vc_count] rounds, checked by
-    {!check_arbitration}) are the N1/N2 oracles of the chaos harness;
-    {!set_mutation} plants the deliberate bugs proving them sound.
+    {!check_arbitration}) are the N1/N2 oracles of the chaos harness.
 
     {b In-order delivery.} Delivery between a pair of nodes is in
     order — a small packet never overtakes a large one sent before it
@@ -231,23 +230,10 @@ val injection_ready : t -> src:int -> dst:int -> int
     unlimited, contention is off, or [src = dst]. Sources use this to
     stall injection instead of queueing on the wire. *)
 
-type mutation = Credit_leak | Arb_stuck | Flit_leak | Double_grant
-
-val set_mutation : t -> mutation option -> unit
-(** Plant a deliberate flow-control bug for oracle-soundness tests:
-    [Credit_leak] drops exactly one credit return (the slot never
-    frees and the conservation sum comes up short — N1);
-    [Arb_stuck] pins every VC grant to VC 0 (a ready VC's skip streak
-    grows past [vc_count] — N2); [Flit_leak] drops exactly one flit on
-    a dead-link retry crossing and [Double_grant] moves two flits of
-    one worm in a single flit-cycle against one credit — both flit
-    bugs are caught by {!check_flits} (F1) and only fire in [`Flit]
-    mode. *)
-
 val check_credits : t -> string option
 (** N1, credit conservation: [Some detail] iff some (link, VC) pool
     has [held + in_flight + free <> capacity] (or negative
-    in-flight). Holds at {e every} cycle in an unmutated router. *)
+    in-flight). Holds at {e every} cycle. *)
 
 val check_arbitration : t -> string option
 (** N2, arbitration fairness: [Some detail] iff some ready VC has
@@ -289,7 +275,7 @@ val check_flits : t -> string option
     input FIFO has [credits + occupancy <> capacity] (or occupancy
     beyond capacity), or the running per-VC occupancy total behind
     {!flit_vc_occupancy} differs from the sum over the FIFOs. Holds at
-    {e every} flit-cycle in an unmutated router; always [None] in
+    {e every} flit-cycle; always [None] in
     analytic mode. *)
 
 type flit_stat = {

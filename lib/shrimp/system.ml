@@ -29,7 +29,7 @@ type t = {
   nodes : node array;
 }
 
-let create ?(config = default_config) ?skip_invariant ~nodes () =
+let create ?(config = default_config) ~nodes () =
   if nodes <= 0 then invalid_arg "System.create: nodes must be positive";
   (match config.machine.M.udma_mode with
   | None -> invalid_arg "System.create: nodes need a UDMA engine"
@@ -38,26 +38,6 @@ let create ?(config = default_config) ?skip_invariant ~nodes () =
     Engine.create ~mhz:config.machine.M.costs.Cost_model.mhz ()
   in
   let router = Router.create ~engine ~nodes ~config:config.router () in
-  (* the network invariants' deliberate bugs live in the router, not
-     the machines; [`N1]/[`N2] here mirror what [~skip_invariant] does
-     for the kernel's I1-I4 maintenance actions *)
-  (match skip_invariant with
-  | Some `N1 -> Router.set_mutation router (Some Router.Credit_leak)
-  | Some `N2 -> Router.set_mutation router (Some Router.Arb_stuck)
-  | Some `F1 -> Router.set_mutation router (Some Router.Flit_leak)
-  | Some `F2 -> Router.set_mutation router (Some Router.Double_grant)
-  | Some (`I1 | `I2 | `I3 | `I4 | `I5 | `P1 | `P2 | `D1) | None -> ());
-  (* ... and the protection bugs live in each node's backend. P1 skips
-     the owner check on dev page 0 (the hottest import slot); P2 makes
-     teardown leave the datapath entry alive. *)
-  let backend_mutation =
-    match skip_invariant with
-    | Some `P1 -> Some (Backend.Owner_skip 0)
-    | Some `P2 -> Some Backend.Stale_revoke
-    | Some (`I1 | `I2 | `I3 | `I4 | `I5 | `N1 | `N2 | `F1 | `F2 | `D1)
-    | None ->
-        None
-  in
   (* one pool for all the nodes' payloads: a packet's buffer is taken
      on the sender and returned on the receiver *)
   let pool = Payload_pool.create () in
@@ -65,10 +45,9 @@ let create ?(config = default_config) ?skip_invariant ~nodes () =
     let machine =
       M.create
         ~config:{ config.machine with M.shared_engine = Some engine }
-        ?skip_invariant ()
+        ()
     in
     let ni = Network_interface.create ~id ~machine ~config:config.ni ~pool () in
-    Backend.set_mutation (Network_interface.backend ni) backend_mutation;
     Network_interface.set_router ni router;
     Network_interface.attach ni;
     Router.register router ~node_id:id (Network_interface.receive ni);

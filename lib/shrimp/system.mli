@@ -23,23 +23,11 @@ val default_config : config
 
 type t
 
-val create :
-  ?config:config ->
-  ?skip_invariant:Udma_os.Machine.invariant ->
-  nodes:int ->
-  unit ->
-  t
+val create : ?config:config -> nodes:int -> unit -> t
 (** Build [nodes] nodes, each with a UDMA engine and a network
     interface attached over the whole device-proxy region, registered
-    on a shared router and engine. [skip_invariant] plants the
-    deliberate kernel bug of {!Udma_os.Machine.create} in {e every}
-    node (chaos-harness mutation testing); the network invariants
-    [`N1]/[`N2] are forwarded to the shared router instead, as
-    {!Router.set_mutation} [Credit_leak] / [Arb_stuck], and the
-    protection bugs [`P1]/[`P2] are forwarded to every node's NI
-    backend, as {!Udma_protect.Backend.set_mutation} [Owner_skip 0] /
-    [Stale_revoke]. Raises [Invalid_argument] if the configured
-    machine has no UDMA mode. *)
+    on a shared router and engine. Raises [Invalid_argument] if the
+    configured machine has no UDMA mode. *)
 
 val engine : t -> Udma_sim.Engine.t
 val router : t -> Router.t

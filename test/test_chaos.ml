@@ -1,39 +1,27 @@
 (* The chaos harness as a test: a clean sweep over many seeds must
-   find no I1–I4 violation, and — the soundness half — each deliberate
-   kernel bug planted with [~skip_invariant] must be detected by some
-   seed, replay deterministically, shrink, and be reported under the
-   right invariant's name. *)
+   find no violation. A sweep that does find one fails only after
+   checking that the failure is a usable bug report: it replays, shrinks
+   and is reported under its invariant's name. The planted bugs of
+   test/mutants/ must each make a sweep fail that way, and a toy
+   scenario below drives the same harness on an unpatched tree. *)
 
-module M = Udma_os.Machine
 module Oracle = Udma_check.Oracle
 module Chaos = Udma_check.Chaos
 
 let sweep_seeds = 512
-let mutation_seeds = 256
 let mesh_seeds = 64
 
-(* ---------- the sweep itself: no violations in a correct kernel ---------- *)
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
-let test_clean_sweep () =
-  match Chaos.sweep Chaos.node ~seeds:sweep_seeds () with
-  | [] -> ()
-  | f :: _ as failures ->
-      Alcotest.failf "%d of %d seeds violated an invariant; first:\n%s"
-        (List.length failures) sweep_seeds
-        (Chaos.report Chaos.node (Chaos.shrink Chaos.node f))
+let inv_name (f : _ Chaos.failure) =
+  Udma_os.Machine.invariant_name f.Chaos.violation.Oracle.invariant
 
-let test_mesh_sweep () =
-  match Chaos.sweep Chaos.mesh ~seeds:mesh_seeds () with
-  | [] -> ()
-  | f :: _ as failures ->
-      Alcotest.failf "%d of %d mesh seeds violated an invariant; first:\n%s"
-        (List.length failures) mesh_seeds
-        (Chaos.report Chaos.mesh (Chaos.shrink Chaos.mesh f))
-
-(* A failing run must replay identically: same step, same invariant,
-   same detail. Exercised through the mutated systems below. *)
-let check_replay sc ~skip_invariant (f : _ Chaos.failure) =
-  match Chaos.run_plan sc ~skip_invariant f.Chaos.plan with
+(* A failing run must replay identically: same step, same detail. *)
+let check_replay sc (f : _ Chaos.failure) =
+  match Chaos.run_plan sc f.Chaos.plan with
   | Chaos.Pass ->
       Alcotest.failf "seed %d failed once but replayed clean"
         (sc.Chaos.seed_of f.Chaos.plan.Chaos.setup)
@@ -43,66 +31,109 @@ let check_replay sc ~skip_invariant (f : _ Chaos.failure) =
       Alcotest.(check string) "replay reports the same violation"
         f.Chaos.violation.Oracle.detail f'.Chaos.violation.Oracle.detail
 
-(* ---------- mutation self-test: the oracles catch planted bugs ---------- *)
-
-(* Each planted bug ([~skip_invariant]) must be found within [seeds]
-   seeds under the invariant [expect] (default: the planted one), replay
-   deterministically, shrink to at most [max_shrunk] actions that still
-   fail at their last step (the last action or the final drain) under
-   the same invariant, and be named in the printed report.
-
-   Node bugs I1-I4 break the invariant they name. In the mesh, I1
-   needs each node's idle second process (a preemption that switches)
-   and I4 a half-initiated pair's latched frame under an eviction
-   storm; I2 (mapping consistency) breaks under paging pressure
-   regardless of the network; N1 (a leaked credit return) and N2 (a
-   stuck VC arbiter) are router bugs. The protection bugs P1 (ownership check skipped) and P2
-   (stale datapath entry survives teardown) surface as cross-tenant
-   isolation leaks (I5), D1 (per-element page clamp skipped) as frames
-   the proxy never named (I4), and the flit bugs F1 (a flit leaked on a
-   dead-link retry) and F2 (an arbiter double grant against one credit)
-   arm only on flit-crossing seeds and both surface through the F1
-   conservation oracle. *)
+(* The first failure replays, shrinks to at most [max_shrunk] actions
+   that still fail at their last step (the last action or the final
+   drain) under the same invariant, replays again, and its printed
+   repro recipe names the invariant. Returns the shrunk failure and
+   its report. *)
 let max_shrunk = 8
 
-let test_mutation sc ~seeds ?expect inv () =
-  let expect = Option.value expect ~default:(M.invariant_name inv) in
-  match Chaos.first_failure sc ~skip_invariant:inv ~seeds () with
-  | None ->
-      Alcotest.failf
-        "a system built without the %s maintenance action survived %d chaos \
-         seeds — the %s oracle is not sound"
-        (M.invariant_name inv) seeds expect
-  | Some f ->
-      let name (f : _ Chaos.failure) =
-        M.invariant_name f.Chaos.violation.Oracle.invariant
-      in
-      Alcotest.(check string) "the violated invariant is the planted bug's"
-        expect (name f);
-      check_replay sc ~skip_invariant:inv f;
-      let s = Chaos.shrink sc ~skip_invariant:inv f in
-      Alcotest.(check string) "shrinking preserves the invariant" expect
-        (name s);
-      let n = List.length s.Chaos.plan.Chaos.actions in
-      if n > max_shrunk then
-        Alcotest.failf "shrunk schedule has %d actions (more than %d)" n
-          max_shrunk;
-      if s.Chaos.step < n - 1 then
-        Alcotest.failf "shrunk schedule fails at step %d of %d" s.Chaos.step n;
-      check_replay sc ~skip_invariant:inv s;
-      (* the printed repro recipe names the invariant *)
-      let report = Chaos.report sc ~skip_invariant:inv s in
-      let needle = expect ^ " violated" in
-      let contains hay needle =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
-      if not (contains report needle) then
-        Alcotest.failf "report does not name %s:\n%s" expect report
+let shrunk_report sc f =
+  check_replay sc f;
+  let s = Chaos.shrink sc f in
+  Alcotest.(check string) "shrinking preserves the invariant" (inv_name f)
+    (inv_name s);
+  let n = List.length s.Chaos.plan.Chaos.actions in
+  if n > max_shrunk then
+    Alcotest.failf "shrunk schedule has %d actions (more than %d)" n max_shrunk;
+  if s.Chaos.step < n - 1 then
+    Alcotest.failf "shrunk schedule fails at step %d of %d" s.Chaos.step n;
+  check_replay sc s;
+  let report = Chaos.report sc s in
+  if not (contains report (inv_name s ^ " violated")) then
+    Alcotest.failf "report does not name %s:\n%s" (inv_name s) report;
+  (s, report)
 
-let test_node_mutation = test_mutation Chaos.node ~seeds:mutation_seeds
-let test_mesh_mutation = test_mutation Chaos.mesh ~seeds:mesh_seeds
+(* ---------- the sweeps: no violations in a correct system ---------- *)
+
+let test_sweep sc ~seeds () =
+  match Chaos.sweep sc ~seeds () with
+  | [] -> ()
+  | f :: _ as failures ->
+      let _, report = shrunk_report sc f in
+      Alcotest.failf "%d of %d %sseeds violated an invariant; first, shrunk:\n%s"
+        (List.length failures) seeds sc.Chaos.prefix report
+
+(* ---------- the harness itself, on a toy scenario ---------- *)
+
+(* The state is one flag: [Bad] sets it, breaking the toy invariant,
+   and the check reports it from then on. [Tick] is harmless and
+   [Crash] raises an exception the harness must absorb. *)
+type toy = Tick | Crash | Bad
+
+let toy_detail = "a Bad action ran"
+
+let toy : (int, toy) Chaos.scenario =
+  { Chaos.prefix = "toy ";
+    gen =
+      (fun seed ->
+        let rng = Udma_sim.Rng.create seed in
+        ( seed,
+          fun () ->
+            match Udma_sim.Rng.int rng 60 with 0 -> Bad | 1 | 2 -> Crash | _ -> Tick ));
+    seed_of = Fun.id;
+    build =
+      (fun ~trace:_ _ ->
+        let bad = ref false in
+        { Chaos.apply =
+            (function Tick -> () | Crash -> failwith "toy crash" | Bad -> bad := true);
+          check =
+            (fun () ->
+              if !bad then Some { Oracle.invariant = `I3; detail = toy_detail }
+              else None);
+          drain = ignore;
+          events = (fun () -> []) });
+    pp_setup = Format.pp_print_int;
+    pp_action =
+      (fun ppf a ->
+        Format.pp_print_string ppf
+          (match a with Tick -> "tick" | Crash -> "crash" | Bad -> "bad")) }
+
+let rec index_of x i = function
+  | [] -> None
+  | y :: rest -> if y = x then Some i else index_of x (i + 1) rest
+
+let test_toy_harness () =
+  let seeds = 16 in
+  let failing =
+    List.filter
+      (fun seed ->
+        List.mem Bad (Chaos.plan_of_seed toy seed).Chaos.actions)
+      (List.init seeds Fun.id)
+  in
+  if failing = [] || List.length failing = seeds then
+    Alcotest.failf "toy seeds 0..%d should both pass and fail" (seeds - 1);
+  Alcotest.(check (list int)) "the sweep fails exactly the seeds with a Bad"
+    failing
+    (List.map
+       (fun f -> f.Chaos.plan.Chaos.setup)
+       (Chaos.sweep toy ~seeds ()));
+  match Chaos.first_failure toy ~seeds with
+  | None -> Alcotest.fail "first_failure missed the toy bug"
+  | Some f ->
+      Alcotest.(check int) "first_failure finds the first failing seed"
+        (List.hd failing) f.Chaos.plan.Chaos.setup;
+      Alcotest.(check (option int)) "the failure stops at the first Bad"
+        (index_of Bad 0 f.Chaos.plan.Chaos.actions) (Some f.Chaos.step);
+      Alcotest.(check string) "the violation is the check's"
+        toy_detail f.Chaos.violation.Oracle.detail;
+      let s, report = shrunk_report toy f in
+      Alcotest.(check bool) "shrinking leaves the one Bad action" true
+        (s.Chaos.plan.Chaos.actions = [ Bad ] && s.Chaos.step = 0);
+      Alcotest.(check bool) "the report names the seed" true
+        (contains report
+           (Printf.sprintf "toy chaos failure: seed %d, 1-step schedule"
+              f.Chaos.plan.Chaos.setup))
 
 (* The mesh generator must actually exercise the new failure surface:
    across the sweep's seeds there have to be link-fault actions (dead,
@@ -205,61 +236,17 @@ let () =
             test_plan_deterministic;
           Alcotest.test_case
             (Printf.sprintf "%d-seed sweep: no I1-I4 violation" sweep_seeds)
-            `Quick test_clean_sweep;
-          Alcotest.test_case "mutation: skipping I1 is detected" `Quick
-            (test_node_mutation `I1);
-          Alcotest.test_case "mutation: skipping I2 is detected" `Quick
-            (test_node_mutation `I2);
-          Alcotest.test_case "mutation: skipping I3 is detected" `Quick
-            (test_node_mutation `I3);
-          Alcotest.test_case "mutation: skipping I4 is detected" `Quick
-            (test_node_mutation `I4);
+            `Quick
+            (test_sweep Chaos.node ~seeds:sweep_seeds);
           Alcotest.test_case
             (Printf.sprintf
                "%d-seed mesh traffic sweep: no I1-I5/N1-N2/F1 violation"
                mesh_seeds)
-            `Quick test_mesh_sweep;
-          Alcotest.test_case
-            "mesh mutation: skipping I1 is detected and replays" `Quick
-            (test_mesh_mutation `I1);
-          Alcotest.test_case
-            "mesh mutation: skipping I2 is detected and replays" `Quick
-            (test_mesh_mutation `I2);
-          Alcotest.test_case
-            "mesh mutation: skipping I4 is detected and replays" `Quick
-            (test_mesh_mutation `I4);
-          Alcotest.test_case
-            "mesh mutation: leaking a credit is detected (N1)" `Quick
-            (test_mesh_mutation `N1);
-          Alcotest.test_case
-            "mesh mutation: a stuck VC arbiter is detected (N2)" `Quick
-            (test_mesh_mutation `N2);
-          Alcotest.test_case
-            "mesh mutation: skipping the owner check leaks across tenants \
-             (P1 -> I5)"
             `Quick
-            (test_mesh_mutation ~expect:"I5" `P1);
-          Alcotest.test_case
-            "mesh mutation: a stale datapath entry survives teardown \
-             (P2 -> I5)"
-            `Quick
-            (test_mesh_mutation ~expect:"I5" `P2);
-          Alcotest.test_case
-            "mesh mutation: skipping the per-element page clamp reaches \
-             unauthorized frames (D1 -> I4)"
-            `Quick
-            (test_mesh_mutation ~expect:"I4" `D1);
-          Alcotest.test_case
-            "mesh mutation: a flit leaked on a dead-link retry breaks \
-             conservation (F1)"
-            `Quick
-            (test_mesh_mutation `F1);
-          Alcotest.test_case
-            "mesh mutation: an arbiter double grant breaks the credit \
-             identity (F2 -> F1)"
-            `Quick
-            (test_mesh_mutation ~expect:"F1" `F2);
+            (test_sweep Chaos.mesh ~seeds:mesh_seeds);
           Alcotest.test_case "mesh generator covers faults + policies" `Quick
             test_mesh_generator_coverage;
+          Alcotest.test_case "toy scenario: found, replayed, shrunk, reported"
+            `Quick test_toy_harness;
         ] );
     ]

@@ -9,7 +9,8 @@ module: a use in some other `.ml` file under `lib/`, `bin/`, `perfbench/`,
   * a reference through a module alias, `module R = Udma_shrimp.Router`
     then `R.send`;
   * a bare `send` in a file that opens or includes the module (`open`,
-    `include`, `let open`, or a local open `Router.( ... )`).
+    `include`, `let open`, or a local open `Router.( ... )`,
+    `Router.[ ... ]` or `Router.{ ... }`).
 
 Comments and string literals are skipped. Names are matched textually, so
 the scan errs towards calling a value used; the compiler's unused-value
@@ -150,7 +151,7 @@ def main():
 
         opened = set()
         for m in re.finditer(
-            r"\b(?:open!?|include|let\s+open!?)\s+([A-Z][\w.]*)|\b([A-Z][\w.]*)\.\(",
+            r"\b(?:open!?|include|let\s+open!?)\s+([A-Z][\w.]*)|\b([A-Z][\w.]*)\.[(\[{]",
             code,
         ):
             opened |= resolve(m.group(1) or m.group(2))
