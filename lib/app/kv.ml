@@ -65,7 +65,8 @@ let validate cfg =
   else if cfg.server_cycles < 0 then Error "Kv: server_cycles must be >= 0"
   else if cfg.warmup_cycles < 0 then Error "Kv: warmup_cycles must be >= 0"
   else if cfg.window_cycles < 1 then Error "Kv: window_cycles must be >= 1"
-  else if not (cfg.load > 0.0) then Error "Kv: load must be > 0"
+  else if not (Float.is_finite cfg.load && cfg.load > 0.0) then
+    Error "Kv: load must be finite and > 0"
   else Fabric.validate cfg.fabric
 
 (* Every node runs clients against every remote shard: requests flow

@@ -52,7 +52,8 @@ let validate cfg =
   else if cfg.pool < 1 then Error "Rpc: pool must be >= 1"
   else if cfg.warmup_cycles < 0 then Error "Rpc: warmup_cycles must be >= 0"
   else if cfg.window_cycles < 1 then Error "Rpc: window_cycles must be >= 1"
-  else if not (cfg.load > 0.0) then Error "Rpc: load must be > 0"
+  else if not (Float.is_finite cfg.load && cfg.load > 0.0) then
+    Error "Rpc: load must be finite and > 0"
   else Fabric.validate cfg.fabric
 
 type client = {

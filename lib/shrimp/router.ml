@@ -97,7 +97,10 @@ let set_link_fault t ~from_node ~to_node fault =
     | Analytic a -> (Analytic.link_of a from_node to_node).ml
     | Closed | Flit _ -> Mesh.link_of t.mesh from_node to_node
   in
-  l.l_fault <- fault
+  l.l_fault <- fault;
+  match t.wire with
+  | Flit f -> Flit.fault_changed f ~from_node ~to_node
+  | Closed | Analytic _ -> ()
 
 let link_fault t = Mesh.link_fault t.mesh
 
@@ -145,7 +148,9 @@ let flit_counts t =
 let flit_vc_occupancy t =
   match t.wire with Flit f -> Flit.flit_vc_occupancy f | Closed | Analytic _ -> [||]
 
-let link_stats t = Mesh.link_stats t.mesh
+let link_stats t =
+  (match t.wire with Flit f -> Flit.settle_all f | Closed | Analytic _ -> ());
+  Mesh.link_stats t.mesh
 
 let publish_link_gauges t =
   let em = Engine.metrics t.mesh.engine in

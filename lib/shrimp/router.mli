@@ -88,9 +88,13 @@ type routing = [ `Dimension_order | `Minimal_adaptive ]
     body flits follow the path and VC their head reserved, and a
     blocked head stalls the worm in place — holding buffer slots
     across multiple links, which is the head-of-line blocking the
-    analytic wire cannot express (E18 measures the delta). Flit mode
+    analytic wire cannot express (E18 measures the delta). A wire whose
+    only ready waiter wins it grants that worm's consecutive flits as a
+    run in one arbitration, each crossing still at its own flit-cycle,
+    so every number below is the one a grant per flit gives. Flit mode
     is dimension-order only and, like faults and credits, lives in the
-    contended link model ([link_contention = false] ignores it). *)
+    contended link model ([link_contention = false] ignores it; the
+    traffic generator rejects the pair). *)
 type crossing = [ `Analytic | `Flit ]
 
 type config = {
@@ -267,7 +271,9 @@ val credit_stats : t -> credit_stat list
     when credits are unlimited. *)
 
 (** {1 Flit-level crossing} (all empty/zero unless [crossing = `Flit]
-    with [link_contention]) *)
+    with [link_contention]). Each reader sees the state a grant per
+    flit leaves after the last flit-cycle, also in the middle of a run
+    (a wire's stall cycles included, here and in {!link_stats}). *)
 
 val check_flits : t -> string option
 (** F1, flit conservation: [Some detail] iff flits injected differ

@@ -129,6 +129,10 @@ let validate_workload (cfg : config) =
    the crossing/routing combination are the router's to judge. *)
 let validate (cfg : config) =
   if cfg.nodes < 2 || cfg.nodes > 64 then Error "Load_gen: nodes must be in 2..64"
+  else if cfg.crossing = `Flit && not cfg.link_contention then
+    (* without contention the router takes the closed form and no flit
+       is simulated *)
+    Error "Load_gen: the flit crossing needs link contention"
   else
     match validate_workload cfg with
     | Error _ as e -> e

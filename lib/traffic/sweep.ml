@@ -69,7 +69,8 @@ exception Invalid_config of string
 
 let validate ~loads ~domains (cfg : Load_gen.config) =
   if loads = [] then Error "Sweep: empty load list"
-  else if List.exists (fun l -> not (l > 0.0)) loads then Error "Sweep: loads must be > 0"
+  else if List.exists (fun l -> not (Float.is_finite l && l > 0.0)) loads then
+    Error "Sweep: loads must be finite and > 0"
   else if domains < 1 then Error "Sweep: domains must be >= 1"
   else if use_sharded ~domains cfg then Shard_gen.validate cfg
   else Load_gen.validate cfg
