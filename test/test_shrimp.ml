@@ -1249,6 +1249,186 @@ let test_analytic_vc_depth_own_claims () =
         v.Router.vc_max_depth)
     vcs
 
+(* The analytic crossing's runtime counters pinned as data: credit
+   tokens (held, in flight, free), VC and link depths, and what the
+   engine reports about its own schedule, read where any caller can
+   read them. 24 regimes cover 1, 2 and 4 VCs; unlimited, 1 and 8
+   credits (and others through squeezes); dimension-order and adaptive
+   routing; a slow wire in every run and a dead one in six; and a
+   mid-run [set_rx_credits] squeeze (shrinking, growing, and from and
+   to unlimited) in five. Each run reduces to one MD5 over reads taken
+   from a probe event at every cycle (some probes carry a profiler
+   category) and at top level between [run_until] and [run_before]
+   steps, where further packets are sent: [credit_stats], [vc_stats],
+   [link_stats], the [net.link.depth] and [net.vc.depth] histograms,
+   N1, the profiler totals, the clock, [pending_events] and
+   [next_event_time]; then the delivery log. All experiments read
+   these counters at the end of a run only; these digests are what
+   pins them mid-run. *)
+type settled_regime = {
+  sr_vcs : int;
+  sr_credits : int option;
+  sr_adaptive : bool;
+  sr_dead : bool;
+  sr_squeeze : int option list;  (* capacities set at cycles 500, 1000, ... *)
+}
+
+let settled_regimes =
+  List.concat_map
+    (fun sr_vcs ->
+      List.concat_map
+        (fun sr_credits ->
+          List.map
+            (fun sr_adaptive ->
+              { sr_vcs; sr_credits; sr_adaptive; sr_dead = false; sr_squeeze = [] })
+            [ false; true ])
+        [ None; Some 1; Some 8 ])
+    [ 1; 2; 4 ]
+  @ [ { sr_vcs = 2; sr_credits = Some 8; sr_adaptive = false; sr_dead = true;
+        sr_squeeze = [ Some 1; Some 8 ] };
+      { sr_vcs = 4; sr_credits = Some 1; sr_adaptive = true; sr_dead = true;
+        sr_squeeze = [ Some 4; Some 1 ] };
+      { sr_vcs = 1; sr_credits = Some 8; sr_adaptive = true; sr_dead = true;
+        sr_squeeze = [] };
+      { sr_vcs = 4; sr_credits = None; sr_adaptive = false; sr_dead = true;
+        sr_squeeze = [ Some 2; None ] };
+      { sr_vcs = 2; sr_credits = Some 1; sr_adaptive = true; sr_dead = false;
+        sr_squeeze = [ Some 6; Some 1 ] };
+      { sr_vcs = 1; sr_credits = Some 2; sr_adaptive = false; sr_dead = true;
+        sr_squeeze = [ Some 1; Some 5 ] } ]
+
+let settled_run (i, rg) =
+  let engine = Engine.create () in
+  let nodes = 9 in
+  let r =
+    Router.create ~engine ~nodes
+      ~config:
+        { Router.default_config with
+          Router.link_contention = true;
+          base_cycles = 3;
+          per_hop_cycles = 2;
+          per_word_cycles = 1;
+          vc_count = rg.sr_vcs;
+          rx_credits = rg.sr_credits;
+          routing = (if rg.sr_adaptive then `Minimal_adaptive else `Dimension_order) }
+      ()
+  in
+  Router.set_link_fault r ~from_node:0 ~to_node:1 (Router.Link_slow 3);
+  if rg.sr_dead then Router.set_link_fault r ~from_node:8 ~to_node:7 Router.Link_dead;
+  let log = Buffer.create 4096 and reads = Buffer.create (1 lsl 16) in
+  for d = 0 to nodes - 1 do
+    Router.register r ~node_id:d (fun p ->
+        Printf.bprintf log "d %d %d %d %d\n" p.Packet.seq p.Packet.src_node
+          p.Packet.dst_node (Engine.now engine))
+  done;
+  let em = Engine.metrics engine in
+  (* one record of ints, in binary: printing them would dominate the
+     test's run time *)
+  let line tag ints =
+    Buffer.add_char reads tag;
+    List.iter (fun n -> Buffer.add_int64_le reads (Int64.of_int n)) ints;
+    Buffer.add_char reads '\n'
+  in
+  let read tag =
+    line tag
+      [ Engine.now engine; Engine.pending_events engine; Engine.next_event_time engine ];
+    Option.iter (Buffer.add_string reads) (Router.check_credits r);
+    List.iter
+      (fun (c : Router.credit_stat) ->
+        line 'c'
+          [ c.Router.cr_from; c.Router.cr_to; c.Router.cr_vc; c.Router.cr_capacity;
+            c.Router.cr_held; c.Router.cr_inflight; c.Router.cr_free ])
+      (Router.credit_stats r);
+    List.iter
+      (fun (v : Router.vc_stat) ->
+        line 'v'
+          [ v.Router.vc_from; v.Router.vc_to; v.Router.vc_index; v.Router.vc_grants;
+            v.Router.vc_max_depth; v.Router.vc_max_skip ])
+      (Router.vc_stats r);
+    List.iter
+      (fun (s : Router.link_stat) ->
+        line 'l'
+          [ s.Router.from_node; s.Router.to_node; s.Router.xmits; s.Router.busy_cycles;
+            s.Router.wait_cycles; s.Router.max_depth ])
+      (Router.link_stats r);
+    List.iter
+      (fun name ->
+        match Udma_obs.Metrics.histogram em name with
+        | Some h ->
+            line 'h'
+              (h.Udma_obs.Metrics.count :: h.sum :: h.overflow
+              :: List.concat_map (fun (e, c) -> [ e; c ]) h.buckets)
+        | None -> line 'h' [])
+      [ "net.link.depth"; "net.vc.depth" ];
+    line 'p' (List.map snd (Engine.Profiler.to_list (Engine.profile engine)))
+  in
+  let rng = Rng.create (1000 + i) in
+  let packet seq =
+    let src = Rng.int rng nodes in
+    let dst = (src + 1 + Rng.int rng (nodes - 1)) mod nodes in
+    { Packet.src_node = src; dst_node = dst; dst_paddr = 0;
+      payload = Bytes.make (4 * (1 + Rng.int rng 24)) 'x'; seq }
+  in
+  for seq = 1 to 40 do
+    let p = packet seq in
+    Engine.schedule_at engine ~time:(Rng.int rng 1_500) (fun _ -> Router.send r p)
+  done;
+  List.iteri
+    (fun k credits ->
+      Engine.schedule_at engine ~time:(500 * (k + 1)) (fun _ ->
+          Router.set_rx_credits r credits))
+    rg.sr_squeeze;
+  let rec probe e =
+    read 'e';
+    let c = Engine.now e in
+    if c < 2_500 then
+      Engine.schedule e
+        ?cat:(if c mod 7 = 3 then Some Engine.Profiler.Wire else None)
+        ~delay:1 probe
+  in
+  Engine.schedule_at engine ~time:0 probe;
+  let seq = ref 40 in
+  while Engine.now engine < 3_000 do
+    let t = Engine.now engine + 1 + Rng.int rng 60 in
+    if Rng.bool rng then Engine.run_until engine t else Engine.run_before engine t;
+    if Rng.int rng 3 = 0 then begin
+      incr seq;
+      Router.send r (packet !seq)
+    end;
+    read 't'
+  done;
+  Engine.run_until_idle engine;
+  read 'i';
+  Buffer.add_buffer log reads;
+  Digest.to_hex (Digest.string (Buffer.contents log))
+
+(* Recorded with the four per-hop bookkeeping events (credit reserve,
+   wire start, credit release, wire clear) as engine events; regimes in
+   [settled_regimes] order. *)
+let settled_expected =
+  [| "768f40577e2bcbfc2c268f3595e6b149"; "f8ca13c97364b26a623d4d3e3ea73090";
+     "81bd3ef21053c74815d96cd774aa505c"; "af87e92325c277b32a26fc0fb9444d4a";
+     "96e9af55b4cf07c7c53772d62bade480"; "fbcc04c8ceca1b64d7e25d24e6fcbdee";
+     "7171ff3a417c9f508717cef6d8ccee1f"; "d90058280e452f58b368cec0e4f3022b";
+     "6fa53f6a33a4617bd489fe8da008cc6c"; "ae203aaf7d38cce908455c83dbb7a01e";
+     "58990eda3e8a1dc7743eeb1effd0d77b"; "00a32a64b4906fb34bd7c2f643bacb6f";
+     "faba97c8537189b07c8c26d25b3b2a87"; "26e1c0a63ea630f2d4e1858ecc00d7c4";
+     "975710ad663a3f76addba448faa658be"; "21887cf0caa6b7e941c81b0da03bbe50";
+     "fd4a0619083b47621cb0ffe0a32c38e4"; "782cce281e01536e3d1d7248190b650b";
+     "9dc3293ca49e6599d7fab07ce6f5df74"; "27749d519c755f8d987a24343b39c624";
+     "ebf89eb9da395528ff66e0caaff5fd1a"; "fde338a01158a986cc7d120707cf4a5b";
+     "7ab51d2821e6ef40b640b3fd804f61fe"; "06f7fe3b1baca2afb87ac649ca09b5da" |]
+
+let test_analytic_settled_pinned () =
+  let got = List.map settled_run (List.mapi (fun i rg -> (i, rg)) settled_regimes) in
+  List.iteri
+    (fun i d ->
+      if settled_expected.(i) <> d then
+        Alcotest.failf "regime %d: settled-counter digest %s moved" i d)
+    got;
+  checki "24 distinct settled-counter digests" 24
+    (List.length (List.sort_uniq compare got))
+
 (* The flit crossing's data layout under a hotspot with unlimited
    credits: 2,400 worms (a quarter aimed at node 0) through 16 nodes in
    20 k cycles. Every ring entry is a run of consecutive flits of one
@@ -2145,6 +2325,8 @@ let () =
           Alcotest.test_case "flit: run-splitting scenarios pinned" `Quick
             test_flit_split_runs_pinned;
           Alcotest.test_case "flit: run census" `Quick test_flit_run_census;
+          Alcotest.test_case "analytic: settled counters pinned" `Quick
+            test_analytic_settled_pinned;
         ] );
       ( "system",
         [
