@@ -138,6 +138,12 @@ let push_reserved q ~time ~seq ~tag payload =
 
 let[@inline] min_time q = if q.size = 0 then max_int else q.heap.(0)
 
+let[@inline] min_seq q =
+  if q.size = 0 then invalid_arg "Eventq.min_seq: empty queue";
+  q.heap.(2)
+
+let next_seq q = q.next_seq
+
 let[@inline] min_tag q =
   if q.size = 0 then invalid_arg "Eventq.min_tag: empty queue";
   q.tags.(q.heap.(3))

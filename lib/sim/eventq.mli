@@ -68,6 +68,15 @@ val min_tag : 'a t -> int
 (** [min_tag q] is the tag the earliest event was pushed with. Allocates
     nothing. Raises [Invalid_argument] if [q] is empty. *)
 
+val min_seq : 'a t -> int
+(** [min_seq q] is the sequence number of the earliest event: the one
+    its push took, or {!reserve} handed out. Allocates nothing. Raises
+    [Invalid_argument] if [q] is empty. *)
+
+val next_seq : 'a t -> int
+(** [next_seq q] is the sequence number the next {!push} or {!reserve}
+    will take: every number below it has been taken. *)
+
 val pop_payload : 'a t -> 'a
 (** [pop_payload q] removes the earliest event and returns its payload;
     read its time with {!min_time} first. Same order and slot release
