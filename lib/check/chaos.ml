@@ -783,7 +783,10 @@ let mesh_build setup =
     { System.default_config with
       System.router =
         { Router.default_config with
-          Router.link_contention = setup.contention;
+          Router.link_contention =
+            (* the flit crossing needs contention: without it the router
+               runs the closed-form wire and F1 watches nothing *)
+            setup.contention || flit;
           Router.routing =
             (* flit mode is dimension-order only *)
             (if setup.adaptive && not flit then `Minimal_adaptive
