@@ -627,19 +627,43 @@ let pp_mesh_action ppf = function
   | M_run x -> Format.fprintf ppf "run %d cycles" x.cycles
   | M_drain -> Format.pp_print_string ppf "drain"
 
+(* The router a seed runs: its draws, with the combinations the flit
+   crossing needs forced. *)
+let mesh_router_config setup =
+  let flit = setup.mesh_crossing = `Flit in
+  { Router.default_config with
+    Router.link_contention =
+      (* the flit crossing needs contention: without it the router runs
+         the closed-form wire and F1 watches nothing *)
+      setup.contention || flit;
+    Router.routing =
+      (* flit mode is dimension-order only *)
+      (if setup.adaptive && not flit then `Minimal_adaptive else `Dimension_order);
+    Router.vc_count = setup.mesh_vcs;
+    Router.rx_credits =
+      (* flit seeds always exercise finite input FIFOs: that is the
+         credit half of the F1 conservation identity *)
+      (if flit && setup.mesh_credits = None then Some 4 else setup.mesh_credits);
+    Router.crossing = setup.mesh_crossing;
+    Router.flit_words = setup.mesh_flit_words }
+
+(* The header names the router the seed runs, not its raw draws. *)
 let pp_mesh_setup ppf s =
+  let r = mesh_router_config s in
   Format.fprintf ppf
     "seed=%d nodes=%d contention=%b routing=%s pages/node=%d vcs=%d rx=%s \
      crossing=%s"
-    s.mesh_seed s.mesh_nodes s.contention
-    (if s.adaptive then "adaptive" else "dimension-order")
-    s.mesh_pages s.mesh_vcs
-    (match s.mesh_credits with
+    s.mesh_seed s.mesh_nodes r.Router.link_contention
+    (match r.Router.routing with
+    | `Minimal_adaptive -> "adaptive"
+    | `Dimension_order -> "dimension-order")
+    s.mesh_pages r.Router.vc_count
+    (match r.Router.rx_credits with
     | None -> "unlimited"
     | Some n -> string_of_int n)
-    (match s.mesh_crossing with
+    (match r.Router.crossing with
     | `Analytic -> "analytic"
-    | `Flit -> Printf.sprintf "flit(%dw)" s.mesh_flit_words)
+    | `Flit -> Printf.sprintf "flit(%dw)" r.Router.flit_words)
 
 (* A random directed mesh link: a node and one of its in-mesh
    neighbours (the node counts below all tile complete rectangles, so
@@ -737,8 +761,8 @@ let mesh_gen seed =
       mesh_credits =
         (if Rng.int rng 4 = 0 then None else Some (2 + Rng.int rng 6));
       (* flit-level crossing for 1 of 3 seeds — the F1 oracle's
-         surface (mesh_build forces the combinations flit mode
-         supports) *)
+         surface (mesh_router_config forces the combinations flit
+         mode supports) *)
       mesh_crossing = (if Rng.int frng 3 = 0 then `Flit else `Analytic);
       mesh_flit_words = [| 1; 2; 4 |].(Rng.int frng 3);
     }
@@ -779,27 +803,7 @@ let at_node violation i =
 
 let mesh_build setup =
   let flit = setup.mesh_crossing = `Flit in
-  let config =
-    { System.default_config with
-      System.router =
-        { Router.default_config with
-          Router.link_contention =
-            (* the flit crossing needs contention: without it the router
-               runs the closed-form wire and F1 watches nothing *)
-            setup.contention || flit;
-          Router.routing =
-            (* flit mode is dimension-order only *)
-            (if setup.adaptive && not flit then `Minimal_adaptive
-             else `Dimension_order);
-          Router.vc_count = setup.mesh_vcs;
-          Router.rx_credits =
-            (* flit seeds always exercise finite input FIFOs: that is
-               the credit half of the F1 conservation identity *)
-            (if flit && setup.mesh_credits = None then Some 4
-             else setup.mesh_credits);
-          Router.crossing = setup.mesh_crossing;
-          Router.flit_words = setup.mesh_flit_words } }
-  in
+  let config = { System.default_config with System.router = mesh_router_config setup } in
   let sys = System.create ~config ~nodes:setup.mesh_nodes () in
   let nodes = setup.mesh_nodes in
   let mesh_procs =

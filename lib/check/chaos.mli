@@ -241,5 +241,10 @@ type mesh_setup = {
   mesh_flit_words : int;      (** flit size for [`Flit] seeds *)
 }
 
+val mesh_router_config : mesh_setup -> Udma_shrimp.Router.config
+(** The router a mesh seed runs: its draws, with contention on,
+    dimension-order routing and finite credits forced for flit seeds.
+    The scenario builds with it and its setup header prints it. *)
+
 val mesh : (mesh_setup, mesh_action) scenario
 (** Untraced: {!report} has no trace tail. *)

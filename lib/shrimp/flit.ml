@@ -90,11 +90,13 @@ type fbuf = {
    order; [waiters] has bit [fb_pos] set for each unit whose front
    flit is routed over this wire. A wire holding a run (mode 1) leaves
    the active set: the wake ring brings it back at each of the run's
-   crossings ([run_next], -1 after the last), at the ready cycle of a
-   front that becomes ready between two of them, and at [run_wake],
-   where it arbitrates again. [run_from] and [run_ready] are the stall
-   cycles' bookkeeping: from [run_from] on, every tick at or after the
-   front's ready cycle is a stall the wire has not yet counted. *)
+   crossings ([run_next], -1 after the last) and at [run_wake], where
+   it arbitrates again; a waiting wire (mode 2) comes back at
+   [run_wake] only. The rest is the stall cycles' bookkeeping for
+   both: the ticks before [run_from] are counted ([run_base] of them
+   by then), and from [run_from] on every tick at or after
+   [stall_from] is a stall the wire has not yet counted, a head-of-line
+   cycle too at or after [hol_from] ([max_int]: never). *)
 type link = {
   ml : Mesh.link;
   idx : int;                        (* position in [arr] *)
@@ -104,6 +106,7 @@ type link = {
   mutable rr : int;                 (* rr pointer over [units] *)
   mutable vc_rr : int;              (* rr pointer for head-flit VC grants *)
   vc_free : int -> bool;            (* VC unowned and credited: a head may take it *)
+  mutable occ : int;                (* cycles a flit holds the wire, for its fault *)
   mutable wire_free : int;
   mutable busy_listed : bool;       (* in [busy] *)
   mutable hol_cycles : int;         (* stall cycles while the wire was free *)
@@ -114,10 +117,9 @@ type link = {
   mutable run_next : int;
   mutable run_wake : int;
   mutable run_from : int;
-  mutable run_ready : int;          (* max_int: no front *)
-  mutable wait_stall : bool;        (* waiting: every tick is a stall *)
-  mutable wait_hol : bool;          (* ... and a head-of-line cycle *)
-  mutable run_base : int;           (* waiting: ticks already counted *)
+  mutable run_base : int;           (* ticks through [run_from - 1] *)
+  mutable stall_from : int;
+  mutable hol_from : int;
   mutable ej_sleep : bool;          (* its ejection waits on [ewake] *)
 }
 
@@ -126,11 +128,11 @@ type link = {
    ahead of the pass cursor queues it later in the same pass; marking
    one at or behind the cursor defers it to the next pass, which is
    exactly when a full in-order sweep of every link would next reach
-   it. Two bitsets of 32-bit words hold the members. *)
+   it. Two bitsets of 32-bit words hold the members; between passes
+   the deferred ones are all in [wl_cur]. *)
 type worklist = {
   mutable wl_cur : int array;       (* members due this pass, all > cursor *)
   mutable wl_next : int array;      (* members due next pass *)
-  mutable wl_n : int;               (* members in both *)
   mutable wl_cursor : int;          (* index being visited; -1 between passes *)
 }
 
@@ -153,15 +155,17 @@ type t = {
   occ_sum : float array;   (* per-VC occupancy, summed per tick *)
   occ_max : int array;
   mutable occ_cycles : int;
-  (* Runs. [span] bounds how far ahead a run reaches; both rings hold
+  (* Runs. [span] bounds how far ahead a run reaches; the rings hold
      [span] cycles. [wake] is a bitset of links per cycle, the visits
-     sleeping wires are due; [ticks] holds, per cycle, the ticks at or
-     before it, which is how a waking wire counts the stall cycles it
-     slept through. *)
+     sleeping wires are due; [due] marks the cycles a tick is due at
+     for a front's ready cycle no visit is due at; [ticks] holds, per
+     cycle, the ticks at or before it, which is how a waking wire counts
+     the stall cycles it slept through. *)
   span : int;                       (* a power of two *)
   words : int;                      (* bitset words per cycle *)
   wake : int array;                 (* cycle slot * words + word *)
   ewake : int array;                (* the same for ejection links *)
+  due : int array;                  (* cycle slot -> 1: a tick is due *)
   ticks : int array;
   mutable sleeping : int;
   (* the worm table, indexed by worm id; a free id is on [w_free] *)
@@ -268,22 +272,26 @@ let[@inline] ring_pop fb =
     fb.fb_ready.(k) <- fb.fb_ready.(k) + gap_of r
   end
 
+(* The cycles a flit holds the wire of [l]. *)
+let wire_occ (cfg : Mesh.config) (l : Mesh.link) =
+  cfg.per_word_cycles * cfg.flit_words * Mesh.occupancy_factor l.l_fault
+
 (* ---- Worklists ---- *)
 
 let wl_create n =
   let words = (n + 31) / 32 in
-  { wl_cur = Array.make words 0; wl_next = Array.make words 0; wl_n = 0;
-    wl_cursor = -1 }
+  { wl_cur = Array.make words 0; wl_next = Array.make words 0; wl_cursor = -1 }
 
-let wl_is_empty w = w.wl_n = 0
+let wl_is_empty w =
+  let rec empty a k = k < 0 || (a.(k) = 0 && empty a (k - 1)) in
+  let last = Array.length w.wl_cur - 1 in
+  empty w.wl_cur last && empty w.wl_next last
 
 let[@inline] wl_mark w i =
   let k = i lsr 5 and b = 1 lsl (i land 31) in
-  if (w.wl_cur.(k) lor w.wl_next.(k)) land b = 0 then begin
-    w.wl_n <- w.wl_n + 1;
+  if (w.wl_cur.(k) lor w.wl_next.(k)) land b = 0 then
     if i > w.wl_cursor then w.wl_cur.(k) <- w.wl_cur.(k) lor b
     else w.wl_next.(k) <- w.wl_next.(k) lor b
-  end
 
 (* The next member due in this pass, or -1 once the pass is over (the
    deferred members then become due for the next one). *)
@@ -296,7 +304,6 @@ let[@inline] wl_take w =
     let word = Array.unsafe_get cur !k in
     let b = ctz word in
     Array.unsafe_set cur !k (word lxor (1 lsl b));
-    w.wl_n <- w.wl_n - 1;
     let i = (!k lsl 5) lor b in
     w.wl_cursor <- i;
     i
@@ -354,48 +361,71 @@ let worm_free t w =
    A wire sleeps while its visits could only count stalls: during a run
    (mode 1) between its crossings, and while waiting (mode 2) for the
    wire to free, for a waiter to become ready, or for a credit or a VC.
-   It counts those stall cycles when it next runs or is read. A run's
-   stalls come from the [ticks] ring: a tick between two of its
-   crossings is a stall exactly when the unit's front was ready by
-   then, never a head-of-line cycle (the wire is busy throughout). A
-   waiting wire's ticks are all alike, each a stall when a waiter was
-   ready and a head-of-line cycle too when the wire was free. *)
+   It counts those stall cycles when it next runs or is read, from the
+   [ticks] ring: every tick from the first a waiter is ready at is a
+   stall, and a head-of-line cycle too from the first the wire is free
+   at with every ready waiter blocked. During a run the wire is busy
+   throughout, so its ticks are stalls from the unit's front's ready
+   cycle on and never head-of-line. A sleep whose counting changes
+   partway ends within [span] cycles, so the ring still holds the tick
+   count at the change when the wire counts; one that may last longer
+   counts alike from its first tick on, from the tick count it started
+   at. *)
 
-(* Ticks at cycles [lo..hi]; both within [span] cycles of the clock. *)
-let[@inline] ticks_in t lo hi =
-  let mask = t.span - 1 in
-  t.ticks.(hi land mask) - t.ticks.((lo - 1) land mask)
+(* Count the stalls of sleeping [s] through cycle [upto], at most the
+   clock's last tick. *)
+let settle t s upto =
+  if upto >= s.run_from then begin
+    let mask = t.span - 1 in
+    let hi = t.ticks.(upto land mask) in
+    (* the ticks at cycles [from..upto] not yet counted; a head-of-line
+       cycle is a stall too, so [hol_from >= stall_from] *)
+    let from = s.stall_from in
+    if from <= upto then begin
+      let n =
+        hi - if from <= s.run_from then s.run_base else t.ticks.((from - 1) land mask)
+      in
+      s.ml.l_wait_cycles <- s.ml.l_wait_cycles + n;
+      t.n_stalls <- t.n_stalls + n;
+      let from = s.hol_from in
+      if from <= upto then begin
+        let n =
+          hi - if from <= s.run_from then s.run_base else t.ticks.((from - 1) land mask)
+        in
+        s.hol_cycles <- s.hol_cycles + n;
+        t.n_hol <- t.n_hol + n
+      end
+    end;
+    s.run_from <- upto + 1;
+    s.run_base <- hi
+  end
 
-(* Count the stalls of sleeping [s] through cycle [upto], which is the
-   [ticks]-th tick. *)
-let settle t s upto ticks =
-  if s.mode = 1 then begin
-    let lo = Int.max s.run_from s.run_ready in
-    if upto >= lo then begin
-      let n = ticks_in t lo upto in
-      s.ml.l_wait_cycles <- s.ml.l_wait_cycles + n;
-      t.n_stalls <- t.n_stalls + n
-    end;
-    if upto >= s.run_from then s.run_from <- upto + 1
-  end
-  else begin
-    let n = ticks - s.run_base in
-    s.run_base <- ticks;
-    if s.wait_stall then begin
-      s.ml.l_wait_cycles <- s.ml.l_wait_cycles + n;
-      t.n_stalls <- t.n_stalls + n
-    end;
-    if s.wait_hol then begin
-      s.hol_cycles <- s.hol_cycles + n;
-      t.n_hol <- t.n_hol + n
-    end
-  end
+(* The counting starts after this tick, which the visit counted. *)
+let[@inline] count_from t s now =
+  s.run_from <- now + 1;
+  s.run_base <- t.ticks.(now land (t.span - 1))
+
+(* The last cycle a grant per flit has visited [s] at: the tick now
+   running counts once the arbitration pass is past [s] (the running
+   tick's [ticks] entry is one ahead of [occ_cycles] until it ends). *)
+let[@inline] seen t s =
+  if s.idx <= t.arb.wl_cursor
+     || t.ticks.(t.last_tick land (t.span - 1)) = t.occ_cycles
+  then t.last_tick
+  else t.last_tick - 1
 
 let[@inline] ring_mark ring t i cycle =
   let j = ((cycle land (t.span - 1)) * t.words) + (i lsr 5) in
   ring.(j) <- ring.(j) lor (1 lsl (i land 31))
 
 let[@inline] wake_at t s cycle = ring_mark t.wake t s.idx cycle
+
+(* A front becomes ready at [ready], which a grant per flit would tick
+   at: a wire sleeping past it leaves a mark that the clock does too. *)
+let[@inline] note_ready t ready =
+  if ready < t.min_ready then t.min_ready <- ready;
+  if ready > t.last_tick && ready < t.last_tick + t.span then
+    t.due.(ready land (t.span - 1)) <- 1
 
 let stop_sleep t s =
   s.mode <- 0;
@@ -404,24 +434,39 @@ let stop_sleep t s =
 (* Every reader sees the stall counts as of the last tick. *)
 let settle_all t =
   if t.sleeping > 0 then
-    Array.iter (fun s -> if s.mode <> 0 then settle t s t.last_tick t.occ_cycles) t.arr
+    Array.iter (fun s -> if s.mode <> 0 then settle t s t.last_tick) t.arr
 
 (* Something a waiting wire waits on changed during a tick (or between
    ticks): it rejoins the active set. A grant per flit would have
    visited it in this tick already when it lies behind the cursor, so
    this tick is one of its stall cycles then. *)
 let rouse t s =
-  let behind = s.idx <= t.arb.wl_cursor in
-  settle t s 0 (if behind then t.occ_cycles + 1 else t.occ_cycles);
+  settle t s (seen t s);
   stop_sleep t s;
   wl_mark t.arb s.idx
+
+(* Put awake [s] to sleep after its visit at [now] until [wake], as a
+   waiting wire whose ticks are stalls from [stall] on and head-of-line
+   cycles from [hol] on; a wake too near or too far for the ring keeps
+   it in the active set. *)
+let wait t s now wake stall hol =
+  if wake > now + 1 && (wake = max_int || wake < now + t.span) then begin
+    s.mode <- 2;
+    t.sleeping <- t.sleeping + 1;
+    s.run_wake <- wake;
+    s.stall_from <- stall;
+    s.hol_from <- hol;
+    count_from t s now;
+    if wake < max_int then wake_at t s wake
+  end
+  else wl_mark t.arb s.idx
 
 (* A send or a fault may change what a sleeping wire committed to: end
    its run. The crossings already made stand; from the next tick the
    wire is visited like any other. *)
 let interrupt t s =
   if s.mode = 1 then begin
-    settle t s t.last_tick t.occ_cycles;
+    settle t s t.last_tick;
     stop_sleep t s;
     let k = s.idx lsr 5 and b = lnot (1 lsl (s.idx land 31)) in
     for c = 0 to t.span - 1 do
@@ -484,16 +529,24 @@ let[@inline] note_occupancy t occ =
    those some queue's front flit is routed over, plus the sleeping
    links the wake rings bring back this cycle. Every pop and every push
    into an empty queue re-marks the link the queue's new front waits
-   for (a visit re-marks its own link while other fronts still wait
-   there), so a tick visits the links a full in-order sweep would find
-   work on, in the same order and against the same state, except
-   sleeping ones, whose visits would only have counted a stall or
-   noted a ready cycle the wake ring holds. An ejection link whose
-   fronts are all still in flight sleeps until the first is ready. A
-   wire that grants nothing sleeps until a waiter becomes ready or its
-   busy wire frees, or until one of its FIFOs pops or a new front
-   routes over it, whichever comes first; a pop or a new front rouses it
-   at once. When a tick makes no progress the clock skips ahead
+   for, for the first cycle that link could act at (a visit decides
+   its own link's next visit while other fronts still wait there), so
+   a tick visits the links a full in-order sweep would find work on,
+   in the same order and against the same state, except sleeping ones,
+   whose visits would only have counted a stall or noted a ready cycle
+   the rings hold. An ejection link is marked for the next tick when
+   its new front is ready by then, else it sleeps until the front's
+   ready cycle: it is visited only at ticks it ejects at. A wire that
+   has just granted, with fronts still waiting on it, sleeps until it
+   frees (or until the first of them is ready, if later). A wire that
+   grants nothing sleeps until it could grant: until its busy wire
+   frees, or a waiter becomes ready, or (every ready waiter blocked) a
+   credit or a VC comes back. A new front routed over a waiting wire
+   rouses it, unless the wire is busy until it wakes anyway, when the
+   front can only start its stall ticks sooner; a credit or a VC
+   coming back rouses only a blocked one. The ready cycles a sleeping
+   wire skips are marked on [due], so the clock still ticks at each.
+   When a tick makes no progress the clock skips ahead
    to the next flit-ready, wire-free or wake time instead of spinning,
    and goes quiescent when none exists (empty network, or a worm wedged
    by a lost flit — which is why the F1 oracle and not a hang is how a
@@ -518,11 +571,28 @@ let[@inline] note_occupancy t occ =
    its grant would have left. A send whose worm could reach the wire
    first, or a fault set on it, ends the run at once. *)
 
+(* The ejection link [l] has a front ready at [ready]: it is visited
+   at the next tick when that is not too early, else it sleeps until
+   [ready]. Called during a tick only. *)
+let[@inline] eject_at t l ready =
+  let now = t.last_tick in
+  if ready > now + 1 && ready < now + t.span then begin
+    ring_mark t.ewake t l.idx ready;
+    if not l.ej_sleep then begin
+      l.ej_sleep <- true;
+      t.sleeping <- t.sleeping + 1
+    end
+  end
+  else wl_mark t.eject l.idx
+
 (* A queue's front changed: set the queue's bit in the waiter mask of
-   the link its new front waits for and mark that link, or rouse it
-   when it waits; a wire holding a run sleeps on (the new front cannot
-   be ready before the run ends). A front past its last hop sits in the
-   input FIFO of that last link, waiting to eject. *)
+   the link its new front waits for and mark that link, unless it is
+   the wire being visited (the visit decides its own next one). A wire
+   holding a run sleeps on (the new front cannot be ready before the
+   run ends); so does a waiting wire busy until it wakes, whose stall
+   ticks the front can only start sooner; any other waiting wire is
+   roused. A front past its last hop sits in the input FIFO of that
+   last link, waiting to eject at its ready cycle. *)
 let[@inline] refront t fb =
   if fb.fb_n > 0 then begin
     let k = fb.fb_head in
@@ -531,9 +601,18 @@ let[@inline] refront t fb =
     if hop < Array.length p then begin
       let s = t.arr.(p.(hop)) in
       s.waiters <- s.waiters lor (1 lsl fb.fb_pos);
-      if s.mode = 0 then wl_mark t.arb s.idx else if s.mode = 2 then rouse t s
+      if s.mode = 0 then begin
+        if s.idx <> t.arb.wl_cursor then wl_mark t.arb s.idx
+      end
+      else if s.mode = 2 then
+        if s.run_wake <= s.wire_free then begin
+          let ready = fb.fb_ready.(k) in
+          s.stall_from <- Int.min s.stall_from (Int.max ready (seen t s + 1));
+          note_ready t ready
+        end
+        else rouse t s
     end
-    else wl_mark t.eject p.(hop - 1)
+    else eject_at t t.arr.(p.(hop - 1)) fb.fb_ready.(k)
   end
 
 (* Push into an input FIFO, keeping the running per-VC occupancy. *)
@@ -541,6 +620,10 @@ let[@inline] push t fb flit hop ready =
   ring_push fb flit hop ready;
   t.occ_now.(fb.fb_vc) <- t.occ_now.(fb.fb_vc) + 1;
   if fb.fb_len = 1 then refront t fb
+
+(* A credit or a VC came back to an input FIFO of [up]: a wire waiting
+   with every ready waiter blocked may grant again. *)
+let[@inline] unblock t up = if up.mode = 2 && up.hol_from < max_int then rouse t up
 
 (* Pop a FIFO's front: it leaves its wire's waiter mask; an injection
    FIFO's entry moves on to its worm's next flit and leaves after the
@@ -560,12 +643,9 @@ let pop t fb =
     t.occ_now.(fb.fb_vc) <- t.occ_now.(fb.fb_vc) - 1;
     if fb.fb_credits >= 0 then fb.fb_credits <- fb.fb_credits + 1;
     if idx_of flit = t.w_flits.(w) - 1 then fb.fb_owner <- -1;
-    let up = t.arr.(fb.fb_link) in
-    if up.mode = 2 then rouse t up
+    unblock t t.arr.(fb.fb_link)
   end;
   refront t fb
-
-let[@inline] note_ready t ready = if ready < t.min_ready then t.min_ready <- ready
 
 (* Eject at most one arrived flit from [l]'s input FIFOs (lowest VC
    first); [true] iff one left the network. A tail completes its worm,
@@ -610,18 +690,9 @@ let eject_link t l now =
   done;
   (* fronts that are not ready yet wake the link at the first ready
      cycle; one that only lost to a lower VC tries the next tick *)
-  if !waiting then
-    if !soon > now + 1 && !soon < now + t.span then begin
-      ring_mark t.ewake t l.idx !soon;
-      l.ej_sleep <- true;
-      t.sleeping <- t.sleeping + 1
-    end
-    else wl_mark t.eject l.idx;
+  if !waiting then eject_at t l !soon;
   !ejected
 
-(* The cycles a flit holds the wire of [l]. *)
-let[@inline] wire_occ t (l : Mesh.link) =
-  t.m.config.per_word_cycles * t.m.config.flit_words * Mesh.occupancy_factor l.l_fault
 
 (* Move one flit across [s] into [fb] (VC [vc]): the wire is held for
    [occ] cycles, and the flit is usable downstream [per_hop_cycles]
@@ -713,21 +784,22 @@ let sleep t s ui vc m gap now =
   s.run_wake <- now + ((m + 1) * gap)
 
 (* After a crossing at [now] by a sleeping wire: note the unit's new
-   front and queue the wire's next visit, and a visit at its front's
-   ready cycle if that falls strictly between (a grant per flit would
-   tick there). *)
+   front, whose ready cycle starts the stalls, and queue the wire's
+   next visit. *)
 let[@inline] rearm t s u now =
-  let next = now + s.run_gap in
   let ready = if u.fb_n > 0 then u.fb_ready.(u.fb_head) else max_int in
-  s.run_from <- now + 1;
-  s.run_ready <- ready;
-  wake_at t s next;
-  if ready > now + 1 && ready < next then wake_at t s ready
+  count_from t s now;
+  s.stall_from <- ready;
+  s.hol_from <- max_int;
+  if ready > now then note_ready t ready;
+  wake_at t s (now + s.run_gap)
 
 (* One committed crossing of a run: the unit's front, a body flit of
    the run's worm, crosses into the run's FIFO. *)
 let cross_run t s now =
-  settle t s (now - 1) 0;
+  (* [rearm] restarts the count after this crossing; only stalls since
+     the last one need settling *)
+  if s.stall_from < now then settle t s (now - 1);
   let u = s.units.(s.run_unit) in
   let k = u.fb_head in
   let flit = u.fb_flit.(k) and hop = u.fb_hop.(k) in
@@ -736,10 +808,9 @@ let cross_run t s now =
     t.occ_now.(u.fb_vc) <- t.occ_now.(u.fb_vc) - 1;
     if u.fb_credits >= 0 then u.fb_credits <- u.fb_credits + 1;
     if u.fb_n = 0 then s.waiters <- s.waiters land lnot (1 lsl u.fb_pos);
-    let up = t.arr.(u.fb_link) in
-    if up.mode = 2 then rouse t up
+    unblock t t.arr.(u.fb_link)
   end;
-  cross t s s.bufs.(s.run_vc) s.run_vc flit hop now (wire_occ t s.ml);
+  cross t s s.bufs.(s.run_vc) s.run_vc flit hop now s.occ;
   let next = now + s.run_gap in
   s.run_next <- (if next < s.run_wake then next else -1);
   rearm t s u now
@@ -803,7 +874,7 @@ let arbitrate t s now =
   done;
   if !winner >= 0 then begin
     let ui = !winner in
-    s.rr <- (ui + 1) mod Array.length units;
+    s.rr <- (if ui + 1 = Array.length units then 0 else ui + 1);
     let u = units.(ui) in
     let k = u.fb_head in
     let flit = u.fb_flit.(k) and hop = u.fb_hop.(k) in
@@ -811,12 +882,12 @@ let arbitrate t s now =
     let vc = if idx_of flit = 0 then !head_vc else t.w_vcs.((w * t.max_hops) + hop) in
     let fb = s.bufs.(vc) in
     if idx_of flit = 0 then begin
-      s.vc_rr <- (vc + 1) mod vcn;
+      s.vc_rr <- (if vc + 1 = vcn then 0 else vc + 1);
       (* the head claims the whole packet's crossing of this wire for
          link-level stats *)
       l.l_xmits <- l.l_xmits + 1
     end;
-    let occ = wire_occ t l in
+    let occ = s.occ in
     let gap = Int.max 1 occ in
     let m =
       if !waiters > 1 || idx_of flit = t.w_flits.(w) - 1 then -1
@@ -832,32 +903,32 @@ let arbitrate t s now =
       rearm t s u now
     end
     else begin
-      (* fronts still waiting here keep the wire in the active set;
-         the winner's successor re-marks it through [pop] if routed
-         here *)
-      if !routed > 1 then wl_mark t.arb s.idx;
       pop t u;
-      cross t s fb vc flit hop now occ
+      cross t s fb vc flit hop now occ;
+      if s.waiters <> 0 then begin
+        (* fronts still wait here, the winner's successor among them
+           if routed here: nothing is granted before the wire frees,
+           and every tick before then from the first a front is ready
+           at is a stall *)
+        let next =
+          if s.waiters land (1 lsl u.fb_pos) <> 0 then u.fb_ready.(u.fb_head) else max_int
+        in
+        if next > now then note_ready t next;
+        let stall = if !waiters > 1 then now + 1 else Int.max (now + 1) (Int.min !later next) in
+        wait t s now (Int.max s.wire_free stall) stall max_int
+      end
     end;
     true
   end
   else begin
-    if !routed > 0 then begin
-      (* nothing changes for this wire before a waiter becomes ready,
-         the wire frees (when it is busy) or one of its FIFOs pops (a
-         credit or a VC returns): it waits for the first *)
-      let wake = if !waiters > 0 && not wire_free then Int.min !later s.wire_free else !later in
-      if wake > now + 1 && (wake = max_int || wake < now + t.span) then begin
-        s.mode <- 2;
-        t.sleeping <- t.sleeping + 1;
-        s.run_wake <- wake;
-        s.wait_stall <- !waiters > 0;
-        s.wait_hol <- !waiters > 0 && wire_free;
-        s.run_base <- t.occ_cycles + 1;
-        if wake < max_int then wake_at t s wake
-      end
-      else wl_mark t.arb s.idx
-    end;
+    if !routed > 0 then
+      (* nothing changes for this wire before the wire frees (when it
+         is busy), a waiter becomes ready or one of its FIFOs pops (a
+         credit or a VC returns): it waits for the first that lets it
+         grant *)
+      if !waiters = 0 then wait t s now (Int.max s.wire_free !later) !later max_int
+      else if wire_free then wait t s now !later (now + 1) (now + 1)
+      else wait t s now s.wire_free (now + 1) max_int;
     if !waiters > 0 then begin
       (* a stall cycle: a ready waiter and no grant *)
       l.l_wait_cycles <- l.l_wait_cycles + 1;
@@ -883,7 +954,7 @@ let visit t s now =
     true
   end
   else if now = s.run_wake then begin
-    settle t s (now - 1) t.occ_cycles;
+    settle t s (now - 1);
     stop_sleep t s;
     arbitrate t s now
   end
@@ -893,8 +964,9 @@ let visit t s now =
    when the network is empty or frozen. Called after a tick without
    progress, which visited every awake queue's front (each waits on a
    link of an active set) and so saw the earliest future ready cycle;
-   the wires still busy past [now] are all on [busy]; a sleeping wire's
-   visits are in the wake ring. *)
+   the wires still busy past [now] are all on [busy]; a sleeping link's
+   visits are in the wake rings, and the ready cycles it sleeps past on
+   [due]. *)
 let next_time t now =
   if wl_is_empty t.arb && wl_is_empty t.eject && t.sleeping = 0 then max_int
   else begin
@@ -914,25 +986,25 @@ let next_time t now =
       let c = ref (now + 1) in
       let stop = Int.min !best (now + t.span) in
       while !c < stop do
-        let base = (!c land (t.span - 1)) * t.words and k = ref 0 in
+        let slot = !c land (t.span - 1) in
+        let base = slot * t.words and k = ref 0 in
         while !k < t.words && t.wake.(base + !k) lor t.ewake.(base + !k) = 0 do incr k done;
-        if !k < t.words then begin best := !c; c := stop end else incr c
+        if !k < t.words || t.due.(slot) <> 0 then begin best := !c; c := stop end
+        else incr c
       done
     end;
     !best
   end
 
-(* The links a wake ring holds for cycle slot [base] join the passes
-   of [wl]. *)
+(* The links a wake ring holds for cycle slot [base] join the next
+   pass of [wl], before it starts. *)
 let drain t ring wl base =
+  let cur = wl.wl_cur in
   for k = 0 to t.words - 1 do
-    let bits = ref ring.(base + k) in
-    if !bits <> 0 then begin
+    let bits = ring.(base + k) in
+    if bits <> 0 then begin
       ring.(base + k) <- 0;
-      while !bits <> 0 do
-        wl_mark wl ((k lsl 5) lor ctz !bits);
-        bits := !bits land (!bits - 1)
-      done
+      cur.(k) <- cur.(k) lor bits
     end
   done
 
@@ -948,6 +1020,7 @@ let rec tick t =
     t.ticks.(now land mask) <- t.occ_cycles + 1;
     t.last_tick <- now;
     t.min_ready <- max_int;
+    t.due.(now land mask) <- 0;
     let base = (now land mask) * t.words in
     drain t t.wake t.arb base;
     drain t t.ewake t.eject base;
@@ -1001,12 +1074,13 @@ let create (m : Mesh.t) =
         let bufs =
           Array.init vcn (fun vc -> ring_create ~vc ~pos:(base + vc) ~link:idx ~capacity:cap)
         in
-        { ml = Mesh.link_of m a b; idx; bufs; units = [||]; waiters = 0; rr = 0; vc_rr = 0;
+        let ml = Mesh.link_of m a b in
+        { ml; idx; bufs; units = [||]; waiters = 0; rr = 0; vc_rr = 0;
           vc_free = (fun v -> bufs.(v).fb_owner = -1 && bufs.(v).fb_credits <> 0);
-          wire_free = 0; busy_listed = false; hol_cycles = 0; mode = 0;
+          occ = wire_occ cfg ml; wire_free = 0; busy_listed = false; hol_cycles = 0; mode = 0;
           run_unit = 0; run_vc = 0; run_gap = 1; run_next = -1;
-          run_wake = -1; run_from = 0; run_ready = max_int; wait_stall = false;
-          wait_hol = false; run_base = 0; ej_sleep = false })
+          run_wake = -1; run_from = 0; run_base = 0; stall_from = max_int;
+          hol_from = max_int; ej_sleep = false })
       pairs
   in
   let inject =
@@ -1046,7 +1120,7 @@ let create (m : Mesh.t) =
       occ_max = Array.make vcn 0;
       occ_cycles = 0;
       span = !span; words; wake = Array.make (!span * words) 0;
-      ewake = Array.make (!span * words) 0;
+      ewake = Array.make (!span * words) 0; due = Array.make !span 0;
       ticks = Array.make !span 0; sleeping = 0;
       max_hops = m.width - 1 + (m.node_count / m.width) - 1;
       w_pkt = [||]; w_flits = [||]; w_path = [||]; w_vcs = [||]; w_free = [||];
@@ -1109,7 +1183,10 @@ let send t pkt =
 (* A fault was set on the link [from_node] -> [to_node]. *)
 let fault_changed t ~from_node ~to_node =
   match Hashtbl.find_opt t.index (from_node, to_node) with
-  | Some i -> interrupt t t.arr.(i)
+  | Some i ->
+      let s = t.arr.(i) in
+      s.occ <- wire_occ t.m.config s.ml;
+      interrupt t s
   | None -> ()
 
 (* Every (link, VC) input FIFO, in (from, to, vc) order. *)

@@ -227,6 +227,63 @@ let test_plan_deterministic () =
     if ma <> mb then Alcotest.failf "mesh plan %d is not deterministic" seed
   done
 
+(* ---------- the mesh replay header ---------- *)
+
+(* A seed's header names the router it runs, which the scenario builds
+   from [Chaos.mesh_router_config]: a flit seed runs with contention,
+   dimension-order routing and finite credits whatever its raw draws,
+   and its header says so. Of the 45 flit seeds in 0-63 and 4096-4159,
+   13 draw contention off (seed 34 among them, with adaptive routing
+   too), 34 adaptive routing and 15 unlimited credits. *)
+let test_mesh_header_names_router () =
+  let module Router = Udma_shrimp.Router in
+  let flit_seeds = ref 0 and forced = ref 0 in
+  List.iter
+    (fun seed ->
+      let setup = (Chaos.plan_of_seed Chaos.mesh seed).Chaos.setup in
+      let header = Format.asprintf "%a" Chaos.mesh.Chaos.pp_setup setup in
+      let r = Chaos.mesh_router_config setup in
+      let expect =
+        [ Printf.sprintf "contention=%b" r.Router.link_contention;
+          (match r.Router.routing with
+          | `Minimal_adaptive -> "routing=adaptive"
+          | `Dimension_order -> "routing=dimension-order");
+          Printf.sprintf "vcs=%d" r.Router.vc_count;
+          (match r.Router.rx_credits with
+          | None -> "rx=unlimited"
+          | Some n -> Printf.sprintf "rx=%d " n) ]
+      in
+      List.iter
+        (fun part ->
+          if not (contains header part) then
+            Alcotest.failf "seed %d: header %S lacks %S" seed header part)
+        expect;
+      if setup.Chaos.mesh_crossing = `Flit then begin
+        incr flit_seeds;
+        if (not setup.Chaos.contention) || setup.Chaos.adaptive
+           || setup.Chaos.mesh_credits = None
+        then incr forced;
+        (match Router.validate ~nodes:setup.Chaos.mesh_nodes r with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "seed %d: flit router rejected: %s" seed e);
+        List.iter
+          (fun part ->
+            if not (contains header part) then
+              Alcotest.failf "flit seed %d: header %S lacks %S" seed header part)
+          [ "contention=true"; "routing=dimension-order"; "crossing=flit(" ];
+        if contains header "rx=unlimited" then
+          Alcotest.failf "flit seed %d: header %S says unlimited credits" seed header
+      end)
+    (List.init 64 Fun.id @ List.init 64 (fun i -> 4096 + i));
+  let h34 =
+    Format.asprintf "%a" Chaos.mesh.Chaos.pp_setup
+      (Chaos.plan_of_seed Chaos.mesh 34).Chaos.setup
+  in
+  if not (contains h34 "contention=true routing=dimension-order") then
+    Alcotest.failf "seed 34: header %S" h34;
+  if !flit_seeds = 0 || !forced = 0 then
+    Alcotest.failf "%d flit seeds, %d with a forced setting" !flit_seeds !forced
+
 let () =
   Alcotest.run "chaos"
     [
@@ -248,5 +305,7 @@ let () =
             test_mesh_generator_coverage;
           Alcotest.test_case "toy scenario: found, replayed, shrunk, reported"
             `Quick test_toy_harness;
+          Alcotest.test_case "mesh header names the router a seed runs" `Quick
+            test_mesh_header_names_router;
         ] );
     ]
