@@ -10,12 +10,9 @@ type cpu = {
 
 type endpoint = Memory of int | Device of int
 
-type split_strategy = Optimistic | Precompute
-
 type config = {
   call_overhead_cycles : int;
   alignment_check_cycles : int;
-  split : split_strategy;
   max_retries : int;
   poll_limit : int;
 }
@@ -24,7 +21,6 @@ let default_config =
   {
     call_overhead_cycles = 180;
     alignment_check_cycles = 100;
-    split = Optimistic;
     max_retries = 10_000;
     poll_limit = 10_000_000;
   }
@@ -68,8 +64,6 @@ let stats_of acc ~cycles =
     cycles;
   }
 
-let addr_of = function Memory a -> a | Device a -> a
-
 let shift ep k =
   match ep with Memory a -> Memory (a + k) | Device a -> Device (a + k)
 
@@ -77,9 +71,6 @@ let shift ep k =
 let proxy_vaddr layout = function
   | Memory a -> Layout.proxy_of layout a
   | Device a -> a
-
-let page_room layout addr =
-  Layout.page_size layout - Layout.offset_in_page layout addr
 
 (* Re-issue the LOAD at [probe_addr] while [waiting] holds of the word
    it returns. After a probe that says "keep waiting", [repeat_load]
@@ -200,10 +191,9 @@ let initiate_shaped cpu layout config acc ~queued ~src ~dst ~count ~shape =
   in
   attempt 0
 
-let piece_count config ~remaining ~src_room ~dst_room =
-  match config.split with
-  | Optimistic -> Int.min remaining Status.max_remaining
-  | Precompute -> Int.min remaining (Int.min src_room dst_room)
+(* §8's optimistic split: pass the full remaining count and let the
+   hardware clamp at the page boundary. *)
+let piece_count remaining = Int.min remaining Status.max_remaining
 
 (* Issue all pieces of one (src, dst, nbytes) transfer. When
    [wait_each] is set (basic hardware) each piece is drained before the
@@ -218,18 +208,13 @@ let issue cpu layout config acc ~queued ~wait_each ~src ~dst ~nbytes =
          For pieces after the first in basic mode this work overlaps
          the previous piece's transfer. *)
       cpu.compute config.alignment_check_cycles;
-      let src_room = page_room layout (addr_of src)
-      and dst_room = page_room layout (addr_of dst) in
-      let count = piece_count config ~remaining ~src_room ~dst_room in
+      let count = piece_count remaining in
       match initiate_piece cpu layout config acc ~queued ~src ~dst ~count with
       | Error _ as e -> e
       | Ok (st, src_p) -> (
           acc.a_pieces <- acc.a_pieces + 1;
-          let moved =
-            match config.split with
-            | Optimistic -> Int.min st.Status.remaining_bytes remaining
-            | Precompute -> count
-          in
+          (* advance by the count the status word reports *)
+          let moved = Int.min st.Status.remaining_bytes remaining in
           if moved <= 0 then
             Error (Protocol_violation "hardware reported an empty transfer")
           else begin
@@ -367,9 +352,7 @@ let initiation_cycles cpu ~layout ~config ~src ~dst ~nbytes =
   let acc = fresh_acc () in
   let start = cpu.now () in
   cpu.compute config.alignment_check_cycles;
-  let src_room = page_room layout (addr_of src)
-  and dst_room = page_room layout (addr_of dst) in
-  let count = piece_count config ~remaining:nbytes ~src_room ~dst_room in
+  let count = piece_count nbytes in
   match initiate_piece cpu layout config acc ~queued:false ~src ~dst ~count with
   | Ok _ -> Ok (cpu.now () - start)
   | Error e -> Error e

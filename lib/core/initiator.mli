@@ -3,8 +3,11 @@
     This is the code a user process runs: the two-reference
     STORE/LOAD sequence of §3, the data-alignment / page-boundary check
     that the paper's 2.8 µs figure includes (§8), retry on
-    invalidation or a busy engine, splitting of multi-page transfers,
-    and completion polling by re-issuing the initiating LOAD (§5).
+    invalidation or a busy engine, splitting of multi-page transfers
+    (SHRIMP's optimistic split: each piece passes the full remaining
+    count, the hardware clamps it at the page boundary, and the library
+    advances by the count the status word reports), and completion
+    polling by re-issuing the initiating LOAD (§5).
 
     The library is written against an abstract {!cpu} so it can run on
     any simulated process; the OS layer provides the concrete
@@ -33,14 +36,6 @@ type endpoint =
   | Device of int
       (** virtual device-proxy address *)
 
-type split_strategy =
-  | Optimistic
-      (** SHRIMP's strategy (§8): pass the full remaining count and let
-          the hardware clamp at the page boundary; advance by the count
-          the status word reports *)
-  | Precompute
-      (** compute each piece's size in software before initiating *)
-
 type config = {
   call_overhead_cycles : int;
       (** fixed software cost per [transfer*] call (argument setup,
@@ -48,14 +43,13 @@ type config = {
   alignment_check_cycles : int;
       (** software cost of the §8 alignment / page-boundary check,
           charged once per initiated piece *)
-  split : split_strategy;
   max_retries : int;   (** retry budget per piece for busy/invalidated *)
   poll_limit : int;    (** completion-poll budget per piece *)
 }
 
 val default_config : config
 (** 180-cycle call overhead, 100-cycle check (DESIGN.md §5),
-    [Optimistic], 10_000 retries, 10_000_000 polls. *)
+    10_000 retries, 10_000_000 polls. *)
 
 type error =
   | Hard_error of Status.t

@@ -2,15 +2,13 @@
    decomposes into head/body/tail flits that cross the mesh one link
    per flit-cycle through per-(link, VC) input FIFOs with per-flit-slot
    credits. This module owns every decision of that model: worms, input
-   FIFOs, runs, the active-set worklists, the flit clock, the F1 oracle
-   and the flit stats and occupancy profile.
+   FIFOs, the active-set worklists, the flit clock, the F1 oracle and
+   the flit stats and occupancy profile.
 
-   A wire whose only ready waiter can keep sending grants that worm's
-   consecutive flits as a run: one arbitration commits the flits that
-   will cross back to back at the wire rate, and the wire is visited
-   again only at those crossings, each a short step with no
-   arbitration. Links with nothing to do but wait sleep too. Every
-   number a reader sees is the one a grant per flit gives.
+   Every grant is one arbitration. Links with nothing to do but wait
+   sleep until the first cycle they could act at, and count the stall
+   cycles they skip when they wake or are read, so every number a
+   reader sees is the one a visit of every link per flit-cycle gives.
 
    The per-flit-cycle loop allocates nothing. A FIFO entry is a run of
    one worm's flits held in parallel [int] arrays; worms live in a
@@ -88,15 +86,13 @@ type fbuf = {
    competitors for the wire — are the source node's injection FIFO
    followed by each incoming link's input FIFOs in (src, dst, vc)
    order; [waiters] has bit [fb_pos] set for each unit whose front
-   flit is routed over this wire. A wire holding a run (mode 1) leaves
-   the active set: the wake ring brings it back at each of the run's
-   crossings ([run_next], -1 after the last) and at [run_wake], where
-   it arbitrates again; a waiting wire (mode 2) comes back at
-   [run_wake] only. The rest is the stall cycles' bookkeeping for
-   both: the ticks before [run_from] are counted ([run_base] of them
-   by then), and from [run_from] on every tick at or after
-   [stall_from] is a stall the wire has not yet counted, a head-of-line
-   cycle too at or after [hol_from] ([max_int]: never). *)
+   flit is routed over this wire. A waiting wire ([asleep]) leaves the
+   active set until the wake ring brings it back at [wake_cycle]. The
+   rest is its stall cycles' bookkeeping: the ticks before
+   [sleep_from] are counted ([sleep_base] of them by then), and from
+   [sleep_from] on every tick at or after [stall_from] is a stall the
+   wire has not yet counted, a head-of-line cycle too at or after
+   [hol_from] ([max_int]: never). *)
 type link = {
   ml : Mesh.link;
   idx : int;                        (* position in [arr] *)
@@ -110,14 +106,10 @@ type link = {
   mutable wire_free : int;
   mutable busy_listed : bool;       (* in [busy] *)
   mutable hol_cycles : int;         (* stall cycles while the wire was free *)
-  mutable mode : int;               (* 0 awake, 1 a run, 2 waiting *)
-  mutable run_unit : int;           (* the run's unit, an index into [units] *)
-  mutable run_vc : int;             (* the VC its flits take *)
-  mutable run_gap : int;            (* cycles between its crossings *)
-  mutable run_next : int;
-  mutable run_wake : int;
-  mutable run_from : int;
-  mutable run_base : int;           (* ticks through [run_from - 1] *)
+  mutable asleep : bool;
+  mutable wake_cycle : int;
+  mutable sleep_from : int;
+  mutable sleep_base : int;         (* ticks through [sleep_from - 1] *)
   mutable stall_from : int;
   mutable hol_from : int;
   mutable ej_sleep : bool;          (* its ejection waits on [ewake] *)
@@ -155,12 +147,11 @@ type t = {
   occ_sum : float array;   (* per-VC occupancy, summed per tick *)
   occ_max : int array;
   mutable occ_cycles : int;
-  (* Runs. [span] bounds how far ahead a run reaches; the rings hold
-     [span] cycles. [wake] is a bitset of links per cycle, the visits
-     sleeping wires are due; [due] marks the cycles a tick is due at
-     for a front's ready cycle no visit is due at; [ticks] holds, per
-     cycle, the ticks at or before it, which is how a waking wire counts
-     the stall cycles it slept through. *)
+  (* Sleeping links. The rings hold [span] cycles. [wake] is a bitset
+     of links per cycle, the visits sleeping wires are due; [due] marks
+     the cycles a tick is due at for a front's ready cycle no visit is
+     due at; [ticks] holds, per cycle, the ticks at or before it, which
+     is how a waking wire counts the stall cycles it slept through. *)
   span : int;                       (* a power of two *)
   words : int;                      (* bitset words per cycle *)
   wake : int array;                 (* cycle slot * words + word *)
@@ -188,10 +179,9 @@ type t = {
   mutable occ_hist : int array;     (* per-grant occupancy -> samples *)
   mutable occ_hist_hi : int;        (* highest occupancy sampled *)
   (* the work census, never published: wires visited, ejection links
-     visited, arbitrations that granted (each commits a run) *)
+     visited *)
   mutable n_visits : int;
   mutable n_eject_visits : int;
-  mutable n_commits : int;
   c_injected : Metrics.counter;
   c_grants : Metrics.counter;
   c_delivered : Metrics.counter;
@@ -358,24 +348,21 @@ let worm_free t w =
 
 (* ---- Sleeping wires ----
 
-   A wire sleeps while its visits could only count stalls: during a run
-   (mode 1) between its crossings, and while waiting (mode 2) for the
-   wire to free, for a waiter to become ready, or for a credit or a VC.
-   It counts those stall cycles when it next runs or is read, from the
-   [ticks] ring: every tick from the first a waiter is ready at is a
-   stall, and a head-of-line cycle too from the first the wire is free
-   at with every ready waiter blocked. During a run the wire is busy
-   throughout, so its ticks are stalls from the unit's front's ready
-   cycle on and never head-of-line. A sleep whose counting changes
-   partway ends within [span] cycles, so the ring still holds the tick
-   count at the change when the wire counts; one that may last longer
-   counts alike from its first tick on, from the tick count it started
-   at. *)
+   A wire sleeps while its visits could only count stalls: while it
+   waits for the wire to free, for a waiter to become ready, or for a
+   credit or a VC. It counts those stall cycles when it next runs or is
+   read, from the [ticks] ring: every tick from the first a waiter is
+   ready at is a stall, and a head-of-line cycle too from the first the
+   wire is free at with every ready waiter blocked. A sleep whose
+   counting changes partway ends within [span] cycles, so the ring
+   still holds the tick count at the change when the wire counts; one
+   that may last longer counts alike from its first tick on, from the
+   tick count it started at. *)
 
 (* Count the stalls of sleeping [s] through cycle [upto], at most the
    clock's last tick. *)
 let settle t s upto =
-  if upto >= s.run_from then begin
+  if upto >= s.sleep_from then begin
     let mask = t.span - 1 in
     let hi = t.ticks.(upto land mask) in
     (* the ticks at cycles [from..upto] not yet counted; a head-of-line
@@ -383,31 +370,27 @@ let settle t s upto =
     let from = s.stall_from in
     if from <= upto then begin
       let n =
-        hi - if from <= s.run_from then s.run_base else t.ticks.((from - 1) land mask)
+        hi - if from <= s.sleep_from then s.sleep_base else t.ticks.((from - 1) land mask)
       in
       s.ml.l_wait_cycles <- s.ml.l_wait_cycles + n;
       t.n_stalls <- t.n_stalls + n;
       let from = s.hol_from in
       if from <= upto then begin
         let n =
-          hi - if from <= s.run_from then s.run_base else t.ticks.((from - 1) land mask)
+          hi - if from <= s.sleep_from then s.sleep_base else t.ticks.((from - 1) land mask)
         in
         s.hol_cycles <- s.hol_cycles + n;
         t.n_hol <- t.n_hol + n
       end
     end;
-    s.run_from <- upto + 1;
-    s.run_base <- hi
+    s.sleep_from <- upto + 1;
+    s.sleep_base <- hi
   end
 
-(* The counting starts after this tick, which the visit counted. *)
-let[@inline] count_from t s now =
-  s.run_from <- now + 1;
-  s.run_base <- t.ticks.(now land (t.span - 1))
-
-(* The last cycle a grant per flit has visited [s] at: the tick now
-   running counts once the arbitration pass is past [s] (the running
-   tick's [ticks] entry is one ahead of [occ_cycles] until it ends). *)
+(* The last cycle a clock without sleeping links has visited [s] at:
+   the tick now running counts once the arbitration pass is past [s]
+   (the running tick's [ticks] entry is one ahead of [occ_cycles] until
+   it ends). *)
 let[@inline] seen t s =
   if s.idx <= t.arb.wl_cursor
      || t.ticks.(t.last_tick land (t.span - 1)) = t.occ_cycles
@@ -418,28 +401,26 @@ let[@inline] ring_mark ring t i cycle =
   let j = ((cycle land (t.span - 1)) * t.words) + (i lsr 5) in
   ring.(j) <- ring.(j) lor (1 lsl (i land 31))
 
-let[@inline] wake_at t s cycle = ring_mark t.wake t s.idx cycle
-
-(* A front becomes ready at [ready], which a grant per flit would tick
-   at: a wire sleeping past it leaves a mark that the clock does too. *)
+(* A front becomes ready at [ready], which a clock without sleeping
+   links would tick at: a wire sleeping past it leaves a mark that the
+   clock does too. *)
 let[@inline] note_ready t ready =
   if ready < t.min_ready then t.min_ready <- ready;
   if ready > t.last_tick && ready < t.last_tick + t.span then
     t.due.(ready land (t.span - 1)) <- 1
 
 let stop_sleep t s =
-  s.mode <- 0;
+  s.asleep <- false;
   t.sleeping <- t.sleeping - 1
 
 (* Every reader sees the stall counts as of the last tick. *)
 let settle_all t =
-  if t.sleeping > 0 then
-    Array.iter (fun s -> if s.mode <> 0 then settle t s t.last_tick) t.arr
+  if t.sleeping > 0 then Array.iter (fun s -> if s.asleep then settle t s t.last_tick) t.arr
 
 (* Something a waiting wire waits on changed during a tick (or between
-   ticks): it rejoins the active set. A grant per flit would have
-   visited it in this tick already when it lies behind the cursor, so
-   this tick is one of its stall cycles then. *)
+   ticks): it rejoins the active set. A clock without sleeping links
+   would have visited it in this tick already when it lies behind the
+   cursor, so this tick is one of its stall cycles then. *)
 let rouse t s =
   settle t s (seen t s);
   stop_sleep t s;
@@ -448,33 +429,20 @@ let rouse t s =
 (* Put awake [s] to sleep after its visit at [now] until [wake], as a
    waiting wire whose ticks are stalls from [stall] on and head-of-line
    cycles from [hol] on; a wake too near or too far for the ring keeps
-   it in the active set. *)
+   it in the active set. The counting starts after this tick, which
+   the visit counted. *)
 let wait t s now wake stall hol =
   if wake > now + 1 && (wake = max_int || wake < now + t.span) then begin
-    s.mode <- 2;
+    s.asleep <- true;
     t.sleeping <- t.sleeping + 1;
-    s.run_wake <- wake;
+    s.wake_cycle <- wake;
     s.stall_from <- stall;
     s.hol_from <- hol;
-    count_from t s now;
-    if wake < max_int then wake_at t s wake
+    s.sleep_from <- now + 1;
+    s.sleep_base <- t.ticks.(now land (t.span - 1));
+    if wake < max_int then ring_mark t.wake t s.idx wake
   end
   else wl_mark t.arb s.idx
-
-(* A send or a fault may change what a sleeping wire committed to: end
-   its run. The crossings already made stand; from the next tick the
-   wire is visited like any other. *)
-let interrupt t s =
-  if s.mode = 1 then begin
-    settle t s t.last_tick;
-    stop_sleep t s;
-    let k = s.idx lsr 5 and b = lnot (1 lsl (s.idx land 31)) in
-    for c = 0 to t.span - 1 do
-      t.wake.((c * t.words) + k) <- t.wake.((c * t.words) + k) land b
-    done;
-    wl_mark t.arb s.idx
-  end
-  else if s.mode = 2 then rouse t s
 
 (* ---- Publishing the counters ----
 
@@ -521,9 +489,9 @@ let[@inline] note_occupancy t occ =
 (* ---- The flit clock ----
 
    One tick per flit-cycle a flit moves or may move, the same cycles a
-   grant per flit would tick. Each tick first ejects (at most one flit
-   per link), then arbitrates the wires (at most one flit crosses per
-   link per flit-cycle), in the fixed [arr] order — fully
+   clock without sleeping links would tick. Each tick first ejects (at
+   most one flit per link), then arbitrates the wires (at most one flit
+   crosses per link per flit-cycle), in the fixed [arr] order — fully
    deterministic. A tick visits only the links of its active sets:
    [eject] holds the links with a front flit at its destination, [arb]
    those some queue's front flit is routed over, plus the sleeping
@@ -553,23 +521,7 @@ let[@inline] note_occupancy t occ =
    leak surfaces). The next tick runs in place when it would be the
    engine's next event anyway ([Engine.step_to]) and is scheduled as
    the one flit-clock event only when something else is due first or
-   the running pump stops short of it.
-
-   A run. A wire whose only ready waiter [u] wins it checks how far
-   that worm may go uncontested: the flits behind the front in [u] that
-   are ready by the cycle the wire frees for them, short of the tail
-   (its pop frees a VC or brings the next worm forward); the credits of
-   the VC they take; and the first cycle another unit could contend —
-   another routed front's ready cycle, the cycle a worm queued behind
-   the injection FIFO's front could reach it, or [per_hop_cycles] from
-   now for a flit not yet buffered at this node. The grant commits the
-   [m] flits that fit as crossings at the wire rate and puts the wire
-   to sleep until the cycle after them, when it arbitrates again. Each
-   crossing is a visit of its own at its place in the pass, moving one
-   flit and adding every per-flit number (grants, busy cycles, the
-   occupancy sample), so a flit that crosses inside a run leaves what
-   its grant would have left. A send whose worm could reach the wire
-   first, or a fault set on it, ends the run at once. *)
+   the running pump stops short of it. *)
 
 (* The ejection link [l] has a front ready at [ready]: it is visited
    at the next tick when that is not too early, else it sleeps until
@@ -587,12 +539,11 @@ let[@inline] eject_at t l ready =
 
 (* A queue's front changed: set the queue's bit in the waiter mask of
    the link its new front waits for and mark that link, unless it is
-   the wire being visited (the visit decides its own next one). A wire
-   holding a run sleeps on (the new front cannot be ready before the
-   run ends); so does a waiting wire busy until it wakes, whose stall
-   ticks the front can only start sooner; any other waiting wire is
-   roused. A front past its last hop sits in the input FIFO of that
-   last link, waiting to eject at its ready cycle. *)
+   the wire being visited (the visit decides its own next one). A
+   waiting wire busy until it wakes sleeps on, since the front can only
+   start its stall ticks sooner; any other waiting wire is roused. A
+   front past its last hop sits in the input FIFO of that last link,
+   waiting to eject at its ready cycle. *)
 let[@inline] refront t fb =
   if fb.fb_n > 0 then begin
     let k = fb.fb_head in
@@ -601,16 +552,15 @@ let[@inline] refront t fb =
     if hop < Array.length p then begin
       let s = t.arr.(p.(hop)) in
       s.waiters <- s.waiters lor (1 lsl fb.fb_pos);
-      if s.mode = 0 then begin
+      if not s.asleep then begin
         if s.idx <> t.arb.wl_cursor then wl_mark t.arb s.idx
       end
-      else if s.mode = 2 then
-        if s.run_wake <= s.wire_free then begin
-          let ready = fb.fb_ready.(k) in
-          s.stall_from <- Int.min s.stall_from (Int.max ready (seen t s + 1));
-          note_ready t ready
-        end
-        else rouse t s
+      else if s.wake_cycle <= s.wire_free then begin
+        let ready = fb.fb_ready.(k) in
+        s.stall_from <- Int.min s.stall_from (Int.max ready (seen t s + 1));
+        note_ready t ready
+      end
+      else rouse t s
     end
     else eject_at t t.arr.(p.(hop - 1)) fb.fb_ready.(k)
   end
@@ -623,7 +573,7 @@ let[@inline] push t fb flit hop ready =
 
 (* A credit or a VC came back to an input FIFO of [up]: a wire waiting
    with every ready waiter blocked may grant again. *)
-let[@inline] unblock t up = if up.mode = 2 && up.hol_from < max_int then rouse t up
+let[@inline] unblock t up = if up.asleep && up.hol_from < max_int then rouse t up
 
 (* Pop a FIFO's front: it leaves its wire's waiter mask; an injection
    FIFO's entry moves on to its worm's next flit and leaves after the
@@ -722,99 +672,6 @@ let[@inline] cross t s fb vc flit hop now occ =
   t.n_grants <- t.n_grants + 1;
   note_occupancy t fb.fb_len
 
-(* The front of [u] is the wire's only ready waiter and has just won
-   it at [now], into VC FIFO [fb] ([credits] left after its own);
-   nothing else can contend before [bound]. The number of flits behind
-   it that may follow at the wire rate [gap], or -1 when the wire
-   should not sleep at all. *)
-let run_length t s ui u credits bound now gap =
-  let nf = t.w_flits.(worm_of u.fb_flit.(u.fb_head)) in
-  (* a worm queued behind the injection FIFO's front reaches the front
-     when the tail ahead of it crosses, each flit ahead taking a cycle
-     of its own; it could contend from the next cycle on *)
-  let bound = ref (Int.min bound (now + Int.min t.m.config.per_hop_cycles (t.span - 1))) in
-  let q = s.units.(0) in
-  if ui <> 0 && q.fb_n > 1 then begin
-    let size = Array.length q.fb_flit in
-    let tail = ref (now + count_of q.fb_run.(q.fb_head) - 1) and e = ref 1 in
-    while !e < q.fb_n && !tail < !bound do
-      let k = (q.fb_head + !e) land (size - 1) in
-      let reach = Int.max !tail (now + 1) in
-      if t.w_path.(worm_of q.fb_flit.(k)).(0) = s.idx then
-        bound := Int.min !bound (Int.max reach q.fb_ready.(k));
-      tail := !tail + count_of q.fb_run.(k) - 1;
-      incr e;
-      if !e > 8 then bound := Int.min !bound reach
-    done
-  end;
-  let fit = ((!bound - now) / gap) - 1 in
-  if fit < 0 || (fit = 0 && gap = 1) then -1
-  else begin
-    (* the flits behind the front, one worm's, ready in time *)
-    let fit = if credits >= 0 then Int.min fit credits else fit in
-    let size = Array.length u.fb_flit in
-    let m = ref 0 and e = ref 0 and o = ref 1 and go = ref true in
-    while !go && !m < fit do
-      if !e < u.fb_n then begin
-        let k = (u.fb_head + !e) land (size - 1) in
-        if !o >= count_of u.fb_run.(k) then begin incr e; o := 0 end
-        else begin
-          let flit = u.fb_flit.(k) + !o in
-          if (!e > 0 && worm_of flit <> worm_of u.fb_flit.(u.fb_head))
-             || idx_of flit = nf - 1
-             || u.fb_ready.(k) + (!o * gap_of u.fb_run.(k)) > now + ((!m + 1) * gap)
-          then go := false
-          else begin incr m; incr o end
-        end
-      end
-      else go := false
-    done;
-    if !m = 0 && gap = 1 then -1 else !m
-  end
-
-(* Put [s] to sleep after its grant at [now]: [m] crossings follow at
-   [gap] cycles, then it arbitrates again. *)
-let sleep t s ui vc m gap now =
-  s.mode <- 1;
-  t.sleeping <- t.sleeping + 1;
-  s.run_unit <- ui;
-  s.run_vc <- vc;
-  s.run_gap <- gap;
-  s.run_next <- (if m > 0 then now + gap else -1);
-  s.run_wake <- now + ((m + 1) * gap)
-
-(* After a crossing at [now] by a sleeping wire: note the unit's new
-   front, whose ready cycle starts the stalls, and queue the wire's
-   next visit. *)
-let[@inline] rearm t s u now =
-  let ready = if u.fb_n > 0 then u.fb_ready.(u.fb_head) else max_int in
-  count_from t s now;
-  s.stall_from <- ready;
-  s.hol_from <- max_int;
-  if ready > now then note_ready t ready;
-  wake_at t s (now + s.run_gap)
-
-(* One committed crossing of a run: the unit's front, a body flit of
-   the run's worm, crosses into the run's FIFO. *)
-let cross_run t s now =
-  (* [rearm] restarts the count after this crossing; only stalls since
-     the last one need settling *)
-  if s.stall_from < now then settle t s (now - 1);
-  let u = s.units.(s.run_unit) in
-  let k = u.fb_head in
-  let flit = u.fb_flit.(k) and hop = u.fb_hop.(k) in
-  ring_pop u;
-  if u.fb_vc >= 0 then begin
-    t.occ_now.(u.fb_vc) <- t.occ_now.(u.fb_vc) - 1;
-    if u.fb_credits >= 0 then u.fb_credits <- u.fb_credits + 1;
-    if u.fb_n = 0 then s.waiters <- s.waiters land lnot (1 lsl u.fb_pos);
-    unblock t t.arr.(u.fb_link)
-  end;
-  cross t s s.bufs.(s.run_vc) s.run_vc flit hop now s.occ;
-  let next = now + s.run_gap in
-  s.run_next <- (if next < s.run_wake then next else -1);
-  rearm t s u now
-
 (* Arbitrate one wire in a single pass over its waiters — the units
    whose front flit is routed over it — scanning circularly from [rr].
    A waiter whose front is ready is a contender; the first contender
@@ -823,9 +680,8 @@ let cross_run t s now =
    [Mesh.arbitrate_by] discipline as the analytic crossing), a body or
    tail needs a credit on the VC its head took — wins the wire if it
    is free. A contender without a grant is a stall cycle, and a
-   head-of-line cycle when the wire itself is idle. A winner that was
-   the only contender may take a run. [true] iff the wire granted a
-   flit. *)
+   head-of-line cycle when the wire itself is idle. [true] iff the wire
+   granted a flit. *)
 let arbitrate t s now =
   let l = s.ml in
   let units = s.units in
@@ -887,36 +743,19 @@ let arbitrate t s now =
          link-level stats *)
       l.l_xmits <- l.l_xmits + 1
     end;
-    let occ = s.occ in
-    let gap = Int.max 1 occ in
-    let m =
-      if !waiters > 1 || idx_of flit = t.w_flits.(w) - 1 then -1
-      else
-        run_length t s ui u (if fb.fb_credits < 0 then -1 else fb.fb_credits - 1)
-          !later now gap
-    in
-    t.n_commits <- t.n_commits + 1;
-    if m >= 0 then begin
-      sleep t s ui vc m gap now;
-      pop t u;
-      cross t s fb vc flit hop now occ;
-      rearm t s u now
-    end
-    else begin
-      pop t u;
-      cross t s fb vc flit hop now occ;
-      if s.waiters <> 0 then begin
-        (* fronts still wait here, the winner's successor among them
-           if routed here: nothing is granted before the wire frees,
-           and every tick before then from the first a front is ready
-           at is a stall *)
-        let next =
-          if s.waiters land (1 lsl u.fb_pos) <> 0 then u.fb_ready.(u.fb_head) else max_int
-        in
-        if next > now then note_ready t next;
-        let stall = if !waiters > 1 then now + 1 else Int.max (now + 1) (Int.min !later next) in
-        wait t s now (Int.max s.wire_free stall) stall max_int
-      end
+    pop t u;
+    cross t s fb vc flit hop now s.occ;
+    if s.waiters <> 0 then begin
+      (* fronts still wait here, the winner's successor among them if
+         routed here: nothing is granted before the wire frees, and
+         every tick before then from the first a front is ready at is a
+         stall *)
+      let next =
+        if s.waiters land (1 lsl u.fb_pos) <> 0 then u.fb_ready.(u.fb_head) else max_int
+      in
+      if next > now then note_ready t next;
+      let stall = if !waiters > 1 then now + 1 else Int.max (now + 1) (Int.min !later next) in
+      wait t s now (Int.max s.wire_free stall) stall max_int
     end;
     true
   end
@@ -943,17 +782,13 @@ let arbitrate t s now =
     false
   end
 
-(* A wire's visit: an awake wire arbitrates; a sleeping one makes its
-   committed crossing, or wakes to arbitrate, or (at a front's ready
-   cycle) has nothing to do. *)
+(* A wire's visit: an awake wire arbitrates; a sleeping one wakes to
+   arbitrate at its wake cycle, and has nothing to do at a wake left
+   on the ring by an earlier sleep. *)
 let visit t s now =
   t.n_visits <- t.n_visits + 1;
-  if s.mode = 0 then arbitrate t s now
-  else if s.mode = 1 && now = s.run_next then begin
-    cross_run t s now;
-    true
-  end
-  else if now = s.run_wake then begin
+  if not s.asleep then arbitrate t s now
+  else if now = s.wake_cycle then begin
     settle t s (now - 1);
     stop_sleep t s;
     arbitrate t s now
@@ -1077,10 +912,9 @@ let create (m : Mesh.t) =
         let ml = Mesh.link_of m a b in
         { ml; idx; bufs; units = [||]; waiters = 0; rr = 0; vc_rr = 0;
           vc_free = (fun v -> bufs.(v).fb_owner = -1 && bufs.(v).fb_credits <> 0);
-          occ = wire_occ cfg ml; wire_free = 0; busy_listed = false; hol_cycles = 0; mode = 0;
-          run_unit = 0; run_vc = 0; run_gap = 1; run_next = -1;
-          run_wake = -1; run_from = 0; run_base = 0; stall_from = max_int;
-          hol_from = max_int; ej_sleep = false })
+          occ = wire_occ cfg ml; wire_free = 0; busy_listed = false; hol_cycles = 0;
+          asleep = false; wake_cycle = -1; sleep_from = 0; sleep_base = 0;
+          stall_from = max_int; hol_from = max_int; ej_sleep = false })
       pairs
   in
   let inject =
@@ -1101,7 +935,7 @@ let create (m : Mesh.t) =
   let index = Hashtbl.create 64 in
   Array.iter (fun l -> Hashtbl.add index (l.ml.l_src, l.ml.l_dst) l.idx) arr;
   let nl = Array.length arr and em = Engine.metrics m.engine in
-  (* a run reaches at most [per_hop_cycles] ahead, so the rings cover
+  (* a pushed flit is ready [per_hop_cycles] later, so the rings cover
      that (capped at 4096 cycles) *)
   let span = ref 4 in
   while !span < Int.min 4096 (cfg.per_hop_cycles + 2) do
@@ -1128,7 +962,7 @@ let create (m : Mesh.t) =
       n_injected = 0; n_grants = 0; n_delivered = 0; n_stalls = 0; n_hol = 0;
       n_busy = 0; busy_touched = false; n_dead_retries = 0;
       occ_hist = Array.make 16 0; occ_hist_hi = 0;
-      n_visits = 0; n_eject_visits = 0; n_commits = 0;
+      n_visits = 0; n_eject_visits = 0;
       c_injected = c "net.flit.injected";
       c_grants = c "net.flit.grants";
       c_delivered = c "net.flit.delivered";
@@ -1159,8 +993,7 @@ let path_of t ~src ~dst =
 
 (* Decompose a packet for another node into a worm and enqueue it, as
    one entry of all its flits, on the source node's injection FIFO
-   (worms of one source serialize there, like the NI's outgoing FIFO).
-   A run on its first wire that it could contend with ends now. *)
+   (worms of one source serialize there, like the NI's outgoing FIFO). *)
 let send t pkt =
   let m = t.m in
   let src = pkt.Packet.src_node and dst = pkt.Packet.dst_node in
@@ -1174,19 +1007,18 @@ let send t pkt =
   let q = t.inject.(src) in
   ring_add q (pack w 0) nf 0 ready 0;
   if q.fb_n = 1 then refront t q;
-  let s = t.arr.(path.(0)) in
-  if s.mode <> 0 && ready < s.run_wake then interrupt t s;
   t.injected <- t.injected + nf;
   t.n_injected <- t.n_injected + nf;
   Engine.schedule_at m.engine ~time:ready t.tick_ev
 
-(* A fault was set on the link [from_node] -> [to_node]. *)
+(* A fault was set on the link [from_node] -> [to_node]: its next grant
+   holds the wire for the faulted occupancy. A sleeping wire sleeps on,
+   since what it waits for does not depend on the occupancy. *)
 let fault_changed t ~from_node ~to_node =
   match Hashtbl.find_opt t.index (from_node, to_node) with
   | Some i ->
       let s = t.arr.(i) in
-      s.occ <- wire_occ t.m.config s.ml;
-      interrupt t s
+      s.occ <- wire_occ t.m.config s.ml
   | None -> ()
 
 (* Every (link, VC) input FIFO, in (from, to, vc) order. *)
@@ -1256,3 +1088,33 @@ let check_flits t =
                t.occ_now.(v) sums.(v))
         else None)
       (List.init (Array.length sums) Fun.id)
+
+(* ---- Introspection for tests ---- *)
+
+let census t = (t.n_visits, t.n_eject_visits)
+
+let worms t =
+  let slots = Array.length t.w_flits in
+  (slots - t.w_free_n, slots)
+
+let worm t w =
+  if t.w_pkt.(w) == dummy_pkt then None else Some (t.w_flits.(w), t.w_pkt.(w).Packet.src_node)
+
+type fifo = {
+  fi_node : int;
+  fi_slots : int;
+  fi_len : int;
+  fi_entries : (int * int * int) list;
+}
+
+let fifos t =
+  let view node fb =
+    let size = Array.length fb.fb_flit in
+    { fi_node = node; fi_slots = size; fi_len = fb.fb_len;
+      fi_entries =
+        List.init fb.fb_n (fun e ->
+            let k = (fb.fb_head + e) land (size - 1) in
+            (worm_of fb.fb_flit.(k), idx_of fb.fb_flit.(k), count_of fb.fb_run.(k))) }
+  in
+  Array.to_list (Array.mapi view t.inject)
+  @ List.concat_map (fun l -> List.map (view (-1)) (Array.to_list l.bufs)) (Array.to_list t.arr)

@@ -912,19 +912,20 @@ let flit_registry_expected =
 let test_flit_registry_pinned () =
   check_regime_digests "registry" flit_registry_expected (fun (_, r, _) -> r)
 
-(* Scenarios whose runs of back-to-back flits get split mid-way, each
+(* Scenarios whose streams of back-to-back flits get cut mid-way, each
    reduced to one MD5 over the delivery log, a snapshot at every probe
    cycle (F1, every [net.flit.*]/[net.link.*] registry name, the flit
    and link stats, the flit counts and the occupancy profile) and the
-   final clock. Recorded with one grant per flit, before the crossing
-   granted runs; a run path must leave every byte alone:
+   final clock, recorded before links slept (every grant was an
+   arbitration then, as it is now); sleeping links must leave every
+   byte alone:
    - a competing head: worms from node 1 arrive at staggered cycles on
      the wire a 0 -> 3 worm is streaming over;
    - credits running out: 1 and 2 slots behind a slow downstream wire;
-   - faults set by events mid-run: Link_slow, then Link_dead, then
+   - faults set by events mid-worm: Link_slow, then Link_dead, then
      Link_ok again;
    - a 40-flit worm read at every cycle of its crossing;
-   - per_hop_cycles 0 and 1, where no run can form. *)
+   - per_hop_cycles 0 and 1. *)
 type split_step =
   | Split_send of int * int * int * int  (* time, src, dst, payload bytes *)
   | Split_fault of int * int * int * Router.fault  (* time, from, to, fault *)
@@ -1057,27 +1058,20 @@ let test_flit_split_runs_pinned () =
       if got <> expected then Alcotest.failf "%s: digest %s moved" name got)
     flit_split_scenarios flit_split_expected
 
-(* The run census: a 16-node mesh with the [mesh_flit] benchmark's wire
-   (2 VCs, 8 credits, one-word flits, 2 cycles per word, the default
-   8-cycle hop) carries 120 worms of 2 KB, a quarter of them aimed at
-   node 0, driven straight through [Flit]. The digests cannot tell a
-   run path or a sleeping link that has stopped firing from one that
-   works; these counts can. The grant count is what the crossing
-   computes and is the same with one grant per flit. With one grant
-   per flit, each of the 171,828 grants was an arbitration of its own,
-   and the tick visited 392,389 wires and 138,042 ejection links. A run
-   commit grants a worm's consecutive flits; with an 8-cycle hop and
-   2-cycle flits a run holds at most 4, and runs behind a congested
-   hotspot are cut by credits, so commits stay under 55 % of those
-   grants (a run path that stopped firing would read 100 %). Runs alone
-   left 212,215 wire visits and 123,828 ejection visits. A link whose
-   front changes now sleeps straight to the first cycle it could act
-   at: an ejection link is visited only at a tick where it ejects, so
-   its visits equal the flits delivered, and a wire that has just
-   granted sleeps past the ticks its busy wire could only stall. *)
-let flit_census_grants = 171_828
-
-let test_flit_run_census () =
+(* The visit census: a 16-node mesh with the [mesh_flit] benchmark's
+   wire (2 VCs, 8 credits, one-word flits, 2 cycles per word, the
+   default 8-cycle hop) carries 120 worms of 2 KB, a quarter of them
+   aimed at node 0, driven straight through [Flit]. The digests cannot
+   tell a sleeping link that has stopped firing from one that works;
+   these counts can. The grant count is what the crossing computes;
+   every grant is an arbitration of its own. Visiting every link that
+   some front waits on at every tick took 392,389 wire visits and
+   138,042 ejection visits. A link whose front changes sleeps straight
+   to the first cycle it could act at: an ejection link is visited only
+   at a tick where it ejects, so its visits equal the flits delivered,
+   and a wire that has just granted sleeps past the ticks its busy wire
+   could only stall. *)
+let test_flit_visit_census () =
   let module Flit = Udma_shrimp.Flit in
   let module Mesh = Udma_shrimp.Mesh in
   let engine = Engine.create () in
@@ -1114,19 +1108,15 @@ let test_flit_run_census () =
   Engine.run_until_idle engine;
   checki "every worm delivered" worms !got;
   let grants = Udma_obs.Metrics.get (Engine.metrics engine) "net.flit.grants" in
-  Printf.printf
-    "flit census: %d grants, %d run commits, %d arbitration visits, %d eject visits\n"
-    grants f.Flit.n_commits f.Flit.n_visits f.Flit.n_eject_visits;
-  checki "grants" flit_census_grants grants;
-  checki "run commits" 86_264 f.Flit.n_commits;
-  checki "arbitration visits" 190_609 f.Flit.n_visits;
-  checki "eject visits" 61_920 f.Flit.n_eject_visits;
+  let visits, eject_visits = Flit.census f in
+  Printf.printf "flit census: %d grants, %d arbitration visits, %d eject visits\n" grants
+    visits eject_visits;
+  checki "grants" 171_828 grants;
+  checki "arbitration visits" 185_526 visits;
+  checki "eject visits" 61_920 eject_visits;
   checki "every eject visit ejects a flit"
     (Udma_obs.Metrics.get (Engine.metrics engine) "net.flit.delivered")
-    f.Flit.n_eject_visits;
-  if 100 * f.Flit.n_commits > 55 * flit_census_grants then
-    Alcotest.failf "%d run commits > 55 %% of %d grants" f.Flit.n_commits
-      flit_census_grants
+    eject_visits
 
 (* Allocation guard on the flit clock: a fixed standalone-router run
    (16 nodes, 2 VCs, 4 credits, one-word flits, 150 packets of up to
@@ -1473,86 +1463,59 @@ let test_flit_worm_table_and_rings () =
   for d = 0 to nodes - 1 do
     m.Mesh.sinks.(d) <- Some (fun _ -> incr got)
   done;
-  let live () = Array.length f.Flit.w_flits - f.Flit.w_free_n in
+  let live () = fst (Flit.worms f) in
   let peak = ref 0 and grown = ref false in
-  let links () =
-    List.concat_map (fun l -> Array.to_list l.Flit.bufs) (Array.to_list f.Flit.arr)
-  in
-  (* a ring's entries as (first flit, count) *)
-  let entries (fb : Flit.fbuf) =
-    let size = Array.length fb.Flit.fb_flit in
-    List.init fb.Flit.fb_n (fun k ->
-        let j = (fb.Flit.fb_head + k) land (size - 1) in
-        (fb.Flit.fb_flit.(j), Flit.count_of fb.Flit.fb_run.(j)))
-  in
-  let flits (fb : Flit.fbuf) =
-    let n = List.fold_left (fun acc (_, c) -> acc + c) 0 (entries fb) in
-    if n <> fb.Flit.fb_len then
-      Alcotest.failf "cycle %d: ring entries hold %d flits, its length says %d"
-        (Engine.now engine) n fb.Flit.fb_len;
-    n
-  in
   let probe _ =
     (match Flit.check_flits f with
     | Some why -> Alcotest.failf "F1 at cycle %d: %s" (Engine.now engine) why
     | None -> ());
-    let free = Array.sub f.Flit.w_free 0 f.Flit.w_free_n in
-    let live_flit flit =
-      let w = Flit.worm_of flit in
-      if Array.mem w free || Flit.idx_of flit >= f.Flit.w_flits.(w) then
-        Alcotest.failf "ring holds flit %d of dead worm %d" (Flit.idx_of flit) w
-    in
-    let tails_out = Hashtbl.create 64 in
-    let in_links =
-      List.fold_left
-        (fun acc (fb : Flit.fbuf) ->
-          if Array.length fb.Flit.fb_flit > 4 then grown := true;
-          List.iter
-            (fun (first, count) ->
-              for k = 0 to count - 1 do
-                live_flit (first + k)
-              done;
-              let w = Flit.worm_of first in
-              if Flit.idx_of first + count = f.Flit.w_flits.(w) then
-                Hashtbl.replace tails_out w ())
-            (entries fb);
-          acc + flits fb)
-        0 (links ())
-    in
-    let at_sources =
-      Array.fold_left
-        (fun acc (fb : Flit.fbuf) ->
-          if Array.length fb.Flit.fb_flit > 4 then grown := true;
-          List.iter
-            (fun (first, count) ->
-              live_flit first;
-              let left = f.Flit.w_flits.(Flit.worm_of first) - Flit.idx_of first in
-              if count <> left then
-                Alcotest.failf "cycle %d: an injection entry holds %d of its worm's %d flits left"
-                  (Engine.now engine) count left)
-            (entries fb);
-          acc + flits fb)
-        0 f.Flit.inject
-    in
+    let fifos = Flit.fifos f in
+    let tails_out = Hashtbl.create 64 and in_links = ref 0 and at_sources = ref 0 in
+    let held = Array.make nodes [] in
+    List.iter
+      (fun (fi : Flit.fifo) ->
+        if fi.Flit.fi_slots > 4 then grown := true;
+        let n = List.fold_left (fun acc (_, _, c) -> acc + c) 0 fi.Flit.fi_entries in
+        if n <> fi.Flit.fi_len then
+          Alcotest.failf "cycle %d: ring entries hold %d flits, its length says %d"
+            (Engine.now engine) n fi.Flit.fi_len;
+        List.iter
+          (fun (w, first, count) ->
+            match Flit.worm f w with
+            | None -> Alcotest.failf "ring holds flit %d of dead worm %d" first w
+            | Some (nf, _) ->
+                if first + count > nf then
+                  Alcotest.failf "ring holds flit %d of worm %d's %d" (first + count - 1) w nf;
+                if fi.Flit.fi_node < 0 then begin
+                  if first + count = nf then Hashtbl.replace tails_out w ()
+                end
+                else begin
+                  if count <> nf - first then
+                    Alcotest.failf
+                      "cycle %d: an injection entry holds %d of its worm's %d flits left"
+                      (Engine.now engine) count (nf - first);
+                  held.(fi.Flit.fi_node) <- w :: held.(fi.Flit.fi_node)
+                end)
+          fi.Flit.fi_entries;
+        if fi.Flit.fi_node < 0 then in_links := !in_links + n else at_sources := !at_sources + n)
+      fifos;
     let _, _, buffered = Flit.flit_counts f in
     checki "in-network flits = link rings + flits left at injection entries"
-      (in_links + at_sources) buffered;
+      (!in_links + !at_sources) buffered;
     (* a worm is queued at its source while live with its tail in no
        link ring; its injection FIFO holds it as exactly one entry *)
     let queued = Array.make nodes [] in
-    for w = 0 to Array.length f.Flit.w_flits - 1 do
-      if (not (Array.mem w free)) && not (Hashtbl.mem tails_out w) then begin
-        let src = f.Flit.w_pkt.(w).Packet.src_node in
-        queued.(src) <- w :: queued.(src)
-      end
+    for w = 0 to snd (Flit.worms f) - 1 do
+      match Flit.worm f w with
+      | Some (_, src) when not (Hashtbl.mem tails_out w) -> queued.(src) <- w :: queued.(src)
+      | Some _ | None -> ()
     done;
     Array.iteri
-      (fun src (fb : Flit.fbuf) ->
-        let held = List.sort compare (List.map (fun (first, _) -> Flit.worm_of first) (entries fb)) in
-        if held <> List.sort compare queued.(src) then
+      (fun src ws ->
+        if List.sort compare ws <> List.sort compare queued.(src) then
           Alcotest.failf "cycle %d: node %d's injection ring holds %d entries for %d queued worms"
-            (Engine.now engine) src fb.Flit.fb_n (List.length queued.(src)))
-      f.Flit.inject
+            (Engine.now engine) src (List.length ws) (List.length queued.(src)))
+      held
   in
   let rng = Rng.create 11 in
   let worms = 2_400 in
@@ -1582,7 +1545,7 @@ let test_flit_worm_table_and_rings () =
   while !pow2 < !peak do
     pow2 := 2 * !pow2
   done;
-  let cap = Array.length f.Flit.w_flits in
+  let cap = snd (Flit.worms f) in
   if cap > !pow2 then
     Alcotest.failf "worm table %d slots for a peak of %d in flight" cap !peak
 
@@ -2332,7 +2295,7 @@ let () =
             test_analytic_vc_depth_own_claims;
           Alcotest.test_case "flit: run-splitting scenarios pinned" `Quick
             test_flit_split_runs_pinned;
-          Alcotest.test_case "flit: run census" `Quick test_flit_run_census;
+          Alcotest.test_case "flit: visit census" `Quick test_flit_visit_census;
           Alcotest.test_case "analytic: settled counters pinned" `Quick
             test_analytic_settled_pinned;
         ] );
